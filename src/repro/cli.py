@@ -53,6 +53,7 @@ from repro.analysis.verify import verify_result, verify_routing
 from repro.core.config import MightyConfig
 from repro.engine import EngineConfig, RoutingEngine
 from repro.errors import InputError, ReproError
+from repro.maze.kernels import BACKEND_NAMES
 from repro.netlist import io as problem_io
 from repro.netlist.problem import ProblemError
 from repro.netlist.generators import (
@@ -63,6 +64,9 @@ from repro.netlist.generators import (
 )
 from repro.viz.ascii_art import render_grid
 from repro.viz.svg import svg_from_grid
+
+#: ``--kernel`` choices for ``route`` and ``bench``.
+_KERNEL_CHOICES = BACKEND_NAMES + ("auto",)
 
 
 def _detect_format(path: Path, explicit: Optional[str]) -> str:
@@ -685,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     route.add_argument(
         "--kernel",
-        choices=("pure", "vector", "compiled", "auto"),
+        choices=_KERNEL_CHOICES,
         help="search-kernel backend (default: REPRO_KERNEL or auto); "
         "backends are bit-identical in paths and counters",
     )
@@ -979,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--kernel",
-        choices=("pure", "vector", "compiled", "auto"),
+        choices=_KERNEL_CHOICES,
         help="force the search-kernel backend for every case (also "
         "exported as REPRO_KERNEL so --workers subprocesses match); "
         "an unavailable backend is an error, never a silent fallback",

@@ -71,7 +71,7 @@ class MightyConfig:
         connection from eating the run's entire budget.
     kernel_backend:
         Search-kernel backend for every search this router performs
-        (``"pure"`` / ``"vector"`` / ``"compiled"`` / ``"auto"``; None
+        (``"pure"`` / ``"compiled"`` / ``"auto"``; None
         defers to the process default, i.e. ``REPRO_KERNEL`` or auto
         selection — see :mod:`repro.maze.kernels`).  Backends are
         bit-identical in paths and counters, so this knob trades wall

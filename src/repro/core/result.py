@@ -62,7 +62,7 @@ class RouteStats:
     exhausted_searches: int = 0
     peak_journal_depth: int = 0
     #: Name of the search-kernel backend the run used (``pure`` /
-    #: ``vector`` / ``compiled``; see :mod:`repro.maze.kernels`).  All
+    #: ``compiled``; see :mod:`repro.maze.kernels`).  All
     #: backends are bit-identical in counters and paths, so this is
     #: provenance for wall-clock numbers, not a behaviour knob.
     kernel_backend: str = ""

@@ -137,7 +137,7 @@ class ConnectivityIndex:
             journal.append((_J_UF, idx, parent[idx], rank[idx]))
         parent[idx] = idx
         rank[idx] = 0
-        occ = grid._occ_flat
+        occ = grid._occ
         width, height = grid.width, grid.height
         if x + 1 < width and occ[idx + 1] == net_id:
             self._union(idx, idx + 1, journal)
@@ -147,7 +147,7 @@ class ConnectivityIndex:
             self._union(idx, idx + width, journal)
         if y > 0 and occ[idx - width] == net_id:
             self._union(idx, idx - width, journal)
-        if int(grid._via_view[y * width + x]) == net_id:
+        if grid._via[y * width + x] == net_id:
             plane = width * height
             other = idx + plane if idx < plane else idx - plane
             if occ[other] == net_id:
@@ -162,7 +162,7 @@ class ConnectivityIndex:
         width = grid.width
         idx0 = y * width + x
         plane = width * grid.height
-        occ = grid._occ_flat
+        occ = grid._occ
         if occ[idx0] == net_id and occ[idx0 + plane] == net_id:
             self._union(idx0, idx0 + plane, grid._journal)
 
@@ -236,8 +236,8 @@ class ConnectivityIndex:
         """
         grid = self._grid
         journal = grid._journal
-        occ = grid._occ_flat
-        via = grid._via_view
+        occ = grid._occ
+        via = grid._via
         height, width = grid.height, grid.width
         plane = height * width
         parent, rank = self._parent, self._rank
@@ -260,7 +260,7 @@ class ConnectivityIndex:
                 union(idx, idx + width, journal)
             if (
                 idx < plane
-                and int(via[y * width + x]) == net_id
+                and via[y * width + x] == net_id
                 and occ[idx + plane] == net_id
             ):
                 union(idx, idx + plane, journal)
@@ -272,7 +272,7 @@ class ConnectivityIndex:
     def _gather(self, net_id: int) -> Dict[int, List[GridNode]]:
         """Group the net's owned nodes by component root."""
         grid = self._grid
-        occ = grid._occ_flat
+        occ = grid._occ
         height, width = grid.height, grid.width
         find = self.find
         groups: Dict[int, List[GridNode]] = {}

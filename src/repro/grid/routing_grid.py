@@ -11,13 +11,14 @@ laid by an earlier one), so the grid keeps a per-net reference count for
 every node and via.  Ripping one connection only frees cells whose count
 drops to zero.
 
-Two representations are kept in lock-step:
-
-* numpy arrays (``occupancy()``/``pin_map()``/``via_map()``) for the bulk
-  consumers — the verifier, metrics, rendering, region masking;
-* flat Python lists (``occ_flat()``/``pin_flat()``) for the search kernels,
-  whose per-cell reads are several times faster on plain lists than on
-  numpy scalars.
+Occupancy, pin ownership and vias are each stored exactly once, as a flat
+C-order ``array('i')`` buffer indexed like :meth:`RoutingGrid._flat_index`
+(``(layer * H + y) * W + x``; vias ``y * W + x``).  Every reader shares
+that one buffer: the pure-python kernels and the connectivity index index
+it directly (``occ_flat()``/``pin_flat()``), the compiled kernel passes its
+address to C without a copy, and the bulk consumers — verifier, metrics,
+rendering, compaction — get read-only numpy views over it
+(``occupancy()``/``pin_map()``/``via_map()``).  A mutation is one write.
 
 Undo comes in two granularities.  :meth:`clone`/:meth:`restore` snapshot
 the whole grid — O(area), used sparingly for the router's coarse
@@ -29,6 +30,7 @@ what keeps the rip-up inner loop cheap.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -93,9 +95,10 @@ class RoutingGrid:
             raise ValueError(f"grid extents must be positive, got {width}x{height}")
         self.width = width
         self.height = height
-        self._occ = np.full((2, height, width), FREE, dtype=np.int32)
-        self._via = np.full((height, width), FREE, dtype=np.int32)
-        self._pin = np.full((2, height, width), FREE, dtype=np.int32)
+        plane = width * height
+        self._occ = array("i", [FREE]) * (2 * plane)
+        self._via = array("i", [FREE]) * plane
+        self._pin = array("i", [FREE]) * (2 * plane)
         self._usage: Dict[int, Counter] = defaultdict(Counter)
         self._via_usage: Dict[int, Counter] = defaultdict(Counter)
         self._journal: Optional[list] = None
@@ -114,45 +117,23 @@ class RoutingGrid:
                 ),
                 constant_values=False,
             )
-            self._occ[:, blocked] = OBSTACLE
-        self._rebuild_flat_mirrors()
+            occ = np.frombuffer(self._occ, dtype=np.intc)
+            occ.reshape(2, height, width)[:, blocked] = OBSTACLE
         self._connectivity = ConnectivityIndex(self)
-
-    def _rebuild_flat_mirrors(self) -> None:
-        """Resync the list mirrors and flat views with the numpy arrays."""
-        self._occ_view = self._occ.reshape(-1)
-        self._pin_view = self._pin.reshape(-1)
-        self._via_view = self._via.reshape(-1)
-        self._occ_flat: List[int] = self._occ_view.tolist()
-        self._pin_flat: List[int] = self._pin_view.tolist()
 
     # ------------------------------------------------------------------
     # Pickling (process-pool workers ship grids across processes)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Drop the derived views/mirrors/index; they are rebuilt on load.
-
-        Naive pickling would serialise ``_occ_view`` as an *independent*
-        array, silently breaking the aliasing that keeps the flat mirrors
-        in lock-step with the numpy arrays.
-        """
+        """Drop the connectivity index; it is rebuilt, all-dirty, on load."""
         if self._journal is not None:
             raise GridError("cannot pickle a grid with an open transaction")
         state = self.__dict__.copy()
-        for derived in (
-            "_occ_view",
-            "_pin_view",
-            "_via_view",
-            "_occ_flat",
-            "_pin_flat",
-            "_connectivity",
-        ):
-            state.pop(derived, None)
+        del state["_connectivity"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._rebuild_flat_mirrors()
         self._connectivity = ConnectivityIndex(self)
         self._connectivity.invalidate_all()
 
@@ -168,18 +149,18 @@ class RoutingGrid:
         x, y, layer = node
         if not self.in_bounds(x, y):
             return OBSTACLE
-        return self._occ_flat[(layer * self.height + y) * self.width + x]
+        return self._occ[(layer * self.height + y) * self.width + x]
 
     def via_owner(self, x: int, y: int) -> int:
         """Net id of the via at ``(x, y)``, or ``FREE``."""
-        return int(self._via[y, x])
+        return self._via[y * self.width + x]
 
     def pin_owner(self, node: Tuple[int, int, int]) -> int:
         """Net id whose pin sits at ``node``, or ``FREE``."""
         x, y, layer = node
         if not self.in_bounds(x, y):
             return FREE
-        return self._pin_flat[(layer * self.height + y) * self.width + x]
+        return self._pin[(layer * self.height + y) * self.width + x]
 
     def is_free(self, node: Tuple[int, int, int]) -> bool:
         """True when ``node`` is unoccupied and not an obstacle."""
@@ -201,59 +182,43 @@ class RoutingGrid:
         """Ids of nets that currently own at least one node."""
         return sorted(n for n, usage in self._usage.items() if usage)
 
-    def occupancy(self) -> np.ndarray:
-        """Read-only occupancy array of shape ``(2, height, width)``.
-
-        Exposed for the bulk consumers (verifier, metrics, rendering);
-        treat as immutable.  The search kernels use :meth:`occ_flat`.
-        """
-        view = self._occ.view()
+    @staticmethod
+    def _view(store: array, shape: Tuple[int, ...]) -> np.ndarray:
+        """Read-only numpy view (no copy) over one of the flat stores."""
+        view = np.frombuffer(store, dtype=np.intc).reshape(shape)
         view.flags.writeable = False
         return view
+
+    def occupancy(self) -> np.ndarray:
+        """Read-only occupancy view of shape ``(2, height, width)``.
+
+        Exposed for the bulk consumers (verifier, metrics, rendering); it
+        aliases the grid's one occupancy store, so later mutations show
+        through.  The search kernels use :meth:`occ_flat`.
+        """
+        return self._view(self._occ, (2, self.height, self.width))
 
     def pin_map(self) -> np.ndarray:
-        """Read-only pin-ownership array of shape ``(2, height, width)``."""
-        view = self._pin.view()
-        view.flags.writeable = False
-        return view
+        """Read-only pin-ownership view of shape ``(2, height, width)``."""
+        return self._view(self._pin, (2, self.height, self.width))
 
     def via_map(self) -> np.ndarray:
-        """Read-only via-ownership array of shape ``(height, width)``."""
-        view = self._via.view()
-        view.flags.writeable = False
-        return view
+        """Read-only via-ownership view of shape ``(height, width)``."""
+        return self._view(self._via, (self.height, self.width))
 
-    def occ_flat(self) -> List[int]:
-        """Flat occupancy mirror, C-order ``(layer, y, x)``.
+    def occ_flat(self) -> array:
+        """The occupancy store itself: flat ``array('i')``, C-order
+        ``(layer, y, x)``.
 
-        The search kernels' hot view: a plain Python list whose per-cell
-        reads avoid numpy scalar boxing.  Callers MUST treat it as
-        read-only; it is kept in lock-step with :meth:`occupancy` by every
-        grid mutation.
+        The search kernels index it per cell (pure python) or pass its
+        address to C (``buffer_info()[0]``).  Callers MUST treat it as
+        read-only; only grid mutations write it.
         """
-        return self._occ_flat
+        return self._occ
 
-    def pin_flat(self) -> List[int]:
-        """Flat pin-ownership mirror, C-order ``(layer, y, x)``; read-only."""
-        return self._pin_flat
-
-    def occ_array(self) -> np.ndarray:
-        """Read-only *flat* int32 occupancy view, C-order ``(layer, y, x)``.
-
-        The typed twin of :meth:`occ_flat` for the vector/compiled search
-        kernels: contiguous, dtype-stable, indexed by the same flat node
-        ids, and always in lock-step with the grid (it aliases the backing
-        store rather than copying it).
-        """
-        view = self._occ.reshape(-1)
-        view.flags.writeable = False
-        return view
-
-    def pin_array(self) -> np.ndarray:
-        """Read-only flat int32 pin-ownership view, C-order ``(layer, y, x)``."""
-        view = self._pin.reshape(-1)
-        view.flags.writeable = False
-        return view
+    def pin_flat(self) -> array:
+        """The pin-ownership store, flat C-order ``(layer, y, x)``; read-only."""
+        return self._pin
 
     # ------------------------------------------------------------------
     # Change journal (transactions)
@@ -287,17 +252,14 @@ class RoutingGrid:
             raise GridError("no open transaction to roll back")
         self._journal_peak = max(self._journal_peak, len(journal))
         self._journal = None  # undo writes below must not be re-journaled
-        occ_view, occ_flat = self._occ_view, self._occ_flat
-        pin_view, pin_flat = self._pin_view, self._pin_flat
-        via_view = self._via_view
+        occ, pin, via = self._occ, self._pin, self._via
         connectivity = self._connectivity
         connectivity.drop_caches()
         for entry in reversed(journal):
             tag = entry[0]
             if tag == _J_OCC:
                 _, index, old = entry
-                occ_view[index] = old
-                occ_flat[index] = old
+                occ[index] = old
             elif tag == _J_USE:
                 _, net_id, key, old = entry
                 usage = self._usage[net_id]
@@ -313,7 +275,7 @@ class RoutingGrid:
                 connectivity.undo_dirty(net_id, was_dirty)
             elif tag == _J_VIA:
                 _, index, old = entry
-                via_view[index] = old
+                via[index] = old
             elif tag == _J_VUSE:
                 _, net_id, key, old = entry
                 usage = self._via_usage[net_id]
@@ -323,8 +285,7 @@ class RoutingGrid:
                     usage.pop(key, None)
             else:  # _J_PIN
                 _, index, old = entry
-                pin_view[index] = old
-                pin_flat[index] = old
+                pin[index] = old
 
     @property
     def in_txn(self) -> bool:
@@ -371,15 +332,14 @@ class RoutingGrid:
         layers: Iterable[int] = (0, 1) if layer is None else (int(layer),)
         for l in layers:
             index = (l * self.height + y) * self.width + x
-            current = self._occ_flat[index]
+            current = self._occ[index]
             if current not in (FREE, OBSTACLE):
                 raise GridError(
                     f"cannot place obstacle over net {current} at ({x},{y},{l})"
                 )
             if self._journal is not None:
                 self._journal.append((_J_OCC, index, current))
-            self._occ_view[index] = OBSTACLE
-            self._occ_flat[index] = OBSTACLE
+            self._occ[index] = OBSTACLE
 
     def reserve_pin(self, net_id: int, node: Tuple[int, int, int]) -> None:
         """Permanently claim ``node`` for ``net_id`` as a pin.
@@ -399,13 +359,11 @@ class RoutingGrid:
         index = self._flat_index((x, y, int(layer)))
         usage = self._usage[net_id]
         if self._journal is not None:
-            self._journal.append((_J_OCC, index, self._occ_flat[index]))
-            self._journal.append((_J_PIN, index, self._pin_flat[index]))
+            self._journal.append((_J_OCC, index, self._occ[index]))
+            self._journal.append((_J_PIN, index, self._pin[index]))
             self._journal.append((_J_USE, net_id, key, usage.get(key, 0)))
-        self._occ_view[index] = net_id
-        self._occ_flat[index] = net_id
-        self._pin_view[index] = net_id
-        self._pin_flat[index] = net_id
+        self._occ[index] = net_id
+        self._pin[index] = net_id
         usage[key] += 1
         if current == FREE:
             self._connectivity.note_node_added(net_id, index, x, y, int(layer))
@@ -419,11 +377,11 @@ class RoutingGrid:
         grid untouched.
         """
         self._check_net_id(net_id)
-        occ_flat = self._occ_flat
+        occ = self._occ
         width = self.width
         indexed = self._path_indices(path)
         for index, node in indexed:
-            current = occ_flat[index]
+            current = occ[index]
             if current != FREE and current != net_id:
                 raise GridError(
                     f"net {net_id} collides with {current} at {tuple(node)}"
@@ -436,30 +394,28 @@ class RoutingGrid:
                     f"via of net {net_id} collides with {current} at {tuple(cell)}"
                 )
         journal = self._journal
-        occ_view = self._occ_view
         usage = self._usage[net_id]
         connectivity = self._connectivity
         for index, node in indexed:
             if journal is not None:
-                journal.append((_J_OCC, index, occ_flat[index]))
+                journal.append((_J_OCC, index, occ[index]))
                 journal.append((_J_USE, net_id, node, usage.get(node, 0)))
-            was_free = occ_flat[index] == FREE
-            occ_view[index] = net_id
-            occ_flat[index] = net_id
+            was_free = occ[index] == FREE
+            occ[index] = net_id
             usage[node] += 1
             if was_free:
                 connectivity.note_node_added(
                     net_id, index, node.x, node.y, int(node.layer)
                 )
-        via_view = self._via_view
+        via = self._via
         via_usage = self._via_usage[net_id]
         for cell in via_cells:
             index = cell.y * width + cell.x
             if journal is not None:
-                journal.append((_J_VIA, index, int(via_view[index])))
+                journal.append((_J_VIA, index, via[index]))
                 journal.append((_J_VUSE, net_id, cell, via_usage.get(cell, 0)))
-            was_free = int(via_view[index]) == FREE
-            via_view[index] = net_id
+            was_free = via[index] == FREE
+            via[index] = net_id
             via_usage[cell] += 1
             if was_free:
                 connectivity.note_via_added(net_id, cell.x, cell.y)
@@ -478,7 +434,7 @@ class RoutingGrid:
                 )
         width = self.width
         journal = self._journal
-        occ_view, occ_flat = self._occ_view, self._occ_flat
+        occ = self._occ
         freed = False
         for index, node in indexed:
             if journal is not None:
@@ -487,12 +443,11 @@ class RoutingGrid:
             if usage[node] == 0:
                 del usage[node]
                 if journal is not None:
-                    journal.append((_J_OCC, index, occ_flat[index]))
-                occ_view[index] = FREE
-                occ_flat[index] = FREE
+                    journal.append((_J_OCC, index, occ[index]))
+                occ[index] = FREE
                 freed = True
         via_usage = self._via_usage[net_id]
-        via_view = self._via_view
+        via = self._via
         for cell in path.via_cells():
             if via_usage[cell] <= 0:
                 raise GridError(
@@ -505,8 +460,8 @@ class RoutingGrid:
                 del via_usage[cell]
                 index = cell.y * width + cell.x
                 if journal is not None:
-                    journal.append((_J_VIA, index, int(via_view[index])))
-                via_view[index] = FREE
+                    journal.append((_J_VIA, index, via[index]))
+                via[index] = FREE
                 freed = True
         if freed:
             # A union-find cannot split: mark the net for a scoped
@@ -526,14 +481,9 @@ class RoutingGrid:
         copy = RoutingGrid.__new__(RoutingGrid)
         copy.width = self.width
         copy.height = self.height
-        copy._occ = self._occ.copy()
-        copy._via = self._via.copy()
-        copy._pin = self._pin.copy()
-        copy._occ_view = copy._occ.reshape(-1)
-        copy._pin_view = copy._pin.reshape(-1)
-        copy._via_view = copy._via.reshape(-1)
-        copy._occ_flat = list(self._occ_flat)
-        copy._pin_flat = list(self._pin_flat)
+        copy._occ = self._occ[:]
+        copy._via = self._via[:]
+        copy._pin = self._pin[:]
         copy._usage = _copy_usage(self._usage)
         copy._via_usage = _copy_usage(self._via_usage)
         copy._journal = None
@@ -550,11 +500,11 @@ class RoutingGrid:
             raise GridError("snapshot geometry mismatch")
         if self._journal is not None:
             raise GridError("cannot restore() while a transaction is open")
-        self._occ[...] = snapshot._occ
-        self._via[...] = snapshot._via
-        self._pin[...] = snapshot._pin
-        self._occ_flat[:] = snapshot._occ_flat
-        self._pin_flat[:] = snapshot._pin_flat
+        # Equal-length slice assignment copies in place, so buffers handed
+        # out earlier (numpy views, kernel addresses) stay valid.
+        self._occ[:] = snapshot._occ
+        self._via[:] = snapshot._via
+        self._pin[:] = snapshot._pin
         self._usage = _copy_usage(snapshot._usage)
         self._via_usage = _copy_usage(snapshot._via_usage)
         self._connectivity.invalidate_all()
@@ -583,7 +533,7 @@ class RoutingGrid:
             return False
         ia = self._flat_index(a)
         ib = self._flat_index(b)
-        occ = self._occ_flat
+        occ = self._occ
         if occ[ia] != net_id or occ[ib] != net_id:
             return False
         return self._connectivity.same_component(net_id, ia, ib)
@@ -601,7 +551,7 @@ class RoutingGrid:
         if not self.in_bounds(x, y):
             return []
         idx = self._flat_index(seed)
-        if self._occ_flat[idx] != net_id:
+        if self._occ[idx] != net_id:
             return []
         return self._connectivity.component_nodes(net_id, idx)
 

@@ -97,7 +97,7 @@ def _build_neighbor_table(width: int, height: int) -> Tuple[tuple, ...]:
 
 
 class _NumpyPlanes:
-    """Typed scratch planes for the vector/compiled kernels.
+    """Typed scratch planes for the compiled kernel.
 
     Same generation-stamp discipline as the plain-list planes (the
     generation counter itself lives on the owning :class:`_Planes`, so
@@ -140,7 +140,7 @@ class _Planes:
         return self.generation
 
     def numpy_planes(self) -> "_NumpyPlanes":
-        """Lazily-allocated typed planes (vector/compiled kernels only)."""
+        """Lazily-allocated typed planes (compiled kernel only)."""
         if self._numpy is None:
             self._numpy = _NumpyPlanes(len(self.best))
         return self._numpy

@@ -4,7 +4,7 @@ The searcher is the hot loop of the whole library, so it runs as a flat
 integer kernel: node ids ``idx = (layer * H + y) * W + x`` flow through the
 heap, successor moves come from the precomputed
 :func:`~repro.maze.arena.neighbor_table`, occupancy is read from the grid's
-flat mirrors, and cost/parent/visited planes are recycled from a
+flat stores, and cost/parent/visited planes are recycled from a
 :class:`~repro.maze.arena.SearchArena` with a generation stamp instead of a
 per-search clear.  A search therefore allocates almost nothing beyond its
 heap entries.
@@ -12,9 +12,9 @@ heap entries.
 This module is the *validating wrapper*: it checks endpoints (bounds,
 layer, source availability), prepares the query, and shapes the result.
 The inner loop itself lives in a pluggable kernel backend
-(:mod:`repro.maze.kernels`) — pure python, numpy-vectorized, or compiled —
-all bit-identical in paths, costs, and expansion counts, so the backend
-choice changes wall time only, never routing decisions.
+(:mod:`repro.maze.kernels`) — pure python or compiled — both
+bit-identical in paths, costs, and expansion counts, so the backend choice
+changes wall time only, never routing decisions.
 
 Soft-conflict mode is the crucial feature for the paper's algorithm: with
 ``allow_conflicts=True`` the searcher may walk *through* cells owned by other
@@ -129,8 +129,8 @@ def find_path(
         Scratch arena whose planes the search reuses.  Routers pass their
         own; casual callers fall back to a thread-local shared arena.
     kernel:
-        Kernel backend name (``pure`` / ``vector`` / ``compiled`` /
-        ``auto``); ``None`` uses the process default (see
+        Kernel backend name (``pure`` / ``compiled`` / ``auto``);
+        ``None`` uses the process default (see
         :mod:`repro.maze.kernels`).
 
     Returns

@@ -3,15 +3,12 @@
 The maze searchers (:func:`repro.maze.astar.find_path`,
 :func:`repro.maze.lee.lee_route`) are thin validating wrappers around a
 *kernel backend* — the inner loop that actually pops nodes and relaxes
-edges.  Three backends ship:
+edges.  Two backends ship:
 
 ``pure``
     The reference implementation: the original pure-python loops over the
-    grid's plain-list mirrors.  Always available, zero dependencies.
-``vector``
-    Same A* loop, but Lee's wavefront expands a whole frontier per step
-    with numpy boolean-mask shifts over the flat occupancy planes instead
-    of per-node deque pops.
+    grid's flat occupancy and pin stores.  Always available, zero
+    dependencies.
 ``compiled``
     A* and Lee inner loops compiled from a small C kernel with the system
     C compiler at first use and loaded through :mod:`ctypes`.  Built
@@ -30,8 +27,8 @@ backends changes wall time only — never which decisions the router makes.
 Selection order for the process-wide default backend:
 
 1. ``select_backend(name)`` called explicitly (e.g. from the CLI);
-2. the ``REPRO_KERNEL`` environment variable (``pure`` / ``vector`` /
-   ``compiled`` / ``auto``);
+2. the ``REPRO_KERNEL`` environment variable (``pure`` / ``compiled`` /
+   ``auto``);
 3. ``auto``: ``compiled`` when it builds, else ``pure``.
 
 Resolution is lazy (first search, not import) so merely importing the
@@ -51,7 +48,7 @@ from typing import Callable, Dict, Optional, Tuple
 ENV_VAR = "REPRO_KERNEL"
 
 #: Recognised backend names, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("pure", "vector", "compiled")
+BACKEND_NAMES: Tuple[str, ...] = ("pure", "compiled")
 
 
 @dataclass(frozen=True)
@@ -88,8 +85,6 @@ def _load(name: str) -> KernelBackend:
     try:
         if name == "pure":
             from repro.maze.kernels import pure as mod
-        elif name == "vector":
-            from repro.maze.kernels import vector as mod
         elif name == "compiled":
             from repro.maze.kernels import compiled as mod
         else:

@@ -16,6 +16,11 @@ describe; numba or Cython could provide the same entry points, but
 neither is shipped with the repo, and a stock C toolchain is the lowest
 common denominator.
 
+The kernel reads the grid's occupancy and pin stores in place: their
+``array('i')`` buffers are passed by address, never copied.  The C side
+declares them ``const int32_t *``, so on a platform whose C ``int`` is not
+four bytes this module refuses to load and ``auto`` falls back to ``pure``.
+
 Marshalling note: per call this builds a handful of tiny numpy arrays
 (sources, dense frozen/penalty tables) and flips target-mask bytes.
 That's ~10 µs against searches that take hundreds in pure python, and
@@ -31,6 +36,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from array import array
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -118,6 +124,12 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
+if array("i").itemsize != 4:
+    raise RuntimeError(
+        f"grid cells are {array('i').itemsize}-byte ints here; "
+        "the C kernel reads int32"
+    )
+
 _lib = _declare(_build_library())
 
 _EMPTY_U8 = np.zeros(0, dtype=np.uint8)
@@ -171,8 +183,8 @@ def astar_search(
     """C A* inner loop via ctypes (bit-identical to the pure reference)."""
     width, height = grid.width, grid.height
     np_planes = planes.numpy_planes()
-    occ = grid.occ_array()
-    pin = grid.pin_array()
+    occ_addr = grid.occ_flat().buffer_info()[0]
+    pin_addr = grid.pin_flat().buffer_info()[0]
     frozen_arr, frozen_len = _dense_frozen(frozen_nets)
     pen_arr, pen_len = _dense_penalties(net_penalties)
     rows = model.axis_cost_table
@@ -189,7 +201,7 @@ def astar_search(
     tmask[tlist] = 1
     try:
         status = _lib.repro_astar(
-            occ.ctypes.data, pin.ctypes.data,
+            occ_addr, pin_addr,
             width, height,
             net_id, int(bool(allow_conflicts)),
             frozen_arr.ctypes.data, frozen_len,
@@ -233,7 +245,7 @@ def lee_search(
     """C Lee wavefront via ctypes (bit-identical to the pure reference)."""
     width, height = grid.width, grid.height
     np_planes = planes.numpy_planes()
-    occ = grid.occ_array()
+    occ_addr = grid.occ_flat().buffer_info()[0]
     n_src = len(source_indices)
     src_idx = np.fromiter(source_indices, np.int64, count=n_src)
     out = np.zeros(1, dtype=np.int64)
@@ -243,7 +255,7 @@ def lee_search(
     tmask[tlist] = 1
     try:
         status = _lib.repro_lee(
-            occ.ctypes.data,
+            occ_addr,
             width, height,
             net_id,
             tmask.ctypes.data,

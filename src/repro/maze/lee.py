@@ -7,15 +7,14 @@ one — expand a wavefront of monotonically increasing labels from the
 sources, then retrace from the first labelled target — but it runs on the
 same flat-index substrate as the production searcher: integer node ids, the
 shared :func:`~repro.maze.arena.neighbor_table`, the grid's flat occupancy
-mirrors, and label/parent planes recycled from a
+store, and label/parent planes recycled from a
 :class:`~repro.maze.arena.SearchArena`.
 
 Like :func:`repro.maze.astar.find_path`, this module validates endpoints
 (bounds *and* layer, for sources and targets alike) and delegates the
 wavefront itself to a pluggable kernel backend
-(:mod:`repro.maze.kernels`): the ``vector`` backend expands the whole
-frontier per step with numpy mask shifts, producing bit-identical paths to
-the per-node deque reference.
+(:mod:`repro.maze.kernels`), each bit-identical to the per-node deque
+reference.
 """
 
 from __future__ import annotations

@@ -197,14 +197,7 @@ class FaultInjector:
             return
         for node in path:
             if grid.pin_owner(tuple(node)) == 0:
-                # Write both representations the grid keeps in lock-step
-                # (numpy array and the kernels' flat list mirror) so the
-                # corruption is visible to verifier and searcher alike.
-                grid._occ[int(node.layer), node.y, node.x] = CORRUPT_OWNER
-                index = (
-                    int(node.layer) * grid.height + node.y
-                ) * grid.width + node.x
-                grid._occ_flat[index] = CORRUPT_OWNER
+                grid._occ[grid._flat_index(node)] = CORRUPT_OWNER
                 self.corrupted_nodes.append(tuple(node))
                 return
 

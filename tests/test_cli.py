@@ -206,6 +206,17 @@ class TestStructuredErrors:
         finally:
             kernels._reset_for_tests()
 
+    def test_removed_vector_kernel_exit_2(self, channel_file, capsys):
+        """``--kernel`` accepts exactly the shipped backends plus auto."""
+        for argv in (
+            ["route", str(channel_file), "--kernel", "vector"],
+            ["bench", "--only", "chan-simple", "--kernel", "vector"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid choice: 'vector'" in capsys.readouterr().err
+
 
 class TestResilientFlags:
     def test_deadline_partial_exit_3(self, channel_file, capsys):

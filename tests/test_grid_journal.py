@@ -9,6 +9,7 @@ commit/rip sequences, and at the router level with the deterministic fault
 injector forcing weak rejections.
 """
 
+import pickle
 import random
 
 import pytest
@@ -22,13 +23,10 @@ from repro.testing.faults import FaultInjector, FaultPlan
 
 
 def assert_grids_identical(actual: RoutingGrid, expected: RoutingGrid):
-    """Every representation the grid keeps must match exactly."""
-    assert (actual.occupancy() == expected.occupancy()).all()
-    assert (actual.pin_map() == expected.pin_map()).all()
-    assert (actual.via_map() == expected.via_map()).all()
-    # The kernels' flat list mirrors must stay in lock-step too.
+    """Every store and usage table the grid keeps must match exactly."""
     assert actual.occ_flat() == expected.occ_flat()
     assert actual.pin_flat() == expected.pin_flat()
+    assert (actual.via_map() == expected.via_map()).all()
     for net_id in set(actual.net_ids()) | set(expected.net_ids()):
         assert actual.net_nodes(net_id) == expected.net_nodes(net_id)
         assert actual.net_vias(net_id) == expected.net_vias(net_id)
@@ -172,6 +170,31 @@ class TestJournalEdgeCases:
         copy = grid.clone()
         assert not copy.in_txn and copy.journal_peak_depth == 0
         grid.rollback_txn()
+
+
+class TestCopiesShareNoBuffer:
+    @pytest.mark.parametrize(
+        "duplicate",
+        [RoutingGrid.clone, lambda grid: pickle.loads(pickle.dumps(grid))],
+        ids=["clone", "pickle"],
+    )
+    def test_mutating_copy_leaves_original_unchanged(self, duplicate):
+        grid = RoutingGrid(8, 6)
+        wire = GridPath([(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 0, 1)])
+        grid.reserve_pin(1, (0, 0, 0))
+        grid.commit_path(1, wire)
+        occ, pin = grid.occ_flat()[:], grid.pin_flat()[:]
+        via = grid.via_map().copy()
+        copy = duplicate(grid)
+        assert_grids_identical(copy, grid)
+
+        copy.reserve_pin(2, (5, 5, 1))
+        copy.commit_path(2, GridPath([(5, 4, 1), (5, 4, 0), (4, 4, 0)]))
+        copy.remove_path(1, wire)
+        copy.set_obstacle(7, 0)
+        assert grid.occ_flat() == occ
+        assert grid.pin_flat() == pin
+        assert (grid.via_map() == via).all()
 
 
 class TestRouterLevelRollback:
