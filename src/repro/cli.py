@@ -46,16 +46,16 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.analysis.metrics import channel_tracks_used, layout_metrics
 from repro.analysis.verify import verify_result, verify_routing
 from repro.core.config import MightyConfig
 from repro.engine import EngineConfig, RoutingEngine
 from repro.errors import InputError, ReproError
-from repro.maze.kernels import BACKEND_NAMES
 from repro.netlist import io as problem_io
-from repro.netlist.problem import ProblemError
+from repro.netlist.channel import ChannelSpec
+from repro.netlist.problem import ProblemError, RoutingProblem
 from repro.netlist.generators import (
     burstein_class_switchbox,
     deutsch_class_channel,
@@ -65,8 +65,8 @@ from repro.netlist.generators import (
 from repro.viz.ascii_art import render_grid
 from repro.viz.svg import svg_from_grid
 
-#: ``--kernel`` choices for ``route`` and ``bench``.
-_KERNEL_CHOICES = BACKEND_NAMES + ("auto",)
+#: Problem-file formats ``--format`` accepts.
+_FORMATS = ("channel", "switchbox", "problem")
 
 
 def _detect_format(path: Path, explicit: Optional[str]) -> str:
@@ -128,16 +128,7 @@ def _make_config(args: argparse.Namespace) -> MightyConfig:
             f"unknown router {args.router!r}",
             context={"choices": sorted(factories)},
         )
-    config = factories[args.router]()
-    kernel = getattr(args, "kernel", None)
-    if kernel:
-        try:
-            config = config.with_updates(kernel_backend=kernel)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    else:
-        _check_kernel_env()
-    return config
+    return factories[args.router]()
 
 
 def _check_kernel_env() -> None:
@@ -157,21 +148,29 @@ def _check_kernel_env() -> None:
         )
 
 
-def cmd_route(args: argparse.Namespace) -> int:
-    """Route a problem file and report/render the outcome."""
+def _load_problem(
+    args: argparse.Namespace,
+) -> Tuple[RoutingProblem, Optional[ChannelSpec], Optional[int]]:
+    """Load ``args.file`` in any format and lower it to a routing problem.
+
+    A channel is lowered with ``--tracks`` tracks (default: its density)
+    and also returns its spec and that track count; for the other
+    formats both are None.
+    """
     path = Path(args.file)
     fmt = _detect_format(path, args.format)
     loaded = _load(path, fmt)
-    channel_spec = None
-    tracks = None
     if fmt == "channel":
         tracks = max(1, args.tracks or loaded.density)
-        problem = loaded.to_problem(tracks)
-        channel_spec = loaded
-    elif fmt == "switchbox":
-        problem = loaded.to_problem()
-    else:
-        problem = loaded
+        return loaded.to_problem(tracks), loaded, tracks
+    if fmt == "switchbox":
+        return loaded.to_problem(), None, None
+    return loaded, None, None
+
+
+def cmd_route(args: argparse.Namespace) -> int:
+    """Route a problem file and report/render the outcome."""
+    problem, channel_spec, tracks = _load_problem(args)
     resilient = args.deadline is not None or args.max_attempts > 1
     try:
         engine_config = EngineConfig(
@@ -207,7 +206,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     print(
         f"wire cells: {metrics.wire_cells}  vias: {metrics.via_count}"
     )
-    if fmt == "channel":
+    if channel_spec is not None:
         print(f"tracks used: {channel_tracks_used(problem, result.grid)}")
     if args.ascii:
         print(render_grid(problem, result.grid))
@@ -232,7 +231,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load(Path(args.file), "switchbox")
     if args.workers < 1:
         raise InputError("--workers must be >= 1")
-    _check_kernel_env()
     try:
         deadline = Deadline(args.deadline)
     except ValueError as exc:
@@ -436,18 +434,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("--workers must be >= 1")
     if args.shards < 1:
         raise InputError("--shards must be >= 1")
-    if args.kernel:
-        from repro.maze import kernels
-
-        try:
-            kernels.select_backend(args.kernel)
-        except (ValueError, RuntimeError) as exc:
-            raise InputError(str(exc)) from None
-        # --workers runs cases in subprocesses; they re-resolve the
-        # backend from the environment, so export the choice too.
-        os.environ[kernels.ENV_VAR] = args.kernel
-    else:
-        _check_kernel_env()
     gates = _parse_gates(args, bench.COMPARE_METRICS)
     if gates and not args.compare:
         raise InputError("--gate/--max-regression require --compare")
@@ -534,7 +520,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import RoutingService, ServiceConfig
 
-    _check_kernel_env()
     try:
         config = ServiceConfig(
             socket_path=args.socket,
@@ -554,20 +539,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         config, on_event=lambda line: print(line, file=sys.stderr, flush=True)
     )
     return asyncio.run(service.run())
-
-
-def _problem_payload_from_file(args: argparse.Namespace) -> dict:
-    """Load any problem file and lower it to the wire problem dict."""
-    path = Path(args.file)
-    fmt = _detect_format(path, args.format)
-    loaded = _load(path, fmt)
-    if fmt == "channel":
-        problem = loaded.to_problem(max(1, args.tracks or loaded.density))
-    elif fmt == "switchbox":
-        problem = loaded.to_problem()
-    else:
-        problem = loaded
-    return problem_io.problem_to_dict(problem)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -594,7 +565,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     if not args.file:
         raise InputError("submit needs a problem file "
                          "(or --health/--shutdown)")
-    payload = _problem_payload_from_file(args)
+    problem, _spec, _tracks = _load_problem(args)
+    payload = problem_io.problem_to_dict(problem)
     if args.shards < 0:
         raise InputError("--shards must be non-negative")
     response = client.submit(
@@ -645,18 +617,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    route = sub.add_parser("route", help="route a problem file")
-    route.add_argument("file")
-    route.add_argument(
-        "--format", choices=("channel", "switchbox", "problem")
+    # Parent parsers hold only flags whose meaning and default agree on
+    # every command that takes them; --deadline, --shards and the like
+    # differ per command and stay local.
+    problem_file = argparse.ArgumentParser(add_help=False)
+    problem_file.add_argument("--format", choices=_FORMATS)
+    problem_file.add_argument(
+        "--tracks", type=int, help="channel track count (default: density)"
     )
+    json_output = argparse.ArgumentParser(add_help=False)
+    json_output.add_argument(
+        "--json",
+        action="store_true",
+        help="machine-readable JSON on stdout instead of prose",
+    )
+
+    route = sub.add_parser(
+        "route", parents=[problem_file], help="route a problem file"
+    )
+    route.add_argument("file")
     route.add_argument(
         "--router",
         choices=("mighty", "naive", "weak-only", "strong-only"),
         default="mighty",
-    )
-    route.add_argument(
-        "--tracks", type=int, help="channel track count (default: density)"
     )
     route.add_argument("--ascii", action="store_true", help="print layout")
     route.add_argument("--svg", help="write an SVG rendering")
@@ -686,12 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="partial",
         help="deadline behaviour: keep the partial result (default) or "
         "fail with a structured timeout error",
-    )
-    route.add_argument(
-        "--kernel",
-        choices=_KERNEL_CHOICES,
-        help="search-kernel backend (default: REPRO_KERNEL or auto); "
-        "backends are bit-identical in paths and counters",
     )
     route.add_argument(
         "--shards",
@@ -735,24 +712,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser(
-        "verify", help="re-verify a routing result dump (JSON)"
+        "verify",
+        parents=[json_output],
+        help="re-verify a routing result dump (JSON)",
     )
     verify.add_argument("file")
-    verify.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable report on stdout instead of prose",
-    )
     verify.set_defaults(func=cmd_verify)
 
-    info = sub.add_parser("info", help="analyse a problem file")
-    info.add_argument("file")
-    info.add_argument("--format", choices=("channel", "switchbox", "problem"))
-    info.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable analysis on stdout instead of prose",
+    info = sub.add_parser(
+        "info", parents=[json_output], help="analyse a problem file"
     )
+    info.add_argument("file")
+    info.add_argument("--format", choices=_FORMATS)
     info.set_defaults(func=cmd_info)
 
     serve = sub.add_parser(
@@ -769,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="warm worker processes / shards (default: 2)",
+        help="warm worker processes (default: 2)",
     )
     serve.add_argument(
         "--queue-limit",
@@ -836,7 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve)
 
     submit = sub.add_parser(
-        "submit", help="send a problem to a running daemon"
+        "submit",
+        parents=[problem_file, json_output],
+        help="send a problem to a running daemon",
     )
     submit.add_argument("file", nargs="?")
     submit.add_argument(
@@ -844,12 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="PATH",
         help="daemon socket (see `repro serve`)",
-    )
-    submit.add_argument(
-        "--format", choices=("channel", "switchbox", "problem")
-    )
-    submit.add_argument(
-        "--tracks", type=int, help="channel track count (default: density)"
     )
     submit.add_argument(
         "--deadline",
@@ -899,11 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         metavar="SECONDS",
         help="cap on one retry backoff sleep (default: 2)",
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full wire response as JSON",
     )
     submit.add_argument(
         "--output",
@@ -982,13 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gate: the ratio must be exactly 1.0000)",
     )
     bench.add_argument(
-        "--kernel",
-        choices=_KERNEL_CHOICES,
-        help="force the search-kernel backend for every case (also "
-        "exported as REPRO_KERNEL so --workers subprocesses match); "
-        "an unavailable backend is an error, never a silent fallback",
-    )
-    bench.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -1036,6 +991,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
+        _check_kernel_env()
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

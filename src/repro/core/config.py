@@ -69,13 +69,9 @@ class MightyConfig:
         This is the *local* half of the engine's deadline story — the
         wall-clock deadline bounds the whole run, this bounds one blocked
         connection from eating the run's entire budget.
-    kernel_backend:
-        Search-kernel backend for every search this router performs
-        (``"pure"`` / ``"compiled"`` / ``"auto"``; None
-        defers to the process default, i.e. ``REPRO_KERNEL`` or auto
-        selection — see :mod:`repro.maze.kernels`).  Backends are
-        bit-identical in paths and counters, so this knob trades wall
-        time only and is deliberately *not* part of any ablation.
+
+    The search-kernel backend is not a router knob: every search uses the
+    process default (``REPRO_KERNEL``, see :mod:`repro.maze.kernels`).
     """
 
     cost: CostModel = field(default_factory=CostModel)
@@ -91,17 +87,8 @@ class MightyConfig:
     ordering: str = "shortest"
     retry_passes: int = 4
     max_expansions_per_search: Optional[int] = None
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kernel_backend is not None:
-            from repro.maze.kernels import BACKEND_NAMES
-
-            if self.kernel_backend not in BACKEND_NAMES + ("auto",):
-                raise ValueError(
-                    f"unknown kernel_backend {self.kernel_backend!r}; pick "
-                    f"one of {BACKEND_NAMES + ('auto',)} or None"
-                )
         if self.ordering not in ORDERINGS:
             raise ValueError(
                 f"unknown ordering {self.ordering!r}; pick one of {ORDERINGS}"

@@ -51,7 +51,7 @@ from repro.grid.path import GridPath
 from repro.grid.routing_grid import GridError, RoutingGrid
 from repro.maze.arena import SearchArena
 from repro.maze.astar import find_path
-from repro.maze.kernels import resolve_kernel
+from repro.maze.kernels import active_backend
 from repro.netlist.net import Pin
 from repro.netlist.problem import RoutingProblem
 
@@ -102,11 +102,6 @@ class MightyRouter:
         # it has been taken yet; see ``_note_best_state``.
         self._best_pending = False
         self._all_connections: List[Connection] = []
-        # Resolve the search-kernel backend once per router: config wins,
-        # then the process default (REPRO_KERNEL / auto).  Stored as a
-        # name and passed per search, so a faults-layer monkeypatch of
-        # ``find_path`` still sees an ordinary keyword argument.
-        self._kernel = resolve_kernel(self.config.kernel_backend).name
         # Whether any search of the most recent connection attempt hit
         # its expansion budget — read by the fail-event detail so a
         # budget trip is never logged as plain unroutability.
@@ -225,7 +220,7 @@ class MightyRouter:
         )
         self._stats.frozen_nets = len(self._frozen)
         self._stats.peak_journal_depth = self._grid.journal_peak_depth
-        self._stats.kernel_backend = self._kernel
+        self._stats.kernel_backend = active_backend().name
         self._stats.elapsed_s = time.perf_counter() - started
         self._stats.timed_out = timed_out
         if deadline is not None:
@@ -278,7 +273,6 @@ class MightyRouter:
             cost=self.config.cost,
             max_expansions=self.config.max_expansions_per_search,
             arena=self._arena,
-            kernel=self._kernel,
         )
         self._stats.phase_search_s += time.perf_counter() - tick
         self._stats.expansions += hard.expansions
@@ -311,7 +305,6 @@ class MightyRouter:
             net_penalties=escalation,
             max_expansions=self.config.max_expansions_per_search,
             arena=self._arena,
-            kernel=self._kernel,
         )
         self._stats.phase_search_s += time.perf_counter() - tick
         self._stats.expansions += soft.expansions
@@ -507,7 +500,6 @@ class MightyRouter:
             cost=self.config.cost,
             max_expansions=self.config.max_expansions_per_search,
             arena=self._arena,
-            kernel=self._kernel,
         )
         self._stats.phase_search_s += time.perf_counter() - tick
         self._stats.expansions += result.expansions

@@ -49,7 +49,6 @@ from repro.core.router import MightyRouter, route_problem
 from repro.grid.path import GridPath
 from repro.grid.routing_grid import GridError
 from repro.maze.arena import SearchArena
-from repro.maze.kernels import resolve_kernel
 from repro.netlist.problem import RoutingProblem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> core)
@@ -84,11 +83,8 @@ def _route_shard_worker(
 ) -> Dict:
     """Route one shard in isolation (the process-pool work unit).
 
-    ``config`` arrives with the kernel backend already *resolved* to a
-    concrete name by the parent, so a pool worker uses the same kernel the
-    parent would — regardless of the child environment — and the name it
-    reports in its stats is true provenance.  Returns a picklable dict:
-    committed paths per net plus the scalar stats.
+    Returns a picklable dict: committed paths per net plus the scalar
+    stats, whose ``kernel_backend`` records the backend the worker ran.
     """
     deadline = None
     if budget_s is not None:
@@ -204,12 +200,6 @@ def route_problem_sharded(
     """
     pipeline_started = time.perf_counter()
     base = config or MightyConfig()
-    # Resolve the kernel once, in the parent: the name — not "auto" or an
-    # environment lookup — is what ships to shard workers and the stitch
-    # router, so every stage runs the same backend and records it.
-    resolved = base.with_updates(
-        kernel_backend=resolve_kernel(base.kernel_backend).name
-    )
     plan = (
         partition_problem(problem, shards, halo=halo) if shards > 1 else None
     )
@@ -229,7 +219,7 @@ def route_problem_sharded(
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_route_shard_worker, sub_problem, resolved, budget_s)
+                pool.submit(_route_shard_worker, sub_problem, base, budget_s)
                 for _, sub_problem in subs
             ]
             # Consume in submission (= shard-index) order, whatever the
@@ -237,7 +227,7 @@ def route_problem_sharded(
             outputs = [future.result() for future in futures]
     else:
         outputs = [
-            _route_shard_worker(sub_problem, resolved, budget_s)
+            _route_shard_worker(sub_problem, base, budget_s)
             for _, sub_problem in subs
         ]
 
@@ -250,7 +240,7 @@ def route_problem_sharded(
     pre_routed, dropped = merge_shard_paths(problem, candidates)
 
     stitch_started = time.perf_counter()
-    router = MightyRouter(problem, resolved, arena=arena)
+    router = MightyRouter(problem, base, arena=arena)
     result = router.route(pre_routed=pre_routed, deadline=deadline)
     stitch_wall = time.perf_counter() - stitch_started
 
@@ -261,7 +251,7 @@ def route_problem_sharded(
             polish_started = time.perf_counter()
             improvement = improve_routing(
                 result,
-                cost=resolved.cost,
+                cost=base.cost,
                 passes=1,
                 arena=arena,
                 only=scope,

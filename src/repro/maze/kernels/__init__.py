@@ -24,12 +24,12 @@ parity suite (``tests/test_kernel_parity.py``) and the benchmark counter
 gates (``repro bench --gate expansions 0``) enforce this, so switching
 backends changes wall time only — never which decisions the router makes.
 
-Selection order for the process-wide default backend:
-
-1. ``select_backend(name)`` called explicitly (e.g. from the CLI);
-2. the ``REPRO_KERNEL`` environment variable (``pure`` / ``compiled`` /
-   ``auto``);
-3. ``auto``: ``compiled`` when it builds, else ``pure``.
+The process-wide default backend comes from the ``REPRO_KERNEL``
+environment variable (``pure`` / ``compiled`` / ``auto``); unset means
+``auto``: ``compiled`` when it builds, else ``pure``.  Child processes
+(shard pools, sweep pools, service workers) inherit the environment and
+so resolve the same backend.  The only other selector is the per-call
+``kernel=`` argument of the searchers, which the parity tests use.
 
 Resolution is lazy (first search, not import) so merely importing the
 package never shells out to a compiler.  Naming an unavailable or unknown
@@ -128,38 +128,11 @@ def _resolve_auto() -> KernelBackend:
         return _load("pure")
 
 
-def select_backend(name: Optional[str]) -> KernelBackend:
-    """Set the process-wide default backend.
-
-    ``None`` or ``"auto"`` picks the best available (``compiled`` when it
-    builds, else ``pure``).  An explicit name that is unknown raises
-    :class:`ValueError`; one that is known but unavailable raises
-    :class:`RuntimeError` — forced CI legs must fail loudly rather than
-    silently run a different kernel.
-    """
-    global _active, _active_source
-    with _lock:
-        if name is None or name == "auto" or name == "":
-            backend = _resolve_auto()
-            source = "auto"
-        else:
-            if name not in BACKEND_NAMES:
-                raise ValueError(
-                    f"unknown kernel backend {name!r} "
-                    f"(choose from {', '.join(BACKEND_NAMES)} or 'auto')"
-                )
-            backend = _load(name)
-            source = "explicit"
-        _active = backend
-        _active_source = source
-        return backend
-
-
 def active_backend() -> KernelBackend:
     """The process-wide default backend, resolving it on first use.
 
-    First call honours :data:`ENV_VAR` (``REPRO_KERNEL``); later calls
-    return whatever was resolved or :func:`select_backend`-ed.
+    The first call honours :data:`ENV_VAR` (``REPRO_KERNEL``); later
+    calls return the backend it resolved.
     """
     global _active, _active_source
     with _lock:
@@ -181,7 +154,7 @@ def active_backend() -> KernelBackend:
 
 
 def resolve_kernel(name: Optional[str]) -> KernelBackend:
-    """Backend for a per-call / per-router override (``None`` → default)."""
+    """Backend for a per-call override (``None`` → the default)."""
     if name is None:
         return active_backend()
     if name == "auto":

@@ -14,13 +14,13 @@ shelling out to a script:
 * :mod:`repro.service.store` — the cache's durable journal + snapshot
   backing (``repro serve --cache-dir``): crash-safe appends, atomic
   compaction, corruption-tolerant replay;
-* :mod:`repro.service.workers` — a sharded pool of warm worker
-  processes that keeps problem builds hot across jobs;
+* :mod:`repro.service.workers` — a pool of warm worker processes,
+  jobs assigned to workers by canonical digest;
 * :mod:`repro.service.server` — the asyncio front door: bounded job
   queue, cost-model admission control (``SERVICE_OVERLOADED`` shedding),
   per-job telemetry, graceful SIGTERM drain;
 * :mod:`repro.service.client` — the blocking client used by
-  ``repro submit`` and the load-generator benchmark.
+  ``repro submit`` and the end-to-end service benchmark.
 
 See ``docs/SERVICE.md`` for the protocol and semantics.
 """

@@ -200,7 +200,7 @@ class ServiceClient:
 
         The envelope carries ``result`` (a
         :func:`repro.core.serialize.result_to_dict` payload) and ``job``
-        (queue wait, service time, cache status, shard).  Server-side
+        (queue wait, service time, cache status, worker).  Server-side
         failures re-raise as structured errors; transient ones are
         retried per the client's retry policy (safe: submissions are
         idempotent — a duplicate of a completed job is a cache hit).

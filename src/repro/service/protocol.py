@@ -12,7 +12,7 @@ operations are:
     shape and options may carry ``deadline_s``, ``max_attempts`` and
     ``no_cache``.  The success response wraps a full
     :func:`repro.core.serialize.result_to_dict` payload plus per-job
-    telemetry (queue wait, service time, cache status, worker shard).
+    telemetry (queue wait, service time, cache status, worker).
 ``health``
     Service self-description: queue depth, worker count, job counters,
     cache statistics, total executed search work.

@@ -5,8 +5,8 @@
 a :class:`~repro.service.cache.CanonicalCache`.  One connection carries
 one request (see :mod:`repro.service.protocol`); submissions flow
 
-    parse -> canonicalize -> cache? -> admission control -> shard ->
-    warm worker -> verify/telemetry -> cache store -> respond
+    parse -> canonicalize -> cache? -> admission control -> worker ->
+    verify/telemetry -> cache store -> respond
 
 **Admission control.**  The daemon keeps an EWMA cost model — seconds
 per ``cells x connections`` unit, updated from every executed job — and
@@ -70,7 +70,7 @@ class ServiceConfig:
         Unix-domain socket the daemon listens on (created on start,
         unlinked on clean shutdown).
     workers:
-        Warm worker processes (= shards).
+        Warm worker processes.
     queue_limit:
         Hard cap on admitted-but-unfinished jobs; further submissions
         are shed with ``SERVICE_OVERLOADED``.
@@ -397,7 +397,7 @@ class RoutingService:
                     job=self._job_telemetry(
                         form,
                         cache="hit",
-                        shard=None,
+                        worker=None,
                         queue_wait_s=0.0,
                         service_s=time.perf_counter() - received,
                     ),
@@ -434,7 +434,7 @@ class RoutingService:
                 "shards": shards if shards > 1 else 1,
             },
         }
-        shard = self._pool.shard_for(form.digest)
+        worker = self._pool.worker_for(form.digest)
         # The hung-job reaper's wall ceiling: a worker still busy this
         # long after the job started is killed and respawned.
         wall_ceiling_s = (
@@ -446,7 +446,7 @@ class RoutingService:
         self._pending_cost_s += estimated_cost_s
         try:
             reply = await loop.run_in_executor(
-                self._threads, self._pool.run, shard, job, wall_ceiling_s
+                self._threads, self._pool.run, worker, job, wall_ceiling_s
             )
         finally:
             self._pending_jobs -= 1
@@ -455,7 +455,7 @@ class RoutingService:
             )
         cache_allowed = not options.get("no_cache")
         response = self._finish_job(
-            form, reply, received, job_id, shard, estimated_cost_s, units,
+            form, reply, received, job_id, worker, estimated_cost_s, units,
             cache_allowed=cache_allowed,
             shards=job["options"]["shards"],
         )
@@ -525,7 +525,7 @@ class RoutingService:
         reply: dict,
         received: float,
         job_id: int,
-        shard: int,
+        worker: int,
         estimated_cost_s: float,
         units: float,
         cache_allowed: bool,
@@ -539,12 +539,11 @@ class RoutingService:
         telemetry = self._job_telemetry(
             form,
             cache="bypass" if not cache_allowed else "miss",
-            shard=shard,
+            worker=worker,
             queue_wait_s=float(reply.get("queue_wait_s", 0.0)),
             service_s=worker_wall_s,
             job_id=job_id,
             estimated_cost_s=estimated_cost_s,
-            warm_problem=bool(reply.get("warm_problem")),
             shards=shards,
             total_s=time.perf_counter() - received,
         )

@@ -1,44 +1,34 @@
-"""The sharded pool of warm routing worker processes.
+"""The pool of warm routing worker processes.
 
 Each worker is a long-lived process running a take-one loop over its own
 request queue — the same rebuild-at-the-worker discipline as
 ``repro bench --workers`` (closures and live grids do not pickle, so
 jobs travel as JSON-compatible problem dicts and are rebuilt with
 :func:`repro.netlist.io.problem_from_dict` inside the worker).  Warmth
-is twofold: the process itself persists (imports, allocator pools and
-the maze arenas' neighbor tables stay hot instead of being re-created
-per job), and each worker keeps a small LRU of rebuilt
-:class:`~repro.netlist.problem.RoutingProblem` objects keyed by a hash
-of the **concrete problem payload**, so an exact repeat skips parsing
-and validation.  The canonical digest must not be the warm key: it
-names a whole isomorphism class, and reusing the first-seen member for
-a mirrored/translated/renamed twin would route the wrong instance.
+is the process itself: imports, allocator pools and the maze arenas'
+neighbor tables stay hot instead of being re-created per job.  Every
+job parses its own payload; a worker keeps no per-problem state between
+jobs.
 
-Jobs are **sharded by canonical digest**: isomorphic instances always
-land on the same worker, which is what makes the per-worker warm cache
-effective and keeps one pathological instance from thrashing every
-shard.
+Jobs are **assigned to workers by canonical digest**: isomorphic
+instances always land on the same worker, so one pathological instance
+cannot thrash every worker.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import os
 import queue as queue_module
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import EngineError, ReproError
 
-#: Problems kept warm per worker (rebuilt RoutingProblem objects).
-WARM_PROBLEMS_PER_WORKER = 32
-
-#: How often a blocked round trip re-checks that its worker is alive.
+#: How often a blocked round trip re-checks that its worker is alive,
+#: and how often an idle worker re-checks that its parent is.
 LIVENESS_POLL_S = 1.0
 
 #: Environment variable carrying a deterministic worker fault schedule
@@ -80,23 +70,7 @@ def _apply_service_faults(
             time.sleep(arg if arg else 3600.0)
 
 
-def _warm_key(problem_payload: object) -> str:
-    """Identity of one *concrete* problem payload.
-
-    Distinct from the canonical digest on purpose: the digest names an
-    isomorphism class, and two members of the class (which shard
-    together) must not share a rebuilt problem object.
-    """
-    try:
-        encoded = json.dumps(
-            problem_payload, sort_keys=True, separators=(",", ":")
-        )
-    except (TypeError, ValueError):
-        return ""  # unhashable payload: skip warmth, never mis-serve
-    return hashlib.sha256(encoded.encode()).hexdigest()
-
-
-def _execute_job(job: Dict, warm: "OrderedDict[str, object]") -> Dict:
+def _execute_job(job: Dict) -> Dict:
     """Route one job dict; never raises (errors become envelopes)."""
     from repro.core.serialize import result_to_dict
     from repro.engine import EngineConfig, RoutingEngine
@@ -104,25 +78,13 @@ def _execute_job(job: Dict, warm: "OrderedDict[str, object]") -> Dict:
     from repro.netlist.problem import ProblemError
 
     started = time.perf_counter()
-    key = _warm_key(job.get("problem"))
-    warm_hit = bool(key) and key in warm
     try:
-        if warm_hit:
-            problem = warm[key]
-            warm.move_to_end(key)
-        else:
-            try:
-                problem = problem_from_dict(job["problem"])
-            except (FormatError, ProblemError, KeyError, TypeError) as exc:
-                from repro.errors import InputError
+        try:
+            problem = problem_from_dict(job["problem"])
+        except (FormatError, ProblemError, KeyError, TypeError) as exc:
+            from repro.errors import InputError
 
-                raise InputError(
-                    f"malformed problem payload: {exc}"
-                ) from None
-            if key:
-                warm[key] = problem
-                while len(warm) > WARM_PROBLEMS_PER_WORKER:
-                    warm.popitem(last=False)
+            raise InputError(f"malformed problem payload: {exc}") from None
         options = job.get("options") or {}
         engine = RoutingEngine(
             EngineConfig(
@@ -144,14 +106,12 @@ def _execute_job(job: Dict, warm: "OrderedDict[str, object]") -> Dict:
         return {
             "ok": True,
             "payload": payload,
-            "warm_problem": warm_hit,
             "worker_wall_s": time.perf_counter() - started,
         }
     except ReproError as exc:
         return {
             "ok": False,
             "error": exc.to_dict(),
-            "warm_problem": warm_hit,
             "worker_wall_s": time.perf_counter() - started,
         }
     except Exception as exc:  # supervised: a worker crash is telemetry
@@ -160,36 +120,49 @@ def _execute_job(job: Dict, warm: "OrderedDict[str, object]") -> Dict:
             "error": EngineError(
                 f"worker crashed: {type(exc).__name__}: {exc}"
             ).to_dict(),
-            "warm_problem": warm_hit,
             "worker_wall_s": time.perf_counter() - started,
         }
 
 
-def _worker_main(shard: int, requests, responses) -> None:
-    """Worker process entry point: drain jobs until the None sentinel."""
-    warm: "OrderedDict[str, object]" = OrderedDict()
+def _worker_main(worker: int, requests, responses) -> None:
+    """Worker process entry point: drain jobs until the None sentinel.
+
+    Also returns, within :data:`LIVENESS_POLL_S` of going idle, once the
+    parent that started it is gone (reparenting changes
+    ``os.getppid()``): a SIGKILLed daemon never sends the sentinel, and
+    its workers must not wait for it forever.
+    """
+    parent = os.getppid()
     faults = _parse_service_faults(os.environ.get(SERVICE_FAULT_ENV, ""))
     jobs_seen = 0
     while True:
-        job = requests.get()
+        try:
+            job = requests.get(timeout=LIVENESS_POLL_S)
+        except queue_module.Empty:
+            if os.getppid() != parent:
+                # Nobody will read an unconsumed reply; do not let the
+                # queue's feeder thread hold up the exit flushing it.
+                responses.cancel_join_thread()
+                return
+            continue
         if job is None:
             break
         jobs_seen += 1
         if faults:
             _apply_service_faults(faults, jobs_seen)
-        reply = _execute_job(job, warm)
+        reply = _execute_job(job)
         reply["job_id"] = job.get("job_id")
-        reply["shard"] = shard
+        reply["worker"] = worker
         responses.put(reply)
 
 
 class WorkerPool:
     """N warm worker processes, one request/response queue pair each.
 
-    ``run(shard, job)`` is a blocking round trip intended to be called
+    ``run(worker, job)`` is a blocking round trip intended to be called
     from executor threads (the server wraps it in
-    ``loop.run_in_executor``).  A per-shard lock serialises access to
-    each worker, so the lock-wait *is* the shard's queue: the time spent
+    ``loop.run_in_executor``).  A per-worker lock serialises access to
+    each worker, so the lock-wait *is* the worker's queue: the time spent
     acquiring it is reported as ``queue_wait_s``.
     """
 
@@ -212,59 +185,59 @@ class WorkerPool:
         for process in self._processes:
             process.start()
         self._closed = False
-        # Mutated under shard locks; read lock-free by health telemetry.
+        # Mutated under worker locks; read lock-free by health telemetry.
         self.counters: Dict[str, int] = {
             "reaped": 0,
             "worker_deaths": 0,
             "respawned": 0,
         }
 
-    def shard_for(self, digest: str) -> int:
-        """Stable shard assignment by canonical digest."""
+    def worker_for(self, digest: str) -> int:
+        """Stable worker assignment by canonical digest."""
         if not digest:
             return 0
         return int(digest[:8], 16) % self.n_workers
 
     def run(
         self,
-        shard: int,
+        worker: int,
         job: Dict,
         wall_ceiling_s: Optional[float] = None,
     ) -> Dict:
-        """Blocking round trip to one shard; returns the reply envelope.
+        """Blocking round trip to one worker; returns the reply envelope.
 
         The reply always carries ``queue_wait_s`` (time spent behind
-        earlier jobs of the same shard) next to the worker's own
+        earlier jobs of the same worker) next to the worker's own
         ``worker_wall_s``.  A worker that dies mid-job surfaces as a
-        structured :class:`~repro.errors.EngineError` (after the shard
+        structured :class:`~repro.errors.EngineError` (after the worker
         is respawned) instead of blocking this job — and every later
-        job of the shard — forever.
+        job of the worker — forever.
 
         ``wall_ceiling_s`` is the hung-job reaper: a worker still busy
         past that many seconds (the server passes job deadline + grace)
         is killed and respawned, and this job fails with a structured
         :class:`~repro.errors.EngineError` instead of occupying the
-        shard indefinitely.  ``None`` disables reaping (jobs with no
+        worker indefinitely.  ``None`` disables reaping (jobs with no
         deadline are allowed to run forever, as documented).
         """
-        if not 0 <= shard < self.n_workers:
-            raise ValueError(f"no such shard {shard}")
+        if not 0 <= worker < self.n_workers:
+            raise ValueError(f"no such worker {worker}")
         enqueued = time.perf_counter()
-        with self._locks[shard]:
+        with self._locks[worker]:
             queue_wait = time.perf_counter() - enqueued
             if self._closed:
                 raise EngineError("worker pool is closed")
-            self._requests[shard].put(job)
-            reply = self._await_reply(shard, wall_ceiling_s)
+            self._requests[worker].put(job)
+            reply = self._await_reply(worker, wall_ceiling_s)
         reply["queue_wait_s"] = queue_wait
         return reply
 
     def _await_reply(
-        self, shard: int, wall_ceiling_s: Optional[float] = None
+        self, worker: int, wall_ceiling_s: Optional[float] = None
     ) -> Dict:
-        """Wait on one shard's response queue, watching its liveness.
+        """Wait on one worker's response queue, watching its liveness.
 
-        Caller holds the shard lock.
+        Caller holds the worker lock.
         """
         started = time.monotonic()
         while True:
@@ -275,15 +248,15 @@ class WorkerPool:
                     # The reply may have landed in the last instant;
                     # prefer it over killing a worker that finished.
                     try:
-                        return self._responses[shard].get_nowait()
+                        return self._responses[worker].get_nowait()
                     except queue_module.Empty:
                         pass
-                    self._reap(shard)
+                    self._reap(worker)
                     raise EngineError(
-                        f"worker shard {shard} reaped: job exceeded its "
+                        f"worker {worker} reaped: job exceeded its "
                         f"wall ceiling",
                         context={
-                            "shard": shard,
+                            "worker": worker,
                             "wall_ceiling_s": wall_ceiling_s,
                             "reaped": True,
                             "respawned": not self._closed,
@@ -291,32 +264,32 @@ class WorkerPool:
                     )
                 timeout = min(LIVENESS_POLL_S, remaining)
             try:
-                return self._responses[shard].get(timeout=timeout)
+                return self._responses[worker].get(timeout=timeout)
             except queue_module.Empty:
-                process = self._processes[shard]
+                process = self._processes[worker]
                 if process.is_alive():
                     continue
                 # The worker may have replied in the instant before it
                 # died; drain that reply rather than losing it.
                 try:
-                    return self._responses[shard].get_nowait()
+                    return self._responses[worker].get_nowait()
                 except queue_module.Empty:
                     pass
                 exitcode = process.exitcode
                 self.counters["worker_deaths"] += 1
-                self._respawn(shard)
+                self._respawn(worker)
                 raise EngineError(
-                    f"worker shard {shard} died mid-job",
+                    f"worker {worker} died mid-job",
                     context={
-                        "shard": shard,
+                        "worker": worker,
                         "exitcode": exitcode,
                         "respawned": not self._closed,
                     },
                 )
 
-    def _reap(self, shard: int) -> None:
+    def _reap(self, worker: int) -> None:
         """Kill a wedged worker and replace it.  Caller holds the lock."""
-        process = self._processes[shard]
+        process = self._processes[worker]
         if process.is_alive():
             process.terminate()
             process.join(1.0)
@@ -324,27 +297,27 @@ class WorkerPool:
                 process.kill()
                 process.join(1.0)
         self.counters["reaped"] += 1
-        self._respawn(shard)
+        self._respawn(worker)
 
-    def _respawn(self, shard: int) -> None:
+    def _respawn(self, worker: int) -> None:
         """Replace a dead worker with a fresh process and fresh queues.
 
         Fresh queues, because the old ones may hold the stale job the
         dead worker never answered (or a torn put from its final
-        moments).  Caller holds the shard lock.  No-op once closed.
+        moments).  Caller holds the worker lock.  No-op once closed.
         """
         if self._closed:
             return
         ctx = multiprocessing.get_context()
-        self._requests[shard] = ctx.Queue()
-        self._responses[shard] = ctx.Queue()
+        self._requests[worker] = ctx.Queue()
+        self._responses[worker] = ctx.Queue()
         process = ctx.Process(
             target=_worker_main,
-            args=(shard, self._requests[shard], self._responses[shard]),
+            args=(worker, self._requests[worker], self._responses[worker]),
             daemon=True,
         )
         process.start()
-        self._processes[shard] = process
+        self._processes[worker] = process
         self.counters["respawned"] += 1
 
     def close(self, timeout_s: float = 5.0) -> None:
@@ -362,12 +335,12 @@ class WorkerPool:
                 process.join(1.0)
 
     def alive(self) -> List[bool]:
-        """Liveness of each shard (health telemetry)."""
+        """Liveness of each worker (health telemetry)."""
         return [process.is_alive() for process in self._processes]
 
 
 def make_executor(n_slots: int) -> ThreadPoolExecutor:
-    """Thread pool sized so shard locks, not threads, do the queueing."""
+    """Thread pool sized so worker locks, not threads, do the queueing."""
     return ThreadPoolExecutor(
         max_workers=max(4, n_slots), thread_name_prefix="repro-svc"
     )

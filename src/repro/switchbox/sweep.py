@@ -168,14 +168,6 @@ def _parallel_sweep(
     workers: int,
 ) -> WidthSweepOutcome:
     """Speculative wave execution with deterministic truncation."""
-    from repro.maze.kernels import resolve_kernel
-
-    # Resolve the kernel backend here, in the parent: pool workers get a
-    # concrete name instead of "auto"/an environment lookup, so every
-    # attempt runs the backend the sequential sweep would have used.
-    config = config.with_updates(
-        kernel_backend=resolve_kernel(config.kernel_backend).name
-    )
     consecutive_failures = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for start in range(0, len(sequence), workers):

@@ -187,9 +187,9 @@ class TestStructuredErrors:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_bogus_kernel_env_exit_2(self, channel_file, monkeypatch, capsys):
-        """A bad REPRO_KERNEL must be a loud input error on every routing
-        command — resolved lazily it used to surface as per-connection
-        search failures and a misleading infeasible exit."""
+        """A bad REPRO_KERNEL must be a loud input error on every command
+        — resolved lazily it used to surface as per-connection search
+        failures and a misleading infeasible exit."""
         from repro.maze import kernels
 
         monkeypatch.setenv(kernels.ENV_VAR, "warp9")
@@ -198,6 +198,7 @@ class TestStructuredErrors:
             for argv in (
                 ["route", str(channel_file)],
                 ["bench", "--only", "chan-simple"],
+                ["info", str(channel_file)],
             ):
                 assert main(argv) == 2
                 err = capsys.readouterr().err
@@ -206,16 +207,25 @@ class TestStructuredErrors:
         finally:
             kernels._reset_for_tests()
 
-    def test_removed_vector_kernel_exit_2(self, channel_file, capsys):
-        """``--kernel`` accepts exactly the shipped backends plus auto."""
-        for argv in (
-            ["route", str(channel_file), "--kernel", "vector"],
-            ["bench", "--only", "chan-simple", "--kernel", "vector"],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "invalid choice: 'vector'" in capsys.readouterr().err
+    def test_removed_vector_kernel_exit_2(
+        self, channel_file, monkeypatch, capsys
+    ):
+        """``REPRO_KERNEL`` accepts exactly the shipped backends plus
+        auto; the deleted ``vector`` backend is an input error."""
+        from repro.maze import kernels
+
+        monkeypatch.setenv(kernels.ENV_VAR, "vector")
+        kernels._reset_for_tests()
+        try:
+            for argv in (
+                ["route", str(channel_file)],
+                ["bench", "--only", "chan-simple"],
+            ):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert "'vector' names an unknown kernel backend" in err
+        finally:
+            kernels._reset_for_tests()
 
 
 class TestResilientFlags:

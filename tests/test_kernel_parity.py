@@ -249,7 +249,7 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             find_path(grid, 1, [(0, 0, 0)], [(5, 5, 0)], kernel="turbo")
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.select_backend("turbo")
+            lee_route(grid, 1, [(0, 0, 0)], [(5, 5, 0)], kernel="turbo")
 
     def test_auto_prefers_compiled_else_pure(self):
         backend = kernels.resolve_kernel("auto")
@@ -258,7 +258,7 @@ class TestDispatch:
         else:
             assert backend.name == "pure"
 
-    def test_env_var_resolution(self, monkeypatch):
+    def test_env_var_resolution(self, monkeypatch, grid):
         monkeypatch.setenv(kernels.ENV_VAR, "pure")
         kernels._reset_for_tests()
         try:
@@ -266,6 +266,9 @@ class TestDispatch:
             info = kernels.backend_info()
             assert info["active"] == "pure"
             assert info["active_source"] == f"env:{kernels.ENV_VAR}"
+            # searches without a per-call kernel run the env's backend
+            assert kernels.resolve_kernel(None).name == "pure"
+            assert find_path(grid, 1, [(0, 0, 0)], [(5, 5, 0)]).found
         finally:
             kernels._reset_for_tests()
 
@@ -284,12 +287,3 @@ class TestDispatch:
             "active", "active_source", "available", "env", "load_errors"
         }
         assert "pure" in info["available"]
-
-    def test_select_backend_sets_default(self, grid):
-        kernels.select_backend("pure")
-        try:
-            assert kernels.active_backend().name == "pure"
-            result = find_path(grid, 1, [(0, 0, 0)], [(5, 5, 0)])
-            assert result.found
-        finally:
-            kernels._reset_for_tests()

@@ -119,7 +119,7 @@ class TestSubmitRoundTrip:
             assert job["cache"] == "miss"
             assert job["queue_wait_s"] >= 0
             assert job["service_s"] > 0
-            assert isinstance(job["shard"], int)
+            assert isinstance(job["worker"], int)
             # the payload verifies exactly like a local route dump
             grid = rebuild_grid(result)
             problem = problem_from_dict(result["problem"])
@@ -154,6 +154,7 @@ class TestCanonicalCache:
             assert executed > 0
             second = client.submit(box_payload())
             assert second["job"]["cache"] == "hit"
+            assert second["job"]["worker"] is None  # never reached one
             assert second["result"]["stats"]["cache_hit"] is True
             # no new search work was done to serve the hit
             assert service.health()["expansions_total"] == executed
@@ -175,15 +176,15 @@ class TestCanonicalCache:
             assert verify_routing(problem_from_dict(isomorph), grid).ok
 
     def test_warm_worker_routes_the_twin_not_its_sibling(self):
-        # Regression: the warm problem LRU was keyed by canonical
-        # digest, which names the whole isomorphism class — and twins
-        # always shard together — so whenever the result cache did not
-        # intercept (here: no_cache), the worker routed the first-seen
-        # sibling and answered with its problem dict, coordinates and
-        # net names.
+        # Regression: workers once kept rebuilt problems keyed by
+        # canonical digest, which names the whole isomorphism class —
+        # and twins always go to the same worker — so whenever the
+        # result cache did not intercept (here: no_cache), the worker
+        # routed the first-seen sibling and answered with its problem
+        # dict, coordinates and net names.
         original, isomorph = mirrored_twin()
         with running_service() as (_, client, _outcome):
-            client.submit(original)  # warms the shard with the original
+            client.submit(original)  # the worker sees the original first
             response = client.submit(isomorph, no_cache=True)
             assert response["job"]["cache"] == "bypass"
             result = response["result"]
@@ -195,12 +196,18 @@ class TestCanonicalCache:
             grid = rebuild_grid(result)
             assert verify_routing(problem_from_dict(isomorph), grid).ok
 
-    def test_exact_repeat_reuses_the_warm_problem(self):
+    def test_no_cache_exact_repeat_routes_identically(self):
+        # Each job parses its own payload in the worker, so an exact
+        # repeat is routed afresh and must reproduce the first run.
         with running_service() as (_, client, _outcome):
-            first = client.submit(box_payload(), no_cache=True)
-            assert first["job"]["warm_problem"] is False
-            second = client.submit(box_payload(), no_cache=True)
-            assert second["job"]["warm_problem"] is True
+            first = client.submit(box_payload(), no_cache=True)["result"]
+            second = client.submit(box_payload(), no_cache=True)["result"]
+            assert first["status"] == "complete"
+            assert second["connections"] == first["connections"]
+            assert second["events"] == first["events"]
+            assert (
+                second["stats"]["expansions"] == first["stats"]["expansions"]
+            )
 
     def test_no_cache_bypasses_both_ways(self):
         with running_service() as (_, client, _outcome):
@@ -313,9 +320,9 @@ class TestWorkerLiveness:
             pool._processes[0].join(10)
             with pytest.raises(EngineError) as excinfo:
                 pool.run(0, {"job_id": 1, "problem": box_payload()})
-            assert excinfo.value.context["shard"] == 0
+            assert excinfo.value.context["worker"] == 0
             assert excinfo.value.context["respawned"] is True
-            # the respawned shard serves the next job
+            # the respawned worker serves the next job
             assert pool.alive() == [True]
             reply = pool.run(0, {"job_id": 2, "problem": box_payload()})
             assert reply["ok"] is True

@@ -423,22 +423,33 @@ class TestServerReaping:
 class TestDurableRestart:
     def test_warm_cache_survives_restart(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
+        payloads = [
+            box_payload(),
+            problem_to_dict(
+                woven_switchbox(10, 8, 6, seed=2, tangle=0.2).to_problem()
+            ),
+        ]
         with running_service(
             cache_dir=cache_dir, fsync_store=False
         ) as (_, client, _o):
-            first = client.submit(box_payload())
-            assert first["job"]["cache"] == "miss"
-        # fresh daemon, fresh socket, same cache directory
+            for payload in payloads:
+                first = client.submit(payload)
+                assert first["job"]["cache"] == "miss"
+                assert first["result"]["status"] == "complete"
+        # fresh daemon, fresh socket, same cache directory: every
+        # instance routed before the restart is served warm
         with running_service(
             cache_dir=cache_dir, fsync_store=False
-        ) as (_, client, _o):
-            second = client.submit(box_payload())
-            assert second["job"]["cache"] == "hit"
-            assert second["result"]["stats"]["cache_hit"] is True
+        ) as (_, client, outcome):
+            for payload in payloads:
+                second = client.submit(payload)
+                assert second["job"]["cache"] == "hit"
+                assert second["result"]["stats"]["cache_hit"] is True
             health = client.health()
-            # the hit cost zero new search work
+            # the hits cost zero new search work
             assert health["expansions_total"] == 0
-            assert health["cache"]["store"]["loaded"] >= 1
+            assert health["cache"]["store"]["loaded"] >= len(payloads)
+        assert outcome["exit_code"] == 0
 
     def test_isomorphic_twin_hits_across_restart(self, tmp_path):
         original, twin = mirrored_twin()
@@ -588,3 +599,72 @@ class TestCrashRestartSoak:
             if server.poll() is None:
                 server.kill()
                 server.wait(10)
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of ``pid`` from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _running(pid):
+    """Whether ``pid`` still runs; a zombie has exited and only awaits
+    reaping by whichever process adopted it."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_sigkilled_serve_leaves_no_worker_behind(self):
+        """Regression: workers of a SIGKILLed daemon blocked on their
+        request queue forever, reparented to init."""
+        socket_path = os.path.join(
+            tempfile.mkdtemp(prefix="repro-orphan-"), "d.sock"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--socket", socket_path, "--workers", "2"],
+            env=env, stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+            probe = ServiceClient(socket_path, timeout_s=2.0)
+            for _ in range(400):
+                try:
+                    assert probe.health()["workers_alive"] == [True, True]
+                    break
+                except ServiceUnavailable:
+                    time.sleep(0.05)
+            workers = [
+                int(entry) for entry in os.listdir("/proc")
+                if entry.isdigit()
+                and (_proc_stat(entry) or ("", 0))[1] == server.pid
+            ]
+            assert len(workers) >= 2
+            server.kill()  # SIGKILL: the pool never sends its sentinels
+            server.wait(10)
+            deadline = time.monotonic() + 15.0
+            while time.monotonic() < deadline:
+                if not any(_running(pid) for pid in workers):
+                    break
+                time.sleep(0.1)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(10)
+            for pid in workers:  # never leak them, even on failure
+                if _running(pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:  # exited since the check
+                        pass

@@ -180,8 +180,6 @@ class TestServiceSharding:
         ServiceConfig(socket_path="/tmp/x.sock", shard_oversized=4)
 
     def test_worker_executes_shard_option(self):
-        from collections import OrderedDict
-
         from repro.netlist.io import problem_to_dict
         from repro.service.workers import _execute_job
 
@@ -189,7 +187,7 @@ class TestServiceSharding:
             "problem": problem_to_dict(_shardable_problem()),
             "options": {"max_attempts": 1, "shards": 2},
         }
-        reply = _execute_job(job, OrderedDict())
+        reply = _execute_job(job)
         assert reply["ok"], reply.get("error")
         stats = reply["payload"]["stats"]
         assert stats["shards"] == 2
