@@ -13,7 +13,6 @@ is asserted to stay within the CI regression budget.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from conftest import emit
@@ -32,13 +31,8 @@ BASELINE = Path(__file__).parent / "baseline" / "BENCH_pre_pr.json"
 MAX_EXPANSION_REGRESSION = 0.25
 
 
-#: Opt-in shard count for the whole suite (the CI shard-matrix job sets
-#: this); counters stay deterministic for any fixed value.
-SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "1"))
-
-
 def test_perf_suite(output_dir: Path) -> None:
-    report = run_bench(repeat=2, shards=SHARDS)
+    report = run_bench(repeat=2)
     write_report(report, output_dir / "BENCH_routing.json")
 
     baseline = load_report(BASELINE)

@@ -194,9 +194,10 @@ def run_case(
     Work counters come from the last run — they are deterministic for a
     given case, so any run reports the same numbers.  With ``profile``
     the row also carries the router's per-phase wall split (search,
-    connectivity, victim analysis, claims bookkeeping — measured at the
-    leaf operations, so the buckets are disjoint; ``other`` is the
-    remainder against the run's ``elapsed_s``).
+    connectivity, victim analysis, and ``claims``: grid commit/rip and
+    best-state copies — measured at the leaf operations, so the buckets
+    are disjoint; ``other`` is the remainder against the run's
+    ``elapsed_s``).
 
     ``shards > 1`` routes through the shard-and-stitch pipeline
     (:func:`repro.core.shard.route_problem_sharded`); cases the

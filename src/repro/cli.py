@@ -940,8 +940,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("METRIC", "PCT"),
         help="with --compare: fail if METRIC regresses by more than PCT "
         "percent; repeatable, so several counters can be gated at once "
-        "(PCT 0 with expansions/searches is the cross-backend parity "
-        "gate: the ratio must be exactly 1.0000)",
+        "(the ratio is of suite totals, so PCT 0 still lets one case "
+        "rise while another falls; benchmarks/check_counter_parity.py "
+        "checks per-case equality)",
     )
     bench.add_argument(
         "--workers",
@@ -955,7 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="record the router's per-phase wall split (search, "
-        "connectivity, victims, claims) in each case row",
+        "connectivity, victims, claims = grid commit/rip and best-state "
+        "copies) in each case row",
     )
     bench.add_argument(
         "--shards",

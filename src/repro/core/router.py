@@ -81,13 +81,6 @@ class MightyRouter:
         # caller running many related problems (e.g. a width sweep) may
         # pass one arena to amortise across runs.
         self._arena = arena or SearchArena()
-        self._claims: Dict[Node, Set[Connection]] = {}
-        # While a weak-modification transaction is open, every claim
-        # add/remove is recorded here so a rejected attempt undoes claims
-        # in O(touched) instead of copying the whole claims table.
-        self._claims_journal: Optional[List[Tuple[Node, Connection, bool]]] = (
-            None
-        )
         self._net_connections: Dict[int, List[Connection]] = {}
         self._net_rips: Dict[int, int] = {}
         self._budgets: Dict[int, int] = {}
@@ -232,7 +225,7 @@ class MightyRouter:
             failed=[c for c in all_connections if not c.routed],
             stats=self._stats,
             events=self._events,
-            router=self._router_tag(),
+            router=router_tag(self.config),
         )
 
     # ------------------------------------------------------------------
@@ -370,7 +363,6 @@ class MightyRouter:
         saved_state = [(c, c.path, c.routed) for c in watched]
 
         self._grid.begin_txn()
-        self._claims_journal = []
         try:
             for victim in victims:
                 self._rip(victim)
@@ -397,7 +389,6 @@ class MightyRouter:
             raise
         if displaced_ok:
             self._grid.commit_txn()
-            self._claims_journal = None
             self._stats.weak_modifications += 1
             self._record(
                 "weak",
@@ -413,19 +404,8 @@ class MightyRouter:
     def _undo_weak_attempt(
         self, saved_state: List[Tuple[Connection, Optional[GridPath], bool]]
     ) -> None:
-        """Roll back grid, claims and connection flags of a weak attempt."""
+        """Roll back the grid and the connection flags of a weak attempt."""
         self._grid.rollback_txn()
-        claims_journal = self._claims_journal or []
-        self._claims_journal = None
-        for node, conn, added in reversed(claims_journal):
-            if added:
-                owners = self._claims.get(node)
-                if owners is not None:
-                    owners.discard(conn)
-                    if not owners:
-                        del self._claims[node]
-            else:
-                self._claims.setdefault(node, set()).add(conn)
         for conn, old_path, old_routed in saved_state:
             conn.path = old_path
             conn.routed = old_routed
@@ -518,14 +498,6 @@ class MightyRouter:
     def _commit(self, connection: Connection, path: GridPath) -> None:
         tick = time.perf_counter()
         self._grid.commit_path(connection.net_id, path)
-        journal = self._claims_journal
-        for node in path:
-            key = tuple(node)
-            owners = self._claims.setdefault(key, set())
-            if connection not in owners:
-                owners.add(connection)
-                if journal is not None:
-                    journal.append((key, connection, True))
         connection.path = path
         connection.routed = True
         self._stats.phase_claims_s += time.perf_counter() - tick
@@ -534,16 +506,6 @@ class MightyRouter:
         tick = time.perf_counter()
         if connection.path is not None:
             self._grid.remove_path(connection.net_id, connection.path)
-            journal = self._claims_journal
-            for node in connection.path:
-                key = tuple(node)
-                owners = self._claims.get(key)
-                if owners is not None and connection in owners:
-                    owners.discard(connection)
-                    if journal is not None:
-                        journal.append((key, connection, False))
-                    if not owners:
-                        del self._claims[key]
         connection.path = None
         connection.routed = False
         self._stats.phase_claims_s += time.perf_counter() - tick
@@ -582,14 +544,26 @@ class MightyRouter:
     def _victims_of(
         self, conflict_nodes: Sequence[Node]
     ) -> Optional[List[Connection]]:
-        """Connections that own the conflict nodes (None when unrippable)."""
+        """Connections whose paths hold the conflict nodes.
+
+        The grid says which net owns a node; of that net's connections,
+        the ones whose current ``path`` holds it are the victims.  ``None``
+        when a node has no such connection: it cannot be ripped.
+        """
         tick = time.perf_counter()
         victims: Set[Connection] = set()
         for node in conflict_nodes:
-            owners = self._claims.get(tuple(node))
+            owners = [
+                conn
+                for conn in self._net_connections.get(
+                    self._grid.owner(node), ()
+                )
+                if conn.path is not None and node in conn.path.nodes
+            ]
             if not owners:
-                # Foreign copper with no registered connection (should not
-                # happen; pins are excluded by the search).  Refuse the plan.
+                # Foreign copper that no connection's path holds (the
+                # search excludes pins, so a corrupted cell).  Refuse the
+                # plan.
                 self._stats.phase_victims_s += time.perf_counter() - tick
                 return None
             victims.update(owners)
@@ -631,9 +605,9 @@ class MightyRouter:
     def _note_best_state(self, connections: List[Connection]) -> None:
         """Record that a new completion record was reached — lazily.
 
-        Copying the grid and claims table on every record made the
-        snapshot path O(connections²) on a cleanly-progressing run.  The
-        copy is deferred: the routed count can only *decrease* through a
+        Copying the grid on every record made the snapshot path
+        O(connections²) on a cleanly-progressing run.  The copy is
+        deferred: the routed count can only *decrease* through a
         strong modification (weak attempts are all-or-nothing and roll
         back; searches never mutate), so ``_do_strong`` materialises the
         pending copy just before its first rip.  A run that never strong-
@@ -655,7 +629,6 @@ class MightyRouter:
         tick = time.perf_counter()
         self._best_snapshot = (
             self._grid.clone(),
-            {node: set(owners) for node, owners in self._claims.items()},
             [(c, c.path, c.routed) for c in self._all_connections],
         )
         self._stats.phase_claims_s += time.perf_counter() - tick
@@ -667,9 +640,8 @@ class MightyRouter:
         routed = sum(1 for c in connections if c.routed)
         if routed >= self._best_routed:
             return
-        grid, claims, states = self._best_snapshot
+        grid, states = self._best_snapshot
         self._grid.restore(grid)
-        self._claims = claims
         for connection, path, was_routed in states:
             connection.path = path
             connection.routed = was_routed
@@ -719,14 +691,16 @@ class MightyRouter:
             )
         )
 
-    def _router_tag(self) -> str:
-        if self.config.enable_weak and self.config.enable_strong:
-            return "mighty"
-        if self.config.enable_weak:
-            return "mighty-weak"
-        if self.config.enable_strong:
-            return "mighty-strong"
-        return "maze-sequential"
+
+def router_tag(config: MightyConfig) -> str:
+    """Name of the router variant ``config`` enables."""
+    if config.enable_weak and config.enable_strong:
+        return "mighty"
+    if config.enable_weak:
+        return "mighty-weak"
+    if config.enable_strong:
+        return "mighty-strong"
+    return "maze-sequential"
 
 
 def route_problem(

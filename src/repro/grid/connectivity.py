@@ -68,13 +68,16 @@ class ConnectivityIndex:
     ``note_*`` hooks from its mutation methods and forwards
     ``component_nodes``/``same_component`` queries here.  All undo records
     go into the grid's open journal, if any.
+
+    The index keeps no reference to its grid: every call that reads the
+    copper takes the grid as its first argument.  A stored back-reference
+    would make grid and index a reference cycle, and then no grid would
+    be freed before a full cyclic garbage-collection pass.
     """
 
-    __slots__ = ("_grid", "_parent", "_rank", "_dirty", "_cache")
+    __slots__ = ("_parent", "_rank", "_dirty", "_cache")
 
-    def __init__(self, grid: "RoutingGrid") -> None:
-        self._grid = grid
-        size = 2 * grid.height * grid.width
+    def __init__(self, size: int) -> None:
         self._parent: List[int] = list(range(size))
         self._rank: List[int] = [0] * size
         #: Nets whose structure is stale (a removal may have split them).
@@ -93,26 +96,30 @@ class ConnectivityIndex:
             idx = parent[idx]
         return idx
 
-    def same_component(self, net_id: int, a: int, b: int) -> bool:
+    def same_component(
+        self, grid: "RoutingGrid", net_id: int, a: int, b: int
+    ) -> bool:
         """Whether flat nodes ``a`` and ``b`` share ``net_id`` copper.
 
         Callers must have checked that both nodes are owned by ``net_id``.
         """
         if net_id in self._dirty:
-            self._reflood(net_id)
+            self._reflood(grid, net_id)
         return self.find(a) == self.find(b)
 
-    def component_nodes(self, net_id: int, seed: int) -> List[GridNode]:
+    def component_nodes(
+        self, grid: "RoutingGrid", net_id: int, seed: int
+    ) -> List[GridNode]:
         """Cached flat list of the component containing flat node ``seed``.
 
         The returned list is shared with the cache — callers must treat it
         as read-only.  ``seed`` must be owned by ``net_id``.
         """
         if net_id in self._dirty:
-            self._reflood(net_id)
+            self._reflood(grid, net_id)
         groups = self._cache.get(net_id)
         if groups is None:
-            groups = self._gather(net_id)
+            groups = self._gather(grid, net_id)
             self._cache[net_id] = groups
         return groups.get(self.find(seed), [])
 
@@ -124,13 +131,12 @@ class ConnectivityIndex:
     # Mutation hooks (called by RoutingGrid)
     # ------------------------------------------------------------------
     def note_node_added(
-        self, net_id: int, idx: int, x: int, y: int, layer: int
+        self, grid: "RoutingGrid", net_id: int, idx: int, x: int, y: int
     ) -> None:
         """A cell just transitioned ``FREE -> net_id`` at flat id ``idx``."""
         self._cache.pop(net_id, None)
         if net_id in self._dirty:
             return  # the pending re-flood will pick the node up
-        grid = self._grid
         journal = grid._journal
         parent, rank = self._parent, self._rank
         if journal is not None:
@@ -153,12 +159,13 @@ class ConnectivityIndex:
             if occ[other] == net_id:
                 self._union(idx, other, journal)
 
-    def note_via_added(self, net_id: int, x: int, y: int) -> None:
+    def note_via_added(
+        self, grid: "RoutingGrid", net_id: int, x: int, y: int
+    ) -> None:
         """A via of ``net_id`` appeared at ``(x, y)``: bridge the layers."""
         self._cache.pop(net_id, None)
         if net_id in self._dirty:
             return
-        grid = self._grid
         width = grid.width
         idx0 = y * width + x
         plane = width * grid.height
@@ -166,12 +173,12 @@ class ConnectivityIndex:
         if occ[idx0] == net_id and occ[idx0 + plane] == net_id:
             self._union(idx0, idx0 + plane, grid._journal)
 
-    def note_removed(self, net_id: int) -> None:
+    def note_removed(self, grid: "RoutingGrid", net_id: int) -> None:
         """A node or via of ``net_id`` was freed: the component may split."""
         self._cache.pop(net_id, None)
         if net_id in self._dirty:
             return
-        journal = self._grid._journal
+        journal = grid._journal
         if journal is not None:
             journal.append((_J_DIRTY, net_id, False))
         self._dirty.add(net_id)
@@ -195,12 +202,10 @@ class ConnectivityIndex:
         """Forget every cached component list (rollback/restore path)."""
         self._cache.clear()
 
-    def invalidate_all(self) -> None:
+    def invalidate_all(self, grid: "RoutingGrid") -> None:
         """Mark every net with copper dirty; next queries re-derive from
         the occupancy/via arrays alone (restore/unpickle/verifier path)."""
-        self._dirty = {
-            net for net, usage in self._grid._usage.items() if usage
-        }
+        self._dirty = {net for net, usage in grid._usage.items() if usage}
         self._cache.clear()
 
     def invalidate(self, net_id: int) -> None:
@@ -226,7 +231,7 @@ class ConnectivityIndex:
                 journal.append((_J_UF, ra, parent[ra], rank[ra]))
             rank[ra] += 1
 
-    def _reflood(self, net_id: int) -> None:
+    def _reflood(self, grid: "RoutingGrid", net_id: int) -> None:
         """Rebuild ``net_id``'s structure from the grid's ground truth.
 
         Touches only the net's own nodes: O(net copper), not O(grid).
@@ -234,7 +239,6 @@ class ConnectivityIndex:
         through the occupancy array, so the rebuilt structure reflects the
         copper itself.
         """
-        grid = self._grid
         journal = grid._journal
         occ = grid._occ
         via = grid._via
@@ -269,9 +273,10 @@ class ConnectivityIndex:
         self._dirty.discard(net_id)
         self._cache.pop(net_id, None)
 
-    def _gather(self, net_id: int) -> Dict[int, List[GridNode]]:
+    def _gather(
+        self, grid: "RoutingGrid", net_id: int
+    ) -> Dict[int, List[GridNode]]:
         """Group the net's owned nodes by component root."""
-        grid = self._grid
         occ = grid._occ
         height, width = grid.height, grid.width
         find = self.find

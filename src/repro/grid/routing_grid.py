@@ -119,7 +119,7 @@ class RoutingGrid:
             )
             occ = np.frombuffer(self._occ, dtype=np.intc)
             occ.reshape(2, height, width)[:, blocked] = OBSTACLE
-        self._connectivity = ConnectivityIndex(self)
+        self._connectivity = ConnectivityIndex(len(self._occ))
 
     # ------------------------------------------------------------------
     # Pickling (process-pool workers ship grids across processes)
@@ -134,8 +134,8 @@ class RoutingGrid:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._connectivity = ConnectivityIndex(self)
-        self._connectivity.invalidate_all()
+        self._connectivity = ConnectivityIndex(len(self._occ))
+        self._connectivity.invalidate_all(self)
 
     # ------------------------------------------------------------------
     # Queries
@@ -366,7 +366,7 @@ class RoutingGrid:
         self._pin[index] = net_id
         usage[key] += 1
         if current == FREE:
-            self._connectivity.note_node_added(net_id, index, x, y, int(layer))
+            self._connectivity.note_node_added(self, net_id, index, x, y)
 
     def commit_path(self, net_id: int, path: GridPath) -> None:
         """Claim every node and via of ``path`` for ``net_id``.
@@ -405,7 +405,7 @@ class RoutingGrid:
             usage[node] += 1
             if was_free:
                 connectivity.note_node_added(
-                    net_id, index, node.x, node.y, int(node.layer)
+                    self, net_id, index, node.x, node.y
                 )
         via = self._via
         via_usage = self._via_usage[net_id]
@@ -418,7 +418,7 @@ class RoutingGrid:
             via[index] = net_id
             via_usage[cell] += 1
             if was_free:
-                connectivity.note_via_added(net_id, cell.x, cell.y)
+                connectivity.note_via_added(self, net_id, cell.x, cell.y)
 
     def remove_path(self, net_id: int, path: GridPath) -> None:
         """Release ``path``'s claim; frees cells whose count drops to zero.
@@ -466,7 +466,7 @@ class RoutingGrid:
         if freed:
             # A union-find cannot split: mark the net for a scoped
             # re-flood on its next connectivity query.
-            self._connectivity.note_removed(net_id)
+            self._connectivity.note_removed(self, net_id)
 
     # ------------------------------------------------------------------
     # Snapshots (the coarse, whole-grid undo; transactions are the cheap one)
@@ -490,8 +490,8 @@ class RoutingGrid:
         copy._journal_peak = 0
         # A fresh index marked all-dirty is cheaper than copying the live
         # structure; snapshots are queried rarely (if ever) before mutation.
-        copy._connectivity = ConnectivityIndex(copy)
-        copy._connectivity.invalidate_all()
+        copy._connectivity = ConnectivityIndex(len(copy._occ))
+        copy._connectivity.invalidate_all(copy)
         return copy
 
     def restore(self, snapshot: "RoutingGrid") -> None:
@@ -507,7 +507,7 @@ class RoutingGrid:
         self._pin[:] = snapshot._pin
         self._usage = _copy_usage(snapshot._usage)
         self._via_usage = _copy_usage(snapshot._via_usage)
-        self._connectivity.invalidate_all()
+        self._connectivity.invalidate_all(self)
 
     # ------------------------------------------------------------------
     # Connectivity (incremental index; BFS oracle kept for reference)
@@ -536,7 +536,7 @@ class RoutingGrid:
         occ = self._occ
         if occ[ia] != net_id or occ[ib] != net_id:
             return False
-        return self._connectivity.same_component(net_id, ia, ib)
+        return self._connectivity.same_component(self, net_id, ia, ib)
 
     def component_nodes(
         self, net_id: int, seed: Tuple[int, int, int]
@@ -553,7 +553,7 @@ class RoutingGrid:
         idx = self._flat_index(seed)
         if self._occ[idx] != net_id:
             return []
-        return self._connectivity.component_nodes(net_id, idx)
+        return self._connectivity.component_nodes(self, net_id, idx)
 
     def refresh_connectivity(self, net_id: Optional[int] = None) -> None:
         """Force the index to re-derive from the occupancy/via arrays.
@@ -564,7 +564,7 @@ class RoutingGrid:
         incrementally-maintained state.
         """
         if net_id is None:
-            self._connectivity.invalidate_all()
+            self._connectivity.invalidate_all(self)
         else:
             self._connectivity.invalidate(net_id)
 

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> sweep)
 from repro.analysis.verify import verify_routing
 from repro.core.config import MightyConfig
 from repro.core.result import RouteResult
-from repro.core.router import route_problem
+from repro.core.router import route_problem, router_tag
 from repro.maze.arena import SearchArena
 from repro.netlist.switchbox import SwitchboxSpec
 
@@ -131,7 +131,7 @@ def minimum_routable_width(
     config = config or MightyConfig()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    outcome = WidthSweepOutcome(router=router_name or _tag(config))
+    outcome = WidthSweepOutcome(router=router_name or router_tag(config))
     sequence = shrinking_sequence(spec, max_deletions=max_deletions)
 
     if workers > 1:
@@ -195,13 +195,3 @@ def _parallel_sweep(
             if stopped:
                 break
     return outcome
-
-
-def _tag(config: MightyConfig) -> str:
-    if config.enable_weak and config.enable_strong:
-        return "mighty"
-    if config.enable_weak:
-        return "mighty-weak"
-    if config.enable_strong:
-        return "mighty-strong"
-    return "maze-sequential"

@@ -5,7 +5,9 @@ comparison and gating logic are tested against hand-built reports so no
 timing enters the assertions.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,45 @@ class TestCompare:
         path.write_text(json.dumps({"schema": 999}))
         with pytest.raises(ValueError):
             load_report(path)
+
+
+def _parity_check():
+    """The CI per-case counter parity script, loaded from its file."""
+    path = (
+        Path(__file__).parent.parent / "benchmarks" / "check_counter_parity.py"
+    )
+    spec = importlib.util.spec_from_file_location("check_counter_parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCounterParityCheck:
+    def test_equal_reports_pass(self):
+        report = _report([("a", 1.0, 100), ("b", 2.0, 50)])
+        assert _parity_check().mismatches(report, report) == []
+
+    def test_offsetting_cases_fail_where_the_summed_gate_passes(self):
+        old = _report([("a", 1.0, 100), ("b", 1.0, 100)])
+        new = _report([("a", 1.0, 90), ("b", 1.0, 110)])
+        assert compare_reports(old, new, "expansions")[1] == 1.0
+        assert _parity_check().mismatches(old, new) == [
+            "a: expansions 90 != baseline 100",
+            "b: expansions 110 != baseline 100",
+        ]
+
+    def test_case_sets_and_wirelength(self):
+        old = _report([("a", 1.0, 100), ("b", 1.0, 100)])
+        new = _report([("a", 1.0, 100), ("c", 1.0, 100)])
+        new["cases"][0]["wirelength"] = 7  # not in the baseline: ignored
+        assert _parity_check().mismatches(old, new) == [
+            "b: missing from the report",
+            "c: not in the baseline",
+        ]
+        old["cases"][0]["wirelength"] = 8
+        assert _parity_check().mismatches(old, new)[0] == (
+            "a: wirelength 7 != baseline 8"
+        )
 
 
 class TestBenchCli:

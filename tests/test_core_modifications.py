@@ -1,8 +1,8 @@
 """White-box tests of the weak/strong modification machinery.
 
 These tests construct hand-sized scenarios where the exact mechanism can be
-predicted, and then inspect the router's internal bookkeeping (claims,
-budgets, cascades) directly.
+predicted, and then inspect the router's internal bookkeeping (victim
+selection, budgets, cascades) directly.
 """
 
 import pytest
@@ -157,20 +157,65 @@ class TestCascade:
             assert connection.target_node in component, connection
 
 
-class TestClaimsLedger:
-    def test_claims_match_grid_after_run(self):
+class TestVictims:
+    """Victims are derived from the grid's owner and the connections'
+    paths; the router keeps no table of its own."""
+
+    @staticmethod
+    def _routed_router():
         from repro.netlist.generators import random_switchbox
 
         spec = random_switchbox(12, 9, 10, seed=4, fill=0.7)
         router = MightyRouter(spec.to_problem())
-        result = router.route()
-        # every claimed node is owned by the claiming connection's net
-        for node, owners in router._claims.items():
-            for connection in owners:
-                assert result.grid.owner(node) == connection.net_id
-        # every routed path is fully claimed
+        return router, router.route()
+
+    def test_routed_paths_owned_by_their_net(self):
+        _, result = self._routed_router()
         for connection in result.connections:
             if connection.path is None:
                 continue
             for node in connection.path:
-                assert connection in router._claims[tuple(node)]
+                assert result.grid.owner(tuple(node)) == connection.net_id
+
+    def test_victims_are_the_owner_connections_holding_the_node(self):
+        router, result = self._routed_router()
+
+        def key(c):
+            return (c.net_name, c.estimated_length, c.seq)
+
+        def holders(node):
+            return [
+                c
+                for c in result.connections
+                if c.path is not None and node in c.path.nodes
+            ]
+
+        nodes = sorted(
+            {tuple(n) for c in result.connections if c.path for n in c.path}
+        )
+        shared = 0
+        for node in nodes:
+            expected = sorted(holders(node), key=key)
+            assert router._victims_of([node]) == expected, node
+            shared += len(expected) > 1
+        assert shared, "no node held by two connections; weak test case"
+        # Several nodes at once: the union, in one total order.
+        picked = nodes[::7]
+        union = {c for node in picked for c in holders(node)}
+        assert router._victims_of(picked) == sorted(union, key=key)
+
+    def test_corrupt_owner_cell_has_no_victims(self):
+        from repro.testing import CORRUPT_OWNER
+
+        router, result = self._routed_router()
+        grid = result.grid
+        node = next(
+            tuple(n)
+            for c in result.connections
+            if c.path is not None
+            for n in c.path
+            if grid.pin_owner(tuple(n)) == 0
+        )
+        assert router._victims_of([node])
+        grid._occ[grid._flat_index(node)] = CORRUPT_OWNER
+        assert router._victims_of([node]) is None

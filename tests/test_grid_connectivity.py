@@ -13,10 +13,15 @@ on that invariant from every direction the router can:
 * a real routing run under fault-injected search failures, which forces
   weak-modification rejections and their journal rollbacks;
 * clone/restore/pickle, which must re-derive from the copper alone.
+
+The index keeps no reference back to its grid, so a grid is freed by
+reference counting alone; the lifetime tests pin that down.
 """
 
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -272,3 +277,43 @@ class TestSnapshots:
         assert grid.component_nodes(1, (6, 0, 0)) == []
         assert grid.component_nodes(1, (99, 0, 0)) == []
         assert not grid.same_component(1, (0, 0, 0), (99, 0, 0))
+
+
+# ----------------------------------------------------------------------
+# Lifetime: no grid <-> index reference cycle
+# ----------------------------------------------------------------------
+class TestGridLifetime:
+    """With the cyclic collector off, a grid must die on its last ``del``.
+
+    A grid that only a full collection can free keeps routed grids,
+    best-state clones and the verifier's reference grid alive long after
+    their last use, which shows up as peak memory.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_built_grid_dies_on_del(self):
+        problem = woven_switchbox(14, 10, 10, seed=6, tangle=0.4).to_problem()
+        grid = problem.build_grid()
+        ref = weakref.ref(grid)
+        clone = weakref.ref(grid.clone())
+        del grid
+        assert ref() is None
+        assert clone() is None
+
+    def test_routed_grid_dies_on_del(self):
+        problem = woven_switchbox(14, 10, 10, seed=6, tangle=0.4).to_problem()
+        result = route_problem(problem, MightyConfig())
+        assert result.success
+        ref = weakref.ref(result.grid)
+        del result
+        assert ref() is None
