@@ -127,9 +127,9 @@ def verify_routing(
     # --- connectivity -------------------------------------------------------
     # Force the incremental index to re-derive every net from the
     # occupancy/via arrays themselves: the verifier must not trust state
-    # the router maintained, only the copper.  The scoped re-floods cost
-    # the same O(net copper) the old per-net BFS did, without losing
-    # tamper-awareness.
+    # the router maintained, only the copper.  Each net's re-flood scans
+    # the whole occupancy buffer once (numpy) to find its cells, so this
+    # costs O(nets x area) in compares plus O(net copper) of unions.
     grid.refresh_connectivity()
     connected: Dict[str, bool] = {}
     for index, net in enumerate(problem.nets):

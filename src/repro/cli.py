@@ -18,7 +18,7 @@ Subcommands
 ``bench``
     The routing performance suite (``repro.bench``): route the benchmark
     workloads, write ``BENCH_routing.json``, optionally compare against a
-    baseline report and fail on regression (``--max-regression``).
+    baseline report and fail on regression (``--gate METRIC PCT``).
 ``serve``
     Run the persistent routing daemon (``repro.service``): a warm worker
     pool behind a Unix-domain socket, with a canonical-instance cache
@@ -400,7 +400,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _parse_gates(args: argparse.Namespace, metrics) -> list:
-    """Collect (metric, pct) regression gates from --gate/--max-regression."""
+    """Collect the (metric, pct) regression gates given with --gate."""
     gates = []
     for metric, pct_text in args.gate or []:
         if metric not in metrics:
@@ -417,10 +417,6 @@ def _parse_gates(args: argparse.Namespace, metrics) -> list:
         if pct < 0:
             raise InputError("gate threshold must be non-negative")
         gates.append((metric, pct))
-    if args.max_regression is not None:
-        if args.max_regression < 0:
-            raise InputError("--max-regression must be non-negative")
-        gates.append((args.metric, args.max_regression))
     return gates
 
 
@@ -436,7 +432,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("--shards must be >= 1")
     gates = _parse_gates(args, bench.COMPARE_METRICS)
     if gates and not args.compare:
-        raise InputError("--gate/--max-regression require --compare")
+        raise InputError("--gate requires --compare")
     report = bench.run_bench(
         quick=args.quick,
         repeat=args.repeat,
@@ -507,8 +503,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
         if gate_records:
             report["compare"]["gates"] = gate_records
-            # Kept for consumers of the pre-gate schema.
-            report["compare"]["max_regression_pct"] = gates[-1][1]
     bench.write_report(report, Path(args.output))
     print(f"wrote {args.output}")
     return 1 if regression else 0
@@ -925,13 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="wall_s",
         help="comparison metric; expansions/searches/wirelength are "
         "deterministic and machine-independent (default: wall_s)",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        metavar="PCT",
-        help="with --compare: exit non-zero if the overall metric "
-        "regresses by more than PCT percent",
     )
     bench.add_argument(
         "--gate",

@@ -178,14 +178,15 @@ class RoutingEngine:
             if attempt > 0 and deadline.expired():
                 timed_out = True
                 break
-            if self.config.max_expansions_per_search is not None:
-                config = config.with_updates(
-                    max_expansions_per_search=(
-                        self.config.max_expansions_per_search
-                    )
-                )
-            result, record = self._run_attempt(
-                problem, config, attempt, deadline, pre_routed
+            result, record = self._supervised(
+                "mighty",
+                attempt,
+                problem,
+                config,
+                deadline,
+                lambda capped: MightyRouter(problem, capped).route(
+                    pre_routed=pre_routed, deadline=deadline
+                ),
             )
             attempt_log.append(record)
             if result is not None:
@@ -216,11 +217,51 @@ class RoutingEngine:
     # ------------------------------------------------------------------
     # Cascade stages
     # ------------------------------------------------------------------
-    def _run_attempt(self, problem, config, attempt, deadline, pre_routed):
-        """One supervised Mighty run; exceptions become telemetry."""
+    def _run_shard_attempt(self, problem, shards, workers, deadline):
+        """One supervised shard-and-stitch run.
+
+        The attempt record also carries the resolved shard count (1 when
+        the partitioner fell back) and the per-shard ``shard_log`` —
+        including the kernel backend every shard worker actually ran.
+        """
+        from repro.core.shard import route_problem_sharded
+
+        result, record = self._supervised(
+            "shard",
+            0,
+            problem,
+            self.router_config,
+            deadline,
+            lambda capped: route_problem_sharded(
+                problem,
+                capped,
+                shards=shards,
+                workers=workers,
+                deadline=deadline,
+            ),
+        )
+        record["shards"] = shards if result is None else result.stats.shards
+        if result is not None:
+            record["shard_log"] = result.stats.shard_log
+        return result, record
+
+    def _supervised(self, stage, attempt, problem, config, deadline, run):
+        """Run ``run(config)`` under supervision and build its record.
+
+        ``config`` first gets the engine's per-search expansion cap.  A
+        crash is telemetry: the result is ``None`` and the record carries
+        the error.  Otherwise the record carries the verification verdict
+        that gates acceptance.
+        """
+        if self.config.max_expansions_per_search is not None:
+            config = config.with_updates(
+                max_expansions_per_search=(
+                    self.config.max_expansions_per_search
+                )
+            )
         started = deadline.elapsed()
         record = {
-            "stage": "mighty",
+            "stage": stage,
             "attempt": attempt,
             "ordering": config.ordering,
             "routed": 0,
@@ -231,78 +272,21 @@ class RoutingEngine:
             "error": "",
         }
         try:
-            result = MightyRouter(problem, config).route(
-                pre_routed=pre_routed, deadline=deadline
-            )
+            result = run(config)
         except Exception as exc:  # supervised: a crash is telemetry
             record["error"] = f"{type(exc).__name__}: {exc}"
             record["elapsed_s"] = round(deadline.elapsed() - started, 6)
             return None, record
         report = verify_result(problem, result)
-        record["routed"] = result.stats.routed_connections
-        record["connections"] = result.stats.connections
-        record["timed_out"] = result.stats.timed_out
+        stats = result.stats
+        record["routed"] = stats.routed_connections
+        record["connections"] = stats.connections
+        record["timed_out"] = stats.timed_out
         # Budget-limited searches are the escalation signal that separates
         # "proven unroutable" from "under-budgeted": later attempts scale
         # max_expansions up, and _context reports the distinction.
-        record["exhausted_searches"] = result.stats.exhausted_searches
-        record["kernel_backend"] = result.stats.kernel_backend
-        record["verified"] = bool(report.ok)
-        record["elapsed_s"] = round(deadline.elapsed() - started, 6)
-        if not report.ok:
-            record["error"] = report.summary()
-        return result, record
-
-    def _run_shard_attempt(self, problem, shards, workers, deadline):
-        """One supervised shard-and-stitch run; crashes become telemetry.
-
-        The attempt record carries the resolved shard count (1 when the
-        partitioner fell back), the per-shard ``shard_log`` — including
-        the kernel backend every shard worker actually ran — and the
-        verification verdict that gates acceptance.
-        """
-        from repro.core.shard import route_problem_sharded
-
-        started = deadline.elapsed()
-        config = self.router_config
-        if self.config.max_expansions_per_search is not None:
-            config = config.with_updates(
-                max_expansions_per_search=(
-                    self.config.max_expansions_per_search
-                )
-            )
-        record = {
-            "stage": "shard",
-            "attempt": 0,
-            "ordering": config.ordering,
-            "shards": shards,
-            "routed": 0,
-            "connections": 0,
-            "timed_out": False,
-            "verified": False,
-            "elapsed_s": 0.0,
-            "error": "",
-        }
-        try:
-            result = route_problem_sharded(
-                problem,
-                config,
-                shards=shards,
-                workers=workers,
-                deadline=deadline,
-            )
-        except Exception as exc:  # supervised: a crash is telemetry
-            record["error"] = f"{type(exc).__name__}: {exc}"
-            record["elapsed_s"] = round(deadline.elapsed() - started, 6)
-            return None, record
-        report = verify_result(problem, result)
-        record["shards"] = result.stats.shards
-        record["shard_log"] = result.stats.shard_log
-        record["routed"] = result.stats.routed_connections
-        record["connections"] = result.stats.connections
-        record["timed_out"] = result.stats.timed_out
-        record["exhausted_searches"] = result.stats.exhausted_searches
-        record["kernel_backend"] = result.stats.kernel_backend
+        record["exhausted_searches"] = stats.exhausted_searches
+        record["kernel_backend"] = stats.kernel_backend
         record["verified"] = bool(report.ok)
         record["elapsed_s"] = round(deadline.elapsed() - started, 6)
         if not report.ok:

@@ -10,7 +10,7 @@ them).  Vias connect the two layers at a shared ``(x, y)`` cell.
 * :class:`~repro.grid.path.GridNode` / :class:`~repro.grid.path.GridPath` —
   a routed connection as a walk over ``(x, y, layer)`` nodes.
 * :class:`~repro.grid.routing_grid.RoutingGrid` — occupancy, vias, commit
-  and rip-up of paths with per-net reference counting (so ripping one
+  and rip-up of paths with per-cell reference counts (so ripping one
   connection of a net never deletes copper shared with its siblings).
 """
 

@@ -15,9 +15,10 @@ The index is a **union-find over flat node ids** (``idx = (layer * H + y)
 every structural write is a single ``parent``/``rank`` cell assignment,
 which makes the whole structure journalable through the grid's existing
 ``begin_txn``/``commit_txn``/``rollback_txn`` machinery.  Each write
-inside a transaction appends an undo record to the same journal as the
-occupancy writes, so rolling back a failed weak-modification attempt
-restores the index bit-for-bit along with the copper.
+inside a transaction appends the same ``(store, key, old)`` record as the
+occupancy writes — the store being ``_parent``, ``_rank`` or the
+``{net_id: bool}`` dirty map — so rolling back a failed weak-modification
+attempt restores the index bit-for-bit along with the copper.
 
 * **Additions are incremental.**  When a cell transitions ``FREE -> net``
   (``commit_path``/``reserve_pin``) the new node is activated as a
@@ -25,9 +26,10 @@ restores the index bit-for-bit along with the copper.
   unions the two layers of its cell.  O(alpha-ish) per cell.
 * **Removals invalidate.**  A union-find cannot split, so freeing any
   node or via of a net marks the net *dirty*; the next query re-floods
-  only that net's copper (O(net size), not O(grid)), rebuilding
-  ``parent``/``rank`` from the grid's ground truth.  Between removals —
-  the common case while the router lays copper — queries never flood.
+  that net's copper (one numpy scan of the whole occupancy buffer finds
+  its cells, then O(net size) unions), rebuilding ``parent``/``rank`` from
+  the grid's ground truth.  Between removals — the common case while the
+  router lays copper — queries never flood.
 * **Queries are cached.**  ``component_nodes`` groups a clean net's nodes
   by root once and caches the flat lists until the net changes, so the
   router's repeated "give me the source component" calls are dictionary
@@ -40,25 +42,21 @@ iff they are connected through the net's copper exactly as
 :meth:`RoutingGrid.connected_component` would report.  Dirty nets hold no
 promise until the next query re-floods them.
 
-The re-flood derives adjacency from the occupancy/via arrays themselves
-(filtering the per-net usage keys through the current owner), so
-:func:`RoutingGrid.refresh_connectivity` + queries re-derive connectivity
-from the copper alone — which is what lets the independent verifier use
-the index without trusting incremental history.
+The re-flood takes the net's cells and their adjacency from the
+occupancy/via buffers alone, so :func:`RoutingGrid.refresh_connectivity`
++ queries re-derive connectivity from the copper itself — copper written
+straight into the buffers included — which is what lets the independent
+verifier use the index without trusting incremental history.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.grid.path import GridNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.grid.routing_grid import RoutingGrid
-
-# Journal entry tags, continuing the numbering in ``routing_grid``.
-_J_UF = 5     # (tag, idx, old_parent, old_rank)
-_J_DIRTY = 6  # (tag, net_id, was_dirty)
 
 
 class ConnectivityIndex:
@@ -80,8 +78,9 @@ class ConnectivityIndex:
     def __init__(self, size: int) -> None:
         self._parent: List[int] = list(range(size))
         self._rank: List[int] = [0] * size
-        #: Nets whose structure is stale (a removal may have split them).
-        self._dirty: Set[int] = set()
+        #: ``True`` for nets whose structure is stale (a removal may have
+        #: split them); a missing net counts as ``False``.
+        self._dirty: Dict[int, bool] = {}
         #: Per-net ``{root: [GridNode, ...]}`` component lists; entries are
         #: dropped on any mutation touching the net.
         self._cache: Dict[int, Dict[int, List[GridNode]]] = {}
@@ -103,7 +102,7 @@ class ConnectivityIndex:
 
         Callers must have checked that both nodes are owned by ``net_id``.
         """
-        if net_id in self._dirty:
+        if self._dirty.get(net_id):
             self._reflood(grid, net_id)
         return self.find(a) == self.find(b)
 
@@ -115,7 +114,7 @@ class ConnectivityIndex:
         The returned list is shared with the cache — callers must treat it
         as read-only.  ``seed`` must be owned by ``net_id``.
         """
-        if net_id in self._dirty:
+        if self._dirty.get(net_id):
             self._reflood(grid, net_id)
         groups = self._cache.get(net_id)
         if groups is None:
@@ -125,7 +124,7 @@ class ConnectivityIndex:
 
     def is_dirty(self, net_id: int) -> bool:
         """True when ``net_id`` awaits a re-flood (exposed for tests)."""
-        return net_id in self._dirty
+        return self._dirty.get(net_id, False)
 
     # ------------------------------------------------------------------
     # Mutation hooks (called by RoutingGrid)
@@ -135,14 +134,10 @@ class ConnectivityIndex:
     ) -> None:
         """A cell just transitioned ``FREE -> net_id`` at flat id ``idx``."""
         self._cache.pop(net_id, None)
-        if net_id in self._dirty:
+        if self._dirty.get(net_id):
             return  # the pending re-flood will pick the node up
         journal = grid._journal
-        parent, rank = self._parent, self._rank
-        if journal is not None:
-            journal.append((_J_UF, idx, parent[idx], rank[idx]))
-        parent[idx] = idx
-        rank[idx] = 0
+        self._make_singleton(idx, journal)
         occ = grid._occ
         width, height = grid.width, grid.height
         if x + 1 < width and occ[idx + 1] == net_id:
@@ -164,7 +159,7 @@ class ConnectivityIndex:
     ) -> None:
         """A via of ``net_id`` appeared at ``(x, y)``: bridge the layers."""
         self._cache.pop(net_id, None)
-        if net_id in self._dirty:
+        if self._dirty.get(net_id):
             return
         width = grid.width
         idx0 = y * width + x
@@ -176,27 +171,11 @@ class ConnectivityIndex:
     def note_removed(self, grid: "RoutingGrid", net_id: int) -> None:
         """A node or via of ``net_id`` was freed: the component may split."""
         self._cache.pop(net_id, None)
-        if net_id in self._dirty:
+        if self._dirty.get(net_id):
             return
-        journal = grid._journal
-        if journal is not None:
-            journal.append((_J_DIRTY, net_id, False))
-        self._dirty.add(net_id)
-
-    # ------------------------------------------------------------------
-    # Journal integration (called by RoutingGrid.rollback_txn)
-    # ------------------------------------------------------------------
-    def undo_uf(self, idx: int, old_parent: int, old_rank: int) -> None:
-        """Undo one journaled parent/rank write."""
-        self._parent[idx] = old_parent
-        self._rank[idx] = old_rank
-
-    def undo_dirty(self, net_id: int, was_dirty: bool) -> None:
-        """Undo one journaled dirty-flag transition."""
-        if was_dirty:
-            self._dirty.add(net_id)
-        else:
-            self._dirty.discard(net_id)
+        if grid._journal is not None:
+            grid._journal.append((self._dirty, net_id, False))
+        self._dirty[net_id] = True
 
     def drop_caches(self) -> None:
         """Forget every cached component list (rollback/restore path)."""
@@ -204,18 +183,22 @@ class ConnectivityIndex:
 
     def invalidate_all(self, grid: "RoutingGrid") -> None:
         """Mark every net with copper dirty; next queries re-derive from
-        the occupancy/via arrays alone (restore/unpickle/verifier path)."""
-        self._dirty = {net for net, usage in grid._usage.items() if usage}
+        the occupancy/via buffers alone (restore/unpickle/verifier path)."""
+        self._dirty = dict.fromkeys(grid.net_ids(), True)
         self._cache.clear()
-
-    def invalidate(self, net_id: int) -> None:
-        """Mark one net dirty (force its next query to re-flood)."""
-        self._dirty.add(net_id)
-        self._cache.pop(net_id, None)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _make_singleton(self, idx: int, journal) -> None:
+        """Reset ``idx`` to a rank-0 root of its own."""
+        parent, rank = self._parent, self._rank
+        if journal is not None:
+            journal.append((parent, idx, parent[idx]))
+            journal.append((rank, idx, rank[idx]))
+        parent[idx] = idx
+        rank[idx] = 0
+
     def _union(self, a: int, b: int, journal) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
@@ -224,67 +207,52 @@ class ConnectivityIndex:
         if rank[ra] < rank[rb]:
             ra, rb = rb, ra
         if journal is not None:
-            journal.append((_J_UF, rb, parent[rb], rank[rb]))
+            journal.append((parent, rb, parent[rb]))
         parent[rb] = ra
         if rank[ra] == rank[rb]:
             if journal is not None:
-                journal.append((_J_UF, ra, parent[ra], rank[ra]))
+                journal.append((rank, ra, rank[ra]))
             rank[ra] += 1
 
     def _reflood(self, grid: "RoutingGrid", net_id: int) -> None:
         """Rebuild ``net_id``'s structure from the grid's ground truth.
 
-        Touches only the net's own nodes: O(net copper), not O(grid).
-        Candidate nodes come from the per-net usage table but are filtered
-        through the occupancy array, so the rebuilt structure reflects the
-        copper itself.
+        The net's cells come from one numpy scan of the whole occupancy
+        buffer (O(grid)); the union work is O(net copper).
         """
         journal = grid._journal
         occ = grid._occ
         via = grid._via
-        height, width = grid.height, grid.width
-        plane = height * width
-        parent, rank = self._parent, self._rank
-        nodes: List[Tuple[GridNode, int]] = []
-        for node in grid._usage.get(net_id, ()):
-            idx = (node.layer * height + node.y) * width + node.x
-            if occ[idx] == net_id:
-                nodes.append((node, idx))
-        for _, idx in nodes:
-            if journal is not None:
-                journal.append((_J_UF, idx, parent[idx], rank[idx]))
-            parent[idx] = idx
-            rank[idx] = 0
+        width = grid.width
+        plane = grid.height * width
+        nodes = grid._owned(occ, net_id)
+        for idx in nodes:
+            self._make_singleton(idx, journal)
         union = self._union
-        for node, idx in nodes:
-            x, y = node.x, node.y
-            if x + 1 < width and occ[idx + 1] == net_id:
+        for idx in nodes:
+            if (idx + 1) % width and occ[idx + 1] == net_id:
                 union(idx, idx + 1, journal)
-            if y + 1 < height and occ[idx + width] == net_id:
+            if idx % plane + width < plane and occ[idx + width] == net_id:
                 union(idx, idx + width, journal)
             if (
                 idx < plane
-                and via[y * width + x] == net_id
+                and via[idx] == net_id
                 and occ[idx + plane] == net_id
             ):
                 union(idx, idx + plane, journal)
         if journal is not None:
-            journal.append((_J_DIRTY, net_id, True))
-        self._dirty.discard(net_id)
+            journal.append((self._dirty, net_id, True))
+        self._dirty[net_id] = False
         self._cache.pop(net_id, None)
 
     def _gather(
         self, grid: "RoutingGrid", net_id: int
     ) -> Dict[int, List[GridNode]]:
         """Group the net's owned nodes by component root."""
-        occ = grid._occ
-        height, width = grid.height, grid.width
         find = self.find
         groups: Dict[int, List[GridNode]] = {}
-        for node in grid._usage.get(net_id, ()):
-            idx = (node.layer * height + node.y) * width + node.x
-            if occ[idx] != net_id:
-                continue
+        for idx in grid._owned(grid._occ, net_id):
+            node = grid._node(idx)
             root = find(idx)
             bucket = groups.get(root)
             if bucket is None:

@@ -7,68 +7,51 @@ so that one verifier and one metrics module can judge them all.
 
 Rip-up support is the delicate part: two connections of the *same* net may
 legitimately share cells (a later connection is allowed to run along copper
-laid by an earlier one), so the grid keeps a per-net reference count for
-every node and via.  Ripping one connection only frees cells whose count
-drops to zero.
+laid by an earlier one), so the grid keeps a reference count for every node
+and via.  Ripping one connection only frees cells whose count drops to zero.
 
-Occupancy, pin ownership and vias are each stored exactly once, as a flat
-C-order ``array('i')`` buffer indexed like :meth:`RoutingGrid._flat_index`
-(``(layer * H + y) * W + x``; vias ``y * W + x``).  Every reader shares
-that one buffer: the pure-python kernels and the connectivity index index
-it directly (``occ_flat()``/``pin_flat()``), the compiled kernel passes its
-address to C without a copy, and the bulk consumers — verifier, metrics,
-rendering, compaction — get read-only numpy views over it
-(``occupancy()``/``pin_map()``/``via_map()``).  A mutation is one write.
+Occupancy, pin ownership, vias and the two reference counts are each
+stored exactly once, as a flat C-order ``array('i')`` buffer indexed like
+:meth:`RoutingGrid._flat_index` (``(layer * H + y) * W + x``; vias and
+their counts ``y * W + x``).  A count belongs to whichever net the cell's
+occupancy or via entry names, so ownership itself is recorded once.  Every
+reader shares the one buffer: the pure-python kernels and the connectivity
+index index it directly (``occ_flat()``/``pin_flat()``), the compiled
+kernel passes its address to C without a copy, and the bulk consumers —
+verifier, metrics, rendering, compaction — get read-only numpy views over
+it (``occupancy()``/``pin_map()``/``via_map()``).  A net's cells are found
+by one numpy scan of the buffer.
 
-Undo comes in two granularities.  :meth:`clone`/:meth:`restore` snapshot
-the whole grid — O(area), used sparingly for the router's coarse
-best-state bookmark.  :meth:`begin_txn`/:meth:`commit_txn`/
-:meth:`rollback_txn` journal only the cells a transaction actually touches,
-so undoing one failed modification attempt costs O(path length), which is
-what keeps the rip-up inner loop cheap.
+Undo comes in two granularities.  :meth:`clone`/:meth:`restore` copy the
+five buffers — O(area), used sparingly for the router's coarse best-state
+bookmark.  :meth:`begin_txn`/:meth:`commit_txn`/:meth:`rollback_txn`
+journal only the cells a transaction actually touches, so undoing one
+failed modification attempt costs O(path length), which is what keeps the
+rip-up inner loop cheap.  Every journal record is ``(store, key, old)``:
+the buffer, list or dict written, the index or key, and the value it held.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.region import RectilinearRegion
-from repro.grid.connectivity import _J_DIRTY, _J_UF, ConnectivityIndex
+from repro.grid.connectivity import ConnectivityIndex
 from repro.grid.layers import Layer
 from repro.grid.path import GridNode, GridPath
 
 FREE = 0
 OBSTACLE = -1
 
-# Journal entry tags (first tuple element of every journal record).
-# Tags 5 and 6 (union-find and dirty-flag undo records) are defined by
-# ``repro.grid.connectivity`` and handled in :meth:`rollback_txn`.
-_J_OCC = 0   # (tag, flat_index, old_owner)
-_J_VIA = 1   # (tag, flat_index, old_owner)
-_J_PIN = 2   # (tag, flat_index, old_owner)
-_J_USE = 3   # (tag, net_id, node, old_count)
-_J_VUSE = 4  # (tag, net_id, cell, old_count)
+_LAYERS = tuple(Layer)
 
 
 class GridError(RuntimeError):
     """Raised when a commit/rip request is inconsistent with the grid."""
-
-
-def _copy_usage(table: Dict[int, Counter]) -> Dict[int, Counter]:
-    """Cheap deep copy of a usage table.
-
-    ``Counter.copy()`` is a plain dict copy (C speed), unlike
-    ``Counter(c)`` which re-counts every key; empty counters — common
-    after heavy rip-up — are dropped entirely instead of copied.
-    """
-    return defaultdict(
-        Counter, {net: usage.copy() for net, usage in table.items() if usage}
-    )
 
 
 class RoutingGrid:
@@ -99,8 +82,8 @@ class RoutingGrid:
         self._occ = array("i", [FREE]) * (2 * plane)
         self._via = array("i", [FREE]) * plane
         self._pin = array("i", [FREE]) * (2 * plane)
-        self._usage: Dict[int, Counter] = defaultdict(Counter)
-        self._via_usage: Dict[int, Counter] = defaultdict(Counter)
+        self._use = array("i", [0]) * (2 * plane)
+        self._vuse = array("i", [0]) * plane
         self._journal: Optional[list] = None
         self._journal_peak = 0
         if region is not None:
@@ -172,15 +155,32 @@ class RoutingGrid:
 
     def net_nodes(self, net_id: int) -> List[GridNode]:
         """All nodes currently owned by ``net_id`` (pins included)."""
-        return sorted(self._usage.get(net_id, Counter()))
+        return sorted(map(self._node, self._owned(self._occ, net_id)))
 
     def net_vias(self, net_id: int) -> List[Point]:
         """All via cells currently owned by ``net_id``."""
-        return sorted(self._via_usage.get(net_id, Counter()))
+        width = self.width
+        return sorted(
+            Point(index % width, index // width)
+            for index in self._owned(self._via, net_id)
+        )
 
     def net_ids(self) -> List[int]:
         """Ids of nets that currently own at least one node."""
-        return sorted(n for n, usage in self._usage.items() if usage)
+        occ = np.frombuffer(self._occ, dtype=np.intc)
+        return np.unique(occ[occ > 0]).tolist()
+
+    @staticmethod
+    def _owned(store: array, net_id: int) -> List[int]:
+        """Ascending flat indices of the ``store`` cells ``net_id`` owns."""
+        view = np.frombuffer(store, dtype=np.intc)
+        return np.flatnonzero(view == net_id).tolist()
+
+    def _node(self, index: int) -> GridNode:
+        """The node at flat occupancy index ``index``."""
+        plane = self.width * self.height
+        y, x = divmod(index % plane, self.width)
+        return GridNode(x, y, _LAYERS[index // plane])
 
     @staticmethod
     def _view(store: array, shape: Tuple[int, ...]) -> np.ndarray:
@@ -251,41 +251,10 @@ class RoutingGrid:
         if journal is None:
             raise GridError("no open transaction to roll back")
         self._journal_peak = max(self._journal_peak, len(journal))
-        self._journal = None  # undo writes below must not be re-journaled
-        occ, pin, via = self._occ, self._pin, self._via
-        connectivity = self._connectivity
-        connectivity.drop_caches()
-        for entry in reversed(journal):
-            tag = entry[0]
-            if tag == _J_OCC:
-                _, index, old = entry
-                occ[index] = old
-            elif tag == _J_USE:
-                _, net_id, key, old = entry
-                usage = self._usage[net_id]
-                if old:
-                    usage[key] = old
-                else:
-                    usage.pop(key, None)
-            elif tag == _J_UF:
-                _, index, old_parent, old_rank = entry
-                connectivity.undo_uf(index, old_parent, old_rank)
-            elif tag == _J_DIRTY:
-                _, net_id, was_dirty = entry
-                connectivity.undo_dirty(net_id, was_dirty)
-            elif tag == _J_VIA:
-                _, index, old = entry
-                via[index] = old
-            elif tag == _J_VUSE:
-                _, net_id, key, old = entry
-                usage = self._via_usage[net_id]
-                if old:
-                    usage[key] = old
-                else:
-                    usage.pop(key, None)
-            else:  # _J_PIN
-                _, index, old = entry
-                pin[index] = old
+        self._journal = None
+        self._connectivity.drop_caches()
+        for store, key, old in reversed(journal):
+            store[key] = old
 
     @property
     def in_txn(self) -> bool:
@@ -314,9 +283,9 @@ class RoutingGrid:
     def _path_indices(self, path: GridPath) -> List[Tuple[int, GridNode]]:
         """``(flat_index, node)`` pairs for every node of ``path``.
 
-        Computed once per commit/rip and shared by the occupancy, pin and
-        usage updates (and the connectivity hooks) instead of re-deriving
-        the index per table.
+        Computed once per commit/rip and shared by the occupancy and count
+        updates (and the connectivity hooks) instead of re-deriving the
+        index per buffer.
         """
         height, width = self.height, self.width
         return [
@@ -338,7 +307,7 @@ class RoutingGrid:
                     f"cannot place obstacle over net {current} at ({x},{y},{l})"
                 )
             if self._journal is not None:
-                self._journal.append((_J_OCC, index, current))
+                self._journal.append((self._occ, index, current))
             self._occ[index] = OBSTACLE
 
     def reserve_pin(self, net_id: int, node: Tuple[int, int, int]) -> None:
@@ -355,16 +324,13 @@ class RoutingGrid:
             raise GridError(
                 f"pin of net {net_id} collides with {current} at {tuple(node)}"
             )
-        key = GridNode(x, y, Layer(layer))
         index = self._flat_index((x, y, int(layer)))
-        usage = self._usage[net_id]
         if self._journal is not None:
-            self._journal.append((_J_OCC, index, self._occ[index]))
-            self._journal.append((_J_PIN, index, self._pin[index]))
-            self._journal.append((_J_USE, net_id, key, usage.get(key, 0)))
+            for store in (self._occ, self._pin, self._use):
+                self._journal.append((store, index, store[index]))
         self._occ[index] = net_id
         self._pin[index] = net_id
-        usage[key] += 1
+        self._use[index] += 1
         if current == FREE:
             self._connectivity.note_node_added(self, net_id, index, x, y)
 
@@ -394,79 +360,78 @@ class RoutingGrid:
                     f"via of net {net_id} collides with {current} at {tuple(cell)}"
                 )
         journal = self._journal
-        usage = self._usage[net_id]
+        use = self._use
         connectivity = self._connectivity
         for index, node in indexed:
             if journal is not None:
-                journal.append((_J_OCC, index, occ[index]))
-                journal.append((_J_USE, net_id, node, usage.get(node, 0)))
+                journal.append((occ, index, occ[index]))
+                journal.append((use, index, use[index]))
             was_free = occ[index] == FREE
             occ[index] = net_id
-            usage[node] += 1
+            use[index] += 1
             if was_free:
                 connectivity.note_node_added(
                     self, net_id, index, node.x, node.y
                 )
-        via = self._via
-        via_usage = self._via_usage[net_id]
+        via, vuse = self._via, self._vuse
         for cell in via_cells:
             index = cell.y * width + cell.x
             if journal is not None:
-                journal.append((_J_VIA, index, via[index]))
-                journal.append((_J_VUSE, net_id, cell, via_usage.get(cell, 0)))
+                journal.append((via, index, via[index]))
+                journal.append((vuse, index, vuse[index]))
             was_free = via[index] == FREE
             via[index] = net_id
-            via_usage[cell] += 1
+            vuse[index] += 1
             if was_free:
                 connectivity.note_via_added(self, net_id, cell.x, cell.y)
 
     def remove_path(self, net_id: int, path: GridPath) -> None:
         """Release ``path``'s claim; frees cells whose count drops to zero.
 
-        Pin nodes keep their standing pin reference and therefore survive.
+        Every node and via cell must be owned by ``net_id`` with a live
+        count.  The check is performed in full before any mutation, so a
+        refused rip leaves the grid untouched.  Pin nodes keep their
+        standing pin reference and therefore survive.
         """
-        usage = self._usage[net_id]
+        occ, use = self._occ, self._use
+        via, vuse = self._via, self._vuse
+        width = self.width
         indexed = self._path_indices(path)
         for index, node in indexed:
-            if usage[node] <= 0:
+            if occ[index] != net_id or use[index] <= 0:
                 raise GridError(
                     f"net {net_id} does not own {tuple(node)}; cannot rip"
                 )
-        width = self.width
-        journal = self._journal
-        occ = self._occ
-        freed = False
-        for index, node in indexed:
-            if journal is not None:
-                journal.append((_J_USE, net_id, node, usage[node]))
-            usage[node] -= 1
-            if usage[node] == 0:
-                del usage[node]
-                if journal is not None:
-                    journal.append((_J_OCC, index, occ[index]))
-                occ[index] = FREE
-                freed = True
-        via_usage = self._via_usage[net_id]
-        via = self._via
-        for cell in path.via_cells():
-            if via_usage[cell] <= 0:
+        via_indexed = [
+            (cell.y * width + cell.x, cell) for cell in path.via_cells()
+        ]
+        for index, cell in via_indexed:
+            if via[index] != net_id or vuse[index] <= 0:
                 raise GridError(
                     f"net {net_id} does not own via at {tuple(cell)}; cannot rip"
                 )
-            if journal is not None:
-                journal.append((_J_VUSE, net_id, cell, via_usage[cell]))
-            via_usage[cell] -= 1
-            if via_usage[cell] == 0:
-                del via_usage[cell]
-                index = cell.y * width + cell.x
-                if journal is not None:
-                    journal.append((_J_VIA, index, via[index]))
-                via[index] = FREE
-                freed = True
+        freed = self._release(occ, use, indexed)
+        freed = self._release(via, vuse, via_indexed) or freed
         if freed:
             # A union-find cannot split: mark the net for a scoped
             # re-flood on its next connectivity query.
             self._connectivity.note_removed(self, net_id)
+
+    def _release(self, store: array, counts: array, indexed: list) -> bool:
+        """Drop one reference per ``(index, cell)`` pair; free the cells
+        whose count reaches zero.  Returns whether any cell was freed."""
+        journal = self._journal
+        freed = False
+        for index, _ in indexed:
+            if journal is not None:
+                journal.append((counts, index, counts[index]))
+            counts[index] -= 1
+            if counts[index] == 0:
+                if journal is not None:
+                    journal.append((store, index, store[index]))
+                store[index] = FREE
+                freed = True
+        return freed
 
     # ------------------------------------------------------------------
     # Snapshots (the coarse, whole-grid undo; transactions are the cheap one)
@@ -484,8 +449,8 @@ class RoutingGrid:
         copy._occ = self._occ[:]
         copy._via = self._via[:]
         copy._pin = self._pin[:]
-        copy._usage = _copy_usage(self._usage)
-        copy._via_usage = _copy_usage(self._via_usage)
+        copy._use = self._use[:]
+        copy._vuse = self._vuse[:]
         copy._journal = None
         copy._journal_peak = 0
         # A fresh index marked all-dirty is cheaper than copying the live
@@ -505,8 +470,8 @@ class RoutingGrid:
         self._occ[:] = snapshot._occ
         self._via[:] = snapshot._via
         self._pin[:] = snapshot._pin
-        self._usage = _copy_usage(snapshot._usage)
-        self._via_usage = _copy_usage(snapshot._via_usage)
+        self._use[:] = snapshot._use
+        self._vuse[:] = snapshot._vuse
         self._connectivity.invalidate_all(self)
 
     # ------------------------------------------------------------------
@@ -522,8 +487,9 @@ class RoutingGrid:
         connected through its copper.
 
         Answered by the incremental connectivity index: O(log component)
-        after at most one scoped re-flood of the net's copper — never a
-        whole-grid flood.  Agrees with :meth:`connected_component`
+        after at most one re-flood of the net.  A re-flood scans the whole
+        occupancy buffer once (numpy) to find the net's cells and unions
+        only those.  Agrees with :meth:`connected_component`
         membership on every honestly-maintained grid (the differential
         tests assert this bit-for-bit).
         """
@@ -555,18 +521,15 @@ class RoutingGrid:
             return []
         return self._connectivity.component_nodes(self, net_id, idx)
 
-    def refresh_connectivity(self, net_id: Optional[int] = None) -> None:
-        """Force the index to re-derive from the occupancy/via arrays.
+    def refresh_connectivity(self) -> None:
+        """Force the index to re-derive every net from the occupancy/via
+        buffers.
 
-        With ``net_id`` one net is invalidated, otherwise every net.  The
-        independent verifier calls this before its connectivity checks so
-        its queries re-flood from the copper itself instead of trusting
+        The independent verifier calls this before its connectivity checks
+        so its queries re-flood from the copper itself instead of trusting
         incrementally-maintained state.
         """
-        if net_id is None:
-            self._connectivity.invalidate_all(self)
-        else:
-            self._connectivity.invalidate(net_id)
+        self._connectivity.invalidate_all(self)
 
     @property
     def connectivity_index(self) -> ConnectivityIndex:
@@ -616,7 +579,7 @@ class RoutingGrid:
             raise ValueError(f"net ids must be positive, got {net_id}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        nets = len([n for n in self._usage if self._usage[n]])
+        nets = len(self.net_ids())
         return f"RoutingGrid({self.width}x{self.height}, nets={nets})"
 
     def iter_nodes(self) -> Iterator[GridNode]:

@@ -207,14 +207,22 @@ class TestBenchCli:
             [
                 "bench", "--only", *FAST, "-o", str(out),
                 "--compare", str(baseline),
-                "--metric", "expansions", "--max-regression", "25",
+                "--metric", "expansions", "--gate", "expansions", "25",
             ]
         )
         assert code == 0
         compare = json.loads(out.read_text())["compare"]
         assert compare["metric"] == "expansions"
         assert compare["overall_ratio"] == pytest.approx(1.0)
-        assert compare["max_regression_pct"] == 25
+        assert compare["gates"] == [
+            {
+                "metric": "expansions",
+                "max_regression_pct": 25.0,
+                "overall_ratio": pytest.approx(1.0),
+                "failed": False,
+            }
+        ]
+        assert "max_regression_pct" not in compare
 
     def test_gate_fails_on_regression(self, tmp_path, capsys):
         # A doctored baseline claiming far less work than reality.
@@ -228,7 +236,7 @@ class TestBenchCli:
                 "bench", "--only", *FAST,
                 "-o", str(tmp_path / "new.json"),
                 "--compare", str(baseline),
-                "--metric", "expansions", "--max-regression", "25",
+                "--gate", "expansions", "25",
             ]
         )
         assert code == 1

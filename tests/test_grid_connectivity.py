@@ -36,21 +36,10 @@ from repro.testing.faults import FaultInjector, FaultPlan
 # ----------------------------------------------------------------------
 # Oracle comparison helpers
 # ----------------------------------------------------------------------
-def _owned_nodes(grid, net_id):
-    """The net's currently-owned nodes, from the grid's ground truth."""
-    occ = grid.occ_flat()
-    owned = []
-    for node in grid._usage.get(net_id, ()):
-        idx = (int(node.layer) * grid.height + node.y) * grid.width + node.x
-        if occ[idx] == net_id:
-            owned.append(node)
-    return owned
-
-
 def assert_index_matches_bfs(grid, net_ids):
     """Every component list and pair query must equal the BFS answer."""
     for net_id in net_ids:
-        owned = _owned_nodes(grid, net_id)
+        owned = grid.net_nodes(net_id)
         components = []
         for node in owned:
             oracle = grid.connected_component(net_id, tuple(node))
@@ -90,7 +79,7 @@ def _uf_snapshot(grid):
     return (
         list(index._parent),
         list(index._rank),
-        set(index._dirty),
+        {net for net, dirty in index._dirty.items() if dirty},
     )
 
 
@@ -211,7 +200,7 @@ class TestRoutedGrids:
     def test_index_matches_bfs_after_clean_route(self):
         result = route_problem(self._spec().to_problem(), MightyConfig())
         grid = result.grid
-        nets = sorted(net for net, use in grid._usage.items() if use)
+        nets = grid.net_ids()
         assert nets
         assert_index_matches_bfs(grid, nets)
 
@@ -223,7 +212,7 @@ class TestRoutedGrids:
             result = route_problem(self._spec().to_problem(), MightyConfig())
         assert chaos.failed_searches > 0  # the storm actually happened
         grid = result.grid
-        nets = sorted(net for net, use in grid._usage.items() if use)
+        nets = grid.net_ids()
         assert_index_matches_bfs(grid, nets)
         # And after a forced re-derivation from the copper alone.
         grid.refresh_connectivity()

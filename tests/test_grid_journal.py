@@ -23,13 +23,13 @@ from repro.testing.faults import FaultInjector, FaultPlan
 
 
 def assert_grids_identical(actual: RoutingGrid, expected: RoutingGrid):
-    """Every store and usage table the grid keeps must match exactly."""
+    """Every store the grid keeps, reference counts included, must match
+    exactly."""
     assert actual.occ_flat() == expected.occ_flat()
     assert actual.pin_flat() == expected.pin_flat()
     assert (actual.via_map() == expected.via_map()).all()
-    for net_id in set(actual.net_ids()) | set(expected.net_ids()):
-        assert actual.net_nodes(net_id) == expected.net_nodes(net_id)
-        assert actual.net_vias(net_id) == expected.net_vias(net_id)
+    assert actual._use == expected._use
+    assert actual._vuse == expected._vuse
 
 
 def random_path(rng: random.Random, grid: RoutingGrid) -> GridPath:
@@ -185,6 +185,7 @@ class TestCopiesShareNoBuffer:
         grid.commit_path(1, wire)
         occ, pin = grid.occ_flat()[:], grid.pin_flat()[:]
         via = grid.via_map().copy()
+        use, vuse = grid._use[:], grid._vuse[:]
         copy = duplicate(grid)
         assert_grids_identical(copy, grid)
 
@@ -195,6 +196,7 @@ class TestCopiesShareNoBuffer:
         assert grid.occ_flat() == occ
         assert grid.pin_flat() == pin
         assert (grid.via_map() == via).all()
+        assert grid._use == use and grid._vuse == vuse
 
 
 class TestRouterLevelRollback:

@@ -77,6 +77,36 @@ class TestCommitAndRip:
         with pytest.raises(GridError):
             grid.remove_path(1, path)
 
+    @staticmethod
+    def _stores(grid):
+        return [
+            grid.occ_flat()[:], grid.pin_flat()[:], grid._via[:],
+            grid._use[:], grid._vuse[:],
+        ]
+
+    def test_rip_with_unowned_via_leaves_grid_untouched(self):
+        """The via check runs before the first write: a refused rip must
+        not leave the path's wire cells half freed."""
+        grid = RoutingGrid(4, 3)
+        grid.commit_path(1, GridPath([(0, 0, 0), (1, 0, 0)]))
+        grid.commit_path(1, GridPath([(1, 0, 1), (1, 1, 1)]))
+        before = self._stores(grid)
+        with pytest.raises(GridError, match="via"):
+            grid.remove_path(1, GridPath([(0, 0, 0), (1, 0, 0), (1, 0, 1)]))
+        assert self._stores(grid) == before
+        assert grid.owner((0, 0, 0)) == 1 and grid.owner((1, 0, 0)) == 1
+
+    def test_rip_of_another_nets_cells_leaves_grid_untouched(self, grid):
+        wire = GridPath([(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)])
+        grid.commit_path(1, wire)
+        before = self._stores(grid)
+        with pytest.raises(GridError):
+            grid.remove_path(2, wire)
+        with pytest.raises(GridError):
+            grid.remove_path(2, GridPath([(1, 0, 0), (1, 0, 1)]))
+        assert self._stores(grid) == before
+        assert grid.same_component(1, (0, 0, 0), (1, 1, 1))
+
     def test_via_commit_and_rip(self, grid):
         via = GridPath([(2, 2, 0), (2, 2, 1)])
         grid.commit_path(3, via)

@@ -121,6 +121,7 @@ def test_commit_then_rip_restores_grid(path):
     )
     assert grid.net_nodes(1) == []
     assert grid.net_vias(1) == []
+    assert not any(grid._use) and not any(grid._vuse)
 
 
 @settings(max_examples=60)
@@ -143,6 +144,7 @@ def test_double_commit_reference_counting(a, b):
         assert grid.owner(tuple(node)) == 1
     grid.remove_path(1, b)
     assert grid.net_nodes(1) == []
+    assert not any(grid._use) and not any(grid._vuse)
 
 
 @settings(max_examples=40)
@@ -154,5 +156,6 @@ def test_clone_restore_identity(path):
     grid.remove_path(1, path)
     grid.restore(snapshot)
     assert grid.net_nodes(1) == snapshot.net_nodes(1)
+    assert grid._use == snapshot._use and grid._vuse == snapshot._vuse
     for node in path:
         assert grid.owner(tuple(node)) == 1

@@ -105,6 +105,25 @@ class TestInjectedViolations:
         assert not report.ok
         assert "a" in report.open_nets
 
+    def test_detour_written_into_occupancy_reconnects(self):
+        """The verifier reads copper, not the grid's API history: a detour
+        written straight into the occupancy store around a cut closes the
+        net again."""
+        problem = RoutingProblem(
+            7, 2, nets=[Net("a", (Pin(0, 0), Pin(6, 0)))]
+        )
+        result = route_problem(problem)
+        assert result.success
+        grid = result.grid
+        (cut,) = [n for n in grid.net_nodes(1) if (n.x, n.y) == (3, 0)]
+        poke(grid, cut, FREE)
+        assert verify_routing(problem, grid).open_nets == ["a"]
+        for x in (2, 3, 4):
+            poke(grid, (x, 1, cut.layer), 1)
+        report = verify_routing(problem, grid)
+        assert report.ok, report.errors
+        assert report.open_nets == []
+
     def test_open_after_full_erase(self, routed):
         problem, grid = routed
         erase_net_wiring(grid, 1)
@@ -129,6 +148,26 @@ class TestFaultHarnessCorruption:
         report = verify_routing(problem, result.grid)
         assert not report.ok
         assert any(str(CORRUPT_OWNER) in error for error in report.errors)
+
+    def test_ripping_a_corrupted_path_is_refused_and_supervised(self):
+        """Commit #5 on this box is later ripped: the rip refuses to write
+        FREE over the corrupt cell, and the engine records the crash and
+        routes again on its next attempt."""
+        from repro.engine import EngineConfig, RoutingEngine
+        from repro.grid import GridError
+        from repro.testing import FaultInjector, FaultPlan
+
+        problem = small_switchbox().to_problem()
+        plan = FaultPlan(corrupt_claim_after=5)
+        with pytest.raises(GridError, match="does not own"):
+            with FaultInjector(plan):
+                route_problem(problem)
+        with FaultInjector(plan):
+            result = RoutingEngine(EngineConfig(max_attempts=2)).route(problem)
+        assert result.success
+        first, second = result.stats.attempt_log
+        assert first["error"].startswith("GridError: net")
+        assert second["verified"] and not second["error"]
 
     def test_harness_restores_real_hooks(self):
         from repro.grid.routing_grid import RoutingGrid
