@@ -85,20 +85,3 @@ def channel_track_span(problem: RoutingProblem, grid: RoutingGrid) -> int:
     if not used_rows:
         return 0
     return max(used_rows) - min(used_rows) + 1
-
-
-def completion_fraction(
-    problem: RoutingProblem, grid: RoutingGrid
-) -> float:
-    """Fraction of routable nets whose pins are fully connected."""
-    routable = problem.routable_nets
-    if not routable:
-        return 1.0
-    ids = problem.net_ids()
-    done = 0
-    for net in routable:
-        net_id = ids[net.name]
-        component = grid.connected_component(net_id, tuple(net.pins[0].node))
-        if all(pin.node in component for pin in net.pins):
-            done += 1
-    return done / len(routable)

@@ -4,7 +4,8 @@ The verifier re-derives everything from the problem statement and the final
 grid — it trusts none of the router's bookkeeping.  Checks:
 
 * **pins** — every pin node is owned by its net;
-* **opens** — each net's pins lie in one connected component of its copper;
+* **opens** — each net's pins lie in one connected component of its copper,
+  read from the occupancy and via arrays alone (:func:`_copper_labels`);
 * **shorts** — no node is owned by a net not in the problem, and via cells
   own both layers (a via bridging two different nets is structurally
   impossible in :class:`~repro.grid.RoutingGrid`, but the verifier checks
@@ -125,12 +126,9 @@ def verify_routing(
         )
 
     # --- connectivity -------------------------------------------------------
-    # Force the incremental index to re-derive every net from the
-    # occupancy/via arrays themselves: the verifier must not trust state
-    # the router maintained, only the copper.  Each net's re-flood scans
-    # the whole occupancy buffer once (numpy) to find its cells, so this
-    # costs O(nets x area) in compares plus O(net copper) of unions.
-    grid.refresh_connectivity()
+    # Labelled here, not by the router's connectivity index, so a bug in
+    # that index cannot hide from the verifier.
+    labels = _copper_labels(occ, via)
     connected: Dict[str, bool] = {}
     for index, net in enumerate(problem.nets):
         net_id = index + 1
@@ -149,23 +147,18 @@ def verify_routing(
             )
             connected[net.name] = False
             continue
-        anchor = tuple(net.pins[0].node)
-        good = all(
-            grid.same_component(net_id, anchor, tuple(pin.node))
+        first = net.pins[0]
+        anchor = labels[first.layer, first.y, first.x]
+        stranded = [
+            (pin.x, pin.y)
             for pin in net.pins
-        )
-        connected[net.name] = good
-        if not good:
+            if labels[pin.layer, pin.y, pin.x] != anchor
+        ]
+        connected[net.name] = not stranded
+        if stranded:
             if net.name in allowed:
                 waived.append(net.name)
                 continue
-            stranded = [
-                (pin.x, pin.y)
-                for pin in net.pins
-                if not grid.same_component(
-                    net_id, anchor, tuple(pin.node)
-                )
-            ]
             errors.append(f"net {net.name!r} is open: stranded pins {stranded}")
 
     return VerificationReport(
@@ -174,6 +167,51 @@ def verify_routing(
         connected_nets=connected,
         waived_open=sorted(waived),
     )
+
+
+def _copper_labels(occ: np.ndarray, via: np.ndarray) -> np.ndarray:
+    """Component label of every node of the ``(2, H, W)`` occupancy.
+
+    Two nodes join when one net owns both and they are a wire step apart
+    on a layer, or the two layers of a cell where that net owns a via (the
+    adjacency of the grid's BFS oracle).  Equal labels mean connected;
+    unowned nodes get ``-1``.  numpy finds the neighbour pairs and a
+    union-find over the owned nodes joins them: O(area + copper).
+    """
+    flat = occ.ravel()
+    vias = via.ravel()
+    plane = vias.size
+    width = occ.shape[-1]
+    owned = flat > 0
+    east = np.flatnonzero(owned[:-1] & (flat[:-1] == flat[1:]))
+    east = east[(east + 1) % width != 0]
+    north = np.flatnonzero(owned[:-width] & (flat[:-width] == flat[width:]))
+    north = north[north % plane < plane - width]
+    bridged = np.flatnonzero(
+        (vias > 0) & (flat[:plane] == vias) & (flat[plane:] == vias)
+    )
+    nodes = np.flatnonzero(owned)
+    lows = np.searchsorted(nodes, np.concatenate((east, north, bridged)))
+    highs = np.searchsorted(
+        nodes, np.concatenate((east + 1, north + width, bridged + plane))
+    )
+    # Link the larger root under the smaller; halve paths while finding.
+    parent = list(range(len(nodes)))
+    for a, b in zip(lows.tolist(), highs.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    roots = np.array(parent, dtype=np.int32)
+    while not np.array_equal(roots, roots[roots]):
+        roots = roots[roots]
+    labels = np.full(flat.size, -1, dtype=np.int32)
+    labels[nodes] = roots
+    return labels.reshape(occ.shape)
 
 
 def verify_result(

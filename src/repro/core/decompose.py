@@ -167,12 +167,6 @@ class SpatialShard:
     halo: Tuple[int, int]
     net_names: Tuple[str, ...]
 
-    def core_rect(self, width: int, height: int) -> Rect:
-        """The core slab as a full-thickness rectangle."""
-        if self.axis == "x":
-            return Rect(self.core[0], 0, self.core[1], height)
-        return Rect(0, self.core[0], width, self.core[1])
-
     def halo_rect(self, width: int, height: int) -> Rect:
         """The routable slab (core + halo) as a full-thickness rectangle."""
         if self.axis == "x":
@@ -194,11 +188,6 @@ class ShardPlan:
     halo_width: int
     shards: Tuple[SpatialShard, ...]
     cross_nets: Tuple[str, ...]
-
-    @property
-    def local_net_count(self) -> int:
-        """Nets routed inside some shard."""
-        return sum(len(shard.net_names) for shard in self.shards)
 
     @property
     def busy_shards(self) -> Tuple[SpatialShard, ...]:

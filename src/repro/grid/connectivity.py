@@ -43,10 +43,12 @@ iff they are connected through the net's copper exactly as
 promise until the next query re-floods them.
 
 The re-flood takes the net's cells and their adjacency from the
-occupancy/via buffers alone, so :func:`RoutingGrid.refresh_connectivity`
-+ queries re-derive connectivity from the copper itself — copper written
-straight into the buffers included — which is what lets the independent
-verifier use the index without trusting incremental history.
+occupancy/via buffers alone, so after
+:func:`RoutingGrid.refresh_connectivity` queries re-derive connectivity
+from the copper itself, copper written straight into the buffers
+included.  The verifier does not use this index: it labels the copper
+itself (:mod:`repro.analysis.verify`), so an index bug cannot hide from
+it.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class ConnectivityIndex:
 
     def invalidate_all(self, grid: "RoutingGrid") -> None:
         """Mark every net with copper dirty; next queries re-derive from
-        the occupancy/via buffers alone (restore/unpickle/verifier path)."""
+        the occupancy/via buffers alone (restore/unpickle path)."""
         self._dirty = dict.fromkeys(grid.net_ids(), True)
         self._cache.clear()
 

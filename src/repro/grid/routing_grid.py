@@ -34,7 +34,7 @@ the buffer, list or dict written, the index or key, and the value it held.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -525,9 +525,9 @@ class RoutingGrid:
         """Force the index to re-derive every net from the occupancy/via
         buffers.
 
-        The independent verifier calls this before its connectivity checks
-        so its queries re-flood from the copper itself instead of trusting
-        incrementally-maintained state.
+        Nothing in the library calls this.  It stays because the
+        end-to-end benchmark's tracer (``benchmarks/e2e/tracer.py``) binds
+        it by name; it can go once the tracer stops binding names.
         """
         self._connectivity.invalidate_all(self)
 
@@ -545,9 +545,10 @@ class RoutingGrid:
         a cell where the net owns a via.
 
         This is the from-scratch BFS reference implementation — O(component)
-        per call.  Hot paths (router, improvement pass, verifier) use the
-        incremental index via :meth:`same_component`/:meth:`component_nodes`;
-        the BFS remains the oracle the differential tests compare against.
+        per call.  Hot paths (router, improvement pass) use the incremental
+        index via :meth:`same_component`/:meth:`component_nodes`; the BFS
+        remains the oracle the differential tests compare both the index
+        and the verifier's copper labels against.
         """
         seed_node = GridNode(seed[0], seed[1], Layer(seed[2]))
         if self.owner(seed_node) != net_id:
@@ -581,10 +582,3 @@ class RoutingGrid:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         nets = len(self.net_ids())
         return f"RoutingGrid({self.width}x{self.height}, nets={nets})"
-
-    def iter_nodes(self) -> Iterator[GridNode]:
-        """Yield every grid node (both layers, row-major)."""
-        for layer in (Layer.HORIZONTAL, Layer.VERTICAL):
-            for y in range(self.height):
-                for x in range(self.width):
-                    yield GridNode(x, y, layer)

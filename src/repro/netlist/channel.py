@@ -17,7 +17,7 @@ Grid layout of the lowered problem (``tracks = T``)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.geometry.rect import Rect
 from repro.grid.layers import Layer
@@ -203,10 +203,3 @@ class ChannelSpec:
             f"ChannelSpec({self.name!r}, cols={self.n_columns}, "
             f"nets={len(self.net_numbers())}, density={self.density})"
         )
-
-
-def channel_from_rows(
-    top: Sequence[int], bottom: Sequence[int], name: str = "channel"
-) -> ChannelSpec:
-    """Build a :class:`ChannelSpec` from two pin rows (module-level sugar)."""
-    return ChannelSpec(tuple(top), tuple(bottom), name=name)

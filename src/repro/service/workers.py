@@ -344,13 +344,3 @@ def make_executor(n_slots: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(
         max_workers=max(4, n_slots), thread_name_prefix="repro-svc"
     )
-
-
-def pool_smoke(n_workers: int = 2) -> Optional[str]:
-    """Start and stop a pool; returns an error string or None (health)."""
-    try:
-        pool = WorkerPool(n_workers)
-        pool.close()
-        return None
-    except Exception as exc:  # pragma: no cover - environment-specific
-        return f"{type(exc).__name__}: {exc}"

@@ -1,8 +1,7 @@
 """Unit tests for layout metrics."""
 
 from repro.analysis import channel_tracks_used, layout_metrics
-from repro.analysis.metrics import channel_track_span, completion_fraction
-from repro.core import route_problem
+from repro.analysis.metrics import channel_track_span
 from repro.geometry import Point
 from repro.grid import GridPath, Layer
 from repro.grid.path import straight_path
@@ -86,21 +85,3 @@ class TestChannelTrackMetrics:
         assert channel_tracks_used(problem, grid) == 0
         assert channel_track_span(problem, grid) == 0
 
-
-class TestCompletionFraction:
-    def test_full_completion(self):
-        from repro.netlist.instances import small_switchbox
-
-        problem = small_switchbox().to_problem()
-        result = route_problem(problem)
-        assert completion_fraction(problem, result.grid) == 1.0
-
-    def test_zero_completion(self):
-        problem = RoutingProblem(
-            6, 6, nets=[Net("a", (Pin(0, 0), Pin(5, 5)))]
-        )
-        assert completion_fraction(problem, problem.build_grid()) == 0.0
-
-    def test_no_routable_nets(self):
-        problem = RoutingProblem(4, 4, nets=[Net("a", (Pin(0, 0),))])
-        assert completion_fraction(problem, problem.build_grid()) == 1.0

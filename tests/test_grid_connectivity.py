@@ -14,6 +14,10 @@ on that invariant from every direction the router can:
   weak-modification rejections and their journal rollbacks;
 * clone/restore/pickle, which must re-derive from the copper alone.
 
+Every comparison also holds the verifier's copper labels
+(``repro.analysis.verify``) to the same oracle, so each storm checks the
+verifier too.
+
 The index keeps no reference back to its grid, so a grid is freed by
 reference counting alone; the lifetime tests pin that down.
 """
@@ -23,11 +27,14 @@ import pickle
 import random
 import weakref
 
+import numpy as np
 import pytest
 
+from repro.analysis.verify import _copper_labels
 from repro.core.config import MightyConfig
 from repro.core.router import route_problem
-from repro.grid.path import GridPath
+from repro.grid.layers import Layer
+from repro.grid.path import GridNode, GridPath
 from repro.grid.routing_grid import GridError, RoutingGrid
 from repro.netlist.generators import woven_switchbox
 from repro.testing.faults import FaultInjector, FaultPlan
@@ -37,7 +44,9 @@ from repro.testing.faults import FaultInjector, FaultPlan
 # Oracle comparison helpers
 # ----------------------------------------------------------------------
 def assert_index_matches_bfs(grid, net_ids):
-    """Every component list and pair query must equal the BFS answer."""
+    """Every component list and pair query must equal the BFS answer, and
+    so must the groups of the verifier's copper labels."""
+    labels = _copper_labels(grid.occupancy(), grid.via_map())
     for net_id in net_ids:
         owned = grid.net_nodes(net_id)
         components = []
@@ -48,6 +57,14 @@ def assert_index_matches_bfs(grid, net_ids):
                 f"net {net_id} component from {tuple(node)} diverged"
             )
             assert len(indexed) == len(oracle)  # no duplicates either
+            label = labels[node.layer, node.y, node.x]
+            labelled = {
+                GridNode(x, y, Layer(layer))
+                for layer, y, x in np.argwhere(labels == label).tolist()
+            }
+            assert labelled == oracle, (
+                f"net {net_id} label group of {tuple(node)} diverged"
+            )
             components.append((node, oracle))
         for a, comp_a in components:
             for b, _ in components:

@@ -15,8 +15,11 @@ error instead).
 """
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point
 from repro.grid import GridPath, Layer, RoutingGrid
@@ -78,6 +81,138 @@ def _random_scene(rng, width, height):
     sources = [(0, 0, rng.randrange(2))]
     targets = [(width - 1, height - 1, rng.randrange(2))]
     return grid, sources, targets
+
+
+#: Other nets' ids in the edge scenes.  The compiled kernel indexes its
+#: frozen and penalty tables by net id; 40 and ``2**31 - 1`` lie past the
+#: end of every table the scenes build.
+FOREIGN_IDS = (2, 3, 4, 40, 2**31 - 1)
+
+
+@st.composite
+def edge_scenes(draw):
+    """A degenerate scene and one query, for both searchers.
+
+    The grid is one row, one column or one cell, with a few obstacles and
+    other nets' wires and pins; or any small shape that is obstacle
+    everywhere but the two endpoints.  Half the rows and columns are 32
+    to 40 cells long and half the queries join their two ends, so step
+    costs near ``2**28 / 40`` reach the packed-key g limit.
+    """
+    kind = draw(st.sampled_from(("row", "column", "cell", "walled")))
+    span = st.integers(1, 8)
+    if kind != "walled":
+        span = span | st.integers(32, 40)
+    width = 1 if kind in ("column", "cell") else draw(span)
+    height = 1 if kind in ("row", "cell") else draw(span)
+    layer = st.integers(0, 1)
+    if draw(st.booleans()):
+        source = (0, 0, draw(layer))
+        target = (width - 1, height - 1, draw(layer))
+    else:
+        x, y = st.integers(0, width - 1), st.integers(0, height - 1)
+        source = (draw(x), draw(y), draw(layer))
+        target = (draw(x), draw(y), draw(layer))
+    grid = RoutingGrid(width, height)
+    others = [
+        (x, y, z)
+        for z in (0, 1)
+        for y in range(height)
+        for x in range(width)
+        if (x, y, z) not in (source, target)
+    ]
+    if kind == "walled":
+        fills = dict.fromkeys(others, "obstacle")
+    elif others:
+        fills = draw(
+            st.dictionaries(
+                st.sampled_from(others),
+                st.sampled_from(("obstacle", "wire", "pin")),
+                max_size=min(len(others) // 2, 6),
+            )
+        )
+    else:
+        fills = {}
+    for (x, y, z), fill in fills.items():
+        if fill == "obstacle":
+            grid.set_obstacle(x, y, z)
+        elif fill == "wire":
+            owner = draw(st.sampled_from(FOREIGN_IDS))
+            grid.commit_path(owner, GridPath([(x, y, z)]))
+        else:
+            grid.reserve_pin(draw(st.sampled_from(FOREIGN_IDS)), (x, y, z))
+    query = dict(
+        cost=CostModel(
+            step_cost=draw(st.sampled_from((1, 3, 6882960, 2**23))),
+            wrong_way_penalty=draw(st.sampled_from((0, 2))),
+            via_cost=draw(st.sampled_from((1, 4))),
+            conflict_penalty=draw(st.sampled_from((0, 50))),
+        ),
+        allow_conflicts=draw(st.booleans()),
+        frozen_nets=frozenset(draw(st.sets(st.sampled_from((2, 3))))),
+        net_penalties=draw(st.sampled_from((None, {4: 17}, {2: 1, 3: 9}))),
+        max_expansions=draw(st.sampled_from((None, 2, 10_000))),
+    )
+    return grid, [source], [target], query
+
+
+def _search_or_error(search, *args, **kwargs):
+    """The search's result, or the message of the ``ValueError`` it raised."""
+    try:
+        return search(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEdgeScenes:
+    @pytest.mark.parametrize("other", OTHERS)
+    @settings(max_examples=150, deadline=None)
+    @given(scene=edge_scenes())
+    def test_astar_parity(self, other, scene):
+        grid, sources, targets, query = scene
+        ref, got = (
+            _search_or_error(
+                find_path, grid, 1, sources, targets, kernel=name, **query
+            )
+            for name in ("pure", other)
+        )
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            _assert_same_astar(ref, got, other)
+
+    @pytest.mark.parametrize("other", OTHERS)
+    @settings(max_examples=100, deadline=None)
+    @given(scene=edge_scenes())
+    def test_lee_parity(self, other, scene):
+        grid, sources, targets, _ = scene
+        ref = lee_route(grid, 1, sources, targets, kernel="pure")
+        got = lee_route(grid, 1, sources, targets, kernel=other)
+        assert (ref is None) == (got is None)
+        if ref is not None:
+            assert list(ref) == list(got)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_packed_key_g_limit(self, name):
+        """39 steps of 6882960 cost 16 less than the g field holds; the
+        32nd step of ``2**23`` reaches ``2**28`` and is refused."""
+        grid = RoutingGrid(40, 3)
+        ends = ([(0, 1, 0)], [(39, 1, 0)])
+        result = find_path(
+            grid, 1, *ends, cost=CostModel(step_cost=6882960), kernel=name
+        )
+        assert result.found
+        assert result.cost == 268435440
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "path cost exceeds the packed-key g field "
+                "(268435456 >= 268435456)"
+            ),
+        ):
+            find_path(
+                grid, 1, *ends, cost=CostModel(step_cost=2**23), kernel=name
+            )
 
 
 class TestAstarParity:

@@ -3,15 +3,23 @@
 The grid API makes shorts and pin theft unrepresentable, so these tests
 corrupt the grid's stores directly (white-box) and check the verifier
 still catches every class of violation — the whole point of verifying
-independently of the bookkeeping.
+independently of the bookkeeping.  The verifier must also leave the grid
+it checks untouched, ignore the router's connectivity index, and reach
+the same verdicts the index-backed open check reached.
 """
 
+from typing import List
+
+import numpy as np
 import pytest
 
-from repro.analysis import verify_routing
+from repro.analysis import VerificationReport, verify_routing
+from repro.bench import bench_cases
 from repro.core import route_problem
-from repro.grid import FREE
+from repro.grid import FREE, OBSTACLE, Layer
+from repro.grid.connectivity import ConnectivityIndex
 from repro.netlist import Net, Pin, RoutingProblem
+from repro.netlist.generators import random_switchbox
 from repro.netlist.instances import small_switchbox
 
 
@@ -32,6 +40,112 @@ def erase_net_wiring(grid, net_id):
             poke(grid, node, FREE)
     for cell in grid.net_vias(net_id):
         poke(grid, (cell.x, cell.y, 0), FREE, via=True)
+
+
+def grid_state(grid):
+    """Every store of ``grid`` and every field of its connectivity index."""
+    index = grid.connectivity_index
+    stores = (grid._occ, grid._via, grid._pin, grid._use, grid._vuse)
+    return (
+        [bytes(store) for store in stores],
+        list(index._parent),
+        list(index._rank),
+        dict(index._dirty),
+        {
+            net: {root: list(nodes) for root, nodes in groups.items()}
+            for net, groups in index._cache.items()
+        },
+    )
+
+
+def index_verdict(problem, grid, allowed_open=()) -> VerificationReport:
+    """:func:`verify_routing` as it was when the router's union-find
+    answered its open check: every net re-flooded from the copper by
+    ``refresh_connectivity()``, then ``same_component`` asked per pin."""
+    errors: List[str] = []
+    waived: List[str] = []
+    occ = grid.occupancy()
+    via = grid.via_map()
+    bad_ids = np.unique(occ[(occ != FREE) & (occ != OBSTACLE)])
+    for net_id in bad_ids.tolist():
+        if not 1 <= net_id <= len(problem.nets):
+            errors.append(f"grid contains unknown net id {net_id}")
+    ys, xs = np.nonzero(via)
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        owner = int(via[y, x])
+        if int(occ[0, y, x]) != owner or int(occ[1, y, x]) != owner:
+            errors.append(
+                f"via of net {owner} at ({x},{y}) lacks metal on both layers"
+            )
+    reference = problem.build_grid()
+    violated = (reference.occupancy() == OBSTACLE) & (occ != OBSTACLE)
+    if violated.any():
+        layer, y, x = [int(v[0]) for v in np.nonzero(violated)]
+        errors.append(
+            f"blocked cell overwritten at ({x},{y}) layer {layer} "
+            f"(+{int(violated.sum()) - 1} more)"
+        )
+    ref_pin = reference.pin_map()
+    pin_moved = (ref_pin != 0) & (occ != ref_pin)
+    if pin_moved.any():
+        layer, y, x = [int(v[0]) for v in np.nonzero(pin_moved)]
+        errors.append(
+            f"pin cell stolen at ({x},{y}) layer {layer} "
+            f"(+{int(pin_moved.sum()) - 1} more)"
+        )
+    grid.refresh_connectivity()
+    connected = {}
+    for index, net in enumerate(problem.nets):
+        net_id = index + 1
+        if len(net.pins) < 2:
+            connected[net.name] = True
+            continue
+        missing = [
+            pin for pin in net.pins if grid.owner(tuple(pin.node)) != net_id
+        ]
+        if missing:
+            errors.append(
+                f"net {net.name!r} lost pin(s) at "
+                f"{[(p.x, p.y) for p in missing]}"
+            )
+            connected[net.name] = False
+            continue
+        anchor = tuple(net.pins[0].node)
+        stranded = [
+            (pin.x, pin.y)
+            for pin in net.pins
+            if not grid.same_component(net_id, anchor, tuple(pin.node))
+        ]
+        connected[net.name] = not stranded
+        if stranded:
+            if net.name in allowed_open:
+                waived.append(net.name)
+            else:
+                errors.append(
+                    f"net {net.name!r} is open: stranded pins {stranded}"
+                )
+    return VerificationReport(
+        ok=not errors,
+        errors=errors,
+        connected_nets=connected,
+        waived_open=sorted(waived),
+    )
+
+
+def cut_node(problem, grid):
+    """``(net_id, node)``: a net's non-pin, via-free wire node whose
+    erasure strands one of its pins, found with the BFS oracle."""
+    for net_id, net in enumerate(problem.nets, start=1):
+        for node in grid.net_nodes(net_id):
+            if grid.pin_owner(node) or grid.via_owner(node.x, node.y):
+                continue
+            trial = grid.clone()
+            poke(trial, node, FREE)
+            anchor = tuple(net.pins[0].node)
+            reached = trial.connected_component(net_id, anchor)
+            if any(pin.node not in reached for pin in net.pins):
+                return net_id, node
+    raise AssertionError("no wire node is a cut")
 
 
 @pytest.fixture
@@ -73,6 +187,17 @@ class TestInjectedViolations:
         report = verify_routing(problem, grid)
         assert not report.ok
         assert any("via" in error for error in report.errors)
+
+    def test_via_without_metal_joins_nothing(self):
+        """A via needs its net's metal on both layers to bridge them."""
+        problem = RoutingProblem(
+            2, 1, nets=[Net("a", (Pin(0, 0, Layer.HORIZONTAL), Pin(1, 0)))]
+        )
+        grid = problem.build_grid()
+        poke(grid, (0, 0, 0), 1, via=True)
+        report = verify_routing(problem, grid)
+        assert report.errors[0].startswith("via of net 1 at (0,0) lacks")
+        assert report.open_nets == ["a"]
 
     def test_obstacle_overwrite_detected(self):
         from repro.geometry import Rect
@@ -190,6 +315,71 @@ class TestFaultHarnessCorruption:
             with FaultInjector(FaultPlan(fail_searches_after=1)):
                 raise RuntimeError("boom")
         assert router_module.find_path is real_find
+
+
+class TestIndependence:
+    """The verifier reads the copper alone: it writes nothing to the grid
+    and believes nothing the router's connectivity index says."""
+
+    def test_verify_leaves_the_grid_unchanged(self, routed):
+        problem, grid = routed
+        # Fill the index's component cache, so dropping it would show.
+        for net_id, net in enumerate(problem.nets, start=1):
+            grid.component_nodes(net_id, tuple(net.pins[0].node))
+        before = grid_state(grid)
+        assert verify_routing(problem, grid).ok
+        assert grid_state(grid) == before
+
+    def test_cut_found_while_the_index_calls_everything_connected(
+        self, monkeypatch
+    ):
+        problem = random_switchbox(14, 10, 10, seed=3, fill=0.6).to_problem()
+        result = route_problem(problem)
+        assert result.success
+        grid = result.grid
+        net_id, node = cut_node(problem, grid)
+        poke(grid, node, FREE)
+        monkeypatch.setattr(
+            ConnectivityIndex, "same_component", lambda *args: True
+        )
+        report = verify_routing(problem, grid)
+        assert not report.ok
+        assert report.open_nets == [problem.nets[net_id - 1].name]
+
+
+class TestAgainstTheIndexVerdict:
+    """On every benchmark case, as routed and with one wire node of every
+    net erased, the labelling pass reaches the index-backed verdict."""
+
+    @staticmethod
+    def _assert_same_verdict(problem, grid, allowed):
+        new = verify_routing(problem, grid, allowed_open=allowed)
+        old = index_verdict(problem, grid, allowed_open=allowed)
+        assert new.ok == old.ok
+        assert new.connected_nets == old.connected_nets
+        assert new.errors == old.errors
+        assert new.waived_open == old.waived_open
+        return new
+
+    def test_bench_cases(self):
+        opened = 0
+        for case in bench_cases():
+            problem = case.build()
+            grid = route_problem(problem).grid
+            allowed = {net.name for net in problem.nets[::2]}
+            self._assert_same_verdict(problem, grid, allowed)
+            cut = grid.clone()
+            for net_id in range(1, len(problem.nets) + 1):
+                wires = [
+                    node
+                    for node in grid.net_nodes(net_id)
+                    if not grid.pin_owner(node)
+                ]
+                if wires:
+                    poke(cut, wires[len(wires) // 2], FREE)
+            report = self._assert_same_verdict(problem, cut, allowed)
+            opened += len(report.open_nets)
+        assert opened  # the erasures did cut nets open
 
 
 class TestPartialVerification:
