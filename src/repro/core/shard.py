@@ -13,8 +13,8 @@ The pipeline has four deterministic stages:
    ``minimum_routable_width``.
 3. **Merge** — shard paths are transplanted onto one fresh parent grid,
    one grid-journal transaction per net; a net whose copper conflicts in a
-   halo overlap band is dropped whole (never half-committed), keeping the
-   union-find connectivity index consistent.
+   halo overlap band is dropped whole (never half-committed), so no net's
+   copper is left as a fragment.
 4. **Stitch** — a single :class:`~repro.core.router.MightyRouter` run over
    the full fabric with the merged copper as ``pre_routed``.  Connections
    already satisfied by shard copper short-circuit; cross nets, dropped
@@ -117,8 +117,7 @@ def merge_shard_paths(
     order, then each shard's net order).  Each net's paths are committed
     inside one grid-journal transaction: any conflict — possible only in a
     halo band both neighbours may route in — rolls the whole net back, so
-    the merged grid never holds a fragment of a net and the union-find
-    connectivity index stays consistent.  Returns the accepted
+    the merged grid never holds a fragment of a net.  Returns the accepted
     ``pre_routed`` mapping and the names of dropped nets (re-routed from
     scratch by the stitch pass).
     """

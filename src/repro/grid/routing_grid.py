@@ -16,7 +16,7 @@ stored exactly once, as a flat C-order ``array('i')`` buffer indexed like
 their counts ``y * W + x``).  A count belongs to whichever net the cell's
 occupancy or via entry names, so ownership itself is recorded once.  Every
 reader shares the one buffer: the pure-python kernels and the connectivity
-index index it directly (``occ_flat()``/``pin_flat()``), the compiled
+flood index it directly (``occ_flat()``/``pin_flat()``), the compiled
 kernel passes its address to C without a copy, and the bulk consumers —
 verifier, metrics, rendering, compaction — get read-only numpy views over
 it (``occupancy()``/``pin_map()``/``via_map()``).  A net's cells are found
@@ -28,19 +28,24 @@ bookmark.  :meth:`begin_txn`/:meth:`commit_txn`/:meth:`rollback_txn`
 journal only the cells a transaction actually touches, so undoing one
 failed modification attempt costs O(path length), which is what keeps the
 rip-up inner loop cheap.  Every journal record is ``(store, key, old)``:
-the buffer, list or dict written, the index or key, and the value it held.
+the buffer written, the index, and the value it held.
+
+Connectivity queries flood a net's copper over the flat stores from the
+queried node and cache the component under each of its member nodes.  A
+write that can change a net's components drops that net's cache entry;
+rollback, restore and unpickling drop them all, so the journal records
+copper only.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.region import RectilinearRegion
-from repro.grid.connectivity import ConnectivityIndex
 from repro.grid.layers import Layer
 from repro.grid.path import GridNode, GridPath
 
@@ -86,6 +91,9 @@ class RoutingGrid:
         self._vuse = array("i", [0]) * plane
         self._journal: Optional[list] = None
         self._journal_peak = 0
+        #: ``{net_id: {flat index: component}}``; every member of a cached
+        #: component maps to the one shared node list.
+        self._components: Dict[int, Dict[int, List[GridNode]]] = {}
         if region is not None:
             bbox = region.bbox
             if bbox.x0 < 0 or bbox.y0 < 0 or bbox.x1 > width or bbox.y1 > height:
@@ -102,23 +110,17 @@ class RoutingGrid:
             )
             occ = np.frombuffer(self._occ, dtype=np.intc)
             occ.reshape(2, height, width)[:, blocked] = OBSTACLE
-        self._connectivity = ConnectivityIndex(len(self._occ))
 
     # ------------------------------------------------------------------
     # Pickling (process-pool workers ship grids across processes)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Drop the connectivity index; it is rebuilt, all-dirty, on load."""
+        """Pickle the stores; the copy starts with no cached components."""
         if self._journal is not None:
             raise GridError("cannot pickle a grid with an open transaction")
         state = self.__dict__.copy()
-        del state["_connectivity"]
+        state["_components"] = {}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._connectivity = ConnectivityIndex(len(self._occ))
-        self._connectivity.invalidate_all(self)
 
     # ------------------------------------------------------------------
     # Queries
@@ -252,7 +254,7 @@ class RoutingGrid:
             raise GridError("no open transaction to roll back")
         self._journal_peak = max(self._journal_peak, len(journal))
         self._journal = None
-        self._connectivity.drop_caches()
+        self._components.clear()
         for store, key, old in reversed(journal):
             store[key] = old
 
@@ -284,8 +286,7 @@ class RoutingGrid:
         """``(flat_index, node)`` pairs for every node of ``path``.
 
         Computed once per commit/rip and shared by the occupancy and count
-        updates (and the connectivity hooks) instead of re-deriving the
-        index per buffer.
+        updates instead of re-deriving the index per buffer.
         """
         height, width = self.height, self.width
         return [
@@ -331,8 +332,7 @@ class RoutingGrid:
         self._occ[index] = net_id
         self._pin[index] = net_id
         self._use[index] += 1
-        if current == FREE:
-            self._connectivity.note_node_added(self, net_id, index, x, y)
+        self._components.pop(net_id, None)
 
     def commit_path(self, net_id: int, path: GridPath) -> None:
         """Claim every node and via of ``path`` for ``net_id``.
@@ -359,31 +359,23 @@ class RoutingGrid:
                 raise GridError(
                     f"via of net {net_id} collides with {current} at {tuple(cell)}"
                 )
+        self._components.pop(net_id, None)
         journal = self._journal
         use = self._use
-        connectivity = self._connectivity
-        for index, node in indexed:
+        for index, _ in indexed:
             if journal is not None:
                 journal.append((occ, index, occ[index]))
                 journal.append((use, index, use[index]))
-            was_free = occ[index] == FREE
             occ[index] = net_id
             use[index] += 1
-            if was_free:
-                connectivity.note_node_added(
-                    self, net_id, index, node.x, node.y
-                )
         via, vuse = self._via, self._vuse
         for cell in via_cells:
             index = cell.y * width + cell.x
             if journal is not None:
                 journal.append((via, index, via[index]))
                 journal.append((vuse, index, vuse[index]))
-            was_free = via[index] == FREE
             via[index] = net_id
             vuse[index] += 1
-            if was_free:
-                connectivity.note_via_added(self, net_id, cell.x, cell.y)
 
     def remove_path(self, net_id: int, path: GridPath) -> None:
         """Release ``path``'s claim; frees cells whose count drops to zero.
@@ -413,9 +405,7 @@ class RoutingGrid:
         freed = self._release(occ, use, indexed)
         freed = self._release(via, vuse, via_indexed) or freed
         if freed:
-            # A union-find cannot split: mark the net for a scoped
-            # re-flood on its next connectivity query.
-            self._connectivity.note_removed(self, net_id)
+            self._components.pop(net_id, None)
 
     def _release(self, store: array, counts: array, indexed: list) -> bool:
         """Drop one reference per ``(index, cell)`` pair; free the cells
@@ -453,10 +443,7 @@ class RoutingGrid:
         copy._vuse = self._vuse[:]
         copy._journal = None
         copy._journal_peak = 0
-        # A fresh index marked all-dirty is cheaper than copying the live
-        # structure; snapshots are queried rarely (if ever) before mutation.
-        copy._connectivity = ConnectivityIndex(len(copy._occ))
-        copy._connectivity.invalidate_all(copy)
+        copy._components = {}
         return copy
 
     def restore(self, snapshot: "RoutingGrid") -> None:
@@ -472,10 +459,10 @@ class RoutingGrid:
         self._pin[:] = snapshot._pin
         self._use[:] = snapshot._use
         self._vuse[:] = snapshot._vuse
-        self._connectivity.invalidate_all(self)
+        self._components.clear()
 
     # ------------------------------------------------------------------
-    # Connectivity (incremental index; BFS oracle kept for reference)
+    # Connectivity (cached floods; BFS oracle kept for reference)
     # ------------------------------------------------------------------
     def same_component(
         self,
@@ -486,12 +473,10 @@ class RoutingGrid:
         """True when ``a`` and ``b`` are both owned by ``net_id`` and
         connected through its copper.
 
-        Answered by the incremental connectivity index: O(log component)
-        after at most one re-flood of the net.  A re-flood scans the whole
-        occupancy buffer once (numpy) to find the net's cells and unions
-        only those.  Agrees with :meth:`connected_component`
-        membership on every honestly-maintained grid (the differential
-        tests assert this bit-for-bit).
+        Floods ``a``'s component on a cache miss, O(component), and then
+        looks ``b`` up among its cached members.  Agrees with
+        :meth:`connected_component` membership (the differential tests
+        assert this).
         """
         ax, ay, _ = a
         bx, by, _ = b
@@ -502,15 +487,17 @@ class RoutingGrid:
         occ = self._occ
         if occ[ia] != net_id or occ[ib] != net_id:
             return False
-        return self._connectivity.same_component(self, net_id, ia, ib)
+        component = self._component(net_id, ia)
+        return self._components[net_id].get(ib) is component
 
     def component_nodes(
         self, net_id: int, seed: Tuple[int, int, int]
     ) -> List[GridNode]:
         """Nodes of the ``net_id`` component containing ``seed``, as a
-        cached flat list (empty when ``seed`` is not owned by the net).
+        cached list in ascending flat order (empty when ``seed`` is not
+        owned by the net).
 
-        The list is shared with the index's cache: treat it as read-only.
+        The list is shared with the component cache: treat it as read-only.
         Use :meth:`connected_component` when a mutable set is wanted.
         """
         x, y, _ = seed
@@ -519,22 +506,54 @@ class RoutingGrid:
         idx = self._flat_index(seed)
         if self._occ[idx] != net_id:
             return []
-        return self._connectivity.component_nodes(self, net_id, idx)
+        return self._component(net_id, idx)
 
     def refresh_connectivity(self) -> None:
-        """Force the index to re-derive every net from the occupancy/via
-        buffers.
+        """Drop every cached component, so the next queries flood the
+        occupancy/via stores afresh.
 
         Nothing in the library calls this.  It stays because the
         end-to-end benchmark's tracer (``benchmarks/e2e/tracer.py``) binds
         it by name; it can go once the tracer stops binding names.
         """
-        self._connectivity.invalidate_all(self)
+        self._components.clear()
 
-    @property
-    def connectivity_index(self) -> ConnectivityIndex:
-        """The live index (exposed for tests and diagnostics)."""
-        return self._connectivity
+    def _component(self, net_id: int, seed: int) -> List[GridNode]:
+        """The cached component of owned flat node ``seed``; on a miss,
+        flood it and cache it under every member.
+
+        Same adjacency as :meth:`connected_component`: a unit step on one
+        layer, or a layer change where the net owns the cell's via.
+        """
+        members = self._components.setdefault(net_id, {})
+        component = members.get(seed)
+        if component is not None:
+            return component
+        occ, via = self._occ, self._via
+        width = self.width
+        plane = width * self.height
+        seen = {seed}
+        stack = [seed]
+        while stack:
+            idx = stack.pop()
+            cell = idx % plane
+            x = cell % width
+            for near in (
+                idx + 1 if x + 1 < width else -1,
+                idx - 1 if x else -1,
+                idx + width if cell + width < plane else -1,
+                idx - width if cell >= width else -1,
+                (idx + plane if idx < plane else cell)
+                if via[cell] == net_id
+                else -1,
+            ):
+                if near >= 0 and near not in seen and occ[near] == net_id:
+                    seen.add(near)
+                    stack.append(near)
+        ordered = sorted(seen)
+        component = [self._node(idx) for idx in ordered]
+        members.update(dict.fromkeys(ordered, component))
+        return component
 
     def connected_component(
         self, net_id: int, seed: Tuple[int, int, int]

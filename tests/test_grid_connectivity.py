@@ -1,24 +1,27 @@
-"""Differential tests of the incremental connectivity index.
+"""Differential tests of the grid's cached connectivity queries.
 
-The index (``repro.grid.connectivity``) answers the router's "are these
-pins already connected / give me the source component" queries without the
-from-scratch BFS floods it replaced.  Its one obligation is exactness:
-**for every net, at all times, the index must agree bit-for-bit with the
-BFS oracle** (:meth:`RoutingGrid.connected_component`).  These tests beat
-on that invariant from every direction the router can:
+:meth:`RoutingGrid.same_component` and :meth:`RoutingGrid.component_nodes`
+answer the router's "are these pins already connected / give me the
+source component" queries from a per-net cache of flooded components.
+Their one obligation is exactness: **for every net, at all times, every
+answer must equal the BFS oracle's** (:meth:`RoutingGrid.connected_component`),
+so no cached component may outlive a write that changes it.  These tests
+beat on that invariant from every direction the router can:
 
-* randomized commit/rip/rollback storms (the property test);
-* mid-transaction rollbacks, asserting the union-find ``parent``/``rank``
-  arrays are restored bit-for-bit, not merely query-equivalent;
+* randomized commit/rip/rollback storms (the property test), querying
+  inside transactions and checking every answer right after each
+  rollback;
+* mid-transaction rollbacks, asserting the five stores are restored
+  bit-for-bit and no component cached inside the transaction survives it;
 * a real routing run under fault-injected search failures, which forces
   weak-modification rejections and their journal rollbacks;
-* clone/restore/pickle, which must re-derive from the copper alone.
+* clone/restore/pickle, which must answer from the copper alone.
 
 Every comparison also holds the verifier's copper labels
 (``repro.analysis.verify``) to the same oracle, so each storm checks the
 verifier too.
 
-The index keeps no reference back to its grid, so a grid is freed by
+The component cache holds node lists only, so a grid is freed by
 reference counting alone; the lifetime tests pin that down.
 """
 
@@ -91,13 +94,12 @@ def _random_path(rng, width, height):
     return GridPath(nodes)
 
 
-def _uf_snapshot(grid):
-    index = grid.connectivity_index
-    return (
-        list(index._parent),
-        list(index._rank),
-        {net for net, dirty in index._dirty.items() if dirty},
-    )
+def _stores(grid):
+    """The bytes of every store the grid journals."""
+    return [
+        bytes(store)
+        for store in (grid._occ, grid._via, grid._pin, grid._use, grid._vuse)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -130,9 +132,10 @@ class TestStorms:
                 )
                 grid.remove_path(net, victim)
             else:
-                # A transaction that is rolled back must leave no trace —
-                # not in the copper, and bit-for-bit not in the index.
-                before = _uf_snapshot(grid)
+                # A transaction that is rolled back must leave no trace:
+                # the stores come back bit-for-bit, and no component
+                # cached inside the transaction answers after it.
+                before = _stores(grid)
                 grid.begin_txn()
                 for _ in range(rng.randrange(1, 4)):
                     path = _random_path(rng, width, height)
@@ -143,19 +146,19 @@ class TestStorms:
                     if rng.random() < 0.4:
                         grid.remove_path(net, path)
                     if rng.random() < 0.4:
-                        # In-transaction queries may re-flood; those
-                        # writes must roll back too.
+                        # Cache a component the rollback must forget.
                         grid.component_nodes(net, tuple(path.start))
                 grid.rollback_txn()
-                assert _uf_snapshot(grid) == before
+                assert _stores(grid) == before
+                assert_index_matches_bfs(grid, nets)
             if step % 6 == 0:
                 assert_index_matches_bfs(grid, nets)
 
         assert_index_matches_bfs(grid, nets)
 
     def test_stacked_claims_do_not_split_until_last_release(self):
-        """Removing one of two overlapping claims must not mark dirty
-        structure wrongly: the copper is still there."""
+        """Removing one of two overlapping claims frees no cell, so the
+        component stands: the copper is still there."""
         grid = RoutingGrid(6, 5)
         a = GridPath([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
         b = GridPath([(2, 0, 0), (1, 0, 0)])  # overlaps a
@@ -173,30 +176,31 @@ class TestStorms:
 # Mid-transaction rollback (the journal integration regression test)
 # ----------------------------------------------------------------------
 class TestRollback:
-    def test_mid_transaction_rollback_restores_uf_bit_for_bit(self):
+    def test_rollback_restores_stores_and_drops_cached_components(self):
         grid = RoutingGrid(8, 6)
         grid.commit_path(1, GridPath([(0, 0, 0), (1, 0, 0), (2, 0, 0)]))
         grid.commit_path(1, GridPath([(4, 0, 0), (5, 0, 0)]))
         grid.commit_path(2, GridPath([(0, 3, 0), (1, 3, 0)]))
-        before = _uf_snapshot(grid)
+        before = _stores(grid)
 
         grid.begin_txn()
-        # Join net 1's two islands, query (caches + refloods), then
-        # rip a piece so the net goes dirty inside the transaction.
+        # Join net 1's two islands and query (caching the joined
+        # component), then rip a piece, which splits it again.
         bridge = GridPath([(2, 0, 0), (3, 0, 0), (4, 0, 0)])
         grid.commit_path(1, bridge)
         assert grid.same_component(1, (0, 0, 0), (5, 0, 0))
         grid.remove_path(1, GridPath([(3, 0, 0)]))
-        assert grid.connectivity_index.is_dirty(1)
-        # Query while dirty: the re-flood happens inside the txn and its
-        # writes must be journaled like any other.
         assert not grid.same_component(1, (0, 0, 0), (5, 0, 0))
+        # Grow net 2 and cache its larger component: the rollback must
+        # forget it.
+        grid.commit_path(2, GridPath([(1, 3, 0), (2, 3, 0)]))
+        assert grid.same_component(2, (0, 3, 0), (2, 3, 0))
         grid.rollback_txn()
+        assert_index_matches_bfs(grid, [1, 2])
 
-        assert _uf_snapshot(grid) == before
+        assert _stores(grid) == before
         assert not grid.same_component(1, (0, 0, 0), (5, 0, 0))
         assert grid.same_component(1, (0, 0, 0), (2, 0, 0))
-        assert_index_matches_bfs(grid, [1, 2])
 
     def test_commit_txn_keeps_index_changes(self):
         grid = RoutingGrid(6, 5)
@@ -286,7 +290,7 @@ class TestSnapshots:
 
 
 # ----------------------------------------------------------------------
-# Lifetime: no grid <-> index reference cycle
+# Lifetime: no reference cycle through the grid
 # ----------------------------------------------------------------------
 class TestGridLifetime:
     """With the cyclic collector off, a grid must die on its last ``del``.

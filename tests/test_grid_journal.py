@@ -151,15 +151,19 @@ class TestJournalEdgeCases:
         grid.restore(snapshot)  # fine once the transaction is closed
 
     def test_depth_and_peak_tracking(self):
+        """The journal records copper only: occupancy and count, for every
+        path node and every via cell."""
         grid = RoutingGrid(8, 6)
         assert grid.journal_depth == 0 and not grid.in_txn
         grid.begin_txn()
         assert grid.in_txn
-        grid.commit_path(
-            1, straight_path(Point(0, 0), Point(3, 0), Layer.HORIZONTAL)
+        path = GridPath(
+            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 0, 1), (3, 1, 1)]
         )
+        assert len(path.via_cells()) == 1
+        grid.commit_path(1, path)
         depth = grid.journal_depth
-        assert depth > 0
+        assert depth == 2 * len(path) + 2 * len(path.via_cells())
         grid.rollback_txn()
         assert grid.journal_depth == 0
         assert grid.journal_peak_depth >= depth

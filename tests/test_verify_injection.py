@@ -4,8 +4,8 @@ The grid API makes shorts and pin theft unrepresentable, so these tests
 corrupt the grid's stores directly (white-box) and check the verifier
 still catches every class of violation — the whole point of verifying
 independently of the bookkeeping.  The verifier must also leave the grid
-it checks untouched, ignore the router's connectivity index, and reach
-the same verdicts the index-backed open check reached.
+it checks untouched, ignore the grid's connectivity queries, and reach
+the same verdicts the open check built on those queries reached.
 """
 
 from typing import List
@@ -16,8 +16,7 @@ import pytest
 from repro.analysis import VerificationReport, verify_routing
 from repro.bench import bench_cases
 from repro.core import route_problem
-from repro.grid import FREE, OBSTACLE, Layer
-from repro.grid.connectivity import ConnectivityIndex
+from repro.grid import FREE, OBSTACLE, Layer, RoutingGrid
 from repro.netlist import Net, Pin, RoutingProblem
 from repro.netlist.generators import random_switchbox
 from repro.netlist.instances import small_switchbox
@@ -43,24 +42,20 @@ def erase_net_wiring(grid, net_id):
 
 
 def grid_state(grid):
-    """Every store of ``grid`` and every field of its connectivity index."""
-    index = grid.connectivity_index
+    """Every store of ``grid`` and its cached components."""
     stores = (grid._occ, grid._via, grid._pin, grid._use, grid._vuse)
     return (
         [bytes(store) for store in stores],
-        list(index._parent),
-        list(index._rank),
-        dict(index._dirty),
         {
-            net: {root: list(nodes) for root, nodes in groups.items()}
-            for net, groups in index._cache.items()
+            net: {index: list(nodes) for index, nodes in members.items()}
+            for net, members in grid._components.items()
         },
     )
 
 
 def index_verdict(problem, grid, allowed_open=()) -> VerificationReport:
-    """:func:`verify_routing` as it was when the router's union-find
-    answered its open check: every net re-flooded from the copper by
+    """:func:`verify_routing` as it was when the grid's connectivity
+    queries answered its open check: every cached component dropped by
     ``refresh_connectivity()``, then ``same_component`` asked per pin."""
     errors: List[str] = []
     waived: List[str] = []
@@ -319,11 +314,11 @@ class TestFaultHarnessCorruption:
 
 class TestIndependence:
     """The verifier reads the copper alone: it writes nothing to the grid
-    and believes nothing the router's connectivity index says."""
+    and believes nothing the grid's connectivity queries say."""
 
     def test_verify_leaves_the_grid_unchanged(self, routed):
         problem, grid = routed
-        # Fill the index's component cache, so dropping it would show.
+        # Fill the grid's component cache, so dropping it would show.
         for net_id, net in enumerate(problem.nets, start=1):
             grid.component_nodes(net_id, tuple(net.pins[0].node))
         before = grid_state(grid)
@@ -340,7 +335,12 @@ class TestIndependence:
         net_id, node = cut_node(problem, grid)
         poke(grid, node, FREE)
         monkeypatch.setattr(
-            ConnectivityIndex, "same_component", lambda *args: True
+            RoutingGrid, "same_component", lambda *args: True
+        )
+        monkeypatch.setattr(
+            RoutingGrid,
+            "component_nodes",
+            lambda self, net_id, seed: self.net_nodes(net_id),
         )
         report = verify_routing(problem, grid)
         assert not report.ok
