@@ -56,6 +56,10 @@ class Connection:
         Depth of the rip chain that re-queued this connection (0 for a
         fresh connection); the router cuts chains beyond a configured
         depth to stop cascading destruction.
+    source_id, target_id:
+        Flat ids of the endpoint pins on the routing grid (see
+        :func:`~repro.grid.path.flat_id`); set by the router when it
+        registers the connection, ``-1`` before.
     """
 
     net_name: str
@@ -68,6 +72,8 @@ class Connection:
     seq: int = 0
     chain_depth: int = 0
     deferrals: int = 0
+    source_id: int = -1
+    target_id: int = -1
 
     @property
     def estimated_length(self) -> int:

@@ -53,8 +53,9 @@ def path_cost(path: Optional[GridPath], model: CostModel) -> int:
     """Cost of a committed path under ``model`` (0 for a trivial path)."""
     if path is None:
         return 0
+    nodes = path.nodes
     total = 0
-    for a, b in zip(path.nodes, path.nodes[1:]):
+    for a, b in zip(nodes, nodes[1:]):
         if a.layer != b.layer:
             total += model.via_cost
         else:

@@ -47,18 +47,19 @@ from repro.core.decompose import Connection, decompose_problem
 from repro.core.ordering import order_connections
 from repro.core.result import RouteEvent, RouteResult, RouteStats
 from repro.grid.layers import Layer
-from repro.grid.path import GridPath
+from repro.grid.path import GridPath, PathError, flat_id
 from repro.grid.routing_grid import GridError, RoutingGrid
 from repro.maze.arena import SearchArena
-from repro.maze.astar import find_path
+from repro.maze.astar import find_path_flat
+
+# Not called here; the end-to-end benchmark's tracer binds it by name.
+from repro.maze.astar import find_path  # noqa: F401
 from repro.maze.kernels import active_backend
 from repro.netlist.net import Pin
 from repro.netlist.problem import RoutingProblem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> router)
     from repro.engine.deadline import Deadline
-
-Node = Tuple[int, int, int]
 
 
 class MightyRouter:
@@ -136,8 +137,15 @@ class MightyRouter:
         connections = decompose_problem(self.problem)
         all_connections = connections + fixed
         self._all_connections = all_connections
+        width, height = self._grid.width, self._grid.height
         for seq, connection in enumerate(all_connections):
             connection.seq = seq
+            connection.source_id = flat_id(
+                connection.source_node, width, height
+            )
+            connection.target_id = flat_id(
+                connection.target_node, width, height
+            )
             self._net_connections.setdefault(connection.net_id, []).append(
                 connection
             )
@@ -235,30 +243,25 @@ class MightyRouter:
         self, connection: Connection, queue: Deque[Connection]
     ) -> bool:
         net_id = connection.net_id
-        source_node = tuple(connection.source_node)
-        target_node = tuple(connection.target_node)
+        grid = self._grid
         tick = time.perf_counter()
-        if self._grid.same_component(net_id, source_node, target_node):
+        if grid.same_component_ids(
+            net_id, connection.source_id, connection.target_id
+        ):
             self._stats.phase_connectivity_s += time.perf_counter() - tick
             connection.path = None
             connection.routed = True
             self._stats.hard_routes += 1
             self._record("route", connection.net_name, "already connected")
             return True
-        sources = [
-            tuple(node)
-            for node in self._grid.component_nodes(net_id, source_node)
-        ]
-        targets = [
-            tuple(node)
-            for node in self._grid.component_nodes(net_id, target_node)
-        ]
+        sources = grid.component_ids(net_id, connection.source_id)
+        targets = grid.component_ids(net_id, connection.target_id)
         self._stats.phase_connectivity_s += time.perf_counter() - tick
 
         self._last_attempt_exhausted = False
         self._stats.searches += 1
         tick = time.perf_counter()
-        hard = find_path(
+        hard = find_path_flat(
             self._grid,
             net_id,
             sources,
@@ -287,7 +290,7 @@ class MightyRouter:
         }
         self._stats.searches += 1
         tick = time.perf_counter()
-        soft = find_path(
+        soft = find_path_flat(
             self._grid,
             net_id,
             sources,
@@ -306,7 +309,7 @@ class MightyRouter:
             self._last_attempt_exhausted = True
         if not soft.found:
             return False
-        victims = self._victims_of(soft.conflict_nodes)
+        victims = self._victims_of(soft.conflict_ids)
         if victims is None:
             return False
         if not victims:
@@ -453,26 +456,21 @@ class MightyRouter:
     def _reroute_hard(self, connection: Connection) -> bool:
         """Plain hard reroute used for displaced victims."""
         net_id = connection.net_id
-        source_node = tuple(connection.source_node)
-        target_node = tuple(connection.target_node)
+        grid = self._grid
         tick = time.perf_counter()
-        if self._grid.same_component(net_id, source_node, target_node):
+        if grid.same_component_ids(
+            net_id, connection.source_id, connection.target_id
+        ):
             self._stats.phase_connectivity_s += time.perf_counter() - tick
             connection.path = None
             connection.routed = True
             return True
-        sources = [
-            tuple(n)
-            for n in self._grid.component_nodes(net_id, source_node)
-        ]
-        targets = [
-            tuple(n)
-            for n in self._grid.component_nodes(net_id, target_node)
-        ]
+        sources = grid.component_ids(net_id, connection.source_id)
+        targets = grid.component_ids(net_id, connection.target_id)
         self._stats.phase_connectivity_s += time.perf_counter() - tick
         self._stats.searches += 1
         tick = time.perf_counter()
-        result = find_path(
+        result = find_path_flat(
             self._grid,
             net_id,
             sources,
@@ -527,10 +525,8 @@ class MightyRouter:
                     if not conn.routed:
                         continue
                     tick = time.perf_counter()
-                    linked = self._grid.same_component(
-                        net_id,
-                        tuple(conn.source_node),
-                        tuple(conn.target_node),
+                    linked = self._grid.same_component_ids(
+                        net_id, conn.source_id, conn.target_id
                     )
                     self._stats.phase_connectivity_s += (
                         time.perf_counter() - tick
@@ -542,23 +538,24 @@ class MightyRouter:
         return detached
 
     def _victims_of(
-        self, conflict_nodes: Sequence[Node]
+        self, conflict_ids: Sequence[int]
     ) -> Optional[List[Connection]]:
-        """Connections whose paths hold the conflict nodes.
+        """Connections whose paths hold the conflict nodes (flat ids).
 
         The grid says which net owns a node; of that net's connections,
         the ones whose current ``path`` holds it are the victims.  ``None``
         when a node has no such connection: it cannot be ripped.
         """
         tick = time.perf_counter()
+        grid = self._grid
+        occ, width, height = grid.occ_flat(), grid.width, grid.height
         victims: Set[Connection] = set()
-        for node in conflict_nodes:
+        for index in conflict_ids:
             owners = [
                 conn
-                for conn in self._net_connections.get(
-                    self._grid.owner(node), ()
-                )
-                if conn.path is not None and node in conn.path.nodes
+                for conn in self._net_connections.get(occ[index], ())
+                if conn.path is not None
+                and index in conn.path.ids_on(width, height)
             ]
             if not owners:
                 # Foreign copper that no connection's path holds (the
@@ -580,6 +577,7 @@ class MightyRouter:
         self, pre_routed: Dict[str, List[GridPath]]
     ) -> List[Connection]:
         fixed: List[Connection] = []
+        width, height = self._grid.width, self._grid.height
         for net_name in sorted(pre_routed):
             net_id = self.problem.net_id(net_name)
             for path in pre_routed[net_name]:
@@ -591,8 +589,13 @@ class MightyRouter:
                     target_pin=Pin(end.x, end.y, Layer(end.layer)),
                 )
                 try:
-                    self._commit(connection, path)
-                except GridError as exc:
+                    # Held as flat ids, like every searched path, so rips
+                    # and victim lookups read the ids without rebuilding.
+                    flat = GridPath.from_ids(
+                        path.ids_on(width, height), width, height
+                    )
+                    self._commit(connection, flat)
+                except (GridError, PathError) as exc:
                     raise ValueError(
                         f"pre-routed path for {net_name!r} is illegal: {exc}"
                     ) from None

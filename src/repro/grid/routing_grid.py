@@ -11,15 +11,18 @@ laid by an earlier one), so the grid keeps a reference count for every node
 and via.  Ripping one connection only frees cells whose count drops to zero.
 
 Occupancy, pin ownership, vias and the two reference counts are each
-stored exactly once, as a flat C-order ``array('i')`` buffer indexed like
-:meth:`RoutingGrid._flat_index` (``(layer * H + y) * W + x``; vias and
-their counts ``y * W + x``).  A count belongs to whichever net the cell's
-occupancy or via entry names, so ownership itself is recorded once.  Every
-reader shares the one buffer: the pure-python kernels and the connectivity
-flood index it directly (``occ_flat()``/``pin_flat()``), the compiled
-kernel passes its address to C without a copy, and the bulk consumers —
-verifier, metrics, rendering, compaction — get read-only numpy views over
-it (``occupancy()``/``pin_map()``/``via_map()``).  A net's cells are found
+stored exactly once, as a flat C-order ``array('i')`` buffer indexed by
+flat id (:func:`~repro.grid.path.flat_id`, ``(layer * H + y) * W + x``;
+vias and their counts ``y * W + x``).  Every node query converts through
+that one checked helper, so a node outside the grid, its layer included,
+reads as off the grid rather than wrapping onto another cell.  A count
+belongs to whichever net the cell's occupancy or via entry names, so
+ownership itself is recorded once.  Every reader shares the one buffer:
+the pure-python kernels and the connectivity flood index it directly
+(``occ_flat()``/``pin_flat()``), the compiled kernel passes its address
+to C without a copy, and the bulk consumers — verifier, metrics,
+rendering, compaction — get read-only numpy views over it
+(``occupancy()``/``pin_map()``/``via_map()``).  A net's cells are found
 by one numpy scan of the buffer.
 
 Undo comes in two granularities.  :meth:`clone`/:meth:`restore` copy the
@@ -30,29 +33,32 @@ failed modification attempt costs O(path length), which is what keeps the
 rip-up inner loop cheap.  Every journal record is ``(store, key, old)``:
 the buffer written, the index, and the value it held.
 
+Paths built from flat ids (the router's) are committed and ripped by
+their ids directly; a path built from nodes is converted once per call.
+
 Connectivity queries flood a net's copper over the flat stores from the
-queried node and cache the component under each of its member nodes.  A
-write that can change a net's components drops that net's cache entry;
-rollback, restore and unpickling drop them all, so the journal records
-copper only.
+queried node and cache the component, an ascending list of flat ids,
+under each of its members.  The router reads those lists directly
+(:meth:`RoutingGrid.component_ids`); :meth:`RoutingGrid.component_nodes`
+is their node view.  A write that can change a net's components drops
+that net's cache entry; rollback, restore and unpickling drop them all,
+so the journal records copper only.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.region import RectilinearRegion
 from repro.grid.layers import Layer
-from repro.grid.path import GridNode, GridPath
+from repro.grid.path import GridNode, GridPath, PathError, flat_id, node_at
 
 FREE = 0
 OBSTACLE = -1
-
-_LAYERS = tuple(Layer)
 
 
 class GridError(RuntimeError):
@@ -91,9 +97,9 @@ class RoutingGrid:
         self._vuse = array("i", [0]) * plane
         self._journal: Optional[list] = None
         self._journal_peak = 0
-        #: ``{net_id: {flat index: component}}``; every member of a cached
-        #: component maps to the one shared node list.
-        self._components: Dict[int, Dict[int, List[GridNode]]] = {}
+        #: ``{net_id: {flat id: component}}``; every member of a cached
+        #: component maps to the one shared ascending list of flat ids.
+        self._components: Dict[int, Dict[int, List[int]]] = {}
         if region is not None:
             bbox = region.bbox
             if bbox.x0 < 0 or bbox.y0 < 0 or bbox.x1 > width or bbox.y1 > height:
@@ -131,10 +137,8 @@ class RoutingGrid:
 
     def owner(self, node: Tuple[int, int, int]) -> int:
         """Net id occupying ``node`` (``FREE`` or ``OBSTACLE`` otherwise)."""
-        x, y, layer = node
-        if not self.in_bounds(x, y):
-            return OBSTACLE
-        return self._occ[(layer * self.height + y) * self.width + x]
+        index = flat_id(node, self.width, self.height)
+        return OBSTACLE if index is None else self._occ[index]
 
     def via_owner(self, x: int, y: int) -> int:
         """Net id of the via at ``(x, y)``, or ``FREE``."""
@@ -142,10 +146,8 @@ class RoutingGrid:
 
     def pin_owner(self, node: Tuple[int, int, int]) -> int:
         """Net id whose pin sits at ``node``, or ``FREE``."""
-        x, y, layer = node
-        if not self.in_bounds(x, y):
-            return FREE
-        return self._pin[(layer * self.height + y) * self.width + x]
+        index = flat_id(node, self.width, self.height)
+        return FREE if index is None else self._pin[index]
 
     def is_free(self, node: Tuple[int, int, int]) -> bool:
         """True when ``node`` is unoccupied and not an obstacle."""
@@ -179,10 +181,8 @@ class RoutingGrid:
         return np.flatnonzero(view == net_id).tolist()
 
     def _node(self, index: int) -> GridNode:
-        """The node at flat occupancy index ``index``."""
-        plane = self.width * self.height
-        y, x = divmod(index % plane, self.width)
-        return GridNode(x, y, _LAYERS[index // plane])
+        """The node at flat id ``index``."""
+        return node_at(index, self.width, self.height)
 
     @staticmethod
     def _view(store: array, shape: Tuple[int, ...]) -> np.ndarray:
@@ -276,22 +276,21 @@ class RoutingGrid:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def _flat_index(self, node: Tuple[int, int, int]) -> int:
-        """Flat C-order id of ``(x, y, layer)``; the one place the
-        ``(layer * H + y) * W + x`` arithmetic lives."""
-        x, y, layer = node
-        return (layer * self.height + y) * self.width + x
+    def _path_ids(self, path: GridPath) -> Sequence[int]:
+        """Flat ids of ``path``'s nodes on this grid: the path's own ids
+        when it was built from them for this shape."""
+        try:
+            return path.ids_on(self.width, self.height)
+        except PathError as exc:
+            raise GridError(str(exc)) from None
 
-    def _path_indices(self, path: GridPath) -> List[Tuple[int, GridNode]]:
-        """``(flat_index, node)`` pairs for every node of ``path``.
-
-        Computed once per commit/rip and shared by the occupancy and count
-        updates instead of re-deriving the index per buffer.
-        """
-        height, width = self.height, self.width
+    def _via_cells(self, ids: Sequence[int]) -> List[int]:
+        """Cell index ``y * W + x`` of every layer change along ``ids``."""
+        plane = self.width * self.height
         return [
-            ((node.layer * height + node.y) * width + node.x, node)
-            for node in path
+            a % plane
+            for a, b in zip(ids, ids[1:])
+            if (a < plane) != (b < plane)
         ]
 
     def set_obstacle(
@@ -301,7 +300,9 @@ class RoutingGrid:
         hard obstacle.  The cell must currently be free."""
         layers: Iterable[int] = (0, 1) if layer is None else (int(layer),)
         for l in layers:
-            index = (l * self.height + y) * self.width + x
+            index = flat_id((x, y, l), self.width, self.height)
+            if index is None:
+                raise GridError(f"obstacle at ({x},{y},{l}) is off the grid")
             current = self._occ[index]
             if current not in (FREE, OBSTACLE):
                 raise GridError(
@@ -319,13 +320,12 @@ class RoutingGrid:
         (pins cannot be pushed aside).
         """
         self._check_net_id(net_id)
-        x, y, layer = node
-        current = self.owner(node)
+        index = flat_id(node, self.width, self.height)
+        current = OBSTACLE if index is None else self._occ[index]
         if current not in (FREE, net_id):
             raise GridError(
                 f"pin of net {net_id} collides with {current} at {tuple(node)}"
             )
-        index = self._flat_index((x, y, int(layer)))
         if self._journal is not None:
             for store in (self._occ, self._pin, self._use):
                 self._journal.append((store, index, store[index]))
@@ -345,37 +345,39 @@ class RoutingGrid:
         self._check_net_id(net_id)
         occ = self._occ
         width = self.width
-        indexed = self._path_indices(path)
-        for index, node in indexed:
+        ids = self._path_ids(path)
+        for index in ids:
             current = occ[index]
             if current != FREE and current != net_id:
                 raise GridError(
-                    f"net {net_id} collides with {current} at {tuple(node)}"
+                    f"net {net_id} collides with {current} at "
+                    f"{tuple(self._node(index))}"
                 )
-        via_cells = path.via_cells()
+        via_cells = self._via_cells(ids)
+        via = self._via
         for cell in via_cells:
-            current = self.via_owner(cell.x, cell.y)
-            if current not in (FREE, net_id):
+            current = via[cell]
+            if current != FREE and current != net_id:
                 raise GridError(
-                    f"via of net {net_id} collides with {current} at {tuple(cell)}"
+                    f"via of net {net_id} collides with {current} at "
+                    f"{(cell % width, cell // width)}"
                 )
         self._components.pop(net_id, None)
         journal = self._journal
         use = self._use
-        for index, _ in indexed:
+        for index in ids:
             if journal is not None:
                 journal.append((occ, index, occ[index]))
                 journal.append((use, index, use[index]))
             occ[index] = net_id
             use[index] += 1
-        via, vuse = self._via, self._vuse
+        vuse = self._vuse
         for cell in via_cells:
-            index = cell.y * width + cell.x
             if journal is not None:
-                journal.append((via, index, via[index]))
-                journal.append((vuse, index, vuse[index]))
-            via[index] = net_id
-            vuse[index] += 1
+                journal.append((via, cell, via[cell]))
+                journal.append((vuse, cell, vuse[cell]))
+            via[cell] = net_id
+            vuse[cell] += 1
 
     def remove_path(self, net_id: int, path: GridPath) -> None:
         """Release ``path``'s claim; frees cells whose count drops to zero.
@@ -388,31 +390,33 @@ class RoutingGrid:
         occ, use = self._occ, self._use
         via, vuse = self._via, self._vuse
         width = self.width
-        indexed = self._path_indices(path)
-        for index, node in indexed:
+        ids = self._path_ids(path)
+        for index in ids:
             if occ[index] != net_id or use[index] <= 0:
                 raise GridError(
-                    f"net {net_id} does not own {tuple(node)}; cannot rip"
+                    f"net {net_id} does not own {tuple(self._node(index))}; "
+                    "cannot rip"
                 )
-        via_indexed = [
-            (cell.y * width + cell.x, cell) for cell in path.via_cells()
-        ]
-        for index, cell in via_indexed:
-            if via[index] != net_id or vuse[index] <= 0:
+        via_cells = self._via_cells(ids)
+        for cell in via_cells:
+            if via[cell] != net_id or vuse[cell] <= 0:
                 raise GridError(
-                    f"net {net_id} does not own via at {tuple(cell)}; cannot rip"
+                    f"net {net_id} does not own via at "
+                    f"{(cell % width, cell // width)}; cannot rip"
                 )
-        freed = self._release(occ, use, indexed)
-        freed = self._release(via, vuse, via_indexed) or freed
+        freed = self._release(occ, use, ids)
+        freed = self._release(via, vuse, via_cells) or freed
         if freed:
             self._components.pop(net_id, None)
 
-    def _release(self, store: array, counts: array, indexed: list) -> bool:
-        """Drop one reference per ``(index, cell)`` pair; free the cells
-        whose count reaches zero.  Returns whether any cell was freed."""
+    def _release(
+        self, store: array, counts: array, indices: Sequence[int]
+    ) -> bool:
+        """Drop one reference per index; free the cells whose count
+        reaches zero.  Returns whether any cell was freed."""
         journal = self._journal
         freed = False
-        for index, _ in indexed:
+        for index in indices:
             if journal is not None:
                 journal.append((counts, index, counts[index]))
             counts[index] -= 1
@@ -473,40 +477,55 @@ class RoutingGrid:
         """True when ``a`` and ``b`` are both owned by ``net_id`` and
         connected through its copper.
 
-        Floods ``a``'s component on a cache miss, O(component), and then
-        looks ``b`` up among its cached members.  Agrees with
+        The node form of :meth:`same_component_ids`.  Agrees with
         :meth:`connected_component` membership (the differential tests
         assert this).
         """
-        ax, ay, _ = a
-        bx, by, _ = b
-        if not (self.in_bounds(ax, ay) and self.in_bounds(bx, by)):
+        ia = flat_id(a, self.width, self.height)
+        ib = flat_id(b, self.width, self.height)
+        if ia is None or ib is None:
             return False
-        ia = self._flat_index(a)
-        ib = self._flat_index(b)
+        return self.same_component_ids(net_id, ia, ib)
+
+    def same_component_ids(self, net_id: int, a: int, b: int) -> bool:
+        """True when flat nodes ``a`` and ``b`` are both owned by
+        ``net_id`` and connected through its copper.
+
+        Floods ``a``'s component on a cache miss, O(component), and then
+        looks ``b`` up among its cached members.
+        """
         occ = self._occ
-        if occ[ia] != net_id or occ[ib] != net_id:
+        if not (0 <= a < len(occ) and 0 <= b < len(occ)):
             return False
-        component = self._component(net_id, ia)
-        return self._components[net_id].get(ib) is component
+        if occ[a] != net_id or occ[b] != net_id:
+            return False
+        component = self._component(net_id, a)
+        return self._components[net_id].get(b) is component
 
     def component_nodes(
         self, net_id: int, seed: Tuple[int, int, int]
     ) -> List[GridNode]:
-        """Nodes of the ``net_id`` component containing ``seed``, as a
-        cached list in ascending flat order (empty when ``seed`` is not
-        owned by the net).
+        """Nodes of the ``net_id`` component containing ``seed``, in
+        ascending flat order (empty when ``seed`` is not owned by the net).
 
-        The list is shared with the component cache: treat it as read-only.
-        Use :meth:`connected_component` when a mutable set is wanted.
+        A node view of :meth:`component_ids`, built on every call.  Use
+        :meth:`connected_component` when a set is wanted.
         """
-        x, y, _ = seed
-        if not self.in_bounds(x, y):
+        index = flat_id(seed, self.width, self.height)
+        if index is None:
             return []
-        idx = self._flat_index(seed)
-        if self._occ[idx] != net_id:
+        return [self._node(i) for i in self.component_ids(net_id, index)]
+
+    def component_ids(self, net_id: int, seed: int) -> List[int]:
+        """Ascending flat ids of the ``net_id`` component containing flat
+        node ``seed`` (empty when the net does not own ``seed``).
+
+        The list is the component cache's own: treat it as read-only.
+        """
+        occ = self._occ
+        if not 0 <= seed < len(occ) or occ[seed] != net_id:
             return []
-        return self._component(net_id, idx)
+        return self._component(net_id, seed)
 
     def refresh_connectivity(self) -> None:
         """Drop every cached component, so the next queries flood the
@@ -518,7 +537,7 @@ class RoutingGrid:
         """
         self._components.clear()
 
-    def _component(self, net_id: int, seed: int) -> List[GridNode]:
+    def _component(self, net_id: int, seed: int) -> List[int]:
         """The cached component of owned flat node ``seed``; on a miss,
         flood it and cache it under every member.
 
@@ -550,9 +569,8 @@ class RoutingGrid:
                 if near >= 0 and near not in seen and occ[near] == net_id:
                     seen.add(near)
                     stack.append(near)
-        ordered = sorted(seen)
-        component = [self._node(idx) for idx in ordered]
-        members.update(dict.fromkeys(ordered, component))
+        component = sorted(seen)
+        members.update(dict.fromkeys(component, component))
         return component
 
     def connected_component(

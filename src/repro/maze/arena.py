@@ -23,8 +23,9 @@ allocation-light too.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Axis codes stored in the neighbour tables (index into a per-layer cost
 #: row): 0 = x step, 1 = y step, 2 = via (layer change).
@@ -96,54 +97,77 @@ def _build_neighbor_table(width: int, height: int) -> Tuple[tuple, ...]:
     return tuple(entries)
 
 
-class _NumpyPlanes:
-    """Typed scratch planes for the compiled kernel.
+class _CPlanes:
+    """Typed scratch planes for the compiled kernel, addressed once.
 
     Same generation-stamp discipline as the plain-list planes (the
     generation counter itself lives on the owning :class:`_Planes`, so
     mixing backends across searches stays safe: every search gets a fresh
     generation no matter which stamp storage the previous one wrote).
 
-    ``target`` is a zeroed uint8 mask plane; kernels that use it must
+    Every buffer is an ``array`` whose address is taken here, once per
+    plane set, so a kernel call hands C plain ints and builds no array of
+    its own.  ``target`` is a zeroed byte mask; kernels that use it must
     restore it to all-zero before returning (set/clear the few target
-    indices, not a full memset).  ``path_buf`` is an int32 buffer big
-    enough for any simple path (one entry per node).
+    indices, not a full memset).  ``path`` is an int32 buffer big enough
+    for any simple path (one entry per node), and ``out`` receives the
+    kernel's scalar results.  :meth:`cost_rows` keeps the int64 axis-cost
+    rows of every cost table searched on these planes.
     """
 
-    __slots__ = ("best", "parent", "stamp", "target", "path_buf")
+    __slots__ = (
+        "best_addr", "parent_addr", "stamp_addr", "target", "target_addr",
+        "path", "path_addr", "out", "out_addr", "_buffers", "_rows",
+    )
 
     def __init__(self, n_nodes: int) -> None:
-        import numpy as np
+        best = array("q", bytes(8 * n_nodes))
+        parent = array("i", [-1]) * n_nodes
+        stamp = array("q", bytes(8 * n_nodes))
+        self.target = array("B", bytes(n_nodes))
+        self.path = array("i", bytes(4 * n_nodes))
+        self.out = array("q", bytes(8 * 3))
+        self._buffers = (best, parent, stamp)
+        self.best_addr = best.buffer_info()[0]
+        self.parent_addr = parent.buffer_info()[0]
+        self.stamp_addr = stamp.buffer_info()[0]
+        self.target_addr = self.target.buffer_info()[0]
+        self.path_addr = self.path.buffer_info()[0]
+        self.out_addr = self.out.buffer_info()[0]
+        self._rows: Dict[tuple, Tuple[int, int, tuple]] = {}
 
-        self.best = np.zeros(n_nodes, dtype=np.int64)
-        self.parent = np.full(n_nodes, -1, dtype=np.int32)
-        self.stamp = np.zeros(n_nodes, dtype=np.int64)
-        self.target = np.zeros(n_nodes, dtype=np.uint8)
-        self.path_buf = np.empty(n_nodes, dtype=np.int32)
+    def cost_rows(self, table: tuple) -> Tuple[int, int]:
+        """Addresses of int64 copies of ``table``'s two per-layer rows."""
+        entry = self._rows.get(table)
+        if entry is None:
+            rows = (array("q", table[0]), array("q", table[1]))
+            entry = (rows[0].buffer_info()[0], rows[1].buffer_info()[0], rows)
+            self._rows[table] = entry
+        return entry[0], entry[1]
 
 
 class _Planes:
     """Mutable scratch planes for one grid shape."""
 
-    __slots__ = ("best", "parent", "stamp", "generation", "_numpy")
+    __slots__ = ("best", "parent", "stamp", "generation", "_c")
 
     def __init__(self, n_nodes: int) -> None:
         self.best: List[int] = [INF] * n_nodes
         self.parent: List[int] = [-1] * n_nodes
         self.stamp: List[int] = [0] * n_nodes
         self.generation = 0
-        self._numpy = None
+        self._c: Optional[_CPlanes] = None
 
     def next_generation(self) -> int:
         """O(1) reset: values are valid only where ``stamp == generation``."""
         self.generation += 1
         return self.generation
 
-    def numpy_planes(self) -> "_NumpyPlanes":
+    def c_planes(self) -> _CPlanes:
         """Lazily-allocated typed planes (compiled kernel only)."""
-        if self._numpy is None:
-            self._numpy = _NumpyPlanes(len(self.best))
-        return self._numpy
+        if self._c is None:
+            self._c = _CPlanes(len(self.best))
+        return self._c
 
 
 class SearchArena:

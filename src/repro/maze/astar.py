@@ -11,6 +11,10 @@ heap entries.
 
 This module is the *validating wrapper*: it checks endpoints (bounds,
 layer, source availability), prepares the query, and shapes the result.
+:func:`find_path_flat` is the one search entry and speaks flat ids end to
+end — the router hands it cached component id lists and commits the path
+it returns by those ids.  :func:`find_path` is the node-level public API:
+it converts the nodes and calls the flat entry.
 The inner loop itself lives in a pluggable kernel backend
 (:mod:`repro.maze.kernels`) — pure python or compiled — both
 bit-identical in paths, costs, and expansion counts, so the backend choice
@@ -28,25 +32,22 @@ which is what makes the overall control loop provably finite.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.grid.path import GridPath
-from repro.grid.routing_grid import FREE, OBSTACLE, RoutingGrid
+from repro.grid.path import GridPath, flat_id, node_at
+from repro.grid.routing_grid import FREE, RoutingGrid
 from repro.maze.arena import SearchArena, default_arena
 from repro.maze.cost import CostModel
 from repro.maze.kernels import resolve_kernel
-from repro.maze.kernels.pure import (
-    FIELD_MASK as _FIELD_MASK,
-    F_SHIFT as _F_SHIFT,
-    G_LIMIT as _G_LIMIT,
-    G_SHIFT as _G_SHIFT,
-    INDEX_MASK as _INDEX_MASK,
-)
+from repro.maze.kernels.pure import INDEX_MASK as _INDEX_MASK
 
 Node = Tuple[int, int, int]  # (x, y, layer)
 
-__all__ = ["SearchResult", "find_path", "Node"]
+__all__ = ["SearchResult", "find_path", "find_path_flat", "Node"]
+
+_DEFAULT_COST = CostModel()
 
 
 @dataclass
@@ -56,12 +57,16 @@ class SearchResult:
     path: Optional[GridPath]
     cost: int = 0
     expansions: int = 0
+    #: The foreign nodes the walk occupies, as ``(x, y, layer)``; filled
+    #: by :func:`find_path` (the flat entry leaves it empty).
     conflict_nodes: List[Node] = field(default_factory=list)
     #: True when the search stopped because the ``max_expansions`` budget
     #: tripped.  ``path is None and not exhausted`` is a *proven* no-path;
     #: ``path is None and exhausted`` merely means the budget ran out — the
     #: two must not be conflated when deciding a net is unroutable.
     exhausted: bool = False
+    #: Flat ids of the foreign nodes the walk occupies, in path order.
+    conflict_ids: List[int] = field(default_factory=list)
 
     @property
     def found(self) -> bool:
@@ -69,17 +74,14 @@ class SearchResult:
         return self.path is not None
 
 
-def _check_node(node, width: int, height: int, role: str) -> Node:
-    """Validated ``(x, y, layer)`` ints, or :class:`ValueError`.
-
-    Layer is validated alongside x/y: a layer outside ``{0, 1}`` would
-    otherwise silently wrap through Python negative indexing (layer −1)
-    or read past the plane (layer ≥ 2) once folded into a flat index.
-    """
+def node_id(node, width: int, height: int, role: str) -> int:
+    """Flat id of a search endpoint, or :class:`ValueError` when x, y or
+    the layer lies outside the grid."""
     x, y, layer = int(node[0]), int(node[1]), int(node[2])
-    if not (0 <= x < width and 0 <= y < height and 0 <= layer <= 1):
+    index = flat_id((x, y, layer), width, height)
+    if index is None:
         raise ValueError(f"{role} {(x, y, layer)} out of bounds")
-    return x, y, layer
+    return index
 
 
 def find_path(
@@ -96,6 +98,8 @@ def find_path(
     kernel: Optional[str] = None,
 ) -> SearchResult:
     """Cheapest legal walk from any source node to any target node.
+
+    Converts the nodes to flat ids and runs :func:`find_path_flat`.
 
     Parameters
     ----------
@@ -142,43 +146,95 @@ def find_path(
         the foreign nodes the chosen walk occupies (the modification
         plan's victims).
     """
-    model = cost or CostModel()
+    width, height = grid.width, grid.height
+    target_ids = [node_id(t, width, height, "target") for t in targets]
+    source_ids = [node_id(s, width, height, "source") for s in sources]
+    result = find_path_flat(
+        grid,
+        net_id,
+        source_ids,
+        target_ids,
+        cost=cost,
+        allow_conflicts=allow_conflicts,
+        frozen_nets=frozen_nets,
+        net_penalties=net_penalties,
+        max_expansions=max_expansions,
+        arena=arena,
+        kernel=kernel,
+    )
+    result.conflict_nodes = [
+        node_at(index, width, height) for index in result.conflict_ids
+    ]
+    return result
+
+
+def find_path_flat(
+    grid: RoutingGrid,
+    net_id: int,
+    sources: Sequence[int],
+    targets: Sequence[int],
+    cost: Optional[CostModel] = None,
+    allow_conflicts: bool = False,
+    frozen_nets: FrozenSet[int] = frozenset(),
+    net_penalties: Optional[dict] = None,
+    max_expansions: Optional[int] = None,
+    arena: Optional[SearchArena] = None,
+    kernel: Optional[str] = None,
+) -> SearchResult:
+    """:func:`find_path` over flat node ids: the one search entry.
+
+    ``sources`` and ``targets`` are flat ids ``(layer * H + y) * W + x``;
+    every id must lie in ``[0, 2 * W * H)`` and every source must be free
+    or owned by ``net_id``, else :class:`ValueError` is raised before the
+    kernel runs.  The other parameters are :func:`find_path`'s.  The
+    found path is built from flat ids, and ``conflict_ids`` lists the
+    foreign nodes it occupies; ``conflict_nodes`` stays empty.
+    """
+    model = cost or _DEFAULT_COST
     width, height = grid.width, grid.height
     plane = width * height
-
-    target_list = [_check_node(t, width, height, "target") for t in targets]
-    if not target_list:
+    n_nodes = 2 * plane
+    if not targets:
         raise ValueError("no targets given")
     if not sources:
         raise ValueError("no sources given")
-    if max_expansions is None:
-        max_expansions = 8 * plane
-    if 2 * plane > _INDEX_MASK:
+    if n_nodes > _INDEX_MASK:
         raise ValueError(
-            f"grid has {2 * plane} nodes; packed search keys support at "
+            f"grid has {n_nodes} nodes; packed search keys support at "
             f"most {_INDEX_MASK}"
         )
+    if max_expansions is None:
+        max_expansions = 8 * plane
     backend = resolve_kernel(kernel)
 
-    target_idx = {
-        (layer * height + y) * width + x for x, y, layer in target_list
-    }
-    tx0 = min(t[0] for t in target_list)
-    tx1 = max(t[0] for t in target_list)
-    ty0 = min(t[1] for t in target_list)
-    ty1 = max(t[1] for t in target_list)
-
+    tx0 = ty0 = n_nodes
+    tx1 = ty1 = -1
+    for index in targets:
+        if not 0 <= index < n_nodes:
+            raise ValueError(f"target id {index} out of bounds")
+        x = index % width
+        y = index // width % height
+        if x < tx0:
+            tx0 = x
+        if x > tx1:
+            tx1 = x
+        if y < ty0:
+            ty0 = y
+        if y > ty1:
+            ty1 = y
     occ = grid.occ_flat()
     step = model.step_cost
-    source_entries: List[Tuple[int, int]] = []
-    for node in sources:
-        x, y, layer = _check_node(node, width, height, "source")
-        index = (layer * height + y) * width + x
+    source_entries = []
+    for index in sources:
+        if not 0 <= index < n_nodes:
+            raise ValueError(f"source id {index} out of bounds")
         owner = occ[index]
+        x = index % width
+        y = index // width % height
         if owner != FREE and owner != net_id:
             raise ValueError(
-                f"source {tuple(node)} is not available to net {net_id} "
-                f"(owner {owner})"
+                f"source {(x, y, index // plane)} is not available to net "
+                f"{net_id} (owner {owner})"
             )
         dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
         dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
@@ -190,7 +246,7 @@ def find_path(
         grid,
         net_id,
         source_entries,
-        target_idx,
+        set(targets),
         (tx0, tx1, ty0, ty1),
         model,
         allow_conflicts,
@@ -202,20 +258,21 @@ def find_path(
     )
 
     if indices is None:
-        return SearchResult(path=None, expansions=expansions, exhausted=exhausted)
-
-    nodes: List[Node] = []
-    conflicts: List[Node] = []
-    for index in indices:
-        layer, rest = divmod(index, plane)
-        y, x = divmod(rest, width)
-        nodes.append((x, y, layer))
-        owner = occ[index]
-        if owner != FREE and owner != OBSTACLE and owner != net_id:
-            conflicts.append((x, y, layer))
+        return SearchResult(
+            path=None, expansions=expansions, exhausted=exhausted
+        )
+    # Only a conflict search can cross foreign copper: a hard search
+    # enters free or own cells, and its sources are checked above.
+    conflicts = (
+        [i for i in indices if occ[i] != FREE and occ[i] != net_id]
+        if allow_conflicts
+        else []
+    )
+    if not isinstance(indices, array):
+        indices = array("i", indices)
     return SearchResult(
-        path=GridPath(nodes),
+        path=GridPath._of_legal_ids(indices, width, height),
         cost=goal_cost,
         expansions=expansions,
-        conflict_nodes=conflicts,
+        conflict_ids=conflicts,
     )

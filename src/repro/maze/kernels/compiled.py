@@ -21,11 +21,16 @@ The kernel reads the grid's occupancy and pin stores in place: their
 declares them ``const int32_t *``, so on a platform whose C ``int`` is not
 four bytes this module refuses to load and ``auto`` falls back to ``pure``.
 
-Marshalling note: per call this builds a handful of tiny numpy arrays
-(sources, dense frozen/penalty tables) and flips target-mask bytes.
-That's ~10 µs against searches that take hundreds in pure python, and
-the arrays index by *net id*, guarded in C by their lengths, so sparse
-dict lookups become branchless loads in the hot loop.
+Marshalling note: a call passes C plain ints.  The scratch planes, the
+target mask, the path and result buffers are ``array`` objects of the
+arena whose addresses were taken once per plane set
+(:class:`~repro.maze.arena._CPlanes`), and the axis-cost rows are cached
+there per cost table.  Per call this module only packs the sources into
+two int64 ``array`` buffers and flips target-mask bytes; a conflict
+search also builds the dense frozen/penalty tables, which index by *net
+id*, guarded in C by their lengths, so sparse dict lookups become
+branchless loads in the hot loop.  A found path is sliced straight out
+of the path buffer.  No numpy array is built on any call.
 """
 
 from __future__ import annotations
@@ -37,9 +42,7 @@ import shutil
 import subprocess
 import tempfile
 from array import array
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from repro.maze.kernels.pure import g_overflow_error
 
@@ -132,38 +135,32 @@ if array("i").itemsize != 4:
 
 _lib = _declare(_build_library())
 
-_EMPTY_U8 = np.zeros(0, dtype=np.uint8)
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
+#: The empty table: length 0, so C never reads through its address.
+_NO_TABLE = array("B")
 
 
-def _dense_frozen(frozen_nets) -> Tuple[np.ndarray, int]:
-    """Frozen-net set as a dense uint8 mask indexed by net id."""
-    top = -1
-    for nid in frozen_nets:
-        if nid > top:
-            top = nid
-    if top < 0:
-        return _EMPTY_U8, 0
-    mask = np.zeros(top + 1, dtype=np.uint8)
+def _dense_frozen(frozen_nets) -> array:
+    """Frozen-net set as a dense byte mask indexed by net id."""
+    if not frozen_nets:
+        return _NO_TABLE
+    top = max(frozen_nets)
+    mask = array("B", bytes(max(top + 1, 0)))
     for nid in frozen_nets:
         if nid >= 0:
             mask[nid] = 1
-    return mask, top + 1
+    return mask
 
 
-def _dense_penalties(net_penalties: dict) -> Tuple[np.ndarray, int]:
+def _dense_penalties(net_penalties: dict) -> array:
     """Per-net penalty dict as a dense int64 table indexed by net id."""
-    top = -1
-    for nid in net_penalties:
-        if nid > top:
-            top = nid
-    if top < 0:
-        return _EMPTY_I64, 0
-    table = np.zeros(top + 1, dtype=np.int64)
+    if not net_penalties:
+        return _NO_TABLE
+    top = max(net_penalties)
+    table = array("q", bytes(8 * max(top + 1, 0)))
     for nid, pen in net_penalties.items():
         if nid >= 0:
             table[nid] = pen
-    return table, top + 1
+    return table
 
 
 def astar_search(
@@ -179,59 +176,61 @@ def astar_search(
     max_expansions: int,
     planes,
     gen: int,
-) -> Tuple[int, int, bool, Optional[List[int]]]:
+) -> Tuple[int, int, bool, Optional[Sequence[int]]]:
     """C A* inner loop via ctypes (bit-identical to the pure reference)."""
-    width, height = grid.width, grid.height
-    np_planes = planes.numpy_planes()
-    occ_addr = grid.occ_flat().buffer_info()[0]
-    pin_addr = grid.pin_flat().buffer_info()[0]
-    frozen_arr, frozen_len = _dense_frozen(frozen_nets)
-    pen_arr, pen_len = _dense_penalties(net_penalties)
-    rows = model.axis_cost_table
-    row0 = np.asarray(rows[0], dtype=np.int64)
-    row1 = np.asarray(rows[1], dtype=np.int64)
-    n_src = len(sources)
-    src_idx = np.fromiter((s[0] for s in sources), np.int64, count=n_src)
-    src_h = np.fromiter((s[1] for s in sources), np.int64, count=n_src)
-    out = np.zeros(3, dtype=np.int64)
+    c = planes.c_planes()
+    row0, row1 = c.cost_rows(model.axis_cost_table)
+    if allow_conflicts:
+        frozen = _dense_frozen(frozen_nets)
+        penalties = _dense_penalties(net_penalties)
+    else:  # a hard search never reads either table
+        frozen = penalties = _NO_TABLE
+    src_idx, src_h = zip(*sources)
+    src_idx = array("q", src_idx)
+    src_h = array("q", src_h)
     tx0, tx1, ty0, ty1 = bbox
 
-    tmask = np_planes.target
-    tlist = list(target_idx)
-    tmask[tlist] = 1
+    tmask = c.target
+    for index in target_idx:
+        tmask[index] = 1
     try:
         status = _lib.repro_astar(
-            occ_addr, pin_addr,
-            width, height,
-            net_id, int(bool(allow_conflicts)),
-            frozen_arr.ctypes.data, frozen_len,
-            pen_arr.ctypes.data, pen_len,
-            row0.ctypes.data, row1.ctypes.data,
+            grid.occ_flat().buffer_info()[0],
+            grid.pin_flat().buffer_info()[0],
+            grid.width, grid.height,
+            net_id, 1 if allow_conflicts else 0,
+            frozen.buffer_info()[0], len(frozen),
+            penalties.buffer_info()[0], len(penalties),
+            row0, row1,
             model.step_cost, model.conflict_penalty,
-            tmask.ctypes.data,
+            c.target_addr,
             tx0, tx1, ty0, ty1,
-            src_idx.ctypes.data, src_h.ctypes.data, n_src,
+            src_idx.buffer_info()[0], src_h.buffer_info()[0], len(src_idx),
             max_expansions,
-            np_planes.best.ctypes.data,
-            np_planes.parent.ctypes.data,
-            np_planes.stamp.ctypes.data,
-            gen,
-            np_planes.path_buf.ctypes.data,
-            out.ctypes.data,
+            c.best_addr, c.parent_addr, c.stamp_addr, gen,
+            c.path_addr, c.out_addr,
         )
     finally:
-        tmask[tlist] = 0
+        for index in target_idx:
+            tmask[index] = 0
 
+    out = c.out
     if status == _ST_FOUND:
-        indices = np_planes.path_buf[: out[2]][::-1].tolist()
-        return int(out[0]), int(out[1]), False, indices
+        return out[0], out[1], False, _read_path(c, out[2])
     if status == _ST_NOPATH:
-        return 0, int(out[1]), False, None
+        return 0, out[1], False, None
     if status == _ST_EXHAUSTED:
-        return 0, int(out[1]), True, None
+        return 0, out[1], True, None
     if status == _ST_OVERFLOW:
-        raise g_overflow_error(int(out[0]))
+        raise g_overflow_error(out[0])
     raise MemoryError("compiled A* kernel ran out of memory")
+
+
+def _read_path(c, length: int) -> array:
+    """The source-to-goal path the kernel wrote goal-first."""
+    path = c.path[:length]
+    path.reverse()
+    return path
 
 
 def lee_search(
@@ -241,36 +240,30 @@ def lee_search(
     target_idx,
     planes,
     gen: int,
-) -> Optional[List[int]]:
+) -> Optional[Sequence[int]]:
     """C Lee wavefront via ctypes (bit-identical to the pure reference)."""
-    width, height = grid.width, grid.height
-    np_planes = planes.numpy_planes()
-    occ_addr = grid.occ_flat().buffer_info()[0]
-    n_src = len(source_indices)
-    src_idx = np.fromiter(source_indices, np.int64, count=n_src)
-    out = np.zeros(1, dtype=np.int64)
+    c = planes.c_planes()
+    src_idx = array("q", source_indices)
 
-    tmask = np_planes.target
-    tlist = list(target_idx)
-    tmask[tlist] = 1
+    tmask = c.target
+    for index in target_idx:
+        tmask[index] = 1
     try:
         status = _lib.repro_lee(
-            occ_addr,
-            width, height,
+            grid.occ_flat().buffer_info()[0],
+            grid.width, grid.height,
             net_id,
-            tmask.ctypes.data,
-            src_idx.ctypes.data, n_src,
-            np_planes.parent.ctypes.data,
-            np_planes.stamp.ctypes.data,
-            gen,
-            np_planes.path_buf.ctypes.data,
-            out.ctypes.data,
+            c.target_addr,
+            src_idx.buffer_info()[0], len(src_idx),
+            c.parent_addr, c.stamp_addr, gen,
+            c.path_addr, c.out_addr,
         )
     finally:
-        tmask[tlist] = 0
+        for index in target_idx:
+            tmask[index] = 0
 
     if status == _ST_FOUND:
-        return np_planes.path_buf[: out[0]][::-1].tolist()
+        return _read_path(c, c.out[0])
     if status == _ST_NOPATH:
         return None
     raise MemoryError("compiled Lee kernel ran out of memory")

@@ -46,27 +46,22 @@ def lee_route(
     wrapped or out-of-plane flat index and the search would just report
     ``None``.
     """
-    from repro.maze.astar import _check_node
+    from repro.maze.astar import node_id
 
     width, height = grid.width, grid.height
-    plane = width * height
-
-    target_list = [_check_node(t, width, height, "target") for t in targets]
-    if not target_list or not sources:
+    target_idx = {node_id(t, width, height, "target") for t in targets}
+    if not target_idx or not sources:
         raise ValueError("need at least one source and one target")
-    target_idx = {
-        (layer * height + y) * width + x for x, y, layer in target_list
-    }
 
     occ = grid.occ_flat()
     source_indices = []
     for node in sources:
-        x, y, layer = _check_node(node, width, height, "source")
-        index = (layer * height + y) * width + x
+        index = node_id(node, width, height, "source")
         owner = occ[index]
         if owner != FREE and owner != net_id:
             raise ValueError(
-                f"source {(x, y, layer)} not available to net {net_id}"
+                f"source {tuple(map(int, node))} not available to net "
+                f"{net_id}"
             )
         source_indices.append(index)
 
@@ -79,9 +74,4 @@ def lee_route(
 
     if indices is None:
         return None
-    nodes = []
-    for index in indices:
-        layer, rest = divmod(index, plane)
-        y, x = divmod(rest, width)
-        nodes.append((x, y, layer))
-    return GridPath(nodes)
+    return GridPath.from_ids(indices, width, height)

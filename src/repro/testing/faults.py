@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import EngineError
+from repro.grid.path import flat_id
 from repro.grid.routing_grid import RoutingGrid
 from repro.maze.astar import SearchResult
 from repro.service.workers import SERVICE_FAULT_ENV
@@ -115,7 +116,8 @@ class StepClock:
 class FaultInjector:
     """Context manager installing a :class:`FaultPlan` around the router.
 
-    While active, ``repro.core.router``'s view of the maze searcher and
+    While active, ``repro.core.router``'s view of the maze searcher
+    (its flat search entry, ``find_path_flat``) and
     :meth:`RoutingGrid.commit_path` are replaced process-wide with
     fault-injecting wrappers; both are restored on exit (exceptions
     included).  Counters and the corruption log stay readable after exit:
@@ -136,7 +138,7 @@ class FaultInjector:
         self.failed_searches = 0
         self.commits = 0
         self.corrupted_nodes: List[Tuple[int, int, int]] = []
-        self._real_find_path = None
+        self._real_search = None
         self._real_commit = None
 
     # ------------------------------------------------------------------
@@ -147,15 +149,15 @@ class FaultInjector:
         import repro.core.router as router_module
 
         self._router_module = router_module
-        self._real_find_path = router_module.find_path
+        self._real_search = router_module.find_path_flat
         self._real_commit = RoutingGrid.commit_path
-        router_module.find_path = self._find_path
+        router_module.find_path_flat = self._search
         RoutingGrid.commit_path = _make_commit_wrapper(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         """Restore the real searcher and grid commit."""
-        self._router_module.find_path = self._real_find_path
+        self._router_module.find_path_flat = self._real_search
         RoutingGrid.commit_path = self._real_commit
         return None
 
@@ -175,7 +177,7 @@ class FaultInjector:
             and self.searches % plan.fail_searches_every == 0
         )
 
-    def _find_path(self, *args, **kwargs) -> SearchResult:
+    def _search(self, *args, **kwargs) -> SearchResult:
         """The wrapped searcher: count, slow down, fail on schedule."""
         self.searches += 1
         if self.plan.slow_search_s:
@@ -188,7 +190,7 @@ class FaultInjector:
                     context={"search": self.searches},
                 )
             return SearchResult(path=None, expansions=0)
-        return self._real_find_path(*args, **kwargs)
+        return self._real_search(*args, **kwargs)
 
     def _after_commit(self, grid: RoutingGrid, net_id: int, path) -> None:
         """Corrupt one non-pin cell of the Nth committed path."""
@@ -196,8 +198,10 @@ class FaultInjector:
         if self.commits != self.plan.corrupt_claim_after:
             return
         for node in path:
-            if grid.pin_owner(tuple(node)) == 0:
-                grid._occ[grid._flat_index(node)] = CORRUPT_OWNER
+            if grid.pin_owner(node) == 0:
+                grid._occ[flat_id(node, grid.width, grid.height)] = (
+                    CORRUPT_OWNER
+                )
                 self.corrupted_nodes.append(tuple(node))
                 return
 

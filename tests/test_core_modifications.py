@@ -10,6 +10,7 @@ import pytest
 from repro.analysis import verify_routing
 from repro.core import MightyConfig, MightyRouter, route_problem
 from repro.grid import Layer
+from repro.grid.path import flat_id
 from repro.netlist import Net, Pin, RoutingProblem
 
 
@@ -179,6 +180,10 @@ class TestVictims:
 
     def test_victims_are_the_owner_connections_holding_the_node(self):
         router, result = self._routed_router()
+        grid = result.grid
+
+        def ids(nodes):
+            return [flat_id(n, grid.width, grid.height) for n in nodes]
 
         def key(c):
             return (c.net_name, c.estimated_length, c.seq)
@@ -196,13 +201,13 @@ class TestVictims:
         shared = 0
         for node in nodes:
             expected = sorted(holders(node), key=key)
-            assert router._victims_of([node]) == expected, node
+            assert router._victims_of(ids([node])) == expected, node
             shared += len(expected) > 1
         assert shared, "no node held by two connections; weak test case"
         # Several nodes at once: the union, in one total order.
         picked = nodes[::7]
         union = {c for node in picked for c in holders(node)}
-        assert router._victims_of(picked) == sorted(union, key=key)
+        assert router._victims_of(ids(picked)) == sorted(union, key=key)
 
     def test_corrupt_owner_cell_has_no_victims(self):
         from repro.testing import CORRUPT_OWNER
@@ -216,6 +221,7 @@ class TestVictims:
             for n in c.path
             if grid.pin_owner(tuple(n)) == 0
         )
-        assert router._victims_of([node])
-        grid._occ[grid._flat_index(node)] = CORRUPT_OWNER
-        assert router._victims_of([node]) is None
+        index = flat_id(node, grid.width, grid.height)
+        assert router._victims_of([index])
+        grid._occ[index] = CORRUPT_OWNER
+        assert router._victims_of([index]) is None

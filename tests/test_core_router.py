@@ -188,6 +188,24 @@ class TestPreRouted:
         with pytest.raises(KeyError):
             route_problem(problem, pre_routed={"nope": [path]})
 
+    def test_pre_route_off_the_grid_rejected(self):
+        problem = partially_routed_problem()
+        off = straight_path(Point(8, 3), Point(10, 3), Layer.HORIZONTAL)
+        with pytest.raises(ValueError, match="is illegal"):
+            route_problem(problem, pre_routed={"fixed": [off]})
+
+    def test_pre_routed_path_is_held_as_flat_ids(self):
+        """A pre-routed path is converted once, on commit, so rips and
+        victim lookups read its stored ids instead of rebuilding them."""
+        problem = partially_routed_problem()
+        fixed_path = straight_path(Point(0, 3), Point(9, 3), Layer.HORIZONTAL)
+        router = MightyRouter(problem)
+        (connection,) = router._commit_pre_routed({"fixed": [fixed_path]})
+        shape = (problem.width, problem.height)
+        assert connection.path.ids_on(*shape) is connection.path.ids_on(*shape)
+        assert connection.path == fixed_path
+        assert hash(connection.path) == hash(fixed_path)
+
 
 class TestBestState:
     def test_result_not_worse_than_naive(self):

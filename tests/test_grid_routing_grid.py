@@ -61,6 +61,14 @@ class TestCommitAndRip:
                 1, straight_path(Point(0, 0), Point(2, 0), Layer.HORIZONTAL)
             )
 
+    def test_commit_off_the_grid_rejected(self, grid):
+        """A node past the row end is off the grid: it must not claim the
+        next row's first cell."""
+        leaving = straight_path(Point(6, 0), Point(8, 0), Layer.HORIZONTAL)
+        with pytest.raises(GridError, match="outside"):
+            grid.commit_path(1, leaving)
+        assert grid.net_ids() == []
+
     def test_same_net_overlap_allowed(self, grid):
         a = straight_path(Point(0, 1), Point(5, 1), Layer.HORIZONTAL)
         b = straight_path(Point(3, 1), Point(5, 1), Layer.HORIZONTAL)
@@ -148,6 +156,19 @@ class TestPins:
         with pytest.raises(GridError):
             grid.reserve_pin(2, (3, 3, 0))
 
+    @pytest.mark.parametrize("node", [(0, 0, -1), (0, 0, 2), (8, 0, 1)])
+    def test_node_off_the_grid_answers_like_one(self, grid, node):
+        """Queries and pin claims treat a layer outside {0, 1} exactly
+        like an x or y outside the grid."""
+        grid.reserve_pin(1, (0, 0, 1))
+        assert grid.pin_owner(node) == FREE
+        assert grid.component_nodes(1, node) == []
+        assert not grid.same_component(1, node, (0, 0, 1))
+        fresh = RoutingGrid(8, 6)
+        with pytest.raises(GridError):
+            fresh.reserve_pin(1, node)
+        assert fresh.net_nodes(1) == []
+
 
 class TestObstacles:
     def test_layer_specific(self, grid):
@@ -172,6 +193,19 @@ class TestObstacles:
     def test_out_of_bounds_is_obstacle(self, grid):
         assert grid.owner((-1, 0, 0)) == OBSTACLE
         assert grid.owner((8, 0, 0)) == OBSTACLE
+        # A layer outside {0, 1} is off the grid like an x or y: it must
+        # neither wrap onto layer 1 (-1) nor read past the stores (2).
+        grid.reserve_pin(1, (0, 0, 1))
+        assert grid.owner((0, 0, -1)) == OBSTACLE
+        assert grid.owner((0, 0, 2)) == OBSTACLE
+
+    @pytest.mark.parametrize("cell", [(8, 0, 0), (0, 6, 1), (0, 0, 2)])
+    def test_obstacle_off_the_grid_rejected(self, grid, cell):
+        """An x past the row end is off the grid: it must not block the
+        next row's first cell."""
+        with pytest.raises(GridError, match="off the grid"):
+            grid.set_obstacle(*cell)
+        assert not (grid.occupancy() == OBSTACLE).any()
 
 
 class TestConnectivity:

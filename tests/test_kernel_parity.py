@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point
 from repro.grid import GridPath, Layer, RoutingGrid
-from repro.grid.path import straight_path
+from repro.grid.path import flat_id, node_at, straight_path
 from repro.maze import CostModel, find_path, lee_route
-from repro.maze import kernels
+from repro.maze import astar, kernels
 from repro.maze.arena import SearchArena
+from repro.maze.astar import find_path_flat
 
 
 def _backend_params():
@@ -59,6 +60,14 @@ def _assert_same_astar(a, b, label):
     assert a.conflict_nodes == b.conflict_nodes, label
     if a.found:
         assert list(a.path) == list(b.path), label
+
+
+def _assert_legal_path(result, grid):
+    """A found path passes the checks of ``GridPath.from_ids``: the
+    search wraps a kernel's path without them."""
+    if result.found:
+        ids = list(result.path.ids_on(grid.width, grid.height))
+        assert GridPath.from_ids(ids, grid.width, grid.height) == result.path
 
 
 def _random_scene(rng, width, height):
@@ -181,6 +190,43 @@ class TestEdgeScenes:
         else:
             _assert_same_astar(ref, got, other)
 
+    @pytest.mark.parametrize("name", BACKENDS)
+    @settings(max_examples=150, deadline=None)
+    @given(scene=edge_scenes())
+    def test_flat_entry_matches_find_path(self, name, scene):
+        """The flat entry behind ``find_path`` returns the same path,
+        cost, expansions and conflicts for the same query in flat ids."""
+        grid, sources, targets, query = scene
+        width, height = grid.width, grid.height
+        by_nodes = _search_or_error(
+            find_path, grid, 1, sources, targets, kernel=name, **query
+        )
+        flat = _search_or_error(
+            find_path_flat,
+            grid,
+            1,
+            [flat_id(node, width, height) for node in sources],
+            [flat_id(node, width, height) for node in targets],
+            kernel=name,
+            **query,
+        )
+        if isinstance(by_nodes, str):
+            assert flat == by_nodes
+            return
+        assert flat.found == by_nodes.found
+        assert flat.cost == by_nodes.cost
+        assert flat.expansions == by_nodes.expansions
+        assert flat.exhausted == by_nodes.exhausted
+        assert flat.conflict_ids == by_nodes.conflict_ids
+        assert by_nodes.conflict_nodes == [
+            node_at(index, width, height) for index in flat.conflict_ids
+        ]
+        assert all(grid.owner(n) > 1 for n in by_nodes.conflict_nodes)
+        if flat.found:
+            assert flat.path == by_nodes.path
+            assert list(flat.path) == list(by_nodes.path)
+        _assert_legal_path(flat, grid)
+
     @pytest.mark.parametrize("other", OTHERS)
     @settings(max_examples=100, deadline=None)
     @given(scene=edge_scenes())
@@ -244,6 +290,8 @@ class TestAstarParity:
                 grid, 1, sources, targets, kernel=other, **kwargs
             )
             _assert_same_astar(ref, got, f"case {case} vs {other}")
+            _assert_legal_path(ref, grid)
+            _assert_legal_path(got, grid)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_multi_source_multi_target(self, grid, name):
@@ -377,6 +425,52 @@ class TestBugfixRegressionsEveryBackend:
         proven = find_path(grid, 1, [(0, 0, 0)], [(9, 0, 0)], kernel=name)
         assert not proven.found
         assert not proven.exhausted  # frontier drained: a *proven* no-path
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestFlatEntryValidation:
+    """The flat entry refuses a bad query before the kernel sees it."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Arguments of every kernel call the searches make."""
+        calls = []
+        real_resolve = astar.resolve_kernel
+
+        def resolve_kernel(name):
+            backend = real_resolve(name)
+
+            def astar_search(*args):
+                calls.append(args)
+                return backend.astar_search(*args)
+
+            return kernels.KernelBackend(
+                name=backend.name,
+                astar_search=astar_search,
+                lee_search=backend.lee_search,
+            )
+
+        monkeypatch.setattr(astar, "resolve_kernel", resolve_kernel)
+        return calls
+
+    @pytest.mark.parametrize(
+        "sources, targets",
+        [([-1], [5]), ([160], [5]), ([0], [160]), ([0], [-1]),
+         ([0, 2**40], [5]), ([0], [5, -7])],
+    )
+    def test_out_of_range_id(self, grid, name, kernel_calls, sources, targets):
+        with pytest.raises(ValueError, match="out of bounds"):
+            find_path_flat(grid, 1, sources, targets, kernel=name)
+        assert kernel_calls == []
+
+    def test_source_owned_by_another_net(self, grid, name, kernel_calls):
+        grid.reserve_pin(2, (3, 1, 0))
+        foreign = flat_id((3, 1, 0), grid.width, grid.height)
+        with pytest.raises(ValueError, match="not available to net 1"):
+            find_path_flat(grid, 1, [0, foreign], [5], kernel=name)
+        assert kernel_calls == []
+        assert find_path_flat(grid, 2, [foreign], [5], kernel=name).found
+        assert len(kernel_calls) == 1
 
 
 class TestDispatch:

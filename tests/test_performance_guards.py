@@ -2,18 +2,21 @@
 
 Loose wall-clock and work-count ceilings that catch accidental complexity
 regressions (a quadratic slipping into a hot loop) without being flaky on
-slow machines: every bound is ~10x the currently measured value.
+slow machines: every measured bound is ~10x the currently measured value.
+The ``GridNode`` count is structural instead, so its bound is exact.
 """
 
 import time
 
 import pytest
 
-from repro.core import MightyConfig, route_problem
-from repro.grid import RoutingGrid
+from repro.bench import bench_cases
+from repro.core import MightyConfig, MightyRouter, route_problem
+from repro.grid import GridNode, RoutingGrid
 from repro.maze import CostModel, find_path
 from repro.netlist.generators import (
     deutsch_class_channel,
+    random_switchbox,
     woven_switchbox,
 )
 
@@ -35,6 +38,42 @@ class TestSearchWork:
         result = find_path(grid, 1, [(0, 39, 0)], [(59, 39, 0)])
         assert result.found
         assert result.expansions <= 2 * 2 * 60 * 40  # nodes, with slack
+
+
+class TestNodeWork:
+    """The router carries flat node ids from component to commit: it
+    builds a ``GridNode`` only for each connection's two endpoint pins,
+    however many searches, rips and reroutes it runs.  (Before flat ids
+    it built 2362 on sb-scatter-50 and 125342 on fig-channel.)"""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_switchbox(
+                23, 15, 24, seed=3, fill=0.5
+            ).to_problem(),
+            next(c for c in bench_cases() if c.name == "fig-channel").build,
+        ],
+        ids=["sb-scatter-50", "fig-channel"],
+    )
+    def test_at_most_two_grid_nodes_per_connection(self, build):
+        router = MightyRouter(build())
+        original = vars(GridNode)["__new__"]
+        real_new = GridNode.__new__
+        built = 0
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return real_new(cls, *args, **kwargs)
+
+        GridNode.__new__ = counting_new
+        try:
+            result = router.route()
+        finally:
+            type.__setattr__(GridNode, "__new__", original)
+        assert result.stats.searches > result.stats.connections
+        assert built <= 2 * result.stats.connections
 
 
 class TestRouterThroughput:

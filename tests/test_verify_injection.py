@@ -17,6 +17,7 @@ from repro.analysis import VerificationReport, verify_routing
 from repro.bench import bench_cases
 from repro.core import route_problem
 from repro.grid import FREE, OBSTACLE, Layer, RoutingGrid
+from repro.grid.path import flat_id
 from repro.netlist import Net, Pin, RoutingProblem
 from repro.netlist.generators import random_switchbox
 from repro.netlist.instances import small_switchbox
@@ -29,7 +30,7 @@ def poke(grid, node, owner, via=False):
     if via:
         grid._via[y * grid.width + x] = owner
     else:
-        grid._occ[grid._flat_index(node)] = owner
+        grid._occ[flat_id(node, grid.width, grid.height)] = owner
 
 
 def erase_net_wiring(grid, net_id):
@@ -294,22 +295,22 @@ class TestFaultHarnessCorruption:
         from repro.testing import FaultInjector, FaultPlan
         import repro.core.router as router_module
 
-        real_find = router_module.find_path
+        real_search = router_module.find_path_flat
         real_commit = RoutingGrid.commit_path
         with FaultInjector(FaultPlan(fail_searches_after=1)):
-            assert router_module.find_path is not real_find
-        assert router_module.find_path is real_find
+            assert router_module.find_path_flat is not real_search
+        assert router_module.find_path_flat is real_search
         assert RoutingGrid.commit_path is real_commit
 
     def test_harness_restores_on_exception(self):
         import repro.core.router as router_module
         from repro.testing import FaultInjector, FaultPlan
 
-        real_find = router_module.find_path
+        real_search = router_module.find_path_flat
         with pytest.raises(RuntimeError):
             with FaultInjector(FaultPlan(fail_searches_after=1)):
                 raise RuntimeError("boom")
-        assert router_module.find_path is real_find
+        assert router_module.find_path_flat is real_search
 
 
 class TestIndependence:
