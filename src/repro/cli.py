@@ -202,6 +202,12 @@ def cmd_route(args: argparse.Namespace) -> int:
     report = verify_result(problem, result)
     metrics = layout_metrics(problem, result.grid)
     print(result.summary())
+    attempt_log = result.stats.attempt_log
+    if len(attempt_log) > 1:
+        # Why the engine escalated: one line per attempt, in log order
+        # (a returned complete attempt is last).
+        for record in attempt_log:
+            print(_attempt_line(record))
     print(report.summary())
     print(
         f"wire cells: {metrics.wire_cells}  vias: {metrics.via_count}"
@@ -220,6 +226,19 @@ def cmd_route(args: argparse.Namespace) -> int:
     if result.stats.timed_out:
         return 3
     return 4
+
+
+def _attempt_line(record: dict) -> str:
+    """One engine attempt record as a line of ``route`` output."""
+    stop = record["stop"]
+    if record["stalled_at"] is not None:
+        stop += f" (paused at iteration {record['stalled_at']})"
+    return (
+        f"  {record['stage']} attempt {record['attempt']} "
+        f"{record['ordering'] or '-'}: "
+        f"{record['routed']}/{record['connections']} {stop}, "
+        f"{record['elapsed_s']:.3f}s"
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

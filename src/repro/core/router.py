@@ -66,7 +66,9 @@ class MightyRouter:
     """Route a :class:`RoutingProblem` with rip-up and reroute.
 
     A router instance is single-use: construct, call :meth:`route`, inspect
-    the returned :class:`~repro.core.result.RouteResult`.
+    the returned :class:`~repro.core.result.RouteResult`.  A run given a
+    ``stall_limit`` may pause instead; calling :meth:`route` again resumes
+    it where it stopped.
     """
 
     def __init__(
@@ -89,8 +91,18 @@ class MightyRouter:
         self._events: List[RouteEvent] = []
         self._stats = RouteStats()
         self._step = 0
+        # Set while a call runs and once one has returned a result (or
+        # raised); cleared only by a pause, so only a pause is resumable.
         self._routed = False
+        # The control loop's state, kept here so a paused run resumes
+        # exactly where it stopped; ``_queue`` is None until the first call.
+        self._queue: Optional[Deque[Connection]] = None
+        self._failed: List[Connection] = []
+        self._retries_left = 0
+        self._max_iterations = 0
         self._best_routed = -1
+        # Iteration at which the routed count last reached a new best.
+        self._best_iteration = 0
         self._best_snapshot = None
         # True while the *current* state is the best seen and no copy of
         # it has been taken yet; see ``_note_best_state``.
@@ -108,8 +120,9 @@ class MightyRouter:
         self,
         pre_routed: Optional[Dict[str, List[GridPath]]] = None,
         deadline: Optional["Deadline"] = None,
-    ) -> RouteResult:
-        """Run the router once and return the result.
+        stall_limit: Optional[int] = None,
+    ) -> Optional[RouteResult]:
+        """Run the router and return the result, or ``None`` on a pause.
 
         ``pre_routed`` maps net names to already-committed paths ("partially
         routed areas" in the paper's terms); pre-routed wiring is registered
@@ -124,16 +137,125 @@ class MightyRouter:
         ``stats.timed_out`` set — graceful degradation is the engine
         layer's contract.  A zero-second deadline returns without entering
         the control loop at all.
+
+        ``stall_limit`` pauses a run that has stopped converging: once more
+        than ``stall_limit`` iterations have passed since the routed count
+        last reached a new best, the call returns ``None`` before popping
+        the next connection, keeping all its state.  The next call resumes
+        the run (``pre_routed`` may only be given to the first call), so a
+        paused and resumed run yields the same paths, counters and events
+        as an uninterrupted one, and ``stats.elapsed_s`` sums the calls.
+        Without a limit the call never returns ``None``.
         """
         if self._routed:
             raise EngineError(
                 "MightyRouter instances are single-use",
                 context={"problem": self.problem.name},
             )
+        if self._queue is not None and pre_routed is not None:
+            raise EngineError(
+                "pre_routed can only be given to the first route() call",
+                context={"problem": self.problem.name},
+            )
         self._routed = True
         started = time.perf_counter()
+        if self._queue is None:
+            self._start(pre_routed or {})
+        queue, failed = self._queue, self._failed
+        all_connections = self._all_connections
 
-        fixed = self._commit_pre_routed(pre_routed or {})
+        while queue or (failed and self._retries_left > 0):
+            if deadline is not None and deadline.expired():
+                self._stats.timed_out = True
+                self._record(
+                    "timeout",
+                    "*",
+                    f"deadline hit after {self._stats.iterations} iterations",
+                )
+                break
+            if (
+                stall_limit is not None
+                and self._stats.iterations - self._best_iteration
+                > stall_limit
+            ):
+                self._routed = False
+                self._stats.elapsed_s += time.perf_counter() - started
+                return None
+            if not queue:
+                self._retries_left -= 1
+                # Fresh rip budgets for the retry pass: the landscape has
+                # changed, so frozen nets deserve another chance.  The pass
+                # count is bounded, so termination is unaffected.
+                self._net_rips.clear()
+                self._frozen.clear()
+                retry_batch = order_connections(failed, self.config.ordering)
+                failed.clear()
+                for connection in retry_batch:
+                    connection.chain_depth = 0
+                    connection.deferrals = 0
+                    self._record("retry", connection.net_name)
+                queue.extend(retry_batch)
+            connection = queue.popleft()
+            self._step += 1
+            self._stats.iterations += 1
+            if self._stats.iterations > self._max_iterations:
+                raise EngineError(
+                    "termination invariant violated: iteration bound "
+                    f"{self._max_iterations} exceeded",
+                    context={
+                        "iterations": self._stats.iterations,
+                        "bound": self._max_iterations,
+                        "problem": self.problem.name,
+                    },
+                )
+            if connection.routed:
+                continue
+            if not self._route_connection(connection, queue):
+                failed.append(connection)
+                self._record(
+                    "fail",
+                    connection.net_name,
+                    "search budget exhausted"
+                    if self._last_attempt_exhausted
+                    else "",
+                )
+            self._note_best_state(all_connections)
+
+        self._restore_best_state(all_connections)
+        self._stats.routed_connections = sum(
+            1 for c in all_connections if c.routed
+        )
+        self._stats.failed_connections = (
+            self._stats.connections - self._stats.routed_connections
+        )
+        self._stats.frozen_nets = len(self._frozen)
+        self._stats.peak_journal_depth = self._grid.journal_peak_depth
+        self._stats.kernel_backend = active_backend().name
+        self._stats.elapsed_s += time.perf_counter() - started
+        if deadline is not None:
+            self._stats.deadline_s = deadline.budget_s
+        return RouteResult(
+            problem=self.problem,
+            grid=self._grid,
+            connections=all_connections,
+            failed=[c for c in all_connections if not c.routed],
+            stats=self._stats,
+            events=self._events,
+            router=router_tag(self.config),
+        )
+
+    @property
+    def stats(self) -> RouteStats:
+        """The run's counters so far; while paused, its work up to the pause.
+
+        ``iterations`` is then the iteration at which it paused, and
+        ``routed_connections`` the routed count at that point.
+        """
+        return self._stats
+
+    def _start(self, pre_routed: Dict[str, List[GridPath]]) -> None:
+        """Commit ``pre_routed``, decompose the rest and fill the queue."""
+        fixed = self._commit_pre_routed(pre_routed)
         connections = decompose_problem(self.problem)
         all_connections = connections + fixed
         self._all_connections = all_connections
@@ -153,88 +275,12 @@ class MightyRouter:
             net_id: self.config.max_rips_per_net * len(conns)
             for net_id, conns in self._net_connections.items()
         }
-
-        queue: Deque[Connection] = deque(
+        self._stats.connections = len(all_connections)
+        self._queue = deque(
             order_connections(connections, self.config.ordering)
         )
-        failed: List[Connection] = []
-        retries_left = self.config.retry_passes
-        max_iterations = self._iteration_bound(len(queue))
-
-        timed_out = False
-        while queue or (failed and retries_left > 0):
-            if deadline is not None and deadline.expired():
-                timed_out = True
-                self._record(
-                    "timeout",
-                    "*",
-                    f"deadline hit after {self._stats.iterations} iterations",
-                )
-                break
-            if not queue:
-                retries_left -= 1
-                # Fresh rip budgets for the retry pass: the landscape has
-                # changed, so frozen nets deserve another chance.  The pass
-                # count is bounded, so termination is unaffected.
-                self._net_rips.clear()
-                self._frozen.clear()
-                retry_batch = order_connections(failed, self.config.ordering)
-                failed.clear()
-                for connection in retry_batch:
-                    connection.chain_depth = 0
-                    connection.deferrals = 0
-                    self._record("retry", connection.net_name)
-                queue.extend(retry_batch)
-            connection = queue.popleft()
-            self._step += 1
-            self._stats.iterations += 1
-            if self._stats.iterations > max_iterations:
-                raise EngineError(
-                    "termination invariant violated: iteration bound "
-                    f"{max_iterations} exceeded",
-                    context={
-                        "iterations": self._stats.iterations,
-                        "bound": max_iterations,
-                        "problem": self.problem.name,
-                    },
-                )
-            if connection.routed:
-                continue
-            if not self._route_connection(connection, queue):
-                failed.append(connection)
-                self._record(
-                    "fail",
-                    connection.net_name,
-                    "search budget exhausted"
-                    if self._last_attempt_exhausted
-                    else "",
-                )
-            self._note_best_state(all_connections)
-
-        self._restore_best_state(all_connections)
-        self._stats.connections = len(all_connections)
-        self._stats.routed_connections = sum(
-            1 for c in all_connections if c.routed
-        )
-        self._stats.failed_connections = (
-            self._stats.connections - self._stats.routed_connections
-        )
-        self._stats.frozen_nets = len(self._frozen)
-        self._stats.peak_journal_depth = self._grid.journal_peak_depth
-        self._stats.kernel_backend = active_backend().name
-        self._stats.elapsed_s = time.perf_counter() - started
-        self._stats.timed_out = timed_out
-        if deadline is not None:
-            self._stats.deadline_s = deadline.budget_s
-        return RouteResult(
-            problem=self.problem,
-            grid=self._grid,
-            connections=all_connections,
-            failed=[c for c in all_connections if not c.routed],
-            stats=self._stats,
-            events=self._events,
-            router=router_tag(self.config),
-        )
+        self._retries_left = self.config.retry_passes
+        self._max_iterations = self._iteration_bound(len(self._queue))
 
     # ------------------------------------------------------------------
     # Connection routing
@@ -616,13 +662,16 @@ class MightyRouter:
         pending copy just before its first rip.  A run that never strong-
         modifies after its last record never copies at all — its final
         state *is* the best state.
+
+        The record's iteration is kept whether or not best states are:
+        the stall limit of :meth:`route` counts from it.
         """
-        if not self.config.keep_best_state:
-            return
         routed = sum(1 for c in connections if c.routed)
+        self._stats.routed_connections = routed
         if routed > self._best_routed:
             self._best_routed = routed
-            self._best_pending = True
+            self._best_iteration = self._stats.iterations
+            self._best_pending = self.config.keep_best_state
 
     def _materialize_best_state(self) -> None:
         """Take the deferred best-state copy while the state still is it."""

@@ -10,14 +10,25 @@ in ``result.stats.attempt_log`` and never lets an exception escape.
 
 The cascade, in order:
 
-1. **Mighty** with the caller's configuration, under the wall-clock
-   deadline and the per-connection expansion cap;
-2. **retried Mighty** — up to ``max_attempts - 1`` escalated re-runs with
-   perturbed ordering / rip budgets (:mod:`repro.engine.policy`);
-3. **classical channel fallbacks** — when the problem came from a
+1. **shard-and-stitch**, only when the caller asks for ``shards > 1``;
+2. **Mighty probes** — the caller's configuration, then up to
+   ``max_attempts - 1`` escalated ones with perturbed ordering / rip
+   budgets (:mod:`repro.engine.policy`), each under the wall-clock
+   deadline and the per-connection expansion cap.  With more than one
+   attempt, each probe pauses once it has gone ``3 × connections``
+   iterations without routing more connections than ever before; the
+   first verified complete probe is returned;
+3. **resumed Mighty** — if no probe completed, each paused attempt is
+   resumed in schedule order and runs to its end; the first verified
+   complete one is returned.  A paused attempt is resumed, not rerun, so
+   no attempt does more work than it would uninterrupted;
+4. **classical channel fallbacks** — when the problem came from a
    :class:`~repro.netlist.channel.ChannelSpec` (the only geometry the
    baselines understand), the greedy column-sweep router and YACR-lite each
    get one shot.
+
+Otherwise the best partial result is returned: most connections routed,
+the earliest attempt on ties.
 
 Callers that prefer exceptions opt in with ``on_timeout="raise"`` /
 ``on_infeasible="raise"``, which raise the structured
@@ -29,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.verify import verify_result
 from repro.core.config import MightyConfig
@@ -44,6 +55,10 @@ from repro.netlist.problem import RoutingProblem
 
 _OUTCOME_CHOICES = ("partial", "raise")
 
+#: A probe pauses once this many iterations per connection have passed
+#: since its routed count last reached a new best.
+_STALL_FACTOR = 3
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -56,6 +71,8 @@ class EngineConfig:
         budget is shared: retries and fallbacks only run on leftover time.
     max_attempts:
         Total Mighty attempts (the first run plus escalated retries).
+        With more than one, every attempt is first probed under the stall
+        limit (see the module docstring).
     on_timeout:
         ``"partial"`` (default) returns the best partial result when the
         deadline expires; ``"raise"`` raises :class:`RouteTimeout`.
@@ -170,34 +187,15 @@ class RoutingEngine:
                 if result.success and record["verified"]:
                     return self._finish(best, attempt_log, deadline)
 
-        for attempt, config in enumerate(
-            escalation_schedule(
-                self.router_config, self.config.max_attempts
-            )
-        ):
-            if attempt > 0 and deadline.expired():
-                timed_out = True
-                break
-            result, record = self._supervised(
-                "mighty",
-                attempt,
-                problem,
-                config,
-                deadline,
-                lambda capped: MightyRouter(problem, capped).route(
-                    pre_routed=pre_routed, deadline=deadline
-                ),
-            )
-            attempt_log.append(record)
-            if result is not None:
-                timed_out = timed_out or result.stats.timed_out
-                if self._better(result, best):
-                    best = result
-                if result.success and record["verified"]:
-                    return self._finish(best, attempt_log, deadline)
-            if deadline.expired():
-                timed_out = True
-                break
+        complete, results, mighty_timed_out = self._run_mighty(
+            problem, pre_routed, deadline, attempt_log
+        )
+        if complete is not None:
+            return self._finish(complete, attempt_log, deadline)
+        timed_out = timed_out or mighty_timed_out
+        for result in results:
+            if self._better(result, best):
+                best = result
 
         if (
             self.config.enable_fallback
@@ -226,15 +224,15 @@ class RoutingEngine:
         """
         from repro.core.shard import route_problem_sharded
 
-        result, record = self._supervised(
-            "shard",
-            0,
+        config = self._capped(self.router_config)
+        record = _new_record("shard", 0, config.ordering)
+        result = self._slice(
+            record,
             problem,
-            self.router_config,
             deadline,
-            lambda capped: route_problem_sharded(
+            lambda: route_problem_sharded(
                 problem,
-                capped,
+                config,
                 shards=shards,
                 workers=workers,
                 deadline=deadline,
@@ -245,53 +243,159 @@ class RoutingEngine:
             record["shard_log"] = result.stats.shard_log
         return result, record
 
-    def _supervised(self, stage, attempt, problem, config, deadline, run):
-        """Run ``run(config)`` under supervision and build its record.
+    def _run_mighty(self, problem, pre_routed, deadline, attempt_log):
+        """The Mighty attempts: probe each configuration, then resume.
 
-        ``config`` first gets the engine's per-search expansion cap.  A
-        crash is telemetry: the result is ``None`` and the record carries
-        the error.  Otherwise the record carries the verification verdict
-        that gates acceptance.
+        Every configuration of the escalation schedule is probed in order
+        under a stall limit of ``_STALL_FACTOR`` iterations per connection
+        (none when there is only one).  A probe that returns a result or
+        crashes is final; one that pauses keeps its router.  If no probe
+        completes, the paused routers are resumed in schedule order with
+        no limit.  The first verified complete result ends the stage.
+
+        Returns ``(complete, results, timed_out)``: that complete result
+        (or None), and otherwise every attempt's final result in attempt
+        order.  The records go to ``attempt_log`` in attempt order, the
+        returned attempt's last.
         """
-        if self.config.max_expansions_per_search is not None:
-            config = config.with_updates(
-                max_expansions_per_search=(
-                    self.config.max_expansions_per_search
+        stall_limit = None
+        if self.config.max_attempts > 1:
+            # The router's connections: a spanning tree of p - 1 per net
+            # of p pins (see ``decompose_net``), plus each pre-routed path.
+            connections = sum(
+                len(net.pins) - 1 for net in problem.nets if net.pins
+            ) + sum(len(paths) for paths in (pre_routed or {}).values())
+            stall_limit = _STALL_FACTOR * connections
+        records: List[dict] = []
+        finals: Dict[int, RouteResult] = {}
+        paused: Dict[int, MightyRouter] = {}
+        timed_out = False
+
+        def settle(attempt: int, result: Optional[RouteResult]) -> bool:
+            """Keep a final ``result``; True when it is the one to return."""
+            nonlocal timed_out
+            if result is None:
+                return False
+            timed_out = timed_out or result.stats.timed_out
+            finals[attempt] = result
+            return result.success and records[attempt]["verified"]
+
+        complete = None
+        for attempt, config in enumerate(
+            escalation_schedule(self.router_config, self.config.max_attempts)
+        ):
+            if attempt > 0 and deadline.expired():
+                timed_out = True
+                break
+            config = self._capped(config)
+            records.append(_new_record("mighty", attempt, config.ordering))
+
+            def probe():
+                router = MightyRouter(problem, config)
+                result = router.route(
+                    pre_routed=pre_routed,
+                    deadline=deadline,
+                    stall_limit=stall_limit,
                 )
+                # Only a paused router is kept: a finished one (its search
+                # arena, its best-state copy) is freed before verification.
+                if result is None:
+                    paused[attempt] = router
+                return result
+
+            result = self._slice(records[attempt], problem, deadline, probe)
+            if attempt in paused:
+                stats = paused[attempt].stats
+                records[attempt].update(
+                    stop="stalled",
+                    stalled_at=stats.iterations,
+                    routed=stats.routed_connections,
+                    connections=stats.connections,
+                    iterations=stats.iterations,
+                    expansions=stats.expansions,
+                )
+            if settle(attempt, result):
+                complete = attempt
+                break
+            if deadline.expired():
+                timed_out = True
+                break
+        if complete is None:
+            # No probe completed.  Resume the paused attempts; once the
+            # deadline has expired, a resume only restores the router's
+            # best state, which makes it a partial candidate.
+            for attempt in list(paused):
+                result = self._slice(
+                    records[attempt],
+                    problem,
+                    deadline,
+                    lambda: paused.pop(attempt).route(deadline=deadline),
+                )
+                if settle(attempt, result):
+                    complete = attempt
+                    break
+                if deadline.expired():
+                    timed_out = True
+
+        if complete is not None:
+            attempt_log.extend(
+                records[:complete] + records[complete + 1:]
             )
+            attempt_log.append(records[complete])
+            return finals[complete], [], timed_out
+        attempt_log.extend(records)
+        return None, [finals[a] for a in sorted(finals)], timed_out
+
+    def _capped(self, config: MightyConfig) -> MightyConfig:
+        """``config`` with the engine's per-search expansion cap, if any."""
+        if self.config.max_expansions_per_search is None:
+            return config
+        return config.with_updates(
+            max_expansions_per_search=self.config.max_expansions_per_search
+        )
+
+    def _slice(self, record, problem, deadline, run):
+        """Run one slice of an attempt under supervision, into ``record``.
+
+        ``run()`` returns a result, or None when a Mighty probe paused.  A
+        crash is telemetry: the result is ``None`` and the record carries
+        the error.  A returned result is verified, and the verdict gates
+        acceptance.  ``elapsed_s`` adds up the attempt's slices.
+        """
         started = deadline.elapsed()
-        record = {
-            "stage": stage,
-            "attempt": attempt,
-            "ordering": config.ordering,
-            "routed": 0,
-            "connections": 0,
-            "timed_out": False,
-            "verified": False,
-            "elapsed_s": 0.0,
-            "error": "",
-        }
         try:
-            result = run(config)
+            result = run()
         except Exception as exc:  # supervised: a crash is telemetry
             record["error"] = f"{type(exc).__name__}: {exc}"
-            record["elapsed_s"] = round(deadline.elapsed() - started, 6)
-            return None, record
-        report = verify_result(problem, result)
-        stats = result.stats
-        record["routed"] = stats.routed_connections
-        record["connections"] = stats.connections
-        record["timed_out"] = stats.timed_out
-        # Budget-limited searches are the escalation signal that separates
-        # "proven unroutable" from "under-budgeted": later attempts scale
-        # max_expansions up, and _context reports the distinction.
-        record["exhausted_searches"] = stats.exhausted_searches
-        record["kernel_backend"] = stats.kernel_backend
-        record["verified"] = bool(report.ok)
-        record["elapsed_s"] = round(deadline.elapsed() - started, 6)
-        if not report.ok:
-            record["error"] = report.summary()
-        return result, record
+            record["stop"] = "error"
+            result = None
+        if result is not None:
+            report = verify_result(problem, result)
+            stats = result.stats
+            record["routed"] = stats.routed_connections
+            record["connections"] = stats.connections
+            record["timed_out"] = stats.timed_out
+            # Budget-limited searches are the escalation signal that
+            # separates "proven unroutable" from "under-budgeted": later
+            # attempts scale max_expansions up, and _context reports the
+            # distinction.
+            record["exhausted_searches"] = stats.exhausted_searches
+            record["kernel_backend"] = stats.kernel_backend
+            record["iterations"] = stats.iterations
+            record["expansions"] = stats.expansions
+            record["verified"] = bool(report.ok)
+            if result.success:
+                record["stop"] = "complete"
+            elif stats.timed_out:
+                record["stop"] = "timeout"
+            else:
+                record["stop"] = "incomplete"
+            if not report.ok:
+                record["error"] = report.summary()
+        record["elapsed_s"] = round(
+            record["elapsed_s"] + deadline.elapsed() - started, 6
+        )
+        return result
 
     def _run_fallbacks(self, spec, tracks, attempt_log, deadline):
         """Classical channel routers, one shot each, best-effort."""
@@ -303,21 +407,14 @@ class RoutingEngine:
             if deadline.expired():
                 return None
             started = deadline.elapsed()
-            record = {
-                "stage": f"fallback-{router.name}",
-                "attempt": len(attempt_log),
-                "ordering": "",
-                "routed": 0,
-                "connections": 0,
-                "timed_out": False,
-                "verified": False,
-                "elapsed_s": 0.0,
-                "error": "",
-            }
+            record = _new_record(
+                f"fallback-{router.name}", len(attempt_log), ""
+            )
             try:
                 channel_result = router.route(spec, tracks)
             except Exception as exc:  # supervised: a crash is telemetry
                 record["error"] = f"{type(exc).__name__}: {exc}"
+                record["stop"] = "error"
                 record["elapsed_s"] = round(
                     deadline.elapsed() - started, 6
                 )
@@ -327,11 +424,13 @@ class RoutingEngine:
             record["verified"] = bool(channel_result.success)
             if not channel_result.success:
                 record["error"] = channel_result.reason
+                record["stop"] = "incomplete"
                 attempt_log.append(record)
                 continue
             result = self._result_from_channel(channel_result)
             record["routed"] = result.stats.routed_connections
             record["connections"] = result.stats.connections
+            record["stop"] = "complete"
             attempt_log.append(record)
             return result
         return None
@@ -447,3 +546,22 @@ class RoutingEngine:
             candidate.stats.routed_connections
             > incumbent.stats.routed_connections
         )
+
+
+def _new_record(stage: str, attempt: int, ordering: str) -> dict:
+    """An attempt record before its stage ran (see ``attempt_log``)."""
+    return {
+        "stage": stage,
+        "attempt": attempt,
+        "ordering": ordering,
+        "routed": 0,
+        "connections": 0,
+        "timed_out": False,
+        "verified": False,
+        "elapsed_s": 0.0,
+        "error": "",
+        "stop": "",
+        "stalled_at": None,
+        "iterations": 0,
+        "expansions": 0,
+    }

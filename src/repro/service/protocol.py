@@ -9,8 +9,9 @@ operations are:
 ``submit``
     ``{"op": "submit", "problem": <problem dict>, "options": {...}}``
     where the problem dict is the :func:`repro.netlist.io.problem_to_dict`
-    shape and options may carry ``deadline_s``, ``max_attempts`` and
-    ``no_cache``.  The success response wraps a full
+    shape and options may carry ``deadline_s``, ``max_attempts``,
+    ``shards`` and ``no_cache``; a numeric option of the wrong type or
+    range is a structured input error.  The success response wraps a full
     :func:`repro.core.serialize.result_to_dict` payload plus per-job
     telemetry (queue wait, service time, cache status, worker).
 ``health``

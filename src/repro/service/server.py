@@ -42,7 +42,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import (
     EngineError,
@@ -149,6 +149,42 @@ class ServiceConfig:
             raise ValueError("reap_grace_s must be non-negative")
         if self.shard_oversized < 0 or self.shard_oversized == 1:
             raise ValueError("shard_oversized must be 0 (off) or >= 2")
+
+
+def _submit_options(
+    options: dict, config: ServiceConfig
+) -> Tuple[Optional[float], int, int]:
+    """``(deadline_s, max_attempts, shards)`` of a submission, validated.
+
+    Absent options take the daemon's defaults (no shards).  A value of the
+    wrong type or range is the client's error, so it is refused here with
+    :class:`InputError` instead of crashing a worker; ``bool`` is refused
+    too, although Python counts it as an ``int``.
+    """
+    deadline_s = options.get("deadline_s", config.default_deadline_s)
+    if deadline_s is not None and not (
+        _is_number(deadline_s) and deadline_s >= 0
+    ):
+        raise InputError(
+            f"deadline_s must be a number >= 0 or null, got {deadline_s!r}"
+        )
+    max_attempts = options.get("max_attempts", config.max_attempts)
+    if not (_is_int(max_attempts) and max_attempts >= 1):
+        raise InputError(
+            f"max_attempts must be an integer >= 1, got {max_attempts!r}"
+        )
+    shards = options.get("shards", 0)
+    if not (_is_int(shards) and shards >= 0):
+        raise InputError(f"shards must be an integer >= 0, got {shards!r}")
+    return deadline_s, max_attempts, shards
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _cost_units(problem: RoutingProblem) -> float:
@@ -373,9 +409,9 @@ class RoutingService:
         except (FormatError, ProblemError) as exc:
             raise InputError(f"malformed problem payload: {exc}") from None
         options = dict(message.get("options") or {})
-        deadline_s = options.get("deadline_s", self.config.default_deadline_s)
-        if deadline_s is not None and deadline_s < 0:
-            raise InputError("deadline_s must be non-negative")
+        deadline_s, max_attempts, shards = _submit_options(
+            options, self.config
+        )
         # Canonicalization and cache render/store re-encode or deep-copy
         # the whole problem/result payload; on the event-loop thread a
         # large submission would stall health checks and the instant
@@ -409,9 +445,6 @@ class RoutingService:
         # likely just time out.  Route it through the shard-and-stitch
         # pipeline instead of shedding or burning the budget.  An
         # explicit client ``shards`` option always wins.
-        shards = int(options.get("shards") or 0)
-        if shards < 0:
-            raise InputError("shards must be non-negative")
         if (
             not shards
             and self.config.shard_oversized >= 2
@@ -428,9 +461,7 @@ class RoutingService:
             "problem": payload,
             "options": {
                 "deadline_s": deadline_s,
-                "max_attempts": options.get(
-                    "max_attempts", self.config.max_attempts
-                ),
+                "max_attempts": max_attempts,
                 "shards": shards if shards > 1 else 1,
             },
         }

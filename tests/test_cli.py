@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.netlist.generators import random_channel
 from repro.netlist.instances import simple_channel, small_switchbox
 from repro.netlist.io import (
     format_channel,
@@ -257,6 +258,24 @@ class TestResilientFlags:
              "--max-attempts", "2"]
         )
         assert code in (0, 4)
+
+    def test_escalation_prints_one_line_per_attempt(self, tmp_path, capsys):
+        # At density the shortest-first attempt stops converging and is
+        # paused; the longest-first probe completes.
+        path = tmp_path / "fig.txt"
+        path.write_text(format_channel(random_channel(28, 10, seed=23)))
+        assert main(["route", str(path), "--max-attempts", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "COMPLETE" in lines[0]
+        assert lines[1].startswith("  mighty attempt 0 shortest: ")
+        assert "stalled (paused at iteration " in lines[1]
+        assert lines[2].startswith("  mighty attempt 1 longest: 35/35 ")
+        assert "complete" in lines[2] and "paused" not in lines[2]
+        assert lines[3].startswith("VERIFIED")
+
+    def test_one_attempt_prints_no_attempt_lines(self, channel_file, capsys):
+        assert main(["route", str(channel_file)]) == 0
+        assert "attempt" not in capsys.readouterr().out
 
     def test_generous_deadline_still_routes(self, switchbox_file):
         assert main(["route", str(switchbox_file), "--deadline", "60"]) == 0

@@ -1,13 +1,18 @@
 """Unit and behavioural tests for the Mighty router."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import verify_routing
+from repro.bench import bench_cases
 from repro.core import MightyConfig, MightyRouter, route_problem
+from repro.errors import EngineError
 from repro.grid import Layer
 from repro.grid.path import GridPath, straight_path
 from repro.geometry import Point
 from repro.netlist import Net, Pin, RoutingProblem
+from repro.netlist.generators import random_switchbox
 from repro.netlist.instances import (
     contention_switchbox,
     crossing_switchbox,
@@ -255,3 +260,113 @@ class TestStatsConsistency:
         problem = small_switchbox().to_problem()
         result = route_problem(problem)
         assert "COMPLETE" in result.summary()
+
+
+def _run_state(result):
+    """Everything a run decides: copper, paths, counters and events."""
+    grid = result.grid
+    shape = (grid.width, grid.height)
+    counters = {
+        name: value
+        for name, value in result.stats.as_dict().items()
+        if name != "elapsed_s" and not name.startswith("phase_")
+    }
+    return (
+        grid.occ_flat().tobytes(),
+        grid.pin_flat().tobytes(),
+        grid.via_map().tobytes(),
+        [
+            (c.net_name, c.routed,
+             None if c.path is None else list(c.path.ids_on(*shape)))
+            for c in result.connections
+        ],
+        counters,
+        result.events,
+    )
+
+
+def _paused_then_resumed(problem, stall_limit, config=None):
+    """``route(stall_limit=...)``, finished by a plain ``route()``."""
+    router = MightyRouter(problem, config)
+    result = router.route(stall_limit=stall_limit)
+    if result is None:
+        paused_at = router.stats.iterations
+        result = router.route()
+        assert result.stats.iterations >= paused_at
+    return result
+
+
+_SUITE = [c for c in bench_cases() if c.name != "scale-stitch-560"]
+
+
+class TestStallPause:
+    """A paused and resumed run equals an uninterrupted one exactly."""
+
+    @pytest.mark.parametrize("case", _SUITE, ids=[c.name for c in _SUITE])
+    def test_engine_suite_resumes_exactly(self, case):
+        plain = MightyRouter(case.build()).route()
+        assert plain is not None  # no limit: the call never pauses
+        expected = _run_state(plain)
+        # 30 per connection pauses fig-channel in its last retry pass.
+        connections = plain.stats.connections
+        for stall_limit in (0, 1, 3 * connections, 30 * connections):
+            resumed = _paused_then_resumed(case.build(), stall_limit)
+            assert _run_state(resumed) == expected, stall_limit
+
+    def test_fig_channel_pauses_and_reports_its_work(self):
+        case = next(c for c in _SUITE if c.name == "fig-channel")
+        router = MightyRouter(case.build())
+        assert router.route(stall_limit=105) is None
+        stats = router.stats
+        assert 105 < stats.iterations < 1592  # the full run takes 1592
+        assert stats.connections == 35
+        assert 0 < stats.routed_connections < 35
+        # The stall condition still holds, so a limited call pauses again
+        # at once, doing no work.
+        iterations, expansions = stats.iterations, stats.expansions
+        assert router.route(stall_limit=105) is None
+        assert (stats.iterations, stats.expansions) == (iterations, expansions)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        nets=st.integers(3, 9),
+        fill=st.floats(0.4, 0.9),
+        stall_limit=st.integers(0, 30),
+    )
+    def test_small_switchboxes_resume_exactly(
+        self, seed, nets, fill, stall_limit
+    ):
+        spec = random_switchbox(9, 7, nets, seed=seed, fill=fill)
+        expected = _run_state(MightyRouter(spec.to_problem()).route())
+        resumed = _paused_then_resumed(spec.to_problem(), stall_limit)
+        assert _run_state(resumed) == expected
+
+    def test_pause_needs_no_best_state_keeping(self):
+        case = next(c for c in _SUITE if c.name == "fig-channel")
+        config = MightyConfig(keep_best_state=False)
+        plain = MightyRouter(case.build(), config).route()
+        resumed = _paused_then_resumed(case.build(), 0, config)
+        assert _run_state(resumed) == _run_state(plain)
+
+    def test_single_use_after_a_result(self):
+        router = MightyRouter(small_switchbox().to_problem())
+        while router.route(stall_limit=0) is None:
+            pass
+        with pytest.raises(EngineError):
+            router.route()
+        with pytest.raises(EngineError):
+            router.route(stall_limit=0)
+
+    def test_resume_refuses_pre_routed(self):
+        problem = partially_routed_problem()
+        fixed_path = straight_path(Point(0, 3), Point(9, 3), Layer.HORIZONTAL)
+        router = MightyRouter(problem)
+        # A limit of -1 pauses before the first iteration.
+        assert router.route(
+            pre_routed={"fixed": [fixed_path]}, stall_limit=-1
+        ) is None
+        with pytest.raises(EngineError, match="first route"):
+            router.route(pre_routed={"fixed": [fixed_path]})
+        # The refused call changed nothing: the run still resumes.
+        assert router.route().success

@@ -20,6 +20,7 @@ from repro.engine import (
     escalation_schedule,
 )
 from repro.errors import RouteInfeasible, RouteTimeout
+from repro.netlist.generators import random_channel, random_switchbox
 from repro.netlist.instances import simple_channel, small_switchbox
 from repro.testing import FaultInjector, FaultPlan, StepClock
 
@@ -254,3 +255,164 @@ class TestCheckpointResume:
         resumed = RoutingEngine().route(problem, pre_routed=pre_routed)
         assert resumed.success
         assert verify_result(problem, resumed).ok
+
+
+def _fig_channel():
+    spec = random_channel(28, 10, seed=23)
+    return spec.to_problem(max(1, spec.density))
+
+
+def _cold_channel(seed):
+    spec = random_channel(28, 10, seed=seed)
+    return spec.to_problem(max(1, spec.density) + 1)
+
+
+def _cold_box(seed):
+    return random_switchbox(14, 10, 10, seed=seed, fill=0.6).to_problem()
+
+
+#: ``(id, problem builder, max_attempts, how the engine ends)``: a probe
+#: completes, a resumed attempt completes, or nothing completes.
+_SCHEDULE_CASES = [
+    ("fig-channel", _fig_channel, 3, "probe"),
+    ("chan-1008", lambda: _cold_channel(1008), 2, "probe"),
+    ("rsb-1011", lambda: _cold_box(1011), 2, "probe"),
+    # Both sit at one open connection for hundreds of iterations and
+    # complete only in attempt 0's last retry pass.
+    ("rsb-1003", lambda: _cold_box(1003), 2, "resume"),
+    ("rsb-1018", lambda: _cold_box(1018), 2, "resume"),
+    # Neither completes under any attempt: the engine does the plain
+    # schedule's whole work (536,345 and 428,954 expansions).
+    ("rsb-1008", lambda: _cold_box(1008), 2, "none"),
+    ("rsb-1037", lambda: _cold_box(1037), 2, "none"),
+]
+
+
+def _plain_schedule(build, max_attempts):
+    """Each scheduled configuration run to its end, up to the first
+    complete one: the cascade as it ran before probes."""
+    results = []
+    for config in escalation_schedule(MightyConfig(), max_attempts):
+        results.append(MightyRouter(build(), config).route())
+        if results[-1].success:
+            break
+    return results
+
+
+def _outcome(result):
+    """The routing a result holds: copper, paths and counters."""
+    grid = result.grid
+    shape = (grid.width, grid.height)
+    counters = {
+        name: value
+        for name, value in result.stats.as_dict().items()
+        if name not in ("elapsed_s", "deadline_s")
+        and not name.startswith("phase_")
+    }
+    return (
+        grid.occ_flat().tobytes(),
+        grid.via_map().tobytes(),
+        [
+            (c.net_name, c.routed,
+             None if c.path is None else list(c.path.ids_on(*shape)))
+            for c in result.connections
+        ],
+        counters,
+    )
+
+
+class TestProbeAndResume:
+    """The engine probes each configuration under a stall limit and
+    resumes paused attempts only if no probe completes."""
+
+    @pytest.mark.parametrize(
+        "build, max_attempts, ending",
+        [case[1:] for case in _SCHEDULE_CASES],
+        ids=[case[0] for case in _SCHEDULE_CASES],
+    )
+    def test_matches_the_plain_schedule(self, build, max_attempts, ending):
+        plain = _plain_schedule(build, max_attempts)
+        engine = RoutingEngine(EngineConfig(max_attempts=max_attempts))
+        result = engine.route(build())
+        log = result.stats.attempt_log
+        # Complete exactly when some scheduled configuration completes.
+        assert result.success == plain[-1].success
+        assert verify_result(result.problem, result).ok
+        if ending == "probe":
+            assert result.success and log[-1]["stalled_at"] is None
+            return
+        if ending == "resume":
+            assert result.success and log[-1]["stalled_at"] is not None
+            expected = plain[-1]
+        else:
+            assert not result.success
+            expected = max(
+                plain, key=lambda r: r.stats.routed_connections
+            )  # most routed, earliest on ties
+            # Every attempt ran to its end: exactly the plain work.
+            assert sum(rec["expansions"] for rec in log) == sum(
+                r.stats.expansions for r in plain
+            )
+            assert sum(rec["iterations"] for rec in log) == sum(
+                r.stats.iterations for r in plain
+            )
+        assert _outcome(result) == _outcome(expected)
+        assert result.events == expected.events
+
+    def test_fig_channel_records(self):
+        result = RoutingEngine().route(_fig_channel())
+        first, last = result.stats.attempt_log
+        assert (first["attempt"], first["stop"]) == (0, "stalled")
+        assert first["stalled_at"] == first["iterations"] > 0
+        assert first["expansions"] > 0 and not first["verified"]
+        assert (last["attempt"], last["stop"]) == (1, "complete")
+        assert last["stalled_at"] is None and last["verified"]
+        assert last["iterations"] == result.stats.iterations
+
+    def test_resumed_winner_is_logged_last(self):
+        result = RoutingEngine(EngineConfig(max_attempts=2)).route(
+            _cold_box(1003)
+        )
+        log = result.stats.attempt_log
+        assert [rec["attempt"] for rec in log] == [1, 0]
+        assert log[0]["stop"] == "stalled"
+        assert log[1]["stop"] == "complete"
+        assert log[1]["iterations"] > log[1]["stalled_at"] > 0
+        assert log[1]["iterations"] == result.stats.iterations
+
+    @pytest.mark.parametrize(
+        "build", [_fig_channel, lambda: _cold_box(1011)],
+        ids=["fig-channel", "rsb-1011"],
+    )
+    def test_one_attempt_equals_route_problem(self, build):
+        engine = RoutingEngine(EngineConfig(max_attempts=1))
+        result = engine.route(build())
+        expected = route_problem(build())
+        assert _outcome(result) == _outcome(expected)
+        (record,) = result.stats.attempt_log
+        assert record["stalled_at"] is None
+        assert record["stop"] in ("complete", "incomplete")
+
+    def test_deadline_mid_probe_keeps_the_paused_best(self):
+        # On a clock that advances one second per reading, probe 0 pauses
+        # at iteration 173 and probe 1 runs out of time 30 iterations in.
+        engine = RoutingEngine(
+            EngineConfig(deadline_s=210), clock=StepClock(1.0)
+        )
+        result = engine.route(_fig_channel())
+        first, second = result.stats.attempt_log
+        assert first["stalled_at"] is not None
+        assert first["stop"] == second["stop"] == "timeout"
+        assert result.stats.timed_out and result.status == "partial"
+        assert verify_result(result.problem, result).ok
+        # Probe 0's best state up to its pause, restored by an expired
+        # deadline.
+        router = MightyRouter(_fig_channel())
+        assert router.route(stall_limit=105) is None
+        paused_best = router.route(deadline=Deadline(0))
+        assert first["routed"] == paused_best.stats.routed_connections
+        assert (
+            result.stats.routed_connections
+            >= paused_best.stats.routed_connections
+            > second["routed"]
+        )

@@ -145,6 +145,48 @@ class TestSubmitRoundTrip:
         assert excinfo.value.exit_code == 7
 
 
+@pytest.fixture(scope="class")
+def shared_service():
+    with running_service() as handles:
+        yield handles
+
+
+class TestSubmitOptions:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"max_attempts": 0},
+            {"max_attempts": "x"},
+            {"max_attempts": 2.7},
+            {"max_attempts": True},
+            {"max_attempts": None},
+            {"deadline_s": "5"},
+            {"deadline_s": -1},
+            {"deadline_s": False},
+            {"deadline_s": [1]},
+            {"shards": "x"},
+            {"shards": -1},
+            {"shards": 1.5},
+            {"shards": True},
+        ],
+        ids=repr,
+    )
+    def test_bad_option_is_an_input_error(self, shared_service, options):
+        """Refused at the front door as the client's error (exit 2), not
+        dispatched to a worker or crashing the service (exit 5)."""
+        _service, client, _outcome = shared_service
+        response = client.request(
+            {"op": "submit", "problem": box_payload(), "options": options}
+        )
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "input"
+        assert response["error"]["exit_code"] == 2
+        assert next(iter(options)) in response["error"]["message"]
+        # the daemon keeps serving
+        served = client.submit(box_payload(), no_cache=True)
+        assert served["result"]["status"] == "complete"
+
+
 class TestCanonicalCache:
     def test_identical_resubmission_hits_with_no_new_work(self):
         with running_service() as (service, client, _outcome):
