@@ -9,16 +9,19 @@ makes that measurable and regression-proof:
 * a fixed suite of **benchmark cases** mirroring the evaluation workloads
   (table-1 channels, table-2 switchboxes, table-3 general regions, the
   figure layouts, and the scaling series of growing switchboxes);
-* :func:`run_bench` routes every case, records wall time plus the
+* :func:`run_bench` routes every case through
+  :class:`~repro.engine.RoutingEngine` with one attempt — the path
+  ``repro route`` runs — and records wall time plus the
   machine-independent work counters (searches issued, A* cells expanded,
-  peak change-journal depth), and returns a JSON-ready report;
-* :func:`compare_reports` diffs two reports case by case and flags
-  regressions, so CI can fail a PR that slows the hot path down.
+  peak change-journal depth) in a JSON-ready report;
+* :func:`counter_mismatches` checks a report against a baseline case by
+  case, the gate of ``repro bench --compare``, and
+  :func:`compare_reports` tabulates the wall-time ratios beside it.
 
 Wall-clock numbers are only comparable on the same machine; the work
-counters (``expansions``, ``searches``) are deterministic per case and
-comparable across machines, which is why the CI smoke gate uses
-``--metric expansions``.  ``repro bench --compare old.json`` prints both.
+counters (``expansions``, ``searches``) and the routed ``wirelength`` are
+deterministic per case and comparable across machines and kernel
+backends, which is why they, and only they, are gated.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MightyConfig
-from repro.core.router import route_problem
+from repro.engine import EngineConfig, RoutingEngine
+from repro.errors import InputError, ReproError
 from repro.netlist.problem import RoutingProblem
 
 #: Bumped when the report layout changes incompatibly.
@@ -191,42 +195,55 @@ def run_case(
 ) -> Dict[str, object]:
     """Route ``case`` ``repeat`` times; wall time is the best (min) run.
 
-    Work counters come from the last run — they are deterministic for a
-    given case, so any run reports the same numbers.  With ``profile``
-    the row also carries the router's per-phase wall split (search,
-    connectivity, victim analysis, and ``claims``: grid commit/rip and
-    best-state copies — measured at the leaf operations, so the buckets
-    are disjoint; ``other`` is the remainder against the run's
-    ``elapsed_s``).
+    Every run is ``RoutingEngine(EngineConfig(max_attempts=1),
+    router_config=config).route(problem, shards=shards)`` — what ``repro
+    route`` runs by default — so the wall includes the engine's check of
+    its own result.  Work counters come from the last run — they are
+    deterministic for a given case, so any run reports the same numbers.
+    With ``profile`` the row also carries the router's per-phase wall
+    split (search, connectivity, victim analysis, and ``claims``: grid
+    commit/rip and best-state copies — measured at the leaf operations,
+    so the buckets are disjoint; ``other`` is the remainder against the
+    run's ``elapsed_s``).
 
-    ``shards > 1`` routes through the shard-and-stitch pipeline
-    (:func:`repro.core.shard.route_problem_sharded`); cases the
-    partitioner rejects fall back to whole-region routing, so their
-    counters match the ``shards=1`` row exactly.  The row's ``shards``
-    field reports what actually happened (1 on fallback).  Every row also
-    carries the ground-truth quality metrics the shard gates compare:
-    ``wirelength`` (net-owned wire cells) and ``verified`` (the
-    :mod:`repro.analysis.verify` verdict).
+    ``shards > 1`` asks the engine for the shard-and-stitch pipeline;
+    when the partitioner declines, the engine routes the whole region
+    once, so the counters match the ``shards=1`` row exactly.  The row's
+    ``shards`` field reports what actually happened (1 when declined).
+    A stitch the engine rejects — the pipeline crashed, or its layout is
+    incomplete or fails verification — raises
+    :class:`~repro.errors.ReproError`: the engine's whole-region fallback
+    must not stand in for the pipeline being measured.
+    Every row also carries the ground-truth quality metrics the gates
+    compare: ``wirelength`` (net-owned wire cells) and ``verified`` (the
+    :mod:`repro.analysis.verify` verdict on the returned result).
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    engine = RoutingEngine(EngineConfig(max_attempts=1), router_config=config)
     best_wall = float("inf")
-    result = None
-    problem = None
     for _ in range(repeat):
         problem = case.build()
         started = time.perf_counter()
-        if shards > 1:
-            from repro.core.shard import route_problem_sharded
-
-            result = route_problem_sharded(problem, config, shards=shards)
-        else:
-            result = route_problem(problem, config)
-        wall = time.perf_counter() - started
-        best_wall = min(best_wall, wall)
+        result = engine.route(problem, shards=shards)
+        best_wall = min(best_wall, time.perf_counter() - started)
     stats = result.stats
+    if shards > 1:
+        shard = next(r for r in stats.attempt_log if r["stage"] == "shard")
+        if shard["stop"] != "declined" and not (
+            shard["stop"] == "complete" and shard["verified"]
+        ):
+            raise ReproError(
+                f"bench case {case.name}: the engine rejected the "
+                f"{shards}-shard stitch and routed the whole region",
+                context={
+                    "stop": shard["stop"],
+                    "verified": shard["verified"],
+                    "error": shard["error"],
+                },
+            )
     from repro.analysis.metrics import layout_metrics
     from repro.analysis.verify import verify_result
 
@@ -236,15 +253,15 @@ def run_case(
         "name": case.name,
         "group": case.group,
         "wall_s": round(best_wall, 6),
-        "searches": int(getattr(stats, "searches", 0)),
+        "searches": int(stats.searches),
         "expansions": int(stats.expansions),
-        "peak_journal_depth": int(getattr(stats, "peak_journal_depth", 0)),
+        "peak_journal_depth": int(stats.peak_journal_depth),
         "iterations": int(stats.iterations),
         "connections": int(stats.connections),
         "routed": int(stats.routed_connections),
         "success": bool(result.success),
-        "kernel_backend": str(getattr(stats, "kernel_backend", "")),
-        "exhausted_searches": int(getattr(stats, "exhausted_searches", 0)),
+        "kernel_backend": str(stats.kernel_backend),
+        "exhausted_searches": int(stats.exhausted_searches),
         "wirelength": int(wirelength),
         "verified": bool(verified),
         "shards": int(stats.shards or 1),
@@ -266,90 +283,52 @@ def run_case(
     return row
 
 
-def _run_case_by_name(
-    name: str,
-    config: Optional[MightyConfig],
-    repeat: int,
-    profile: bool,
-    shards: int = 1,
-) -> Dict[str, object]:
-    """Process-pool work unit: rebuild the case from the registry.
-
-    ``BenchCase.build`` closures do not pickle, so workers receive the
-    case *name* and look it up in :func:`bench_cases` themselves — the
-    registry is deterministic, so every process sees identical cases.
-    """
-    case = next((c for c in bench_cases() if c.name == name), None)
-    if case is None:
-        raise ValueError(f"unknown benchmark case {name!r}")
-    return run_case(
-        case, config=config, repeat=repeat, profile=profile, shards=shards
-    )
-
-
 def run_bench(
     quick: bool = False,
     repeat: int = 1,
     only: Optional[Sequence[str]] = None,
     config: Optional[MightyConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
-    workers: int = 1,
     profile: bool = False,
     shards: int = 1,
 ) -> Dict[str, object]:
     """Run the suite and return the JSON-ready report dict.
 
-    ``workers > 1`` routes the cases on a process pool.  The work
-    counters are per-case deterministic, so the report's ``expansions``
-    and ``searches`` are identical to a sequential run; the rows are
-    assembled in selection order regardless of completion order.  Wall
-    times are measured inside each worker and are subject to whatever
-    contention the pool creates — on a busy machine prefer ``workers=1``
-    for wall-clock comparisons and use the pool where only the counters
-    matter (the CI smoke gate).
+    ``quick`` keeps the quick subset and ``only`` the named cases; rows
+    come in suite order.  A name the suite does not have, or a selection
+    with no case left, is an :class:`~repro.errors.InputError`.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    cases = bench_cases()
+    names = [case.name for case in cases]
+    unknown = [name for name in only or () if name not in names]
+    if unknown:
+        raise InputError(
+            f"unknown benchmark case {', '.join(map(repr, unknown))}",
+            context={"choices": names},
+        )
     selected = [
         case
-        for case in bench_cases()
+        for case in cases
         if (not quick or case.quick) and (only is None or case.name in only)
     ]
     if not selected:
-        raise ValueError("benchmark selection is empty")
+        raise InputError(
+            "benchmark selection is empty",
+            context={"quick": quick, "only": list(only or ())},
+        )
     rows: List[Dict[str, object]] = []
-    if workers == 1:
-        for case in selected:
-            if progress is not None:
-                progress(f"bench {case.name} ...")
-            rows.append(
-                run_case(
-                    case,
-                    config=config,
-                    repeat=repeat,
-                    profile=profile,
-                    shards=shards,
-                )
+    for case in selected:
+        if progress is not None:
+            progress(f"bench {case.name} ...")
+        rows.append(
+            run_case(
+                case,
+                config=config,
+                repeat=repeat,
+                profile=profile,
+                shards=shards,
             )
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_case_by_name,
-                    case.name,
-                    config,
-                    repeat,
-                    profile,
-                    shards,
-                )
-                for case in selected
-            ]
-            for case, future in zip(selected, futures):
-                if progress is not None:
-                    progress(f"bench {case.name} ...")
-                rows.append(future.result())
+        )
     return {
         "schema": SCHEMA_VERSION,
         "created_unix": round(time.time(), 3),
@@ -357,12 +336,11 @@ def run_bench(
         "machine": platform.machine(),
         "quick": quick,
         "repeat": repeat,
-        "workers": workers,
         "shards": shards,
         # Provenance for the wall numbers: which search-kernel backend the
         # rows ran on.  Counters are backend-invariant by the parity gate,
         # so only wall_s comparisons need to respect this field.
-        "kernel": rows[0].get("kernel_backend", "") if rows else "",
+        "kernel": rows[0]["kernel_backend"],
         "cases": rows,
         "totals": {
             "wall_s": round(sum(r["wall_s"] for r in rows), 6),
@@ -376,101 +354,128 @@ def run_bench(
 # ----------------------------------------------------------------------
 # Comparison
 # ----------------------------------------------------------------------
-#: Metrics ``compare_reports`` understands.  ``wall_s`` is only meaningful
-#: on one machine; ``expansions``/``searches`` are machine-independent.
-#: ``wirelength`` is the routed-quality metric the shard-matrix CI job
-#: gates at 0% — a shard-and-stitch run must never produce more wire than
-#: the single-core route of the same suite.
-COMPARE_METRICS = ("wall_s", "expansions", "searches", "wirelength")
+#: The counters ``repro bench --compare`` holds equal, case by case.
+#: All are deterministic and machine-independent; ``wirelength`` counts
+#: only where the baseline records it.
+PARITY_COUNTERS = ("expansions", "searches", "wirelength")
+
+
+def counter_mismatches(
+    baseline: Dict[str, object], report: Dict[str, object]
+) -> List[str]:
+    """One line per case or counter where ``report`` differs from
+    ``baseline``; no line means parity.
+
+    Both must name the same cases, and every case must have equal
+    ``expansions`` and ``searches``, and equal ``wirelength`` where the
+    baseline records it.  Case by case, so one case rising while another
+    falls is caught, which no summed ratio does.  Baseline cases of the
+    suite that the run's ``quick``/``only`` selection left out do not
+    count; a baseline case the suite no longer has is missing from the
+    report.
+    """
+    suite = {case.name for case in bench_cases()}
+    new = {row["name"]: row for row in report["cases"]}
+    old = {
+        row["name"]: row
+        for row in baseline["cases"]
+        if row["name"] in new or row["name"] not in suite
+    }
+    lines = [f"{name}: missing from the report" for name in old - new.keys()]
+    lines += [f"{name}: not in the baseline" for name in new - old.keys()]
+    for name in old.keys() & new.keys():
+        for counter in PARITY_COUNTERS:
+            want, got = old[name].get(counter), new[name].get(counter)
+            if got != want and (want is not None or counter != "wirelength"):
+                lines.append(f"{name}: {counter} {got} != baseline {want}")
+    return sorted(lines)
 
 
 def compare_reports(
-    old: Dict[str, object],
-    new: Dict[str, object],
-    metric: str = "wall_s",
-) -> Tuple[List[Dict[str, object]], float]:
-    """Per-case ratios ``new/old`` for ``metric`` plus the overall ratio.
+    old: Dict[str, object], new: Dict[str, object]
+) -> Tuple[List[Dict[str, object]], Optional[float]]:
+    """Per-case wall-time ratios ``new/old`` plus the overall ratio.
 
-    Only cases present in both reports are compared.  The overall ratio is
-    computed on the summed metric, so big cases dominate — a 2x slowdown
-    on a microsecond case cannot fail the gate on its own.
+    Only cases present in both reports are compared.  The overall ratio
+    is computed on the summed wall, so big cases dominate; it is None
+    when the reports share no case.  Wall time is only comparable on one
+    machine, so this is a table to read, never a gate.
     """
-    if metric not in COMPARE_METRICS:
-        raise ValueError(
-            f"unknown metric {metric!r}; choices: {COMPARE_METRICS}"
-        )
-    old_cases = {row["name"]: row for row in old.get("cases", [])}
+    old_cases = {row["name"]: row for row in old["cases"]}
     rows: List[Dict[str, object]] = []
     old_total = new_total = 0.0
-    for row in new.get("cases", []):
+    for row in new["cases"]:
         ref = old_cases.get(row["name"])
         if ref is None:
             continue
-        old_value = float(ref.get(metric, 0))
-        new_value = float(row.get(metric, 0))
+        old_value = float(ref["wall_s"])
+        new_value = float(row["wall_s"])
         old_total += old_value
         new_total += new_value
-        ratio = new_value / old_value if old_value > 0 else float("nan")
         rows.append(
             {
                 "name": row["name"],
                 "old": old_value,
                 "new": new_value,
-                "ratio": round(ratio, 4) if ratio == ratio else None,
+                "ratio": (
+                    round(new_value / old_value, 4) if old_value > 0 else None
+                ),
             }
         )
-    if not rows:
-        raise ValueError("reports share no benchmark cases")
-    overall = new_total / old_total if old_total > 0 else float("nan")
+    overall = new_total / old_total if old_total > 0 else None
     return rows, overall
 
 
 def format_compare(
-    rows: List[Dict[str, object]], overall: float, metric: str
+    rows: List[Dict[str, object]], overall: Optional[float]
 ) -> str:
-    """Human-readable comparison table (``x<1`` means the new run is
-    faster)."""
+    """Human-readable wall-time comparison table (``x<1`` means the new
+    run is faster)."""
     from repro.analysis.report import format_table
 
     body = [
         [
             row["name"],
-            _fmt_metric(row["old"], metric),
-            _fmt_metric(row["new"], metric),
+            f"{row['old']:.4f}",
+            f"{row['new']:.4f}",
             f"{row['ratio']:.2f}x" if row["ratio"] is not None else "-",
         ]
         for row in rows
     ]
     table = format_table(
-        ["case", f"old {metric}", f"new {metric}", "new/old"],
+        ["case", "old wall_s", "new wall_s", "new/old"],
         body,
-        title=f"benchmark comparison ({metric})",
+        title="benchmark comparison (wall_s)",
     )
+    if overall is None:
+        return f"{table}\noverall wall_s: - (no case timed in both)"
     if overall < 1:
         trend = "faster than baseline"
     elif overall > 1:
         trend = "slower than baseline"
     else:
         trend = "matches baseline"
-    verdict = f"overall {metric}: {overall:.3f}x ({trend})"
-    return f"{table}\n{verdict}"
-
-
-def _fmt_metric(value: float, metric: str) -> str:
-    if metric == "wall_s":
-        return f"{value:.4f}"
-    return str(int(value))
+    return f"{table}\noverall wall_s: {overall:.3f}x ({trend})"
 
 
 def load_report(path) -> Dict[str, object]:
-    """Load a report JSON, checking the schema version."""
+    """Load a report JSON, checking the schema version and case rows."""
     with open(path) as handle:
         report = json.load(handle)
-    if report.get("schema") != SCHEMA_VERSION:
+    if not isinstance(report, dict) or report.get("schema") != SCHEMA_VERSION:
+        schema = report.get("schema") if isinstance(report, dict) else None
         raise ValueError(
-            f"unsupported benchmark schema {report.get('schema')!r} "
+            f"unsupported benchmark schema {schema!r} "
             f"in {path} (expected {SCHEMA_VERSION})"
         )
+    cases = report.get("cases")
+    if not isinstance(cases, list) or not all(
+        isinstance(row, dict)
+        and isinstance(row.get("name"), str)
+        and isinstance(row.get("wall_s"), (int, float))
+        for row in cases
+    ):
+        raise ValueError(f"{path} has no list of named, timed case rows")
     return report
 
 

@@ -17,8 +17,9 @@ Subcommands
     column and report the narrowest box each router completes.
 ``bench``
     The routing performance suite (``repro.bench``): route the benchmark
-    workloads, write ``BENCH_routing.json``, optionally compare against a
-    baseline report and fail on regression (``--gate METRIC PCT``).
+    workloads through the engine ``route`` uses, write
+    ``BENCH_routing.json``, and with ``--compare BASELINE`` fail unless
+    every case's work counters equal the baseline's.
 ``serve``
     Run the persistent routing daemon (``repro.service``): a warm worker
     pool behind a Unix-domain socket, with a canonical-instance cache
@@ -418,46 +419,28 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_gates(args: argparse.Namespace, metrics) -> list:
-    """Collect the (metric, pct) regression gates given with --gate."""
-    gates = []
-    for metric, pct_text in args.gate or []:
-        if metric not in metrics:
-            raise InputError(
-                f"unknown gate metric {metric!r}",
-                context={"choices": list(metrics)},
-            )
-        try:
-            pct = float(pct_text)
-        except ValueError:
-            raise InputError(
-                f"gate threshold must be a number, got {pct_text!r}"
-            ) from None
-        if pct < 0:
-            raise InputError("gate threshold must be non-negative")
-        gates.append((metric, pct))
-    return gates
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark suite; optionally gate against a baseline."""
+    """Run the benchmark suite; with --compare, gate its counters."""
     from repro import bench
 
     if args.repeat < 1:
         raise InputError("--repeat must be >= 1")
-    if args.workers < 1:
-        raise InputError("--workers must be >= 1")
     if args.shards < 1:
         raise InputError("--shards must be >= 1")
-    gates = _parse_gates(args, bench.COMPARE_METRICS)
-    if gates and not args.compare:
-        raise InputError("--gate requires --compare")
+    baseline = None
+    if args.compare:
+        try:
+            baseline = bench.load_report(Path(args.compare))
+        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            raise InputError(
+                f"cannot load baseline {args.compare}: {exc}",
+                context={"file": str(args.compare)},
+            ) from None
     report = bench.run_bench(
         quick=args.quick,
         repeat=args.repeat,
-        only=args.only or None,
+        only=args.only,
         progress=lambda line: print(line, file=sys.stderr),
-        workers=args.workers,
         profile=args.profile,
         shards=args.shards,
     )
@@ -468,63 +451,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{totals['expansions']} expansions, "
         f"{totals['searches']} searches"
     )
-    regression = False
-    if args.compare:
-        try:
-            baseline = bench.load_report(Path(args.compare))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise InputError(
-                f"cannot load baseline {args.compare}: {exc}",
-                context={"file": str(args.compare)},
-            ) from None
-        rows, overall = bench.compare_reports(
-            baseline, report, metric=args.metric
-        )
-        print(bench.format_compare(rows, overall, args.metric))
+    mismatches = []
+    if baseline is not None:
+        rows, overall = bench.compare_reports(baseline, report)
+        print(bench.format_compare(rows, overall))
+        mismatches = bench.counter_mismatches(baseline, report)
         # Record the comparison inside the report so a single JSON file
-        # carries both the measurements and the speedup vs baseline.
+        # carries the measurements, the speedup and the gate's verdict.
         report["compare"] = {
             "baseline": str(args.compare),
-            "metric": args.metric,
-            "overall_ratio": round(overall, 4),
+            "metric": "wall_s",
+            "overall_ratio": None if overall is None else round(overall, 4),
             "cases": rows,
+            "parity": mismatches,
         }
-        gate_records = []
-        for metric, pct in gates:
-            if metric == args.metric:
-                gate_overall = overall
-            else:
-                _, gate_overall = bench.compare_reports(
-                    baseline, report, metric=metric
-                )
-            limit = 1.0 + pct / 100.0
-            failed = gate_overall > limit
-            gate_records.append(
-                {
-                    "metric": metric,
-                    "max_regression_pct": pct,
-                    "overall_ratio": round(gate_overall, 4),
-                    "failed": failed,
-                }
-            )
-            if failed:
-                regression = True
-                print(
-                    f"REGRESSION: overall {metric} ratio "
-                    f"{gate_overall:.3f}x exceeds the allowed "
-                    f"{limit:.3f}x (+{pct:g}%)",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    f"gate ok: {metric} {gate_overall:.3f}x "
-                    f"within +{pct:g}%"
-                )
-        if gate_records:
-            report["compare"]["gates"] = gate_records
+        for line in mismatches:
+            print(f"PARITY: {line}", file=sys.stderr)
+        if not mismatches:
+            print(f"counter parity ok on {len(report['cases'])} cases")
     bench.write_report(report, Path(args.output))
     print(f"wrote {args.output}")
-    return 1 if regression else 0
+    return 1 if mismatches else 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -929,34 +876,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--compare",
         metavar="BASELINE",
-        help="baseline report to diff against; the comparison is printed "
-        "and embedded in the output report",
-    )
-    bench.add_argument(
-        "--metric",
-        choices=("wall_s", "expansions", "searches", "wirelength"),
-        default="wall_s",
-        help="comparison metric; expansions/searches/wirelength are "
-        "deterministic and machine-independent (default: wall_s)",
-    )
-    bench.add_argument(
-        "--gate",
-        nargs=2,
-        action="append",
-        metavar=("METRIC", "PCT"),
-        help="with --compare: fail if METRIC regresses by more than PCT "
-        "percent; repeatable, so several counters can be gated at once "
-        "(the ratio is of suite totals, so PCT 0 still lets one case "
-        "rise while another falls; benchmarks/check_counter_parity.py "
-        "checks per-case equality)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="route cases on N worker processes; counters are unaffected, "
-        "wall times contend for the machine (default: 1)",
+        help="baseline report to gate against: exit 1, with a PARITY line "
+        "per difference, unless the run routed the baseline's cases (as "
+        "far as --quick/--only select them) with equal expansions, "
+        "searches and wirelength; the per-case wall table is printed and "
+        "the comparison is embedded in the output report",
     )
     bench.add_argument(
         "--profile",
@@ -971,8 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="route every case through the shard-and-stitch pipeline "
-        "with N shards; cases the partitioner rejects fall back to "
-        "whole-region routing (default: 1)",
+        "with N shards; the engine routes the cases the partitioner "
+        "declines whole-region, and a stitch the engine rejects is an "
+        "error (exit 1) (default: 1)",
     )
     bench.set_defaults(func=cmd_bench)
 

@@ -83,8 +83,9 @@ class RouteStats:
     #: above then describe the cached run, not new work.
     cache_hit: bool = False
     #: Number of spatial shards the run was split into (0 when the
-    #: shard-and-stitch pipeline was not involved, 1 when it fell back to
-    #: whole-region routing).  When > 1 the counters above are pipeline
+    #: shard-and-stitch pipeline did not route it — also when the
+    #: partitioner declined, which the engine's shard attempt record notes
+    #: as ``shards: 1``).  When > 1 the counters above are pipeline
     #: totals — shard work plus stitch work — and ``shard_log`` holds the
     #: per-shard split.
     shards: int = 0

@@ -20,7 +20,7 @@ The pipeline has four deterministic stages:
    already satisfied by shard copper short-circuit; cross nets, dropped
    nets and shard failures are routed by the full three-tier machinery,
    which may rip shard copper like anything else — weak/strong
-   modification *is* the boundary repairer.  An optional boundary-band
+   modification *is* the boundary repairer.  A boundary-band
    improvement pass (:func:`~repro.core.improve.improve_routing` with
    ``only=``) then removes the detours the cuts forced.
 
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MightyConfig
 from repro.core.decompose import (
-    DEFAULT_HALO,
     Connection,
     ShardPlan,
     partition_problem,
@@ -48,7 +47,6 @@ from repro.core.result import RouteResult
 from repro.core.router import MightyRouter, route_problem
 from repro.grid.path import GridPath
 from repro.grid.routing_grid import GridError
-from repro.maze.arena import SearchArena
 from repro.netlist.problem import RoutingProblem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> core)
@@ -161,34 +159,19 @@ def _boundary_scope(
     return scope
 
 
-def _whole_region(
-    problem: RoutingProblem,
-    config: MightyConfig,
-    deadline: Optional["Deadline"],
-    arena: Optional[SearchArena],
-) -> RouteResult:
-    """Unsharded fallback; ``stats.shards = 1`` marks the decision."""
-    result = route_problem(problem, config, deadline=deadline, arena=arena)
-    result.stats.shards = 1
-    return result
-
-
 def route_problem_sharded(
     problem: RoutingProblem,
     config: Optional[MightyConfig] = None,
     shards: int = 2,
-    halo: int = DEFAULT_HALO,
     workers: Optional[int] = None,
     deadline: Optional["Deadline"] = None,
-    polish: bool = True,
-    arena: Optional[SearchArena] = None,
-) -> RouteResult:
+) -> Optional[RouteResult]:
     """Route ``problem`` via the shard-and-stitch pipeline.
 
-    Falls back to plain whole-region routing (identical to
-    :func:`~repro.core.router.route_problem`, ``stats.shards == 1``) when
-    ``shards <= 1`` or the partitioner judges the instance unshardable —
-    too small, too tangled, or boundary-dominated.  The result for a fixed
+    Returns None, having routed nothing, when ``shards <= 1`` or the
+    partitioner judges the instance unshardable — too small, too tangled,
+    or boundary-dominated; the caller routes the whole region then (as
+    :class:`~repro.engine.RoutingEngine` does).  The result for a fixed
     ``shards`` value is deterministic and independent of ``workers``.
 
     ``workers`` defaults to one pool process per busy shard, capped at the
@@ -199,18 +182,16 @@ def route_problem_sharded(
     """
     pipeline_started = time.perf_counter()
     base = config or MightyConfig()
-    plan = (
-        partition_problem(problem, shards, halo=halo) if shards > 1 else None
-    )
+    plan = partition_problem(problem, shards) if shards > 1 else None
     if plan is None:
-        return _whole_region(problem, base, deadline, arena)
+        return None
     subs = []
     for shard in plan.busy_shards:
         sub_problem = shard_subproblem(problem, plan, shard)
         if sub_problem is not None:
             subs.append((shard, sub_problem))
     if len(subs) < 2:
-        return _whole_region(problem, base, deadline, arena)
+        return None
 
     budget_s = deadline.remaining() if deadline is not None else None
     if workers is None:
@@ -239,12 +220,12 @@ def route_problem_sharded(
     pre_routed, dropped = merge_shard_paths(problem, candidates)
 
     stitch_started = time.perf_counter()
-    router = MightyRouter(problem, base, arena=arena)
+    router = MightyRouter(problem, base)
     result = router.route(pre_routed=pre_routed, deadline=deadline)
     stitch_wall = time.perf_counter() - stitch_started
 
     polish_record = None
-    if polish and result.success:
+    if result.success:
         scope = _boundary_scope(result, plan)
         if scope:
             polish_started = time.perf_counter()
@@ -252,7 +233,6 @@ def route_problem_sharded(
                 result,
                 cost=base.cost,
                 passes=1,
-                arena=arena,
                 only=scope,
             )
             polish_record = {

@@ -11,13 +11,14 @@ in ``result.stats.attempt_log`` and never lets an exception escape.
 The cascade, in order:
 
 1. **shard-and-stitch**, only when the caller asks for ``shards > 1``;
+   when the partitioner declines, the stages below route the whole
+   region, once;
 2. **Mighty probes** — the caller's configuration, then up to
    ``max_attempts - 1`` escalated ones with perturbed ordering / rip
    budgets (:mod:`repro.engine.policy`), each under the wall-clock
-   deadline and the per-connection expansion cap.  With more than one
-   attempt, each probe pauses once it has gone ``3 × connections``
-   iterations without routing more connections than ever before; the
-   first verified complete probe is returned;
+   deadline.  With more than one attempt, each probe pauses once it has
+   gone ``3 × connections`` iterations without routing more connections
+   than ever before; the first verified complete probe is returned;
 3. **resumed Mighty** — if no probe completed, each paused attempt is
    resumed in schedule order and runs to its end; the first verified
    complete one is returned.  A paused attempt is resumed, not rerun, so
@@ -83,9 +84,10 @@ class EngineConfig:
     enable_fallback:
         Try the classical channel routers after Mighty gives up (only
         possible when the caller supplies the originating channel spec).
-    max_expansions_per_search:
-        Per-connection search budget (A* node expansions) forced onto every
-        attempt's configuration; None keeps each configuration's own value.
+
+    A per-search expansion cap is a router knob: set
+    ``MightyConfig.max_expansions_per_search`` on the engine's
+    ``router_config`` and every escalated attempt inherits it.
     """
 
     deadline_s: Optional[float] = None
@@ -93,7 +95,6 @@ class EngineConfig:
     on_timeout: str = "partial"
     on_infeasible: str = "partial"
     enable_fallback: bool = True
-    max_expansions_per_search: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s < 0:
@@ -106,11 +107,6 @@ class EngineConfig:
             raise ValueError(
                 f"on_infeasible must be one of {_OUTCOME_CHOICES}"
             )
-        if (
-            self.max_expansions_per_search is not None
-            and self.max_expansions_per_search < 1
-        ):
-            raise ValueError("max_expansions_per_search must be positive")
 
 
 class RoutingEngine:
@@ -161,10 +157,11 @@ class RoutingEngine:
 
         ``shards > 1`` tries the shard-and-stitch pipeline first (skipped
         when resuming from ``pre_routed`` — the checkpoint already fixes
-        the copper layout).  A shard run that fails, crashes, or does not
-        verify is telemetry, not an outcome: the engine falls through to
-        the whole-region Mighty cascade, so every robustness guarantee of
-        the unsharded engine still holds.
+        the copper layout).  A shard run that the partitioner declines,
+        that fails, crashes, or does not verify is telemetry, not an
+        outcome: the engine falls through to the whole-region Mighty
+        cascade, so every robustness guarantee of the unsharded engine
+        still holds.
 
         Returns the best :class:`RouteResult` seen: ``status="complete"``
         on success, ``"partial"`` when something routed, ``"failed"`` when
@@ -218,29 +215,34 @@ class RoutingEngine:
     def _run_shard_attempt(self, problem, shards, workers, deadline):
         """One supervised shard-and-stitch run.
 
-        The attempt record also carries the resolved shard count (1 when
-        the partitioner fell back) and the per-shard ``shard_log`` —
-        including the kernel backend every shard worker actually ran.
+        The attempt record also carries the shard count and the per-shard
+        ``shard_log`` — including the kernel backend every shard worker
+        actually ran.  When the partitioner declines, nothing is routed:
+        the record says ``shards: 1`` and ``stop: "declined"``.
         """
         from repro.core.shard import route_problem_sharded
 
-        config = self._capped(self.router_config)
-        record = _new_record("shard", 0, config.ordering)
+        record = _new_record("shard", 0, self.router_config.ordering)
         result = self._slice(
             record,
             problem,
             deadline,
             lambda: route_problem_sharded(
                 problem,
-                config,
+                self.router_config,
                 shards=shards,
                 workers=workers,
                 deadline=deadline,
             ),
         )
-        record["shards"] = shards if result is None else result.stats.shards
         if result is not None:
+            record["shards"] = result.stats.shards
             record["shard_log"] = result.stats.shard_log
+        elif record["stop"] == "error":
+            record["shards"] = shards
+        else:
+            record["shards"] = 1
+            record["stop"] = "declined"
         return result, record
 
     def _run_mighty(self, problem, pre_routed, deadline, attempt_log):
@@ -287,7 +289,6 @@ class RoutingEngine:
             if attempt > 0 and deadline.expired():
                 timed_out = True
                 break
-            config = self._capped(config)
             records.append(_new_record("mighty", attempt, config.ordering))
 
             def probe():
@@ -346,21 +347,14 @@ class RoutingEngine:
         attempt_log.extend(records)
         return None, [finals[a] for a in sorted(finals)], timed_out
 
-    def _capped(self, config: MightyConfig) -> MightyConfig:
-        """``config`` with the engine's per-search expansion cap, if any."""
-        if self.config.max_expansions_per_search is None:
-            return config
-        return config.with_updates(
-            max_expansions_per_search=self.config.max_expansions_per_search
-        )
-
     def _slice(self, record, problem, deadline, run):
         """Run one slice of an attempt under supervision, into ``record``.
 
-        ``run()`` returns a result, or None when a Mighty probe paused.  A
-        crash is telemetry: the result is ``None`` and the record carries
-        the error.  A returned result is verified, and the verdict gates
-        acceptance.  ``elapsed_s`` adds up the attempt's slices.
+        ``run()`` returns a result, or None when a Mighty probe paused or
+        the partitioner declined.  A crash is telemetry: the result is
+        ``None`` and the record carries the error.  A returned result is
+        verified, and the verdict gates acceptance.  ``elapsed_s`` adds up
+        the attempt's slices.
         """
         started = deadline.elapsed()
         try:

@@ -21,8 +21,9 @@ edges.  Two backends ship:
 Every backend is bit-identical to ``pure`` by contract: same paths, same
 costs, same expansion counts, same conflict nodes.  The differential
 parity suite (``tests/test_kernel_parity.py``) and the benchmark counter
-gates (``repro bench --gate expansions 0``) enforce this, so switching
-backends changes wall time only — never which decisions the router makes.
+gate (``repro bench --compare BASELINE``, every case's counters equal)
+enforce this, so switching backends changes wall time only — never which
+decisions the router makes.
 
 The process-wide default backend comes from the ``REPRO_KERNEL``
 environment variable (``pure`` / ``compiled`` / ``auto``); unset means

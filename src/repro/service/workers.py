@@ -1,10 +1,9 @@
 """The pool of warm routing worker processes.
 
 Each worker is a long-lived process running a take-one loop over its own
-request queue — the same rebuild-at-the-worker discipline as
-``repro bench --workers`` (closures and live grids do not pickle, so
-jobs travel as JSON-compatible problem dicts and are rebuilt with
-:func:`repro.netlist.io.problem_from_dict` inside the worker).  Warmth
+request queue.  Closures and live grids do not pickle, so jobs travel as
+JSON-compatible problem dicts and are rebuilt with
+:func:`repro.netlist.io.problem_from_dict` inside the worker.  Warmth
 is the process itself: imports, allocator pools and the maze arenas'
 neighbor tables stay hot instead of being re-created per job.  Every
 job parses its own payload; a worker keeps no per-problem state between

@@ -5,17 +5,16 @@ comparison and gating logic are tested against hand-built reports so no
 timing enters the assertions.
 """
 
-import importlib.util
+import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.bench import (
-    COMPARE_METRICS,
     SCHEMA_VERSION,
     bench_cases,
     compare_reports,
+    counter_mismatches,
     format_compare,
     load_report,
     run_bench,
@@ -24,8 +23,29 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.core.result import RouteStats
+from repro.engine import RoutingEngine
+from repro.errors import InputError, ReproError
 
 FAST = ["chan-simple", "chan-dogleg"]
+#: The cheapest case the partitioner splits under ``shards=4``.
+STITCHED = "reg-woven-1"
+
+
+def _break_the_stitch(monkeypatch, how):
+    """Make the engine's shard-and-stitch run crash, or return a layout
+    that claims completion with no copper, so the engine rejects it."""
+    import repro.core.shard as shard_module
+
+    route_sharded = shard_module.route_problem_sharded
+
+    def broken(problem, config, **kwargs):
+        if how == "crash":
+            raise RuntimeError("injected stitch crash")
+        result = route_sharded(problem, config, **kwargs)
+        return dataclasses.replace(result, grid=problem.build_grid())
+
+    # The engine imports the pipeline at call time.
+    monkeypatch.setattr(shard_module, "route_problem_sharded", broken)
 
 
 class TestSuiteDefinition:
@@ -65,30 +85,68 @@ class TestRunBench:
         )
 
     def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             run_bench(only=["no-such-case"])
+        # sb-dense exists but is not in the quick subset.
+        with pytest.raises(InputError, match="selection is empty"):
+            run_bench(quick=True, only=["sb-dense"])
+
+    def test_unknown_name_is_named_next_to_the_valid_cases(self):
+        # A known name beside an unknown one is not routed on its own.
+        with pytest.raises(InputError) as excinfo:
+            run_bench(only=["chan-simple", "chan-bogus"])
+        assert "'chan-bogus'" in str(excinfo.value)
+        assert "chan-simple" not in excinfo.value.message
+        assert excinfo.value.context["choices"] == [
+            case.name for case in bench_cases()
+        ]
+
+    def test_cases_route_through_the_engine(self, monkeypatch):
+        """Each case is one ``RoutingEngine.route`` with one attempt, the
+        path ``repro route`` runs."""
+        calls = []
+        route = RoutingEngine.route
+
+        def spy(engine, problem, **kwargs):
+            calls.append((engine.config.max_attempts, kwargs))
+            return route(engine, problem, **kwargs)
+
+        monkeypatch.setattr(RoutingEngine, "route", spy)
+        report = run_bench(only=FAST, shards=2)
+        assert calls == [(1, {"shards": 2})] * len(FAST)
+        # Both are too small to shard: the engine routed them whole.
+        assert [row["shards"] for row in report["cases"]] == [1, 1]
+
+    def test_a_stitched_case_reports_the_stitch(self):
+        case = next(c for c in bench_cases() if c.name == STITCHED)
+        row = run_case(case, shards=4)
+        assert (row["shards"], row["success"], row["verified"]) == (
+            4, True, True,
+        )
+
+    @pytest.mark.parametrize("how", ["crash", "unverified"])
+    def test_a_rejected_stitch_fails_the_case(self, monkeypatch, how):
+        """The engine's whole-region fallback completes the case, but a
+        row of it would not measure the pipeline."""
+        _break_the_stitch(monkeypatch, how)
+        case = next(c for c in bench_cases() if c.name == STITCHED)
+        with pytest.raises(ReproError) as excinfo:
+            run_case(case, shards=4)
+        context = excinfo.value.context
+        if how == "crash":
+            assert context["stop"] == "error"
+            assert "injected stitch crash" in context["error"]
+        else:
+            assert (context["stop"], context["verified"]) == (
+                "complete", False,
+            )
+        # Without shards the pipeline is never asked.
+        assert run_case(case)["verified"]
 
     def test_repeat_must_be_positive(self):
         case = next(c for c in bench_cases() if c.name == "chan-dogleg")
         with pytest.raises(ValueError):
             run_case(case, repeat=0)
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_bench(only=FAST, workers=0)
-
-    def test_workers_match_sequential_counters(self):
-        """The pool is a speed knob: counters and row order must be
-        identical to the sequential run."""
-        seq = run_bench(only=FAST)
-        par = run_bench(only=FAST, workers=2)
-        assert [r["name"] for r in par["cases"]] == FAST
-        for a, b in zip(seq["cases"], par["cases"]):
-            assert a["expansions"] == b["expansions"]
-            assert a["searches"] == b["searches"]
-            assert a["routed"] == b["routed"]
-        assert par["workers"] == 2
-        assert par["totals"]["expansions"] == seq["totals"]["expansions"]
 
     def test_profile_rows_carry_disjoint_phase_split(self):
         report = run_bench(only=FAST, profile=True)
@@ -120,25 +178,21 @@ def _report(cases):
 class TestCompare:
     def test_ratios_and_overall(self):
         old = _report([("a", 1.0, 100), ("b", 1.0, 100)])
-        new = _report([("a", 0.5, 100), ("b", 1.5, 300)])
-        rows, overall = compare_reports(old, new, metric="expansions")
-        assert [row["ratio"] for row in rows] == [1.0, 3.0]
-        assert overall == pytest.approx(2.0)  # summed: 400 / 200
-        rows, overall = compare_reports(old, new, metric="wall_s")
-        assert overall == pytest.approx(1.0)
+        new = _report([("a", 0.5, 100), ("b", 2.5, 300)])
+        rows, overall = compare_reports(old, new)
+        assert [row["ratio"] for row in rows] == [0.5, 2.5]
+        assert overall == pytest.approx(1.5)  # summed wall: 3.0 / 2.0
 
-    def test_unknown_cases_and_metrics(self):
+    def test_disjoint_reports_compare_no_case(self):
         old = _report([("a", 1.0, 100)])
-        with pytest.raises(ValueError):
-            compare_reports(old, _report([("zzz", 1.0, 1)]))
-        with pytest.raises(ValueError):
-            compare_reports(old, old, metric="nonsense")
-        assert "wall_s" in COMPARE_METRICS
+        rows, overall = compare_reports(old, _report([("zzz", 1.0, 1)]))
+        assert (rows, overall) == ([], None)
+        assert "no case timed in both" in format_compare(rows, overall)
 
     def test_format_mentions_every_case(self):
         old = _report([("a", 1.0, 100)])
-        rows, overall = compare_reports(old, old, metric="expansions")
-        text = format_compare(rows, overall, "expansions")
+        rows, overall = compare_reports(old, old)
+        text = format_compare(rows, overall)
         assert "a" in text and "matches baseline" in text
 
     def test_report_roundtrip_and_schema_check(self, tmp_path):
@@ -149,29 +203,40 @@ class TestCompare:
         path.write_text(json.dumps({"schema": 999}))
         with pytest.raises(ValueError):
             load_report(path)
-
-
-def _parity_check():
-    """The CI per-case counter parity script, loaded from its file."""
-    path = (
-        Path(__file__).parent.parent / "benchmarks" / "check_counter_parity.py"
-    )
-    spec = importlib.util.spec_from_file_location("check_counter_parity", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+        for bad in (
+            [],
+            {"schema": SCHEMA_VERSION},
+            {"schema": SCHEMA_VERSION, "cases": {"a": 1.0}},
+        ):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError):
+                load_report(path)
+        for row in (
+            {"wall_s": 1},
+            {"name": ["a"], "wall_s": 1},
+            {"name": "a", "wall_s": "1"},
+        ):
+            path.write_text(
+                json.dumps({"schema": SCHEMA_VERSION, "cases": [row]})
+            )
+            with pytest.raises(ValueError):
+                load_report(path)
 
 
 class TestCounterParityCheck:
     def test_equal_reports_pass(self):
         report = _report([("a", 1.0, 100), ("b", 2.0, 50)])
-        assert _parity_check().mismatches(report, report) == []
+        assert counter_mismatches(report, report) == []
 
     def test_offsetting_cases_fail_where_the_summed_gate_passes(self):
         old = _report([("a", 1.0, 100), ("b", 1.0, 100)])
         new = _report([("a", 1.0, 90), ("b", 1.0, 110)])
-        assert compare_reports(old, new, "expansions")[1] == 1.0
-        assert _parity_check().mismatches(old, new) == [
+        total = [
+            sum(row["expansions"] for row in report["cases"])
+            for report in (old, new)
+        ]
+        assert total == [200, 200]
+        assert counter_mismatches(old, new) == [
             "a: expansions 90 != baseline 100",
             "b: expansions 110 != baseline 100",
         ]
@@ -180,14 +245,25 @@ class TestCounterParityCheck:
         old = _report([("a", 1.0, 100), ("b", 1.0, 100)])
         new = _report([("a", 1.0, 100), ("c", 1.0, 100)])
         new["cases"][0]["wirelength"] = 7  # not in the baseline: ignored
-        assert _parity_check().mismatches(old, new) == [
+        assert counter_mismatches(old, new) == [
             "b: missing from the report",
             "c: not in the baseline",
         ]
         old["cases"][0]["wirelength"] = 8
-        assert _parity_check().mismatches(old, new)[0] == (
+        assert counter_mismatches(old, new)[0] == (
             "a: wirelength 7 != baseline 8"
         )
+        del new["cases"][0]["searches"]
+        assert "a: searches None != baseline 1" in counter_mismatches(old, new)
+
+    def test_suite_cases_the_run_left_out_do_not_count(self):
+        # A full-suite baseline gates a --quick/--only run on its cases.
+        old = _report([("chan-simple", 1.0, 100), ("sb-dense", 1.0, 100)])
+        new = _report([("chan-simple", 1.0, 100)])
+        assert counter_mismatches(old, new) == []
+        assert counter_mismatches(new, old) == [
+            "sb-dense: not in the baseline"
+        ]
 
 
 class TestBenchCli:
@@ -199,7 +275,7 @@ class TestBenchCli:
         assert {row["name"] for row in report["cases"]} == set(FAST)
         assert "cases:" not in capsys.readouterr().err
 
-    def test_compare_embedded_and_gate_passes(self, tmp_path):
+    def test_compare_embedded_and_gate_passes(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         out = tmp_path / "new.json"
         assert main(["bench", "--only", *FAST, "-o", str(baseline)]) == 0
@@ -207,22 +283,18 @@ class TestBenchCli:
             [
                 "bench", "--only", *FAST, "-o", str(out),
                 "--compare", str(baseline),
-                "--metric", "expansions", "--gate", "expansions", "25",
             ]
         )
         assert code == 0
+        captured = capsys.readouterr()
+        assert "counter parity ok on 2 cases" in captured.out
+        assert "benchmark comparison (wall_s)" in captured.out
+        assert "PARITY" not in captured.err
         compare = json.loads(out.read_text())["compare"]
-        assert compare["metric"] == "expansions"
-        assert compare["overall_ratio"] == pytest.approx(1.0)
-        assert compare["gates"] == [
-            {
-                "metric": "expansions",
-                "max_regression_pct": 25.0,
-                "overall_ratio": pytest.approx(1.0),
-                "failed": False,
-            }
-        ]
-        assert "max_regression_pct" not in compare
+        assert compare["metric"] == "wall_s"
+        assert compare["parity"] == []
+        assert [row["name"] for row in compare["cases"]] == FAST
+        assert compare["overall_ratio"] > 0
 
     def test_gate_fails_on_regression(self, tmp_path, capsys):
         # A doctored baseline claiming far less work than reality.
@@ -231,39 +303,22 @@ class TestBenchCli:
             row["expansions"] = max(1, row["expansions"] // 10)
         baseline = tmp_path / "base.json"
         write_report(real, baseline)
-        code = main(
-            [
-                "bench", "--only", *FAST,
-                "-o", str(tmp_path / "new.json"),
-                "--compare", str(baseline),
-                "--gate", "expansions", "25",
-            ]
-        )
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_multi_metric_gates(self, tmp_path, capsys):
-        baseline = tmp_path / "base.json"
-        assert main(["bench", "--only", *FAST, "-o", str(baseline)]) == 0
         out = tmp_path / "new.json"
         code = main(
             [
                 "bench", "--only", *FAST, "-o", str(out),
                 "--compare", str(baseline),
-                "--gate", "expansions", "25",
-                "--gate", "searches", "25",
             ]
         )
-        assert code == 0
-        gates = json.loads(out.read_text())["compare"]["gates"]
-        assert [g["metric"] for g in gates] == ["expansions", "searches"]
-        assert all(g["failed"] is False for g in gates)
-        assert all(g["overall_ratio"] == pytest.approx(1.0) for g in gates)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("PARITY: ") == len(FAST)
+        assert "chan-simple: expansions" in err
+        assert len(json.loads(out.read_text())["compare"]["parity"]) == 2
 
     def test_gate_fails_on_searches_regression(self, tmp_path, capsys):
         real = run_bench(only=FAST)
-        for row in real["cases"]:
-            row["searches"] = max(1, row["searches"] // 10)
+        real["cases"][1]["searches"] += 1  # one case, one counter
         baseline = tmp_path / "base.json"
         write_report(real, baseline)
         code = main(
@@ -271,29 +326,94 @@ class TestBenchCli:
                 "bench", "--only", *FAST,
                 "-o", str(tmp_path / "new.json"),
                 "--compare", str(baseline),
-                "--gate", "expansions", "25",
-                "--gate", "searches", "25",
             ]
         )
         assert code == 1
-        assert "searches" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("PARITY: ") == 1
+        assert "PARITY: chan-dogleg: searches" in err
+
+    def test_multi_metric_gates(self, tmp_path, capsys):
+        """One --compare gates expansions, searches and wirelength; a
+        baseline without wirelength gates the other two."""
+        real = run_bench(only=FAST)
+        baseline = tmp_path / "base.json"
+        argv = [
+            "bench", "--only", *FAST,
+            "-o", str(tmp_path / "new.json"),
+            "--compare", str(baseline),
+        ]
+        real["cases"][0]["wirelength"] += 1
+        write_report(real, baseline)
+        assert main(argv) == 1
+        assert "PARITY: chan-simple: wirelength" in capsys.readouterr().err
+        for row in real["cases"]:
+            del row["wirelength"]
+        write_report(real, baseline)
+        assert main(argv) == 0
+
+    def test_baseline_restricted_to_the_selection(self, tmp_path, capsys):
+        # A full-suite baseline gates an --only run on the selected cases.
+        real = run_bench(only=FAST)
+        real["cases"].append(dict(real["cases"][0], name="sb-dense"))
+        baseline = tmp_path / "base.json"
+        write_report(real, baseline)
+        argv = ["bench", "-o", str(tmp_path / "new.json")]
+        assert main([*argv, "--only", *FAST, "--compare", str(baseline)]) == 0
+        # A baseline case the suite no longer has is a difference.
+        real["cases"].append(dict(real["cases"][0], name="retired-case"))
+        write_report(real, baseline)
+        assert main([*argv, "--only", *FAST, "--compare", str(baseline)]) == 1
+        err = capsys.readouterr().err
+        assert "PARITY: retired-case: missing from the report" in err
+
+    def test_baseline_sharing_no_case_fails_with_parity_lines(
+        self, tmp_path, capsys
+    ):
+        baseline = tmp_path / "base.json"
+        argv = ["bench", "--only", "chan-dogleg", "-o", str(baseline)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "bench", "--only", "chan-simple",
+                "-o", str(tmp_path / "new.json"),
+                "--compare", str(baseline),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "PARITY: chan-simple: not in the baseline" in captured.err
+        assert "Traceback" not in captured.err
+        assert "no case timed in both" in captured.out
+
+    def test_unknown_only_name_is_an_input_error(self, capsys):
+        assert main(["bench", "--only", "bogus"]) == 2
+        assert main(["bench", "--only", "chan-simple", "chan-bogus"]) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert lines[0].startswith("error: unknown benchmark case 'bogus'")
+        assert lines[1].startswith(
+            "error: unknown benchmark case 'chan-bogus'"
+        )
+        assert "'scale-stitch-560'" in lines[1]  # the valid cases listed
+        assert "bench chan-simple" not in err  # nothing was routed
+
+    def test_rejected_stitch_is_an_error_not_a_row(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _break_the_stitch(monkeypatch, "crash")
+        out = tmp_path / "out.json"
+        argv = ["bench", "--only", STITCHED, "--shards", "4", "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: bench case {STITCHED}: the engine rejected" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_inputs_are_structured_errors(self, tmp_path, capsys):
         assert main(["bench", "--only", *FAST, "--repeat", "0"]) == 2
-        assert main(["bench", "--only", *FAST, "--workers", "0"]) == 2
-        # Gates are meaningless without a baseline to compare against.
-        assert (
-            main(["bench", "--only", *FAST, "--gate", "searches", "25"]) == 2
-        )
-        assert (
-            main(
-                [
-                    "bench", "--only", *FAST,
-                    "--compare", "x.json", "--gate", "bogus", "25",
-                ]
-            )
-            == 2
-        )
+        assert main(["bench", "--only", *FAST, "--shards", "0"]) == 2
         assert (
             main(
                 [
@@ -304,8 +424,23 @@ class TestBenchCli:
             )
             == 2
         )
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps({"schema": SCHEMA_VERSION}))
+        assert (
+            main(
+                [
+                    "bench", "--only", *FAST,
+                    "-o", str(tmp_path / "out.json"),
+                    "--compare", str(malformed),
+                ]
+            )
+            == 2
+        )
         err = capsys.readouterr().err
         assert "error:" in err
+        # The baseline is checked before any case is routed.
+        assert "bench chan-simple" not in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestRouteStatsSerialization:

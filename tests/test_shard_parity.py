@@ -2,16 +2,17 @@
 
 The pipeline's contract is replay discipline: for a fixed ``shards``
 value the stitched result is bit-identical run to run and independent of
-the worker count, and when the partitioner rejects an instance the
-result is *exactly* the whole-region one.  These tests compare full path
-sets and deterministic counters, not just success flags.
+the worker count.  When the partitioner rejects an instance the pipeline
+routes nothing, and the engine's result is *exactly* the whole-region
+one, routed once.  These tests compare full path sets and deterministic
+counters, not just success flags.
 """
 
 import pytest
 
 from repro.analysis.verify import verify_result
-from repro.core import route_problem
 from repro.core.shard import route_problem_sharded
+from repro.engine import EngineConfig, RoutingEngine
 from repro.netlist.generators import random_channel
 
 
@@ -106,33 +107,38 @@ class TestStitchedQuality:
         assert stats.kernel_backend  # a concrete name, never ""
 
 
-class TestFallback:
-    def test_unshardable_instance_matches_plain_route(self):
-        spec = random_channel(
-            n_columns=12, n_nets=6, seed=3, name="tiny"
-        )
-        problem = spec.to_problem(tracks=spec.density + 2)
-        plain = route_problem(spec.to_problem(tracks=spec.density + 2))
-        via_pipeline = route_problem_sharded(problem, shards=4)
-        assert via_pipeline.stats.shards == 1  # fell back, and says so
-        assert via_pipeline.stats.shard_log == []
-        assert _paths(via_pipeline) == _paths(plain)
-        for name in ("iterations", "searches", "expansions"):
-            assert getattr(via_pipeline.stats, name) == getattr(
-                plain.stats, name
-            )
+def _fig_channel():
+    """The bench's fig-channel: unshardable, and incomplete at density."""
+    spec = random_channel(28, 10, seed=23)
+    return spec.to_problem(max(1, spec.density))
 
-    def test_shards_one_is_plain_route(self):
-        problem = _shardable_problem()
-        result = route_problem_sharded(problem, shards=1)
-        assert result.stats.shards == 1
-        assert _paths(result) == _paths(route_problem(_shardable_problem()))
+
+class TestEngineFallback:
+    def test_pipeline_declines_with_none(self):
+        spec = random_channel(n_columns=12, n_nets=6, seed=3, name="tiny")
+        problem = spec.to_problem(tracks=spec.density + 2)
+        assert route_problem_sharded(problem, shards=4) is None
+        assert route_problem_sharded(_shardable_problem(), shards=1) is None
+
+    def test_unshardable_problem_is_routed_once(self):
+        engine = RoutingEngine(EngineConfig(max_attempts=1))
+        whole = engine.route(_fig_channel(), shards=1)
+        result = engine.route(_fig_channel(), shards=4)
+        assert not result.success  # an incomplete result is not rerouted
+        shard, mighty = result.stats.attempt_log
+        assert (shard["stage"], shard["shards"]) == ("shard", 1)
+        assert (shard["stop"], shard["expansions"]) == ("declined", 0)
+        assert "shard_log" not in shard
+        assert mighty["stage"] == "mighty"
+        # One Mighty route: the shards=1 paths, counters and work.
+        assert _paths(result) == _paths(whole)
+        assert _counters(result) == _counters(whole)
+        assert mighty["expansions"] == whole.stats.expansions
+        assert result.stats.shard_log == []
 
 
 class TestEngineIntegration:
     def test_engine_routes_with_shards(self):
-        from repro.engine import EngineConfig, RoutingEngine
-
         engine = RoutingEngine(EngineConfig(max_attempts=1))
         result = engine.route(_shardable_problem(), shards=2)
         assert result.success
@@ -148,7 +154,6 @@ class TestEngineIntegration:
 
     def test_engine_falls_back_to_cascade_on_shard_crash(self, monkeypatch):
         import repro.core.shard as shard_module
-        from repro.engine import EngineConfig, RoutingEngine
 
         def explode(*args, **kwargs):
             raise RuntimeError("injected shard-stage crash")
