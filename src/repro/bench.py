@@ -19,9 +19,10 @@ makes that measurable and regression-proof:
   :func:`compare_reports` tabulates the wall-time ratios beside it.
 
 Wall-clock numbers are only comparable on the same machine; the work
-counters (``expansions``, ``searches``) and the routed ``wirelength`` are
-deterministic per case and comparable across machines and kernel
-backends, which is why they, and only they, are gated.
+counters (``expansions``, ``searches``, ``iterations``), the ``routed``
+count and the routed ``wirelength`` are deterministic per case and
+comparable across machines and kernel backends, which is why they, and
+only they, are gated.
 """
 
 from __future__ import annotations
@@ -355,9 +356,11 @@ def run_bench(
 # Comparison
 # ----------------------------------------------------------------------
 #: The counters ``repro bench --compare`` holds equal, case by case.
-#: All are deterministic and machine-independent; ``wirelength`` counts
-#: only where the baseline records it.
-PARITY_COUNTERS = ("expansions", "searches", "wirelength")
+#: All are deterministic and machine-independent.  The search work
+#: counters are required; the rest count only where the baseline records
+#: them.
+REQUIRED_COUNTERS = ("expansions", "searches")
+PARITY_COUNTERS = REQUIRED_COUNTERS + ("wirelength", "iterations", "routed")
 
 
 def counter_mismatches(
@@ -367,9 +370,11 @@ def counter_mismatches(
     ``baseline``; no line means parity.
 
     Both must name the same cases, and every case must have equal
-    ``expansions`` and ``searches``, and equal ``wirelength`` where the
-    baseline records it.  Case by case, so one case rising while another
-    falls is caught, which no summed ratio does.  Baseline cases of the
+    ``expansions`` and ``searches``, and equal ``wirelength``,
+    ``iterations`` and ``routed`` where the baseline records them.  Case
+    by case, so one case rising while another falls is caught, which no
+    summed ratio does; and a control-loop change that leaves the search
+    counts equal still shows in ``iterations``.  Baseline cases of the
     suite that the run's ``quick``/``only`` selection left out do not
     count; a baseline case the suite no longer has is missing from the
     report.
@@ -386,7 +391,8 @@ def counter_mismatches(
     for name in old.keys() & new.keys():
         for counter in PARITY_COUNTERS:
             want, got = old[name].get(counter), new[name].get(counter)
-            if got != want and (want is not None or counter != "wirelength"):
+            required = counter in REQUIRED_COUNTERS
+            if got != want and (want is not None or required):
                 lines.append(f"{name}: {counter} {got} != baseline {want}")
     return sorted(lines)
 

@@ -491,7 +491,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             admission_factor=args.admission_factor,
             cache_dir=args.cache_dir,
             reap_grace_s=args.reap_grace,
-            shard_oversized=args.shard_oversized,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -754,16 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill and respawn a worker still busy this long past its "
         "job's deadline (default: 10)",
     )
-    serve.add_argument(
-        "--shard-oversized",
-        type=int,
-        default=0,
-        metavar="N",
-        help="route a job whose own cost estimate exceeds its deadline "
-        "budget through the shard-and-stitch pipeline with N shards "
-        "instead of letting it burn the budget whole-region "
-        "(0 disables; default: 0)",
-    )
     serve.set_defaults(func=cmd_serve)
 
     submit = sub.add_parser(
@@ -801,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="ask the daemon to route this job with N shards "
-        "(default: the daemon decides via --shard-oversized)",
+        "(default: 0, the whole region at once)",
     )
     submit.add_argument(
         "--timeout",
@@ -878,8 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASELINE",
         help="baseline report to gate against: exit 1, with a PARITY line "
         "per difference, unless the run routed the baseline's cases (as "
-        "far as --quick/--only select them) with equal expansions, "
-        "searches and wirelength; the per-case wall table is printed and "
+        "far as --quick/--only select them) with equal expansions and "
+        "searches, and equal wirelength, iterations and routed where the "
+        "baseline records them; the per-case wall table is printed and "
         "the comparison is embedded in the output report",
     )
     bench.add_argument(

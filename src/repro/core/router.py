@@ -50,7 +50,7 @@ from repro.grid.layers import Layer
 from repro.grid.path import GridPath, PathError, flat_id
 from repro.grid.routing_grid import GridError, RoutingGrid
 from repro.maze.arena import SearchArena
-from repro.maze.astar import find_path_flat
+from repro.maze.astar import SearchResult, find_path_flat
 
 # Not called here; the end-to-end benchmark's tracer binds it by name.
 from repro.maze.astar import find_path  # noqa: F401
@@ -91,9 +91,12 @@ class MightyRouter:
         self._events: List[RouteEvent] = []
         self._stats = RouteStats()
         self._step = 0
+        # Connections whose ``routed`` flag is set; every flip goes
+        # through ``_set_routed``, so no event or iteration recounts.
+        self._routed_count = 0
         # Set while a call runs and once one has returned a result (or
         # raised); cleared only by a pause, so only a pause is resumable.
-        self._routed = False
+        self._used = False
         # The control loop's state, kept here so a paused run resumes
         # exactly where it stopped; ``_queue`` is None until the first call.
         self._queue: Optional[Deque[Connection]] = None
@@ -147,7 +150,7 @@ class MightyRouter:
         as an uninterrupted one, and ``stats.elapsed_s`` sums the calls.
         Without a limit the call never returns ``None``.
         """
-        if self._routed:
+        if self._used:
             raise EngineError(
                 "MightyRouter instances are single-use",
                 context={"problem": self.problem.name},
@@ -157,12 +160,11 @@ class MightyRouter:
                 "pre_routed can only be given to the first route() call",
                 context={"problem": self.problem.name},
             )
-        self._routed = True
+        self._used = True
         started = time.perf_counter()
         if self._queue is None:
             self._start(pre_routed or {})
         queue, failed = self._queue, self._failed
-        all_connections = self._all_connections
 
         while queue or (failed and self._retries_left > 0):
             if deadline is not None and deadline.expired():
@@ -178,7 +180,7 @@ class MightyRouter:
                 and self._stats.iterations - self._best_iteration
                 > stall_limit
             ):
-                self._routed = False
+                self._used = False
                 self._stats.elapsed_s += time.perf_counter() - started
                 return None
             if not queue:
@@ -219,12 +221,10 @@ class MightyRouter:
                     if self._last_attempt_exhausted
                     else "",
                 )
-            self._note_best_state(all_connections)
+            self._note_best_state()
 
-        self._restore_best_state(all_connections)
-        self._stats.routed_connections = sum(
-            1 for c in all_connections if c.routed
-        )
+        self._restore_best_state()
+        self._stats.routed_connections = self._routed_count
         self._stats.failed_connections = (
             self._stats.connections - self._stats.routed_connections
         )
@@ -237,8 +237,8 @@ class MightyRouter:
         return RouteResult(
             problem=self.problem,
             grid=self._grid,
-            connections=all_connections,
-            failed=[c for c in all_connections if not c.routed],
+            connections=self._all_connections,
+            failed=[c for c in self._all_connections if not c.routed],
             stats=self._stats,
             events=self._events,
             router=router_tag(self.config),
@@ -288,39 +288,14 @@ class MightyRouter:
     def _route_connection(
         self, connection: Connection, queue: Deque[Connection]
     ) -> bool:
-        net_id = connection.net_id
-        grid = self._grid
-        tick = time.perf_counter()
-        if grid.same_component_ids(
-            net_id, connection.source_id, connection.target_id
-        ):
-            self._stats.phase_connectivity_s += time.perf_counter() - tick
-            connection.path = None
-            connection.routed = True
+        ends = self._endpoints(connection)
+        if ends is None:
             self._stats.hard_routes += 1
             self._record("route", connection.net_name, "already connected")
             return True
-        sources = grid.component_ids(net_id, connection.source_id)
-        targets = grid.component_ids(net_id, connection.target_id)
-        self._stats.phase_connectivity_s += time.perf_counter() - tick
 
         self._last_attempt_exhausted = False
-        self._stats.searches += 1
-        tick = time.perf_counter()
-        hard = find_path_flat(
-            self._grid,
-            net_id,
-            sources,
-            targets,
-            cost=self.config.cost,
-            max_expansions=self.config.max_expansions_per_search,
-            arena=self._arena,
-        )
-        self._stats.phase_search_s += time.perf_counter() - tick
-        self._stats.expansions += hard.expansions
-        if hard.exhausted:
-            self._stats.exhausted_searches += 1
-            self._last_attempt_exhausted = True
+        hard = self._search(connection, *ends)
         if hard.found:
             self._commit(connection, hard.path)
             self._stats.hard_routes += 1
@@ -330,29 +305,16 @@ class MightyRouter:
         if not (self.config.enable_weak or self.config.enable_strong):
             return False
 
-        escalation = {
-            frozen_net: rips * self.config.rip_escalation
-            for frozen_net, rips in self._net_rips.items()
-        }
-        self._stats.searches += 1
-        tick = time.perf_counter()
-        soft = find_path_flat(
-            self._grid,
-            net_id,
-            sources,
-            targets,
-            cost=self.config.cost,
+        soft = self._search(
+            connection,
+            *ends,
             allow_conflicts=True,
             frozen_nets=frozenset(self._frozen),
-            net_penalties=escalation,
-            max_expansions=self.config.max_expansions_per_search,
-            arena=self._arena,
+            net_penalties={
+                frozen_net: rips * self.config.rip_escalation
+                for frozen_net, rips in self._net_rips.items()
+            },
         )
-        self._stats.phase_search_s += time.perf_counter() - tick
-        self._stats.expansions += soft.expansions
-        if soft.exhausted:
-            self._stats.exhausted_searches += 1
-            self._last_attempt_exhausted = True
         if not soft.found:
             return False
         victims = self._victims_of(soft.conflict_ids)
@@ -393,6 +355,53 @@ class MightyRouter:
             return True
         return False
 
+    def _endpoints(self, connection: Connection) -> Optional[tuple]:
+        """The two components a search for ``connection`` must join; None
+        when they are one, and the connection is then routed pathless."""
+        net_id, grid = connection.net_id, self._grid
+        source, target = connection.source_id, connection.target_id
+        tick = time.perf_counter()
+        ends = None
+        if not grid.same_component_ids(net_id, source, target):
+            ends = (
+                grid.component_ids(net_id, source),
+                grid.component_ids(net_id, target),
+            )
+        self._stats.phase_connectivity_s += time.perf_counter() - tick
+        if ends is None:
+            connection.path = None
+            self._set_routed(connection, True)
+        return ends
+
+    def _search(
+        self,
+        connection: Connection,
+        sources: List[int],
+        targets: List[int],
+        **soft,
+    ) -> SearchResult:
+        """One counted, timed search joining ``sources`` to ``targets``;
+        ``soft`` holds the conflict-tolerant search's extra arguments."""
+        self._stats.searches += 1
+        tick = time.perf_counter()
+        # Looked up at call time: fault injection swaps the module binding.
+        result = find_path_flat(
+            self._grid,
+            connection.net_id,
+            sources,
+            targets,
+            cost=self.config.cost,
+            max_expansions=self.config.max_expansions_per_search,
+            arena=self._arena,
+            **soft,
+        )
+        self._stats.phase_search_s += time.perf_counter() - tick
+        self._stats.expansions += result.expansions
+        if result.exhausted:
+            self._stats.exhausted_searches += 1
+            self._last_attempt_exhausted = True
+        return result
+
     def _try_weak(
         self,
         connection: Connection,
@@ -405,19 +414,14 @@ class MightyRouter:
         whole attempt runs inside a transaction, and a failed attempt is
         undone in O(cells touched) — not by restoring an O(area) snapshot.
         """
-        affected_nets = {victim.net_id for victim in victims}
         watched: List[Connection] = [connection]
-        for net_id in affected_nets:
+        for net_id in {victim.net_id for victim in victims}:
             watched.extend(self._net_connections.get(net_id, []))
         saved_state = [(c, c.path, c.routed) for c in watched]
 
         self._grid.begin_txn()
         try:
-            for victim in victims:
-                self._rip(victim)
-            detached = self._cascade_rip(affected_nets)
-            self._commit(connection, path)
-            displaced = victims + detached
+            displaced = self._displace(connection, path, victims)
             displaced_ok = True
             # The reroute order is total and explicit: estimated length,
             # then position in ``displaced``.  The position is itself
@@ -457,7 +461,7 @@ class MightyRouter:
         self._grid.rollback_txn()
         for conn, old_path, old_routed in saved_state:
             conn.path = old_path
-            conn.routed = old_routed
+            self._set_routed(conn, old_routed)
 
     def _do_strong(
         self,
@@ -472,20 +476,18 @@ class MightyRouter:
         # best-state copy must happen before touching anything.
         self._materialize_best_state()
         for victim in victims:
-            self._rip(victim)
             victim.rips += 1
             self._stats.ripped_connections += 1
             rips = self._net_rips.get(victim.net_id, 0) + 1
             self._net_rips[victim.net_id] = rips
             if rips >= self._budgets.get(victim.net_id, 0):
                 self._frozen.add(victim.net_id)
-        detached = self._cascade_rip({v.net_id for v in victims})
-        self._commit(connection, path)
+        displaced = self._displace(connection, path, victims)
         self._stats.strong_modifications += 1
         self._record(
             "strong",
             connection.net_name,
-            f"ripped {sorted(v.net_name for v in victims + detached)}",
+            f"ripped {sorted(v.net_name for v in displaced)}",
         )
         # Victims reroute next, shortest first at the head of the queue.
         # Ties keep list position explicitly (longest-first needs the
@@ -493,43 +495,29 @@ class MightyRouter:
         # position is deterministic because ``_victims_of`` seq-tiebreaks
         # the victims and the cascade scan is insertion-ordered.
         for _, victim in sorted(
-            enumerate(victims + detached),
+            enumerate(displaced),
             key=lambda iv: (-iv[1].estimated_length, iv[0]),
         ):
             victim.chain_depth = connection.chain_depth + 1
             queue.appendleft(victim)
 
+    def _displace(
+        self, connection: Connection, path: GridPath, victims: List[Connection]
+    ) -> List[Connection]:
+        """Rip ``victims``, cascade, commit ``connection`` on ``path``; the
+        displaced connections are ``victims`` then the cascade's."""
+        for victim in victims:
+            self._rip(victim)
+        detached = self._cascade_rip({victim.net_id for victim in victims})
+        self._commit(connection, path)
+        return victims + detached
+
     def _reroute_hard(self, connection: Connection) -> bool:
         """Plain hard reroute used for displaced victims."""
-        net_id = connection.net_id
-        grid = self._grid
-        tick = time.perf_counter()
-        if grid.same_component_ids(
-            net_id, connection.source_id, connection.target_id
-        ):
-            self._stats.phase_connectivity_s += time.perf_counter() - tick
-            connection.path = None
-            connection.routed = True
+        ends = self._endpoints(connection)
+        if ends is None:
             return True
-        sources = grid.component_ids(net_id, connection.source_id)
-        targets = grid.component_ids(net_id, connection.target_id)
-        self._stats.phase_connectivity_s += time.perf_counter() - tick
-        self._stats.searches += 1
-        tick = time.perf_counter()
-        result = find_path_flat(
-            self._grid,
-            net_id,
-            sources,
-            targets,
-            cost=self.config.cost,
-            max_expansions=self.config.max_expansions_per_search,
-            arena=self._arena,
-        )
-        self._stats.phase_search_s += time.perf_counter() - tick
-        self._stats.expansions += result.expansions
-        if result.exhausted:
-            self._stats.exhausted_searches += 1
-            self._last_attempt_exhausted = True
+        result = self._search(connection, *ends)
         if not result.found:
             return False
         self._commit(connection, result.path)
@@ -543,7 +531,7 @@ class MightyRouter:
         tick = time.perf_counter()
         self._grid.commit_path(connection.net_id, path)
         connection.path = path
-        connection.routed = True
+        self._set_routed(connection, True)
         self._stats.phase_claims_s += time.perf_counter() - tick
 
     def _rip(self, connection: Connection) -> None:
@@ -551,8 +539,14 @@ class MightyRouter:
         if connection.path is not None:
             self._grid.remove_path(connection.net_id, connection.path)
         connection.path = None
-        connection.routed = False
+        self._set_routed(connection, False)
         self._stats.phase_claims_s += time.perf_counter() - tick
+
+    def _set_routed(self, connection: Connection, routed: bool) -> None:
+        """Set ``connection.routed``, keeping ``_routed_count`` in step."""
+        if connection.routed != routed:
+            connection.routed = routed
+            self._routed_count += 1 if routed else -1
 
     def _cascade_rip(self, net_ids: Iterable[int]) -> List[Connection]:
         """Un-route siblings whose endpoints were split by earlier rips.
@@ -651,7 +645,7 @@ class MightyRouter:
     # ------------------------------------------------------------------
     # Best-state bookkeeping
     # ------------------------------------------------------------------
-    def _note_best_state(self, connections: List[Connection]) -> None:
+    def _note_best_state(self) -> None:
         """Record that a new completion record was reached — lazily.
 
         Copying the grid on every record made the snapshot path
@@ -666,7 +660,7 @@ class MightyRouter:
         The record's iteration is kept whether or not best states are:
         the stall limit of :meth:`route` counts from it.
         """
-        routed = sum(1 for c in connections if c.routed)
+        routed = self._routed_count
         self._stats.routed_connections = routed
         if routed > self._best_routed:
             self._best_routed = routed
@@ -685,18 +679,17 @@ class MightyRouter:
         )
         self._stats.phase_claims_s += time.perf_counter() - tick
 
-    def _restore_best_state(self, connections: List[Connection]) -> None:
+    def _restore_best_state(self) -> None:
         """Roll back to the best snapshot if the final state is worse."""
         if self._best_snapshot is None:
             return
-        routed = sum(1 for c in connections if c.routed)
-        if routed >= self._best_routed:
+        if self._routed_count >= self._best_routed:
             return
         grid, states = self._best_snapshot
         self._grid.restore(grid)
         for connection, path, was_routed in states:
             connection.path = path
-            connection.routed = was_routed
+            self._set_routed(connection, was_routed)
         self._record(
             "restore",
             "*",
@@ -727,19 +720,13 @@ class MightyRouter:
         ) + 16
 
     def _record(self, kind: str, net: str, detail: str = "") -> None:
-        open_connections = sum(
-            1
-            for conns in self._net_connections.values()
-            for conn in conns
-            if not conn.routed
-        )
         self._events.append(
             RouteEvent(
                 step=self._step,
                 kind=kind,
                 net=net,
                 detail=detail,
-                open_connections=open_connections,
+                open_connections=self._stats.connections - self._routed_count,
             )
         )
 

@@ -51,6 +51,7 @@ from repro.core.router import MightyRouter
 from repro.engine.deadline import Deadline
 from repro.engine.policy import escalation_schedule
 from repro.errors import RouteInfeasible, RouteTimeout
+from repro.grid.path import flat_id
 from repro.netlist.channel import ChannelSpec
 from repro.netlist.problem import RoutingProblem
 
@@ -225,7 +226,6 @@ class RoutingEngine:
         record = _new_record("shard", 0, self.router_config.ordering)
         result = self._slice(
             record,
-            problem,
             deadline,
             lambda: route_problem_sharded(
                 problem,
@@ -262,11 +262,11 @@ class RoutingEngine:
         """
         stall_limit = None
         if self.config.max_attempts > 1:
-            # The router's connections: a spanning tree of p - 1 per net
-            # of p pins (see ``decompose_net``), plus each pre-routed path.
-            connections = sum(
-                len(net.pins) - 1 for net in problem.nets if net.pins
-            ) + sum(len(paths) for paths in (pre_routed or {}).values())
+            # The router's connections: the problem's, plus each
+            # pre-routed path.
+            connections = problem.connection_count + sum(
+                len(paths) for paths in (pre_routed or {}).values()
+            )
             stall_limit = _STALL_FACTOR * connections
         records: List[dict] = []
         finals: Dict[int, RouteResult] = {}
@@ -304,7 +304,7 @@ class RoutingEngine:
                     paused[attempt] = router
                 return result
 
-            result = self._slice(records[attempt], problem, deadline, probe)
+            result = self._slice(records[attempt], deadline, probe)
             if attempt in paused:
                 stats = paused[attempt].stats
                 records[attempt].update(
@@ -328,7 +328,6 @@ class RoutingEngine:
             for attempt in list(paused):
                 result = self._slice(
                     records[attempt],
-                    problem,
                     deadline,
                     lambda: paused.pop(attempt).route(deadline=deadline),
                 )
@@ -347,14 +346,14 @@ class RoutingEngine:
         attempt_log.extend(records)
         return None, [finals[a] for a in sorted(finals)], timed_out
 
-    def _slice(self, record, problem, deadline, run):
+    def _slice(self, record, deadline, run):
         """Run one slice of an attempt under supervision, into ``record``.
 
         ``run()`` returns a result, or None when a Mighty probe paused or
         the partitioner declined.  A crash is telemetry: the result is
         ``None`` and the record carries the error.  A returned result is
-        verified, and the verdict gates acceptance.  ``elapsed_s`` adds up
-        the attempt's slices.
+        verified against the problem it solved, and the verdict gates
+        acceptance.  ``elapsed_s`` adds up the attempt's slices.
         """
         started = deadline.elapsed()
         try:
@@ -364,7 +363,7 @@ class RoutingEngine:
             record["stop"] = "error"
             result = None
         if result is not None:
-            report = verify_result(problem, result)
+            report = verify_result(result.problem, result)
             stats = result.stats
             record["routed"] = stats.routed_connections
             record["connections"] = stats.connections
@@ -392,7 +391,9 @@ class RoutingEngine:
         return result
 
     def _run_fallbacks(self, spec, tracks, attempt_log, deadline):
-        """Classical channel routers, one shot each, best-effort."""
+        """Classical channel routers, one shot each, best-effort: like any
+        attempt, only a verified complete layout is returned.  The record's
+        ``error`` is the router's failure reason or the verifier's."""
         from repro.channels.greedy import GreedyRouter
         from repro.channels.yacr_lite import YacrLiteRouter
 
@@ -400,33 +401,19 @@ class RoutingEngine:
         for router in (GreedyRouter(), YacrLiteRouter()):
             if deadline.expired():
                 return None
-            started = deadline.elapsed()
             record = _new_record(
                 f"fallback-{router.name}", len(attempt_log), ""
             )
-            try:
-                channel_result = router.route(spec, tracks)
-            except Exception as exc:  # supervised: a crash is telemetry
-                record["error"] = f"{type(exc).__name__}: {exc}"
-                record["stop"] = "error"
-                record["elapsed_s"] = round(
-                    deadline.elapsed() - started, 6
-                )
-                attempt_log.append(record)
-                continue
-            record["elapsed_s"] = round(deadline.elapsed() - started, 6)
-            record["verified"] = bool(channel_result.success)
-            if not channel_result.success:
-                record["error"] = channel_result.reason
-                record["stop"] = "incomplete"
-                attempt_log.append(record)
-                continue
-            result = self._result_from_channel(channel_result)
-            record["routed"] = result.stats.routed_connections
-            record["connections"] = result.stats.connections
-            record["stop"] = "complete"
             attempt_log.append(record)
-            return result
+
+            def run():
+                channel_result = router.route(spec, tracks)
+                record["error"] = channel_result.reason
+                return self._result_from_channel(channel_result)
+
+            result = self._slice(record, deadline, run)
+            if result is not None and result.success and record["verified"]:
+                return result
         return None
 
     # ------------------------------------------------------------------
@@ -505,16 +492,21 @@ class RoutingEngine:
 
         The fallback may have extended the channel (greedy extension
         columns), so the returned result's ``problem`` is the channel
-        router's own — internally consistent with its grid.
-        """
-        problem = channel_result.problem
-        grid = channel_result.grid
+        router's own — internally consistent with its grid (an empty one
+        when it built none).  A connection is routed where the grid joins
+        its pins."""
+        problem, grid = channel_result.problem, channel_result.grid
+        if grid is None:
+            problem = channel_result.spec.to_problem(channel_result.tracks)
+            grid = problem.build_grid()
+        width, height = grid.width, grid.height
         connections = decompose_problem(problem)
         for connection in connections:
-            component = grid.connected_component(
-                connection.net_id, tuple(connection.source_node)
+            connection.routed = grid.same_component_ids(
+                connection.net_id,
+                flat_id(connection.source_node, width, height),
+                flat_id(connection.target_node, width, height),
             )
-            connection.routed = connection.target_node in component
         routed = sum(1 for c in connections if c.routed)
         stats = RouteStats(
             connections=len(connections),
@@ -528,7 +520,6 @@ class RoutingEngine:
             failed=[c for c in connections if not c.routed],
             stats=stats,
             router=f"fallback-{channel_result.router}",
-            status="complete" if channel_result.success else "partial",
         )
 
     @staticmethod

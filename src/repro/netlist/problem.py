@@ -127,6 +127,12 @@ class RoutingProblem:
         """Total number of pins across all nets."""
         return sum(net.pin_count for net in self.nets)
 
+    @property
+    def connection_count(self) -> int:
+        """Two-pin connections of the nets' spanning trees (``pins - 1``
+        per net, none below two pins; see ``decompose_problem``)."""
+        return sum(max(0, net.pin_count - 1) for net in self.nets)
+
     # ------------------------------------------------------------------
     # Grid realisation
     # ------------------------------------------------------------------

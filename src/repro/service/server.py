@@ -106,16 +106,6 @@ class ServiceConfig:
         fsync durable-store writes (power-loss safety).  Disabling it
         still survives process crashes; tests and benchmarks disable it
         for speed.
-    shard_oversized:
-        When >= 2, a job whose *own* estimated cost exceeds its
-        deadline budget — one that would previously be admitted only to
-        time out, or shed outright under a tight ``admission_factor`` —
-        is routed through the shard-and-stitch pipeline with this many
-        shards instead of whole-region routing.  Shard routing runs
-        inside the warm worker (daemonic workers cannot fork), so the
-        win is the pipeline's algorithmic one: halo-bounded searches do
-        a fraction of the whole-region work.  0 (the default) disables
-        oversized-job sharding.
     """
 
     socket_path: str
@@ -130,7 +120,6 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
     reap_grace_s: float = 10.0
     fsync_store: bool = True
-    shard_oversized: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -147,8 +136,6 @@ class ServiceConfig:
             raise ValueError("admission_factor must be positive")
         if self.reap_grace_s < 0:
             raise ValueError("reap_grace_s must be non-negative")
-        if self.shard_oversized < 0 or self.shard_oversized == 1:
-            raise ValueError("shard_oversized must be 0 (off) or >= 2")
 
 
 def _submit_options(
@@ -189,10 +176,9 @@ def _is_number(value) -> bool:
 
 def _cost_units(problem: RoutingProblem) -> float:
     """Size proxy of the admission cost model: cells x connections."""
-    connections = sum(
-        max(0, net.pin_count - 1) for net in problem.nets
+    return float(
+        problem.width * problem.height * max(1, problem.connection_count)
     )
-    return float(problem.width * problem.height * max(1, connections))
 
 
 class RoutingService:
@@ -440,18 +426,6 @@ class RoutingService:
                 )
 
         estimated_cost_s, units = self._admit(problem, form, deadline_s)
-        # Oversized-job sharding: when the job's *own* cost estimate
-        # eats its whole deadline budget, whole-region routing would
-        # likely just time out.  Route it through the shard-and-stitch
-        # pipeline instead of shedding or burning the budget.  An
-        # explicit client ``shards`` option always wins.
-        if (
-            not shards
-            and self.config.shard_oversized >= 2
-            and deadline_s is not None
-            and estimated_cost_s > self.config.admission_factor * deadline_s
-        ):
-            shards = self.config.shard_oversized
         if shards > 1:
             self._counters["sharded"] += 1
         job_id = self._job_seq = self._job_seq + 1

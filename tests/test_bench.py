@@ -255,6 +255,16 @@ class TestCounterParityCheck:
         )
         del new["cases"][0]["searches"]
         assert "a: searches None != baseline 1" in counter_mismatches(old, new)
+        # iterations and routed, like wirelength, count where recorded.
+        new["cases"][0].update(
+            searches=1, wirelength=8, iterations=5, routed=3
+        )
+        assert counter_mismatches(old, new) == [
+            "b: missing from the report",
+            "c: not in the baseline",
+        ]
+        old["cases"][0].update(iterations=6, routed=3)
+        assert "a: iterations 5 != baseline 6" in counter_mismatches(old, new)
 
     def test_suite_cases_the_run_left_out_do_not_count(self):
         # A full-suite baseline gates a --quick/--only run on its cases.
@@ -335,7 +345,8 @@ class TestBenchCli:
 
     def test_multi_metric_gates(self, tmp_path, capsys):
         """One --compare gates expansions, searches and wirelength; a
-        baseline without wirelength gates the other two."""
+        baseline without wirelength, iterations and routed gates the
+        other two."""
         real = run_bench(only=FAST)
         baseline = tmp_path / "base.json"
         argv = [
@@ -348,9 +359,35 @@ class TestBenchCli:
         assert main(argv) == 1
         assert "PARITY: chan-simple: wirelength" in capsys.readouterr().err
         for row in real["cases"]:
-            del row["wirelength"]
+            del row["wirelength"], row["iterations"], row["routed"]
         write_report(real, baseline)
         assert main(argv) == 0
+        real["cases"][0]["searches"] += 1
+        write_report(real, baseline)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("PARITY: ") == 1
+        assert "PARITY: chan-simple: searches" in err
+
+    @pytest.mark.parametrize("counter", ["iterations", "routed"])
+    def test_gate_fails_on_control_loop_counters(
+        self, tmp_path, capsys, counter
+    ):
+        real = run_bench(only=FAST)
+        real["cases"][1][counter] += 1  # one case, one counter
+        baseline = tmp_path / "base.json"
+        write_report(real, baseline)
+        code = main(
+            [
+                "bench", "--only", *FAST,
+                "-o", str(tmp_path / "new.json"),
+                "--compare", str(baseline),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("PARITY: ") == 1
+        assert f"PARITY: chan-dogleg: {counter}" in err
 
     def test_baseline_restricted_to_the_selection(self, tmp_path, capsys):
         # A full-suite baseline gates an --only run on the selected cases.

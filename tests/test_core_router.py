@@ -370,3 +370,66 @@ class TestStallPause:
             router.route(pre_routed={"fixed": [fixed_path]})
         # The refused call changed nothing: the run still resumes.
         assert router.route().success
+
+
+def _recount_checked(router):
+    """``router`` with every event checked against a recount.
+
+    The router keeps a running routed count instead of scanning its
+    connections; each event's ``open_connections`` must still equal a
+    count of the connections not routed at the moment it is recorded.
+    """
+    record = router._record
+
+    def checked(kind, net, detail=""):
+        record(kind, net, detail)
+        event = router._events[-1]
+        open_now = sum(not c.routed for c in router._all_connections)
+        assert event.open_connections == open_now, event
+
+    router._record = checked
+    return router
+
+
+def _assert_final_count(result):
+    routed = sum(c.routed for c in result.connections)
+    assert result.stats.routed_connections == routed
+    assert result.stats.failed_connections == len(result.failed)
+    assert routed + len(result.failed) == result.stats.connections
+
+
+_VARIANTS = {
+    "mighty": MightyConfig,
+    "weak-only": MightyConfig.weak_only,
+    "strong-only": MightyConfig.strong_only,
+    "no-modification": MightyConfig.no_modification,
+}
+_ALL_CASES = bench_cases()
+
+
+class TestRoutedCount:
+    """The running routed count equals a recount at every event."""
+
+    @pytest.mark.parametrize("variant", list(_VARIANTS))
+    @pytest.mark.parametrize(
+        "case", _ALL_CASES, ids=[c.name for c in _ALL_CASES]
+    )
+    def test_events_match_a_recount(self, case, variant):
+        router = MightyRouter(case.build(), _VARIANTS[variant]())
+        result = _recount_checked(router).route()
+        _assert_final_count(result)
+
+    def test_fig_channel_paused_and_resumed(self):
+        # Weak rejections undo rips and the run ends below its best, so
+        # both the undo and the best-state restore move the count.
+        case = next(c for c in _ALL_CASES if c.name == "fig-channel")
+        router = _recount_checked(MightyRouter(case.build()))
+        assert router.route(stall_limit=105) is None
+        paused = router.stats
+        assert paused.routed_connections == sum(
+            c.routed for c in router._all_connections
+        )
+        result = router.route()
+        _assert_final_count(result)
+        assert result.stats.weak_rejections > 0
+        assert [e.kind for e in result.events].count("restore") == 1

@@ -230,9 +230,15 @@ class TestEngineUnderChaos:
 
 
 class TestFallbackCascade:
-    def test_classical_fallback_rescues_channel(self):
+    def test_classical_fallback_rescues_channel(self, monkeypatch):
         # Mighty is fully disabled by fault injection, but the greedy
         # fallback does not use the maze searcher and completes
+        from repro.grid.routing_grid import RoutingGrid
+
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("the BFS component walk was called")
+
+        monkeypatch.setattr(RoutingGrid, "connected_component", no_bfs)
         spec = simple_channel()
         tracks = 4
         problem = spec.to_problem(tracks)
@@ -246,8 +252,72 @@ class TestFallbackCascade:
         assert result.status == "complete"
         # judged against the (possibly extended) problem it actually solved
         assert verify_result(result.problem, result).ok
-        stages = [r["stage"] for r in result.stats.attempt_log]
-        assert any(s.startswith("fallback-") for s in stages)
+        # The fallback's record is filled like the Mighty attempt's.
+        mighty, greedy = result.stats.attempt_log
+        assert greedy["stage"] == "fallback-greedy"
+        assert set(greedy) == set(mighty)
+        assert greedy["stop"] == "complete" and greedy["verified"] is True
+        assert greedy["routed"] == greedy["connections"]
+        assert greedy["routed"] == result.stats.connections > 0
+
+    def test_fallback_without_a_layout_is_incomplete(self):
+        # At one track neither channel router builds a layout.
+        spec = simple_channel()
+        engine = RoutingEngine(EngineConfig(max_attempts=1))
+        with FaultInjector(FaultPlan(fail_searches_after=1)):
+            result = engine.route(
+                spec.to_problem(1), channel_spec=spec, tracks=1
+            )
+        assert not result.success
+        greedy, yacr = result.stats.attempt_log[1:]
+        assert (greedy["stage"], yacr["stage"]) == (
+            "fallback-greedy",
+            "fallback-yacr-lite",
+        )
+        for record in (greedy, yacr):
+            assert record["stop"] == "incomplete"
+            assert record["routed"] == 0
+            assert record["connections"] == result.stats.connections
+        assert greedy["error"].startswith("stuck at column")
+        assert yacr["error"] == "no track packing"
+
+    def test_unverified_channel_success_is_not_returned(self, monkeypatch):
+        """A channel router that reports success on a layout failing
+        verification is a rejected attempt, never the result."""
+        from repro.channels.greedy import GreedyRouter
+        from repro.channels.yacr_lite import YacrLiteRouter
+        from repro.grid.path import GridPath
+        from repro.grid.routing_grid import FREE
+
+        real_route = GreedyRouter.route
+
+        def shorted(self, spec, tracks):
+            channel = real_route(GreedyRouter(), spec, tracks)
+            assert channel.success
+            # Copper of a net the problem does not have: every connection
+            # is still joined, but the layout is not a legal routing.
+            grid = channel.grid
+            cell = list(grid.occ_flat()).index(FREE)
+            stray = GridPath.from_ids([cell], grid.width, grid.height)
+            grid.commit_path(len(channel.problem.nets) + 1, stray)
+            channel.router = self.name
+            return channel
+
+        monkeypatch.setattr(GreedyRouter, "route", shorted)
+        monkeypatch.setattr(YacrLiteRouter, "route", shorted)
+        spec = simple_channel()
+        engine = RoutingEngine(EngineConfig(max_attempts=1))
+        with FaultInjector(FaultPlan(fail_searches_after=1)):
+            result = engine.route(
+                spec.to_problem(4), channel_spec=spec, tracks=4
+            )
+        assert result.status != "complete"
+        assert not result.router.startswith("fallback-")
+        fallbacks = result.stats.attempt_log[1:]
+        assert len(fallbacks) == 2
+        for record in fallbacks:
+            assert record["verified"] is False
+            assert "unknown net id" in record["error"]
 
     def test_no_fallback_without_channel_spec(self, box_problem):
         engine = RoutingEngine(EngineConfig(max_attempts=1))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench import bench_cases
+from repro.core.decompose import decompose_problem
 from repro.geometry import Rect, RectilinearRegion
 from repro.grid import Layer
 from repro.netlist import Net, Pin, ProblemError, RoutingProblem
@@ -111,6 +113,30 @@ class TestNetIds:
             nets=[Net("a", (Pin(0, 0), Pin(1, 1))), Net("b", (Pin(2, 2),))],
         )
         assert [n.name for n in problem.routable_nets] == ["a"]
+
+
+class TestConnectionCount:
+    """``connection_count`` is the decomposition's size, by definition."""
+
+    @pytest.mark.parametrize(
+        "case", bench_cases(), ids=[c.name for c in bench_cases()]
+    )
+    def test_equals_the_decomposition_on_the_bench_suite(self, case):
+        problem = case.build()
+        assert problem.connection_count == len(decompose_problem(problem))
+
+    def test_nets_with_fewer_than_two_pins_add_nothing(self):
+        problem = RoutingProblem(
+            6,
+            4,
+            nets=[
+                Net("a", (Pin(0, 0), Pin(3, 1), Pin(5, 3))),
+                Net("b", (Pin(2, 2),)),
+                Net("c", ()),
+            ],
+        )
+        assert problem.connection_count == 2
+        assert len(decompose_problem(problem)) == 2
 
 
 class TestBuildGrid:

@@ -176,14 +176,6 @@ class TestEngineIntegration:
 
 
 class TestServiceSharding:
-    def test_config_rejects_shard_oversized_one(self):
-        from repro.service import ServiceConfig
-
-        with pytest.raises(ValueError):
-            ServiceConfig(socket_path="/tmp/x.sock", shard_oversized=1)
-        ServiceConfig(socket_path="/tmp/x.sock", shard_oversized=0)
-        ServiceConfig(socket_path="/tmp/x.sock", shard_oversized=4)
-
     def test_worker_executes_shard_option(self):
         from repro.netlist.io import problem_to_dict
         from repro.service.workers import _execute_job
