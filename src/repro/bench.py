@@ -19,10 +19,10 @@ makes that measurable and regression-proof:
   :func:`compare_reports` tabulates the wall-time ratios beside it.
 
 Wall-clock numbers are only comparable on the same machine; the work
-counters (``expansions``, ``searches``, ``iterations``), the ``routed``
-count and the routed ``wirelength`` are deterministic per case and
-comparable across machines and kernel backends, which is why they, and
-only they, are gated.
+counters (``expansions``, ``flood_visits``, ``searches``,
+``iterations``), the ``routed`` count and the routed ``wirelength`` are
+deterministic per case and comparable across machines and kernel
+backends, which is why they, and only they, are gated.
 """
 
 from __future__ import annotations
@@ -256,6 +256,7 @@ def run_case(
         "wall_s": round(best_wall, 6),
         "searches": int(stats.searches),
         "expansions": int(stats.expansions),
+        "flood_visits": int(stats.flood_visits),
         "peak_journal_depth": int(stats.peak_journal_depth),
         "iterations": int(stats.iterations),
         "connections": int(stats.connections),
@@ -360,7 +361,9 @@ def run_bench(
 #: counters are required; the rest count only where the baseline records
 #: them.
 REQUIRED_COUNTERS = ("expansions", "searches")
-PARITY_COUNTERS = REQUIRED_COUNTERS + ("wirelength", "iterations", "routed")
+PARITY_COUNTERS = REQUIRED_COUNTERS + (
+    "flood_visits", "wirelength", "iterations", "routed"
+)
 
 
 def counter_mismatches(
@@ -370,14 +373,14 @@ def counter_mismatches(
     ``baseline``; no line means parity.
 
     Both must name the same cases, and every case must have equal
-    ``expansions`` and ``searches``, and equal ``wirelength``,
-    ``iterations`` and ``routed`` where the baseline records them.  Case
-    by case, so one case rising while another falls is caught, which no
-    summed ratio does; and a control-loop change that leaves the search
-    counts equal still shows in ``iterations``.  Baseline cases of the
-    suite that the run's ``quick``/``only`` selection left out do not
-    count; a baseline case the suite no longer has is missing from the
-    report.
+    ``expansions`` and ``searches``, and equal ``flood_visits``,
+    ``wirelength``, ``iterations`` and ``routed`` where the baseline
+    records them.  Case by case, so one case rising while another falls
+    is caught, which no summed ratio does; and a control-loop change
+    that leaves the search counts equal still shows in ``iterations``.
+    Baseline cases of the suite that the run's ``quick``/``only``
+    selection left out do not count; a baseline case the suite no
+    longer has is missing from the report.
     """
     suite = {case.name for case in bench_cases()}
     new = {row["name"]: row for row in report["cases"]}

@@ -54,11 +54,18 @@ class RouteStats:
     frozen_nets: int = 0
     iterations: int = 0
     searches: int = 0
+    #: Nodes A* popped and relaxed, summed over every search.
     expansions: int = 0
+    #: Nodes the hard searches' target-side floods popped before A* ran
+    #: (:func:`repro.maze.astar.find_path_flat`), summed.  Kept apart
+    #: from ``expansions``, which counts A* work only.
+    flood_visits: int = 0
     #: Searches that stopped because their ``max_expansions`` budget
     #: tripped rather than proving no path exists.  A run that fails with
     #: a nonzero count here may simply be under-budgeted — not
-    #: unroutable — which is why the engine's escalation reads it.
+    #: unroutable — which is why the engine's escalation reads it.  A
+    #: no-path proven by a target-side flood never counts here, even
+    #: where A* alone would have tripped the budget.
     exhausted_searches: int = 0
     peak_journal_depth: int = 0
     #: Name of the search-kernel backend the run used (``pure`` /
@@ -114,6 +121,7 @@ class RouteStats:
         "iterations",
         "searches",
         "expansions",
+        "flood_visits",
         "exhausted_searches",
         "peak_journal_depth",
         "kernel_backend",

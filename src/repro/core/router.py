@@ -397,6 +397,7 @@ class MightyRouter:
         )
         self._stats.phase_search_s += time.perf_counter() - tick
         self._stats.expansions += result.expansions
+        self._stats.flood_visits += result.flood_visits
         if result.exhausted:
             self._stats.exhausted_searches += 1
             self._last_attempt_exhausted = True

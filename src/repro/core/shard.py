@@ -66,6 +66,7 @@ _SUMMED_FIELDS = (
     "iterations",
     "searches",
     "expansions",
+    "flood_visits",
     "exhausted_searches",
     "phase_search_s",
     "phase_connectivity_s",

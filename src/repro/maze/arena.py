@@ -110,7 +110,8 @@ class _CPlanes:
     its own.  ``target`` is a zeroed byte mask; kernels that use it must
     restore it to all-zero before returning (set/clear the few target
     indices, not a full memset).  ``path`` is an int32 buffer big enough
-    for any simple path (one entry per node), and ``out`` receives the
+    for any simple path (one entry per node), which the A* kernel's
+    target-side flood also uses as its queue, and ``out`` receives the
     kernel's scalar results.  :meth:`cost_rows` keeps the int64 axis-cost
     rows of every cost table searched on these planes.
     """
@@ -126,7 +127,7 @@ class _CPlanes:
         stamp = array("q", bytes(8 * n_nodes))
         self.target = array("B", bytes(n_nodes))
         self.path = array("i", bytes(4 * n_nodes))
-        self.out = array("q", bytes(8 * 3))
+        self.out = array("q", bytes(8 * 4))
         self._buffers = (best, parent, stamp)
         self.best_addr = best.buffer_info()[0]
         self.parent_addr = parent.buffer_info()[0]

@@ -41,6 +41,7 @@ from repro.grid.routing_grid import FREE, RoutingGrid
 from repro.maze.arena import SearchArena, default_arena
 from repro.maze.cost import CostModel
 from repro.maze.kernels import resolve_kernel
+from repro.maze.kernels.pure import FLOOD_CAP
 from repro.maze.kernels.pure import INDEX_MASK as _INDEX_MASK
 
 Node = Tuple[int, int, int]  # (x, y, layer)
@@ -56,6 +57,8 @@ class SearchResult:
 
     path: Optional[GridPath]
     cost: int = 0
+    #: Nodes A* popped and relaxed; 0 when the target-side flood proved
+    #: that no path exists.
     expansions: int = 0
     #: The foreign nodes the walk occupies, as ``(x, y, layer)``; filled
     #: by :func:`find_path` (the flat entry leaves it empty).
@@ -63,10 +66,15 @@ class SearchResult:
     #: True when the search stopped because the ``max_expansions`` budget
     #: tripped.  ``path is None and not exhausted`` is a *proven* no-path;
     #: ``path is None and exhausted`` merely means the budget ran out — the
-    #: two must not be conflated when deciding a net is unroutable.
+    #: two must not be conflated when deciding a net is unroutable.  A
+    #: no-path proven by the target-side flood is never exhausted, even
+    #: where A* alone would have run out of budget first.
     exhausted: bool = False
     #: Flat ids of the foreign nodes the walk occupies, in path order.
     conflict_ids: List[int] = field(default_factory=list)
+    #: Nodes the target-side flood popped before A* (see
+    #: :func:`find_path_flat`); 0 when no flood ran.
+    flood_visits: int = 0
 
     @property
     def found(self) -> bool:
@@ -189,6 +197,15 @@ def find_path_flat(
     kernel runs.  The other parameters are :func:`find_path`'s.  The
     found path is built from flat ids, and ``conflict_ids`` lists the
     foreign nodes it occupies; ``conflict_nodes`` stays empty.
+
+    A hard search whose sources and targets are all copper of
+    ``net_id``, with no source among at most
+    :data:`~repro.maze.kernels.pure.FLOOD_CAP` targets, first floods the
+    target side over free cells.  When that flood closes without
+    touching other copper of the net, no source can reach a target, and
+    the search returns no path after zero expansions.  Otherwise A* runs
+    exactly as without the flood.  ``flood_visits`` counts the flood's
+    work either way.
     """
     model = cost or _DEFAULT_COST
     width, height = grid.width, grid.height
@@ -225,28 +242,45 @@ def find_path_flat(
     occ = grid.occ_flat()
     step = model.step_cost
     source_entries = []
+    sources_owned = True
     for index in sources:
         if not 0 <= index < n_nodes:
             raise ValueError(f"source id {index} out of bounds")
         owner = occ[index]
         x = index % width
         y = index // width % height
-        if owner != FREE and owner != net_id:
-            raise ValueError(
-                f"source {(x, y, index // plane)} is not available to net "
-                f"{net_id} (owner {owner})"
-            )
+        if owner != net_id:
+            if owner != FREE:
+                raise ValueError(
+                    f"source {(x, y, index // plane)} is not available to "
+                    f"net {net_id} (owner {owner})"
+                )
+            sources_owned = False
         dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
         dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
         source_entries.append((index, (dx + dy) * step))
 
+    goals = set(targets)
+    seeds = ()
+    if (
+        sources_owned
+        and not allow_conflicts
+        and len(goals) <= FLOOD_CAP
+        and all(occ[index] == net_id for index in goals)
+        and goals.isdisjoint(sources)
+    ):
+        seeds = sorted(goals)
+
     planes = (arena or default_arena()).planes(width, height)
     gen = planes.next_generation()
-    goal_cost, expansions, exhausted, indices = backend.astar_search(
+    (
+        goal_cost, expansions, flood_visits, exhausted, indices
+    ) = backend.astar_search(
         grid,
         net_id,
         source_entries,
-        set(targets),
+        goals,
+        seeds,
         (tx0, tx1, ty0, ty1),
         model,
         allow_conflicts,
@@ -259,7 +293,10 @@ def find_path_flat(
 
     if indices is None:
         return SearchResult(
-            path=None, expansions=expansions, exhausted=exhausted
+            path=None,
+            expansions=expansions,
+            exhausted=exhausted,
+            flood_visits=flood_visits,
         )
     # Only a conflict search can cross foreign copper: a hard search
     # enters free or own cells, and its sources are checked above.
@@ -275,4 +312,5 @@ def find_path_flat(
         cost=goal_cost,
         expansions=expansions,
         conflict_ids=conflicts,
+        flood_visits=flood_visits,
     )

@@ -19,7 +19,7 @@ edges.  Two backends ship:
     the compiled path available with nothing beyond a stock toolchain.)
 
 Every backend is bit-identical to ``pure`` by contract: same paths, same
-costs, same expansion counts, same conflict nodes.  The differential
+costs, same expansion and flood-visit counts, same conflict nodes.  The differential
 parity suite (``tests/test_kernel_parity.py``) and the benchmark counter
 gate (``repro bench --compare BASELINE``, every case's counters equal)
 enforce this, so switching backends changes wall time only — never which

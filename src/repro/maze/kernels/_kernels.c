@@ -99,9 +99,81 @@ static int64_t backtrack(const int32_t *parent, int64_t goal,
     return len;
 }
 
+/* Successors of index in the reference move order (x+1, x-1, y+1, y-1,
+ * via) into succs; returns how many. */
+static int successors(int64_t index, int64_t width, int64_t height,
+                      int64_t *succs)
+{
+    int64_t plane = width * height;
+    int64_t layer = index >= plane;
+    int64_t rest = index - layer * plane;
+    int64_t y = rest / width;
+    int64_t x = rest - y * width;
+    int nmov = 0;
+    if (x + 1 < width)
+        succs[nmov++] = index + 1;
+    if (x > 0)
+        succs[nmov++] = index - 1;
+    if (y + 1 < height)
+        succs[nmov++] = index + width;
+    if (y > 0)
+        succs[nmov++] = index - width;
+    succs[nmov++] = index + (layer ? -plane : plane);
+    return nmov;
+}
+
+/* Mirror of flood_closes in pure.py: flood from the seeds over free
+ * cells, giving up at the (cap+1)-th free cell or at copper of net_id
+ * that is not a seed.  Returns 1 when the queue drains first.  The
+ * caller's seeds are the targets, so target[] already marks them; the
+ * flood marks the free cells it enters with 2 and clears them again
+ * before returning.  queue holds every node entered once, so n_nodes
+ * entries suffice.  *visits counts the nodes popped.
+ */
+static int flood_closes(const int32_t *occ, int64_t width, int64_t height,
+                        int64_t net_id, uint8_t *target,
+                        const int64_t *seeds, int64_t n_seeds, int64_t cap,
+                        int32_t *queue, int64_t *visits)
+{
+    int64_t head = 0, tail = 0;
+    int closed = 1;
+
+    for (int64_t i = 0; i < n_seeds; i++)
+        queue[tail++] = (int32_t)seeds[i];
+    while (closed && head < tail) {
+        int64_t succs[5];
+        int nmov = successors(queue[head++], width, height, succs);
+        for (int m = 0; m < nmov; m++) {
+            int64_t succ = succs[m];
+            if (target[succ])
+                continue;
+            int64_t owner = occ[succ];
+            if (owner == CELL_FREE) {
+                if (tail - n_seeds == cap) {
+                    closed = 0;
+                    break;
+                }
+                target[succ] = 2;
+                queue[tail++] = (int32_t)succ;
+            } else if (owner == net_id) {
+                closed = 0;
+                break;
+            }
+        }
+    }
+    for (int64_t i = n_seeds; i < tail; i++)
+        target[queue[i]] = 0;
+    *visits = head;
+    return closed;
+}
+
 /* out[0] = goal cost (or overflowing g on ST_OVERFLOW)
  * out[1] = expansions
  * out[2] = path length (goal-first; caller reverses)
+ * out[3] = flood visits
+ *
+ * n_seeds > 0 asks for the target-side flood first (see flood_closes);
+ * the caller passes seeds only when a closed flood proves "no path".
  */
 int64_t repro_astar(
     const int32_t *occ, const int32_t *pin,
@@ -111,7 +183,8 @@ int64_t repro_astar(
     const int64_t *penalties, int64_t pen_len,
     const int64_t *row0, const int64_t *row1,
     int64_t step, int64_t base_penalty,
-    const uint8_t *target,
+    uint8_t *target,
+    const int64_t *seeds, int64_t n_seeds, int64_t flood_cap,
     int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
     const int64_t *src_idx, const int64_t *src_h, int64_t n_src,
     int64_t max_expansions,
@@ -124,6 +197,16 @@ int64_t repro_astar(
     int64_t goal = -1;
     int64_t goal_cost = 0;
     int64_t status;
+
+    out[3] = 0;
+    if (n_seeds > 0
+        && flood_closes(occ, width, height, net_id, target, seeds, n_seeds,
+                        flood_cap, path_out, &out[3])) {
+        out[0] = 0;
+        out[1] = 0;
+        out[2] = 0;
+        return ST_NOPATH;
+    }
 
     for (int64_t i = 0; i < n_src; i++) {
         int64_t idx = src_idx[i];
@@ -269,21 +352,8 @@ int64_t repro_lee(
 
     while (head < tail && goal < 0) {
         int64_t index = queue[head++];
-        int64_t layer = index >= plane;
-        int64_t rest = index - layer * plane;
-        int64_t y = rest / width;
-        int64_t x = rest - y * width;
         int64_t succs[5];
-        int nmov = 0;
-        if (x + 1 < width)
-            succs[nmov++] = index + 1;
-        if (x > 0)
-            succs[nmov++] = index - 1;
-        if (y + 1 < height)
-            succs[nmov++] = index + width;
-        if (y > 0)
-            succs[nmov++] = index - width;
-        succs[nmov++] = index + (layer ? -plane : plane);
+        int nmov = successors(index, width, height, succs);
         for (int m = 0; m < nmov; m++) {
             int64_t succ = succs[m];
             if (stamp[succ] == gen)

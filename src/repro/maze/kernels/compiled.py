@@ -26,11 +26,15 @@ target mask, the path and result buffers are ``array`` objects of the
 arena whose addresses were taken once per plane set
 (:class:`~repro.maze.arena._CPlanes`), and the axis-cost rows are cached
 there per cost table.  Per call this module only packs the sources into
-two int64 ``array`` buffers and flips target-mask bytes; a conflict
-search also builds the dense frozen/penalty tables, which index by *net
-id*, guarded in C by their lengths, so sparse dict lookups become
-branchless loads in the hot loop.  A found path is sliced straight out
-of the path buffer.  No numpy array is built on any call.
+two int64 ``array`` buffers and flips target-mask bytes; a hard search
+with flood seeds packs them into a third, at most
+:data:`~repro.maze.kernels.pure.FLOOD_CAP` long, and passes that cap.  A
+conflict search never has seeds; it builds the dense frozen/penalty
+tables instead, which index by *net id*, guarded in C by their lengths,
+so sparse dict lookups become branchless loads in the hot loop.  The
+flood reuses the path buffer as its queue and the target mask as its
+visited set, so it allocates nothing.  A found path is sliced straight
+out of the path buffer.  No numpy array is built on any call.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import tempfile
 from array import array
 from typing import Optional, Sequence, Tuple
 
-from repro.maze.kernels.pure import g_overflow_error
+from repro.maze.kernels.pure import FLOOD_CAP, g_overflow_error
 
 __all__ = ["astar_search", "lee_search"]
 
@@ -108,6 +112,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         p, p,              # row0, row1
         i, i,              # step, base_penalty
         p,                 # target mask
+        p, i, i,           # seeds, n_seeds, flood_cap
         i, i, i, i,        # tx0, tx1, ty0, ty1
         p, p, i,           # src_idx, src_h, n_src
         i,                 # max_expansions
@@ -168,6 +173,7 @@ def astar_search(
     net_id: int,
     sources,
     target_idx,
+    seeds,
     bbox: Tuple[int, int, int, int],
     model,
     allow_conflicts: bool,
@@ -176,7 +182,7 @@ def astar_search(
     max_expansions: int,
     planes,
     gen: int,
-) -> Tuple[int, int, bool, Optional[Sequence[int]]]:
+) -> Tuple[int, int, int, bool, Optional[Sequence[int]]]:
     """C A* inner loop via ctypes (bit-identical to the pure reference)."""
     c = planes.c_planes()
     row0, row1 = c.cost_rows(model.axis_cost_table)
@@ -185,6 +191,7 @@ def astar_search(
         penalties = _dense_penalties(net_penalties)
     else:  # a hard search never reads either table
         frozen = penalties = _NO_TABLE
+    seeds = array("q", seeds) if seeds else _NO_TABLE
     src_idx, src_h = zip(*sources)
     src_idx = array("q", src_idx)
     src_h = array("q", src_h)
@@ -204,6 +211,7 @@ def astar_search(
             row0, row1,
             model.step_cost, model.conflict_penalty,
             c.target_addr,
+            seeds.buffer_info()[0], len(seeds), FLOOD_CAP,
             tx0, tx1, ty0, ty1,
             src_idx.buffer_info()[0], src_h.buffer_info()[0], len(src_idx),
             max_expansions,
@@ -216,11 +224,11 @@ def astar_search(
 
     out = c.out
     if status == _ST_FOUND:
-        return out[0], out[1], False, _read_path(c, out[2])
+        return out[0], out[1], out[3], False, _read_path(c, out[2])
     if status == _ST_NOPATH:
-        return 0, out[1], False, None
+        return 0, out[1], out[3], False, None
     if status == _ST_EXHAUSTED:
-        return 0, out[1], True, None
+        return 0, out[1], out[3], True, None
     if status == _ST_OVERFLOW:
         raise g_overflow_error(out[0])
     raise MemoryError("compiled A* kernel ran out of memory")

@@ -1,24 +1,35 @@
 """The reference pure-python search kernels.
 
 These are the original inner loops of :mod:`repro.maze.astar` and
-:mod:`repro.maze.lee`, unchanged — every other backend is defined as
-"bit-identical to this one".  The wrappers own validation and result
+:mod:`repro.maze.lee`, plus the A* search's target-side flood — every
+other backend is defined as "bit-identical to this one".  The wrappers own validation and result
 shaping; the kernels see only well-formed queries and speak flat node
 indices.
 
 Kernel contract (shared by every backend module):
 
-``astar_search(grid, net_id, sources, target_idx, bbox, model,
+``astar_search(grid, net_id, sources, target_idx, seeds, bbox, model,
 allow_conflicts, frozen_nets, net_penalties, max_expansions, planes, gen)``
     ``sources`` is an ordered list of ``(index, h)`` pairs — flat node id
     plus its precomputed heuristic — already validated and cost-0.
     ``target_idx`` is the set of goal indices, ``bbox`` the inclusive
     target bounding box ``(tx0, tx1, ty0, ty1)``.  ``planes`` are the
     arena scratch planes for this grid shape with ``gen`` the fresh
-    generation stamp.  Returns ``(goal_cost, expansions, exhausted,
-    indices)`` where ``indices`` is the source→goal flat-index path or
-    ``None``; ``exhausted`` is True when the search stopped because the
-    ``max_expansions`` budget tripped (so "no path" was *not* proven).
+    generation stamp.  ``seeds`` is empty, or the distinct targets in
+    ascending order when the caller has checked that a target-side
+    flood may prove "no path": the search is hard, every source and
+    target is copper of ``net_id``, no source is a target, and there are
+    at most :data:`FLOOD_CAP` targets.  The kernel then first floods
+    from the seeds (:func:`flood_closes`); when the flood closes, it
+    returns no path with zero expansions.  Otherwise, and whenever
+    ``seeds`` is empty, A* runs as if no flood had happened: the flood
+    writes none of the planes.  Returns ``(goal_cost, expansions,
+    flood_visits, exhausted, indices)`` where ``indices`` is the
+    source→goal flat-index path or ``None``, ``expansions`` counts A*
+    pops and ``flood_visits`` the nodes the flood popped; ``exhausted``
+    is True when the search stopped because the ``max_expansions``
+    budget tripped (so "no path" was *not* proven).  A flood's proof is
+    never exhausted, even where A* would have tripped the budget.
     Raises :class:`ValueError` when a relaxed cost overflows the packed
     heap-key g field.
 
@@ -45,6 +56,11 @@ INDEX_MASK = (1 << G_SHIFT) - 1
 FIELD_MASK = (1 << (F_SHIFT - G_SHIFT)) - 1
 G_LIMIT = 1 << (F_SHIFT - G_SHIFT)
 
+#: The most targets a hard search floods from, and the most free cells
+#: that flood may enter before it gives up and leaves the answer to A*.
+#: Both backends read this one value.
+FLOOD_CAP = 16
+
 
 def g_overflow_error(new_g: int) -> ValueError:
     """The error every backend raises when a cost overflows the g field."""
@@ -62,11 +78,47 @@ def backtrack(parent, goal: int) -> List[int]:
     return indices
 
 
+def flood_closes(occ, nbrs, net_id: int, seeds, cap: int) -> Tuple[bool, int]:
+    """Flood from ``seeds`` over free cells; ``(closed, visits)``.
+
+    The flood enters free cells in breadth-first order, the seeds first
+    and each node's moves in neighbour-table order.  It gives up when it
+    would enter a free cell past the ``cap``-th, or when it touches
+    copper of ``net_id`` that is not a seed; other cells are walls.
+    ``closed`` is True when the queue drains first.  ``visits`` counts
+    the nodes popped, the one that gave up included.
+
+    A hard search moves between free and own cells only, and a move is
+    legal both ways, so a path from a source would be a path from a
+    seed.  Every source is own copper and no seed, so a closed flood
+    proves that no source reaches a target.
+    """
+    seen = set(seeds)
+    queue = list(seeds)
+    head = 0
+    while head < len(queue):
+        index = queue[head]
+        head += 1
+        for succ, _axis, _sx, _sy in nbrs[index]:
+            if succ in seen:
+                continue
+            owner = occ[succ]
+            if owner == FREE:
+                if len(queue) - len(seeds) == cap:
+                    return False, head
+                seen.add(succ)
+                queue.append(succ)
+            elif owner == net_id:
+                return False, head
+    return True, head
+
+
 def astar_search(
     grid,
     net_id: int,
     sources,  # ordered [(index, h)] — validated, deduplication is ours
     target_idx,  # set of goal indices
+    seeds,  # ascending distinct targets to flood from, or empty
     bbox: Tuple[int, int, int, int],
     model,
     allow_conflicts: bool,
@@ -75,7 +127,7 @@ def astar_search(
     max_expansions: int,
     planes,
     gen: int,
-) -> Tuple[int, int, bool, Optional[List[int]]]:
+) -> Tuple[int, int, int, bool, Optional[List[int]]]:
     """Reference A* inner loop (see the module docstring for the contract)."""
     from repro.maze.arena import neighbor_table
 
@@ -86,6 +138,13 @@ def astar_search(
     occ = grid.occ_flat()
     pin = grid.pin_flat()
     nbrs = neighbor_table(width, height)
+    flood_visits = 0
+    if seeds:
+        closed, flood_visits = flood_closes(
+            occ, nbrs, net_id, seeds, FLOOD_CAP
+        )
+        if closed:
+            return 0, 0, flood_visits, False, None
     best, parent, stamp = planes.best, planes.parent, planes.stamp
 
     step = model.step_cost
@@ -151,8 +210,8 @@ def astar_search(
 
     if goal < 0:
         exhausted = expansions > max_expansions
-        return 0, expansions, exhausted, None
-    return goal_cost, expansions, False, backtrack(parent, goal)
+        return 0, expansions, flood_visits, exhausted, None
+    return goal_cost, expansions, flood_visits, False, backtrack(parent, goal)
 
 
 def lee_search(

@@ -1,8 +1,8 @@
 """Differential parity suite for the pluggable search-kernel backends.
 
 Every backend must be *bit-identical* to the ``pure`` reference: same
-paths (not just same lengths), same costs, same expansion counts, same
-conflict nodes, same exceptions.  These tests run the same queries
+paths (not just same lengths), same costs, same expansion and flood-visit
+counts, same conflict nodes, same exceptions.  These tests run the same queries
 through every available backend and compare results field by field, and
 they replay the wrapper-level bugfix regressions (layer validation,
 target bounds validation, the ``exhausted`` flag) on each backend so a
@@ -18,7 +18,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point
@@ -56,6 +56,7 @@ def _assert_same_astar(a, b, label):
     assert a.found == b.found, label
     assert a.cost == b.cost, label
     assert a.expansions == b.expansions, label
+    assert a.flood_visits == b.flood_visits, label
     assert a.exhausted == b.exhausted, label
     assert a.conflict_nodes == b.conflict_nodes, label
     if a.found:
@@ -92,6 +93,27 @@ def _random_scene(rng, width, height):
     return grid, sources, targets
 
 
+def _neighbours(node, width, height):
+    """The five moves of a search from ``node`` that stay on the grid."""
+    x, y, z = node
+    steps = ((x + 1, y, z), (x - 1, y, z), (x, y + 1, z), (x, y - 1, z))
+    inside = [
+        (a, b, c) for a, b, c in steps if 0 <= a < width and 0 <= b < height
+    ]
+    return inside + [(x, y, 1 - z)]
+
+
+def _own_endpoints(rng, grid, sources, targets):
+    """Make the endpoints pins of net 1, so a hard query floods the
+    target side; now and then wall the target in with net 5's pins."""
+    for node in {*sources, *targets}:
+        grid.reserve_pin(1, node)
+    if rng.random() < 0.5:
+        for near in _neighbours(targets[0], grid.width, grid.height):
+            if grid.owner(near) == 0 and rng.random() < 0.8:
+                grid.reserve_pin(5, near)
+
+
 #: Other nets' ids in the edge scenes.  The compiled kernel indexes its
 #: frozen and penalty tables by net id; 40 and ``2**31 - 1`` lie past the
 #: end of every table the scenes build.
@@ -106,7 +128,9 @@ def edge_scenes(draw):
     other nets' wires and pins; or any small shape that is obstacle
     everywhere but the two endpoints.  Half the rows and columns are 32
     to 40 cells long and half the queries join their two ends, so step
-    costs near ``2**28 / 40`` reach the packed-key g limit.
+    costs near ``2**28 / 40`` reach the packed-key g limit.  Half the
+    time the endpoints are pins of the searching net, so a hard query
+    floods the target side first.
     """
     kind = draw(st.sampled_from(("row", "column", "cell", "walled")))
     span = st.integers(1, 8)
@@ -150,6 +174,9 @@ def edge_scenes(draw):
             grid.commit_path(owner, GridPath([(x, y, z)]))
         else:
             grid.reserve_pin(draw(st.sampled_from(FOREIGN_IDS)), (x, y, z))
+    if draw(st.booleans()):  # pins of the net: a hard query floods first
+        for node in {source, target}:
+            grid.reserve_pin(1, node)
     query = dict(
         cost=CostModel(
             step_cost=draw(st.sampled_from((1, 3, 6882960, 2**23))),
@@ -195,7 +222,8 @@ class TestEdgeScenes:
     @given(scene=edge_scenes())
     def test_flat_entry_matches_find_path(self, name, scene):
         """The flat entry behind ``find_path`` returns the same path,
-        cost, expansions and conflicts for the same query in flat ids."""
+        cost, expansions, flood visits and conflicts for the same query
+        in flat ids."""
         grid, sources, targets, query = scene
         width, height = grid.width, grid.height
         by_nodes = _search_or_error(
@@ -216,6 +244,7 @@ class TestEdgeScenes:
         assert flat.found == by_nodes.found
         assert flat.cost == by_nodes.cost
         assert flat.expansions == by_nodes.expansions
+        assert flat.flood_visits == by_nodes.flood_visits
         assert flat.exhausted == by_nodes.exhausted
         assert flat.conflict_ids == by_nodes.conflict_ids
         assert by_nodes.conflict_nodes == [
@@ -264,12 +293,16 @@ class TestEdgeScenes:
 class TestAstarParity:
     @pytest.mark.parametrize("other", OTHERS)
     def test_randomized_differential(self, other):
-        """Random scenes, cost models, and modes: all fields must match."""
+        """Random scenes, cost models, and modes: all fields must match.
+        Half the scenes make the endpoints pins of the net, so hard
+        queries flood the target side, and some wall the target in."""
         rng = random.Random(20260809)
         for case in range(40):
             width = rng.randrange(4, 14)
             height = rng.randrange(4, 12)
             grid, sources, targets = _random_scene(rng, width, height)
+            if rng.random() < 0.5:
+                _own_endpoints(rng, grid, sources, targets)
             model = CostModel(
                 step_cost=rng.choice([1, 2]),
                 wrong_way_penalty=rng.choice([0, 2, 7]),
@@ -337,6 +370,98 @@ class TestAstarParity:
                 arena=arena, kernel="pure",
             )
             _assert_same_astar(a, b, name)
+
+
+@st.composite
+def walled_pin_scenes(draw):
+    """A hard query of net 1 from its source pin's component to target
+    pins, most of whose neighbours are other nets' pins.
+
+    The rest of the small grid holds obstacles, other nets' wires, and
+    net 1 copper of its own: single cells with no via (a stacked own
+    cell is not joined to the pin below it) and via pairs.  Some queries
+    add a free source cell, which may share a pocket with a target.
+    """
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    grid = RoutingGrid(width, height)
+    nodes = [
+        (x, y, z) for z in (0, 1) for y in range(height) for x in range(width)
+    ]
+    pins = draw(
+        st.lists(
+            st.sampled_from(nodes),
+            min_size=2,
+            max_size=min(4, len(nodes)),
+            unique=True,
+        )
+    )
+    source, targets = pins[0], pins[1:]
+    for node in pins:
+        grid.reserve_pin(1, node)
+    for target in targets:
+        for near in _neighbours(target, width, height):
+            if grid.owner(near) == 0 and draw(st.integers(0, 4)):
+                grid.reserve_pin(draw(st.sampled_from((2, 3))), near)
+    fills = draw(
+        st.dictionaries(
+            st.sampled_from(nodes),
+            st.sampled_from(("obstacle", "wire", "own", "own-via")),
+            max_size=len(nodes) // 3,
+        )
+    )
+    for (x, y, z), fill in fills.items():
+        below = (x, y, 1 - z)
+        if grid.owner((x, y, z)) != 0:
+            continue
+        if fill == "obstacle":
+            grid.set_obstacle(x, y, z)
+        elif fill == "wire":
+            grid.commit_path(2, GridPath([(x, y, z)]))
+        elif fill == "own":
+            grid.commit_path(1, GridPath([(x, y, z)]))
+        elif grid.owner(below) in (0, 1):
+            grid.commit_path(1, GridPath([(x, y, z), below]))
+    sources = sorted(grid.connected_component(1, source))
+    free = [node for node in nodes if grid.owner(node) == 0]
+    if free and draw(st.booleans()):
+        sources.append(draw(st.sampled_from(free)))
+    return grid, sources, targets
+
+
+def _flood_outcome(grid, sources, targets):
+    result = find_path(grid, 1, sources, targets, kernel="pure")
+    if not result.flood_visits:
+        return "no flood"
+    if result.expansions == 0 and not result.found:
+        return "proof"
+    return "a-star found" if result.found else "a-star failed"
+
+
+class TestTargetFlood:
+    """A hard search's target-side flood proves "no path" soundly."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @settings(max_examples=300, deadline=None)
+    @given(scene=walled_pin_scenes())
+    def test_found_iff_lee_finds(self, name, scene):
+        """Lee admits exactly the cells a hard search does, so it is an
+        independent oracle for whether a path exists."""
+        grid, sources, targets = scene
+        result = find_path(grid, 1, sources, targets, kernel=name)
+        path = lee_route(grid, 1, sources, targets)
+        assert result.found == (path is not None)
+
+    @pytest.mark.parametrize("outcome", ["no flood", "proof", "a-star found"])
+    def test_scenes_reach_each_outcome(self, outcome):
+        """The scenes above hold proofs, floods that give up before A*
+        finds a path, and queries that may not flood at all."""
+        find(
+            walled_pin_scenes(),
+            lambda scene: _flood_outcome(*scene) == outcome,
+            settings=settings(
+                max_examples=2000, database=None, phases=[Phase.generate]
+            ),
+        )
 
 
 class TestLeeParity:

@@ -5,7 +5,8 @@ import pytest
 from repro.geometry import Point
 from repro.grid import GridPath, Layer, RoutingGrid
 from repro.grid.path import straight_path
-from repro.maze import CostModel, find_path, lee_route
+from repro.maze import CostModel, find_path, kernels, lee_route
+from repro.maze.kernels.pure import FLOOD_CAP
 
 
 @pytest.fixture
@@ -197,3 +198,86 @@ class TestMultiSourceTarget:
         assert result.found
         # best case: from (0,3) to (9,4): 9 right + 1 up + layer changes
         assert result.path.start in {(0, y, 1) for y in range(4)} or True
+
+
+def _wall(grid, nodes, net=2):
+    for node in nodes:
+        grid.reserve_pin(net, node)
+
+
+class TestTargetFlood:
+    """A hard search between copper of its net first floods the target
+    side, and answers "no path" without A* when that flood closes."""
+
+    @pytest.fixture(params=kernels.available_backends())
+    def kernel(self, request):
+        return request.param
+
+    @pytest.fixture
+    def walled(self, grid):
+        """Net 1's pin at (5, 4, 0), every neighbour another net's pin."""
+        grid.reserve_pin(1, (0, 0, 0))
+        grid.reserve_pin(1, (5, 4, 0))
+        _wall(grid, [(4, 4, 0), (6, 4, 0), (5, 3, 0), (5, 5, 0), (5, 4, 1)])
+        return grid
+
+    def test_walled_pin_is_proven_without_expansions(self, walled, kernel):
+        for budget in (None, 1):
+            result = find_path(
+                walled, 1, [(0, 0, 0)], [(5, 4, 0)],
+                max_expansions=budget, kernel=kernel,
+            )
+            assert not result.found
+            assert result.expansions == 0
+            assert result.flood_visits == 1
+            assert not result.exhausted  # a proof, whatever the budget
+
+    def test_soft_search_does_not_flood(self, walled, kernel):
+        result = find_path(
+            walled, 1, [(0, 0, 0)], [(5, 4, 0)],
+            allow_conflicts=True, kernel=kernel,
+        )
+        assert not result.found  # pins are never crossed
+        assert result.flood_visits == 0
+        assert result.expansions > 0
+
+    def test_stacked_own_cell_without_via_is_no_wall(self, grid, kernel):
+        """The pin's only exit is the cell above it, which the net owns
+        but does not join by a via: another component of the net, on the
+        way to the source.  The flood must not count it as a wall."""
+        grid.reserve_pin(1, (5, 4, 0))
+        _wall(grid, [(4, 4, 0), (6, 4, 0), (5, 3, 0), (5, 5, 0)])
+        grid.commit_path(
+            1, straight_path(Point(5, 4), Point(5, 7), Layer.VERTICAL)
+        )
+        grid.reserve_pin(1, (5, 7, 1))
+        assert not grid.same_component(1, (5, 7, 1), (5, 4, 0))
+        result = find_path(grid, 1, [(5, 7, 1)], [(5, 4, 0)], kernel=kernel)
+        assert result.found
+        assert list(result.path) == [
+            (5, 7, 1), (5, 6, 1), (5, 5, 1), (5, 4, 1), (5, 4, 0)
+        ]
+        assert result.flood_visits == 1  # the flood gave up at (5, 4, 1)
+
+    def test_free_source_in_the_target_pocket(self, grid, kernel):
+        """A free source cell shares a closed pocket with the target: no
+        proof is attempted, and A* joins them."""
+        grid.reserve_pin(1, (5, 4, 0))
+        _wall(grid, [(4, 4, 0), (5, 3, 0), (5, 5, 0), (5, 4, 1)])
+        for x, y, z in [(7, 4, 0), (6, 3, 0), (6, 5, 0), (6, 4, 1)]:
+            grid.set_obstacle(x, y, z)
+        result = find_path(grid, 1, [(6, 4, 0)], [(5, 4, 0)], kernel=kernel)
+        assert result.found
+        assert list(result.path) == [(6, 4, 0), (5, 4, 0)]
+        assert result.flood_visits == 0
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_at_most_cap_targets_flood(self, kernel, extra):
+        grid = RoutingGrid(FLOOD_CAP + 4, 3)
+        grid.reserve_pin(1, (0, 2, 0))
+        end = Point(FLOOD_CAP - 1 + extra, 0)
+        grid.commit_path(1, straight_path(Point(0, 0), end, Layer.HORIZONTAL))
+        targets = [(x, 0, 0) for x in range(end.x + 1)]
+        result = find_path(grid, 1, [(0, 2, 0)], targets, kernel=kernel)
+        assert result.found
+        assert (result.flood_visits > 0) == (extra == 0)
