@@ -123,8 +123,13 @@ def test_fig_shard_scaling(benchmark):
     """The shard-and-stitch figure: a 500-net region routed whole vs in
     four halo-padded shards.  Wall speedup is machine-dependent and only
     emitted; the asserted gates are the deterministic ones — both runs
-    succeed and verify clean, sharding does the search work of a fraction
-    of the whole-region run, and stitched wirelength never regresses."""
+    succeed and verify clean, sharding spends fewer search expansions
+    than the whole-region run, and stitched wirelength never regresses.
+
+    Only "fewer" is claimed: since hard searches prove a walled-in
+    target unreachable by a flood before A* runs, the whole-region run
+    no longer spends most of its expansions on failed searches, and the
+    shards' share of its work rose from about 0.35 to about 0.84."""
     import time
 
     from repro.analysis.metrics import layout_metrics
@@ -165,9 +170,9 @@ def test_fig_shard_scaling(benchmark):
     assert plain.success and sharded.success
     assert plain_report.ok and sharded_report.ok
     assert sharded.stats.shards == 4
-    # Halo-bounded shard searches prune most of the whole-region work;
-    # this ratio is deterministic, unlike the wall clock.
-    assert sharded.stats.expansions <= 0.6 * plain.stats.expansions
+    # Halo-bounded shard searches prune some of the whole-region work;
+    # the expansion counts are deterministic, unlike the wall clock.
+    assert sharded.stats.expansions < plain.stats.expansions
     assert sharded_wire <= plain_wire
 
 

@@ -179,8 +179,8 @@ def bench_cases() -> List[BenchCase]:
             )
         )
     # The 500+ net shard-and-stitch case: a Deutsch-difficult-shaped large
-    # region where single-core routing visibly hurts and `--shards 4`
-    # visibly wins (see PERFORMANCE.md §7).
+    # region, routed whole or, with `--shards 4`, in four shards (see
+    # PERFORMANCE.md §7).
     cases.append(
         BenchCase("scale-stitch-560", "scaling", deutsch_class_region)
     )

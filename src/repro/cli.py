@@ -178,19 +178,16 @@ def cmd_route(args: argparse.Namespace) -> int:
             deadline_s=args.deadline,
             max_attempts=args.max_attempts,
             on_timeout=args.on_timeout,
-            enable_fallback=resilient,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if args.shards < 1:
-        raise InputError("--shards must be >= 1")
     engine = RoutingEngine(engine_config, router_config=_make_config(args))
+    # The channel spec is what enables the classical fallbacks, so only
+    # a resilient run passes it.
     result = engine.route(
         problem,
         channel_spec=channel_spec if resilient else None,
         tracks=tracks,
-        shards=args.shards,
-        shard_workers=args.shard_workers,
     )
     # The fallback cascade may have extended the channel; judge the result
     # against the problem it actually solved.
@@ -249,20 +246,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.switchbox import minimum_routable_width
 
     spec = _load(Path(args.file), "switchbox")
-    if args.workers < 1:
-        raise InputError("--workers must be >= 1")
     try:
         deadline = Deadline(args.deadline)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    mighty = minimum_routable_width(
-        spec, MightyConfig(), deadline=deadline, workers=args.workers
-    )
+    mighty = minimum_routable_width(spec, MightyConfig(), deadline=deadline)
     naive = minimum_routable_width(
-        spec,
-        MightyConfig.no_modification(),
-        deadline=deadline,
-        workers=args.workers,
+        spec, MightyConfig.no_modification(), deadline=deadline
     )
     print(
         format_table(
@@ -526,14 +516,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
                          "(or --health/--shutdown)")
     problem, _spec, _tracks = _load_problem(args)
     payload = problem_io.problem_to_dict(problem)
-    if args.shards < 0:
-        raise InputError("--shards must be non-negative")
     response = client.submit(
         payload,
         deadline_s=args.deadline,
         max_attempts=args.max_attempts,
         no_cache=args.no_cache,
-        shards=args.shards or None,
     )
     result = response["result"]
     job = response["job"]
@@ -577,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Parent parsers hold only flags whose meaning and default agree on
-    # every command that takes them; --deadline, --shards and the like
+    # every command that takes them; --deadline, --max-attempts and the like
     # differ per command and stay local.
     problem_file = argparse.ArgumentParser(add_help=False)
     problem_file.add_argument("--format", choices=_FORMATS)
@@ -629,24 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="deadline behaviour: keep the partial result (default) or "
         "fail with a structured timeout error",
     )
-    route.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="slice the region into N halo-padded shards, route them "
-        "concurrently and stitch; the result is deterministic for a "
-        "fixed N, and unshardable instances fall back to whole-region "
-        "routing (default: 1)",
-    )
-    route.add_argument(
-        "--shard-workers",
-        type=int,
-        metavar="N",
-        help="process-pool size for shard routing (default: one per "
-        "busy shard, capped at the CPU count); any value yields the "
-        "same result",
-    )
     route.set_defaults(func=cmd_route)
 
     sweep = sub.add_parser(
@@ -658,15 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="wall-clock budget shared by the whole sweep",
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="route widths speculatively on N processes; the sequential "
-        "stop rule is replayed so the answer matches --workers 1 "
-        "(default: 1)",
     )
     sweep.set_defaults(func=cmd_sweep)
 
@@ -785,14 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the canonical-instance cache for this job",
     )
     submit.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="ask the daemon to route this job with N shards "
-        "(default: 0, the whole region at once)",
-    )
-    submit.add_argument(
         "--timeout",
         type=float,
         default=120.0,
@@ -868,9 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline report to gate against: exit 1, with a PARITY line "
         "per difference, unless the run routed the baseline's cases (as "
         "far as --quick/--only select them) with equal expansions and "
-        "searches, and equal wirelength, iterations and routed where the "
-        "baseline records them; the per-case wall table is printed and "
-        "the comparison is embedded in the output report",
+        "searches, and equal flood_visits, wirelength, iterations and "
+        "routed where the baseline records them; the per-case wall table "
+        "is printed and the comparison is embedded in the output report",
     )
     bench.add_argument(
         "--profile",

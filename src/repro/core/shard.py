@@ -9,8 +9,7 @@ The pipeline has four deterministic stages:
    sub-problem (same absolute coordinates, foreign pins blocked), either
    in-process or on a process pool.  Results are consumed in shard-index
    order regardless of completion order, so ``workers=N`` is bit-identical
-   to ``workers=1`` — the same deterministic-replay discipline as
-   ``minimum_routable_width``.
+   to ``workers=1``.
 3. **Merge** — shard paths are transplanted onto one fresh parent grid,
    one grid-journal transaction per net; a net whose copper conflicts in a
    halo overlap band is dropped whole (never half-committed), so no net's

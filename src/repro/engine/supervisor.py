@@ -82,9 +82,9 @@ class EngineConfig:
         ``"partial"`` (default) returns the best partial result when every
         strategy failed with time to spare; ``"raise"`` raises
         :class:`RouteInfeasible`.
-    enable_fallback:
-        Try the classical channel routers after Mighty gives up (only
-        possible when the caller supplies the originating channel spec).
+
+    Passing the originating channel spec to :meth:`RoutingEngine.route`
+    is what enables the classical channel fallbacks.
 
     A per-search expansion cap is a router knob: set
     ``MightyConfig.max_expansions_per_search`` on the engine's
@@ -95,7 +95,6 @@ class EngineConfig:
     max_attempts: int = 3
     on_timeout: str = "partial"
     on_infeasible: str = "partial"
-    enable_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s < 0:
@@ -195,11 +194,7 @@ class RoutingEngine:
             if self._better(result, best):
                 best = result
 
-        if (
-            self.config.enable_fallback
-            and channel_spec is not None
-            and not deadline.expired()
-        ):
+        if channel_spec is not None and not deadline.expired():
             fallback = self._run_fallbacks(
                 channel_spec, tracks, attempt_log, deadline
             )

@@ -194,7 +194,6 @@ class ServiceClient:
         deadline_s: Optional[float] = None,
         max_attempts: Optional[int] = None,
         no_cache: bool = False,
-        shards: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Submit one problem dict; returns the full success envelope.
 
@@ -212,8 +211,6 @@ class ServiceClient:
             options["max_attempts"] = max_attempts
         if no_cache:
             options["no_cache"] = True
-        if shards is not None:
-            options["shards"] = shards
         return self._call(
             {"op": "submit", "problem": problem_payload, "options": options}
         )

@@ -9,11 +9,11 @@ operations are:
 ``submit``
     ``{"op": "submit", "problem": <problem dict>, "options": {...}}``
     where the problem dict is the :func:`repro.netlist.io.problem_to_dict`
-    shape and options may carry ``deadline_s``, ``max_attempts``,
-    ``shards`` and ``no_cache``; a numeric option of the wrong type or
-    range is a structured input error.  The success response wraps a full
-    :func:`repro.core.serialize.result_to_dict` payload plus per-job
-    telemetry (queue wait, service time, cache status, worker).
+    shape and options may carry ``deadline_s``, ``max_attempts`` and
+    ``no_cache``; any other option key, or a numeric option of the wrong
+    type or range, is a structured input error.  The success response
+    wraps a full :func:`repro.core.serialize.result_to_dict` payload plus
+    per-job telemetry (queue wait, service time, cache status, worker).
 ``health``
     Service self-description: queue depth, worker count, job counters,
     cache statistics, total executed search work.

@@ -138,16 +138,27 @@ class ServiceConfig:
             raise ValueError("reap_grace_s must be non-negative")
 
 
+#: The options a submission may carry; any other key is refused.
+_SUBMIT_OPTIONS = ("deadline_s", "max_attempts", "no_cache")
+
+
 def _submit_options(
     options: dict, config: ServiceConfig
-) -> Tuple[Optional[float], int, int]:
-    """``(deadline_s, max_attempts, shards)`` of a submission, validated.
+) -> Tuple[Optional[float], int]:
+    """``(deadline_s, max_attempts)`` of a submission, validated.
 
-    Absent options take the daemon's defaults (no shards).  A value of the
-    wrong type or range is the client's error, so it is refused here with
-    :class:`InputError` instead of crashing a worker; ``bool`` is refused
-    too, although Python counts it as an ``int``.
+    Absent options take the daemon's defaults.  An unknown key, or a value
+    of the wrong type or range, is the client's error, so it is refused
+    here with :class:`InputError` instead of being ignored or crashing a
+    worker; ``bool`` is refused too, although Python counts it as an
+    ``int``.
     """
+    for key in options:
+        if key not in _SUBMIT_OPTIONS:
+            raise InputError(
+                f"unknown submit option {key!r}",
+                context={"choices": list(_SUBMIT_OPTIONS)},
+            )
     deadline_s = options.get("deadline_s", config.default_deadline_s)
     if deadline_s is not None and not (
         _is_number(deadline_s) and deadline_s >= 0
@@ -160,10 +171,7 @@ def _submit_options(
         raise InputError(
             f"max_attempts must be an integer >= 1, got {max_attempts!r}"
         )
-    shards = options.get("shards", 0)
-    if not (_is_int(shards) and shards >= 0):
-        raise InputError(f"shards must be an integer >= 0, got {shards!r}")
-    return deadline_s, max_attempts, shards
+    return deadline_s, max_attempts
 
 
 def _is_int(value) -> bool:
@@ -216,7 +224,6 @@ class RoutingService:
             "failed": 0,
             "shed": 0,
             "cache_hits": 0,
-            "sharded": 0,
         }
         self._expansions_total = 0
 
@@ -395,9 +402,7 @@ class RoutingService:
         except (FormatError, ProblemError) as exc:
             raise InputError(f"malformed problem payload: {exc}") from None
         options = dict(message.get("options") or {})
-        deadline_s, max_attempts, shards = _submit_options(
-            options, self.config
-        )
+        deadline_s, max_attempts = _submit_options(options, self.config)
         # Canonicalization and cache render/store re-encode or deep-copy
         # the whole problem/result payload; on the event-loop thread a
         # large submission would stall health checks and the instant
@@ -426,8 +431,6 @@ class RoutingService:
                 )
 
         estimated_cost_s, units = self._admit(problem, form, deadline_s)
-        if shards > 1:
-            self._counters["sharded"] += 1
         job_id = self._job_seq = self._job_seq + 1
         job = {
             "job_id": job_id,
@@ -436,7 +439,6 @@ class RoutingService:
             "options": {
                 "deadline_s": deadline_s,
                 "max_attempts": max_attempts,
-                "shards": shards if shards > 1 else 1,
             },
         }
         worker = self._pool.worker_for(form.digest)
@@ -462,7 +464,6 @@ class RoutingService:
         response = self._finish_job(
             form, reply, received, job_id, worker, estimated_cost_s, units,
             cache_allowed=cache_allowed,
-            shards=job["options"]["shards"],
         )
         if cache_allowed:  # store off-loop too (deep-copies the payload)
             await loop.run_in_executor(
@@ -534,7 +535,6 @@ class RoutingService:
         estimated_cost_s: float,
         units: float,
         cache_allowed: bool,
-        shards: int = 1,
     ) -> dict:
         worker_wall_s = float(reply.get("worker_wall_s", 0.0))
         if reply.get("ok") and worker_wall_s > 0 and units > 0:
@@ -549,7 +549,6 @@ class RoutingService:
             service_s=worker_wall_s,
             job_id=job_id,
             estimated_cost_s=estimated_cost_s,
-            shards=shards,
             total_s=time.perf_counter() - received,
         )
         if not reply.get("ok"):

@@ -89,17 +89,9 @@ def _execute_job(job: Dict) -> Dict:
             EngineConfig(
                 deadline_s=options.get("deadline_s"),
                 max_attempts=int(options.get("max_attempts", 2)),
-                enable_fallback=False,
             )
         )
-        # shard_workers=1 always: warm workers are daemonic processes
-        # and cannot fork a shard pool; the pipeline's in-process mode
-        # keeps the result bit-identical to any worker count anyway.
-        result = engine.route(
-            problem,
-            shards=int(options.get("shards", 1) or 1),
-            shard_workers=1,
-        )
+        result = engine.route(problem)
         payload = result_to_dict(result)
         payload["stats"]["cache_hit"] = False
         return {

@@ -326,16 +326,17 @@ class TestFallbackCascade:
         stages = [r["stage"] for r in result.stats.attempt_log]
         assert all(not s.startswith("fallback-") for s in stages)
 
-    def test_fallback_disabled_by_config(self):
+    def test_no_fallback_for_a_channel_routed_without_its_spec(self):
+        """A channel problem routed without its spec, as `repro route`
+        without --deadline/--max-attempts and the daemon's workers route
+        it, gets no fallback: the spec alone enables the cascade."""
         spec = simple_channel()
-        engine = RoutingEngine(
-            EngineConfig(max_attempts=1, enable_fallback=False)
-        )
+        engine = RoutingEngine(EngineConfig(max_attempts=1))
         with FaultInjector(FaultPlan(fail_searches_after=1)):
-            result = engine.route(
-                spec.to_problem(4), channel_spec=spec, tracks=4
-            )
+            result = engine.route(spec.to_problem(4))
         assert not result.success
+        stages = [r["stage"] for r in result.stats.attempt_log]
+        assert stages == ["mighty"]
 
 
 class TestCheckpointResume:

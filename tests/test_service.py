@@ -168,12 +168,16 @@ class TestSubmitOptions:
             {"shards": -1},
             {"shards": 1.5},
             {"shards": True},
+            {"shards": 4},
+            {"max_attempt": 2},
         ],
         ids=repr,
     )
     def test_bad_option_is_an_input_error(self, shared_service, options):
         """Refused at the front door as the client's error (exit 2), not
-        dispatched to a worker or crashing the service (exit 5)."""
+        dispatched to a worker or crashing the service (exit 5).  An
+        unknown key such as an older client's ``shards`` or a misspelt
+        ``max_attempt`` is refused whatever its value, never ignored."""
         _service, client, _outcome = shared_service
         response = client.request(
             {"op": "submit", "problem": box_payload(), "options": options}

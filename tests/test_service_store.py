@@ -217,9 +217,7 @@ class TestCanonicalCacheIntegration:
     @pytest.fixture(scope="class")
     def routed(self):
         problem = small_switchbox().to_problem()
-        result = RoutingEngine(EngineConfig(enable_fallback=False)).route(
-            problem
-        )
+        result = RoutingEngine(EngineConfig()).route(problem)
         payload = result_to_dict(result)
         payload["stats"]["cache_hit"] = False
         return problem, payload

@@ -174,17 +174,3 @@ class TestEngineIntegration:
         assert len(records) == 1
         assert "injected shard-stage crash" in records[0]["error"]
 
-
-class TestServiceSharding:
-    def test_worker_executes_shard_option(self):
-        from repro.netlist.io import problem_to_dict
-        from repro.service.workers import _execute_job
-
-        job = {
-            "problem": problem_to_dict(_shardable_problem()),
-            "options": {"max_attempts": 1, "shards": 2},
-        }
-        reply = _execute_job(job)
-        assert reply["ok"], reply.get("error")
-        stats = reply["payload"]["stats"]
-        assert stats["shards"] == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import verify_routing
 from repro.core import MightyConfig
+from repro.engine.deadline import Deadline
 from repro.netlist.generators import woven_switchbox
 from repro.netlist.instances import contention_switchbox, crossing_switchbox, small_switchbox
 from repro.switchbox import (
@@ -12,6 +13,7 @@ from repro.switchbox import (
     route_switchbox_naive,
     shrinking_sequence,
 )
+from repro.testing.faults import StepClock
 
 
 class TestRouteSwitchbox:
@@ -100,14 +102,26 @@ class TestMinimumWidthSweep:
             assert outcome.min_completed_width is None
 
     def test_early_stop_after_failures(self):
+        """The no-modification router fails a width before the sequence
+        runs out; with ``stop_after_failures=1`` that failure ends the
+        sweep."""
         spec = woven_switchbox(12, 9, 8, seed=3, tangle=0.4)
         outcome = minimum_routable_width(
             spec, MightyConfig.no_modification(), stop_after_failures=1
         )
-        # once a width fails, at most one failure is recorded at the tail
-        if False in outcome.completed:
-            first_fail = outcome.completed.index(False)
-            assert len(outcome.completed) <= first_fail + 1 + 0 or True
+        assert outcome.completed[-1] is False
+        assert False not in outcome.completed[:-1]
+        assert len(outcome.widths) < len(shrinking_sequence(spec))
+
+    def test_expired_deadline_routes_nothing(self):
+        # StepClock makes the 0-budget deadline expire deterministically.
+        deadline = Deadline(0.0, clock=StepClock(1.0))
+        spec = woven_switchbox(12, 9, 8, seed=3, tangle=0.4)
+        outcome = minimum_routable_width(
+            spec, MightyConfig(), deadline=deadline
+        )
+        assert outcome.widths == []
+        assert outcome.min_completed_width is None
 
     def test_mighty_not_wider_than_naive(self):
         """The paper's shape: rip-up completes in a box at most as wide as
