@@ -41,9 +41,6 @@ from repro.netlist.problem import RoutingProblem
 #: Bumped when the report layout changes incompatibly.
 SCHEMA_VERSION = 1
 
-#: Default report filename (written next to the CWD unless overridden).
-DEFAULT_REPORT = "BENCH_routing.json"
-
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -263,7 +260,6 @@ def run_case(
         "routed": int(stats.routed_connections),
         "success": bool(result.success),
         "kernel_backend": str(stats.kernel_backend),
-        "exhausted_searches": int(stats.exhausted_searches),
         "wirelength": int(wirelength),
         "verified": bool(verified),
         "shards": int(stats.shards or 1),

@@ -17,9 +17,10 @@ Subcommands
     column and report the narrowest box each router completes.
 ``bench``
     The routing performance suite (``repro.bench``): route the benchmark
-    workloads through the engine ``route`` uses, write
-    ``BENCH_routing.json``, and with ``--compare BASELINE`` fail unless
-    every case's work counters equal the baseline's.
+    workloads through the engine ``route`` uses, write a report
+    (``BENCH_run.json`` unless ``-o`` names another), and with
+    ``--compare BASELINE`` fail unless every case's work counters equal
+    the baseline's.
 ``serve``
     Run the persistent routing daemon (``repro.service``): a warm worker
     pool behind a Unix-domain socket, with a canonical-instance cache
@@ -811,8 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--output",
         "-o",
-        default="BENCH_routing.json",
-        help="report path (default: BENCH_routing.json)",
+        default="BENCH_run.json",
+        help="report path (default: BENCH_run.json; the checked-in "
+        "baseline BENCH_routing.json is rewritten only when named here)",
     )
     bench.add_argument(
         "--compare",

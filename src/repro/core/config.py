@@ -7,7 +7,6 @@ can toggle one behaviour at a time without touching router code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.maze.cost import CostModel
 
@@ -52,23 +51,19 @@ class MightyConfig:
         A chain-cut connection is *deferred* — re-queued at the back at
         depth zero — at most this many times per pass before it is declared
         failed (and left to the retry passes).
-    keep_best_state:
-        Snapshot the most-complete state seen and restore it at the end if
-        the final state is worse — the router then never finishes with
-        fewer routed connections than any intermediate point (in
-        particular, never worse than the plain sequential maze pass).
     ordering:
         Connection processing order; ``"shortest"`` (the paper's choice),
         ``"longest"``, ``"most_pins"`` or ``"input"``.
     retry_passes:
         Extra passes over connections that failed outright (no soft path);
         later rip-ups may have unblocked them.
-    max_expansions_per_search:
-        Per-connection search budget: an upper bound on A* node expansions
-        for every individual search (None = the searcher's own default).
-        This is the *local* half of the engine's deadline story — the
-        wall-clock deadline bounds the whole run, this bounds one blocked
-        connection from eating the run's entire budget.
+
+    The router always keeps the most-complete state it has seen and
+    restores it at the end if the final state is worse, so it never
+    finishes with fewer routed connections than any intermediate point
+    (in particular, never worse than the plain sequential maze pass).
+    A search has no expansion cap: it ends at a path or at a proof that
+    none exists (see :func:`~repro.maze.astar.find_path_flat`).
 
     The search-kernel backend is not a router knob: every search uses the
     process default (``REPRO_KERNEL``, see :mod:`repro.maze.kernels`).
@@ -83,10 +78,8 @@ class MightyConfig:
     strong_victim_limit: int = 12
     max_chain_depth: int = 12
     max_deferrals: int = 3
-    keep_best_state: bool = True
     ordering: str = "shortest"
     retry_passes: int = 4
-    max_expansions_per_search: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.ordering not in ORDERINGS:
@@ -103,11 +96,6 @@ class MightyConfig:
             raise ValueError("retry_passes must be non-negative")
         if self.max_chain_depth < 0:
             raise ValueError("max_chain_depth must be non-negative")
-        if (
-            self.max_expansions_per_search is not None
-            and self.max_expansions_per_search < 1
-        ):
-            raise ValueError("max_expansions_per_search must be positive")
 
     def with_updates(self, **changes) -> "MightyConfig":
         """Functional update helper (``config.with_updates(enable_weak=False)``)."""

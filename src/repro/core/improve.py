@@ -69,7 +69,6 @@ def improve_routing(
     result: RouteResult,
     cost: Optional[CostModel] = None,
     passes: int = 2,
-    arena: Optional[SearchArena] = None,
     only: Optional[Collection[Connection]] = None,
 ) -> ImprovementStats:
     """Run the improvement phase on a finished :class:`RouteResult`.
@@ -88,7 +87,7 @@ def improve_routing(
     if passes < 0:
         raise ValueError("passes must be non-negative")
     model = cost or CostModel()
-    arena = arena or SearchArena()
+    arena = SearchArena()
     scope = None if only is None else set(id(c) for c in only)
     grid = result.grid
     stats = ImprovementStats(

@@ -60,13 +60,6 @@ class RouteStats:
     #: (:func:`repro.maze.astar.find_path_flat`), summed.  Kept apart
     #: from ``expansions``, which counts A* work only.
     flood_visits: int = 0
-    #: Searches that stopped because their ``max_expansions`` budget
-    #: tripped rather than proving no path exists.  A run that fails with
-    #: a nonzero count here may simply be under-budgeted — not
-    #: unroutable — which is why the engine's escalation reads it.  A
-    #: no-path proven by a target-side flood never counts here, even
-    #: where A* alone would have tripped the budget.
-    exhausted_searches: int = 0
     peak_journal_depth: int = 0
     #: Name of the search-kernel backend the run used (``pure`` /
     #: ``compiled``; see :mod:`repro.maze.kernels`).  All
@@ -122,7 +115,6 @@ class RouteStats:
         "searches",
         "expansions",
         "flood_visits",
-        "exhausted_searches",
         "peak_journal_depth",
         "kernel_backend",
         "elapsed_s",

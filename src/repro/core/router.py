@@ -75,15 +75,12 @@ class MightyRouter:
         self,
         problem: RoutingProblem,
         config: Optional[MightyConfig] = None,
-        arena: Optional[SearchArena] = None,
     ) -> None:
         self.problem = problem
         self.config = config or MightyConfig()
         self._grid: RoutingGrid = problem.build_grid()
-        # Scratch planes shared by every search this router issues; a
-        # caller running many related problems (e.g. a width sweep) may
-        # pass one arena to amortise across runs.
-        self._arena = arena or SearchArena()
+        # Scratch planes shared by every search this router issues.
+        self._arena = SearchArena()
         self._net_connections: Dict[int, List[Connection]] = {}
         self._net_rips: Dict[int, int] = {}
         self._budgets: Dict[int, int] = {}
@@ -111,10 +108,6 @@ class MightyRouter:
         # it has been taken yet; see ``_note_best_state``.
         self._best_pending = False
         self._all_connections: List[Connection] = []
-        # Whether any search of the most recent connection attempt hit
-        # its expansion budget — read by the fail-event detail so a
-        # budget trip is never logged as plain unroutability.
-        self._last_attempt_exhausted = False
 
     # ------------------------------------------------------------------
     # Public API
@@ -214,13 +207,7 @@ class MightyRouter:
                 continue
             if not self._route_connection(connection, queue):
                 failed.append(connection)
-                self._record(
-                    "fail",
-                    connection.net_name,
-                    "search budget exhausted"
-                    if self._last_attempt_exhausted
-                    else "",
-                )
+                self._record("fail", connection.net_name)
             self._note_best_state()
 
         self._restore_best_state()
@@ -294,7 +281,6 @@ class MightyRouter:
             self._record("route", connection.net_name, "already connected")
             return True
 
-        self._last_attempt_exhausted = False
         hard = self._search(connection, *ends)
         if hard.found:
             self._commit(connection, hard.path)
@@ -321,8 +307,10 @@ class MightyRouter:
         if victims is None:
             return False
         if not victims:
-            # No actual conflicts: the soft search simply looked further
-            # than the capped hard search.  Commit directly.
+            # No actual conflicts: a hard path exists although the hard
+            # search reported none, which only an injected search fault
+            # does (a search that finds no path has proven none exists).
+            # Commit directly.
             self._commit(connection, soft.path)
             self._stats.hard_routes += 1
             self._record("route", connection.net_name, "late find")
@@ -391,16 +379,12 @@ class MightyRouter:
             sources,
             targets,
             cost=self.config.cost,
-            max_expansions=self.config.max_expansions_per_search,
             arena=self._arena,
             **soft,
         )
         self._stats.phase_search_s += time.perf_counter() - tick
         self._stats.expansions += result.expansions
         self._stats.flood_visits += result.flood_visits
-        if result.exhausted:
-            self._stats.exhausted_searches += 1
-            self._last_attempt_exhausted = True
         return result
 
     def _try_weak(
@@ -658,15 +642,15 @@ class MightyRouter:
         modifies after its last record never copies at all — its final
         state *is* the best state.
 
-        The record's iteration is kept whether or not best states are:
-        the stall limit of :meth:`route` counts from it.
+        The record's iteration is also where the stall limit of
+        :meth:`route` counts from.
         """
         routed = self._routed_count
         self._stats.routed_connections = routed
         if routed > self._best_routed:
             self._best_routed = routed
             self._best_iteration = self._stats.iterations
-            self._best_pending = self.config.keep_best_state
+            self._best_pending = True
 
     def _materialize_best_state(self) -> None:
         """Take the deferred best-state copy while the state still is it."""
@@ -748,13 +732,8 @@ def route_problem(
     config: Optional[MightyConfig] = None,
     pre_routed: Optional[Dict[str, List[GridPath]]] = None,
     deadline: Optional["Deadline"] = None,
-    arena: Optional[SearchArena] = None,
 ) -> RouteResult:
-    """One-shot convenience wrapper around :class:`MightyRouter`.
-
-    ``arena`` lets a caller running many problems (sweeps, benchmarks)
-    share one search arena across runs.
-    """
-    return MightyRouter(problem, config, arena=arena).route(
+    """One-shot convenience wrapper around :class:`MightyRouter`."""
+    return MightyRouter(problem, config).route(
         pre_routed=pre_routed, deadline=deadline
     )

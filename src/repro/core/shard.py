@@ -66,7 +66,6 @@ _SUMMED_FIELDS = (
     "searches",
     "expansions",
     "flood_visits",
-    "exhausted_searches",
     "phase_search_s",
     "phase_connectivity_s",
     "phase_victims_s",
@@ -263,7 +262,6 @@ def route_problem_sharded(
                 "searches": shard_stats["searches"],
                 "expansions": shard_stats["expansions"],
                 "iterations": shard_stats["iterations"],
-                "exhausted_searches": shard_stats["exhausted_searches"],
                 "kernel_backend": shard_stats["kernel_backend"],
             }
         )

@@ -85,10 +85,6 @@ class EngineConfig:
 
     Passing the originating channel spec to :meth:`RoutingEngine.route`
     is what enables the classical channel fallbacks.
-
-    A per-search expansion cap is a router knob: set
-    ``MightyConfig.max_expansions_per_search`` on the engine's
-    ``router_config`` and every escalated attempt inherits it.
     """
 
     deadline_s: Optional[float] = None
@@ -363,11 +359,6 @@ class RoutingEngine:
             record["routed"] = stats.routed_connections
             record["connections"] = stats.connections
             record["timed_out"] = stats.timed_out
-            # Budget-limited searches are the escalation signal that
-            # separates "proven unroutable" from "under-budgeted": later
-            # attempts scale max_expansions up, and _context reports the
-            # distinction.
-            record["exhausted_searches"] = stats.exhausted_searches
             record["kernel_backend"] = stats.kernel_backend
             record["iterations"] = stats.iterations
             record["expansions"] = stats.expansions
@@ -445,10 +436,6 @@ class RoutingEngine:
 
     def _context(self, result, deadline):
         """Machine-readable outcome summary carried by raised errors."""
-        exhausted = sum(
-            rec.get("exhausted_searches", 0)
-            for rec in result.stats.attempt_log
-        )
         return {
             "deadline_s": deadline.budget_s,
             "elapsed_s": round(deadline.elapsed(), 6),
@@ -458,11 +445,6 @@ class RoutingEngine:
                 {c.net_name for c in result.failed}
             ),
             "attempts": len(result.stats.attempt_log),
-            # Nonzero means at least one search stopped on its expansion
-            # budget rather than proving no path: the failure may be an
-            # under-budgeted run, not an infeasible problem.
-            "exhausted_searches": exhausted,
-            "budget_limited": exhausted > 0,
         }
 
     def _empty_result(self, problem):

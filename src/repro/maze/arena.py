@@ -11,8 +11,7 @@ neighbour arithmetic.  This module removes both:
   no strided indexing;
 * :class:`SearchArena` owns reusable cost/parent/stamp planes, recycled
   across searches with a generation counter (bump the generation instead
-  of clearing — O(1) reset).  Planes are cached per grid shape, so one
-  arena serves a whole minimum-width sweep of shrinking boxes.
+  of clearing — O(1) reset).  Planes are cached per grid shape.
 
 Arenas are cheap to construct but not thread-safe; give each router (or
 each thread) its own.  Kernels fall back to a thread-local default arena
@@ -174,16 +173,15 @@ class _Planes:
 class SearchArena:
     """Per-router scratch arena: reusable planes keyed by grid shape.
 
-    One arena amortises plane allocation across every search a router (or
-    a whole sweep of routers over related geometries) performs.  Not
-    thread-safe — a plane is reused by the very next search.
+    One arena amortises plane allocation across every search a router or
+    an improvement pass performs.  Not thread-safe — a plane is reused by
+    the very next search.
     """
 
-    __slots__ = ("_planes", "searches_served")
+    __slots__ = ("_planes",)
 
     def __init__(self) -> None:
         self._planes: Dict[Tuple[int, int], _Planes] = {}
-        self.searches_served = 0
 
     def planes(self, width: int, height: int) -> _Planes:
         """Scratch planes for a ``width x height`` two-layer grid."""
@@ -192,7 +190,6 @@ class SearchArena:
         if planes is None:
             planes = _Planes(2 * width * height)
             self._planes[key] = planes
-        self.searches_served += 1
         return planes
 
 

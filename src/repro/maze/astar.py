@@ -63,13 +63,6 @@ class SearchResult:
     #: The foreign nodes the walk occupies, as ``(x, y, layer)``; filled
     #: by :func:`find_path` (the flat entry leaves it empty).
     conflict_nodes: List[Node] = field(default_factory=list)
-    #: True when the search stopped because the ``max_expansions`` budget
-    #: tripped.  ``path is None and not exhausted`` is a *proven* no-path;
-    #: ``path is None and exhausted`` merely means the budget ran out — the
-    #: two must not be conflated when deciding a net is unroutable.  A
-    #: no-path proven by the target-side flood is never exhausted, even
-    #: where A* alone would have run out of budget first.
-    exhausted: bool = False
     #: Flat ids of the foreign nodes the walk occupies, in path order.
     conflict_ids: List[int] = field(default_factory=list)
     #: Nodes the target-side flood popped before A* (see
@@ -101,7 +94,6 @@ def find_path(
     allow_conflicts: bool = False,
     frozen_nets: FrozenSet[int] = frozenset(),
     net_penalties: Optional[dict] = None,
-    max_expansions: Optional[int] = None,
     arena: Optional[SearchArena] = None,
     kernel: Optional[str] = None,
 ) -> SearchResult:
@@ -133,10 +125,8 @@ def find_path(
     net_penalties:
         Extra per-cell penalty charged for crossing a specific net (the
         router escalates this with each rip-up of the net, so oft-ripped
-        nets become progressively less attractive victims).
-    max_expansions:
-        Safety valve; defaults to ``8 * cells``.  When it trips the
-        result has ``path is None`` and ``exhausted=True``.
+        nets become progressively less attractive victims).  A negative
+        penalty is a :class:`ValueError`.
     arena:
         Scratch arena whose planes the search reuses.  Routers pass their
         own; casual callers fall back to a thread-local shared arena.
@@ -148,11 +138,10 @@ def find_path(
     Returns
     -------
     SearchResult
-        ``result.path is None`` when no walk exists — check
-        ``result.exhausted`` to tell a proven no-path from an expansion
-        budget trip.  In conflict mode, ``result.conflict_nodes`` lists
-        the foreign nodes the chosen walk occupies (the modification
-        plan's victims).
+        ``result.path is None`` when no walk exists: the search has no
+        expansion cap, so a missing path is a proof.  In conflict mode,
+        ``result.conflict_nodes`` lists the foreign nodes the chosen walk
+        occupies (the modification plan's victims).
     """
     width, height = grid.width, grid.height
     target_ids = [node_id(t, width, height, "target") for t in targets]
@@ -166,7 +155,6 @@ def find_path(
         allow_conflicts=allow_conflicts,
         frozen_nets=frozen_nets,
         net_penalties=net_penalties,
-        max_expansions=max_expansions,
         arena=arena,
         kernel=kernel,
     )
@@ -185,7 +173,6 @@ def find_path_flat(
     allow_conflicts: bool = False,
     frozen_nets: FrozenSet[int] = frozenset(),
     net_penalties: Optional[dict] = None,
-    max_expansions: Optional[int] = None,
     arena: Optional[SearchArena] = None,
     kernel: Optional[str] = None,
 ) -> SearchResult:
@@ -206,6 +193,14 @@ def find_path_flat(
     the search returns no path after zero expansions.  Otherwise A* runs
     exactly as without the flood.  ``flood_visits`` counts the flood's
     work either way.
+
+    A* needs no expansion cap.  Its heuristic is consistent: a step
+    changes the Manhattan distance to the target box by at most one and
+    costs at least ``step_cost``, and a via changes neither.  So no node
+    is expanded twice, and a search that finds no path has expanded
+    every node its sources reach: a missing path is a proof.  That needs
+    non-negative move costs; :class:`CostModel` checks its own, and a
+    negative ``net_penalties`` value is a :class:`ValueError`.
     """
     model = cost or _DEFAULT_COST
     width, height = grid.width, grid.height
@@ -220,8 +215,12 @@ def find_path_flat(
             f"grid has {n_nodes} nodes; packed search keys support at "
             f"most {_INDEX_MASK}"
         )
-    if max_expansions is None:
-        max_expansions = 8 * plane
+    penalties = net_penalties or {}
+    for owner, penalty in penalties.items():
+        if penalty < 0:
+            raise ValueError(
+                f"net {owner} has a negative penalty ({penalty})"
+            )
     backend = resolve_kernel(kernel)
 
     tx0 = ty0 = n_nodes
@@ -273,9 +272,7 @@ def find_path_flat(
 
     planes = (arena or default_arena()).planes(width, height)
     gen = planes.next_generation()
-    (
-        goal_cost, expansions, flood_visits, exhausted, indices
-    ) = backend.astar_search(
+    goal_cost, expansions, flood_visits, indices = backend.astar_search(
         grid,
         net_id,
         source_entries,
@@ -285,18 +282,14 @@ def find_path_flat(
         model,
         allow_conflicts,
         frozen_nets,
-        net_penalties or {},
-        max_expansions,
+        penalties,
         planes,
         gen,
     )
 
     if indices is None:
         return SearchResult(
-            path=None,
-            expansions=expansions,
-            exhausted=exhausted,
-            flood_visits=flood_visits,
+            path=None, expansions=expansions, flood_visits=flood_visits
         )
     # Only a conflict search can cross foreign copper: a hard search
     # enters free or own cells, and its sources are checked above.

@@ -3,9 +3,9 @@
  * Built at first use by repro.maze.kernels.compiled with the system C
  * compiler and loaded through ctypes.  Both kernels are line-for-line
  * mirrors of the pure-python reference in repro/maze/kernels/pure.py —
- * same move order, same stale-entry skip, same budget semantics, same
- * strict-improvement pushes — so paths, costs, and expansion counts are
- * bit-identical by construction (and enforced by the parity suite).
+ * same move order, same stale-entry skip, same strict-improvement
+ * pushes — so paths, costs, and expansion counts are bit-identical by
+ * construction (and enforced by the parity suite).
  *
  * Heap keys are the same packed (f, g, index) integers the python kernel
  * uses, but f << 52 overflows int64, so keys are unsigned __int128.  Key
@@ -29,9 +29,8 @@
 /* Status codes shared with compiled.py. */
 #define ST_FOUND 0
 #define ST_NOPATH 1
-#define ST_EXHAUSTED 2
-#define ST_OVERFLOW 3
-#define ST_NOMEM 4
+#define ST_OVERFLOW 2
+#define ST_NOMEM 3
 
 typedef unsigned __int128 hkey_t;
 
@@ -187,7 +186,6 @@ int64_t repro_astar(
     const int64_t *seeds, int64_t n_seeds, int64_t flood_cap,
     int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
     const int64_t *src_idx, const int64_t *src_h, int64_t n_src,
-    int64_t max_expansions,
     int64_t *best, int32_t *parent, int64_t *stamp, int64_t gen,
     int32_t *path_out, int64_t *out)
 {
@@ -234,8 +232,6 @@ int64_t repro_astar(
             break;
         }
         expansions++;
-        if (expansions > max_expansions)
-            break;
         int64_t layer = index >= plane;
         const int64_t *row = layer ? row1 : row0;
         int64_t rest = index - layer * plane;
@@ -307,7 +303,7 @@ int64_t repro_astar(
         out[0] = 0;
         out[1] = expansions;
         out[2] = 0;
-        status = expansions > max_expansions ? ST_EXHAUSTED : ST_NOPATH;
+        status = ST_NOPATH;
     } else {
         out[0] = goal_cost;
         out[1] = expansions;

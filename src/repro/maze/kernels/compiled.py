@@ -54,9 +54,8 @@ __all__ = ["astar_search", "lee_search"]
 
 _ST_FOUND = 0
 _ST_NOPATH = 1
-_ST_EXHAUSTED = 2
-_ST_OVERFLOW = 3
-_ST_NOMEM = 4
+_ST_OVERFLOW = 2
+_ST_NOMEM = 3
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 
@@ -115,7 +114,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         p, i, i,           # seeds, n_seeds, flood_cap
         i, i, i, i,        # tx0, tx1, ty0, ty1
         p, p, i,           # src_idx, src_h, n_src
-        i,                 # max_expansions
         p, p, p, i,        # best, parent, stamp, gen
         p, p,              # path_out, out
     ]
@@ -179,10 +177,9 @@ def astar_search(
     allow_conflicts: bool,
     frozen_nets,
     net_penalties: dict,
-    max_expansions: int,
     planes,
     gen: int,
-) -> Tuple[int, int, int, bool, Optional[Sequence[int]]]:
+) -> Tuple[int, int, int, Optional[Sequence[int]]]:
     """C A* inner loop via ctypes (bit-identical to the pure reference)."""
     c = planes.c_planes()
     row0, row1 = c.cost_rows(model.axis_cost_table)
@@ -214,7 +211,6 @@ def astar_search(
             seeds.buffer_info()[0], len(seeds), FLOOD_CAP,
             tx0, tx1, ty0, ty1,
             src_idx.buffer_info()[0], src_h.buffer_info()[0], len(src_idx),
-            max_expansions,
             c.best_addr, c.parent_addr, c.stamp_addr, gen,
             c.path_addr, c.out_addr,
         )
@@ -224,11 +220,9 @@ def astar_search(
 
     out = c.out
     if status == _ST_FOUND:
-        return out[0], out[1], out[3], False, _read_path(c, out[2])
+        return out[0], out[1], out[3], _read_path(c, out[2])
     if status == _ST_NOPATH:
-        return 0, out[1], out[3], False, None
-    if status == _ST_EXHAUSTED:
-        return 0, out[1], out[3], True, None
+        return 0, out[1], out[3], None
     if status == _ST_OVERFLOW:
         raise g_overflow_error(out[0])
     raise MemoryError("compiled A* kernel ran out of memory")

@@ -9,7 +9,7 @@ indices.
 Kernel contract (shared by every backend module):
 
 ``astar_search(grid, net_id, sources, target_idx, seeds, bbox, model,
-allow_conflicts, frozen_nets, net_penalties, max_expansions, planes, gen)``
+allow_conflicts, frozen_nets, net_penalties, planes, gen)``
     ``sources`` is an ordered list of ``(index, h)`` pairs — flat node id
     plus its precomputed heuristic — already validated and cost-0.
     ``target_idx`` is the set of goal indices, ``bbox`` the inclusive
@@ -24,14 +24,12 @@ allow_conflicts, frozen_nets, net_penalties, max_expansions, planes, gen)``
     returns no path with zero expansions.  Otherwise, and whenever
     ``seeds`` is empty, A* runs as if no flood had happened: the flood
     writes none of the planes.  Returns ``(goal_cost, expansions,
-    flood_visits, exhausted, indices)`` where ``indices`` is the
-    source→goal flat-index path or ``None``, ``expansions`` counts A*
-    pops and ``flood_visits`` the nodes the flood popped; ``exhausted``
-    is True when the search stopped because the ``max_expansions``
-    budget tripped (so "no path" was *not* proven).  A flood's proof is
-    never exhausted, even where A* would have tripped the budget.
-    Raises :class:`ValueError` when a relaxed cost overflows the packed
-    heap-key g field.
+    flood_visits, indices)`` where ``indices`` is the source→goal
+    flat-index path or ``None``, ``expansions`` counts A* pops and
+    ``flood_visits`` the nodes the flood popped.  A* runs until it
+    reaches a target or its frontier drains, so ``None`` is always a
+    proof that no path exists.  Raises :class:`ValueError` when a
+    relaxed cost overflows the packed heap-key g field.
 
 ``lee_search(grid, net_id, source_indices, target_idx, planes, gen)``
     Uniform-cost wavefront.  ``source_indices`` is the ordered, validated
@@ -124,10 +122,9 @@ def astar_search(
     allow_conflicts: bool,
     frozen_nets,
     net_penalties: dict,
-    max_expansions: int,
     planes,
     gen: int,
-) -> Tuple[int, int, int, bool, Optional[List[int]]]:
+) -> Tuple[int, int, int, Optional[List[int]]]:
     """Reference A* inner loop (see the module docstring for the contract)."""
     from repro.maze.arena import neighbor_table
 
@@ -144,7 +141,7 @@ def astar_search(
             occ, nbrs, net_id, seeds, FLOOD_CAP
         )
         if closed:
-            return 0, 0, flood_visits, False, None
+            return 0, 0, flood_visits, None
     best, parent, stamp = planes.best, planes.parent, planes.stamp
 
     step = model.step_cost
@@ -177,8 +174,6 @@ def astar_search(
             goal, goal_cost = index, g
             break
         expansions += 1
-        if expansions > max_expansions:
-            break
         row = row0 if index < plane else row1
         for succ, axis, sx, sy in nbrs[index]:
             owner = occ[succ]
@@ -209,9 +204,8 @@ def astar_search(
             )
 
     if goal < 0:
-        exhausted = expansions > max_expansions
-        return 0, expansions, flood_visits, exhausted, None
-    return goal_cost, expansions, flood_visits, False, backtrack(parent, goal)
+        return 0, expansions, flood_visits, None
+    return goal_cost, expansions, flood_visits, backtrack(parent, goal)
 
 
 def lee_search(

@@ -11,7 +11,7 @@ deterministic in its seed, so the benchmark suite is reproducible.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
@@ -346,8 +346,6 @@ def woven_switchbox(
     # Imported here to keep the netlist layer free of a hard dependency on
     # the search machinery for the simple generators above.
     from repro.grid.routing_grid import RoutingGrid
-    from repro.maze.astar import find_path
-    from repro.maze.cost import CostModel
 
     rng = random.Random(seed)
     grid = RoutingGrid(width, height)
@@ -368,7 +366,13 @@ def woven_switchbox(
             return (0, index, int(Layer.HORIZONTAL))
         return (width - 1, index, int(Layer.HORIZONTAL))
 
-    cost = CostModel(wrong_way_penalty=0, via_cost=1)
+    def waypoint() -> Tuple[int, int, int]:
+        return (
+            rng.randrange(1, width - 1),
+            rng.randrange(1, height - 1),
+            rng.randrange(2),
+        )
+
     sides = {
         "T": [0] * width,
         "B": [0] * width,
@@ -395,38 +399,7 @@ def woven_switchbox(
             slots[0:0] = usable
             continue
         net_id = placed_nets + 1
-        snapshot = grid.clone()
-        for node in nodes:
-            grid.reserve_pin(net_id, node)
-        woven = True
-        for node in nodes[1:]:
-            tree = [
-                tuple(n) for n in grid.connected_component(net_id, nodes[0])
-            ]
-            sources = [node]
-            if rng.random() < tangle:
-                waypoint = (
-                    rng.randrange(1, width - 1),
-                    rng.randrange(1, height - 1),
-                    rng.randrange(2),
-                )
-                if grid.is_free(waypoint):
-                    stub = find_path(
-                        grid, net_id, [node], [waypoint], cost=cost
-                    )
-                    if stub.found:
-                        grid.commit_path(net_id, stub.path)
-                        sources = [
-                            tuple(n)
-                            for n in grid.connected_component(net_id, node)
-                        ]
-            result = find_path(grid, net_id, sources, tree, cost=cost)
-            if not result.found:
-                woven = False
-                break
-            grid.commit_path(net_id, result.path)
-        if not woven:
-            grid.restore(snapshot)
+        if not _weave_net(grid, net_id, nodes, rng, tangle, waypoint):
             slots[0:0] = chosen  # recycle the slots for later attempts
             continue
         for side, index in chosen:
@@ -509,8 +482,6 @@ def woven_region_problem(
     what the region experiments need.
     """
     from repro.grid.routing_grid import RoutingGrid
-    from repro.maze.astar import find_path
-    from repro.maze.cost import CostModel
 
     rng = random.Random(seed)
     region = _connected_region(rng, width, height, n_obstacles)
@@ -521,7 +492,6 @@ def woven_region_problem(
         for layer in (0, 1)
     ]
     rng.shuffle(cells)
-    cost = CostModel(wrong_way_penalty=0, via_cost=1)
 
     nets: List[Net] = []
     cursor = 0
@@ -536,35 +506,9 @@ def woven_region_problem(
         if any(not grid.is_free(node) for node in chosen):
             continue
         net_id = len(nets) + 1
-        snapshot = grid.clone()
-        for node in chosen:
-            grid.reserve_pin(net_id, node)
-        woven = True
-        for node in chosen[1:]:
-            tree = [
-                tuple(n)
-                for n in grid.connected_component(net_id, chosen[0])
-            ]
-            sources = [node]
-            if rng.random() < tangle:
-                waypoint = rng.choice(cells)
-                if grid.is_free(waypoint):
-                    stub = find_path(
-                        grid, net_id, [node], [waypoint], cost=cost
-                    )
-                    if stub.found:
-                        grid.commit_path(net_id, stub.path)
-                        sources = [
-                            tuple(n)
-                            for n in grid.connected_component(net_id, node)
-                        ]
-            result = find_path(grid, net_id, sources, tree, cost=cost)
-            if not result.found:
-                woven = False
-                break
-            grid.commit_path(net_id, result.path)
-        if not woven:
-            grid.restore(snapshot)
+        if not _weave_net(
+            grid, net_id, chosen, rng, tangle, lambda: rng.choice(cells)
+        ):
             continue
         pins = tuple(Pin(x, y, Layer(layer)) for x, y, layer in chosen)
         nets.append(Net(f"n{net_id}", pins))
@@ -575,6 +519,50 @@ def woven_region_problem(
         region=region,
         name=name or f"woven-region-{width}x{height}-s{seed}",
     )
+
+
+def _weave_net(
+    grid,
+    net_id: int,
+    nodes: List[Tuple[int, int, int]],
+    rng: random.Random,
+    tangle: float,
+    draw_waypoint: Callable[[], Tuple[int, int, int]],
+) -> bool:
+    """Reserve ``nodes`` as pins of ``net_id`` and wire them into one tree.
+
+    Each pin after the first is joined to the first pin's component; with
+    probability ``tangle`` it first detours to the waypoint
+    ``draw_waypoint()`` returns, when that cell is free and reachable.
+    When a pin cannot be joined, the grid is restored as it was and the
+    result is False.
+    """
+    from repro.maze.astar import find_path
+    from repro.maze.cost import CostModel
+
+    cost = CostModel(wrong_way_penalty=0, via_cost=1)
+    snapshot = grid.clone()
+    for node in nodes:
+        grid.reserve_pin(net_id, node)
+    for node in nodes[1:]:
+        tree = [tuple(n) for n in grid.connected_component(net_id, nodes[0])]
+        sources = [node]
+        if rng.random() < tangle:
+            waypoint = draw_waypoint()
+            if grid.is_free(waypoint):
+                stub = find_path(grid, net_id, [node], [waypoint], cost=cost)
+                if stub.found:
+                    grid.commit_path(net_id, stub.path)
+                    sources = [
+                        tuple(n)
+                        for n in grid.connected_component(net_id, node)
+                    ]
+        result = find_path(grid, net_id, sources, tree, cost=cost)
+        if not result.found:
+            grid.restore(snapshot)
+            return False
+        grid.commit_path(net_id, result.path)
+    return True
 
 
 def _connected_region(

@@ -22,7 +22,6 @@ from repro.analysis.verify import verify_routing
 from repro.core.config import MightyConfig
 from repro.core.result import RouteResult
 from repro.core.router import route_problem, router_tag
-from repro.maze.arena import SearchArena
 from repro.netlist.switchbox import SwitchboxSpec
 
 
@@ -89,15 +88,11 @@ def minimum_routable_width(
     config = config or MightyConfig()
     outcome = WidthSweepOutcome(router=router_name or router_tag(config))
     consecutive_failures = 0
-    # One search arena for the whole sweep: the arena caches scratch
-    # planes per grid shape, so repeated attempts and re-visited widths
-    # reuse their planes instead of reallocating per run.
-    arena = SearchArena()
     for shrunk in shrinking_sequence(spec, max_deletions=max_deletions):
         if deadline is not None and deadline.expired():
             break
         problem = shrunk.to_problem()
-        result = route_problem(problem, config, deadline=deadline, arena=arena)
+        result = route_problem(problem, config, deadline=deadline)
         done = result.success and verify_routing(problem, result.grid).ok
         outcome.results.append(result)
         outcome.widths.append(shrunk.width)

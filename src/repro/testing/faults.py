@@ -6,7 +6,7 @@ reproducible schedule:
 
 * **search failures** — from the Nth search on (or every Nth search), the
   searcher reports "no path" even when one exists, simulating a searcher
-  bug or an exhausted search budget;
+  bug;
 * **search errors** — alternatively the searcher *raises*, simulating an
   outright crash that the engine layer must supervise;
 * **artificial slowdowns** — every search burns wall-clock time, so small

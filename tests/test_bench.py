@@ -7,6 +7,7 @@ timing enters the assertions.
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,8 @@ from repro.engine import RoutingEngine
 from repro.errors import InputError, ReproError
 
 FAST = ["chan-simple", "chan-dogleg"]
+#: The counter baseline checked in at the repository root.
+CHECKED_IN_BASELINE = Path(__file__).parents[1] / "BENCH_routing.json"
 #: The cheapest case the partitioner splits under ``shards=4``.
 STITCHED = "reg-woven-1"
 
@@ -284,6 +287,17 @@ class TestBenchCli:
         report = json.loads(out.read_text())
         assert {row["name"] for row in report["cases"]} == set(FAST)
         assert "cases:" not in capsys.readouterr().err
+
+    def test_default_output_spares_the_baseline(self, tmp_path, monkeypatch):
+        """Without ``-o`` the report goes to ``BENCH_run.json``: a
+        one-case run never overwrites the checked-in baseline."""
+        baseline = tmp_path / "BENCH_routing.json"
+        baseline.write_bytes(CHECKED_IN_BASELINE.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--only", "chan-simple"]) == 0
+        assert baseline.read_bytes() == CHECKED_IN_BASELINE.read_bytes()
+        report = json.loads((tmp_path / "BENCH_run.json").read_text())
+        assert [row["name"] for row in report["cases"]] == ["chan-simple"]
 
     def test_compare_embedded_and_gate_passes(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"

@@ -285,9 +285,9 @@ def _run_state(result):
     )
 
 
-def _paused_then_resumed(problem, stall_limit, config=None):
+def _paused_then_resumed(problem, stall_limit):
     """``route(stall_limit=...)``, finished by a plain ``route()``."""
-    router = MightyRouter(problem, config)
+    router = MightyRouter(problem)
     result = router.route(stall_limit=stall_limit)
     if result is None:
         paused_at = router.stats.iterations
@@ -341,13 +341,6 @@ class TestStallPause:
         expected = _run_state(MightyRouter(spec.to_problem()).route())
         resumed = _paused_then_resumed(spec.to_problem(), stall_limit)
         assert _run_state(resumed) == expected
-
-    def test_pause_needs_no_best_state_keeping(self):
-        case = next(c for c in _SUITE if c.name == "fig-channel")
-        config = MightyConfig(keep_best_state=False)
-        plain = MightyRouter(case.build(), config).route()
-        resumed = _paused_then_resumed(case.build(), 0, config)
-        assert _run_state(resumed) == _run_state(plain)
 
     def test_single_use_after_a_result(self):
         router = MightyRouter(small_switchbox().to_problem())

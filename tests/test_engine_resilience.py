@@ -118,32 +118,6 @@ class TestEngineHappyPath:
         assert len(result.stats.attempt_log) == 1
         assert result.stats.attempt_log[0]["verified"]
 
-    def test_router_config_cap_reaches_every_escalated_attempt(
-        self, box_problem, monkeypatch
-    ):
-        import repro.engine.supervisor as supervisor
-
-        caps = []
-
-        class Spy(MightyRouter):
-            def __init__(self, problem, config=None, arena=None):
-                caps.append(config.max_expansions_per_search)
-                super().__init__(problem, config, arena)
-
-        monkeypatch.setattr(supervisor, "MightyRouter", Spy)
-        engine = RoutingEngine(
-            EngineConfig(max_attempts=3),
-            router_config=MightyConfig(max_expansions_per_search=25),
-        )
-        result = engine.route(box_problem)
-        # Uncapped, attempt 0 completes; capped, every attempt runs and
-        # every one has searches stopped by the cap.
-        assert caps == [25, 25, 25]
-        assert not result.success
-        log = result.stats.attempt_log
-        assert [rec["attempt"] for rec in log] == [0, 1, 2]
-        assert all(rec["exhausted_searches"] > 0 for rec in log)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(max_attempts=0)

@@ -5,8 +5,10 @@ paths (not just same lengths), same costs, same expansion and flood-visit
 counts, same conflict nodes, same exceptions.  These tests run the same queries
 through every available backend and compare results field by field, and
 they replay the wrapper-level bugfix regressions (layer validation,
-target bounds validation, the ``exhausted`` flag) on each backend so a
-fast kernel can never reintroduce a fixed bug.
+target bounds validation) on each backend so a fast kernel can never
+reintroduce a fixed bug.  On every backend, a search that finds no path
+must have expanded exactly the nodes its source reaches, each once: the
+proof that the search needs no expansion cap.
 
 The ``compiled`` backend needs a working C toolchain; when it cannot
 build, its parametrized cases are skipped (the CI compiled leg forces it
@@ -18,7 +20,7 @@ import random
 import re
 
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, find, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point
@@ -57,7 +59,6 @@ def _assert_same_astar(a, b, label):
     assert a.cost == b.cost, label
     assert a.expansions == b.expansions, label
     assert a.flood_visits == b.flood_visits, label
-    assert a.exhausted == b.exhausted, label
     assert a.conflict_nodes == b.conflict_nodes, label
     if a.found:
         assert list(a.path) == list(b.path), label
@@ -187,7 +188,6 @@ def edge_scenes(draw):
         allow_conflicts=draw(st.booleans()),
         frozen_nets=frozenset(draw(st.sets(st.sampled_from((2, 3))))),
         net_penalties=draw(st.sampled_from((None, {4: 17}, {2: 1, 3: 9}))),
-        max_expansions=draw(st.sampled_from((None, 2, 10_000))),
     )
     return grid, [source], [target], query
 
@@ -245,7 +245,6 @@ class TestEdgeScenes:
         assert flat.cost == by_nodes.cost
         assert flat.expansions == by_nodes.expansions
         assert flat.flood_visits == by_nodes.flood_visits
-        assert flat.exhausted == by_nodes.exhausted
         assert flat.conflict_ids == by_nodes.conflict_ids
         assert by_nodes.conflict_nodes == [
             node_at(index, width, height) for index in flat.conflict_ids
@@ -314,7 +313,6 @@ class TestAstarParity:
                 allow_conflicts=rng.random() < 0.5,
                 frozen_nets=frozenset({3} if rng.random() < 0.3 else ()),
                 net_penalties={4: 17} if rng.random() < 0.3 else None,
-                max_expansions=rng.choice([None, 10, 10_000]),
             )
             ref = find_path(
                 grid, 1, sources, targets, kernel="pure", **kwargs
@@ -464,6 +462,102 @@ class TestTargetFlood:
         )
 
 
+#: How a node of a no-path scene is filled.  Net 1 searches; net 3 is
+#: frozen in soft queries.  Four draws in nine are free, so the source
+#: reaches regions where a node's cost often improves after its first
+#: push, which is where a kernel could expand it twice.
+NO_PATH_FILLS = ("free",) * 4 + ("obstacle", "own", "wire", "frozen", "pin")
+
+
+@st.composite
+def no_path_scenes(draw, soft):
+    """A random grid and a query of net 1 whose free target is walled in.
+
+    Every move out of the target enters an obstacle, another net's pin,
+    or (hard queries) any other net's copper or (soft queries) copper of
+    the frozen net 3, so no path exists.  The target is free, so no
+    target-side flood runs, and the search can only answer by A*.  The
+    other nodes are free, obstacles, net 1 copper, net 2 and net 4
+    wires, net 3 wires and net 2 pins.  Returns the grid, the query and
+    the fill of every node.
+    """
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    nodes = [
+        (x, y, z) for z in (0, 1) for y in range(height) for x in range(width)
+    ]
+    target = draw(st.sampled_from(nodes))
+    walls = _neighbours(target, width, height)
+    rest = [node for node in nodes if node != target and node not in walls]
+    if not rest:
+        reject()
+    source = draw(st.sampled_from(rest))
+    wall_fills = ("obstacle", "pin", "frozen") + (() if soft else ("wire",))
+    fills = {node: draw(st.sampled_from(wall_fills)) for node in walls}
+    for node in rest:
+        if node == source:
+            fills[node] = draw(st.sampled_from(("free", "own")))
+        else:
+            fills[node] = draw(st.sampled_from(NO_PATH_FILLS))
+    fills[target] = "free"
+    grid = RoutingGrid(width, height)
+    for node, fill in fills.items():
+        if fill == "obstacle":
+            grid.set_obstacle(*node)
+        elif fill == "pin":
+            grid.reserve_pin(2, node)
+        elif fill == "wire":
+            grid.commit_path(draw(st.sampled_from((2, 4))), GridPath([node]))
+        elif fill != "free":
+            grid.commit_path(1 if fill == "own" else 3, GridPath([node]))
+    query = dict(
+        cost=CostModel(
+            wrong_way_penalty=draw(st.sampled_from((0, 2, 7))),
+            via_cost=draw(st.sampled_from((0, 1, 4, 9))),
+            conflict_penalty=draw(st.sampled_from((0, 5, 50))),
+        ),
+        allow_conflicts=soft,
+    )
+    if soft:
+        query["frozen_nets"] = frozenset({3})
+        query["net_penalties"] = draw(
+            st.sampled_from((None, {2: 17}, {2: 1, 4: 9}))
+        )
+    return grid, [source], [target], query, fills
+
+
+def _reached(fills, source, width, height, soft):
+    """The nodes a breadth-first search from ``source`` enters, moving
+    only into the fills a search of net 1 may enter."""
+    passable = {"free", "own", "wire"} if soft else {"free", "own"}
+    seen = {source}
+    queue = [source]
+    for node in queue:
+        for near in _neighbours(node, width, height):
+            if near not in seen and fills[near] in passable:
+                seen.add(near)
+                queue.append(near)
+    return seen
+
+
+class TestNoPathProof:
+    """A search that finds no path has expanded every node its source
+    reaches, and each exactly once, so it needs no expansion cap."""
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("name", BACKENDS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_expansions_equal_the_reach(self, name, soft, data):
+        grid, sources, targets, query, fills = data.draw(
+            no_path_scenes(soft)
+        )
+        result = find_path(grid, 1, sources, targets, kernel=name, **query)
+        assert not result.found
+        assert result.flood_visits == 0
+        reached = _reached(fills, sources[0], grid.width, grid.height, soft)
+        assert result.expansions == len(reached)
+
+
 class TestLeeParity:
     @pytest.mark.parametrize("other", OTHERS)
     def test_randomized_differential(self, other):
@@ -501,11 +595,10 @@ class TestLeeParity:
 
 
 class TestBugfixRegressionsEveryBackend:
-    """The three wrapper-level fixes, replayed per backend.
+    """The wrapper-level fixes, replayed per backend.
 
-    The fixes live in the wrappers, so these mostly guard against a
-    future backend bypassing validation — but ``exhausted`` is computed
-    *inside* each kernel and genuinely differs per backend.
+    The fixes live in the wrappers, so these guard against a future
+    backend bypassing validation.
     """
 
     @pytest.mark.parametrize("name", BACKENDS)
@@ -534,22 +627,6 @@ class TestBugfixRegressionsEveryBackend:
             find_path(grid, 1, [(0, 0, 0)], [(0, -3, 0)], kernel=name)
         with pytest.raises(ValueError, match="target"):
             lee_route(grid, 1, [(0, 0, 0)], [(99, 0, 0)], kernel=name)
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_exhausted_distinguishes_budget_from_no_path(self, grid, name):
-        tripped = find_path(
-            grid, 1, [(0, 0, 0)], [(9, 7, 1)],
-            max_expansions=3, kernel=name,
-        )
-        assert not tripped.found
-        assert tripped.exhausted
-        assert tripped.expansions == 4  # budget + the tripping expansion
-
-        for y in range(grid.height):
-            grid.set_obstacle(5, y)
-        proven = find_path(grid, 1, [(0, 0, 0)], [(9, 0, 0)], kernel=name)
-        assert not proven.found
-        assert not proven.exhausted  # frontier drained: a *proven* no-path
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -596,6 +673,23 @@ class TestFlatEntryValidation:
         assert kernel_calls == []
         assert find_path_flat(grid, 2, [foreign], [5], kernel=name).found
         assert len(kernel_calls) == 1
+
+    def test_negative_net_penalty(self, grid, name, kernel_calls):
+        """A negative penalty would make a move cheaper than the
+        heuristic charges for it, so a node could be expanded twice."""
+        grid.commit_path(2, GridPath([(3, 0, 0)]))
+        with pytest.raises(ValueError, match="net 2 has a negative penalty"):
+            find_path(
+                grid, 1, [(0, 0, 0)], [(5, 0, 0)],
+                allow_conflicts=True, net_penalties={2: -1}, kernel=name,
+            )
+        with pytest.raises(ValueError, match="net 4 has a negative penalty"):
+            find_path_flat(
+                grid, 1, [0], [5],
+                allow_conflicts=True, net_penalties={2: 3, 4: -9},
+                kernel=name,
+            )
+        assert kernel_calls == []
 
 
 class TestDispatch:

@@ -68,19 +68,14 @@ class TestHardMode:
         with pytest.raises(ValueError):
             find_path(grid, 1, [(0, 0, 0)], [])
 
-    def test_expansion_cap(self, grid):
-        result = find_path(
-            grid, 1, [(0, 0, 0)], [(9, 7, 1)], max_expansions=3
-        )
-        assert not result.found
-        assert result.expansions <= 4
-        assert result.exhausted  # budget trip, not a proven no-path
-
     def test_proven_no_path_is_not_exhausted(self, grid):
+        """No expansion cap cuts the search short: it answers "no path"
+        after expanding each of the 4 x 8 x 2 nodes left of the wall."""
         for y in range(grid.height):
             grid.set_obstacle(4, y)
         result = find_path(grid, 1, [(0, 0, 0)], [(9, 0, 0)])
-        assert not result.found and not result.exhausted
+        assert not result.found
+        assert result.expansions == 4 * grid.height * 2
 
     @pytest.mark.parametrize("layer", [-1, 2])
     def test_bad_layer_raises(self, grid, layer):
@@ -222,15 +217,10 @@ class TestTargetFlood:
         return grid
 
     def test_walled_pin_is_proven_without_expansions(self, walled, kernel):
-        for budget in (None, 1):
-            result = find_path(
-                walled, 1, [(0, 0, 0)], [(5, 4, 0)],
-                max_expansions=budget, kernel=kernel,
-            )
-            assert not result.found
-            assert result.expansions == 0
-            assert result.flood_visits == 1
-            assert not result.exhausted  # a proof, whatever the budget
+        result = find_path(walled, 1, [(0, 0, 0)], [(5, 4, 0)], kernel=kernel)
+        assert not result.found
+        assert result.expansions == 0
+        assert result.flood_visits == 1
 
     def test_soft_search_does_not_flood(self, walled, kernel):
         result = find_path(
