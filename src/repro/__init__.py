@@ -36,13 +36,7 @@ from repro.core import (
     route_problem,
 )
 from repro.engine import Deadline, EngineConfig, RoutingEngine
-from repro.errors import (
-    EngineError,
-    InputError,
-    ReproError,
-    RouteInfeasible,
-    RouteTimeout,
-)
+from repro.errors import EngineError, InputError, ReproError
 from repro.grid import GridNode, GridPath, Layer, RoutingGrid
 from repro.maze import CostModel
 from repro.netlist import (
@@ -72,10 +66,8 @@ __all__ = [
     "Net",
     "Pin",
     "ReproError",
-    "RouteInfeasible",
     "RouteResult",
     "RouteStats",
-    "RouteTimeout",
     "RoutingEngine",
     "RoutingGrid",
     "RoutingProblem",

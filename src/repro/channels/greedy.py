@@ -31,6 +31,9 @@ from repro.channels.base import (
 )
 from repro.netlist.channel import ChannelSpec
 
+#: Extension columns a split net may be chased into past the right end.
+MAX_EXTENSION = 16
+
 
 @dataclass
 class _SweepState:
@@ -81,9 +84,6 @@ class GreedyRouter(ChannelRouter):
 
     name = "greedy"
 
-    def __init__(self, max_extension: int = 16) -> None:
-        self.max_extension = max_extension
-
     def route(self, spec: ChannelSpec, tracks: int) -> ChannelResult:
         """Attempt the greedy algorithm at a fixed track count."""
         plan = self._sweep(spec, tracks)
@@ -124,7 +124,7 @@ class GreedyRouter(ChannelRouter):
             state.held[net] = set()
 
         width = spec.n_columns
-        for column in range(width + self.max_extension):
+        for column in range(width + MAX_EXTENSION):
             verticals: List[Tuple[int, int, int]] = []  # (lo, hi, net)
 
             def v_free(lo: int, hi: int, net: int) -> bool:
@@ -148,7 +148,7 @@ class GreedyRouter(ChannelRouter):
             if column >= width - 1 and not any(state.held.values()):
                 return state, max(0, column - width + 1)
         return (
-            f"nets still split after {self.max_extension} extension columns"
+            f"nets still split after {MAX_EXTENSION} extension columns"
         )
 
     def _bring_in_pins(

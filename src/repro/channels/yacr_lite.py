@@ -31,6 +31,9 @@ from repro.maze.astar import find_path
 from repro.maze.cost import CostModel
 from repro.netlist.channel import ChannelSpec
 
+#: Branch-order restarts after the first attempt.
+MAX_RESTARTS = 6
+
 
 def assign_tracks_tolerant(
     spec: ChannelSpec, tracks: int
@@ -108,14 +111,11 @@ class YacrLiteRouter(ChannelRouter):
 
     name = "yacr-lite"
 
-    def __init__(
-        self, cost: Optional[CostModel] = None, max_restarts: int = 6
-    ) -> None:
+    def __init__(self, cost: Optional[CostModel] = None) -> None:
         self.cost = cost or CostModel()
-        self.max_restarts = max_restarts
 
     def route(self, spec: ChannelSpec, tracks: int) -> ChannelResult:
-        """Route with up to ``max_restarts`` branch-order retries.
+        """Route with up to ``MAX_RESTARTS`` branch-order retries.
 
         A maze-routed branch can be walled in by branches routed before it;
         when that happens the whole attempt is restarted with the blocked
@@ -133,7 +133,7 @@ class YacrLiteRouter(ChannelRouter):
             )
         priority: List[Tuple[int, int, str]] = []
         result = None
-        for _ in range(1 + self.max_restarts):
+        for _ in range(1 + MAX_RESTARTS):
             result = self._route_once(spec, tracks, assignment, priority)
             if result.success or "blocked" not in result.reason:
                 return result

@@ -4,9 +4,9 @@ Subcommands
 -----------
 ``route``
     Route a problem file (channel, switchbox or JSON problem), print the
-    outcome, optionally render ASCII/SVG.  ``--deadline``,
-    ``--max-attempts`` and ``--on-timeout`` engage the resilient engine
-    (retry escalation plus, for channels, the classical fallback cascade).
+    outcome, optionally render ASCII/SVG.  ``--deadline`` and
+    ``--max-attempts`` engage the resilient engine (retry escalation
+    plus, for channels, the classical fallback cascade).
 ``info``
     Print analysis of a problem file (density, VCG cycles, pin counts)
     without routing.
@@ -31,11 +31,13 @@ Subcommands
 
 Exit codes
 ----------
-Structured errors map to distinct codes so scripts can react without
-parsing output: ``0`` success, ``1`` internal/verification failure,
-``2`` bad input, ``3`` deadline hit (partial result), ``4`` infeasible
-(router exhausted every strategy), ``6`` service overloaded (job shed at
-admission), ``7`` service unreachable.  With ``submit --retries N`` the
+Outcomes map to distinct codes so scripts can react without parsing
+output: ``0`` success, ``1`` verification failure, ``2`` bad input,
+``3`` deadline hit (partial result), ``4`` infeasible (router exhausted
+every strategy), ``5`` internal error, ``6`` service overloaded (job
+shed at admission), ``7`` service unreachable.  Codes 3 and 4 are read
+from the returned result (``stats.timed_out``, ``status``); codes 2 and
+5-7 come from structured errors.  With ``submit --retries N`` the
 transient codes 6/7 mean the error *persisted through every retry*; the
 code always reflects the final attempt.  Malformed input files produce a
 one-line ``error:`` diagnostic on stderr, never a traceback.
@@ -176,9 +178,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     resilient = args.deadline is not None or args.max_attempts > 1
     try:
         engine_config = EngineConfig(
-            deadline_s=args.deadline,
-            max_attempts=args.max_attempts,
-            on_timeout=args.on_timeout,
+            deadline_s=args.deadline, max_attempts=args.max_attempts
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -320,7 +320,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _info_payload(fmt: str, loaded) -> dict:
-    """Machine-readable ``info`` fields (also the daemon's description)."""
+    """Machine-readable ``info`` fields of a loaded problem file."""
     if fmt == "channel":
         return {
             "kind": "channel",
@@ -359,9 +359,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     if args.json:
         from repro.maze.kernels import backend_info
 
-        # The problem fields come from _info_payload (shared with the
-        # service daemon's description); the kernels section is CLI-only
-        # environment diagnostics.
         payload = dict(_info_payload(fmt, loaded))
         payload["kernels"] = backend_info()
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -479,7 +476,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             default_deadline_s=args.deadline,
             max_attempts=args.max_attempts,
             cache_capacity=args.cache_size,
-            admission_factor=args.admission_factor,
             cache_dir=args.cache_dir,
             reap_grace_s=args.reap_grace,
         )
@@ -600,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="wall-clock budget; on expiry the best partial result is "
-        "returned (exit code 3) unless --on-timeout raise",
+        "returned (exit code 3)",
     )
     route.add_argument(
         "--max-attempts",
@@ -609,13 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="Mighty attempts with escalated retries; values > 1 also "
         "enable the classical fallback cascade for channels (default: 1)",
-    )
-    route.add_argument(
-        "--on-timeout",
-        choices=("raise", "partial"),
-        default="partial",
-        help="deadline behaviour: keep the partial result (default) or "
-        "fail with a structured timeout error",
     )
     route.set_defaults(func=cmd_route)
 
@@ -691,14 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=128,
         metavar="N",
         help="canonical-instance cache entries, 0 disables (default: 128)",
-    )
-    serve.add_argument(
-        "--admission-factor",
-        type=float,
-        default=1.0,
-        metavar="F",
-        help="shed when estimated queue wait exceeds F x deadline "
-        "(default: 1.0)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -863,7 +844,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Structured :class:`~repro.errors.ReproError` failures print a one-line
     ``error:`` diagnostic on stderr and exit with the error's own code
-    (2 bad input, 3 timeout, 4 infeasible, 5 internal) — never a
+    (2 bad input, 5 internal, 6 overloaded, 7 unreachable) — never a
     traceback.
     """
     args = build_parser().parse_args(argv)

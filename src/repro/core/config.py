@@ -1,7 +1,8 @@
 """Router configuration.
 
-Every knob of the algorithm lives here so the ablation experiments (E5, E6)
-can toggle one behaviour at a time without touching router code.
+Every knob the ablation experiments (E5, E6) or the engine's escalation
+vary lives here, so one behaviour can be toggled at a time without touching
+router code.  Values nothing varies are constants of :mod:`repro.core.router`.
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ class MightyConfig:
         Rip budget per *connection* of a net; a net whose accumulated rips
         reach ``max_rips_per_net * its connection count`` becomes frozen
         (never a victim again).  This bound is the termination guarantee.
-    rip_escalation:
-        Extra per-cell conflict penalty added for each past rip of the
-        owning net.  Escalation is what makes the rip-up loop converge
-        instead of thrashing: a net that keeps being ripped becomes an
-        increasingly expensive victim, steering later searches elsewhere.
-    weak_victim_limit:
-        Weak modification only fires when the plan displaces at most this
-        many victim connections (keeps "weak" genuinely local, as in the
-        paper's segment-pushing step).
     strong_victim_limit:
         Upper bound on victims a single strong modification may rip.
     max_chain_depth:
@@ -47,10 +39,6 @@ class MightyConfig:
         deepens the rip *chain*; chains longer than this are cut.  Bounding
         the chain stops one blocked connection from cascading destruction
         across the whole region.
-    max_deferrals:
-        A chain-cut connection is *deferred* — re-queued at the back at
-        depth zero — at most this many times per pass before it is declared
-        failed (and left to the retry passes).
     ordering:
         Connection processing order; ``"shortest"`` (the paper's choice),
         ``"longest"``, ``"most_pins"`` or ``"input"``.
@@ -73,11 +61,8 @@ class MightyConfig:
     enable_weak: bool = True
     enable_strong: bool = True
     max_rips_per_net: int = 32
-    rip_escalation: int = 10
-    weak_victim_limit: int = 3
     strong_victim_limit: int = 12
     max_chain_depth: int = 12
-    max_deferrals: int = 3
     ordering: str = "shortest"
     retry_passes: int = 4
 
@@ -88,10 +73,8 @@ class MightyConfig:
             )
         if self.max_rips_per_net < 0:
             raise ValueError("max_rips_per_net must be non-negative")
-        if self.rip_escalation < 0:
-            raise ValueError("rip_escalation must be non-negative")
-        if self.weak_victim_limit < 0 or self.strong_victim_limit < 0:
-            raise ValueError("victim limits must be non-negative")
+        if self.strong_victim_limit < 0:
+            raise ValueError("strong_victim_limit must be non-negative")
         if self.retry_passes < 0:
             raise ValueError("retry_passes must be non-negative")
         if self.max_chain_depth < 0:

@@ -152,7 +152,6 @@ class RouteResult:
     problem: RoutingProblem
     grid: RoutingGrid
     connections: List[Connection] = field(default_factory=list)
-    failed: List[Connection] = field(default_factory=list)
     stats: RouteStats = field(default_factory=RouteStats)
     events: List[RouteEvent] = field(default_factory=list)
     router: str = "mighty"
@@ -168,9 +167,14 @@ class RouteResult:
                 self.status = "failed"
 
     @property
+    def failed(self) -> List[Connection]:
+        """The connections left unrouted, in connection order."""
+        return [c for c in self.connections if not c.routed]
+
+    @property
     def success(self) -> bool:
         """True when every connection is electrically satisfied."""
-        return not self.failed and all(c.routed for c in self.connections)
+        return all(c.routed for c in self.connections)
 
     @property
     def completion_rate(self) -> float:

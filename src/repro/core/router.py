@@ -61,6 +61,22 @@ from repro.netlist.problem import RoutingProblem
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> router)
     from repro.engine.deadline import Deadline
 
+#: Extra per-cell conflict penalty a soft search pays for each past rip of
+#: the cell's net.  Escalation is what makes the rip-up loop converge
+#: instead of thrashing: a net that keeps being ripped becomes an
+#: increasingly expensive victim, steering later searches elsewhere.
+RIP_ESCALATION = 10
+
+#: Weak modification only fires when the plan displaces at most this many
+#: victim connections (keeps "weak" genuinely local, as in the paper's
+#: segment-pushing step).
+WEAK_VICTIM_LIMIT = 3
+
+#: A chain-cut connection is *deferred* (re-queued at the back at depth
+#: zero) at most this many times per pass before it is declared failed
+#: and left to the retry passes.
+MAX_DEFERRALS = 3
+
 
 class MightyRouter:
     """Route a :class:`RoutingProblem` with rip-up and reroute.
@@ -225,7 +241,6 @@ class MightyRouter:
             problem=self.problem,
             grid=self._grid,
             connections=self._all_connections,
-            failed=[c for c in self._all_connections if not c.routed],
             stats=self._stats,
             events=self._events,
             router=router_tag(self.config),
@@ -297,7 +312,7 @@ class MightyRouter:
             allow_conflicts=True,
             frozen_nets=frozenset(self._frozen),
             net_penalties={
-                frozen_net: rips * self.config.rip_escalation
+                frozen_net: rips * RIP_ESCALATION
                 for frozen_net, rips in self._net_rips.items()
             },
         )
@@ -306,20 +321,7 @@ class MightyRouter:
         victims = self._victims_of(soft.conflict_ids)
         if victims is None:
             return False
-        if not victims:
-            # No actual conflicts: a hard path exists although the hard
-            # search reported none, which only an injected search fault
-            # does (a search that finds no path has proven none exists).
-            # Commit directly.
-            self._commit(connection, soft.path)
-            self._stats.hard_routes += 1
-            self._record("route", connection.net_name, "late find")
-            return True
-
-        if (
-            self.config.enable_weak
-            and len(victims) <= self.config.weak_victim_limit
-        ):
+        if self.config.enable_weak and len(victims) <= WEAK_VICTIM_LIMIT:
             if self._try_weak(connection, soft.path, victims):
                 return True
 
@@ -332,7 +334,7 @@ class MightyRouter:
                 # the connection rejoins the back of the queue at depth 0.
                 # Deferrals are budget-bounded, and every eventual strong
                 # modification still burns rip budget, so termination holds.
-                if connection.deferrals < self.config.max_deferrals:
+                if connection.deferrals < MAX_DEFERRALS:
                     connection.deferrals += 1
                     connection.chain_depth = 0
                     queue.append(connection)
@@ -699,7 +701,7 @@ class MightyRouter:
         # work multiplies by the (bounded) pass count.  Chain-depth
         # deferrals add at most ``max_rips_per_net`` extra pops per
         # connection per pass.
-        deferrals = initial * self.config.max_deferrals
+        deferrals = initial * MAX_DEFERRALS
         return (1 + self.config.retry_passes) * (
             initial + deferrals + total_budget * (2 + per_strong)
         ) + 16

@@ -2,9 +2,7 @@
 
 A :class:`Deadline` is a small immutable-budget stopwatch started at
 construction time.  The router polls :meth:`Deadline.expired` at the top of
-its control loop and degrades gracefully when the budget runs out; the
-engine and CLI use :meth:`Deadline.check` when a hard
-:class:`~repro.errors.RouteTimeout` is wanted instead.
+its control loop and degrades gracefully when the budget runs out.
 
 The clock is injectable so tests (and the fault-injection harness) can
 drive time deterministically instead of sleeping.
@@ -14,8 +12,6 @@ from __future__ import annotations
 
 import time
 from typing import Callable, Optional
-
-from repro.errors import RouteTimeout
 
 
 class Deadline:
@@ -43,20 +39,6 @@ class Deadline:
         self._clock = clock
         self._started = clock()
 
-    @classmethod
-    def after(
-        cls,
-        budget_s: Optional[float],
-        clock: Callable[[], float] = time.monotonic,
-    ) -> "Deadline":
-        """A deadline ``budget_s`` seconds from now (alias of the ctor)."""
-        return cls(budget_s, clock=clock)
-
-    @classmethod
-    def never(cls) -> "Deadline":
-        """A deadline that never expires."""
-        return cls(None)
-
     def elapsed(self) -> float:
         """Seconds since the deadline was started."""
         return self._clock() - self._started
@@ -71,17 +53,6 @@ class Deadline:
         """True once the budget is used up (never true when unlimited)."""
         remaining = self.remaining()
         return remaining is not None and remaining <= 0
-
-    def check(self, what: str = "routing") -> None:
-        """Raise :class:`RouteTimeout` if the deadline has expired."""
-        if self.expired():
-            raise RouteTimeout(
-                f"{what} exceeded its {self.budget_s:g}s deadline",
-                context={
-                    "deadline_s": self.budget_s,
-                    "elapsed_s": round(self.elapsed(), 6),
-                },
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.budget_s is None:

@@ -3,10 +3,10 @@
 :class:`RoutingEngine` supervises :class:`~repro.core.router.MightyRouter`
 runs the way a production service must: a pathological problem may *fail*,
 but it may never hang a worker or crash it with a raw exception.  The
-engine guarantees, in its default configuration, that :meth:`RoutingEngine
-.route` always returns a :class:`~repro.core.result.RouteResult` — complete
-when possible, ``status="partial"`` otherwise — with per-attempt telemetry
-in ``result.stats.attempt_log`` and never lets an exception escape.
+engine guarantees that :meth:`RoutingEngine.route` always returns a
+:class:`~repro.core.result.RouteResult` — complete when possible,
+``status="partial"`` otherwise — with per-attempt telemetry in
+``result.stats.attempt_log`` and never lets an exception escape.
 
 The cascade, in order:
 
@@ -29,12 +29,8 @@ The cascade, in order:
    get one shot.
 
 Otherwise the best partial result is returned: most connections routed,
-the earliest attempt on ties.
-
-Callers that prefer exceptions opt in with ``on_timeout="raise"`` /
-``on_infeasible="raise"``, which raise the structured
-:class:`~repro.errors.RouteTimeout` / :class:`~repro.errors.RouteInfeasible`
-carrying the machine-readable outcome.
+the earliest attempt on ties.  How the run ended is read from the result:
+``status`` and ``stats.timed_out``.
 """
 
 from __future__ import annotations
@@ -50,12 +46,9 @@ from repro.core.result import RouteResult, RouteStats
 from repro.core.router import MightyRouter
 from repro.engine.deadline import Deadline
 from repro.engine.policy import escalation_schedule
-from repro.errors import RouteInfeasible, RouteTimeout
 from repro.grid.path import flat_id
 from repro.netlist.channel import ChannelSpec
 from repro.netlist.problem import RoutingProblem
-
-_OUTCOME_CHOICES = ("partial", "raise")
 
 #: A probe pauses once this many iterations per connection have passed
 #: since its routed count last reached a new best.
@@ -75,13 +68,6 @@ class EngineConfig:
         Total Mighty attempts (the first run plus escalated retries).
         With more than one, every attempt is first probed under the stall
         limit (see the module docstring).
-    on_timeout:
-        ``"partial"`` (default) returns the best partial result when the
-        deadline expires; ``"raise"`` raises :class:`RouteTimeout`.
-    on_infeasible:
-        ``"partial"`` (default) returns the best partial result when every
-        strategy failed with time to spare; ``"raise"`` raises
-        :class:`RouteInfeasible`.
 
     Passing the originating channel spec to :meth:`RoutingEngine.route`
     is what enables the classical channel fallbacks.
@@ -89,20 +75,12 @@ class EngineConfig:
 
     deadline_s: Optional[float] = None
     max_attempts: int = 3
-    on_timeout: str = "partial"
-    on_infeasible: str = "partial"
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ValueError("deadline_s must be non-negative")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.on_timeout not in _OUTCOME_CHOICES:
-            raise ValueError(f"on_timeout must be one of {_OUTCOME_CHOICES}")
-        if self.on_infeasible not in _OUTCOME_CHOICES:
-            raise ValueError(
-                f"on_infeasible must be one of {_OUTCOME_CHOICES}"
-            )
 
 
 class RoutingEngine:
@@ -142,7 +120,7 @@ class RoutingEngine:
         shards: int = 1,
         shard_workers: Optional[int] = None,
     ) -> RouteResult:
-        """Route ``problem`` through the cascade; never raises by default.
+        """Route ``problem`` through the cascade; never raises.
 
         ``channel_spec``/``tracks`` describe the channel the problem was
         lowered from, enabling the classical fallbacks; omit them for
@@ -413,7 +391,7 @@ class RoutingEngine:
         return result
 
     def _degrade(self, problem, best, attempt_log, deadline, timed_out):
-        """Best partial outcome — or a structured error when opted in."""
+        """The best partial outcome, labelled ``partial`` or ``failed``."""
         if best is None:
             best = self._empty_result(problem)
         best.stats.attempt_log = attempt_log
@@ -422,30 +400,7 @@ class RoutingEngine:
         best.status = (
             "partial" if best.stats.routed_connections > 0 else "failed"
         )
-        if timed_out and self.config.on_timeout == "raise":
-            raise RouteTimeout(
-                "routing exceeded its deadline",
-                context=self._context(best, deadline),
-            )
-        if not timed_out and self.config.on_infeasible == "raise":
-            raise RouteInfeasible(
-                "routing failed on every strategy",
-                context=self._context(best, deadline),
-            )
         return best
-
-    def _context(self, result, deadline):
-        """Machine-readable outcome summary carried by raised errors."""
-        return {
-            "deadline_s": deadline.budget_s,
-            "elapsed_s": round(deadline.elapsed(), 6),
-            "routed": result.stats.routed_connections,
-            "connections": result.stats.connections,
-            "open_nets": sorted(
-                {c.net_name for c in result.failed}
-            ),
-            "attempts": len(result.stats.attempt_log),
-        }
 
     def _empty_result(self, problem):
         """A valid zero-progress result (every attempt crashed outright)."""
@@ -458,7 +413,6 @@ class RoutingEngine:
             problem=problem,
             grid=problem.build_grid(),
             connections=connections,
-            failed=list(connections),
             stats=stats,
             router="engine",
             status="failed",
@@ -494,7 +448,6 @@ class RoutingEngine:
             problem=problem,
             grid=grid,
             connections=connections,
-            failed=[c for c in connections if not c.routed],
             stats=stats,
             router=f"fallback-{channel_result.router}",
         )

@@ -7,14 +7,14 @@ wrapper) can react to *what* failed without parsing strings:
 
 * :class:`InputError` — the problem statement or a file is malformed
   (exit code 2 at the CLI);
-* :class:`RouteTimeout` — a routing run exceeded its wall-clock deadline
-  (exit code 3; only raised when the caller opted out of graceful partial
-  results);
-* :class:`RouteInfeasible` — the router exhausted every strategy and the
-  caller asked for infeasibility to be fatal (exit code 4);
 * :class:`EngineError` — an internal invariant was violated (a bug, never
   a user mistake; subclasses :class:`RuntimeError` so legacy ``except
   RuntimeError`` call sites keep working).
+
+A routing run that hits its deadline or cannot complete is not an error:
+the engine returns its best result, and the CLI's exit codes 3 (deadline)
+and 4 (infeasible) are read from that result's ``stats.timed_out`` and
+``status``.
 """
 
 from __future__ import annotations
@@ -69,28 +69,6 @@ class InputError(ReproError, ValueError):
 
     exit_code = 2
     kind = "input"
-
-
-class RouteTimeout(ReproError):
-    """A routing run exceeded its wall-clock deadline.
-
-    ``context`` conventionally carries ``deadline_s``, ``elapsed_s`` and the
-    completion counters of the best partial state reached.
-    """
-
-    exit_code = 3
-    kind = "timeout"
-
-
-class RouteInfeasible(ReproError):
-    """Every routing strategy was exhausted without completing the problem.
-
-    ``context`` conventionally carries ``routed``, ``connections`` and the
-    names of the nets left open.
-    """
-
-    exit_code = 4
-    kind = "infeasible"
 
 
 class EngineError(ReproError, RuntimeError):

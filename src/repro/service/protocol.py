@@ -92,8 +92,6 @@ def error_from_payload(payload: Optional[Dict[str, Any]]) -> ReproError:
         cls.exit_code: cls
         for cls in (
             errors.InputError,
-            errors.RouteTimeout,
-            errors.RouteInfeasible,
             errors.EngineError,
             errors.ServiceOverloaded,
             errors.ServiceUnavailable,

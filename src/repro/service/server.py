@@ -59,6 +59,13 @@ from repro.service.cache import CanonicalCache
 from repro.service.store import CacheStore
 from repro.service.workers import WorkerPool, make_executor
 
+#: Initial EWMA estimate of seconds per ``cells x connections`` unit,
+#: replaced by measurements as jobs complete.
+SEED_COST_S = 5e-6
+
+#: Upper bound on waiting for in-flight jobs during shutdown.
+DRAIN_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -83,14 +90,6 @@ class ServiceConfig:
         :class:`~repro.engine.supervisor.EngineConfig`).
     cache_capacity:
         Canonical-instance cache entries (0 disables caching).
-    admission_factor:
-        Shed when ``estimated_wait > admission_factor * deadline``;
-        values above 1 admit optimistically, below 1 conservatively.
-    seed_cost_s:
-        Initial EWMA estimate of seconds per ``cells x connections``
-        unit, replaced by measurements as jobs complete.
-    drain_timeout_s:
-        Upper bound on waiting for in-flight jobs during shutdown.
     cache_dir:
         Directory for the durable canonical-cache store (journal +
         snapshot, see :mod:`repro.service.store`).  ``None`` keeps the
@@ -114,9 +113,6 @@ class ServiceConfig:
     default_deadline_s: Optional[float] = 30.0
     max_attempts: int = 2
     cache_capacity: int = 128
-    admission_factor: float = 1.0
-    seed_cost_s: float = 5e-6
-    drain_timeout_s: float = 60.0
     cache_dir: Optional[str] = None
     reap_grace_s: float = 10.0
     fsync_store: bool = True
@@ -132,8 +128,6 @@ class ServiceConfig:
             raise ValueError("max_attempts must be >= 1")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be non-negative")
-        if self.admission_factor <= 0:
-            raise ValueError("admission_factor must be positive")
         if self.reap_grace_s < 0:
             raise ValueError("reap_grace_s must be non-negative")
 
@@ -217,7 +211,7 @@ class RoutingService:
         self._job_seq = 0
         self._pending_jobs = 0
         self._pending_cost_s = 0.0
-        self._cost_ewma_s = config.seed_cost_s
+        self._cost_ewma_s = SEED_COST_S
         self._counters: Dict[str, int] = {
             "submitted": 0,
             "completed": 0,
@@ -263,9 +257,7 @@ class RoutingService:
             pending = [task for task in self._active if not task.done()]
             if pending:
                 self._event(f"draining {len(pending)} in-flight jobs")
-                await asyncio.wait(
-                    pending, timeout=self.config.drain_timeout_s
-                )
+                await asyncio.wait(pending, timeout=DRAIN_TIMEOUT_S)
             self._pool.close()
             self._threads.shutdown(wait=False)
             with contextlib.suppress(OSError):
@@ -503,7 +495,7 @@ class RoutingService:
             )
         if deadline_s is not None:
             estimated_wait_s = self._pending_cost_s / self.config.workers
-            if estimated_wait_s > self.config.admission_factor * deadline_s:
+            if estimated_wait_s > deadline_s:
                 self._counters["shed"] += 1
                 raise ServiceOverloaded(
                     "queued work exceeds the job's deadline budget",
@@ -513,8 +505,7 @@ class RoutingService:
                         "estimated_cost_s": round(estimated_cost_s, 6),
                         "deadline_s": deadline_s,
                         "retry_after_s": self._retry_after(
-                            estimated_wait_s
-                            - self.config.admission_factor * deadline_s
+                            estimated_wait_s - deadline_s
                         ),
                     },
                 )

@@ -234,21 +234,29 @@ class TestResilientFlags:
         # an impossible channel under a zero deadline: partial result,
         # exit 3, and no traceback
         code = main(
-            ["route", str(channel_file), "--tracks", "1",
-             "--deadline", "0", "--on-timeout", "partial"]
+            ["route", str(channel_file), "--tracks", "1", "--deadline", "0"]
         )
         assert code == 3
         out = capsys.readouterr().out
         assert "deadline hit" in out
 
-    def test_deadline_raise_exit_3(self, channel_file, capsys):
-        code = main(
-            ["route", str(channel_file), "--tracks", "1",
-             "--deadline", "0", "--on-timeout", "raise"]
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route", "{file}", "--on-timeout", "raise"],
+            # ``--workers 0`` stops a parser that took the flag from
+            # starting a daemon.
+            ["serve", "--socket", "{file}.sock", "--workers", "0",
+             "--admission-factor", "2"],
+        ],
+    )
+    def test_removed_flags_exit_2(self, channel_file, capsys, argv):
+        # The outcome is the result (exit 3/4); admission sheds at the
+        # deadline.  Neither has a flag left to set.
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(file=channel_file) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_max_attempts_enables_fallback(self, channel_file, capsys):
         # density-1 track count is infeasible for Mighty, but the fallback

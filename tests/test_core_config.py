@@ -31,8 +31,6 @@ class TestConfig:
     def test_rejects_negative_knobs(self):
         for field in (
             "max_rips_per_net",
-            "rip_escalation",
-            "weak_victim_limit",
             "strong_victim_limit",
             "retry_passes",
             "max_chain_depth",

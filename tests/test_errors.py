@@ -6,14 +6,16 @@ from repro.errors import (
     EngineError,
     InputError,
     ReproError,
-    RouteInfeasible,
-    RouteTimeout,
+    ServiceOverloaded,
+    ServiceUnavailable,
 )
+
+ERRORS = (InputError, EngineError, ServiceOverloaded, ServiceUnavailable)
 
 
 class TestHierarchy:
     def test_all_subclass_repro_error(self):
-        for cls in (InputError, RouteTimeout, RouteInfeasible, EngineError):
+        for cls in ERRORS:
             assert issubclass(cls, ReproError)
 
     def test_input_error_is_value_error(self):
@@ -25,27 +27,21 @@ class TestHierarchy:
         assert issubclass(EngineError, RuntimeError)
 
     def test_catching_base_catches_all(self):
-        for cls in (InputError, RouteTimeout, RouteInfeasible, EngineError):
+        for cls in ERRORS:
             with pytest.raises(ReproError):
                 raise cls("boom")
 
 
 class TestExitCodes:
     def test_distinct_exit_codes(self):
-        codes = {
-            ReproError("x").exit_code,
-            InputError("x").exit_code,
-            RouteTimeout("x").exit_code,
-            RouteInfeasible("x").exit_code,
-            EngineError("x").exit_code,
-        }
-        assert codes == {1, 2, 3, 4, 5}
+        codes = {cls("x").exit_code for cls in (ReproError,) + ERRORS}
+        assert codes == {1, 2, 5, 6, 7}
 
     def test_kind_labels(self):
         assert InputError("x").kind == "input"
-        assert RouteTimeout("x").kind == "timeout"
-        assert RouteInfeasible("x").kind == "infeasible"
         assert EngineError("x").kind == "engine"
+        assert ServiceOverloaded("x").kind == "overloaded"
+        assert ServiceUnavailable("x").kind == "unavailable"
 
 
 class TestContext:
@@ -55,20 +51,20 @@ class TestContext:
         assert str(err) == "plain"
 
     def test_context_rendered_in_str(self):
-        err = RouteTimeout(
-            "deadline hit", context={"elapsed_s": 2.5, "deadline_s": 2.0}
+        err = ServiceOverloaded(
+            "queue full", context={"queue_depth": 16, "deadline_s": 2.0}
         )
         text = str(err)
-        assert text.startswith("deadline hit")
-        assert "deadline_s=2.0" in text and "elapsed_s=2.5" in text
+        assert text.startswith("queue full")
+        assert "deadline_s=2.0" in text and "queue_depth=16" in text
 
     def test_to_dict_machine_readable(self):
-        err = RouteInfeasible("no luck", context={"open_nets": ["n1"]})
+        err = EngineError("bug", context={"problem": "n1"})
         payload = err.to_dict()
-        assert payload["kind"] == "infeasible"
-        assert payload["message"] == "no luck"
-        assert payload["exit_code"] == 4
-        assert payload["context"] == {"open_nets": ["n1"]}
+        assert payload["kind"] == "engine"
+        assert payload["message"] == "bug"
+        assert payload["exit_code"] == 5
+        assert payload["context"] == {"problem": "n1"}
 
     def test_context_is_copied(self):
         ctx = {"a": 1}
