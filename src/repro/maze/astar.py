@@ -66,7 +66,8 @@ class SearchResult:
     #: Flat ids of the foreign nodes the walk occupies, in path order.
     conflict_ids: List[int] = field(default_factory=list)
     #: Nodes the target-side flood popped before A* (see
-    #: :func:`find_path_flat`); 0 when no flood ran.
+    #: :func:`find_path_flat`), in a hard or a conflict search; 0 when
+    #: no flood ran.
     flood_visits: int = 0
 
     @property
@@ -185,14 +186,21 @@ def find_path_flat(
     found path is built from flat ids, and ``conflict_ids`` lists the
     foreign nodes it occupies; ``conflict_nodes`` stays empty.
 
-    A hard search whose sources and targets are all copper of
-    ``net_id``, with no source among at most
+    A search whose sources and targets are all copper of ``net_id``,
+    with no source among at most
     :data:`~repro.maze.kernels.pure.FLOOD_CAP` targets, first floods the
-    target side over free cells.  When that flood closes without
-    touching other copper of the net, no source can reach a target, and
-    the search returns no path after zero expansions.  Otherwise A* runs
-    exactly as without the flood.  ``flood_visits`` counts the flood's
-    work either way.
+    target side over free cells; a conflict search does so only when
+    ``via_cost > 0``, so that every move costs at least 1.  When the
+    flood closes without touching other copper of the net, the targets
+    sit in a pocket walled in by obstacles and other nets' cells.  A
+    hard search then returns no path after zero expansions.  A conflict
+    search must cross a wall cell to get in: with none it may cross,
+    it returns no path after zero expansions, and otherwise it adds the
+    cheapest crossing to the heuristic of every node beyond the pocket
+    and its wall.  It returns the same path, cost and conflicts as
+    without the bound, in fewer or as many expansions (ALGORITHM.md §2).
+    When the flood gives up, A* runs exactly as without it.
+    ``flood_visits`` counts the flood's work either way.
 
     A* needs no expansion cap.  Its heuristic is consistent: a step
     changes the Manhattan distance to the target box by at most one and
@@ -263,7 +271,7 @@ def find_path_flat(
     seeds = ()
     if (
         sources_owned
-        and not allow_conflicts
+        and (model.via_cost > 0 or not allow_conflicts)
         and len(goals) <= FLOOD_CAP
         and all(occ[index] == net_id for index in goals)
         and goals.isdisjoint(sources)

@@ -19,17 +19,18 @@ edges.  Two backends ship:
     the compiled path available with nothing beyond a stock toolchain.)
 
 Every backend is bit-identical to ``pure`` by contract: same paths, same
-costs, same expansion and flood-visit counts, same conflict nodes.  The differential
-parity suite (``tests/test_kernel_parity.py``) and the benchmark counter
-gate (``repro bench --compare BASELINE``, every case's counters equal)
-enforce this, so switching backends changes wall time only — never which
-decisions the router makes.
+costs, same expansion and flood-visit counts, same conflict nodes, the
+target-side flood and a conflict search's pocket bound included.  The
+differential parity suite (``tests/test_kernel_parity.py``) and the
+benchmark counter gate (``repro bench --compare BASELINE``, every case's
+counters equal) enforce this, so switching backends changes wall time
+only — never which decisions the router makes.
 
 The process-wide default backend comes from the ``REPRO_KERNEL``
 environment variable (``pure`` / ``compiled`` / ``auto``); unset means
 ``auto``: ``compiled`` when it builds, else ``pure``.  Child processes
-(shard pools, sweep pools, service workers) inherit the environment and
-so resolve the same backend.  The only other selector is the per-call
+(shard pools, service workers) inherit the environment and so resolve
+the same backend.  The only other selector is the per-call
 ``kernel=`` argument of the searchers, which the parity tests use.
 
 Resolution is lazy (first search, not import) so merely importing the

@@ -98,10 +98,13 @@ static int64_t backtrack(const int32_t *parent, int64_t goal,
     return len;
 }
 
-/* Successors of index in the reference move order (x+1, x-1, y+1, y-1,
- * via) into succs; returns how many. */
-static int successors(int64_t index, int64_t width, int64_t height,
-                      int64_t *succs)
+/* Moves out of index in the reference order (x+1, x-1, y+1, y-1, via):
+ * the successors into succs, each move's axis code (0 = x step, 1 = y
+ * step, 2 = via) into axes and the successor's x and y into xs and ys.
+ * Returns how many. */
+static inline int moves(int64_t index, int64_t width, int64_t height,
+                        int64_t *succs, int64_t *axes, int64_t *xs,
+                        int64_t *ys)
 {
     int64_t plane = width * height;
     int64_t layer = index >= plane;
@@ -109,42 +112,72 @@ static int successors(int64_t index, int64_t width, int64_t height,
     int64_t y = rest / width;
     int64_t x = rest - y * width;
     int nmov = 0;
-    if (x + 1 < width)
-        succs[nmov++] = index + 1;
-    if (x > 0)
-        succs[nmov++] = index - 1;
-    if (y + 1 < height)
-        succs[nmov++] = index + width;
-    if (y > 0)
-        succs[nmov++] = index - width;
-    succs[nmov++] = index + (layer ? -plane : plane);
+    if (x + 1 < width) {
+        succs[nmov] = index + 1; axes[nmov] = 0;
+        xs[nmov] = x + 1; ys[nmov] = y; nmov++;
+    }
+    if (x > 0) {
+        succs[nmov] = index - 1; axes[nmov] = 0;
+        xs[nmov] = x - 1; ys[nmov] = y; nmov++;
+    }
+    if (y + 1 < height) {
+        succs[nmov] = index + width; axes[nmov] = 1;
+        xs[nmov] = x; ys[nmov] = y + 1; nmov++;
+    }
+    if (y > 0) {
+        succs[nmov] = index - width; axes[nmov] = 1;
+        xs[nmov] = x; ys[nmov] = y - 1; nmov++;
+    }
+    succs[nmov] = index + (layer ? -plane : plane);
+    axes[nmov] = 2; xs[nmov] = x; ys[nmov] = y; nmov++;
     return nmov;
 }
 
-/* Mirror of flood_closes in pure.py: flood from the seeds over free
+/* The successors alone. */
+static inline int successors(int64_t index, int64_t width, int64_t height,
+                             int64_t *succs)
+{
+    int64_t axes[5], xs[5], ys[5];
+    return moves(index, width, height, succs, axes, xs, ys);
+}
+
+/* Manhattan distance from (x, y) to the target box. */
+static inline int64_t box_distance(int64_t x, int64_t y, int64_t tx0,
+                                   int64_t tx1, int64_t ty0, int64_t ty1)
+{
+    int64_t dx = x < tx0 ? tx0 - x : (x > tx1 ? x - tx1 : 0);
+    int64_t dy = y < ty0 ? ty0 - y : (y > ty1 ? y - ty1 : 0);
+    return dx + dy;
+}
+
+/* Mirror of flood_pocket in pure.py: flood from the seeds over free
  * cells, giving up at the (cap+1)-th free cell or at copper of net_id
- * that is not a seed.  Returns 1 when the queue drains first.  The
- * caller's seeds are the targets, so target[] already marks them; the
- * flood marks the free cells it enters with 2 and clears them again
- * before returning.  queue holds every node entered once, so n_nodes
- * entries suffice.  *visits counts the nodes popped.
+ * that is not a seed.  Bit 1 of target[] marks the goals, and the
+ * caller's seeds are the targets; the flood sets bit 2 on every node it
+ * holds, the seeds included, and keeps them in queue (n_nodes entries
+ * suffice: each node is entered once).  *visits counts the nodes
+ * popped.  Returns the pocket's size, queue[0, size), when the queue
+ * drains first, and leaves its marks for the caller to clear; returns 0
+ * when the flood gives up, and clears them itself.
  */
-static int flood_closes(const int32_t *occ, int64_t width, int64_t height,
-                        int64_t net_id, uint8_t *target,
-                        const int64_t *seeds, int64_t n_seeds, int64_t cap,
-                        int32_t *queue, int64_t *visits)
+static int64_t flood_pocket(const int32_t *occ, int64_t width,
+                            int64_t height, int64_t net_id, uint8_t *target,
+                            const int64_t *seeds, int64_t n_seeds,
+                            int64_t cap, int32_t *queue, int64_t *visits)
 {
     int64_t head = 0, tail = 0;
     int closed = 1;
 
-    for (int64_t i = 0; i < n_seeds; i++)
+    for (int64_t i = 0; i < n_seeds; i++) {
+        target[seeds[i]] |= 2;
         queue[tail++] = (int32_t)seeds[i];
+    }
     while (closed && head < tail) {
         int64_t succs[5];
         int nmov = successors(queue[head++], width, height, succs);
         for (int m = 0; m < nmov; m++) {
             int64_t succ = succs[m];
-            if (target[succ])
+            if (target[succ] & 2)
                 continue;
             int64_t owner = occ[succ];
             if (owner == CELL_FREE) {
@@ -152,7 +185,7 @@ static int flood_closes(const int32_t *occ, int64_t width, int64_t height,
                     closed = 0;
                     break;
                 }
-                target[succ] = 2;
+                target[succ] |= 2;
                 queue[tail++] = (int32_t)succ;
             } else if (owner == net_id) {
                 closed = 0;
@@ -160,10 +193,97 @@ static int flood_closes(const int32_t *occ, int64_t width, int64_t height,
             }
         }
     }
-    for (int64_t i = n_seeds; i < tail; i++)
-        target[queue[i]] = 0;
     *visits = head;
-    return closed;
+    if (closed)
+        return tail;
+    for (int64_t i = 0; i < tail; i++)
+        target[queue[i]] &= 1;
+    return 0;
+}
+
+/* Mirror of pocket_bound in pure.py: mark the neighbour ring of the
+ * pocket queue[0, *marked) with bit 2 of target[] and append it to the
+ * queue, growing *marked by its size.  Returns the least extra cost of
+ * entering a crossable ring cell, or -1 when no ring cell is crossable.
+ */
+static int64_t pocket_bound(const int32_t *occ, const int32_t *pin,
+                            int64_t width, int64_t height, uint8_t *target,
+                            const uint8_t *frozen, int64_t frozen_len,
+                            const int64_t *penalties, int64_t pen_len,
+                            int64_t base_penalty, int32_t *queue,
+                            int64_t *marked)
+{
+    int64_t pocket = *marked;
+    int64_t bound = -1;
+
+    for (int64_t i = 0; i < pocket; i++) {
+        int64_t succs[5];
+        int nmov = successors(queue[i], width, height, succs);
+        for (int m = 0; m < nmov; m++) {
+            int64_t succ = succs[m];
+            if (target[succ] & 2)
+                continue;
+            target[succ] |= 2;
+            queue[(*marked)++] = (int32_t)succ;
+            int64_t owner = occ[succ];
+            if (owner == CELL_OBSTACLE
+                || (owner < frozen_len && frozen[owner]) || pin[succ])
+                continue;
+            int64_t extra = base_penalty
+                            + (owner < pen_len ? penalties[owner] : 0);
+            if (bound < 0 || extra < bound)
+                bound = extra;
+        }
+    }
+    return bound;
+}
+
+/* Mirror of min_key_backtrack in pure.py: the goal→source chain (the
+ * caller reverses) that steps from each node m to the optimal
+ * predecessor p, best[p] + cost(p->m) == best[m], with the smallest
+ * plain (f, g, index) key.  Returns its length. */
+static int64_t min_key_backtrack(
+    const int32_t *occ, int64_t width, int64_t height, int64_t net_id,
+    const int64_t *penalties, int64_t pen_len,
+    const int64_t *row0, const int64_t *row1,
+    int64_t step, int64_t base_penalty,
+    int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
+    const int64_t *best, const int64_t *stamp, int64_t gen,
+    int64_t goal, int32_t *path_out)
+{
+    int64_t plane = width * height;
+    int64_t len = 0;
+    int64_t index = goal;
+
+    path_out[len++] = (int32_t)index;
+    while (best[index]) {
+        int64_t owner = occ[index];
+        int64_t reach = best[index];
+        if (owner != CELL_FREE && owner != net_id)
+            reach -= base_penalty + (owner < pen_len ? penalties[owner] : 0);
+        const int64_t *row = index >= plane ? row1 : row0;
+        int64_t succs[5], axes[5], xs[5], ys[5];
+        int nmov = moves(index, width, height, succs, axes, xs, ys);
+        int64_t pick = -1;
+        hkey_t pick_key = 0;
+        for (int m = 0; m < nmov; m++) {
+            int64_t pred = succs[m];
+            int64_t g = best[pred];
+            if (stamp[pred] != gen || g + row[axes[m]] != reach)
+                continue;
+            int64_t f = g + box_distance(xs[m], ys[m], tx0, tx1, ty0, ty1)
+                            * step;
+            hkey_t key = ((hkey_t)f << F_SHIFT) | ((hkey_t)g << G_SHIFT)
+                         | (hkey_t)pred;
+            if (pick < 0 || key < pick_key) {
+                pick = pred;
+                pick_key = key;
+            }
+        }
+        index = pick;
+        path_out[len++] = (int32_t)index;
+    }
+    return len;
 }
 
 /* out[0] = goal cost (or overflowing g on ST_OVERFLOW)
@@ -171,8 +291,12 @@ static int flood_closes(const int32_t *occ, int64_t width, int64_t height,
  * out[2] = path length (goal-first; caller reverses)
  * out[3] = flood visits
  *
- * n_seeds > 0 asks for the target-side flood first (see flood_closes);
- * the caller passes seeds only when a closed flood proves "no path".
+ * n_seeds > 0 asks for the target-side flood first (see flood_pocket).
+ * A closed flood ends a hard search with no path; a conflict search
+ * prices the pocket's ring (pocket_bound) and, when some ring cell is
+ * crossable, adds that bound to the heuristic of every node without
+ * bit 2, reading its path with min_key_backtrack.  The marks are
+ * cleared before the path is written over the flood's queue.
  */
 int64_t repro_astar(
     const int32_t *occ, const int32_t *pin,
@@ -194,16 +318,22 @@ int64_t repro_astar(
     int64_t expansions = 0;
     int64_t goal = -1;
     int64_t goal_cost = 0;
-    int64_t status;
+    int64_t status = ST_NOPATH;
+    /* Queue entries of path_out with bit 2 set, and the least a walk
+     * from outside them pays to enter the ring: 0 leaves A* plain. */
+    int64_t marked = 0;
+    int64_t bound = 0;
 
     out[3] = 0;
-    if (n_seeds > 0
-        && flood_closes(occ, width, height, net_id, target, seeds, n_seeds,
-                        flood_cap, path_out, &out[3])) {
-        out[0] = 0;
-        out[1] = 0;
-        out[2] = 0;
-        return ST_NOPATH;
+    if (n_seeds > 0) {
+        marked = flood_pocket(occ, width, height, net_id, target, seeds,
+                              n_seeds, flood_cap, path_out, &out[3]);
+        if (marked && allow_conflicts)
+            bound = pocket_bound(occ, pin, width, height, target, frozen,
+                                 frozen_len, penalties, pen_len,
+                                 base_penalty, path_out, &marked);
+        if (marked && (!allow_conflicts || bound < 0))
+            goto done;
     }
 
     for (int64_t i = 0; i < n_src; i++) {
@@ -212,8 +342,10 @@ int64_t repro_astar(
             stamp[idx] = gen;
             best[idx] = 0;
             parent[idx] = -1;
-            if (!heap_push(&heap, ((hkey_t)src_h[i] << F_SHIFT)
-                                      | (hkey_t)idx)) {
+            int64_t h = src_h[i];
+            if (bound > 0 && !(target[idx] & 2))
+                h += bound;
+            if (!heap_push(&heap, ((hkey_t)h << F_SHIFT) | (hkey_t)idx)) {
                 status = ST_NOMEM;
                 goto done;
             }
@@ -226,39 +358,16 @@ int64_t repro_astar(
         int64_t g = (int64_t)((entry >> G_SHIFT) & (hkey_t)FIELD_MASK);
         if (stamp[index] != gen || best[index] != g)
             continue; /* stale entry */
-        if (target[index]) {
+        if (target[index] & 1) {
             goal = index;
             goal_cost = g;
+            status = ST_FOUND;
             break;
         }
         expansions++;
-        int64_t layer = index >= plane;
-        const int64_t *row = layer ? row1 : row0;
-        int64_t rest = index - layer * plane;
-        int64_t y = rest / width;
-        int64_t x = rest - y * width;
-
-        /* Moves in the reference order: x+1, x-1, y+1, y-1, via. */
+        const int64_t *row = index >= plane ? row1 : row0;
         int64_t succs[5], axes[5], sxs[5], sys[5];
-        int nmov = 0;
-        if (x + 1 < width) {
-            succs[nmov] = index + 1; axes[nmov] = 0;
-            sxs[nmov] = x + 1; sys[nmov] = y; nmov++;
-        }
-        if (x > 0) {
-            succs[nmov] = index - 1; axes[nmov] = 0;
-            sxs[nmov] = x - 1; sys[nmov] = y; nmov++;
-        }
-        if (y + 1 < height) {
-            succs[nmov] = index + width; axes[nmov] = 1;
-            sxs[nmov] = x; sys[nmov] = y + 1; nmov++;
-        }
-        if (y > 0) {
-            succs[nmov] = index - width; axes[nmov] = 1;
-            sxs[nmov] = x; sys[nmov] = y - 1; nmov++;
-        }
-        succs[nmov] = index + (layer ? -plane : plane);
-        axes[nmov] = 2; sxs[nmov] = x; sys[nmov] = y; nmov++;
+        int nmov = moves(index, width, height, succs, axes, sxs, sys);
 
         for (int m = 0; m < nmov; m++) {
             int64_t succ = succs[m];
@@ -281,17 +390,18 @@ int64_t repro_astar(
                 continue;
             best[succ] = new_g;
             parent[succ] = (int32_t)index;
-            int64_t sx = sxs[m], sy = sys[m];
-            int64_t dx = sx < tx0 ? tx0 - sx : (sx > tx1 ? sx - tx1 : 0);
-            int64_t dy = sy < ty0 ? ty0 - sy : (sy > ty1 ? sy - ty1 : 0);
             if (new_g >= G_LIMIT) {
                 out[0] = new_g;
-                out[1] = expansions;
                 status = ST_OVERFLOW;
                 goto done;
             }
-            hkey_t key = ((hkey_t)(new_g + (dx + dy) * step) << F_SHIFT)
-                         | ((hkey_t)new_g << G_SHIFT) | (hkey_t)succ;
+            int64_t f = new_g
+                        + box_distance(sxs[m], sys[m], tx0, tx1, ty0, ty1)
+                              * step;
+            if (bound > 0 && !(target[succ] & 2))
+                f += bound;
+            hkey_t key = ((hkey_t)f << F_SHIFT) | ((hkey_t)new_g << G_SHIFT)
+                         | (hkey_t)succ;
             if (!heap_push(&heap, key)) {
                 status = ST_NOMEM;
                 goto done;
@@ -299,19 +409,23 @@ int64_t repro_astar(
         }
     }
 
-    if (goal < 0) {
-        out[0] = 0;
-        out[1] = expansions;
-        out[2] = 0;
-        status = ST_NOPATH;
-    } else {
-        out[0] = goal_cost;
-        out[1] = expansions;
-        out[2] = backtrack(parent, goal, path_out);
-        status = ST_FOUND;
-    }
 done:
+    for (int64_t i = 0; i < marked; i++)
+        target[path_out[i]] &= 1;
     free(heap.a);
+    out[1] = expansions;
+    if (status == ST_NOPATH) {
+        out[0] = 0;
+        out[2] = 0;
+    } else if (status == ST_FOUND) {
+        out[0] = goal_cost;
+        out[2] = bound > 0
+            ? min_key_backtrack(occ, width, height, net_id, penalties,
+                                pen_len, row0, row1, step, base_penalty,
+                                tx0, tx1, ty0, ty1, best, stamp, gen, goal,
+                                path_out)
+            : backtrack(parent, goal, path_out);
+    }
     return status;
 }
 

@@ -26,15 +26,19 @@ target mask, the path and result buffers are ``array`` objects of the
 arena whose addresses were taken once per plane set
 (:class:`~repro.maze.arena._CPlanes`), and the axis-cost rows are cached
 there per cost table.  Per call this module only packs the sources into
-two int64 ``array`` buffers and flips target-mask bytes; a hard search
-with flood seeds packs them into a third, at most
+two int64 ``array`` buffers and flips target-mask bytes; a search with
+flood seeds packs them into a third, at most
 :data:`~repro.maze.kernels.pure.FLOOD_CAP` long, and passes that cap.  A
-conflict search never has seeds; it builds the dense frozen/penalty
-tables instead, which index by *net id*, guarded in C by their lengths,
-so sparse dict lookups become branchless loads in the hot loop.  The
-flood reuses the path buffer as its queue and the target mask as its
-visited set, so it allocates nothing.  A found path is sliced straight
-out of the path buffer.  No numpy array is built on any call.
+conflict search also builds the dense frozen/penalty tables, which
+index by *net id*, guarded in C by their lengths, so sparse dict
+lookups become branchless loads in the hot loop; the ring pricing of a
+closed flood reads them too.  The flood reuses the path buffer as its
+queue and bit 2 of the target mask (bit 1 marks the goals) as its
+visited set; a conflict search keeps that bit on the pocket and its
+ring while A* runs, to tell which nodes carry the bound, and clears it
+before the path is written over the queue.  So the flood allocates
+nothing.  A found path is sliced straight out of the path buffer.  No
+numpy array is built on any call.
 """
 
 from __future__ import annotations

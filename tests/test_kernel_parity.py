@@ -8,7 +8,9 @@ they replay the wrapper-level bugfix regressions (layer validation,
 target bounds validation) on each backend so a fast kernel can never
 reintroduce a fixed bug.  On every backend, a search that finds no path
 must have expanded exactly the nodes its source reaches, each once: the
-proof that the search needs no expansion cap.
+proof that the search needs no expansion cap.  A conflict search whose
+target-side flood closes must return what a test-local plain soft A*
+returns, in no more expansions.
 
 The ``compiled`` backend needs a working C toolchain; when it cannot
 build, its parametrized cases are skipped (the CI compiled leg forces it
@@ -16,6 +18,7 @@ via ``REPRO_KERNEL=compiled``, where an unavailable backend is a hard
 error instead).
 """
 
+import heapq
 import random
 import re
 
@@ -30,6 +33,7 @@ from repro.maze import CostModel, find_path, lee_route
 from repro.maze import astar, kernels
 from repro.maze.arena import SearchArena
 from repro.maze.astar import find_path_flat
+from repro.maze.kernels.pure import FLOOD_CAP
 
 
 def _backend_params():
@@ -556,6 +560,290 @@ class TestNoPathProof:
         assert result.flood_visits == 0
         reached = _reached(fills, sources[0], grid.width, grid.height, soft)
         assert result.expansions == len(reached)
+
+
+def plain_soft_search(
+    grid, sources, targets, cost, frozen_nets, net_penalties
+):
+    """A plain conflict-tolerant A* of net 1, written apart from the
+    kernels: ``(found, cost, path, conflict_ids, expansions)``.
+
+    It keys its heap on ``(f, g, flat id)`` tuples with the original
+    heuristic, the Manhattan distance to the targets' box times
+    ``step_cost``, pushes a node only on a strict improvement, skips
+    stale entries, and reads its path from the parent each node
+    recorded.  Costs come from the grid's node queries.
+    """
+    width, height = grid.width, grid.height
+    penalties = net_penalties or {}
+    box = (
+        min(x for x, _, _ in targets), max(x for x, _, _ in targets),
+        min(y for _, y, _ in targets), max(y for _, y, _ in targets),
+    )
+
+    def flat(node):
+        x, y, z = node
+        return (z * height + y) * width + x
+
+    def heuristic(node):
+        x, y, _ = node
+        dx = max(box[0] - x, 0, x - box[1])
+        dy = max(box[2] - y, 0, y - box[3])
+        return (dx + dy) * cost.step_cost
+
+    def move_cost(node, succ):
+        """Cost of stepping from ``node`` onto ``succ``, or None."""
+        owner = grid.owner(succ)
+        if owner in (0, 1):
+            extra = 0
+        elif owner == -1 or owner in frozen_nets or grid.pin_owner(succ):
+            return None
+        else:
+            extra = cost.conflict_penalty + penalties.get(owner, 0)
+        if node[2] != succ[2]:
+            return cost.via_cost + extra
+        along_x = node[0] != succ[0]
+        with_grain = along_x == (node[2] == 0)  # layer 0 runs along x
+        return cost.wire_step(with_grain) + extra
+
+    best, parent, heap = {}, {}, []
+    for source in sources:
+        if source not in best:
+            best[source] = 0
+            parent[source] = None
+            heapq.heappush(heap, (heuristic(source), 0, flat(source), source))
+    goals = set(targets)
+    expansions = 0
+    while heap:
+        _f, g, _index, node = heapq.heappop(heap)
+        if best[node] != g:
+            continue
+        if node in goals:
+            path = [node]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            path.reverse()
+            conflicts = [flat(n) for n in path if grid.owner(n) not in (0, 1)]
+            return True, g, path, conflicts, expansions
+        expansions += 1
+        for succ in _neighbours(node, width, height):
+            step = move_cost(node, succ)
+            if step is None or best.get(succ, g + step + 1) <= g + step:
+                continue
+            best[succ] = g + step
+            parent[succ] = node
+            heapq.heappush(
+                heap, (g + step + heuristic(succ), g + step, flat(succ), succ)
+            )
+    return False, 0, None, [], expansions
+
+
+#: How a cell next to a walled-in pocket is filled: other nets' wires
+#: (net 3 is frozen), a pin of net 2, an obstacle, or free (a way out).
+SOFT_WALL_FILLS = ("wire",) * 3 + ("frozen", "pin", "obstacle", "free")
+
+
+def _fill(grid, node, fill, wire_net):
+    if fill == "obstacle":
+        grid.set_obstacle(*node)
+    elif fill == "pin":
+        grid.reserve_pin(2, node)
+    elif fill == "wire":
+        grid.commit_path(wire_net, GridPath([node]))
+    elif fill == "frozen":
+        grid.commit_path(3, GridPath([node]))
+    elif fill == "own":
+        grid.commit_path(1, GridPath([node]))
+
+
+@st.composite
+def walled_soft_scenes(draw):
+    """A conflict-tolerant query of net 1 from its source pin to one to
+    three target pins, each walled into a pocket by other nets' copper.
+
+    A pocket is its target plus up to three free cells a random walk
+    from it enters.  The walls round it mix wires of nets 2 and 4,
+    wires of the frozen net 3, net 2 pins, obstacles and the odd free
+    cell; the rest of the grid adds more of each, and copper of net 1.
+    Costs are drawn tie-prone.
+    """
+    width, height = draw(st.integers(2, 8)), draw(st.integers(2, 6))
+    nodes = [
+        (x, y, z) for z in (0, 1) for y in range(height) for x in range(width)
+    ]
+    pins = draw(
+        st.lists(st.sampled_from(nodes), min_size=2, max_size=4, unique=True)
+    )
+    grid = RoutingGrid(width, height)
+    for node in pins:
+        grid.reserve_pin(1, node)
+    wire_nets = st.sampled_from((2, 4))
+    pocket = set(pins[1:])
+    for target in pins[1:]:
+        cell = target
+        for _ in range(draw(st.integers(0, 3))):
+            cell = draw(st.sampled_from(_neighbours(cell, width, height)))
+            if grid.owner(cell) != 0:
+                break
+            pocket.add(cell)
+    for cell in sorted(pocket):
+        for near in _neighbours(cell, width, height):
+            if near not in pocket and grid.owner(near) == 0:
+                fill = draw(st.sampled_from(SOFT_WALL_FILLS))
+                _fill(grid, near, fill, draw(wire_nets))
+    rest = draw(
+        st.dictionaries(
+            st.sampled_from(nodes),
+            st.sampled_from(("obstacle", "wire", "frozen", "pin", "own")),
+            max_size=len(nodes) // 3,
+        )
+    )
+    for node, fill in rest.items():
+        if node not in pocket and grid.owner(node) == 0:
+            _fill(grid, node, fill, draw(wire_nets))
+    query = dict(
+        cost=CostModel(
+            wrong_way_penalty=draw(st.sampled_from((0, 2))),
+            via_cost=draw(st.sampled_from((1, 4))),
+            conflict_penalty=draw(st.sampled_from((0, 1, 50))),
+        ),
+        frozen_nets=frozenset({3}),
+        net_penalties=draw(st.sampled_from((None, {2: 17}, {2: 1, 4: 9}))),
+    )
+    return grid, pins[:1], pins[1:], query
+
+
+def _ring_entries(grid, targets, query):
+    """How a target-side flood ends, by the rule the kernels follow.
+
+    None when the flood gives up: it would enter more than
+    ``FLOOD_CAP`` free cells, or it meets net 1 copper that is not a
+    target.  Otherwise the extra costs of the cells next to the closed
+    pocket that a conflict search may enter.
+    """
+    width, height = grid.width, grid.height
+    pocket = set(targets)
+    queue = list(targets)
+    for node in queue:
+        for near in _neighbours(node, width, height):
+            if near in pocket:
+                continue
+            owner = grid.owner(near)
+            if owner == 1:
+                return None
+            if owner == 0:
+                if len(queue) - len(targets) == FLOOD_CAP:
+                    return None
+                pocket.add(near)
+                queue.append(near)
+    penalties = query["net_penalties"] or {}
+    ring = {
+        near
+        for node in pocket
+        for near in _neighbours(node, width, height)
+        if near not in pocket
+    }
+    return [
+        query["cost"].conflict_penalty + penalties.get(grid.owner(near), 0)
+        for near in ring
+        if grid.owner(near) not in (-1, *query["frozen_nets"])
+        and not grid.pin_owner(near)
+    ]
+
+
+def _pocket_outcome(grid, sources, targets, query):
+    entries = _ring_entries(grid, targets, query)
+    if entries is None:
+        return "flood gives up"
+    if not entries:
+        return "no crossable ring cell"
+    found = plain_soft_search(grid, sources, targets, **query)[0]
+    return "bounded path" if found and min(entries) > 0 else "other"
+
+
+class TestPocketBound:
+    """A conflict search whose target-side flood closes prices the ring
+    around the pocket, and still returns the plain search's answer."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @settings(max_examples=300, deadline=None)
+    @given(scene=walled_soft_scenes())
+    def test_same_answer_as_the_plain_search(self, name, scene):
+        grid, sources, targets, query = scene
+        result = find_path(
+            grid, 1, sources, targets, allow_conflicts=True, kernel=name,
+            **query,
+        )
+        found, cost, path, conflicts, expansions = plain_soft_search(
+            grid, sources, targets, **query
+        )
+        assert result.found == found
+        assert result.cost == cost
+        assert (list(result.path) if found else None) == path
+        assert result.conflict_ids == conflicts
+        assert result.expansions <= expansions
+        entries = _ring_entries(grid, targets, query)
+        assert result.flood_visits > 0
+        if entries is None:
+            assert result.expansions == expansions
+        elif not entries:
+            assert not found and result.expansions == 0
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_tie_through_the_ring_keeps_the_plain_parent(self, name):
+        """Two walks of cost 11 reach (3, 0, 1): across net 2's ring
+        cell (3, 0, 0) and up its via, or up the source's via and one
+        wrong-way step.  Plain A* expands (2, 0, 1) first and records it
+        as the parent; the bound (2, net 2's entry) lifts that node's
+        key past the ring cell's, so the bounded search records (3, 0, 0)
+        instead.  The min-key backtrack still returns the plain path.
+
+        Layer 0 (S the source pin, o the free pocket cells):
+        ``. . S 2 o / . . . 4 o / . . 4 4 o``; layer 1 (T the target
+        pin): ``. . . . 2 / . . 4 . 4 / . . . 2 T``.
+        """
+        grid = RoutingGrid(5, 3)
+        grid.reserve_pin(1, (2, 0, 0))
+        grid.reserve_pin(1, (4, 2, 1))
+        for node in [(3, 0, 0), (4, 0, 1), (3, 2, 1)]:
+            grid.commit_path(2, GridPath([node]))
+        for node in [(3, 1, 0), (3, 2, 0), (2, 2, 0), (2, 1, 1), (4, 1, 1)]:
+            grid.commit_path(4, GridPath([node]))
+        query = dict(
+            cost=CostModel(
+                wrong_way_penalty=2, via_cost=1, conflict_penalty=1
+            ),
+            frozen_nets=frozenset(),
+            net_penalties={2: 1, 4: 9},
+        )
+        result = find_path(
+            grid, 1, [(2, 0, 0)], [(4, 2, 1)], allow_conflicts=True,
+            kernel=name, **query,
+        )
+        found, cost, path, conflicts, expansions = plain_soft_search(
+            grid, [(2, 0, 0)], [(4, 2, 1)], **query
+        )
+        assert path == [
+            (2, 0, 0), (2, 0, 1), (3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 2, 1)
+        ]
+        assert list(result.path) == path
+        assert (result.cost, result.conflict_ids) == (cost, conflicts) == (
+            11, [28]
+        )
+        assert result.expansions < expansions
+
+    @pytest.mark.parametrize(
+        "outcome",
+        ["bounded path", "no crossable ring cell", "flood gives up"],
+    )
+    def test_scenes_reach_each_outcome(self, outcome):
+        find(
+            walled_soft_scenes(),
+            lambda scene: _pocket_outcome(*scene) == outcome,
+            settings=settings(
+                max_examples=2000, database=None, phases=[Phase.generate]
+            ),
+        )
 
 
 class TestLeeParity:

@@ -7,6 +7,7 @@ from repro.grid import GridPath, Layer, RoutingGrid
 from repro.grid.path import straight_path
 from repro.maze import CostModel, find_path, kernels, lee_route
 from repro.maze.kernels.pure import FLOOD_CAP
+from tests.test_kernel_parity import plain_soft_search
 
 
 @pytest.fixture
@@ -201,8 +202,9 @@ def _wall(grid, nodes, net=2):
 
 
 class TestTargetFlood:
-    """A hard search between copper of its net first floods the target
-    side, and answers "no path" without A* when that flood closes."""
+    """A search between copper of its net first floods the target side.
+    When that flood closes, a hard search answers "no path" without A*,
+    and a conflict search prices the ring round the pocket."""
 
     @pytest.fixture(params=kernels.available_backends())
     def kernel(self, request):
@@ -222,14 +224,83 @@ class TestTargetFlood:
         assert result.expansions == 0
         assert result.flood_visits == 1
 
-    def test_soft_search_does_not_flood(self, walled, kernel):
+    def test_soft_search_proves_a_pin_wall(self, walled, kernel):
+        """Pins are never crossed, so a conflict search finds no ring
+        cell to enter and proves "no path" without A* too."""
         result = find_path(
             walled, 1, [(0, 0, 0)], [(5, 4, 0)],
             allow_conflicts=True, kernel=kernel,
         )
-        assert not result.found  # pins are never crossed
+        assert not result.found
+        assert result.expansions == 0
+        assert result.flood_visits == 1
+
+    def test_soft_search_enters_at_the_cheapest_ring_cell(self, grid, kernel):
+        """The nearer wall cell belongs to net 2, whose penalty makes it
+        dearer than net 4's cell on the far side: the path crosses at
+        net 4, and the bound spares A* the expansions the plain search
+        spends before it pays for the crossing."""
+        grid.reserve_pin(1, (0, 4, 0))
+        grid.reserve_pin(1, (5, 4, 0))
+        grid.commit_path(2, GridPath([(4, 4, 0)]))
+        grid.commit_path(4, GridPath([(6, 4, 0)]))
+        _wall(grid, [(5, 3, 0), (5, 5, 0), (5, 4, 1)])
+        query = dict(
+            cost=CostModel(), frozen_nets=frozenset(), net_penalties={2: 17}
+        )
+        result = find_path(
+            grid, 1, [(0, 4, 0)], [(5, 4, 0)], allow_conflicts=True,
+            kernel=kernel, **query,
+        )
+        found, cost, path, _, expansions = plain_soft_search(
+            grid, [(0, 4, 0)], [(5, 4, 0)], **query
+        )
+        assert result.found and found
+        assert result.conflict_nodes == [(6, 4, 0)]
+        assert (list(result.path), result.cost) == (path, cost)
+        assert result.flood_visits == 1
+        assert result.expansions < expansions
+
+    def test_frozen_wall_net_is_no_entry(self, grid, kernel):
+        """Net 3 walls the fifth side; frozen, it is no ring entry, and
+        the search proves "no path" without A*."""
+        grid.reserve_pin(1, (0, 0, 0))
+        grid.reserve_pin(1, (5, 4, 0))
+        grid.commit_path(3, GridPath([(4, 4, 0)]))
+        _wall(grid, [(6, 4, 0), (5, 3, 0), (5, 5, 0), (5, 4, 1)])
+        ends = ([(0, 0, 0)], [(5, 4, 0)])
+        frozen = find_path(
+            grid, 1, *ends, allow_conflicts=True,
+            frozen_nets=frozenset({3}), kernel=kernel,
+        )
+        assert not frozen.found
+        assert (frozen.expansions, frozen.flood_visits) == (0, 1)
+        crossed = find_path(
+            grid, 1, *ends, allow_conflicts=True, kernel=kernel
+        )
+        assert crossed.conflict_nodes == [(4, 4, 0)]
+
+    def test_free_vias_run_the_plain_search(self, grid, kernel):
+        """With ``via_cost == 0`` a move can cost nothing, so the
+        conflict search does not flood: it is the plain search."""
+        grid.reserve_pin(1, (0, 0, 0))
+        grid.reserve_pin(1, (5, 4, 0))
+        grid.commit_path(4, GridPath([(6, 4, 0)]))
+        _wall(grid, [(4, 4, 0), (5, 3, 0), (5, 5, 0), (5, 4, 1)])
+        query = dict(
+            cost=CostModel(via_cost=0), frozen_nets=frozenset(),
+            net_penalties=None,
+        )
+        result = find_path(
+            grid, 1, [(0, 0, 0)], [(5, 4, 0)], allow_conflicts=True,
+            kernel=kernel, **query,
+        )
+        found, cost, path, _, expansions = plain_soft_search(
+            grid, [(0, 0, 0)], [(5, 4, 0)], **query
+        )
         assert result.flood_visits == 0
-        assert result.expansions > 0
+        assert (list(result.path), result.cost) == (path, cost)
+        assert result.expansions == expansions
 
     def test_stacked_own_cell_without_via_is_no_wall(self, grid, kernel):
         """The pin's only exit is the cell above it, which the net owns
