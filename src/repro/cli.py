@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -142,14 +141,12 @@ def _check_kernel_env() -> None:
     name would surface as per-connection search failures (and a
     misleading "infeasible" exit) instead of the input error it is.
     """
-    from repro.maze import kernels
+    from repro.maze.kernels import env_backend_name
 
-    env = os.environ.get(kernels.ENV_VAR, "").strip()
-    if env and env != "auto" and env not in kernels.BACKEND_NAMES:
-        raise InputError(
-            f"{kernels.ENV_VAR}={env!r} names an unknown kernel backend "
-            f"(choose from {', '.join(kernels.BACKEND_NAMES)} or 'auto')"
-        )
+    try:
+        env_backend_name()
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _load_problem(

@@ -19,7 +19,6 @@ from typing import Collection, List, Optional
 from repro.core.decompose import Connection
 from repro.core.result import RouteResult
 from repro.grid.path import GridPath
-from repro.maze.arena import SearchArena
 from repro.maze.astar import find_path
 from repro.maze.cost import CostModel
 
@@ -75,8 +74,7 @@ def improve_routing(
 
     Mutates ``result`` in place (grid and connection paths) and returns the
     statistics.  Connections that failed to route are left untouched.
-    Total cost is guaranteed non-increasing.  One search arena is shared
-    by every reroute attempt of the pass.
+    Total cost is guaranteed non-increasing.
 
     ``only`` restricts the pass to a subset of the result's connections
     (identity membership) — the shard-and-stitch pipeline uses this to
@@ -87,7 +85,6 @@ def improve_routing(
     if passes < 0:
         raise ValueError("passes must be non-negative")
     model = cost or CostModel()
-    arena = SearchArena()
     scope = None if only is None else set(id(c) for c in only)
     grid = result.grid
     stats = ImprovementStats(
@@ -154,12 +151,7 @@ def improve_routing(
                 connection.path = old_path
                 continue
             candidate = find_path(
-                grid,
-                connection.net_id,
-                sources,
-                targets,
-                cost=model,
-                arena=arena,
+                grid, connection.net_id, sources, targets, cost=model
             )
             if candidate.found and candidate.cost < old_cost:
                 grid.commit_path(connection.net_id, candidate.path)

@@ -49,7 +49,6 @@ from repro.core.result import RouteEvent, RouteResult, RouteStats
 from repro.grid.layers import Layer
 from repro.grid.path import GridPath, PathError, flat_id
 from repro.grid.routing_grid import GridError, RoutingGrid
-from repro.maze.arena import SearchArena
 from repro.maze.astar import SearchResult, find_path_flat
 
 # Not called here; the end-to-end benchmark's tracer binds it by name.
@@ -95,15 +94,12 @@ class MightyRouter:
         self.problem = problem
         self.config = config or MightyConfig()
         self._grid: RoutingGrid = problem.build_grid()
-        # Scratch planes shared by every search this router issues.
-        self._arena = SearchArena()
         self._net_connections: Dict[int, List[Connection]] = {}
         self._net_rips: Dict[int, int] = {}
         self._budgets: Dict[int, int] = {}
         self._frozen: Set[int] = set()
         self._events: List[RouteEvent] = []
         self._stats = RouteStats()
-        self._step = 0
         # Connections whose ``routed`` flag is set; every flip goes
         # through ``_set_routed``, so no event or iteration recounts.
         self._routed_count = 0
@@ -207,7 +203,6 @@ class MightyRouter:
                     self._record("retry", connection.net_name)
                 queue.extend(retry_batch)
             connection = queue.popleft()
-            self._step += 1
             self._stats.iterations += 1
             if self._stats.iterations > self._max_iterations:
                 raise EngineError(
@@ -381,7 +376,6 @@ class MightyRouter:
             sources,
             targets,
             cost=self.config.cost,
-            arena=self._arena,
             **soft,
         )
         self._stats.phase_search_s += time.perf_counter() - tick
@@ -709,7 +703,7 @@ class MightyRouter:
     def _record(self, kind: str, net: str, detail: str = "") -> None:
         self._events.append(
             RouteEvent(
-                step=self._step,
+                step=self._stats.iterations,
                 kind=kind,
                 net=net,
                 detail=detail,

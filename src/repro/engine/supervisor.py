@@ -267,8 +267,8 @@ class RoutingEngine:
                     deadline=deadline,
                     stall_limit=stall_limit,
                 )
-                # Only a paused router is kept: a finished one (its search
-                # arena, its best-state copy) is freed before verification.
+                # Only a paused router is kept: a finished one (its grid,
+                # its best-state copy) is freed before verification.
                 if result is None:
                     paused[attempt] = router
                 return result

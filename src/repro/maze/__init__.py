@@ -21,7 +21,7 @@ predate the paper and frame its design space):
   shortest.
 """
 
-from repro.maze.arena import SearchArena, default_arena, neighbor_table
+from repro.maze.arena import neighbor_table
 from repro.maze.astar import SearchResult, find_path
 from repro.maze.cost import CostModel
 from repro.maze.lee import lee_route
@@ -30,9 +30,7 @@ from repro.maze.soukup import soukup_route
 
 __all__ = [
     "CostModel",
-    "SearchArena",
     "SearchResult",
-    "default_arena",
     "find_path",
     "lee_route",
     "line_probe",

@@ -1,4 +1,4 @@
-"""Reusable scratch memory for the flat search kernels.
+"""Search scratch for the flat kernels.
 
 The maze searchers are the hot loop of the whole library; the two costs
 that dominated them were per-search allocation (fresh ``dict``/``set``
@@ -9,14 +9,15 @@ neighbour arithmetic.  This module removes both:
   moves of every node — one ``(succ, axis, x, y)`` tuple per move, so the
   kernel inner loop is a bare tuple unpack: no bounds checks, no divmods,
   no strided indexing;
-* :class:`SearchArena` owns reusable cost/parent/stamp planes, recycled
-  across searches with a generation counter (bump the generation instead
-  of clearing — O(1) reset).  Planes are cached per grid shape.
+* :func:`thread_planes` gives every search on a thread the thread's one
+  set of cost/parent/stamp planes, recycled across searches with a
+  generation counter (bump the generation instead of clearing — O(1)
+  reset).
 
-Arenas are cheap to construct but not thread-safe; give each router (or
-each thread) its own.  Kernels fall back to a thread-local default arena
-when the caller does not pass one, so casual ``find_path`` calls stay
-allocation-light too.
+Searches on one thread never overlap, so every router on the thread can
+share its planes: each search takes a fresh generation, and the compiled
+kernel clears its target mask before it returns.  Other threads get
+planes of their own.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def neighbor_table(width: int, height: int) -> Tuple[tuple, ...]:
     search kernels iterate with a single unpack per move.
 
     Tables are immutable and cached per shape (bounded LRU), so every
-    arena, searcher and thread shares one copy.
+    searcher and thread shares one copy.
     """
     key = (width, height)
     with _tables_lock:
@@ -99,10 +100,8 @@ def _build_neighbor_table(width: int, height: int) -> Tuple[tuple, ...]:
 class _CPlanes:
     """Typed scratch planes for the compiled kernel, addressed once.
 
-    Same generation-stamp discipline as the plain-list planes (the
-    generation counter itself lives on the owning :class:`_Planes`, so
-    mixing backends across searches stays safe: every search gets a fresh
-    generation no matter which stamp storage the previous one wrote).
+    Same generation-stamp discipline as the pure kernel's lists; the
+    generation counter lives on the owning :class:`_Planes`.
 
     Every buffer is an ``array`` whose address is taken here, once per
     plane set, so a kernel call hands C plain ints and builds no array of
@@ -147,15 +146,20 @@ class _CPlanes:
 
 
 class _Planes:
-    """Mutable scratch planes for one grid shape."""
+    """Scratch planes for one grid shape.
 
-    __slots__ = ("best", "parent", "stamp", "generation", "_c")
+    Each backend's planes are built on its first search: the pure
+    kernel's ``(best, parent, stamp)`` lists, the compiled kernel's
+    :class:`_CPlanes`.  Both share one generation counter, so a search
+    never reads a label another backend's search left behind.
+    """
 
-    def __init__(self, n_nodes: int) -> None:
-        self.best: List[int] = [INF] * n_nodes
-        self.parent: List[int] = [-1] * n_nodes
-        self.stamp: List[int] = [0] * n_nodes
+    __slots__ = ("shape", "generation", "_lists", "_c")
+
+    def __init__(self, width: int, height: int) -> None:
+        self.shape = (width, height)
         self.generation = 0
+        self._lists: Optional[Tuple[List[int], List[int], List[int]]] = None
         self._c: Optional[_CPlanes] = None
 
     def next_generation(self) -> int:
@@ -163,43 +167,29 @@ class _Planes:
         self.generation += 1
         return self.generation
 
+    def lists(self) -> Tuple[List[int], List[int], List[int]]:
+        """The pure kernel's ``(best, parent, stamp)`` planes."""
+        if self._lists is None:
+            n_nodes = 2 * self.shape[0] * self.shape[1]
+            self._lists = ([INF] * n_nodes, [-1] * n_nodes, [0] * n_nodes)
+        return self._lists
+
     def c_planes(self) -> _CPlanes:
-        """Lazily-allocated typed planes (compiled kernel only)."""
+        """The compiled kernel's typed planes."""
         if self._c is None:
-            self._c = _CPlanes(len(self.best))
+            self._c = _CPlanes(2 * self.shape[0] * self.shape[1])
         return self._c
-
-
-class SearchArena:
-    """Per-router scratch arena: reusable planes keyed by grid shape.
-
-    One arena amortises plane allocation across every search a router or
-    an improvement pass performs.  Not thread-safe — a plane is reused by
-    the very next search.
-    """
-
-    __slots__ = ("_planes",)
-
-    def __init__(self) -> None:
-        self._planes: Dict[Tuple[int, int], _Planes] = {}
-
-    def planes(self, width: int, height: int) -> _Planes:
-        """Scratch planes for a ``width x height`` two-layer grid."""
-        key = (width, height)
-        planes = self._planes.get(key)
-        if planes is None:
-            planes = _Planes(2 * width * height)
-            self._planes[key] = planes
-        return planes
 
 
 _thread_local = threading.local()
 
 
-def default_arena() -> SearchArena:
-    """The calling thread's shared fallback arena."""
-    arena = getattr(_thread_local, "arena", None)
-    if arena is None:
-        arena = SearchArena()
-        _thread_local.arena = arena
-    return arena
+def thread_planes(width: int, height: int) -> _Planes:
+    """The calling thread's planes for a ``width x height`` grid.
+
+    A thread holds one plane set; asking for another shape replaces it.
+    """
+    planes = getattr(_thread_local, "planes", None)
+    if planes is None or planes.shape != (width, height):
+        planes = _thread_local.planes = _Planes(width, height)
+    return planes

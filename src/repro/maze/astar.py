@@ -4,10 +4,10 @@ The searcher is the hot loop of the whole library, so it runs as a flat
 integer kernel: node ids ``idx = (layer * H + y) * W + x`` flow through the
 heap, successor moves come from the precomputed
 :func:`~repro.maze.arena.neighbor_table`, occupancy is read from the grid's
-flat stores, and cost/parent/visited planes are recycled from a
-:class:`~repro.maze.arena.SearchArena` with a generation stamp instead of a
-per-search clear.  A search therefore allocates almost nothing beyond its
-heap entries.
+flat stores, and cost/parent/visited planes are the calling thread's
+(:func:`~repro.maze.arena.thread_planes`), recycled with a generation
+stamp instead of a per-search clear.  A search therefore allocates almost
+nothing beyond its heap entries.
 
 This module is the *validating wrapper*: it checks endpoints (bounds,
 layer, source availability), prepares the query, and shapes the result.
@@ -38,7 +38,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.grid.path import GridPath, flat_id, node_at
 from repro.grid.routing_grid import FREE, RoutingGrid
-from repro.maze.arena import SearchArena, default_arena
+from repro.maze.arena import thread_planes
 from repro.maze.cost import CostModel
 from repro.maze.kernels import resolve_kernel
 from repro.maze.kernels.pure import FLOOD_CAP
@@ -95,7 +95,6 @@ def find_path(
     allow_conflicts: bool = False,
     frozen_nets: FrozenSet[int] = frozenset(),
     net_penalties: Optional[dict] = None,
-    arena: Optional[SearchArena] = None,
     kernel: Optional[str] = None,
 ) -> SearchResult:
     """Cheapest legal walk from any source node to any target node.
@@ -128,9 +127,6 @@ def find_path(
         router escalates this with each rip-up of the net, so oft-ripped
         nets become progressively less attractive victims).  A negative
         penalty is a :class:`ValueError`.
-    arena:
-        Scratch arena whose planes the search reuses.  Routers pass their
-        own; casual callers fall back to a thread-local shared arena.
     kernel:
         Kernel backend name (``pure`` / ``compiled`` / ``auto``);
         ``None`` uses the process default (see
@@ -156,7 +152,6 @@ def find_path(
         allow_conflicts=allow_conflicts,
         frozen_nets=frozen_nets,
         net_penalties=net_penalties,
-        arena=arena,
         kernel=kernel,
     )
     result.conflict_nodes = [
@@ -174,7 +169,6 @@ def find_path_flat(
     allow_conflicts: bool = False,
     frozen_nets: FrozenSet[int] = frozenset(),
     net_penalties: Optional[dict] = None,
-    arena: Optional[SearchArena] = None,
     kernel: Optional[str] = None,
 ) -> SearchResult:
     """:func:`find_path` over flat node ids: the one search entry.
@@ -278,7 +272,7 @@ def find_path_flat(
     ):
         seeds = sorted(goals)
 
-    planes = (arena or default_arena()).planes(width, height)
+    planes = thread_planes(width, height)
     gen = planes.next_generation()
     goal_cost, expansions, flood_visits, indices = backend.astar_search(
         grid,

@@ -77,7 +77,10 @@ _active_source: str = ""
 
 
 def _load(name: str) -> KernelBackend:
-    """Import (and for ``compiled``, build) backend ``name`` or raise."""
+    """Import (and for ``compiled``, build) backend ``name`` or raise.
+
+    ``name`` is one of :data:`BACKEND_NAMES`; callers check it first.
+    """
     if name in _loaded:
         return _loaded[name]
     if name in _load_errors:
@@ -87,20 +90,13 @@ def _load(name: str) -> KernelBackend:
     try:
         if name == "pure":
             from repro.maze.kernels import pure as mod
-        elif name == "compiled":
-            from repro.maze.kernels import compiled as mod
         else:
-            raise ValueError(
-                f"unknown kernel backend {name!r} "
-                f"(choose from {', '.join(BACKEND_NAMES)} or 'auto')"
-            )
+            from repro.maze.kernels import compiled as mod
         backend = KernelBackend(
             name=name,
             astar_search=mod.astar_search,
             lee_search=mod.lee_search,
         )
-    except ValueError:
-        raise
     except Exception as exc:  # import/build failure → remembered, reraised
         _load_errors[name] = f"{type(exc).__name__}: {exc}"
         raise RuntimeError(
@@ -130,6 +126,23 @@ def _resolve_auto() -> KernelBackend:
         return _load("pure")
 
 
+def env_backend_name() -> Optional[str]:
+    """The backend :data:`ENV_VAR` names, or None when unset or ``auto``.
+
+    The one check of the variable: any other value is a
+    :class:`ValueError`.
+    """
+    env = os.environ.get(ENV_VAR, "").strip()
+    if env in ("", "auto"):
+        return None
+    if env not in BACKEND_NAMES:
+        raise ValueError(
+            f"{ENV_VAR}={env!r} names an unknown kernel backend "
+            f"(choose from {', '.join(BACKEND_NAMES)} or 'auto')"
+        )
+    return env
+
+
 def active_backend() -> KernelBackend:
     """The process-wide default backend, resolving it on first use.
 
@@ -140,14 +153,9 @@ def active_backend() -> KernelBackend:
     with _lock:
         if _active is not None:
             return _active
-        env = os.environ.get(ENV_VAR, "").strip()
-        if env and env != "auto":
-            if env not in BACKEND_NAMES:
-                raise ValueError(
-                    f"{ENV_VAR}={env!r} names an unknown kernel backend "
-                    f"(choose from {', '.join(BACKEND_NAMES)} or 'auto')"
-                )
-            _active = _load(env)
+        name = env_backend_name()
+        if name is not None:
+            _active = _load(name)
             _active_source = f"env:{ENV_VAR}"
         else:
             _active = _resolve_auto()

@@ -23,7 +23,7 @@ four bytes this module refuses to load and ``auto`` falls back to ``pure``.
 
 Marshalling note: a call passes C plain ints.  The scratch planes, the
 target mask, the path and result buffers are ``array`` objects of the
-arena whose addresses were taken once per plane set
+thread's planes whose addresses were taken once per plane set
 (:class:`~repro.maze.arena._CPlanes`), and the axis-cost rows are cached
 there per cost table.  Per call this module only packs the sources into
 two int64 ``array`` buffers and flips target-mask bytes; a search with

@@ -14,7 +14,8 @@ allow_conflicts, frozen_nets, net_penalties, planes, gen)``
     plus its precomputed heuristic — already validated and cost-0.
     ``target_idx`` is the set of goal indices, ``bbox`` the inclusive
     target bounding box ``(tx0, tx1, ty0, ty1)``.  ``planes`` are the
-    arena scratch planes for this grid shape with ``gen`` the fresh
+    thread's scratch planes for this grid shape
+    (:func:`~repro.maze.arena.thread_planes`) with ``gen`` the fresh
     generation stamp.  ``seeds`` is empty, or the distinct targets in
     ascending order when the caller has checked that a target-side
     flood may be used: every source and target is copper of ``net_id``,
@@ -239,7 +240,7 @@ def astar_search(
             )
             if bound is None:
                 return 0, 0, flood_visits, None
-    best, parent, stamp = planes.best, planes.parent, planes.stamp
+    best, parent, stamp = planes.lists()
 
     step = model.step_cost
     cost_rows = model.axis_cost_table
@@ -322,7 +323,7 @@ def lee_search(
     width, height = grid.width, grid.height
     occ = grid.occ_flat()
     nbrs = neighbor_table(width, height)
-    parent, stamp = planes.parent, planes.stamp
+    _best, parent, stamp = planes.lists()
 
     frontier: deque = deque()
     goal = -1

@@ -7,8 +7,8 @@ one — expand a wavefront of monotonically increasing labels from the
 sources, then retrace from the first labelled target — but it runs on the
 same flat-index substrate as the production searcher: integer node ids, the
 shared :func:`~repro.maze.arena.neighbor_table`, the grid's flat occupancy
-store, and label/parent planes recycled from a
-:class:`~repro.maze.arena.SearchArena`.
+store, and the calling thread's label/parent planes
+(:func:`~repro.maze.arena.thread_planes`).
 
 Like :func:`repro.maze.astar.find_path`, this module validates endpoints
 (bounds *and* layer, for sources and targets alike) and delegates the
@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.grid.path import GridPath
 from repro.grid.routing_grid import FREE, RoutingGrid
-from repro.maze.arena import SearchArena, default_arena
+from repro.maze.arena import thread_planes
 from repro.maze.kernels import resolve_kernel
 
 Node = Tuple[int, int, int]
@@ -34,7 +34,6 @@ def lee_route(
     net_id: int,
     sources: Sequence[Node],
     targets: Iterable[Node],
-    arena: Optional[SearchArena] = None,
     kernel: Optional[str] = None,
 ) -> Optional[GridPath]:
     """Shortest walk (uniform cost, vias count one step) or ``None``.
@@ -66,7 +65,7 @@ def lee_route(
         source_indices.append(index)
 
     backend = resolve_kernel(kernel)
-    planes = (arena or default_arena()).planes(width, height)
+    planes = thread_planes(width, height)
     gen = planes.next_generation()
     indices = backend.lee_search(
         grid, net_id, source_indices, target_idx, planes, gen

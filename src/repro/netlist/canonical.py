@@ -38,6 +38,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -246,6 +247,10 @@ def canonical_digest(problem: RoutingProblem) -> str:
 # ----------------------------------------------------------------------
 # Result-payload remapping
 # ----------------------------------------------------------------------
+#: A string literal as ``repr`` writes it: single- or double-quoted.
+_NAME_LITERAL = re.compile(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"")
+
+
 def _remap_point(point, mapper) -> List[int]:
     x, y = mapper(point[0], point[1])
     return [x, y, point[2]]
@@ -256,7 +261,8 @@ def _remap_payload(payload: dict, mapper, net_map: Dict[str, str]) -> dict:
 
     ``payload`` must already be a private copy.  Net names absent from
     ``net_map`` (e.g. the empty net of engine-level trace events) pass
-    through unchanged.
+    through unchanged.  The victims named in weak and strong events'
+    details are renamed too, unless one is absent from ``net_map``.
     """
     for entry in payload.get("connections", []):
         entry["net"] = net_map.get(entry["net"], entry["net"])
@@ -266,8 +272,17 @@ def _remap_payload(payload: dict, mapper, net_map: Dict[str, str]) -> dict:
             entry["path"] = [
                 _remap_point(node, mapper) for node in entry["path"]
             ]
+    # Weak and strong details list the victims' reprs, sorted.  They are
+    # matched, not parsed: ``ast.literal_eval`` is not thread-safe on
+    # CPython 3.11, and the daemon renders on several threads.
+    renames = {repr(old): new for old, new in net_map.items()}
     for event in payload.get("events", []):
         event["net"] = net_map.get(event["net"], event["net"])
+        if event["kind"] in ("weak", "strong"):
+            verb, _, names = event["detail"].partition(" ")
+            victims = [renames.get(n) for n in _NAME_LITERAL.findall(names)]
+            if None not in victims:
+                event["detail"] = f"{verb} {sorted(victims)}"
     return payload
 
 

@@ -17,6 +17,7 @@ Grid layout of the lowered problem (``tracks = T``)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Set, Tuple
 
 from repro.geometry.rect import Rect
@@ -92,8 +93,17 @@ class ChannelSpec:
 
     @property
     def density(self) -> int:
-        """Channel density: the classical lower bound on track count."""
-        return max(self.column_density(c) for c in range(self.n_columns))
+        """Channel density: the classical lower bound on track count.
+
+        The most trunks over any one column (:meth:`column_density`),
+        from one pass over the spans.
+        """
+        delta = [0] * (self.n_columns + 1)
+        for lo, hi in self.spans().values():
+            if lo < hi:
+                delta[lo] += 1
+                delta[hi + 1] -= 1
+        return max(accumulate(delta[:-1]))
 
     def vcg_edges(self) -> Set[Tuple[int, int]]:
         """Vertical constraint edges ``(upper, lower)``.

@@ -103,8 +103,10 @@ class ServiceConfig:
         deadline are never reaped.
     fsync_store:
         fsync durable-store writes (power-loss safety).  Disabling it
-        still survives process crashes; tests and benchmarks disable it
-        for speed.
+        still survives process crashes; in-process tests disable it for
+        speed.  ``repro serve`` has no option to disable it, so a daemon
+        started from the command line, the end-to-end benchmark's
+        included, always fsyncs.
     """
 
     socket_path: str

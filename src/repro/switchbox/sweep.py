@@ -24,6 +24,10 @@ from repro.core.result import RouteResult
 from repro.core.router import route_problem, router_tag
 from repro.netlist.switchbox import SwitchboxSpec
 
+#: A sweep stops after this many consecutive failed widths: narrower
+#: boxes only get harder.
+STOP_AFTER_FAILURES = 2
+
 
 @dataclass
 class WidthSweepOutcome:
@@ -45,9 +49,7 @@ class WidthSweepOutcome:
         return min(winners) if winners else None
 
 
-def shrinking_sequence(
-    spec: SwitchboxSpec, max_deletions: Optional[int] = None
-) -> List[SwitchboxSpec]:
+def shrinking_sequence(spec: SwitchboxSpec) -> List[SwitchboxSpec]:
     """The box followed by successively narrower boxes.
 
     Each step deletes the empty column closest to the box centre.  The
@@ -56,39 +58,33 @@ def shrinking_sequence(
     """
     sequence = [spec]
     current = spec
-    remaining = max_deletions if max_deletions is not None else spec.width
-    while remaining > 0:
+    while True:
         empties = current.empty_columns()
         if not empties:
-            break
+            return sequence
         centre = (current.width - 1) / 2
         column = min(empties, key=lambda c: (abs(c - centre), c))
         current = current.without_column(column)
         sequence.append(current)
-        remaining -= 1
-    return sequence
 
 
 def minimum_routable_width(
     spec: SwitchboxSpec,
     config: Optional[MightyConfig] = None,
-    router_name: str = "",
-    max_deletions: Optional[int] = None,
-    stop_after_failures: int = 2,
     deadline: Optional["Deadline"] = None,
 ) -> WidthSweepOutcome:
     """Run one configuration over the shrinking sequence.
 
-    Stops early after ``stop_after_failures`` consecutive failed widths
-    (narrower boxes only get harder).  A ``deadline``
+    Stops early after :data:`STOP_AFTER_FAILURES` consecutive failed
+    widths.  A ``deadline``
     (:class:`~repro.engine.deadline.Deadline`) bounds the whole sweep: the
     current attempt degrades to a partial result and no further widths are
     tried, so a sweep can never hang a worker.
     """
     config = config or MightyConfig()
-    outcome = WidthSweepOutcome(router=router_name or router_tag(config))
+    outcome = WidthSweepOutcome(router=router_tag(config))
     consecutive_failures = 0
-    for shrunk in shrinking_sequence(spec, max_deletions=max_deletions):
+    for shrunk in shrinking_sequence(spec):
         if deadline is not None and deadline.expired():
             break
         problem = shrunk.to_problem()
@@ -98,7 +94,7 @@ def minimum_routable_width(
         outcome.widths.append(shrunk.width)
         outcome.completed.append(done)
         consecutive_failures = 0 if done else consecutive_failures + 1
-        if consecutive_failures >= stop_after_failures:
+        if consecutive_failures >= STOP_AFTER_FAILURES:
             break
     return outcome
 

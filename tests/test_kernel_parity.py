@@ -31,7 +31,6 @@ from repro.grid import GridPath, Layer, RoutingGrid
 from repro.grid.path import flat_id, node_at, straight_path
 from repro.maze import CostModel, find_path, lee_route
 from repro.maze import astar, kernels
-from repro.maze.arena import SearchArena
 from repro.maze.astar import find_path_flat
 from repro.maze.kernels.pure import FLOOD_CAP
 
@@ -357,20 +356,13 @@ class TestAstarParity:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_mixed_backends_share_an_arena(self, grid, name):
-        """Alternating backends on one arena must stay correct: the
-        generation stamp is shared between the list planes and the numpy
-        mirror, so a stale label from one backend can never leak into the
-        next search of another."""
-        arena = SearchArena()
+        """Alternating backends on the thread's planes must stay correct:
+        the generation counter is shared between the list planes and the
+        typed planes, so a stale label from one backend can never leak
+        into the next search of another."""
         for _ in range(3):
-            a = find_path(
-                grid, 1, [(0, 0, 0)], [(9, 7, 1)],
-                arena=arena, kernel=name,
-            )
-            b = find_path(
-                grid, 1, [(0, 0, 0)], [(9, 7, 1)],
-                arena=arena, kernel="pure",
-            )
+            a = find_path(grid, 1, [(0, 0, 0)], [(9, 7, 1)], kernel=name)
+            b = find_path(grid, 1, [(0, 0, 0)], [(9, 7, 1)], kernel="pure")
             _assert_same_astar(a, b, name)
 
 

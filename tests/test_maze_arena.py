@@ -1,31 +1,28 @@
-"""Tests of the shared flat-search substrate (arena, neighbor tables).
+"""Tests of the shared flat-search substrate (neighbor tables, planes).
 
 All three maze searchers now run on one substrate: integer node ids, the
-precomputed neighbor table, and visited/cost planes recycled through a
-:class:`~repro.maze.arena.SearchArena`.  These tests pin down the
-substrate itself (table contents, generation-stamp reset) and the
-cross-searcher equivalences that held before the kernel swap: A* matches
-Lee's shortest lengths under the uniform cost model, and Soukup finds a
-path exactly when Lee does.
+precomputed neighbor table, and the calling thread's visited/cost planes
+(:func:`~repro.maze.arena.thread_planes`).  These tests pin down the
+substrate itself (table contents, one plane set per thread, the
+generation-stamp reset) and the cross-searcher equivalences that held
+before the kernel swap: A* matches Lee's shortest lengths under the
+uniform cost model, and Soukup finds a path exactly when Lee does.
 """
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core.router import route_problem
 from repro.geometry import Point
 from repro.grid import Layer, RoutingGrid
-from repro.maze import (
-    CostModel,
-    SearchArena,
-    default_arena,
-    find_path,
-    lee_route,
-    neighbor_table,
-)
-from repro.maze.arena import AXIS_VIA, AXIS_X, AXIS_Y
+from repro.maze import CostModel, find_path, kernels, lee_route, neighbor_table
+from repro.maze.arena import AXIS_VIA, AXIS_X, AXIS_Y, thread_planes
 from repro.maze.soukup import soukup_route
+from repro.netlist import Net, Pin, RoutingProblem
 
 
 class TestNeighborTable:
@@ -64,30 +61,125 @@ class TestNeighborTable:
         assert neighbor_table(7, 5) is not neighbor_table(5, 7)
 
 
+def _two_net_problem(width, height):
+    """Two nets whose pins face each other across the box."""
+    return RoutingProblem(
+        width,
+        height,
+        nets=[
+            Net("a", (Pin(0, 0), Pin(width - 1, height - 1))),
+            Net("b", (Pin(0, height - 1), Pin(width - 1, 0))),
+        ],
+    )
+
+
 class TestSearchArena:
+    """The calling thread's search planes (:func:`thread_planes`)."""
+
     def test_planes_recycled_per_shape(self):
-        arena = SearchArena()
-        planes = arena.planes(8, 6)
-        assert arena.planes(8, 6) is planes
-        assert arena.planes(6, 8) is not planes
+        """A second search, or a router, on one thread and one shape
+        searches on the planes the first search used."""
+        find_path(RoutingGrid(10, 8), 1, [(0, 0, 0)], [(9, 7, 0)])
+        planes = thread_planes(10, 8)
+        generation = planes.generation
+        lee_route(RoutingGrid(10, 8), 2, [(0, 0, 1)], [(9, 0, 0)])
+        result = route_problem(_two_net_problem(10, 8))
+        assert result.stats.searches > 0
+        assert thread_planes(10, 8) is planes
+        assert planes.generation == generation + 1 + result.stats.searches
+
+    def test_new_shape_replaces_planes(self):
+        """A thread holds one plane set: another shape replaces it, so
+        returning to the first shape builds a new set."""
+        planes = thread_planes(8, 6)
+        other = thread_planes(6, 8)
+        assert other is not planes and other.shape == (6, 8)
+        assert thread_planes(8, 6) is not planes
+
+    def test_other_thread_gets_its_own_planes(self):
+        mine = thread_planes(8, 6)
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.append(thread_planes(8, 6))
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert theirs[0] is not mine
+        assert thread_planes(8, 6) is mine
+
+    @pytest.mark.parametrize("name", kernels.available_backends())
+    def test_concurrent_threads_search_on_their_own_planes(self, name):
+        """Four threads searching one shape at once, with frequent
+        switches (the compiled kernel also releases the interpreter lock),
+        get the answers one thread gets."""
+        grid = _random_obstacle_grid(random.Random(7))
+        w, h = grid.width, grid.height
+        queries = [
+            ([(0, 0, 0)], [(w - 1, h - 1, 0)]),
+            ([(w - 1, h - 1, 1)], [(0, 0, 1)]),
+        ]
+
+        def answers():
+            return [
+                (list(r.path or ()), r.expansions)
+                for r in (
+                    find_path(grid, 1, s, t, kernel=name) for s, t in queries
+                )
+            ]
+
+        expected = answers()
+        results = []
+        # Daemon threads: shared planes can loop a backtrack forever.
+        workers = [
+            threading.Thread(
+                target=lambda: results.extend(answers() for _ in range(25)),
+                daemon=True,
+            )
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [expected] * 100
+
+    def test_compiled_route_builds_no_list_planes(self, monkeypatch):
+        """A route on the compiled kernel builds its typed planes only:
+        the pure kernel's lists are never allocated."""
+        if "compiled" not in kernels.available_backends():
+            pytest.skip("compiled backend unavailable")
+        monkeypatch.setenv(kernels.ENV_VAR, "compiled")
+        kernels._reset_for_tests()
+        try:
+            thread_planes(1, 1)  # drop any planes a pure search built
+            result = route_problem(_two_net_problem(11, 9))
+        finally:
+            kernels._reset_for_tests()
+        planes = thread_planes(11, 9)
+        assert result.success
+        assert planes.generation == result.stats.searches > 0
+        assert planes._c is not None
+        assert planes._lists is None
 
     def test_generation_isolates_consecutive_searches(self):
-        """Reusing one arena must give the same answer as fresh planes."""
+        """Reusing the thread's planes must give the same answer as fresh
+        planes, with other searches in between."""
         grid = RoutingGrid(10, 8)
-        shared = SearchArena()
+        thread_planes(1, 1)  # the next search gets fresh planes
+        fresh = find_path(grid, 1, [(0, 0, 0)], [(9, 7, 0)])
         for _ in range(3):
-            reused = find_path(
-                grid, 1, [(0, 0, 0)], [(9, 7, 0)], arena=shared
-            )
-            fresh = find_path(
-                grid, 1, [(0, 0, 0)], [(9, 7, 0)], arena=SearchArena()
-            )
+            find_path(grid, 2, [(9, 0, 1)], [(0, 7, 1)])
+            reused = find_path(grid, 1, [(0, 0, 0)], [(9, 7, 0)])
             assert reused.path is not None
             assert list(reused.path) == list(fresh.path)
             assert reused.expansions == fresh.expansions
-
-    def test_default_arena_is_reused(self):
-        assert default_arena() is default_arena()
 
 
 def _random_obstacle_grid(rng: random.Random, width=12, height=9):

@@ -14,6 +14,7 @@ import pytest
 from repro.core import route_problem
 from repro.core.serialize import rebuild_grid, result_to_dict
 from repro.analysis.verify import verify_routing
+from repro.engine import EngineConfig, RoutingEngine
 from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
 from repro.netlist.canonical import (
@@ -31,6 +32,7 @@ from repro.netlist.instances import obstacle_region_problem, small_switchbox
 from repro.netlist.io import problem_to_dict
 from repro.netlist.net import Net, Pin
 from repro.netlist.problem import Obstacle, RoutingProblem
+from repro.service.cache import CanonicalCache
 
 
 def mirror_problem(problem, mirror_x=False, mirror_y=False):
@@ -102,6 +104,16 @@ def relabel_problem(problem):
         nets=list(reversed(nets)),
         obstacles=list(problem.obstacles), region=problem.region,
         name="relabeled",
+    )
+
+
+def prefix_problem(problem, prefix):
+    """The same instance with every net name prefixed."""
+    return RoutingProblem(
+        width=problem.width, height=problem.height,
+        nets=[Net(prefix + net.name, net.pins) for net in problem.nets],
+        obstacles=list(problem.obstacles), region=problem.region,
+        name=prefix + problem.name,
     )
 
 
@@ -226,6 +238,58 @@ class TestPayloadRemap:
         }
         grid_b = rebuild_grid(payload_b)
         assert verify_routing(problem_b, grid_b).ok
+
+    def test_cache_hit_names_the_requesting_instance_victims(self):
+        """Weak and strong details name victim nets; a cache hit must
+        name the requesting instance's nets there too, not the nets of
+        the instance that was routed."""
+        box = woven_switchbox(23, 15, 24, seed=5, tangle=0.5).to_problem()
+        alpha = prefix_problem(box, "alpha_")
+        beta = prefix_problem(box, "beta_")
+        result = RoutingEngine(EngineConfig(max_attempts=2)).route(alpha)
+        routed = result_to_dict(result)
+        assert {"weak", "strong"} & {e["kind"] for e in routed["events"]}
+
+        cache = CanonicalCache()
+        assert cache.store(canonical_form(alpha), routed)
+        reply = cache.render(canonical_form(beta), problem_to_dict(beta))
+        assert reply["events"] == [
+            dict(
+                event,
+                net=event["net"].replace("alpha_", "beta_"),
+                detail=event["detail"].replace("alpha_", "beta_"),
+            )
+            for event in routed["events"]
+        ]
+
+    def test_victim_names_with_quotes_and_commas(self):
+        names = ["it's", 'say "hi"', "a, b", "back\\slash"]
+        problem = RoutingProblem(
+            6, 6,
+            nets=[
+                Net(name, (Pin(x, 0), Pin(x, 5)))
+                for x, name in enumerate(names)
+            ],
+        )
+        form = canonical_form(problem)
+        victims = sorted(names[1:])
+        payload = {
+            "events": [
+                {"kind": "weak", "net": names[0],
+                 "detail": f"displaced {victims}"},
+                {"kind": "strong", "net": names[0],
+                 "detail": f"ripped {victims}"},
+            ]
+        }
+        canonical = payload_to_canonical(payload, form)
+        labels = sorted(form.net_to_label[name] for name in victims)
+        assert [e["detail"] for e in canonical["events"]] == [
+            f"displaced {labels}", f"ripped {labels}"
+        ]
+        rendered = payload_from_canonical(
+            canonical, form, problem_to_dict(problem)
+        )
+        assert rendered["events"] == payload["events"]
 
     def test_identity_remap_is_lossless(self):
         problem = obstacle_region_problem()

@@ -4,12 +4,34 @@ import pytest
 
 from repro.grid import Layer
 from repro.netlist import ChannelSpec, ProblemError
+from repro.netlist.generators import deutsch_class_channel, random_channel
 from repro.netlist.instances import (
     dogleg_channel,
     simple_channel,
+    staircase_channel,
     straight_channel,
+    two_sided_congestion_channel,
     vcg_cycle_channel,
 )
+
+#: Every instance channel and channels of every generator; the last is
+#: the channel ``deutsch_class_region()`` lowers.
+CHANNELS = {
+    "simple": simple_channel,
+    "straight": straight_channel,
+    "vcg-cycle": vcg_cycle_channel,
+    "dogleg": dogleg_channel,
+    "staircase": staircase_channel,
+    "two-sided": two_sided_congestion_channel,
+    "deutsch-class": deutsch_class_channel,
+    "random-global": lambda: random_channel(14, 6, seed=3),
+    "random-acyclic": lambda: random_channel(
+        28, 10, seed=23, target_density=5, allow_vcg_cycles=False
+    ),
+    "deutsch-region": lambda: random_channel(
+        560, 500, seed=11, fill=0.85, target_density=16
+    ),
+}
 
 
 class TestConstruction:
@@ -51,6 +73,13 @@ class TestAnalysis:
 
     def test_simple_channel_density(self):
         assert simple_channel().density == 3
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_density_is_the_densest_column(self, name):
+        spec = CHANNELS[name]()
+        assert spec.density == max(
+            spec.column_density(c) for c in range(spec.n_columns)
+        )
 
     def test_vcg_edges(self):
         spec = ChannelSpec((1, 2), (2, 1))

@@ -13,6 +13,7 @@ from repro.switchbox import (
     route_switchbox_naive,
     shrinking_sequence,
 )
+from repro.switchbox.sweep import STOP_AFTER_FAILURES
 from repro.testing.faults import StepClock
 
 
@@ -69,10 +70,6 @@ class TestShrinkingSequence:
         sequence = shrinking_sequence(small_switchbox())
         assert not sequence[-1].empty_columns()
 
-    def test_max_deletions_respected(self):
-        sequence = shrinking_sequence(small_switchbox(), max_deletions=1)
-        assert len(sequence) == 2
-
     def test_deterministic(self):
         a = shrinking_sequence(small_switchbox())
         b = shrinking_sequence(small_switchbox())
@@ -102,15 +99,14 @@ class TestMinimumWidthSweep:
             assert outcome.min_completed_width is None
 
     def test_early_stop_after_failures(self):
-        """The no-modification router fails a width before the sequence
-        runs out; with ``stop_after_failures=1`` that failure ends the
-        sweep."""
+        """The no-modification router fails widths before the sequence
+        runs out; the first ``STOP_AFTER_FAILURES`` consecutive failures
+        end the sweep."""
         spec = woven_switchbox(12, 9, 8, seed=3, tangle=0.4)
-        outcome = minimum_routable_width(
-            spec, MightyConfig.no_modification(), stop_after_failures=1
-        )
-        assert outcome.completed[-1] is False
-        assert False not in outcome.completed[:-1]
+        outcome = minimum_routable_width(spec, MightyConfig.no_modification())
+        done, k = outcome.completed, STOP_AFTER_FAILURES
+        assert done[-k:] == [False] * k
+        assert all(True in done[i:i + k] for i in range(len(done) - k))
         assert len(outcome.widths) < len(shrinking_sequence(spec))
 
     def test_expired_deadline_routes_nothing(self):
