@@ -66,22 +66,3 @@ def channel_tracks_used(problem: RoutingProblem, grid: RoutingGrid) -> int:
         if bool(((row != FREE) & (row != OBSTACLE)).any()):
             used += 1
     return used
-
-
-def channel_track_span(problem: RoutingProblem, grid: RoutingGrid) -> int:
-    """Height of the smallest band of rows containing all wiring.
-
-    Stricter than :func:`channel_tracks_used`: an unused row *between* used
-    rows still costs area, so the span is what a compactor could achieve.
-    """
-    occ = grid.occupancy()
-    used_rows = [
-        y
-        for y in range(1, grid.height - 1)
-        if bool(
-            ((occ[:, y, :] != FREE) & (occ[:, y, :] != OBSTACLE)).any()
-        )
-    ]
-    if not used_rows:
-        return 0
-    return max(used_rows) - min(used_rows) + 1

@@ -30,7 +30,6 @@ from repro.channels.base import (
     realize_wires,
     track_row,
 )
-from repro.channels.compaction import CompactionResult, compact_channel
 from repro.channels.dogleg import DoglegRouter
 from repro.channels.greedy import GreedyRouter
 from repro.channels.left_edge import LeftEdgeRouter
@@ -40,8 +39,6 @@ from repro.channels.yacr_lite import YacrLiteRouter
 __all__ = [
     "ChannelResult",
     "ChannelRouter",
-    "CompactionResult",
-    "compact_channel",
     "DoglegRouter",
     "GreedyRouter",
     "HWire",

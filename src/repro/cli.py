@@ -159,13 +159,21 @@ def _load_problem(
     formats both are None.
     """
     path = Path(args.file)
+    if args.tracks is not None and args.tracks < 1:
+        raise InputError(f"--tracks must be >= 1, got {args.tracks}")
     fmt = _detect_format(path, args.format)
     loaded = _load(path, fmt)
-    if fmt == "channel":
-        tracks = max(1, args.tracks or loaded.density)
-        return loaded.to_problem(tracks), loaded, tracks
-    if fmt == "switchbox":
-        return loaded.to_problem(), None, None
+    try:
+        if fmt == "channel":
+            tracks = args.tracks or max(1, loaded.density)
+            return loaded.to_problem(tracks), loaded, tracks
+        if fmt == "switchbox":
+            return loaded.to_problem(), None, None
+    except ProblemError as exc:
+        raise InputError(
+            f"cannot lower {fmt} file {path}: {exc}",
+            context={"file": str(path), "format": fmt},
+        ) from None
     return loaded, None, None
 
 
@@ -377,25 +385,26 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Emit a seeded synthetic benchmark instance."""
-    if args.kind == "channel":
-        spec = random_channel(args.columns, args.nets, seed=args.seed)
-        text = problem_io.format_channel(spec)
-    elif args.kind == "deutsch":
-        text = problem_io.format_channel(deutsch_class_channel(args.seed))
-    elif args.kind == "switchbox":
-        spec = random_switchbox(
-            args.columns, args.rows, args.nets, seed=args.seed
-        )
-        text = problem_io.format_switchbox(spec)
-    elif args.kind == "burstein":
-        text = problem_io.format_switchbox(burstein_class_switchbox(args.seed))
-    else:
-        raise InputError(
-            f"unknown kind {args.kind!r}",
-            context={
-                "choices": ["burstein", "channel", "deutsch", "switchbox"]
-            },
-        )
+    try:
+        if args.kind == "channel":
+            text = problem_io.format_channel(
+                random_channel(args.columns, args.nets, seed=args.seed)
+            )
+        elif args.kind == "switchbox":
+            text = problem_io.format_switchbox(
+                random_switchbox(
+                    args.columns, args.rows, args.nets, seed=args.seed
+                )
+            )
+        elif args.kind == "deutsch":
+            text = problem_io.format_channel(deutsch_class_channel(args.seed))
+        else:  # "burstein": the parser admits only these four kinds
+            text = problem_io.format_switchbox(
+                burstein_class_switchbox(args.seed)
+            )
+    except ValueError as exc:
+        # Sizes a generator cannot fill: no nets, too few pin slots.
+        raise InputError(str(exc)) from None
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}")

@@ -215,11 +215,11 @@ def partition_axis(problem: RoutingProblem) -> str:
 
 def _net_spans(problem: RoutingProblem, axis: str) -> Dict[str, Tuple[int, int]]:
     """Inclusive pin-bbox interval of each net along ``axis``."""
-    from repro.analysis.congestion import net_bounding_boxes
-
     spans: Dict[str, Tuple[int, int]] = {}
-    for name, (x0, y0, x1, y1) in net_bounding_boxes(problem).items():
-        spans[name] = (x0, x1) if axis == "x" else (y0, y1)
+    for net in problem.nets:
+        if net.pins:
+            coords = [pin.x if axis == "x" else pin.y for pin in net.pins]
+            spans[net.name] = (min(coords), max(coords))
     return spans
 
 

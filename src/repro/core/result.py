@@ -56,9 +56,10 @@ class RouteStats:
     searches: int = 0
     #: Nodes A* popped and relaxed, summed over every search.
     expansions: int = 0
-    #: Nodes the hard searches' target-side floods popped before A* ran
-    #: (:func:`repro.maze.astar.find_path_flat`), summed.  Kept apart
-    #: from ``expansions``, which counts A* work only.
+    #: Nodes the target-side floods popped before A* ran, summed over the
+    #: hard and the conflict (soft) searches alike
+    #: (:func:`repro.maze.astar.find_path_flat`).  Kept apart from
+    #: ``expansions``, which counts A* work only.
     flood_visits: int = 0
     peak_journal_depth: int = 0
     #: Name of the search-kernel backend the run used (``pure`` /

@@ -2,8 +2,8 @@
 
 The router records every route/weak/strong/fail/defer event; this module
 turns that log into the series behind the convergence figure (experiment
-E4): open connections over time, modification activity per phase, and a
-compact per-pass summary.
+E4): open connections over time and the steps at which each kind of
+modification fired.
 """
 
 from __future__ import annotations
@@ -74,19 +74,3 @@ def modification_activity(result: RouteResult) -> Dict[str, List[int]]:
         if event.kind in ("weak", "strong", "defer", "retry", "restore"):
             activity.setdefault(event.kind, []).append(event.step)
     return activity
-
-
-def phase_summary(result: RouteResult) -> List[Dict[str, int]]:
-    """Per-pass summary: a pass boundary is a batch of ``retry`` events.
-
-    Returns one dict per pass with the pass's event counts.
-    """
-    passes: List[Dict[str, int]] = [{}]
-    previous_kind = None
-    for event in result.events:
-        if event.kind == "retry" and previous_kind != "retry":
-            passes.append({})
-        counts = passes[-1]
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-        previous_kind = event.kind
-    return passes

@@ -1,11 +1,10 @@
-"""Geometric substrate: points, directions, segments, rectangles, regions.
+"""Geometric substrate: points, directions, rectangles, regions.
 
 Everything in :mod:`repro` lives on an integer grid.  This package supplies
 the small, well-tested vocabulary the rest of the library is written in:
 
 * :class:`~repro.geometry.point.Point` — an immutable ``(x, y)`` lattice point.
 * :class:`~repro.geometry.point.Direction` — the four Manhattan directions.
-* :class:`~repro.geometry.segment.Segment` — an axis-parallel wire stick.
 * :class:`~repro.geometry.rect.Rect` — a half-open integer rectangle.
 * :class:`~repro.geometry.region.RectilinearRegion` — an arbitrary rectilinear
   routing region (union of rectangles minus obstacle rectangles), which is how
@@ -16,13 +15,11 @@ the small, well-tested vocabulary the rest of the library is written in:
 from repro.geometry.point import Direction, Point, manhattan
 from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
-from repro.geometry.segment import Segment
 
 __all__ = [
     "Direction",
     "Point",
     "Rect",
     "RectilinearRegion",
-    "Segment",
     "manhattan",
 ]

@@ -20,7 +20,6 @@ from typing import (
 )
 
 from repro.geometry.point import Point
-from repro.geometry.segment import Segment
 from repro.grid.layers import Layer
 
 _LAYERS = tuple(Layer)
@@ -199,32 +198,6 @@ class GridPath:
         """Cells where the walk changes layer."""
         return [a.point for a, b in self._steps() if a.layer != b.layer]
 
-    def segments(self) -> List[Tuple[Segment, Layer]]:
-        """Maximal straight runs as ``(segment, layer)`` pairs.
-
-        Vias break segments; a lone node yields one degenerate segment.
-        """
-        nodes = self.nodes
-        result: List[Tuple[Segment, Layer]] = []
-        run_start = nodes[0]
-        prev = nodes[0]
-        prev_dir = None
-        for node in nodes[1:]:
-            if node.layer != prev.layer:
-                result.append((Segment(run_start.point, prev.point), prev.layer))
-                run_start, prev_dir = node, None
-            else:
-                direction = (node.x - prev.x, node.y - prev.y)
-                if prev_dir is not None and direction != prev_dir:
-                    result.append(
-                        (Segment(run_start.point, prev.point), prev.layer)
-                    )
-                    run_start = prev
-                prev_dir = direction
-            prev = node
-        result.append((Segment(run_start.point, prev.point), prev.layer))
-        return result
-
     def reversed(self) -> "GridPath":
         """The same walk traversed end-to-start."""
         return GridPath(reversed(self.nodes))
@@ -269,11 +242,14 @@ def straight_path(
 ) -> GridPath:
     """Build the single-segment path from ``a`` to ``b`` on ``layer``.
 
-    ``a`` and ``b`` must be axis-aligned; a degenerate (single-node) path is
-    produced when they coincide.
+    ``a`` and ``b`` must be axis-aligned (a :class:`ValueError` otherwise);
+    a degenerate (single-node) path is produced when they coincide.
     """
-    seg = Segment(a, b)
-    pts: Sequence[Point] = list(seg.points())
-    if Point(*a) != seg.a:
-        pts = list(reversed(pts))
-    return GridPath([(p.x, p.y, layer) for p in pts])
+    (ax, ay), (bx, by) = a, b
+    if ax != bx and ay != by:
+        raise ValueError(f"{a!r}-{b!r} is not axis-parallel")
+    dx, dy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
+    return GridPath(
+        (ax + i * dx, ay + i * dy, layer)
+        for i in range(abs(bx - ax) + abs(by - ay) + 1)
+    )

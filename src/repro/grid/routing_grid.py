@@ -14,16 +14,16 @@ Occupancy, pin ownership, vias and the two reference counts are each
 stored exactly once, as a flat C-order ``array('i')`` buffer indexed by
 flat id (:func:`~repro.grid.path.flat_id`, ``(layer * H + y) * W + x``;
 vias and their counts ``y * W + x``).  Every node query converts through
-that one checked helper, so a node outside the grid, its layer included,
-reads as off the grid rather than wrapping onto another cell.  A count
-belongs to whichever net the cell's occupancy or via entry names, so
-ownership itself is recorded once.  Every reader shares the one buffer:
-the pure-python kernels and the connectivity flood index it directly
-(``occ_flat()``/``pin_flat()``), the compiled kernel passes its address
-to C without a copy, and the bulk consumers — verifier, metrics,
-rendering, compaction — get read-only numpy views over it
-(``occupancy()``/``pin_map()``/``via_map()``).  A net's cells are found
-by one numpy scan of the buffer.
+that one checked helper, and a via query checks its cell, so a node or
+cell outside the grid, a node's layer included, reads as off the grid
+rather than wrapping onto another cell.  A count belongs to whichever net
+the cell's occupancy or via entry names, so ownership itself is recorded
+once.  Every reader shares the one buffer: the pure-python kernels and
+the connectivity flood index it directly (``occ_flat()``/``pin_flat()``),
+the compiled kernel passes its address to C without a copy, and the bulk
+consumers — verifier, metrics and the renderers — get read-only numpy
+views over it (``occupancy()``/``pin_map()``/``via_map()``).  A net's
+cells are found by one numpy scan of the buffer.
 
 Undo comes in two granularities.  :meth:`clone`/:meth:`restore` copy the
 five buffers — O(area), used sparingly for the router's coarse best-state
@@ -141,8 +141,10 @@ class RoutingGrid:
         return OBSTACLE if index is None else self._occ[index]
 
     def via_owner(self, x: int, y: int) -> int:
-        """Net id of the via at ``(x, y)``, or ``FREE``."""
-        return self._via[y * self.width + x]
+        """Net id of the via at ``(x, y)``, or ``FREE`` (off the grid too)."""
+        if self.in_bounds(x, y):
+            return self._via[y * self.width + x]
+        return FREE
 
     def pin_owner(self, node: Tuple[int, int, int]) -> int:
         """Net id whose pin sits at ``node``, or ``FREE``."""
@@ -600,10 +602,7 @@ class RoutingGrid:
                 GridNode(node.x, node.y + 1, node.layer),
                 GridNode(node.x, node.y - 1, node.layer),
             ]
-            if (
-                self.in_bounds(node.x, node.y)
-                and self.via_owner(node.x, node.y) == net_id
-            ):
+            if self.via_owner(node.x, node.y) == net_id:
                 candidates.append(GridNode(node.x, node.y, node.layer.other))
             for cand in candidates:
                 if cand not in seen and self.owner(cand) == net_id:

@@ -91,19 +91,22 @@ class ChannelSpec:
                 count += 1
         return count
 
-    @property
-    def density(self) -> int:
-        """Channel density: the classical lower bound on track count.
-
-        The most trunks over any one column (:meth:`column_density`),
-        from one pass over the spans.
-        """
+    def density_profile(self) -> List[int]:
+        """:meth:`column_density` of every column, from one pass over the
+        spans; its shape shows where a router will have to work."""
         delta = [0] * (self.n_columns + 1)
         for lo, hi in self.spans().values():
             if lo < hi:
                 delta[lo] += 1
                 delta[hi + 1] -= 1
-        return max(accumulate(delta[:-1]))
+        return list(accumulate(delta[:-1]))
+
+    @property
+    def density(self) -> int:
+        """Channel density, the classical lower bound on track count: the
+        most trunks over any one column (the peak of
+        :meth:`density_profile`)."""
+        return max(self.density_profile())
 
     def vcg_edges(self) -> Set[Tuple[int, int]]:
         """Vertical constraint edges ``(upper, lower)``.

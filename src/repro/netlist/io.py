@@ -188,7 +188,13 @@ def problem_to_dict(problem: RoutingProblem) -> dict:
 
 
 def problem_from_dict(payload: dict) -> RoutingProblem:
-    """Inverse of :func:`problem_to_dict`."""
+    """Inverse of :func:`problem_to_dict`.
+
+    A payload of the wrong shape (a missing key, a pin that is not
+    ``[x, y, tag]``, an unknown layer tag, a degenerate rect) is a
+    :class:`FormatError`; a well-formed payload that describes an
+    ill-formed problem is the :class:`ProblemError` the problem raises.
+    """
     try:
         nets = [
             Net(
@@ -222,7 +228,9 @@ def problem_from_dict(payload: dict) -> RoutingProblem:
             obstacles=obstacles,
             name=payload.get("name", "problem"),
         )
-    except (KeyError, TypeError) as exc:
+    except ProblemError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed problem payload: {exc}") from None
 
 

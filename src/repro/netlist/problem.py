@@ -9,7 +9,7 @@ thin builders on top of this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -17,7 +17,8 @@ from repro.geometry.region import RectilinearRegion
 from repro.grid.layers import Layer
 from repro.grid.path import GridNode
 from repro.grid.routing_grid import RoutingGrid
-from repro.netlist.net import Net, Pin
+from repro.maze.kernels.pure import INDEX_MASK
+from repro.netlist.net import Net
 
 
 class ProblemError(ValueError):
@@ -67,6 +68,12 @@ class RoutingProblem:
         """Raise :class:`ProblemError` unless the instance is well-formed."""
         if self.width <= 0 or self.height <= 0:
             raise ProblemError(f"bad extents {self.width}x{self.height}")
+        if 2 * self.width * self.height > INDEX_MASK:
+            raise ProblemError(
+                f"a {self.width}x{self.height} grid has "
+                f"{2 * self.width * self.height} nodes; the search indexes "
+                f"at most {INDEX_MASK}"
+            )
         names = [net.name for net in self.nets]
         if len(set(names)) != len(names):
             raise ProblemError("duplicate net names")
@@ -157,29 +164,3 @@ class RoutingProblem:
             f"RoutingProblem({self.name!r}, {self.width}x{self.height}, "
             f"nets={len(self.nets)}, pins={self.pin_count})"
         )
-
-
-def problem_from_pin_table(
-    name: str,
-    width: int,
-    height: int,
-    pins: Sequence[Tuple[str, int, int, Layer]],
-    region: Optional[RectilinearRegion] = None,
-    obstacles: Sequence[Obstacle] = (),
-) -> RoutingProblem:
-    """Convenience builder from a flat ``(net, x, y, layer)`` table.
-
-    Net order (and hence net ids) follows first appearance in the table.
-    """
-    ordered: Dict[str, List[Pin]] = {}
-    for net_name, x, y, layer in pins:
-        ordered.setdefault(net_name, []).append(Pin(x, y, Layer(layer)))
-    nets = [Net(net_name, tuple(net_pins)) for net_name, net_pins in ordered.items()]
-    return RoutingProblem(
-        width=width,
-        height=height,
-        nets=nets,
-        region=region,
-        obstacles=list(obstacles),
-        name=name,
-    )

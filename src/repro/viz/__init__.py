@@ -5,14 +5,13 @@ layer as dashes, vertical layer as bars, vias as plusses, pins labelled by
 net, obstacles hatched.
 """
 
-from repro.viz.ascii_art import render_grid, render_layers
+from repro.viz.ascii_art import render_grid
 from repro.viz.channel_art import render_channel
 from repro.viz.svg import svg_from_grid, svg_from_result
 
 __all__ = [
     "render_channel",
     "render_grid",
-    "render_layers",
     "svg_from_grid",
     "svg_from_result",
 ]

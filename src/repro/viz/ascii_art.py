@@ -22,7 +22,7 @@ from __future__ import annotations
 import string
 from typing import Optional
 
-from repro.grid.routing_grid import FREE, OBSTACLE, RoutingGrid
+from repro.grid.routing_grid import OBSTACLE, RoutingGrid
 from repro.netlist.problem import RoutingProblem
 
 _LABELS = string.ascii_lowercase + string.ascii_uppercase + string.digits
@@ -67,29 +67,3 @@ def render_grid(
                 chars.append(".")
         lines.append("".join(chars))
     return "\n".join(lines)
-
-
-def render_layers(
-    problem: Optional[RoutingProblem], grid: RoutingGrid
-) -> str:
-    """Render the two layers side by side, cells labelled by owning net."""
-    occ = grid.occupancy()
-    panels = []
-    for layer, tag in ((0, "HORIZONTAL"), (1, "VERTICAL")):
-        lines = [tag.center(grid.width)]
-        for y in range(grid.height - 1, -1, -1):
-            chars = []
-            for x in range(grid.width):
-                owner = int(occ[layer, y, x])
-                if owner == FREE:
-                    chars.append(".")
-                elif owner == OBSTACLE:
-                    chars.append("#")
-                else:
-                    chars.append(net_label(owner))
-            lines.append("".join(chars))
-        panels.append(lines)
-    combined = []
-    for left, right in zip(panels[0], panels[1]):
-        combined.append(f"{left}   {right}")
-    return "\n".join(combined)

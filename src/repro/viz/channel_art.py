@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.congestion import channel_density_profile
 from repro.grid.routing_grid import RoutingGrid
 from repro.netlist.channel import ChannelSpec
 from repro.viz.ascii_art import net_label
@@ -62,7 +61,7 @@ def render_channel(
             lines.append(f"{track:>3} " + "." * width)
     lines.append(" " * margin + shore_line(spec.bottom) + "  (bottom pins)")
 
-    profile = channel_density_profile(spec)
+    profile = spec.density_profile()
     digits = "".join(
         "*" if d > 35 else (str(d) if d < 10 else chr(ord("a") + d - 10))
         for d in profile

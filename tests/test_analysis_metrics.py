@@ -1,7 +1,6 @@
 """Unit tests for layout metrics."""
 
 from repro.analysis import channel_tracks_used, layout_metrics
-from repro.analysis.metrics import channel_track_span
 from repro.geometry import Point
 from repro.grid import GridPath, Layer
 from repro.grid.path import straight_path
@@ -74,14 +73,8 @@ class TestChannelTrackMetrics:
         problem, grid = self._channel_layout()
         assert channel_tracks_used(problem, grid) == 1
 
-    def test_track_span(self):
-        problem, grid = self._channel_layout()
-        assert channel_track_span(problem, grid) >= 1
-
     def test_unwired_channel(self):
         spec = ChannelSpec((1, 0), (0, 1), name="c")
         problem = spec.to_problem(tracks=2)
         grid = problem.build_grid()
         assert channel_tracks_used(problem, grid) == 0
-        assert channel_track_span(problem, grid) == 0
-

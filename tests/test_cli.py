@@ -15,6 +15,50 @@ from repro.netlist.io import (
 from repro.netlist.instances import obstacle_region_problem
 
 
+def two_pin_problem(**fields):
+    """A routable JSON problem payload with some of its fields replaced."""
+    payload = {
+        "name": "two-pin",
+        "width": 6,
+        "height": 4,
+        "nets": [{"name": "a", "pins": [[0, 0, "V"], [5, 3, "V"]]}],
+        "obstacles": [],
+    }
+    payload.update(fields)
+    return payload
+
+
+def _first_pin(pin):
+    return two_pin_problem(nets=[{"name": "a", "pins": [pin, [5, 3, "V"]]}])
+
+
+#: JSON problems of the wrong shape.  Each is an input error (exit 2, one
+#: ``error:`` line, the daemon's ``kind: "input"``), never a traceback.
+MALFORMED_PROBLEMS = {
+    "pin-one-coordinate": _first_pin([1]),
+    "pin-layer-not-a-tag": _first_pin([1, 0, 0]),
+    "pin-unknown-layer": _first_pin([1, 0, "Q"]),
+    "obstacle-unknown-layer": two_pin_problem(
+        obstacles=[{"rect": [2, 1, 3, 2], "layer": "Q"}]
+    ),
+    "obstacle-degenerate-rect": two_pin_problem(
+        obstacles=[{"rect": [5, 5, 1, 1]}]
+    ),
+    "region-degenerate-rect": two_pin_problem(region=[[5, 5, 1, 1]]),
+    "net-without-name": two_pin_problem(
+        nets=[{"name": "", "pins": [[0, 0, "V"], [5, 3, "V"]]}]
+    ),
+    "net-with-duplicate-pins": _first_pin([5, 3, "V"]),
+}
+
+#: Two pins on a 3000x3000 grid: more nodes than a search key indexes.
+UNINDEXABLE_PROBLEM = two_pin_problem(
+    width=3000,
+    height=3000,
+    nets=[{"name": "a", "pins": [[0, 0, "V"], [2999, 2999, "V"]]}],
+)
+
+
 @pytest.fixture
 def channel_file(tmp_path):
     path = tmp_path / "chan.txt"
@@ -77,6 +121,15 @@ class TestRoute:
         assert main(["route", str(channel_file), "--tracks", "4"]) == 0
         out = capsys.readouterr().out
         assert "tracks used" in out
+
+    @pytest.mark.parametrize("tracks", ["0", "-2"])
+    def test_route_nonpositive_tracks_exit_2(
+        self, channel_file, capsys, tracks
+    ):
+        """Not silently one track (``-2``) or the density (``0``)."""
+        assert main(["route", str(channel_file), "--tracks", tracks]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --tracks must be >= 1, got {tracks}\n"
 
     def test_route_ascii(self, switchbox_file, capsys):
         assert main(["route", str(switchbox_file), "--ascii"]) == 0
@@ -180,6 +233,34 @@ class TestStructuredErrors:
         assert main(["route", str(path)]) == 2
         err = capsys.readouterr().err
         assert "malformed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PROBLEMS))
+    def test_malformed_problem_payload_exit_2(self, tmp_path, capsys, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED_PROBLEMS[name]))
+        assert main(["route", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed problem file")
+        assert len(err.splitlines()) == 1
+
+    def test_unindexable_grid_is_refused_before_it_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Refused as the problem is read (exit 2), before any grid is
+        built, instead of failing its one search as "infeasible" (exit
+        4)."""
+        from repro.netlist.problem import RoutingProblem
+
+        def build_grid(problem):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(RoutingProblem, "build_grid", build_grid)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(UNINDEXABLE_PROBLEM))
+        assert main(["route", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "18000000 nodes" in err
 
     def test_malformed_result_dump_exit_2(self, tmp_path, capsys):
         path = tmp_path / "dump.json"
@@ -326,6 +407,21 @@ class TestGenerate:
              "--seed", "3", "-o", str(path)]
         ) == 0
         assert main(["route", str(path), "--tracks", "12"]) in (0, 4)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "channel", "--nets", "0"],
+            ["generate", "channel", "--columns", "0"],
+            ["generate", "switchbox", "--rows", "1", "--columns", "1",
+             "--nets", "3"],
+        ],
+        ids=["no-nets", "no-columns", "too-few-slots"],
+    )
+    def test_generate_unfillable_size_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_generate_deterministic(self, capsys):
         main(["generate", "channel", "--seed", "9"])

@@ -1,11 +1,7 @@
 """Tests for the convergence-trace analysis."""
 
 from repro.core import MightyConfig, route_problem
-from repro.core.trace import (
-    convergence_series,
-    modification_activity,
-    phase_summary,
-)
+from repro.core.trace import convergence_series, modification_activity
 from repro.netlist.generators import random_switchbox
 from repro.netlist.instances import small_switchbox
 
@@ -70,18 +66,3 @@ class TestActivity:
                 result.stats.strong_modifications
             )
             assert activity["strong"] == sorted(activity["strong"])
-
-
-class TestPhaseSummary:
-    def test_single_pass_run(self):
-        result = _easy_result()
-        passes = phase_summary(result)
-        assert len(passes) == 1
-        assert passes[0].get("route", 0) >= 1
-
-    def test_pass_count_matches_retries(self):
-        result = _hard_result()
-        passes = phase_summary(result)
-        retry_batches = sum(1 for p in passes[1:] if p)
-        assert len(passes) >= 1
-        assert retry_batches == len(passes) - 1

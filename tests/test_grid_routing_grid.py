@@ -156,12 +156,18 @@ class TestPins:
         with pytest.raises(GridError):
             grid.reserve_pin(2, (3, 3, 0))
 
-    @pytest.mark.parametrize("node", [(0, 0, -1), (0, 0, 2), (8, 0, 1)])
+    @pytest.mark.parametrize(
+        "node", [(0, 0, -1), (0, 0, 2), (8, 0, 1), (-8, 2, 0)]
+    )
     def test_node_off_the_grid_answers_like_one(self, grid, node):
         """Queries and pin claims treat a layer outside {0, 1} exactly
-        like an x or y outside the grid."""
+        like an x or y outside the grid.  A via query off the grid is
+        ``FREE`` too: cells (8, 0) and (-8, 2) of this 8-wide grid would
+        wrap onto the via at (0, 1)."""
         grid.reserve_pin(1, (0, 0, 1))
+        grid.commit_path(1, GridPath([(0, 1, 0), (0, 1, 1)]))
         assert grid.pin_owner(node) == FREE
+        assert grid.via_owner(node[0], node[1]) == FREE
         assert grid.component_nodes(1, node) == []
         assert not grid.same_component(1, node, (0, 0, 1))
         fresh = RoutingGrid(8, 6)

@@ -76,10 +76,26 @@ class TestAnalysis:
 
     @pytest.mark.parametrize("name", sorted(CHANNELS))
     def test_density_is_the_densest_column(self, name):
+        """The one-pass profile is every column's own count, and the
+        density is its peak."""
         spec = CHANNELS[name]()
-        assert spec.density == max(
+        profile = spec.density_profile()
+        assert profile == [
             spec.column_density(c) for c in range(spec.n_columns)
-        )
+        ]
+        assert spec.density == max(profile)
+
+    def test_profile_peak_is_density(self):
+        spec = simple_channel()
+        profile = spec.density_profile()
+        assert max(profile) == spec.density
+        assert len(profile) == spec.n_columns
+
+    def test_empty_columns_zero(self):
+        """A pinless column inside a span still carries its trunk; one
+        outside every span carries none."""
+        spec = ChannelSpec((1, 0, 0, 1, 0), (0, 0, 0, 0, 0))
+        assert spec.density_profile() == [1, 1, 1, 1, 0]
 
     def test_vcg_edges(self):
         spec = ChannelSpec((1, 2), (2, 1))

@@ -62,10 +62,8 @@ class TestNewChannels:
         assert mighty.tracks < lea.tracks
 
     def test_hump_profile_peaks_in_middle(self):
-        from repro.analysis.congestion import channel_density_profile
-
         spec = two_sided_congestion_channel()
-        profile = channel_density_profile(spec)
+        profile = spec.density_profile()
         middle = max(profile[2:6])
         assert middle == spec.density
         assert profile[0] < middle

@@ -7,7 +7,7 @@ from repro.core.decompose import decompose_problem
 from repro.geometry import Rect, RectilinearRegion
 from repro.grid import Layer
 from repro.netlist import Net, Pin, ProblemError, RoutingProblem
-from repro.netlist.problem import Obstacle, problem_from_pin_table
+from repro.netlist.problem import Obstacle
 
 
 def two_net_problem():
@@ -30,6 +30,18 @@ class TestValidation:
     def test_pin_outside_grid(self):
         with pytest.raises(ProblemError):
             RoutingProblem(4, 4, nets=[Net("a", (Pin(4, 0), Pin(0, 0)))])
+
+    def test_grid_the_search_cannot_index(self):
+        """The limit is the search's own: 2 * width * height nodes must
+        fit the packed key's index field, which ``find_path_flat`` checks
+        for grids built directly.  2 * 47 * 178481 is the largest node
+        count that fits (INDEX_MASK = 2**24 - 1 is odd)."""
+        from repro.maze.kernels.pure import INDEX_MASK
+
+        assert 2 * 47 * 178481 == INDEX_MASK - 1
+        RoutingProblem(47, 178481)
+        with pytest.raises(ProblemError, match="search indexes"):
+            RoutingProblem(47, 178482)
 
     def test_duplicate_net_names(self):
         with pytest.raises(ProblemError):
@@ -170,19 +182,3 @@ class TestBuildGrid:
         )
         grid = problem.build_grid()
         assert grid.is_obstacle((4, 4, 0))
-
-
-class TestPinTableBuilder:
-    def test_groups_by_first_appearance(self):
-        problem = problem_from_pin_table(
-            "p",
-            5,
-            5,
-            [
-                ("x", 0, 0, Layer.VERTICAL),
-                ("y", 1, 1, Layer.VERTICAL),
-                ("x", 2, 2, Layer.VERTICAL),
-            ],
-        )
-        assert problem.net_id("x") == 1
-        assert problem.net_by_id(1).pin_count == 2

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Rect, Segment
+from repro.geometry import Point, Rect
 from repro.grid import FREE, GridPath, Layer, RoutingGrid
 
 
@@ -24,36 +24,6 @@ def test_manhattan_symmetric_and_triangle(a, b):
 @given(points, points, points)
 def test_manhattan_triangle_inequality(a, b, c):
     assert a.manhattan_to(c) <= a.manhattan_to(b) + b.manhattan_to(c)
-
-
-segments = st.builds(
-    lambda x0, y0, length, horizontal: Segment(
-        Point(x0, y0),
-        Point(x0 + length, y0) if horizontal else Point(x0, y0 + length),
-    ),
-    st.integers(-20, 20),
-    st.integers(-20, 20),
-    st.integers(0, 15),
-    st.booleans(),
-)
-
-
-@given(segments, segments)
-def test_segment_intersection_symmetric(a, b):
-    assert a.intersection(b) == b.intersection(a)
-
-
-@given(segments)
-def test_segment_self_intersection(a):
-    assert a.intersection(a) == a
-
-
-@given(segments, segments)
-def test_intersection_contained_in_both(a, b):
-    overlap = a.intersection(b)
-    if overlap is not None:
-        for point in overlap.points():
-            assert a.contains(point) and b.contains(point)
 
 
 rects = st.builds(

@@ -1,4 +1,4 @@
-"""Property-based tests for the improvement phase and compaction."""
+"""Property-based tests for the improvement phase."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

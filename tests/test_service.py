@@ -40,6 +40,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service import protocol
+from tests.test_cli import MALFORMED_PROBLEMS, UNINDEXABLE_PROBLEM
 
 
 def box_payload():
@@ -186,6 +187,27 @@ class TestSubmitOptions:
         assert response["error"]["kind"] == "input"
         assert response["error"]["exit_code"] == 2
         assert next(iter(options)) in response["error"]["message"]
+        # the daemon keeps serving
+        served = client.submit(box_payload(), no_cache=True)
+        assert served["result"]["status"] == "complete"
+
+
+class TestMalformedProblems:
+    @pytest.mark.parametrize(
+        "payload",
+        [*MALFORMED_PROBLEMS.values(), UNINDEXABLE_PROBLEM],
+        ids=[*MALFORMED_PROBLEMS, "unindexable-grid"],
+    )
+    def test_refused_as_input(self, shared_service, payload):
+        """The front door refuses the payload as the client's error (exit
+        2): no ``service crashed`` engine error, no worker building a
+        grid the search cannot index."""
+        _service, client, _outcome = shared_service
+        response = client.request({"op": "submit", "problem": payload})
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "input"
+        assert response["error"]["exit_code"] == 2
+        assert "malformed problem payload" in response["error"]["message"]
         # the daemon keeps serving
         served = client.submit(box_payload(), no_cache=True)
         assert served["result"]["status"] == "complete"

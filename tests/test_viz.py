@@ -6,7 +6,7 @@ from repro.netlist.instances import (
     obstacle_region_problem,
     small_switchbox,
 )
-from repro.viz import render_grid, render_layers, svg_from_grid, svg_from_result
+from repro.viz import render_grid, svg_from_grid, svg_from_result
 from repro.viz.ascii_art import net_label
 
 
@@ -50,14 +50,6 @@ class TestAsciiRenderer:
         problem = obstacle_region_problem()
         art = render_grid(problem, problem.build_grid())
         assert "#" in art
-
-    def test_layer_panels(self):
-        problem = small_switchbox().to_problem()
-        result = route_problem(problem)
-        panels = render_layers(problem, result.grid)
-        assert "HORIZONTAL" in panels and "VERTICAL" in panels
-        # one header + height rows
-        assert len(panels.splitlines()) == problem.height + 1
 
 
 class TestSvgRenderer:
