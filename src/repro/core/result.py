@@ -56,9 +56,10 @@ class RouteStats:
     searches: int = 0
     #: Nodes A* popped and relaxed, summed over every search.
     expansions: int = 0
-    #: Nodes the target-side floods popped before A* ran, summed over the
-    #: hard and the conflict (soft) searches alike
-    #: (:func:`repro.maze.astar.find_path_flat`).  Kept apart from
+    #: Nodes the backward searches from the targets settled before A*
+    #: ran, summed over the hard and the conflict (soft) searches alike
+    #: (:func:`repro.maze.astar.find_path_flat`).  The name is kept from
+    #: the target-side flood those searches replaced.  Kept apart from
     #: ``expansions``, which counts A* work only.
     flood_visits: int = 0
     peak_journal_depth: int = 0

@@ -107,29 +107,34 @@ class _CPlanes:
     plane set, so a kernel call hands C plain ints and builds no array of
     its own.  ``target`` is a zeroed byte mask; kernels that use it must
     restore it to all-zero before returning (set/clear the few target
-    indices, not a full memset).  ``path`` is an int32 buffer big enough
-    for any simple path (one entry per node), which the A* kernel's
-    target-side flood also uses as its queue, and ``out`` receives the
-    kernel's scalar results.  :meth:`cost_rows` keeps the int64 axis-cost
+    indices, not a full memset).  ``excess`` holds the keys of the A*
+    kernel's backward search, read only where that search marked the
+    target mask.  ``path`` is an int32 buffer big enough for any simple
+    path (one entry per node), which the backward search also uses to
+    list the nodes it marked, and ``out`` receives the kernel's scalar
+    results.  :meth:`cost_rows` keeps the int64 axis-cost
     rows of every cost table searched on these planes.
     """
 
     __slots__ = (
-        "best_addr", "parent_addr", "stamp_addr", "target", "target_addr",
-        "path", "path_addr", "out", "out_addr", "_buffers", "_rows",
+        "best_addr", "parent_addr", "stamp_addr", "excess_addr", "target",
+        "target_addr", "path", "path_addr", "out", "out_addr", "_buffers",
+        "_rows",
     )
 
     def __init__(self, n_nodes: int) -> None:
         best = array("q", bytes(8 * n_nodes))
         parent = array("i", [-1]) * n_nodes
         stamp = array("q", bytes(8 * n_nodes))
+        excess = array("q", bytes(8 * n_nodes))
         self.target = array("B", bytes(n_nodes))
         self.path = array("i", bytes(4 * n_nodes))
         self.out = array("q", bytes(8 * 4))
-        self._buffers = (best, parent, stamp)
+        self._buffers = (best, parent, stamp, excess)
         self.best_addr = best.buffer_info()[0]
         self.parent_addr = parent.buffer_info()[0]
         self.stamp_addr = stamp.buffer_info()[0]
+        self.excess_addr = excess.buffer_info()[0]
         self.target_addr = self.target.buffer_info()[0]
         self.path_addr = self.path.buffer_info()[0]
         self.out_addr = self.out.buffer_info()[0]

@@ -57,17 +57,17 @@ class SearchResult:
 
     path: Optional[GridPath]
     cost: int = 0
-    #: Nodes A* popped and relaxed; 0 when the target-side flood proved
-    #: that no path exists.
+    #: Nodes A* popped and relaxed; 0 when the backward search from the
+    #: targets proved that no path exists.
     expansions: int = 0
     #: The foreign nodes the walk occupies, as ``(x, y, layer)``; filled
     #: by :func:`find_path` (the flat entry leaves it empty).
     conflict_nodes: List[Node] = field(default_factory=list)
     #: Flat ids of the foreign nodes the walk occupies, in path order.
     conflict_ids: List[int] = field(default_factory=list)
-    #: Nodes the target-side flood popped before A* (see
+    #: Nodes the backward search from the targets settled before A* (see
     #: :func:`find_path_flat`), in a hard or a conflict search; 0 when
-    #: no flood ran.
+    #: none ran.
     flood_visits: int = 0
 
     @property
@@ -182,19 +182,20 @@ def find_path_flat(
 
     A search whose sources and targets are all copper of ``net_id``,
     with no source among at most
-    :data:`~repro.maze.kernels.pure.FLOOD_CAP` targets, first floods the
-    target side over free cells; a conflict search does so only when
-    ``via_cost > 0``, so that every move costs at least 1.  When the
-    flood closes without touching other copper of the net, the targets
-    sit in a pocket walled in by obstacles and other nets' cells.  A
-    hard search then returns no path after zero expansions.  A conflict
-    search must cross a wall cell to get in: with none it may cross,
-    it returns no path after zero expansions, and otherwise it adds the
-    cheapest crossing to the heuristic of every node beyond the pocket
-    and its wall.  It returns the same path, cost and conflicts as
-    without the bound, in fewer or as many expansions (ALGORITHM.md §2).
-    When the flood gives up, A* runs exactly as without it.
-    ``flood_visits`` counts the flood's work either way.
+    :data:`~repro.maze.kernels.pure.FLOOD_CAP` targets, first searches
+    backwards from the targets; a conflict search does so only when
+    ``via_cost > 0``.  That Dijkstra runs on reduced costs, a move's
+    cost minus the fall in the heuristic, so it settles nodes in order
+    of their exact excess over the heuristic, and it stops at the first
+    settled source or after :data:`~repro.maze.kernels.pure.SETTLE_CAP`
+    settled nodes.  When it drains first, no source reaches a target,
+    and the search returns no path after zero expansions.  Otherwise,
+    when ``via_cost > 0``, A* adds to the heuristic each settled node's
+    excess and the smallest open key everywhere else.  That heuristic is
+    still consistent, so the search returns the same path, cost and
+    conflicts as without it, in fewer or as many expansions
+    (ALGORITHM.md §2).  ``flood_visits`` counts the nodes the backward
+    search settled.
 
     A* needs no expansion cap.  Its heuristic is consistent: a step
     changes the Manhattan distance to the target box by at most one and

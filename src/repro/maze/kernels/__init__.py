@@ -20,7 +20,7 @@ edges.  Two backends ship:
 
 Every backend is bit-identical to ``pure`` by contract: same paths, same
 costs, same expansion and flood-visit counts, same conflict nodes, the
-target-side flood and a conflict search's pocket bound included.  The
+backward search from the targets and the bound it gives A* included.  The
 differential parity suite (``tests/test_kernel_parity.py``) and the
 benchmark counter gate (``repro bench --compare BASELINE``, every case's
 counters equal) enforce this, so switching backends changes wall time

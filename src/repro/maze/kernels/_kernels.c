@@ -150,92 +150,111 @@ static inline int64_t box_distance(int64_t x, int64_t y, int64_t tx0,
     return dx + dy;
 }
 
-/* Mirror of flood_pocket in pure.py: flood from the seeds over free
- * cells, giving up at the (cap+1)-th free cell or at copper of net_id
- * that is not a seed.  Bit 1 of target[] marks the goals, and the
- * caller's seeds are the targets; the flood sets bit 2 on every node it
- * holds, the seeds included, and keeps them in queue (n_nodes entries
- * suffice: each node is entered once).  *visits counts the nodes
- * popped.  Returns the pocket's size, queue[0, size), when the queue
- * drains first, and leaves its marks for the caller to clear; returns 0
- * when the flood gives up, and clears them itself.
+/* Mirror of backward_search in pure.py: Dijkstra from the seeds on
+ * reduced costs, keyed (E, index).  Bit 1 of target[] marks the goals,
+ * and the caller has set bit 8 on every source.  The search sets bit 4
+ * on every node it gives an open key, keeps that key in excess[] and
+ * the node in touched[] (*n_touched entries; a node enters once), and
+ * sets bit 2 when it settles the node, whose exact excess excess[] then
+ * holds.  *visits counts the settled nodes.  Returns ST_NOPATH when no
+ * open key is left and no source was settled; ST_NOMEM when the heap
+ * cannot grow; else ST_FOUND with *rest the smallest open key, or the
+ * last excess when none is left, or 0 when a walk would reach G_LIMIT.
+ * The caller clears the marks.
  */
-static int64_t flood_pocket(const int32_t *occ, int64_t width,
-                            int64_t height, int64_t net_id, uint8_t *target,
-                            const int64_t *seeds, int64_t n_seeds,
-                            int64_t cap, int32_t *queue, int64_t *visits)
+static int64_t backward_search(
+    const int32_t *occ, const int32_t *pin, int64_t width, int64_t height,
+    int64_t net_id, int64_t allow_conflicts,
+    const uint8_t *frozen, int64_t frozen_len,
+    const int64_t *penalties, int64_t pen_len,
+    const int64_t *row0, const int64_t *row1,
+    int64_t step, int64_t base_penalty,
+    int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
+    uint8_t *target, const int64_t *seeds, int64_t n_seeds, int64_t cap,
+    int64_t *excess, heap_t *heap, int32_t *touched, int64_t *n_touched,
+    int64_t *visits, int64_t *rest)
 {
-    int64_t head = 0, tail = 0;
-    int closed = 1;
+    int64_t plane = width * height;
+    int64_t e = 0;
+    int reached = 0;
 
     for (int64_t i = 0; i < n_seeds; i++) {
-        target[seeds[i]] |= 2;
-        queue[tail++] = (int32_t)seeds[i];
+        int64_t idx = seeds[i];
+        target[idx] |= 4;
+        excess[idx] = 0;
+        touched[(*n_touched)++] = (int32_t)idx;
+        if (!heap_push(heap, (hkey_t)idx))
+            return ST_NOMEM;
     }
-    while (closed && head < tail) {
-        int64_t succs[5];
-        int nmov = successors(queue[head++], width, height, succs);
+    while (heap->n > 0) {
+        hkey_t entry = heap_pop(heap);
+        int64_t index = (int64_t)(entry & (hkey_t)INDEX_MASK);
+        e = (int64_t)(entry >> G_SHIFT);
+        if ((target[index] & 2) || excess[index] != e)
+            continue; /* stale entry */
+        target[index] |= 2;
+        (*visits)++;
+        int64_t owner = occ[index];
+        int64_t extra = 0;
+        if (owner != CELL_FREE && owner != net_id)
+            extra = base_penalty + (owner < pen_len ? penalties[owner] : 0);
+        int64_t layer = index >= plane;
+        int64_t y = (index - layer * plane) / width;
+        int64_t x = index - layer * plane - y * width;
+        /* e + h(index) is a settled node's walk cost, below G_LIMIT. */
+        int64_t reach = e + box_distance(x, y, tx0, tx1, ty0, ty1) * step;
+        const int64_t *row = layer ? row1 : row0;
+        int64_t preds[5], axes[5], pxs[5], pys[5];
+        int nmov = moves(index, width, height, preds, axes, pxs, pys);
         for (int m = 0; m < nmov; m++) {
-            int64_t succ = succs[m];
-            if (target[succ] & 2)
+            int64_t pred = preds[m];
+            if (target[pred] & 2)
                 continue;
-            int64_t owner = occ[succ];
-            if (owner == CELL_FREE) {
-                if (tail - n_seeds == cap) {
-                    closed = 0;
-                    break;
-                }
-                target[succ] |= 2;
-                queue[tail++] = (int32_t)succ;
-            } else if (owner == net_id) {
-                closed = 0;
-                break;
+            int64_t pown = occ[pred];
+            if (pown != CELL_FREE && pown != net_id
+                && (pown == CELL_OBSTACLE || !allow_conflicts
+                    || (pown < frozen_len && frozen[pown]) || pin[pred]))
+                continue;
+            if (extra >= G_LIMIT - reach
+                || row[axes[m]] >= G_LIMIT - reach - extra) {
+                *rest = 0;
+                return ST_FOUND;
             }
+            int64_t key = reach + extra + row[axes[m]]
+                          - box_distance(pxs[m], pys[m], tx0, tx1, ty0, ty1)
+                                * step;
+            if (target[pred] & 4) {
+                if (excess[pred] <= key)
+                    continue;
+            } else {
+                target[pred] |= 4;
+                touched[(*n_touched)++] = (int32_t)pred;
+            }
+            excess[pred] = key;
+            if (!heap_push(heap, ((hkey_t)key << G_SHIFT) | (hkey_t)pred))
+                return ST_NOMEM;
         }
-    }
-    *visits = head;
-    if (closed)
-        return tail;
-    for (int64_t i = 0; i < tail; i++)
-        target[queue[i]] &= 1;
-    return 0;
-}
-
-/* Mirror of pocket_bound in pure.py: mark the neighbour ring of the
- * pocket queue[0, *marked) with bit 2 of target[] and append it to the
- * queue, growing *marked by its size.  Returns the least extra cost of
- * entering a crossable ring cell, or -1 when no ring cell is crossable.
- */
-static int64_t pocket_bound(const int32_t *occ, const int32_t *pin,
-                            int64_t width, int64_t height, uint8_t *target,
-                            const uint8_t *frozen, int64_t frozen_len,
-                            const int64_t *penalties, int64_t pen_len,
-                            int64_t base_penalty, int32_t *queue,
-                            int64_t *marked)
-{
-    int64_t pocket = *marked;
-    int64_t bound = -1;
-
-    for (int64_t i = 0; i < pocket; i++) {
-        int64_t succs[5];
-        int nmov = successors(queue[i], width, height, succs);
-        for (int m = 0; m < nmov; m++) {
-            int64_t succ = succs[m];
-            if (target[succ] & 2)
-                continue;
-            target[succ] |= 2;
-            queue[(*marked)++] = (int32_t)succ;
-            int64_t owner = occ[succ];
-            if (owner == CELL_OBSTACLE
-                || (owner < frozen_len && frozen[owner]) || pin[succ])
-                continue;
-            int64_t extra = base_penalty
-                            + (owner < pen_len ? penalties[owner] : 0);
-            if (bound < 0 || extra < bound)
-                bound = extra;
+        if (target[index] & 8) {
+            reached = 1;
+            break;
         }
+        if (*visits == cap)
+            break;
     }
-    return bound;
+    while (heap->n > 0) {
+        hkey_t top = heap->a[0];
+        int64_t index = (int64_t)(top & (hkey_t)INDEX_MASK);
+        int64_t key = (int64_t)(top >> G_SHIFT);
+        if (!(target[index] & 2) && excess[index] == key) {
+            *rest = key;
+            return ST_FOUND;
+        }
+        heap_pop(heap);
+    }
+    if (!reached)
+        return ST_NOPATH;
+    *rest = e;
+    return ST_FOUND;
 }
 
 /* Mirror of min_key_backtrack in pure.py: the goal→source chain (the
@@ -289,14 +308,16 @@ static int64_t min_key_backtrack(
 /* out[0] = goal cost (or overflowing g on ST_OVERFLOW)
  * out[1] = expansions
  * out[2] = path length (goal-first; caller reverses)
- * out[3] = flood visits
+ * out[3] = flood visits (nodes the backward search settled)
  *
- * n_seeds > 0 asks for the target-side flood first (see flood_pocket).
- * A closed flood ends a hard search with no path; a conflict search
- * prices the pocket's ring (pocket_bound) and, when some ring cell is
- * crossable, adds that bound to the heuristic of every node without
- * bit 2, reading its path with min_key_backtrack.  The marks are
- * cleared before the path is written over the flood's queue.
+ * n_seeds > 0 asks for the backward search first (see
+ * backward_search).  When it proves that no source reaches a target,
+ * the search ends with no path.  Otherwise, when via_cost > 0 and rest
+ * > 0, A* adds excess[] to the heuristic of every node with bit 2 and
+ * rest to every other node's, and reads its path with
+ * min_key_backtrack: the bound costs a search without it one test per
+ * push.  The marks are cleared before the path is written over the
+ * touched list.
  */
 int64_t repro_astar(
     const int32_t *occ, const int32_t *pin,
@@ -306,8 +327,8 @@ int64_t repro_astar(
     const int64_t *penalties, int64_t pen_len,
     const int64_t *row0, const int64_t *row1,
     int64_t step, int64_t base_penalty,
-    uint8_t *target,
-    const int64_t *seeds, int64_t n_seeds, int64_t flood_cap,
+    uint8_t *target, int64_t *excess,
+    const int64_t *seeds, int64_t n_seeds, int64_t settle_cap,
     int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
     const int64_t *src_idx, const int64_t *src_h, int64_t n_src,
     int64_t *best, int32_t *parent, int64_t *stamp, int64_t gen,
@@ -319,21 +340,26 @@ int64_t repro_astar(
     int64_t goal = -1;
     int64_t goal_cost = 0;
     int64_t status = ST_NOPATH;
-    /* Queue entries of path_out with bit 2 set, and the least a walk
-     * from outside them pays to enter the ring: 0 leaves A* plain. */
-    int64_t marked = 0;
-    int64_t bound = 0;
+    /* Nodes the backward search marked, listed in path_out, and what a
+     * node it did not settle adds to the heuristic: 0 leaves A* plain. */
+    int64_t touched = 0;
+    int64_t rest = 0;
 
     out[3] = 0;
     if (n_seeds > 0) {
-        marked = flood_pocket(occ, width, height, net_id, target, seeds,
-                              n_seeds, flood_cap, path_out, &out[3]);
-        if (marked && allow_conflicts)
-            bound = pocket_bound(occ, pin, width, height, target, frozen,
-                                 frozen_len, penalties, pen_len,
-                                 base_penalty, path_out, &marked);
-        if (marked && (!allow_conflicts || bound < 0))
+        for (int64_t i = 0; i < n_src; i++)
+            target[src_idx[i]] |= 8;
+        status = backward_search(
+            occ, pin, width, height, net_id, allow_conflicts, frozen,
+            frozen_len, penalties, pen_len, row0, row1, step, base_penalty,
+            tx0, tx1, ty0, ty1, target, seeds, n_seeds, settle_cap, excess,
+            &heap, path_out, &touched, &out[3], &rest);
+        if (status != ST_FOUND)
             goto done;
+        status = ST_NOPATH;
+        heap.n = 0;
+        if (row0[2] == 0) /* a free via: the bound needs positive moves */
+            rest = 0;
     }
 
     for (int64_t i = 0; i < n_src; i++) {
@@ -343,8 +369,8 @@ int64_t repro_astar(
             best[idx] = 0;
             parent[idx] = -1;
             int64_t h = src_h[i];
-            if (bound > 0 && !(target[idx] & 2))
-                h += bound;
+            if (rest > 0)
+                h += (target[idx] & 2) ? excess[idx] : rest;
             if (!heap_push(&heap, ((hkey_t)h << F_SHIFT) | (hkey_t)idx)) {
                 status = ST_NOMEM;
                 goto done;
@@ -398,8 +424,8 @@ int64_t repro_astar(
             int64_t f = new_g
                         + box_distance(sxs[m], sys[m], tx0, tx1, ty0, ty1)
                               * step;
-            if (bound > 0 && !(target[succ] & 2))
-                f += bound;
+            if (rest > 0)
+                f += (target[succ] & 2) ? excess[succ] : rest;
             hkey_t key = ((hkey_t)f << F_SHIFT) | ((hkey_t)new_g << G_SHIFT)
                          | (hkey_t)succ;
             if (!heap_push(&heap, key)) {
@@ -410,8 +436,12 @@ int64_t repro_astar(
     }
 
 done:
-    for (int64_t i = 0; i < marked; i++)
-        target[path_out[i]] &= 1;
+    if (n_seeds > 0) {
+        for (int64_t i = 0; i < touched; i++)
+            target[path_out[i]] &= 1;
+        for (int64_t i = 0; i < n_src; i++)
+            target[src_idx[i]] &= 1;
+    }
     free(heap.a);
     out[1] = expansions;
     if (status == ST_NOPATH) {
@@ -419,7 +449,7 @@ done:
         out[2] = 0;
     } else if (status == ST_FOUND) {
         out[0] = goal_cost;
-        out[2] = bound > 0
+        out[2] = rest > 0
             ? min_key_backtrack(occ, width, height, net_id, penalties,
                                 pen_len, row0, row1, step, base_penalty,
                                 tx0, tx1, ty0, ty1, best, stamp, gen, goal,

@@ -27,18 +27,19 @@ thread's planes whose addresses were taken once per plane set
 (:class:`~repro.maze.arena._CPlanes`), and the axis-cost rows are cached
 there per cost table.  Per call this module only packs the sources into
 two int64 ``array`` buffers and flips target-mask bytes; a search with
-flood seeds packs them into a third, at most
-:data:`~repro.maze.kernels.pure.FLOOD_CAP` long, and passes that cap.  A
-conflict search also builds the dense frozen/penalty tables, which
-index by *net id*, guarded in C by their lengths, so sparse dict
-lookups become branchless loads in the hot loop; the ring pricing of a
-closed flood reads them too.  The flood reuses the path buffer as its
-queue and bit 2 of the target mask (bit 1 marks the goals) as its
-visited set; a conflict search keeps that bit on the pocket and its
-ring while A* runs, to tell which nodes carry the bound, and clears it
-before the path is written over the queue.  So the flood allocates
-nothing.  A found path is sliced straight out of the path buffer.  No
-numpy array is built on any call.
+seeds packs them into a third, at most
+:data:`~repro.maze.kernels.pure.FLOOD_CAP` long, and passes
+:data:`~repro.maze.kernels.pure.SETTLE_CAP`.  A conflict search also
+builds the dense frozen/penalty tables, which index by *net id*, guarded
+in C by their lengths, so sparse dict lookups become branchless loads in
+the hot loop; the backward search reads them too.  That search marks
+the sources, its open and its settled nodes in bits 8, 4 and 2 of the
+target mask (bit 1 marks the goals), keeps its keys in the planes'
+``excess`` plane, lists the nodes it touched in the path buffer, and
+grows the heap A* then reuses; its marks are cleared before the path
+is written over that list, so it allocates nothing else.  A found path
+is sliced straight out of the path buffer.  No numpy array is built on
+any call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import tempfile
 from array import array
 from typing import Optional, Sequence, Tuple
 
-from repro.maze.kernels.pure import FLOOD_CAP, g_overflow_error
+from repro.maze.kernels.pure import SETTLE_CAP, g_overflow_error
 
 __all__ = ["astar_search", "lee_search"]
 
@@ -114,8 +115,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         p, i,              # penalties, pen_len
         p, p,              # row0, row1
         i, i,              # step, base_penalty
-        p,                 # target mask
-        p, i, i,           # seeds, n_seeds, flood_cap
+        p, p,              # target mask, excess
+        p, i, i,           # seeds, n_seeds, settle_cap
         i, i, i, i,        # tx0, tx1, ty0, ty1
         p, p, i,           # src_idx, src_h, n_src
         p, p, p, i,        # best, parent, stamp, gen
@@ -211,8 +212,8 @@ def astar_search(
             penalties.buffer_info()[0], len(penalties),
             row0, row1,
             model.step_cost, model.conflict_penalty,
-            c.target_addr,
-            seeds.buffer_info()[0], len(seeds), FLOOD_CAP,
+            c.target_addr, c.excess_addr,
+            seeds.buffer_info()[0], len(seeds), SETTLE_CAP,
             tx0, tx1, ty0, ty1,
             src_idx.buffer_info()[0], src_h.buffer_info()[0], len(src_idx),
             c.best_addr, c.parent_addr, c.stamp_addr, gen,

@@ -1,8 +1,8 @@
 """The reference pure-python search kernels.
 
 These are the original inner loops of :mod:`repro.maze.astar` and
-:mod:`repro.maze.lee`, plus the A* search's target-side flood and
-pocket bound — every other backend is defined as "bit-identical to this
+:mod:`repro.maze.lee`, plus the A* search's backward search from the
+targets — every other backend is defined as "bit-identical to this
 one".  The wrappers own validation and result shaping; the kernels see
 only well-formed queries and speak flat node indices.
 
@@ -17,25 +17,24 @@ allow_conflicts, frozen_nets, net_penalties, planes, gen)``
     thread's scratch planes for this grid shape
     (:func:`~repro.maze.arena.thread_planes`) with ``gen`` the fresh
     generation stamp.  ``seeds`` is empty, or the distinct targets in
-    ascending order when the caller has checked that a target-side
-    flood may be used: every source and target is copper of ``net_id``,
-    no source is a target, there are at most :data:`FLOOD_CAP` targets,
-    and a conflict search has ``via_cost > 0``, so every move costs at
-    least 1.  The kernel then first floods from the seeds
-    (:func:`flood_pocket`).  When the flood closes, a hard search
-    returns no path with zero expansions.  A conflict search prices the
-    pocket's neighbour ring (:func:`pocket_bound`): with no crossable
-    ring cell it returns no path with zero expansions, and otherwise it
-    adds the cheapest ring entry to the heuristic of every node outside
-    the pocket and ring and reads its path with
-    :func:`min_key_backtrack`.  That returns the path, cost and goal of
-    the search without the bound, in fewer or as many expansions.
-    Otherwise, and whenever ``seeds`` is empty, A* runs as if no flood
-    had happened: the flood writes none of the planes.  Returns
+    ascending order when the caller has checked that a backward search
+    may be used: every source and target is copper of ``net_id``, no
+    source is a target, there are at most :data:`FLOOD_CAP` targets, and
+    a conflict search has ``via_cost > 0``.  The kernel then first runs
+    :func:`backward_search` from the seeds.  When it drains without
+    settling a source, the search returns no path with zero expansions.
+    Otherwise, when ``via_cost > 0`` and the smallest open key ``rest``
+    is positive, A* adds to the heuristic of every node its exact excess
+    ``E`` where the backward search settled it, and ``rest`` elsewhere,
+    and reads its path with :func:`min_key_backtrack`.  That returns the
+    path, cost and goal of the search without the bound, in fewer or as
+    many expansions (ALGORITHM.md §2).  Otherwise, and whenever
+    ``seeds`` is empty, A* runs as if no backward search had happened:
+    that search writes none of the planes A* reads.  Returns
     ``(goal_cost, expansions, flood_visits, indices)`` where ``indices``
-    is the source→goal flat-index path or ``None``, ``expansions``
-    counts A* pops and ``flood_visits`` the nodes the flood popped.  A*
-    runs until it reaches a target or its frontier drains, so ``None``
+    is the source→goal flat-index path or ``None``, ``expansions`` counts
+    A* pops and ``flood_visits`` the nodes the backward search settled.
+    A* runs until it reaches a target or its frontier drains, so ``None``
     is always a proof that no path exists.  Raises :class:`ValueError`
     when a relaxed cost overflows the packed heap-key g field.
 
@@ -62,10 +61,13 @@ INDEX_MASK = (1 << G_SHIFT) - 1
 FIELD_MASK = (1 << (F_SHIFT - G_SHIFT)) - 1
 G_LIMIT = 1 << (F_SHIFT - G_SHIFT)
 
-#: The most targets a search floods from, and the most free cells that
-#: flood may enter before it gives up and leaves the answer to A*.
-#: Both backends read this one value.
+#: The most targets a search runs its backward search from.
 FLOOD_CAP = 16
+
+#: The most nodes the backward search settles before it stops and
+#: leaves every node it has not settled its smallest open key.  Both
+#: backends read this one value.
+SETTLE_CAP = 32
 
 
 def g_overflow_error(new_g: int) -> ValueError:
@@ -84,72 +86,85 @@ def backtrack(parent, goal: int) -> List[int]:
     return indices
 
 
-def flood_pocket(
-    occ, nbrs, net_id: int, seeds, cap: int
-) -> Tuple[Optional[List[int]], int]:
-    """Flood from ``seeds`` over free cells; ``(pocket, visits)``.
+def backward_search(
+    occ, pin, nbrs, width: int, plane: int, rows, net_id: int, seeds,
+    sources, allow_conflicts: bool, frozen, base_penalty: int,
+    penalties_get, bbox: Tuple[int, int, int, int], step: int, cap: int,
+) -> Tuple[dict, Optional[int], int]:
+    """Dijkstra from ``seeds`` towards the sources on reduced costs.
 
-    The flood enters free cells in breadth-first order, the seeds first
-    and each node's moves in neighbour-table order.  It gives up when it
-    would enter a free cell past the ``cap``-th, or when it touches
-    copper of ``net_id`` that is not a seed; other cells are walls.
-    ``pocket`` is the seeds and the free cells entered when the queue
-    drains first, else None.  ``visits`` counts the nodes popped, the
-    one that gave up included.
-
-    A hard search moves between free and own cells only, and a move is
-    legal both ways, so a path from a source would be a path from a
-    seed.  Every source is own copper and no seed, so a closed flood
-    proves that no source reaches a target.
+    A move ``u → v`` costs what A* pays for it, and its reduced cost is
+    that minus ``h(u) - h(v)``, never negative because the heuristic
+    ``h`` is consistent.  So the search settles nodes in order of their
+    exact excess ``E(u) = d(u) - h(u)``, where ``d(u)`` is the cheapest
+    walk from ``u`` to a seed, by the ``(E, index)`` key.  It enters the
+    cells A* may enter and relaxes every move into a node it settles.
+    It stops after the node that makes ``cap`` settled nodes or the
+    first settled source.  Returns ``(excess, rest, visits)``:
+    ``excess`` maps every settled node to ``E``, ``visits`` counts them,
+    and ``rest`` is the smallest key left open.  It is the last ``E``
+    when no open key is left and a source was settled, and None when
+    none is left and no source was: a proof that no source reaches a
+    seed.  When a walk would cost ``G_LIMIT`` or more the search stops
+    with ``({}, 0, visits)``, which leaves A* plain.
     """
-    seen = set(seeds)
-    queue = list(seeds)
-    head = 0
-    while head < len(queue):
-        index = queue[head]
-        head += 1
-        for succ, _axis, _sx, _sy in nbrs[index]:
-            if succ in seen:
-                continue
-            owner = occ[succ]
-            if owner == FREE:
-                if len(queue) - len(seeds) == cap:
-                    return None, head
-                seen.add(succ)
-                queue.append(succ)
-            elif owner == net_id:
-                return None, head
-    return queue, head
-
-
-def pocket_bound(
-    occ, pin, nbrs, pocket, frozen, base_penalty: int, penalties_get
-) -> Tuple[set, Optional[int]]:
-    """The pocket with its ring, and the cheapest crossing of the ring.
-
-    Returns ``(near, bound)``: ``near`` holds the pocket of a closed
-    flood and every cell next to it (the ring), and ``bound`` is the
-    least extra cost a conflict search pays to enter a ring cell it may
-    cross, or None when it may cross none.  The ring holds only
-    obstacles and other nets' cells: the flood entered every free cell
-    next to the pocket and gave up at own copper outside the seeds.
-    Every source lies outside the pocket and ring, so a walk from a
-    source to a target enters a ring cell on its way in.
-    """
-    near = set(pocket)
-    bound = None
-    for index in pocket:
-        for succ, _axis, _sx, _sy in nbrs[index]:
-            if succ in near:
-                continue
-            near.add(succ)
-            owner = occ[succ]
-            if owner == OBSTACLE or owner in frozen or pin[succ] != 0:
-                continue
+    tx0, tx1, ty0, ty1 = bbox
+    excess: dict = {}
+    open_keys = dict.fromkeys(seeds, 0)
+    heap = list(seeds)  # ascending ids with key 0: already a heap
+    visits = 0
+    reached = False
+    e = 0
+    while heap:
+        entry = heappop(heap)
+        index = entry & INDEX_MASK
+        e = entry >> G_SHIFT
+        if index in excess or open_keys[index] != e:
+            continue  # stale entry
+        excess[index] = e
+        visits += 1
+        owner = occ[index]
+        if owner == FREE or owner == net_id:
+            extra = 0
+        else:
             extra = base_penalty + penalties_get(owner, 0)
-            if bound is None or extra < bound:
-                bound = extra
-    return near, bound
+        x = index % width
+        y = index % plane // width
+        dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
+        dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
+        reach = e + (dx + dy) * step + extra
+        row = rows[0] if index < plane else rows[1]
+        for pred, axis, px, py in nbrs[index]:
+            if pred in excess:
+                continue
+            owner = occ[pred]
+            if owner != FREE and owner != net_id and (
+                owner == OBSTACLE or not allow_conflicts
+                or owner in frozen or pin[pred] != 0
+            ):
+                continue
+            d = reach + row[axis]
+            if d >= G_LIMIT:
+                return {}, 0, visits
+            dx = (tx0 - px) if px < tx0 else (px - tx1) if px > tx1 else 0
+            dy = (ty0 - py) if py < ty0 else (py - ty1) if py > ty1 else 0
+            key = d - (dx + dy) * step
+            if open_keys.get(pred, key + 1) <= key:
+                continue
+            open_keys[pred] = key
+            heappush(heap, (key << G_SHIFT) | pred)
+        if index in sources:
+            reached = True
+            break
+        if visits == cap:
+            break
+    while heap:
+        entry = heap[0]
+        index = entry & INDEX_MASK
+        if index not in excess and open_keys[index] == entry >> G_SHIFT:
+            return excess, entry >> G_SHIFT, visits
+        heappop(heap)
+    return excess, (e if reached else None), visits
 
 
 def min_key_backtrack(
@@ -201,7 +216,7 @@ def astar_search(
     net_id: int,
     sources,  # ordered [(index, h)] — validated, deduplication is ours
     target_idx,  # set of goal indices
-    seeds,  # ascending distinct targets to flood from, or empty
+    seeds,  # ascending distinct targets to search back from, or empty
     bbox: Tuple[int, int, int, int],
     model,
     allow_conflicts: bool,
@@ -223,28 +238,27 @@ def astar_search(
     base_penalty = model.conflict_penalty
     penalties_get = net_penalties.get
     frozen = frozen_nets
-    flood_visits = 0
-    # A closed flood's pocket and ring, and the least a walk from
-    # outside them pays to enter the ring: 0 leaves A* plain.
-    near = ()
-    bound = 0
-    if seeds:
-        pocket, flood_visits = flood_pocket(
-            occ, nbrs, net_id, seeds, FLOOD_CAP
-        )
-        if pocket is not None:
-            if not allow_conflicts:
-                return 0, 0, flood_visits, None
-            near, bound = pocket_bound(
-                occ, pin, nbrs, pocket, frozen, base_penalty, penalties_get
-            )
-            if bound is None:
-                return 0, 0, flood_visits, None
-    best, parent, stamp = planes.lists()
-
     step = model.step_cost
     cost_rows = model.axis_cost_table
     row0, row1 = cost_rows[0], cost_rows[1]
+    flood_visits = 0
+    # The backward search's exact excess of every node it settled, and
+    # what every other node gets: a rest of 0 leaves A* plain.
+    excess: dict = {}
+    rest = 0
+    if seeds:
+        excess, rest, flood_visits = backward_search(
+            occ, pin, nbrs, width, plane, cost_rows, net_id, seeds,
+            {index for index, _h in sources}, allow_conflicts, frozen,
+            base_penalty, penalties_get, bbox, step, SETTLE_CAP,
+        )
+        if rest is None:
+            return 0, 0, flood_visits, None
+        if not row0[2]:  # a free via: the bound needs positive moves
+            rest = 0
+    bounded = rest > 0
+    best, parent, stamp = planes.lists()
+
     push, pop = heappush, heappop
     frontier: List[int] = []
 
@@ -253,8 +267,8 @@ def astar_search(
             stamp[index] = gen
             best[index] = 0
             parent[index] = -1
-            if bound and index not in near:
-                h += bound
+            if bounded:
+                h += excess.get(index, rest)
             push(frontier, (h << F_SHIFT) | index)
 
     expansions = 0
@@ -294,13 +308,13 @@ def astar_search(
             if new_g >= G_LIMIT:
                 raise g_overflow_error(new_g)
             f = new_g + (dx + dy) * step
-            if bound and succ not in near:
-                f += bound
+            if bounded:
+                f += excess.get(succ, rest)
             push(frontier, (f << F_SHIFT) | (new_g << G_SHIFT) | succ)
 
     if goal < 0:
         return 0, expansions, flood_visits, None
-    if not bound:
+    if not bounded:
         return goal_cost, expansions, flood_visits, backtrack(parent, goal)
     indices = min_key_backtrack(
         best, stamp, gen, goal, occ, nbrs, plane, cost_rows, net_id,

@@ -9,6 +9,7 @@ thin builders on top of this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional
 
 from repro.geometry.point import Point
@@ -23,6 +24,16 @@ from repro.netlist.net import Net
 
 class ProblemError(ValueError):
     """Raised for ill-formed routing problems."""
+
+
+def _integers(*values) -> bool:
+    """True when every value is an integer (a bool is not)."""
+    for v in values:
+        if type(v) is not int and (
+            not isinstance(v, Integral) or type(v) is bool
+        ):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,16 @@ class RoutingProblem:
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise :class:`ProblemError` unless the instance is well-formed."""
+        """Raise :class:`ProblemError` unless the instance is well-formed.
+
+        Every coordinate and extent must be an integer, and the region
+        and every obstacle must lie on the grid, so :meth:`build_grid`
+        never meets geometry it cannot place.
+        """
+        if not _integers(self.width, self.height):
+            raise ProblemError(
+                f"extents {self.width!r}x{self.height!r} are not integers"
+            )
         if self.width <= 0 or self.height <= 0:
             raise ProblemError(f"bad extents {self.width}x{self.height}")
         if 2 * self.width * self.height > INDEX_MASK:
@@ -74,12 +94,38 @@ class RoutingProblem:
                 f"{2 * self.width * self.height} nodes; the search indexes "
                 f"at most {INDEX_MASK}"
             )
+
+        def fits(rect: Rect) -> bool:
+            return rect.is_empty or (
+                rect.x0 >= 0 and rect.y0 >= 0
+                and rect.x1 <= self.width and rect.y1 <= self.height
+            )
+
+        if self.region is not None and not fits(self.region.bbox):
+            raise ProblemError(
+                f"region bbox {self.region.bbox} does not fit a "
+                f"{self.width}x{self.height} grid"
+            )
+        for obstacle in self.obstacles:
+            rect = obstacle.rect
+            if not _integers(rect.x0, rect.y0, rect.x1, rect.y1):
+                raise ProblemError(f"obstacle {rect} has non-integer corners")
+            if not fits(rect):
+                raise ProblemError(
+                    f"obstacle {rect} does not fit a "
+                    f"{self.width}x{self.height} grid"
+                )
         names = [net.name for net in self.nets]
         if len(set(names)) != len(names):
             raise ProblemError("duplicate net names")
         seen: Dict[GridNode, str] = {}
         for net in self.nets:
             for pin in net.pins:
+                if not _integers(pin.x, pin.y):
+                    raise ProblemError(
+                        f"pin {pin} of net {net.name!r} has a non-integer "
+                        "coordinate"
+                    )
                 if not (0 <= pin.x < self.width and 0 <= pin.y < self.height):
                     raise ProblemError(
                         f"pin {pin} of net {net.name!r} is outside the grid"

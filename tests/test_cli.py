@@ -51,6 +51,30 @@ MALFORMED_PROBLEMS = {
     "net-with-duplicate-pins": _first_pin([5, 3, "V"]),
 }
 
+#: Geometry the grid cannot hold, with the words the refusal names it
+#: by: non-integer coordinates and extents, and a region or obstacle
+#: past the grid's edge.  Each used to reach ``build_grid`` and fail
+#: there with a traceback (exit 1; the daemon's ``worker crashed``).
+UNBUILDABLE_PROBLEMS = {
+    "pin-fractional-x": (_first_pin([1.5, 0, "V"]), "non-integer coordinate"),
+    "width-fractional": (two_pin_problem(width=6.5), "are not integers"),
+    "obstacle-fractional-rect": (
+        two_pin_problem(obstacles=[{"rect": [0.5, 0, 1, 1]}]),
+        "non-integer corners",
+    ),
+    "region-past-the-grid": (
+        two_pin_problem(region=[[0, 0, 10, 10]]),
+        "does not fit a 6x4 grid",
+    ),
+    "obstacle-past-the-grid": (
+        two_pin_problem(obstacles=[{"rect": [2, 1, 10, 2], "layer": "H"}]),
+        "does not fit a 6x4 grid",
+    ),
+}
+MALFORMED_PROBLEMS.update(
+    (name, payload) for name, (payload, _words) in UNBUILDABLE_PROBLEMS.items()
+)
+
 #: Two pins on a 3000x3000 grid: more nodes than a search key indexes.
 UNINDEXABLE_PROBLEM = two_pin_problem(
     width=3000,
@@ -261,6 +285,26 @@ class TestStructuredErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "18000000 nodes" in err
+
+    @pytest.mark.parametrize("name", sorted(UNBUILDABLE_PROBLEMS))
+    def test_unbuildable_geometry_is_refused_before_the_grid(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        """Refused as the problem is read, with one line that names what
+        is wrong, before any grid is built."""
+        from repro.netlist.problem import RoutingProblem
+
+        def build_grid(problem):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(RoutingProblem, "build_grid", build_grid)
+        payload, words = UNBUILDABLE_PROBLEMS[name]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["route", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed problem file")
+        assert words in err and len(err.splitlines()) == 1
 
     def test_malformed_result_dump_exit_2(self, tmp_path, capsys):
         path = tmp_path / "dump.json"

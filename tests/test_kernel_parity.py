@@ -8,9 +8,10 @@ they replay the wrapper-level bugfix regressions (layer validation,
 target bounds validation) on each backend so a fast kernel can never
 reintroduce a fixed bug.  On every backend, a search that finds no path
 must have expanded exactly the nodes its source reaches, each once: the
-proof that the search needs no expansion cap.  A conflict search whose
-target-side flood closes must return what a test-local plain soft A*
-returns, in no more expansions.
+proof that the search needs no expansion cap.  A search that first
+searches back from its targets, hard or soft, must return what a
+test-local plain A* returns, in no more expansions, and settle what a
+test-local backward Dijkstra settles.
 
 The ``compiled`` backend needs a working C toolchain; when it cannot
 build, its parametrized cases are skipped (the CI compiled leg forces it
@@ -32,7 +33,7 @@ from repro.grid.path import flat_id, node_at, straight_path
 from repro.maze import CostModel, find_path, lee_route
 from repro.maze import astar, kernels
 from repro.maze.astar import find_path_flat
-from repro.maze.kernels.pure import FLOOD_CAP
+from repro.maze.kernels.pure import FLOOD_CAP, SETTLE_CAP
 
 
 def _backend_params():
@@ -108,8 +109,9 @@ def _neighbours(node, width, height):
 
 
 def _own_endpoints(rng, grid, sources, targets):
-    """Make the endpoints pins of net 1, so a hard query floods the
-    target side; now and then wall the target in with net 5's pins."""
+    """Make the endpoints pins of net 1, so a query searches back from
+    the target first; now and then wall the target in with net 5's
+    pins."""
     for node in {*sources, *targets}:
         grid.reserve_pin(1, node)
     if rng.random() < 0.5:
@@ -133,8 +135,8 @@ def edge_scenes(draw):
     everywhere but the two endpoints.  Half the rows and columns are 32
     to 40 cells long and half the queries join their two ends, so step
     costs near ``2**28 / 40`` reach the packed-key g limit.  Half the
-    time the endpoints are pins of the searching net, so a hard query
-    floods the target side first.
+    time the endpoints are pins of the searching net, so the query
+    searches back from the target first.
     """
     kind = draw(st.sampled_from(("row", "column", "cell", "walled")))
     span = st.integers(1, 8)
@@ -178,7 +180,7 @@ def edge_scenes(draw):
             grid.commit_path(owner, GridPath([(x, y, z)]))
         else:
             grid.reserve_pin(draw(st.sampled_from(FOREIGN_IDS)), (x, y, z))
-    if draw(st.booleans()):  # pins of the net: a hard query floods first
+    if draw(st.booleans()):  # pins of the net: it searches back first
         for node in {source, target}:
             grid.reserve_pin(1, node)
     query = dict(
@@ -296,8 +298,9 @@ class TestAstarParity:
     @pytest.mark.parametrize("other", OTHERS)
     def test_randomized_differential(self, other):
         """Random scenes, cost models, and modes: all fields must match.
-        Half the scenes make the endpoints pins of the net, so hard
-        queries flood the target side, and some wall the target in."""
+        Half the scenes make the endpoints pins of the net, so queries
+        search back from the target first, and some wall the target
+        in."""
         rng = random.Random(20260809)
         for case in range(40):
             width = rng.randrange(4, 14)
@@ -432,7 +435,8 @@ def _flood_outcome(grid, sources, targets):
 
 
 class TestTargetFlood:
-    """A hard search's target-side flood proves "no path" soundly."""
+    """A hard search's backward search from its targets proves "no
+    path" soundly."""
 
     @pytest.mark.parametrize("name", BACKENDS)
     @settings(max_examples=300, deadline=None)
@@ -447,8 +451,8 @@ class TestTargetFlood:
 
     @pytest.mark.parametrize("outcome", ["no flood", "proof", "a-star found"])
     def test_scenes_reach_each_outcome(self, outcome):
-        """The scenes above hold proofs, floods that give up before A*
-        finds a path, and queries that may not flood at all."""
+        """The scenes above hold proofs, backward searches that stop
+        before A* finds a path, and queries that may not run one."""
         find(
             walled_pin_scenes(),
             lambda scene: _flood_outcome(*scene) == outcome,
@@ -472,7 +476,7 @@ def no_path_scenes(draw, soft):
     Every move out of the target enters an obstacle, another net's pin,
     or (hard queries) any other net's copper or (soft queries) copper of
     the frozen net 3, so no path exists.  The target is free, so no
-    target-side flood runs, and the search can only answer by A*.  The
+    backward search runs, and the search can only answer by A*.  The
     other nodes are free, obstacles, net 1 copper, net 2 and net 4
     wires, net 3 wires and net 2 pins.  Returns the grid, the query and
     the fill of every node.
@@ -554,11 +558,54 @@ class TestNoPathProof:
         assert result.expansions == len(reached)
 
 
-def plain_soft_search(
-    grid, sources, targets, cost, frozen_nets, net_penalties
+def _search_costs(grid, cost, allow_conflicts, frozen_nets, net_penalties):
+    """``(enter, move)`` of a search of net 1, read through the grid's
+    node queries: ``enter(node)`` is the extra cost of stepping onto
+    ``node``, or None where the search may not, and ``move(a, b)`` the
+    cost of the step between neighbours ``a`` and ``b`` before that
+    extra, the same in either direction."""
+    penalties = net_penalties or {}
+
+    def enter(node):
+        owner = grid.owner(node)
+        if owner in (0, 1):
+            return 0
+        if (
+            not allow_conflicts
+            or owner == -1
+            or owner in frozen_nets
+            or grid.pin_owner(node)
+        ):
+            return None
+        return cost.conflict_penalty + penalties.get(owner, 0)
+
+    def move(node, succ):
+        if node[2] != succ[2]:
+            return cost.via_cost
+        along_x = node[0] != succ[0]
+        return cost.wire_step(along_x == (node[2] == 0))  # layer 0 runs x
+
+    return enter, move
+
+
+def _box_heuristic(targets, step_cost):
+    """The Manhattan distance to the targets' box, times ``step_cost``."""
+    x0, x1 = min(x for x, _, _ in targets), max(x for x, _, _ in targets)
+    y0, y1 = min(y for _, y, _ in targets), max(y for _, y, _ in targets)
+
+    def heuristic(node):
+        x, y, _ = node
+        return (max(x0 - x, 0, x - x1) + max(y0 - y, 0, y - y1)) * step_cost
+
+    return heuristic
+
+
+def plain_search(
+    grid, sources, targets, cost, frozen_nets=frozenset(),
+    net_penalties=None, allow_conflicts=True,
 ):
-    """A plain conflict-tolerant A* of net 1, written apart from the
-    kernels: ``(found, cost, path, conflict_ids, expansions)``.
+    """A plain A* of net 1, hard or conflict-tolerant, written apart from
+    the kernels: ``(found, cost, path, conflict_ids, expansions)``.
 
     It keys its heap on ``(f, g, flat id)`` tuples with the original
     heuristic, the Manhattan distance to the targets' box times
@@ -567,36 +614,14 @@ def plain_soft_search(
     recorded.  Costs come from the grid's node queries.
     """
     width, height = grid.width, grid.height
-    penalties = net_penalties or {}
-    box = (
-        min(x for x, _, _ in targets), max(x for x, _, _ in targets),
-        min(y for _, y, _ in targets), max(y for _, y, _ in targets),
+    enter, move = _search_costs(
+        grid, cost, allow_conflicts, frozen_nets, net_penalties
     )
+    heuristic = _box_heuristic(targets, cost.step_cost)
 
     def flat(node):
         x, y, z = node
         return (z * height + y) * width + x
-
-    def heuristic(node):
-        x, y, _ = node
-        dx = max(box[0] - x, 0, x - box[1])
-        dy = max(box[2] - y, 0, y - box[3])
-        return (dx + dy) * cost.step_cost
-
-    def move_cost(node, succ):
-        """Cost of stepping from ``node`` onto ``succ``, or None."""
-        owner = grid.owner(succ)
-        if owner in (0, 1):
-            extra = 0
-        elif owner == -1 or owner in frozen_nets or grid.pin_owner(succ):
-            return None
-        else:
-            extra = cost.conflict_penalty + penalties.get(owner, 0)
-        if node[2] != succ[2]:
-            return cost.via_cost + extra
-        along_x = node[0] != succ[0]
-        with_grain = along_x == (node[2] == 0)  # layer 0 runs along x
-        return cost.wire_step(with_grain) + extra
 
     best, parent, heap = {}, {}, []
     for source in sources:
@@ -619,20 +644,113 @@ def plain_soft_search(
             return True, g, path, conflicts, expansions
         expansions += 1
         for succ in _neighbours(node, width, height):
-            step = move_cost(node, succ)
-            if step is None or best.get(succ, g + step + 1) <= g + step:
+            extra = enter(succ)
+            if extra is None:
                 continue
-            best[succ] = g + step
+            new_g = g + move(node, succ) + extra
+            if best.get(succ, new_g + 1) <= new_g:
+                continue
+            best[succ] = new_g
             parent[succ] = node
             heapq.heappush(
-                heap, (g + step + heuristic(succ), g + step, flat(succ), succ)
+                heap, (new_g + heuristic(succ), new_g, flat(succ), succ)
             )
     return False, 0, None, [], expansions
+
+
+def backward_oracle(
+    grid, sources, targets, cost, frozen_nets=frozenset(),
+    net_penalties=None, allow_conflicts=True,
+):
+    """What the backward search from the targets does, written apart
+    from the kernels: ``(settled, stop, rest)``.
+
+    ``stop`` is ``"none"`` when the query may not run one: a source or
+    target that is not net 1 copper, more than ``FLOOD_CAP`` targets, a
+    source among them, or a soft query with free vias.  Otherwise it is
+    a Dijkstra from the targets on tuple keys ``(excess, flat id)``,
+    where the excess of a node is the cheapest walk from it to a target
+    less the heuristic.  It stops at ``"source"`` after it settles a
+    source, and at ``"cap"`` after ``SETTLE_CAP`` settled nodes, unless
+    no key is left open: that is ``"drained"``, a proof that no path
+    exists.  ``settled`` maps every settled node to its excess, and
+    ``rest`` is the smallest open key, or the largest settled excess
+    when none is open.
+    """
+    goals = set(targets)
+    if (
+        any(grid.owner(node) != 1 for node in (*sources, *targets))
+        or len(goals) > FLOOD_CAP
+        or not goals.isdisjoint(sources)
+        or (allow_conflicts and cost.via_cost == 0)
+    ):
+        return {}, "none", 0
+    width, height = grid.width, grid.height
+    enter, move = _search_costs(
+        grid, cost, allow_conflicts, frozen_nets, net_penalties
+    )
+    heuristic = _box_heuristic(targets, cost.step_cost)
+    best = dict.fromkeys(goals, 0)
+    heap = [(0, flat_id(node, width, height), node) for node in goals]
+    heapq.heapify(heap)
+    settled = {}
+    stop = "drained"
+    while heap:
+        excess, _index, node = heapq.heappop(heap)
+        if node in settled or best[node] != excess:
+            continue
+        settled[node] = excess
+        reach = excess + heuristic(node) + enter(node)
+        for pred in _neighbours(node, width, height):
+            if pred in settled or enter(pred) is None:
+                continue
+            key = reach + move(pred, node) - heuristic(pred)
+            if best.get(pred, key + 1) > key:
+                best[pred] = key
+                heapq.heappush(
+                    heap, (key, flat_id(pred, width, height), pred)
+                )
+        if node in sources:
+            stop = "source"
+            break
+        if len(settled) == SETTLE_CAP:
+            stop = "cap"
+            break
+    open_keys = [
+        key for key, _index, node in heap
+        if node not in settled and best[node] == key
+    ]
+    if stop == "cap" and not open_keys:
+        stop = "drained"
+    rest = min(open_keys) if open_keys else max(settled.values())
+    return settled, stop, rest
+
+
+def _assert_plain_answer(result, grid, sources, targets, query):
+    """Found, cost, path and conflict ids equal the plain search's, in
+    no more expansions; flood visits equal the backward oracle's
+    settled nodes, and a drained backward search is a proof."""
+    found, cost, path, conflicts, expansions = plain_search(
+        grid, sources, targets, **query
+    )
+    assert result.found == found
+    assert result.cost == cost
+    assert (list(result.path) if found else None) == path
+    assert result.conflict_ids == conflicts
+    assert result.expansions <= expansions
+    settled, stop, _rest = backward_oracle(grid, sources, targets, **query)
+    assert result.flood_visits == len(settled)
+    if stop == "drained":
+        assert not found and result.expansions == 0
+    return found, expansions
 
 
 #: How a cell next to a walled-in pocket is filled: other nets' wires
 #: (net 3 is frozen), a pin of net 2, an obstacle, or free (a way out).
 SOFT_WALL_FILLS = ("wire",) * 3 + ("frozen", "pin", "obstacle", "free")
+
+#: The fills of a wall no search may cross.
+SEALED_WALL_FILLS = ("frozen", "pin", "obstacle")
 
 
 def _fill(grid, node, fill, wire_net):
@@ -705,57 +823,19 @@ def walled_soft_scenes(draw):
     return grid, pins[:1], pins[1:], query
 
 
-def _ring_entries(grid, targets, query):
-    """How a target-side flood ends, by the rule the kernels follow.
-
-    None when the flood gives up: it would enter more than
-    ``FLOOD_CAP`` free cells, or it meets net 1 copper that is not a
-    target.  Otherwise the extra costs of the cells next to the closed
-    pocket that a conflict search may enter.
-    """
-    width, height = grid.width, grid.height
-    pocket = set(targets)
-    queue = list(targets)
-    for node in queue:
-        for near in _neighbours(node, width, height):
-            if near in pocket:
-                continue
-            owner = grid.owner(near)
-            if owner == 1:
-                return None
-            if owner == 0:
-                if len(queue) - len(targets) == FLOOD_CAP:
-                    return None
-                pocket.add(near)
-                queue.append(near)
-    penalties = query["net_penalties"] or {}
-    ring = {
-        near
-        for node in pocket
-        for near in _neighbours(node, width, height)
-        if near not in pocket
-    }
-    return [
-        query["cost"].conflict_penalty + penalties.get(grid.owner(near), 0)
-        for near in ring
-        if grid.owner(near) not in (-1, *query["frozen_nets"])
-        and not grid.pin_owner(near)
-    ]
-
-
 def _pocket_outcome(grid, sources, targets, query):
-    entries = _ring_entries(grid, targets, query)
-    if entries is None:
-        return "flood gives up"
-    if not entries:
+    _settled, stop, rest = backward_oracle(grid, sources, targets, **query)
+    if stop == "drained":
         return "no crossable ring cell"
-    found = plain_soft_search(grid, sources, targets, **query)[0]
-    return "bounded path" if found and min(entries) > 0 else "other"
+    if stop == "cap":
+        return "stops at the cap"
+    found = plain_search(grid, sources, targets, **query)[0]
+    return "bounded path" if found and rest > 0 else "other"
 
 
 class TestPocketBound:
-    """A conflict search whose target-side flood closes prices the ring
-    around the pocket, and still returns the plain search's answer."""
+    """A conflict search whose targets are walled into pockets searches
+    back from them first, and still returns the plain search's answer."""
 
     @pytest.mark.parametrize("name", BACKENDS)
     @settings(max_examples=300, deadline=None)
@@ -766,67 +846,52 @@ class TestPocketBound:
             grid, 1, sources, targets, allow_conflicts=True, kernel=name,
             **query,
         )
-        found, cost, path, conflicts, expansions = plain_soft_search(
-            grid, sources, targets, **query
-        )
-        assert result.found == found
-        assert result.cost == cost
-        assert (list(result.path) if found else None) == path
-        assert result.conflict_ids == conflicts
-        assert result.expansions <= expansions
-        entries = _ring_entries(grid, targets, query)
+        _assert_plain_answer(result, grid, sources, targets, query)
         assert result.flood_visits > 0
-        if entries is None:
-            assert result.expansions == expansions
-        elif not entries:
-            assert not found and result.expansions == 0
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_tie_through_the_ring_keeps_the_plain_parent(self, name):
-        """Two walks of cost 11 reach (3, 0, 1): across net 2's ring
-        cell (3, 0, 0) and up its via, or up the source's via and one
-        wrong-way step.  Plain A* expands (2, 0, 1) first and records it
-        as the parent; the bound (2, net 2's entry) lifts that node's
-        key past the ring cell's, so the bounded search records (3, 0, 0)
-        instead.  The min-key backtrack still returns the plain path.
+        """Two walks of cost 2 join the source pin S to the target pin T
+        across net 2's ring cells: east, then down T's via, or down the
+        source's via, then east.  Plain A* expands the east cell first
+        (its f is 1, the via cell's 2) and records it as T's parent.
+        The backward search settles the via cell with excess 0 and
+        leaves the east cell at the smallest open key, 1, so both reach
+        f 2, and the bounded search expands the via cell (the same g, a
+        lower id) first and records it instead.  The min-key backtrack
+        still returns the plain path.
 
-        Layer 0 (S the source pin, o the free pocket cells):
-        ``. . S 2 o / . . . 4 o / . . 4 4 o``; layer 1 (T the target
-        pin): ``. . . . 2 / . . 4 . 4 / . . . 2 T``.
+        Layer 0: ``2 T / . 2``; layer 1: ``S 2 / . .``.
         """
-        grid = RoutingGrid(5, 3)
-        grid.reserve_pin(1, (2, 0, 0))
-        grid.reserve_pin(1, (4, 2, 1))
-        for node in [(3, 0, 0), (4, 0, 1), (3, 2, 1)]:
+        grid = RoutingGrid(2, 2)
+        grid.reserve_pin(1, (0, 0, 1))
+        grid.reserve_pin(1, (1, 0, 0))
+        for node in [(0, 0, 0), (1, 1, 0), (1, 0, 1)]:
             grid.commit_path(2, GridPath([node]))
-        for node in [(3, 1, 0), (3, 2, 0), (2, 2, 0), (2, 1, 1), (4, 1, 1)]:
-            grid.commit_path(4, GridPath([node]))
         query = dict(
             cost=CostModel(
-                wrong_way_penalty=2, via_cost=1, conflict_penalty=1
+                wrong_way_penalty=0, via_cost=1, conflict_penalty=0
             ),
             frozen_nets=frozenset(),
-            net_penalties={2: 1, 4: 9},
+            net_penalties=None,
         )
         result = find_path(
-            grid, 1, [(2, 0, 0)], [(4, 2, 1)], allow_conflicts=True,
+            grid, 1, [(0, 0, 1)], [(1, 0, 0)], allow_conflicts=True,
             kernel=name, **query,
         )
-        found, cost, path, conflicts, expansions = plain_soft_search(
-            grid, [(2, 0, 0)], [(4, 2, 1)], **query
+        found, cost, path, conflicts, expansions = plain_search(
+            grid, [(0, 0, 1)], [(1, 0, 0)], **query
         )
-        assert path == [
-            (2, 0, 0), (2, 0, 1), (3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 2, 1)
-        ]
+        assert path == [(0, 0, 1), (1, 0, 1), (1, 0, 0)]
         assert list(result.path) == path
         assert (result.cost, result.conflict_ids) == (cost, conflicts) == (
-            11, [28]
+            2, [5]
         )
-        assert result.expansions < expansions
+        assert result.expansions <= expansions
 
     @pytest.mark.parametrize(
         "outcome",
-        ["bounded path", "no crossable ring cell", "flood gives up"],
+        ["bounded path", "no crossable ring cell", "stops at the cap"],
     )
     def test_scenes_reach_each_outcome(self, outcome):
         find(
@@ -836,6 +901,226 @@ class TestPocketBound:
                 max_examples=2000, database=None, phases=[Phase.generate]
             ),
         )
+
+
+@st.composite
+def bound_scenes(draw):
+    """A hard or soft query of net 1 whose targets sit behind up to two
+    concentric walls of other nets' copper.
+
+    Inside out: the targets (one to three pins, or now and then a wire
+    of ``FLOOD_CAP + 1`` cells of net 1), a pocket of free cells that
+    random walks from them enter, a wall round it, a moat of the free
+    cells next to that wall, and a second wall round the moat.  Walls
+    mix wires of nets 2 and 4, wires of the frozen net 3, net 2 pins,
+    obstacles and the odd free cell, or hold only cells no search may
+    enter.  The rest of the grid adds more of each and net 1 copper, cells of components other than the source's,
+    some of them next to the pocket.  The sources are the source pin's
+    component, now and then with a free cell.  Costs are tie-prone and
+    include free vias.  Returns the grid, the sources, the targets, the
+    query and the number of walls.
+    """
+    many = draw(st.integers(0, 5)) == 0
+    if many:
+        width = draw(st.integers(FLOOD_CAP + 2, FLOOD_CAP + 4))
+        height = draw(st.integers(3, 4))
+    else:
+        width, height = draw(st.integers(3, 10)), draw(st.integers(3, 8))
+    nodes = [
+        (x, y, z) for z in (0, 1) for y in range(height) for x in range(width)
+    ]
+    grid = RoutingGrid(width, height)
+    if many:
+        y, z = draw(st.integers(0, height - 1)), draw(st.integers(0, 1))
+        x0 = draw(st.integers(0, width - FLOOD_CAP - 1))
+        targets = [(x, y, z) for x in range(x0, x0 + FLOOD_CAP + 1)]
+        grid.commit_path(1, GridPath(targets))
+    else:
+        targets = draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=3,
+                     unique=True)
+        )
+        for node in targets:
+            grid.reserve_pin(1, node)
+    source = draw(st.sampled_from([n for n in nodes if grid.owner(n) == 0]))
+    grid.reserve_pin(1, source)
+    wire_nets = st.sampled_from((2, 4))
+    inside = set(targets)
+    for target in targets[:3]:
+        cell = target
+        for _ in range(draw(st.integers(0, 3))):
+            cell = draw(st.sampled_from(_neighbours(cell, width, height)))
+            if grid.owner(cell) != 0:
+                break
+            inside.add(cell)
+    walls = draw(st.integers(0, 2))
+    for wall in range(walls):
+        ring = {
+            near
+            for cell in inside
+            for near in _neighbours(cell, width, height)
+            if near not in inside and grid.owner(near) == 0
+        }
+        fills = st.sampled_from(
+            draw(st.sampled_from((SOFT_WALL_FILLS, SEALED_WALL_FILLS)))
+        )
+        for cell in sorted(ring):
+            _fill(grid, cell, draw(fills), draw(wire_nets))
+        inside |= ring
+        if wall == 0:  # the moat between the walls stays free
+            inside |= {
+                near
+                for cell in ring
+                for near in _neighbours(cell, width, height)
+                if grid.owner(near) == 0
+            }
+    rest = draw(
+        st.dictionaries(
+            st.sampled_from(nodes),
+            st.sampled_from(("obstacle", "wire", "frozen", "pin", "own")),
+            max_size=len(nodes) // 4,
+        )
+    )
+    for node, fill in rest.items():
+        if grid.owner(node) == 0 and (fill == "own" or node not in inside):
+            _fill(grid, node, fill, draw(wire_nets))
+    sources = sorted(grid.connected_component(1, source))
+    free = [node for node in nodes if grid.owner(node) == 0]
+    if free and draw(st.integers(0, 5)) == 0:
+        sources.append(draw(st.sampled_from(free)))
+    query = dict(
+        cost=CostModel(
+            wrong_way_penalty=draw(st.sampled_from((0, 2))),
+            via_cost=draw(st.sampled_from((0, 1, 4))),
+            conflict_penalty=draw(st.sampled_from((0, 1, 50))),
+        ),
+        allow_conflicts=draw(st.booleans()),
+        frozen_nets=frozenset({3}),
+        net_penalties=draw(st.sampled_from((None, {2: 17}, {2: 1, 4: 9}))),
+    )
+    return grid, sources, targets, query, walls
+
+
+def _bound_outcomes(grid, sources, targets, query, walls):
+    """The tags of what the backward search does on a scene."""
+    settled, stop, rest = backward_oracle(grid, sources, targets, **query)
+    tags = {stop}
+    if len(set(targets)) > FLOOD_CAP:
+        tags.add("more than FLOOD_CAP targets")
+    if stop == "drained":
+        tags.add("drained, soft" if query["allow_conflicts"] else
+                 "drained, hard")
+    if stop in ("source", "cap"):
+        found = plain_search(grid, sources, targets, **query)[0]
+        if query["cost"].via_cost == 0:
+            tags.add("free via")
+        elif found and rest > 0 and walls == 2:
+            tags.add("bounded behind two walls")
+    ends = {*sources, *targets}
+    if any(grid.owner(node) == 1 and node not in ends for node in settled):
+        tags.add("own copper of another component")
+    return tags
+
+
+class TestBackwardSearch:
+    """Every search between copper of its net searches back from its
+    targets first, then runs A* with a heuristic raised by the exact
+    excess it settled: the plain search's answer, in no more
+    expansions, in hard and soft mode alike."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @settings(max_examples=400, deadline=None)
+    @given(scene=bound_scenes())
+    def test_same_answer_as_the_plain_search(self, name, scene):
+        grid, sources, targets, query, _walls = scene
+        result = find_path(grid, 1, sources, targets, kernel=name, **query)
+        _assert_plain_answer(result, grid, sources, targets, query)
+        assert result.flood_visits <= SETTLE_CAP
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            "bounded behind two walls",
+            "own copper of another component",
+            "cap",
+            "drained, hard",
+            "drained, soft",
+            "source",
+            "more than FLOOD_CAP targets",
+            "free via",
+        ],
+    )
+    def test_scenes_reach_each_outcome(self, outcome):
+        find(
+            bound_scenes(),
+            lambda scene: outcome in _bound_outcomes(*scene),
+            settings=settings(
+                max_examples=3000, database=None, phases=[Phase.generate]
+            ),
+        )
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_the_cap_stops_it(self, name, soft):
+        """On an open grid the source pin lies 18 steps from the
+        target's and well past ``SETTLE_CAP`` settled nodes, so the
+        search stops at the cap, with keys still open."""
+        grid = RoutingGrid(12, 8)
+        grid.reserve_pin(1, (0, 0, 0))
+        grid.reserve_pin(1, (11, 7, 0))
+        query = dict(cost=CostModel(), allow_conflicts=soft)
+        ends = ([(0, 0, 0)], [(11, 7, 0)])
+        assert backward_oracle(grid, *ends, **query)[1] == "cap"
+        result = find_path(grid, 1, *ends, kernel=name, **query)
+        assert result.flood_visits == SETTLE_CAP
+        _assert_plain_answer(result, grid, *ends, query)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_tie_keeps_the_plain_parent_in_a_hard_search(self, name):
+        """Two walks of cost 4 join the source pin S to the target pin T
+        round the obstacle between them: along row 1 of layer 0, or
+        through layer 1.  Plain A* records the layer 1 walk.  The
+        backward search raises the heuristic on row 1 less than on the
+        vias, so the bounded search records the row 1 walk in its own
+        parent plane; the min-key backtrack returns the plain path.
+
+        Layer 0: ``T # S / . . . / . . .``; layer 1 is free.
+        """
+        grid = RoutingGrid(3, 3)
+        grid.set_obstacle(1, 0, 0)
+        grid.reserve_pin(1, (0, 0, 0))
+        grid.reserve_pin(1, (2, 0, 0))
+        query = dict(
+            cost=CostModel(wrong_way_penalty=0, via_cost=1),
+            allow_conflicts=False,
+        )
+        ends = ([(2, 0, 0)], [(0, 0, 0)])
+        result = find_path(grid, 1, *ends, kernel=name, **query)
+        assert list(result.path) == [
+            (2, 0, 0), (2, 0, 1), (1, 0, 1), (0, 0, 1), (0, 0, 0)
+        ]
+        _assert_plain_answer(result, grid, *ends, query)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_it_stops_at_the_first_settled_source(self, name):
+        """A corridor on layer 0, obstacles all round: the search settles
+        the target pin (7, 1, 0) and the three cells before the source
+        pin (3, 1, 0), then that pin, and stops there with (2, 1, 0)
+        still open.  A* then follows the exact excess straight in."""
+        grid = RoutingGrid(8, 3)
+        for y in range(3):
+            for x in range(8):
+                grid.set_obstacle(x, y, 1)
+                if y != 1:
+                    grid.set_obstacle(x, y, 0)
+        grid.reserve_pin(1, (3, 1, 0))
+        grid.reserve_pin(1, (7, 1, 0))
+        ends = ([(3, 1, 0)], [(7, 1, 0)])
+        query = dict(cost=CostModel(), allow_conflicts=False)
+        result = find_path(grid, 1, *ends, kernel=name, **query)
+        assert (result.flood_visits, result.expansions) == (5, 4)
+        assert list(result.path) == [(x, 1, 0) for x in range(3, 8)]
+        _assert_plain_answer(result, grid, *ends, query)
 
 
 class TestLeeParity:

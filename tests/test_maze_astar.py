@@ -6,8 +6,8 @@ from repro.geometry import Point
 from repro.grid import GridPath, Layer, RoutingGrid
 from repro.grid.path import straight_path
 from repro.maze import CostModel, find_path, kernels, lee_route
-from repro.maze.kernels.pure import FLOOD_CAP
-from tests.test_kernel_parity import plain_soft_search
+from repro.maze.kernels.pure import FLOOD_CAP, SETTLE_CAP
+from tests.test_kernel_parity import plain_search
 
 
 @pytest.fixture
@@ -202,9 +202,9 @@ def _wall(grid, nodes, net=2):
 
 
 class TestTargetFlood:
-    """A search between copper of its net first floods the target side.
-    When that flood closes, a hard search answers "no path" without A*,
-    and a conflict search prices the ring round the pocket."""
+    """A search between copper of its net first searches back from its
+    targets.  When that search drains, the search answers "no path"
+    without A*; otherwise A* runs with the excess it priced."""
 
     @pytest.fixture(params=kernels.available_backends())
     def kernel(self, request):
@@ -238,7 +238,8 @@ class TestTargetFlood:
     def test_soft_search_enters_at_the_cheapest_ring_cell(self, grid, kernel):
         """The nearer wall cell belongs to net 2, whose penalty makes it
         dearer than net 4's cell on the far side: the path crosses at
-        net 4, and the bound spares A* the expansions the plain search
+        net 4.  The backward search prices that crossing and stops at
+        the cap, and the bound spares A* the expansions the plain search
         spends before it pays for the crossing."""
         grid.reserve_pin(1, (0, 4, 0))
         grid.reserve_pin(1, (5, 4, 0))
@@ -252,13 +253,13 @@ class TestTargetFlood:
             grid, 1, [(0, 4, 0)], [(5, 4, 0)], allow_conflicts=True,
             kernel=kernel, **query,
         )
-        found, cost, path, _, expansions = plain_soft_search(
+        found, cost, path, _, expansions = plain_search(
             grid, [(0, 4, 0)], [(5, 4, 0)], **query
         )
         assert result.found and found
         assert result.conflict_nodes == [(6, 4, 0)]
         assert (list(result.path), result.cost) == (path, cost)
-        assert result.flood_visits == 1
+        assert result.flood_visits == SETTLE_CAP
         assert result.expansions < expansions
 
     def test_frozen_wall_net_is_no_entry(self, grid, kernel):
@@ -282,7 +283,8 @@ class TestTargetFlood:
 
     def test_free_vias_run_the_plain_search(self, grid, kernel):
         """With ``via_cost == 0`` a move can cost nothing, so the
-        conflict search does not flood: it is the plain search."""
+        conflict search runs no backward search: it is the plain
+        search."""
         grid.reserve_pin(1, (0, 0, 0))
         grid.reserve_pin(1, (5, 4, 0))
         grid.commit_path(4, GridPath([(6, 4, 0)]))
@@ -295,7 +297,7 @@ class TestTargetFlood:
             grid, 1, [(0, 0, 0)], [(5, 4, 0)], allow_conflicts=True,
             kernel=kernel, **query,
         )
-        found, cost, path, _, expansions = plain_soft_search(
+        found, cost, path, _, expansions = plain_search(
             grid, [(0, 0, 0)], [(5, 4, 0)], **query
         )
         assert result.flood_visits == 0
@@ -305,7 +307,10 @@ class TestTargetFlood:
     def test_stacked_own_cell_without_via_is_no_wall(self, grid, kernel):
         """The pin's only exit is the cell above it, which the net owns
         but does not join by a via: another component of the net, on the
-        way to the source.  The flood must not count it as a wall."""
+        way to the source.  The backward search must not count it as a
+        wall: it settles the pin, that cell, the free column north of it
+        (the same excess, lower ids) and the own column up to the
+        source pin, where it stops."""
         grid.reserve_pin(1, (5, 4, 0))
         _wall(grid, [(4, 4, 0), (6, 4, 0), (5, 3, 0), (5, 5, 0)])
         grid.commit_path(
@@ -318,7 +323,7 @@ class TestTargetFlood:
         assert list(result.path) == [
             (5, 7, 1), (5, 6, 1), (5, 5, 1), (5, 4, 1), (5, 4, 0)
         ]
-        assert result.flood_visits == 1  # the flood gave up at (5, 4, 1)
+        assert result.flood_visits == 9
 
     def test_free_source_in_the_target_pocket(self, grid, kernel):
         """A free source cell shares a closed pocket with the target: no

@@ -13,7 +13,7 @@ import pytest
 from repro.bench import bench_cases
 from repro.core import MightyConfig, MightyRouter, route_problem
 from repro.engine import EngineConfig, RoutingEngine
-from repro.grid import GridNode, RoutingGrid
+from repro.grid import GridNode, GridPath, RoutingGrid
 from repro.maze import CostModel, find_path
 from repro.netlist.generators import (
     deutsch_class_channel,
@@ -39,6 +39,32 @@ class TestSearchWork:
         result = find_path(grid, 1, [(0, 39, 0)], [(59, 39, 0)])
         assert result.found
         assert result.expansions <= 2 * 2 * 60 * 40  # nodes, with slack
+
+
+    def test_soft_search_prices_both_walls(self):
+        """Net 1's target pin (30, 10, 0) is shut in by obstacles but for
+        a door of net 2's wire at (29, 10, 0); the two free cells behind
+        it are shut in the same way but for a door of net 4's wire at
+        (26, 10, 0).  The soft search from (0, 10, 0) crosses both.
+        Priced at the first door only, it popped 1,649 nodes (1,648
+        expansions and one flood visit); searched back from the target,
+        both doors are priced, and it pops 61."""
+        grid = RoutingGrid(40, 21)
+        for y in range(9, 12):
+            for x in range(26, 32):
+                for z in (0, 1):
+                    if z == 1 or y != 10 or x == 31:
+                        grid.set_obstacle(x, y, z)
+        grid.reserve_pin(1, (0, 10, 0))
+        grid.reserve_pin(1, (30, 10, 0))
+        grid.commit_path(2, GridPath([(29, 10, 0)]))
+        grid.commit_path(4, GridPath([(26, 10, 0)]))
+        result = find_path(
+            grid, 1, [(0, 10, 0)], [(30, 10, 0)], allow_conflicts=True
+        )
+        assert result.found and result.cost == 130
+        assert result.conflict_nodes == [(26, 10, 0), (29, 10, 0)]
+        assert result.expansions + result.flood_visits <= 300
 
 
 class TestNodeWork:

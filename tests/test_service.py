@@ -40,7 +40,11 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service import protocol
-from tests.test_cli import MALFORMED_PROBLEMS, UNINDEXABLE_PROBLEM
+from tests.test_cli import (
+    MALFORMED_PROBLEMS,
+    UNBUILDABLE_PROBLEMS,
+    UNINDEXABLE_PROBLEM,
+)
 
 
 def box_payload():
@@ -211,6 +215,20 @@ class TestMalformedProblems:
         # the daemon keeps serving
         served = client.submit(box_payload(), no_cache=True)
         assert served["result"]["status"] == "complete"
+
+    @pytest.mark.parametrize("name", sorted(UNBUILDABLE_PROBLEMS))
+    def test_unbuildable_geometry_names_its_fault(self, shared_service, name):
+        """Non-integer geometry, and a region or obstacle past the grid,
+        used to crash the worker that built the grid (``worker crashed``,
+        exit 5); the front door now refuses it with the reason."""
+        _service, client, _outcome = shared_service
+        payload, words = UNBUILDABLE_PROBLEMS[name]
+        response = client.request({"op": "submit", "problem": payload})
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "input"
+        assert response["error"]["exit_code"] == 2
+        assert words in response["error"]["message"]
+        assert client.health()["workers_alive"] == [True]
 
 
 class TestCanonicalCache:
