@@ -24,11 +24,6 @@ class LayoutMetrics:
     pin_cells: int
     per_net_cells: Dict[str, int]
 
-    @property
-    def total_cells(self) -> int:
-        """All net-owned nodes, pins included."""
-        return self.wire_cells + self.pin_cells
-
 
 def layout_metrics(
     problem: RoutingProblem, grid: RoutingGrid

@@ -28,7 +28,6 @@ from repro.grid.layers import Layer
 from repro.grid.path import straight_path
 from repro.grid.routing_grid import GridError
 from repro.maze.astar import find_path
-from repro.maze.cost import CostModel
 from repro.netlist.channel import ChannelSpec
 
 #: Branch-order restarts after the first attempt.
@@ -110,9 +109,6 @@ class YacrLiteRouter(ChannelRouter):
     """Track assignment + maze-routed branches."""
 
     name = "yacr-lite"
-
-    def __init__(self, cost: Optional[CostModel] = None) -> None:
-        self.cost = cost or CostModel()
 
     def route(self, spec: ChannelSpec, tracks: int) -> ChannelResult:
         """Route with up to ``MAX_RESTARTS`` branch-order retries.
@@ -215,11 +211,7 @@ class YacrLiteRouter(ChannelRouter):
             if not targets:
                 continue  # single-component already (e.g. both pins joined)
             result = find_path(
-                grid,
-                net_id,
-                [tuple(node) for node in component],
-                targets,
-                cost=self.cost,
+                grid, net_id, [tuple(node) for node in component], targets
             )
             if not result.found:
                 return ChannelResult(

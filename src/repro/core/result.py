@@ -8,7 +8,7 @@ time can be reconstructed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.core.decompose import Connection
@@ -99,40 +99,19 @@ class RouteStats:
     #: shard worker resolved.
     shard_log: List[Dict] = field(default_factory=list)
 
-    #: The scalar fields serialized by :meth:`as_dict`.  An explicit
-    #: whitelist — NOT ``self.__dict__`` — so telemetry/benchmark JSON has
-    #: a stable, flat schema; non-scalar fields (``attempt_log``) travel
-    #: separately when a consumer wants them.
-    SCALAR_FIELDS = (
-        "connections",
-        "routed_connections",
-        "failed_connections",
-        "hard_routes",
-        "weak_modifications",
-        "weak_rejections",
-        "strong_modifications",
-        "ripped_connections",
-        "frozen_nets",
-        "iterations",
-        "searches",
-        "expansions",
-        "flood_visits",
-        "peak_journal_depth",
-        "kernel_backend",
-        "elapsed_s",
-        "phase_search_s",
-        "phase_connectivity_s",
-        "phase_victims_s",
-        "phase_claims_s",
-        "timed_out",
-        "deadline_s",
-        "cache_hit",
-        "shards",
-    )
-
     def as_dict(self) -> Dict[str, float]:
-        """Whitelisted scalar view for report tables and JSON telemetry."""
+        """Scalar view for report tables and JSON telemetry."""
         return {name: getattr(self, name) for name in self.SCALAR_FIELDS}
+
+
+#: The fields :meth:`RouteStats.as_dict` serializes, in declaration
+#: order: every field but the two logs, so telemetry and benchmark JSON
+#: keep a flat schema.  The logs travel separately when a consumer wants
+#: them.
+RouteStats.SCALAR_FIELDS = tuple(
+    f.name for f in fields(RouteStats)
+    if f.name not in ("attempt_log", "shard_log")
+)
 
 
 @dataclass
@@ -177,25 +156,6 @@ class RouteResult:
     def success(self) -> bool:
         """True when every connection is electrically satisfied."""
         return all(c.routed for c in self.connections)
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of connections routed (1.0 on success)."""
-        if not self.connections:
-            return 1.0
-        routed = sum(1 for c in self.connections if c.routed)
-        return routed / len(self.connections)
-
-    def connections_of(self, net_name: str) -> List[Connection]:
-        """This run's connections belonging to ``net_name``."""
-        return [c for c in self.connections if c.net_name == net_name]
-
-    def event_counts(self) -> Dict[str, int]:
-        """Histogram of event kinds (handy in tests and reports)."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     def summary(self) -> str:
         """One-paragraph human-readable outcome."""

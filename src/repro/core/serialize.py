@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.result import RouteResult, RouteStats
+from repro.core.result import RouteResult
 from repro.grid.path import GridPath
 from repro.grid.routing_grid import RoutingGrid
 from repro.netlist.io import problem_from_dict, problem_to_dict
@@ -87,28 +87,6 @@ def result_to_dict(result: RouteResult) -> dict:
 def save_result(path: PathLike, result: RouteResult) -> None:
     """Write a result dump to disk."""
     Path(path).write_text(json.dumps(result_to_dict(result), indent=2))
-
-
-def load_result(path: PathLike) -> dict:
-    """Read a result dump back as its payload dict."""
-    return json.loads(Path(path).read_text())
-
-
-def stats_from_dict(payload: dict) -> RouteStats:
-    """Rebuild a :class:`RouteStats` from a dumped result payload.
-
-    Accepts either a full :func:`result_to_dict` payload or just its
-    ``stats`` entry.  Unknown keys are ignored so newer dumps load on
-    older readers; missing keys keep their defaults so older dumps load
-    on newer readers.
-    """
-    data = payload.get("stats", payload)
-    stats = RouteStats()
-    for name in RouteStats.SCALAR_FIELDS:
-        if name in data:
-            setattr(stats, name, data[name])
-    stats.attempt_log = list(payload.get("attempt_log", []))
-    return stats
 
 
 def rebuild_grid(payload: dict) -> RoutingGrid:

@@ -12,7 +12,7 @@ the small, well-tested vocabulary the rest of the library is written in:
   generality claimed by the paper.
 """
 
-from repro.geometry.point import Direction, Point, manhattan
+from repro.geometry.point import Direction, Point
 from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
 
@@ -21,5 +21,4 @@ __all__ = [
     "Point",
     "Rect",
     "RectilinearRegion",
-    "manhattan",
 ]

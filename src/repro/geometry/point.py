@@ -21,10 +21,6 @@ class Point(NamedTuple):
     x: int
     y: int
 
-    def translated(self, dx: int, dy: int) -> "Point":
-        """Return a new point offset by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
     def step(self, direction: "Direction") -> "Point":
         """Return the neighbouring point one grid unit in ``direction``."""
         dx, dy = direction.delta
@@ -34,10 +30,6 @@ class Point(NamedTuple):
         """Yield the four Manhattan neighbours (E, W, N, S order)."""
         for direction in Direction:
             yield self.step(direction)
-
-    def manhattan_to(self, other: "Point") -> int:
-        """Manhattan (L1) distance to ``other``."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Point({self.x}, {self.y})"
@@ -60,37 +52,3 @@ class Direction(enum.Enum):
     def delta(self) -> tuple:
         """Unit ``(dx, dy)`` displacement of this direction."""
         return self.value
-
-    @property
-    def is_horizontal(self) -> bool:
-        """True for EAST/WEST."""
-        return self.value[1] == 0
-
-    @property
-    def is_vertical(self) -> bool:
-        """True for NORTH/SOUTH."""
-        return self.value[0] == 0
-
-    @property
-    def opposite(self) -> "Direction":
-        """The 180-degree reversed direction."""
-        dx, dy = self.value
-        return Direction((-dx, -dy))
-
-    @staticmethod
-    def between(a: Point, b: Point) -> "Direction":
-        """Direction of the unit step from ``a`` to ``b``.
-
-        Raises :class:`ValueError` when ``a`` and ``b`` are not Manhattan
-        neighbours.
-        """
-        dx, dy = b.x - a.x, b.y - a.y
-        try:
-            return Direction((dx, dy))
-        except ValueError:
-            raise ValueError(f"{a!r} and {b!r} are not adjacent") from None
-
-
-def manhattan(a: Point, b: Point) -> int:
-    """Manhattan (L1) distance between two points (module-level helper)."""
-    return abs(a.x - b.x) + abs(a.y - b.y)

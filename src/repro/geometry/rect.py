@@ -26,11 +26,6 @@ class Rect:
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValueError(f"degenerate rect {self}")
 
-    @staticmethod
-    def from_size(x0: int, y0: int, width: int, height: int) -> "Rect":
-        """Build from an origin corner plus a size."""
-        return Rect(x0, y0, x0 + width, y0 + height)
-
     @property
     def width(self) -> int:
         """Number of cell columns covered."""
@@ -54,17 +49,6 @@ class Rect:
     def contains(self, p: Point) -> bool:
         """True when cell ``p`` lies inside the half-open extents."""
         return self.x0 <= p[0] < self.x1 and self.y0 <= p[1] < self.y1
-
-    def contains_rect(self, other: "Rect") -> bool:
-        """True when every cell of ``other`` lies inside ``self``."""
-        if other.is_empty:
-            return True
-        return (
-            self.x0 <= other.x0
-            and self.y0 <= other.y0
-            and other.x1 <= self.x1
-            and other.y1 <= self.y1
-        )
 
     def intersection(self, other: "Rect") -> Optional["Rect"]:
         """Overlapping cell rectangle, or ``None`` when disjoint/empty."""
@@ -96,9 +80,3 @@ class Rect:
         for y in range(self.y0, self.y1):
             for x in range(self.x0, self.x1):
                 yield Point(x, y)
-
-    def inset(self, margin: int) -> "Rect":
-        """Shrink by ``margin`` cells on every side (grow when negative)."""
-        return Rect(
-            self.x0 + margin, self.y0 + margin, self.x1 - margin, self.y1 - margin
-        )

@@ -81,18 +81,6 @@ class RectilinearRegion:
         for y, x in zip(ys.tolist(), xs.tolist()):
             yield Point(x + self._bbox.x0, y + self._bbox.y0)
 
-    def boundary_cells(self) -> List[Point]:
-        """Routable cells with at least one non-routable Manhattan neighbour.
-
-        Cells on the bounding-box rim count as boundary (the outside of the
-        bbox is non-routable by definition).
-        """
-        result = []
-        for p in self.cells():
-            if any(not self.contains(q) for q in p.neighbors()):
-                result.append(p)
-        return result
-
     def is_connected(self) -> bool:
         """True when the routable cells form one 4-connected component."""
         cells = list(self.cells())

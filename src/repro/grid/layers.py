@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import enum
 
-from repro.geometry.point import Direction
-
 
 class Layer(enum.IntEnum):
     """The two wiring layers.
@@ -24,12 +22,6 @@ class Layer(enum.IntEnum):
     def other(self) -> "Layer":
         """The opposite layer (what a via switches to)."""
         return Layer(1 - self.value)
-
-    def prefers(self, direction: Direction) -> bool:
-        """True when a step in ``direction`` runs with this layer's grain."""
-        if self is Layer.HORIZONTAL:
-            return direction.is_horizontal
-        return direction.is_vertical
 
     @property
     def short_name(self) -> str:

@@ -52,7 +52,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.geometry.point import Point
 from repro.geometry.region import RectilinearRegion
 from repro.grid.layers import Layer
 from repro.grid.path import GridNode, GridPath, PathError, flat_id, node_at
@@ -155,32 +154,15 @@ class RoutingGrid:
         """True when ``node`` is unoccupied and not an obstacle."""
         return self.owner(node) == FREE
 
-    def is_obstacle(self, node: Tuple[int, int, int]) -> bool:
-        """True when ``node`` is a hard obstacle (or out of bounds)."""
-        return self.owner(node) == OBSTACLE
-
     def net_nodes(self, net_id: int) -> List[GridNode]:
         """All nodes currently owned by ``net_id`` (pins included)."""
-        return sorted(map(self._node, self._owned(self._occ, net_id)))
-
-    def net_vias(self, net_id: int) -> List[Point]:
-        """All via cells currently owned by ``net_id``."""
-        width = self.width
-        return sorted(
-            Point(index % width, index // width)
-            for index in self._owned(self._via, net_id)
-        )
+        occ = np.frombuffer(self._occ, dtype=np.intc)
+        return sorted(map(self._node, np.flatnonzero(occ == net_id).tolist()))
 
     def net_ids(self) -> List[int]:
         """Ids of nets that currently own at least one node."""
         occ = np.frombuffer(self._occ, dtype=np.intc)
         return np.unique(occ[occ > 0]).tolist()
-
-    @staticmethod
-    def _owned(store: array, net_id: int) -> List[int]:
-        """Ascending flat indices of the ``store`` cells ``net_id`` owns."""
-        view = np.frombuffer(store, dtype=np.intc)
-        return np.flatnonzero(view == net_id).tolist()
 
     def _node(self, index: int) -> GridNode:
         """The node at flat id ``index``."""

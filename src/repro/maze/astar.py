@@ -36,7 +36,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.grid.path import GridPath, flat_id, node_at
+from repro.grid.path import GridPath, flat_id
 from repro.grid.routing_grid import FREE, RoutingGrid
 from repro.maze.arena import thread_planes
 from repro.maze.cost import CostModel
@@ -60,9 +60,6 @@ class SearchResult:
     #: Nodes A* popped and relaxed; 0 when the backward search from the
     #: targets proved that no path exists.
     expansions: int = 0
-    #: The foreign nodes the walk occupies, as ``(x, y, layer)``; filled
-    #: by :func:`find_path` (the flat entry leaves it empty).
-    conflict_nodes: List[Node] = field(default_factory=list)
     #: Flat ids of the foreign nodes the walk occupies, in path order.
     conflict_ids: List[int] = field(default_factory=list)
     #: Nodes the backward search from the targets settled before A* (see
@@ -137,13 +134,13 @@ def find_path(
     SearchResult
         ``result.path is None`` when no walk exists: the search has no
         expansion cap, so a missing path is a proof.  In conflict mode,
-        ``result.conflict_nodes`` lists the foreign nodes the chosen walk
-        occupies (the modification plan's victims).
+        ``result.conflict_ids`` lists the flat ids of the foreign nodes
+        the chosen walk occupies (the modification plan's victims).
     """
     width, height = grid.width, grid.height
     target_ids = [node_id(t, width, height, "target") for t in targets]
     source_ids = [node_id(s, width, height, "source") for s in sources]
-    result = find_path_flat(
+    return find_path_flat(
         grid,
         net_id,
         source_ids,
@@ -154,10 +151,6 @@ def find_path(
         net_penalties=net_penalties,
         kernel=kernel,
     )
-    result.conflict_nodes = [
-        node_at(index, width, height) for index in result.conflict_ids
-    ]
-    return result
 
 
 def find_path_flat(
@@ -178,29 +171,28 @@ def find_path_flat(
     or owned by ``net_id``, else :class:`ValueError` is raised before the
     kernel runs.  The other parameters are :func:`find_path`'s.  The
     found path is built from flat ids, and ``conflict_ids`` lists the
-    foreign nodes it occupies; ``conflict_nodes`` stays empty.
+    foreign nodes it occupies.
 
     A search whose sources and targets are all copper of ``net_id``,
     with no source among at most
     :data:`~repro.maze.kernels.pure.FLOOD_CAP` targets, first searches
-    backwards from the targets; a conflict search does so only when
-    ``via_cost > 0``.  That Dijkstra runs on reduced costs, a move's
-    cost minus the fall in the heuristic, so it settles nodes in order
-    of their exact excess over the heuristic, and it stops at the first
-    settled source or after :data:`~repro.maze.kernels.pure.SETTLE_CAP`
-    settled nodes.  When it drains first, no source reaches a target,
-    and the search returns no path after zero expansions.  Otherwise,
-    when ``via_cost > 0``, A* adds to the heuristic each settled node's
-    excess and the smallest open key everywhere else.  That heuristic is
-    still consistent, so the search returns the same path, cost and
-    conflicts as without it, in fewer or as many expansions
-    (ALGORITHM.md §2).  ``flood_visits`` counts the nodes the backward
-    search settled.
+    backwards from the targets.  That Dijkstra runs on reduced costs, a
+    move's cost minus the fall in the heuristic, so it settles nodes in
+    order of their exact excess over the heuristic, and it stops at the
+    first settled source or after
+    :data:`~repro.maze.kernels.pure.SETTLE_CAP` settled nodes.  When it
+    drains first, no source reaches a target, and the search returns no
+    path after zero expansions.  Otherwise A* adds to the heuristic each
+    settled node's excess and the smallest open key everywhere else.
+    That heuristic is still consistent, so the search returns the same
+    path, cost and conflicts as without it, in fewer or as many
+    expansions (ALGORITHM.md §2).  ``flood_visits`` counts the nodes the
+    backward search settled.
 
-    A* needs no expansion cap.  Its heuristic is consistent: a step
-    changes the Manhattan distance to the target box by at most one and
-    costs at least ``step_cost``, and a via changes neither.  So no node
-    is expanded twice, and a search that finds no path has expanded
+    A* needs no expansion cap.  Its heuristic, the Manhattan distance to
+    the target box, is consistent: a step changes that distance by at
+    most one and costs at least 1, and a via changes neither.  So no
+    node is expanded twice, and a search that finds no path has expanded
     every node its sources reach: a missing path is a proof.  That needs
     non-negative move costs; :class:`CostModel` checks its own, and a
     negative ``net_penalties`` value is a :class:`ValueError`.
@@ -242,7 +234,6 @@ def find_path_flat(
         if y > ty1:
             ty1 = y
     occ = grid.occ_flat()
-    step = model.step_cost
     source_entries = []
     sources_owned = True
     for index in sources:
@@ -260,13 +251,12 @@ def find_path_flat(
             sources_owned = False
         dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
         dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
-        source_entries.append((index, (dx + dy) * step))
+        source_entries.append((index, dx + dy))
 
     goals = set(targets)
     seeds = ()
     if (
         sources_owned
-        and (model.via_cost > 0 or not allow_conflicts)
         and len(goals) <= FLOOD_CAP
         and all(occ[index] == net_id for index in goals)
         and goals.isdisjoint(sources)

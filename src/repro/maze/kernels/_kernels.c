@@ -167,8 +167,7 @@ static int64_t backward_search(
     int64_t net_id, int64_t allow_conflicts,
     const uint8_t *frozen, int64_t frozen_len,
     const int64_t *penalties, int64_t pen_len,
-    const int64_t *row0, const int64_t *row1,
-    int64_t step, int64_t base_penalty,
+    const int64_t *row0, const int64_t *row1, int64_t base_penalty,
     int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
     uint8_t *target, const int64_t *seeds, int64_t n_seeds, int64_t cap,
     int64_t *excess, heap_t *heap, int32_t *touched, int64_t *n_touched,
@@ -202,7 +201,7 @@ static int64_t backward_search(
         int64_t y = (index - layer * plane) / width;
         int64_t x = index - layer * plane - y * width;
         /* e + h(index) is a settled node's walk cost, below G_LIMIT. */
-        int64_t reach = e + box_distance(x, y, tx0, tx1, ty0, ty1) * step;
+        int64_t reach = e + box_distance(x, y, tx0, tx1, ty0, ty1);
         const int64_t *row = layer ? row1 : row0;
         int64_t preds[5], axes[5], pxs[5], pys[5];
         int nmov = moves(index, width, height, preds, axes, pxs, pys);
@@ -221,8 +220,7 @@ static int64_t backward_search(
                 return ST_FOUND;
             }
             int64_t key = reach + extra + row[axes[m]]
-                          - box_distance(pxs[m], pys[m], tx0, tx1, ty0, ty1)
-                                * step;
+                          - box_distance(pxs[m], pys[m], tx0, tx1, ty0, ty1);
             if (target[pred] & 4) {
                 if (excess[pred] <= key)
                     continue;
@@ -264,8 +262,7 @@ static int64_t backward_search(
 static int64_t min_key_backtrack(
     const int32_t *occ, int64_t width, int64_t height, int64_t net_id,
     const int64_t *penalties, int64_t pen_len,
-    const int64_t *row0, const int64_t *row1,
-    int64_t step, int64_t base_penalty,
+    const int64_t *row0, const int64_t *row1, int64_t base_penalty,
     int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
     const int64_t *best, const int64_t *stamp, int64_t gen,
     int64_t goal, int32_t *path_out)
@@ -290,8 +287,7 @@ static int64_t min_key_backtrack(
             int64_t g = best[pred];
             if (stamp[pred] != gen || g + row[axes[m]] != reach)
                 continue;
-            int64_t f = g + box_distance(xs[m], ys[m], tx0, tx1, ty0, ty1)
-                            * step;
+            int64_t f = g + box_distance(xs[m], ys[m], tx0, tx1, ty0, ty1);
             hkey_t key = ((hkey_t)f << F_SHIFT) | ((hkey_t)g << G_SHIFT)
                          | (hkey_t)pred;
             if (pick < 0 || key < pick_key) {
@@ -312,8 +308,8 @@ static int64_t min_key_backtrack(
  *
  * n_seeds > 0 asks for the backward search first (see
  * backward_search).  When it proves that no source reaches a target,
- * the search ends with no path.  Otherwise, when via_cost > 0 and rest
- * > 0, A* adds excess[] to the heuristic of every node with bit 2 and
+ * the search ends with no path.  Otherwise, when rest > 0, A* adds
+ * excess[] to the heuristic of every node with bit 2 and
  * rest to every other node's, and reads its path with
  * min_key_backtrack: the bound costs a search without it one test per
  * push.  The marks are cleared before the path is written over the
@@ -325,8 +321,7 @@ int64_t repro_astar(
     int64_t net_id, int64_t allow_conflicts,
     const uint8_t *frozen, int64_t frozen_len,
     const int64_t *penalties, int64_t pen_len,
-    const int64_t *row0, const int64_t *row1,
-    int64_t step, int64_t base_penalty,
+    const int64_t *row0, const int64_t *row1, int64_t base_penalty,
     uint8_t *target, int64_t *excess,
     const int64_t *seeds, int64_t n_seeds, int64_t settle_cap,
     int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
@@ -351,15 +346,13 @@ int64_t repro_astar(
             target[src_idx[i]] |= 8;
         status = backward_search(
             occ, pin, width, height, net_id, allow_conflicts, frozen,
-            frozen_len, penalties, pen_len, row0, row1, step, base_penalty,
+            frozen_len, penalties, pen_len, row0, row1, base_penalty,
             tx0, tx1, ty0, ty1, target, seeds, n_seeds, settle_cap, excess,
             &heap, path_out, &touched, &out[3], &rest);
         if (status != ST_FOUND)
             goto done;
         status = ST_NOPATH;
         heap.n = 0;
-        if (row0[2] == 0) /* a free via: the bound needs positive moves */
-            rest = 0;
     }
 
     for (int64_t i = 0; i < n_src; i++) {
@@ -422,8 +415,7 @@ int64_t repro_astar(
                 goto done;
             }
             int64_t f = new_g
-                        + box_distance(sxs[m], sys[m], tx0, tx1, ty0, ty1)
-                              * step;
+                        + box_distance(sxs[m], sys[m], tx0, tx1, ty0, ty1);
             if (rest > 0)
                 f += (target[succ] & 2) ? excess[succ] : rest;
             hkey_t key = ((hkey_t)f << F_SHIFT) | ((hkey_t)new_g << G_SHIFT)
@@ -451,7 +443,7 @@ done:
         out[0] = goal_cost;
         out[2] = rest > 0
             ? min_key_backtrack(occ, width, height, net_id, penalties,
-                                pen_len, row0, row1, step, base_penalty,
+                                pen_len, row0, row1, base_penalty,
                                 tx0, tx1, ty0, ty1, best, stamp, gen, goal,
                                 path_out)
             : backtrack(parent, goal, path_out);

@@ -113,8 +113,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         i, i,              # net_id, allow_conflicts
         p, i,              # frozen, frozen_len
         p, i,              # penalties, pen_len
-        p, p,              # row0, row1
-        i, i,              # step, base_penalty
+        p, p, i,           # row0, row1, base_penalty
         p, p,              # target mask, excess
         p, i, i,           # seeds, n_seeds, settle_cap
         i, i, i, i,        # tx0, tx1, ty0, ty1
@@ -210,8 +209,7 @@ def astar_search(
             net_id, 1 if allow_conflicts else 0,
             frozen.buffer_info()[0], len(frozen),
             penalties.buffer_info()[0], len(penalties),
-            row0, row1,
-            model.step_cost, model.conflict_penalty,
+            row0, row1, model.conflict_penalty,
             c.target_addr, c.excess_addr,
             seeds.buffer_info()[0], len(seeds), SETTLE_CAP,
             tx0, tx1, ty0, ty1,

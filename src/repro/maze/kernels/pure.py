@@ -19,11 +19,10 @@ allow_conflicts, frozen_nets, net_penalties, planes, gen)``
     generation stamp.  ``seeds`` is empty, or the distinct targets in
     ascending order when the caller has checked that a backward search
     may be used: every source and target is copper of ``net_id``, no
-    source is a target, there are at most :data:`FLOOD_CAP` targets, and
-    a conflict search has ``via_cost > 0``.  The kernel then first runs
-    :func:`backward_search` from the seeds.  When it drains without
-    settling a source, the search returns no path with zero expansions.
-    Otherwise, when ``via_cost > 0`` and the smallest open key ``rest``
+    source is a target, and there are at most :data:`FLOOD_CAP` targets.
+    The kernel then first runs :func:`backward_search` from the seeds.
+    When it drains without settling a source, the search returns no path
+    with zero expansions.  Otherwise, when the smallest open key ``rest``
     is positive, A* adds to the heuristic of every node its exact excess
     ``E`` where the backward search settled it, and ``rest`` elsewhere,
     and reads its path with :func:`min_key_backtrack`.  That returns the
@@ -89,7 +88,7 @@ def backtrack(parent, goal: int) -> List[int]:
 def backward_search(
     occ, pin, nbrs, width: int, plane: int, rows, net_id: int, seeds,
     sources, allow_conflicts: bool, frozen, base_penalty: int,
-    penalties_get, bbox: Tuple[int, int, int, int], step: int, cap: int,
+    penalties_get, bbox: Tuple[int, int, int, int], cap: int,
 ) -> Tuple[dict, Optional[int], int]:
     """Dijkstra from ``seeds`` towards the sources on reduced costs.
 
@@ -132,7 +131,7 @@ def backward_search(
         y = index % plane // width
         dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
         dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
-        reach = e + (dx + dy) * step + extra
+        reach = e + dx + dy + extra
         row = rows[0] if index < plane else rows[1]
         for pred, axis, px, py in nbrs[index]:
             if pred in excess:
@@ -148,7 +147,7 @@ def backward_search(
                 return {}, 0, visits
             dx = (tx0 - px) if px < tx0 else (px - tx1) if px > tx1 else 0
             dy = (ty0 - py) if py < ty0 else (py - ty1) if py > ty1 else 0
-            key = d - (dx + dy) * step
+            key = d - dx - dy
             if open_keys.get(pred, key + 1) <= key:
                 continue
             open_keys[pred] = key
@@ -170,7 +169,7 @@ def backward_search(
 def min_key_backtrack(
     best, stamp, gen: int, goal: int, occ, nbrs, plane: int, rows,
     net_id: int, base_penalty: int, penalties_get,
-    bbox: Tuple[int, int, int, int], step: int,
+    bbox: Tuple[int, int, int, int],
 ) -> List[int]:
     """Source→goal chain of a bounded search, as plain A* records it.
 
@@ -179,8 +178,8 @@ def min_key_backtrack(
     ``(f, g, index)`` key, until it reaches a source (``best`` 0).  A
     move costs the same from either end: a wire step stays on its
     layer, and a via costs ``via_cost`` on both, so ``cost(p→m)`` is
-    ``m``'s row entry plus the extra cost of entering ``m``.  With every
-    move cost positive, plain A* pops keys in strictly increasing order
+    ``m``'s row entry plus the extra cost of entering ``m``.  Every move
+    costs at least 1, so plain A* pops keys in strictly increasing order
     and expands every optimal predecessor of ``m`` before ``m``, so the
     one it expands first, whose push set ``parent[m]`` for good, is the
     one with the smallest key.  The bounded search has expanded every
@@ -202,7 +201,7 @@ def min_key_backtrack(
                 continue
             dx = (tx0 - px) if px < tx0 else (px - tx1) if px > tx1 else 0
             dy = (ty0 - py) if py < ty0 else (py - ty1) if py > ty1 else 0
-            key = ((g + (dx + dy) * step) << F_SHIFT) | (g << G_SHIFT) | pred
+            key = ((g + dx + dy) << F_SHIFT) | (g << G_SHIFT) | pred
             if pick < 0 or key < pick_key:
                 pick, pick_key = pred, key
         index = pick
@@ -238,7 +237,6 @@ def astar_search(
     base_penalty = model.conflict_penalty
     penalties_get = net_penalties.get
     frozen = frozen_nets
-    step = model.step_cost
     cost_rows = model.axis_cost_table
     row0, row1 = cost_rows[0], cost_rows[1]
     flood_visits = 0
@@ -250,12 +248,10 @@ def astar_search(
         excess, rest, flood_visits = backward_search(
             occ, pin, nbrs, width, plane, cost_rows, net_id, seeds,
             {index for index, _h in sources}, allow_conflicts, frozen,
-            base_penalty, penalties_get, bbox, step, SETTLE_CAP,
+            base_penalty, penalties_get, bbox, SETTLE_CAP,
         )
         if rest is None:
             return 0, 0, flood_visits, None
-        if not row0[2]:  # a free via: the bound needs positive moves
-            rest = 0
     bounded = rest > 0
     best, parent, stamp = planes.lists()
 
@@ -307,7 +303,7 @@ def astar_search(
             dy = (ty0 - sy) if sy < ty0 else (sy - ty1) if sy > ty1 else 0
             if new_g >= G_LIMIT:
                 raise g_overflow_error(new_g)
-            f = new_g + (dx + dy) * step
+            f = new_g + dx + dy
             if bounded:
                 f += excess.get(succ, rest)
             push(frontier, (f << F_SHIFT) | (new_g << G_SHIFT) | succ)
@@ -318,7 +314,7 @@ def astar_search(
         return goal_cost, expansions, flood_visits, backtrack(parent, goal)
     indices = min_key_backtrack(
         best, stamp, gen, goal, occ, nbrs, plane, cost_rows, net_id,
-        base_penalty, penalties_get, bbox, step,
+        base_penalty, penalties_get, bbox,
     )
     return goal_cost, expansions, flood_visits, indices
 

@@ -193,22 +193,3 @@ def _stitch(
     assert corners[-1] == Point(*goal_cell)
     return corners
 
-
-def corners_to_cells(corners: List[Point]) -> List[Point]:
-    """Expand a corner list into the full cell walk (for verification).
-
-    Consecutive corners must share a coordinate; raises otherwise.
-    """
-    if not corners:
-        return []
-    cells = [corners[0]]
-    for a, b in zip(corners, corners[1:]):
-        if a.x != b.x and a.y != b.y:
-            raise ValueError(f"corners {a!r} -> {b!r} are not rectilinear")
-        step_x = (b.x > a.x) - (b.x < a.x)
-        step_y = (b.y > a.y) - (b.y < a.y)
-        current = a
-        while current != b:
-            current = Point(current.x + step_x, current.y + step_y)
-            cells.append(current)
-    return cells

@@ -239,11 +239,6 @@ def canonical_form(problem: RoutingProblem) -> CanonicalForm:
     )
 
 
-def canonical_digest(problem: RoutingProblem) -> str:
-    """Just the content hash (cache key / shard key)."""
-    return canonical_form(problem).digest
-
-
 # ----------------------------------------------------------------------
 # Result-payload remapping
 # ----------------------------------------------------------------------

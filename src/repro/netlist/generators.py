@@ -21,6 +21,10 @@ from repro.netlist.net import Net, Pin
 from repro.netlist.problem import RoutingProblem
 from repro.netlist.switchbox import SwitchboxSpec
 
+#: Inclusive range of the pin count a woven switchbox or random region
+#: draws for each net.
+PINS_PER_NET = (2, 3)
+
 
 # ----------------------------------------------------------------------
 # Channels
@@ -210,32 +214,27 @@ def deutsch_class_channel(seed: int = 1976) -> ChannelSpec:
     )
 
 
-def deutsch_class_region(
-    seed: int = 11,
-    n_columns: int = 560,
-    n_nets: int = 500,
-    target_density: int = 16,
-    slack_tracks: int = 3,
-) -> "RoutingProblem":
-    """A Deutsch-difficult-*shaped* large region: long, thin, 500+ nets.
+def deutsch_class_region(seed: int = 11) -> "RoutingProblem":
+    """A Deutsch-difficult-*shaped* large region: long, thin, 500 nets.
 
     The same window-localised pin statistics as
-    :func:`deutsch_class_channel` scaled up ~7× in nets — the single-core
-    pain case for the shard-and-stitch pipeline (localised nets mean
-    congestion-guided vertical cuts sever very few of them).  Lowered to a
-    general region problem with ``density + slack_tracks`` tracks; the
-    slack keeps the instance feasible-in-practice at this scale while
-    leaving it congested enough that rip-up still fires.
+    :func:`deutsch_class_channel` scaled up ~7× in nets: 560 columns and
+    500 nets at a target density of 16 — the single-core pain case for
+    the shard-and-stitch pipeline (localised nets mean congestion-guided
+    vertical cuts sever very few of them).  Lowered to a general region
+    problem with three tracks above the density; the slack keeps the
+    instance feasible-in-practice at this scale while leaving it
+    congested enough that rip-up still fires.
     """
     spec = random_channel(
-        n_columns=n_columns,
-        n_nets=n_nets,
+        n_columns=560,
+        n_nets=500,
         seed=seed,
         fill=0.85,
-        target_density=target_density,
-        name=f"deutsch-region-{n_columns}x{n_nets}-s{seed}",
+        target_density=16,
+        name=f"deutsch-region-560x500-s{seed}",
     )
-    return spec.to_problem(tracks=spec.density + slack_tracks)
+    return spec.to_problem(tracks=spec.density + 3)
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +326,6 @@ def woven_switchbox(
     height: int,
     n_nets: int,
     seed: int,
-    pins_per_net: Tuple[int, int] = (2, 3),
     tangle: float = 0.8,
     name: Optional[str] = None,
 ) -> SwitchboxSpec:
@@ -383,7 +381,7 @@ def woven_switchbox(
     attempts = 0
     while placed_nets < n_nets and attempts < 8 * n_nets and slots:
         attempts += 1
-        count = rng.randint(*pins_per_net)
+        count = rng.randint(*PINS_PER_NET)
         if len(slots) < count:
             break
         chosen = [slots.pop() for _ in range(count)]
@@ -425,7 +423,6 @@ def random_region_problem(
     height: int = 20,
     n_obstacles: int = 4,
     n_nets: int = 8,
-    pins_per_net: Tuple[int, int] = (2, 3),
     name: Optional[str] = None,
 ) -> RoutingProblem:
     """A routing problem over an irregular region with interior pins.
@@ -447,7 +444,7 @@ def random_region_problem(
     nets: List[Net] = []
     cursor = 0
     for index in range(1, n_nets + 1):
-        count = rng.randint(*pins_per_net)
+        count = rng.randint(*PINS_PER_NET)
         chosen = free_nodes[cursor : cursor + count]
         cursor += count
         if len(chosen) < 2:

@@ -46,14 +46,5 @@ class Net:
         """Number of pins on the net."""
         return len(self.pins)
 
-    @property
-    def is_routable(self) -> bool:
-        """True when the net actually needs wiring (two or more pins)."""
-        return len(self.pins) >= 2
-
-    def with_pin(self, pin: Pin) -> "Net":
-        """A copy of the net with one extra pin appended."""
-        return Net(self.name, self.pins + (pin,))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Net({self.name!r}, pins={len(self.pins)})"

@@ -171,11 +171,6 @@ class RoutingProblem:
         return {net.name: index + 1 for index, net in enumerate(self.nets)}
 
     @property
-    def routable_nets(self) -> List[Net]:
-        """Nets with at least two pins (the ones that need wiring)."""
-        return [net for net in self.nets if net.is_routable]
-
-    @property
     def pin_count(self) -> int:
         """Total number of pins across all nets."""
         return sum(net.pin_count for net in self.nets)

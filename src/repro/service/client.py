@@ -34,6 +34,9 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import ServiceOverloaded, ServiceUnavailable
 from repro.service import protocol
 
+#: The first retry's backoff before jitter; each later one doubles it.
+RETRY_BASE_S = 0.05
+
 
 class ServiceClient:
     """Talk to a :class:`~repro.service.server.RoutingService` socket.
@@ -47,9 +50,9 @@ class ServiceClient:
         and backoff sleep when retries are enabled.
     retries:
         Extra attempts after a transient failure (0 = single shot).
-    retry_base_s / retry_max_wait_s:
-        Exponential backoff bounds: waits grow ``base * 2**attempt``,
-        jittered deterministically, capped at ``retry_max_wait_s``.
+    retry_max_wait_s:
+        Backoff cap: waits grow ``RETRY_BASE_S * 2**attempt``, jittered
+        deterministically, capped at ``retry_max_wait_s``.
     clock / sleep:
         Injectable monotonic clock and sleeper, so tests drive the
         retry schedule without real waiting.
@@ -60,19 +63,17 @@ class ServiceClient:
         socket_path: str,
         timeout_s: float = 120.0,
         retries: int = 0,
-        retry_base_s: float = 0.05,
         retry_max_wait_s: float = 2.0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if retries < 0:
             raise ValueError("retries must be non-negative")
-        if retry_base_s <= 0 or retry_max_wait_s <= 0:
+        if retry_max_wait_s <= 0:
             raise ValueError("retry waits must be positive")
         self.socket_path = socket_path
         self.timeout_s = timeout_s
         self.retries = retries
-        self.retry_base_s = retry_base_s
         self.retry_max_wait_s = retry_max_wait_s
         self._clock = clock
         self._sleep = sleep
@@ -174,9 +175,7 @@ class ServiceClient:
         ``retry_after_s`` hint when one was sent, capped at
         ``retry_max_wait_s``.
         """
-        base = min(
-            self.retry_max_wait_s, self.retry_base_s * (2.0 ** attempt)
-        )
+        base = min(self.retry_max_wait_s, RETRY_BASE_S * (2.0 ** attempt))
         seed = zlib.crc32(f"{self.socket_path}:{attempt}".encode())
         jitter = 0.5 + (seed % 1000) / 2000.0  # [0.5, 1.0)
         wait = base * jitter

@@ -101,12 +101,9 @@ class ServiceConfig:
         reap_grace_s`` after its job started is killed and respawned,
         and the job fails with a structured engine error.  Jobs with no
         deadline are never reaped.
-    fsync_store:
-        fsync durable-store writes (power-loss safety).  Disabling it
-        still survives process crashes; in-process tests disable it for
-        speed.  ``repro serve`` has no option to disable it, so a daemon
-        started from the command line, the end-to-end benchmark's
-        included, always fsyncs.
+
+    Every field but ``socket_path`` has a ``repro serve`` flag.  The
+    durable store always fsyncs its writes.
     """
 
     socket_path: str
@@ -117,7 +114,6 @@ class ServiceConfig:
     cache_capacity: int = 128
     cache_dir: Optional[str] = None
     reap_grace_s: float = 10.0
-    fsync_store: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -197,11 +193,7 @@ class RoutingService:
         self._on_event = on_event
         store = None
         if config.cache_dir is not None and config.cache_capacity > 0:
-            store = CacheStore(
-                config.cache_dir,
-                on_event=self._event,
-                fsync=config.fsync_store,
-            )
+            store = CacheStore(config.cache_dir, on_event=self._event)
         self.cache = CanonicalCache(config.cache_capacity, store=store)
         self._pool: Optional[WorkerPool] = None
         self._threads = None

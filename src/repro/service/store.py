@@ -6,9 +6,9 @@ until this module existed a ``kill -9`` lost all of it.  The store makes
 the cache survive crashes with the classic journal + snapshot scheme:
 
 * **journal** (``journal.repro``) — an append-only log, one record per
-  ``CanonicalCache.store``.  Appends are flushed (and by default
-  fsynced) before the store call returns, so a result acknowledged to a
-  client is on disk before the next crash.
+  ``CanonicalCache.store``.  Appends are flushed and fsynced before the
+  store call returns, so a result acknowledged to a client is on disk
+  before the next crash, a power loss included.
 * **snapshot** (``snapshot.repro``) — a compacted image of the whole
   cache, rewritten atomically (write ``snapshot.repro.tmp``, then
   ``os.replace``) so a crash mid-compaction never loses the previous
@@ -62,6 +62,12 @@ _RECORD = struct.Struct(">II")  # payload length, CRC32
 #: corruption (it would otherwise balloon replay memory).
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
+#: Compaction thresholds: the journal is folded into a fresh snapshot
+#: once it holds at least ``COMPACT_MIN_RECORDS`` records and at least
+#: ``COMPACT_RATIO`` times as many records as the cache has live entries.
+COMPACT_MIN_RECORDS = 256
+COMPACT_RATIO = 4.0
+
 SNAPSHOT_NAME = "snapshot.repro"
 JOURNAL_NAME = "journal.repro"
 SNAPSHOT_TMP_NAME = "snapshot.repro.tmp"
@@ -77,28 +83,16 @@ class CacheStore:
     """Journal + snapshot persistence for one cache directory.
 
     Thread-safe (one internal lock); owned by a single daemon process.
-    ``fsync=False`` trades the power-loss guarantee for speed — process
-    crashes (SIGKILL) are still fully covered by the OS page cache, so
-    tests use it freely.
+    Every write is fsynced before the call returns.
     """
 
     def __init__(
         self,
         cache_dir: str,
         on_event: Optional[Callable[[str], None]] = None,
-        fsync: bool = True,
-        compact_min_records: int = 256,
-        compact_ratio: float = 4.0,
     ) -> None:
-        if compact_min_records < 1:
-            raise ValueError("compact_min_records must be >= 1")
-        if compact_ratio <= 0:
-            raise ValueError("compact_ratio must be positive")
         self.cache_dir = str(cache_dir)
         self._on_event = on_event
-        self._fsync = fsync
-        self.compact_min_records = compact_min_records
-        self.compact_ratio = compact_ratio
         self._lock = threading.Lock()
         self._journal = None
         self.journal_records = 0
@@ -231,8 +225,7 @@ class CacheStore:
             handle = self._open_journal_locked()
             handle.write(record)
             handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
             self.journal_records += 1
             self.counters["appends"] += 1
 
@@ -277,13 +270,12 @@ class CacheStore:
         passes.
         """
         with self._lock:
-            if self.journal_records < self.compact_min_records:
+            if self.journal_records < COMPACT_MIN_RECORDS:
                 return False
         entries = entries_fn()
         with self._lock:
             due = self.journal_records >= max(
-                self.compact_min_records,
-                self.compact_ratio * max(1, len(entries)),
+                COMPACT_MIN_RECORDS, COMPACT_RATIO * max(1, len(entries))
             )
             if not due:
                 return False
@@ -299,15 +291,13 @@ class CacheStore:
                     pack_record({"digest": digest, "payload": payload})
                 )
             handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp, self.snapshot_path)
         self._close_journal_locked()
         with open(self.journal_path, "wb") as handle:
             handle.write(_HEADER)
             handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         self.journal_records = 0
         self.counters["compactions"] += 1
 

@@ -29,6 +29,10 @@ from repro.errors import EngineError, ReproError
 #: and how often an idle worker re-checks that its parent is.
 LIVENESS_POLL_S = 1.0
 
+#: How long :meth:`WorkerPool.close` waits, in all, for its workers to
+#: exit before it terminates the stragglers.
+CLOSE_TIMEOUT_S = 5.0
+
 #: Environment variable carrying a deterministic worker fault schedule
 #: (see :mod:`repro.testing.faults`).  Format: comma-separated
 #: ``kind@job[:arg]`` terms — ``die@2:9`` makes each worker ``_exit(9)``
@@ -83,11 +87,12 @@ def _execute_job(job: Dict) -> Dict:
             from repro.errors import InputError
 
             raise InputError(f"malformed problem payload: {exc}") from None
-        options = job.get("options") or {}
+        # The server validated both options and filled in its defaults.
+        options = job["options"]
         engine = RoutingEngine(
             EngineConfig(
-                deadline_s=options.get("deadline_s"),
-                max_attempts=int(options.get("max_attempts", 2)),
+                deadline_s=options["deadline_s"],
+                max_attempts=options["max_attempts"],
             )
         )
         result = engine.route(problem)
@@ -310,14 +315,15 @@ class WorkerPool:
         self._processes[worker] = process
         self.counters["respawned"] += 1
 
-    def close(self, timeout_s: float = 5.0) -> None:
-        """Stop every worker: sentinel, join, terminate stragglers."""
+    def close(self) -> None:
+        """Stop every worker: sentinel, join for up to
+        :data:`CLOSE_TIMEOUT_S` in all, terminate stragglers."""
         if self._closed:
             return
         self._closed = True
         for queue in self._requests:
             queue.put(None)
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + CLOSE_TIMEOUT_S
         for process in self._processes:
             process.join(max(0.1, deadline - time.monotonic()))
             if process.is_alive():

@@ -15,9 +15,7 @@ from repro.viz.ascii_art import net_label
 
 
 def render_channel(
-    spec: ChannelSpec,
-    grid: Optional[RoutingGrid] = None,
-    tracks: Optional[int] = None,
+    spec: ChannelSpec, grid: Optional[RoutingGrid] = None
 ) -> str:
     """Render a channel (optionally with its routed grid).
 
@@ -56,9 +54,6 @@ def render_channel(
                 else:
                     chars.append(".")
             lines.append(f"{track:>3} " + "".join(chars))
-    elif tracks:
-        for track in range(1, tracks + 1):
-            lines.append(f"{track:>3} " + "." * width)
     lines.append(" " * margin + shore_line(spec.bottom) + "  (bottom pins)")
 
     profile = spec.density_profile()

@@ -96,11 +96,11 @@ def svg_from_grid(
     return "\n".join(parts)
 
 
-def svg_from_result(result: RouteResult, title: str = "") -> str:
+def svg_from_result(result: RouteResult) -> str:
     """Render a :class:`~repro.core.result.RouteResult` (grid view plus a
     completion annotation)."""
     suffix = "complete" if result.success else (
         f"{len(result.failed)} connections failed"
     )
-    full_title = title or f"{result.router} on {result.problem.name} ({suffix})"
-    return svg_from_grid(result.problem, result.grid, title=full_title)
+    title = f"{result.router} on {result.problem.name} ({suffix})"
+    return svg_from_grid(result.problem, result.grid, title=title)

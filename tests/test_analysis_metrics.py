@@ -30,7 +30,6 @@ class TestLayoutMetrics:
         assert metrics.pin_cells == 2
         assert metrics.via_count == 2
         assert metrics.wire_cells == 8  # row cells on H (pins are separate)
-        assert metrics.total_cells == 10
 
     def test_per_net_cells(self):
         problem, grid = routed_pair()

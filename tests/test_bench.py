@@ -515,3 +515,33 @@ class TestRouteStatsSerialization:
         payload = RouteStats(searches=7, peak_journal_depth=41).as_dict()
         assert payload["searches"] == 7
         assert payload["peak_journal_depth"] == 41
+
+    def test_as_dict_keys_and_order_are_pinned(self):
+        """The 24 keys every report, dump and service reply carries, in
+        this order."""
+        assert list(RouteStats().as_dict()) == [
+            "connections",
+            "routed_connections",
+            "failed_connections",
+            "hard_routes",
+            "weak_modifications",
+            "weak_rejections",
+            "strong_modifications",
+            "ripped_connections",
+            "frozen_nets",
+            "iterations",
+            "searches",
+            "expansions",
+            "flood_visits",
+            "peak_journal_depth",
+            "kernel_backend",
+            "elapsed_s",
+            "phase_search_s",
+            "phase_connectivity_s",
+            "phase_victims_s",
+            "phase_claims_s",
+            "timed_out",
+            "deadline_s",
+            "cache_hit",
+            "shards",
+        ]

@@ -473,3 +473,42 @@ class TestGenerate:
         main(["generate", "channel", "--seed", "9"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestServeFlags:
+    def test_every_service_setting_has_a_flag(self, monkeypatch, tmp_path):
+        """``repro serve`` sets every ``ServiceConfig`` field but the
+        socket path from a flag: the daemon has no setting a user
+        cannot reach."""
+        import dataclasses
+
+        import repro.service as service
+
+        seen = {}
+
+        class CapturingService:
+            def __init__(self, config, on_event=None):
+                seen["config"] = config
+
+            async def run(self):
+                return 0
+
+        monkeypatch.setattr(service, "RoutingService", CapturingService)
+        flags = {
+            "workers": ("--workers", "3", 3),
+            "queue_limit": ("--queue-limit", "5", 5),
+            "default_deadline_s": ("--deadline", "7.5", 7.5),
+            "max_attempts": ("--max-attempts", "4", 4),
+            "cache_capacity": ("--cache-size", "9", 9),
+            "cache_dir": ("--cache-dir", str(tmp_path), str(tmp_path)),
+            "reap_grace_s": ("--reap-grace", "2.5", 2.5),
+        }
+        argv = ["serve", "--socket", str(tmp_path / "s.sock")]
+        for flag, text, _value in flags.values():
+            argv += [flag, text]
+        assert main(argv) == 0
+        config = seen["config"]
+        fields = {field.name for field in dataclasses.fields(config)}
+        assert fields - {"socket_path"} == set(flags)
+        for name, (_flag, _text, value) in flags.items():
+            assert getattr(config, name) == value, name

@@ -17,7 +17,7 @@ class TestPathCost:
         assert path_cost(GridPath([(0, 0, 0)]), CostModel()) == 0
 
     def test_with_grain_steps(self):
-        model = CostModel(step_cost=1, wrong_way_penalty=2, via_cost=5)
+        model = CostModel(wrong_way_penalty=2, via_cost=5)
         east_on_h = GridPath([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
         assert path_cost(east_on_h, model) == 2
         north_on_h = GridPath([(0, 0, 0), (0, 1, 0)])
@@ -117,5 +117,5 @@ class TestImproveRouting:
         assert not result.success
         stats = improve_routing(result)
         assert stats.cost_after <= stats.cost_before
-        boxed = result.connections_of("boxed")[0]
+        boxed = next(c for c in result.connections if c.net_name == "boxed")
         assert not boxed.routed

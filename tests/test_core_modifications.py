@@ -92,7 +92,7 @@ class TestStrongModification:
     def test_victims_requeued_and_rerouted(self):
         problem = wall_and_cross()
         result = route_problem(problem, MightyConfig.strong_only())
-        wall = result.connections_of("wall")[0]
+        wall = next(c for c in result.connections if c.net_name == "wall")
         assert wall.routed  # ripped victims were rerouted
 
     def test_budget_accounting(self):

@@ -96,7 +96,7 @@ class TestUnroutable:
         result = route_problem(problem)
         assert not result.success
         assert len(result.failed) == 1
-        assert result.completion_rate == 0.0
+        assert result.status == "failed"
 
     def test_failure_leaves_grid_consistent(self):
         from repro.geometry import Rect
@@ -145,8 +145,7 @@ class TestModificationMachinery:
     def test_event_trace_records_work(self):
         problem = contention_switchbox().to_problem()
         result = route_problem(problem)
-        kinds = result.event_counts()
-        assert kinds.get("route", 0) >= 1
+        assert any(event.kind == "route" for event in result.events)
         assert result.stats.iterations >= result.stats.connections
 
     def test_termination_bound_holds(self):

@@ -1,8 +1,6 @@
 """Unit tests for points and directions."""
 
-import pytest
-
-from repro.geometry import Direction, Point, manhattan
+from repro.geometry import Direction, Point
 
 
 class TestPoint:
@@ -15,14 +13,6 @@ class TestPoint:
         x, y = Point(1, 2)
         assert (x, y) == (1, 2)
 
-    def test_translated(self):
-        assert Point(1, 1).translated(2, -3) == Point(3, -2)
-
-    def test_translated_returns_new(self):
-        p = Point(0, 0)
-        q = p.translated(1, 0)
-        assert p == Point(0, 0) and q == Point(1, 0)
-
     def test_step_each_direction(self):
         p = Point(5, 5)
         assert p.step(Direction.EAST) == Point(6, 5)
@@ -34,16 +24,8 @@ class TestPoint:
         p = Point(2, 2)
         neighbors = list(p.neighbors())
         assert len(neighbors) == 4
-        assert all(p.manhattan_to(q) == 1 for q in neighbors)
+        assert all(abs(p.x - q.x) + abs(p.y - q.y) == 1 for q in neighbors)
         assert len(set(neighbors)) == 4
-
-    def test_manhattan_distance(self):
-        assert Point(0, 0).manhattan_to(Point(3, 4)) == 7
-        assert manhattan(Point(-1, -1), Point(1, 1)) == 4
-
-    def test_manhattan_symmetry(self):
-        a, b = Point(2, 9), Point(-4, 3)
-        assert a.manhattan_to(b) == b.manhattan_to(a)
 
     def test_hashable(self):
         assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
@@ -58,24 +40,3 @@ class TestDirection:
         for d in Direction:
             dx, dy = d.delta
             assert abs(dx) + abs(dy) == 1
-
-    def test_horizontal_vertical_partition(self):
-        for d in Direction:
-            assert d.is_horizontal != d.is_vertical
-
-    def test_opposite_is_involution(self):
-        for d in Direction:
-            assert d.opposite.opposite is d
-            assert d.opposite is not d
-
-    def test_between_adjacent(self):
-        assert Direction.between(Point(0, 0), Point(1, 0)) is Direction.EAST
-        assert Direction.between(Point(0, 0), Point(0, -1)) is Direction.SOUTH
-
-    def test_between_non_adjacent_raises(self):
-        with pytest.raises(ValueError):
-            Direction.between(Point(0, 0), Point(2, 0))
-        with pytest.raises(ValueError):
-            Direction.between(Point(0, 0), Point(1, 1))
-        with pytest.raises(ValueError):
-            Direction.between(Point(0, 0), Point(0, 0))

@@ -6,10 +6,6 @@ from repro.geometry import Point, Rect
 
 
 class TestConstruction:
-    def test_from_size(self):
-        r = Rect.from_size(2, 3, 4, 5)
-        assert (r.x0, r.y0, r.x1, r.y1) == (2, 3, 6, 8)
-
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
             Rect(3, 0, 1, 5)
@@ -31,22 +27,10 @@ class TestGeometry:
         assert not r.contains(Point(2, 0))
         assert not r.contains(Point(0, 2))
 
-    def test_contains_rect(self):
-        outer = Rect(0, 0, 10, 10)
-        assert outer.contains_rect(Rect(2, 2, 5, 5))
-        assert outer.contains_rect(outer)
-        assert not outer.contains_rect(Rect(5, 5, 11, 6))
-        assert outer.contains_rect(Rect(3, 3, 3, 3))  # empty fits anywhere
-
     def test_cells_row_major(self):
         cells = list(Rect(1, 1, 3, 3).cells())
         assert cells == [Point(1, 1), Point(2, 1), Point(1, 2), Point(2, 2)]
 
-    def test_inset(self):
-        assert Rect(0, 0, 10, 10).inset(2) == Rect(2, 2, 8, 8)
-
-    def test_inset_negative_grows(self):
-        assert Rect(2, 2, 4, 4).inset(-1) == Rect(1, 1, 5, 5)
 
 
 class TestIntersection:

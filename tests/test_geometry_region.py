@@ -53,13 +53,6 @@ class TestQueries:
         region = RectilinearRegion([Rect(0, 0, 2, 1)])
         assert list(region.cells()) == [Point(0, 0), Point(1, 0)]
 
-    def test_boundary_cells_of_solid_block(self):
-        region = RectilinearRegion.rectangle(4, 4)
-        boundary = set(region.boundary_cells())
-        assert Point(0, 0) in boundary
-        assert Point(1, 1) not in boundary
-        assert len(boundary) == 12
-
     def test_connectivity(self):
         connected = RectilinearRegion.rectangle(5, 5)
         assert connected.is_connected()

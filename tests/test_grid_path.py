@@ -14,13 +14,6 @@ class TestLayer:
         assert Layer.HORIZONTAL.other is Layer.VERTICAL
         assert Layer.VERTICAL.other is Layer.HORIZONTAL
 
-    def test_prefers(self):
-        from repro.geometry import Direction
-
-        assert Layer.HORIZONTAL.prefers(Direction.EAST)
-        assert not Layer.HORIZONTAL.prefers(Direction.NORTH)
-        assert Layer.VERTICAL.prefers(Direction.SOUTH)
-
     def test_short_name_round_trip(self):
         for layer in Layer:
             assert Layer.from_short_name(layer.short_name) is layer

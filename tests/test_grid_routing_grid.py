@@ -27,9 +27,9 @@ class TestConstruction:
             [Rect(0, 0, 4, 4)], remove=[Rect(0, 0, 1, 1)]
         )
         grid = RoutingGrid(5, 4, region=region)
-        assert grid.is_obstacle((0, 0, 0))
-        assert grid.is_obstacle((0, 0, 1))
-        assert grid.is_obstacle((4, 0, 0))  # outside region bbox
+        assert grid.owner((0, 0, 0)) == OBSTACLE
+        assert grid.owner((0, 0, 1)) == OBSTACLE
+        assert grid.owner((4, 0, 0)) == OBSTACLE  # outside region bbox
         assert grid.is_free((1, 1, 0))
 
     def test_region_must_fit(self):
@@ -179,12 +179,12 @@ class TestPins:
 class TestObstacles:
     def test_layer_specific(self, grid):
         grid.set_obstacle(1, 1, Layer.HORIZONTAL)
-        assert grid.is_obstacle((1, 1, 0))
+        assert grid.owner((1, 1, 0)) == OBSTACLE
         assert grid.is_free((1, 1, 1))
 
     def test_both_layers(self, grid):
         grid.set_obstacle(1, 1)
-        assert grid.is_obstacle((1, 1, 0)) and grid.is_obstacle((1, 1, 1))
+        assert grid.owner((1, 1, 0)) == grid.owner((1, 1, 1)) == OBSTACLE
 
     def test_over_net_rejected(self, grid):
         grid.commit_path(1, GridPath([(1, 1, 0)]))
@@ -194,7 +194,7 @@ class TestObstacles:
     def test_idempotent(self, grid):
         grid.set_obstacle(2, 2)
         grid.set_obstacle(2, 2)
-        assert grid.is_obstacle((2, 2, 0))
+        assert grid.owner((2, 2, 0)) == OBSTACLE
 
     def test_out_of_bounds_is_obstacle(self, grid):
         assert grid.owner((-1, 0, 0)) == OBSTACLE

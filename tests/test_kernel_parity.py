@@ -63,7 +63,7 @@ def _assert_same_astar(a, b, label):
     assert a.cost == b.cost, label
     assert a.expansions == b.expansions, label
     assert a.flood_visits == b.flood_visits, label
-    assert a.conflict_nodes == b.conflict_nodes, label
+    assert a.conflict_ids == b.conflict_ids, label
     if a.found:
         assert list(a.path) == list(b.path), label
 
@@ -133,8 +133,7 @@ def edge_scenes(draw):
     The grid is one row, one column or one cell, with a few obstacles and
     other nets' wires and pins; or any small shape that is obstacle
     everywhere but the two endpoints.  Half the rows and columns are 32
-    to 40 cells long and half the queries join their two ends, so step
-    costs near ``2**28 / 40`` reach the packed-key g limit.  Half the
+    to 40 cells long and half the queries join their two ends.  Half the
     time the endpoints are pins of the searching net, so the query
     searches back from the target first.
     """
@@ -185,7 +184,6 @@ def edge_scenes(draw):
             grid.reserve_pin(1, node)
     query = dict(
         cost=CostModel(
-            step_cost=draw(st.sampled_from((1, 3, 6882960, 2**23))),
             wrong_way_penalty=draw(st.sampled_from((0, 2))),
             via_cost=draw(st.sampled_from((1, 4))),
             conflict_penalty=draw(st.sampled_from((0, 50))),
@@ -251,10 +249,10 @@ class TestEdgeScenes:
         assert flat.expansions == by_nodes.expansions
         assert flat.flood_visits == by_nodes.flood_visits
         assert flat.conflict_ids == by_nodes.conflict_ids
-        assert by_nodes.conflict_nodes == [
-            node_at(index, width, height) for index in flat.conflict_ids
-        ]
-        assert all(grid.owner(n) > 1 for n in by_nodes.conflict_nodes)
+        assert all(
+            grid.owner(node_at(index, width, height)) > 1
+            for index in flat.conflict_ids
+        )
         if flat.found:
             assert flat.path == by_nodes.path
             assert list(flat.path) == list(by_nodes.path)
@@ -273,12 +271,18 @@ class TestEdgeScenes:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_packed_key_g_limit(self, name):
-        """39 steps of 6882960 cost 16 less than the g field holds; the
-        32nd step of ``2**23`` reaches ``2**28`` and is refused."""
+        """Layer 0 is all obstacle, so the walk takes 39 wrong-way steps
+        on layer 1.  Steps of 6882960 cost 16 less than the g field
+        holds; the 32nd step of ``2**23`` reaches ``2**28`` and is
+        refused."""
         grid = RoutingGrid(40, 3)
-        ends = ([(0, 1, 0)], [(39, 1, 0)])
+        for y in range(3):
+            for x in range(40):
+                grid.set_obstacle(x, y, 0)
+        ends = ([(0, 1, 1)], [(39, 1, 1)])
         result = find_path(
-            grid, 1, *ends, cost=CostModel(step_cost=6882960), kernel=name
+            grid, 1, *ends, cost=CostModel(wrong_way_penalty=6882959),
+            kernel=name,
         )
         assert result.found
         assert result.cost == 268435440
@@ -290,7 +294,8 @@ class TestEdgeScenes:
             ),
         ):
             find_path(
-                grid, 1, *ends, cost=CostModel(step_cost=2**23), kernel=name
+                grid, 1, *ends, cost=CostModel(wrong_way_penalty=2**23 - 1),
+                kernel=name,
             )
 
 
@@ -309,7 +314,6 @@ class TestAstarParity:
             if rng.random() < 0.5:
                 _own_endpoints(rng, grid, sources, targets)
             model = CostModel(
-                step_cost=rng.choice([1, 2]),
                 wrong_way_penalty=rng.choice([0, 2, 7]),
                 via_cost=rng.choice([1, 4, 9]),
                 conflict_penalty=rng.choice([5, 50]),
@@ -354,8 +358,11 @@ class TestAstarParity:
             allow_conflicts=True, kernel=name,
         )
         assert result.found
-        assert result.conflict_nodes
-        assert all(grid.owner(n) == 2 for n in result.conflict_nodes)
+        assert result.conflict_ids
+        assert all(
+            grid.owner(node_at(index, grid.width, grid.height)) == 2
+            for index in result.conflict_ids
+        )
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_mixed_backends_share_an_arena(self, grid, name):
@@ -512,7 +519,7 @@ def no_path_scenes(draw, soft):
     query = dict(
         cost=CostModel(
             wrong_way_penalty=draw(st.sampled_from((0, 2, 7))),
-            via_cost=draw(st.sampled_from((0, 1, 4, 9))),
+            via_cost=draw(st.sampled_from((1, 4, 9))),
             conflict_penalty=draw(st.sampled_from((0, 5, 50))),
         ),
         allow_conflicts=soft,
@@ -617,7 +624,7 @@ def plain_search(
     enter, move = _search_costs(
         grid, cost, allow_conflicts, frozen_nets, net_penalties
     )
-    heuristic = _box_heuristic(targets, cost.step_cost)
+    heuristic = _box_heuristic(targets, 1)
 
     def flat(node):
         x, y, z = node
@@ -689,7 +696,7 @@ def backward_oracle(
     enter, move = _search_costs(
         grid, cost, allow_conflicts, frozen_nets, net_penalties
     )
-    heuristic = _box_heuristic(targets, cost.step_cost)
+    heuristic = _box_heuristic(targets, 1)
     best = dict.fromkeys(goals, 0)
     heap = [(0, flat_id(node, width, height), node) for node in goals]
     heapq.heapify(heap)
@@ -916,9 +923,9 @@ def bound_scenes(draw):
     obstacles and the odd free cell, or hold only cells no search may
     enter.  The rest of the grid adds more of each and net 1 copper, cells of components other than the source's,
     some of them next to the pocket.  The sources are the source pin's
-    component, now and then with a free cell.  Costs are tie-prone and
-    include free vias.  Returns the grid, the sources, the targets, the
-    query and the number of walls.
+    component, now and then with a free cell.  Costs are tie-prone.
+    Returns the grid, the sources, the targets, the query and the number
+    of walls.
     """
     many = draw(st.integers(0, 5)) == 0
     if many:
@@ -991,7 +998,7 @@ def bound_scenes(draw):
     query = dict(
         cost=CostModel(
             wrong_way_penalty=draw(st.sampled_from((0, 2))),
-            via_cost=draw(st.sampled_from((0, 1, 4))),
+            via_cost=draw(st.sampled_from((1, 4))),
             conflict_penalty=draw(st.sampled_from((0, 1, 50))),
         ),
         allow_conflicts=draw(st.booleans()),
@@ -1012,9 +1019,7 @@ def _bound_outcomes(grid, sources, targets, query, walls):
                  "drained, hard")
     if stop in ("source", "cap"):
         found = plain_search(grid, sources, targets, **query)[0]
-        if query["cost"].via_cost == 0:
-            tags.add("free via")
-        elif found and rest > 0 and walls == 2:
+        if found and rest > 0 and walls == 2:
             tags.add("bounded behind two walls")
     ends = {*sources, *targets}
     if any(grid.owner(node) == 1 and node not in ends for node in settled):
@@ -1047,7 +1052,6 @@ class TestBackwardSearch:
             "drained, soft",
             "source",
             "more than FLOOD_CAP targets",
-            "free via",
         ],
     )
     def test_scenes_reach_each_outcome(self, outcome):

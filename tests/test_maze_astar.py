@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import Point
 from repro.grid import GridPath, Layer, RoutingGrid
-from repro.grid.path import straight_path
+from repro.grid.path import flat_id, straight_path
 from repro.maze import CostModel, find_path, kernels, lee_route
 from repro.maze.kernels.pure import FLOOD_CAP, SETTLE_CAP
 from tests.test_kernel_parity import plain_search
@@ -20,7 +20,7 @@ class TestHardMode:
         result = find_path(grid, 1, [(0, 0, 0)], [(6, 0, 0)])
         assert result.found
         assert result.path.wire_length == 6
-        assert result.conflict_nodes == []
+        assert result.conflict_ids == []
 
     def test_source_is_target(self, grid):
         result = find_path(grid, 1, [(2, 2, 0)], [(2, 2, 0)])
@@ -109,10 +109,9 @@ class TestSoftMode:
             grid, 1, [(0, 0, 0)], [(9, 0, 0)], allow_conflicts=True
         )
         assert soft.found
-        assert soft.conflict_nodes
-        assert all(
-            grid.owner(node) == 2 for node in soft.conflict_nodes
-        )
+        assert soft.conflict_ids
+        occ = grid.occ_flat()
+        assert all(occ[index] == 2 for index in soft.conflict_ids)
 
     def test_conflict_penalty_in_cost(self, grid):
         self._wall(grid)
@@ -136,7 +135,7 @@ class TestSoftMode:
             cost=CostModel(conflict_penalty=1000),
         )
         assert soft.found
-        assert soft.conflict_nodes == []
+        assert soft.conflict_ids == []
 
     def test_pins_never_crossed(self, grid):
         for y in range(grid.height):
@@ -177,7 +176,7 @@ class TestSoftMode:
         self._wall(grid, net=1)
         result = find_path(grid, 1, [(0, 0, 0)], [(9, 0, 0)])
         assert result.found
-        assert result.conflict_nodes == []
+        assert result.conflict_ids == []
 
 
 class TestMultiSourceTarget:
@@ -257,7 +256,7 @@ class TestTargetFlood:
             grid, [(0, 4, 0)], [(5, 4, 0)], **query
         )
         assert result.found and found
-        assert result.conflict_nodes == [(6, 4, 0)]
+        assert result.conflict_ids == [flat_id((6, 4, 0), 10, 8)]
         assert (list(result.path), result.cost) == (path, cost)
         assert result.flood_visits == SETTLE_CAP
         assert result.expansions < expansions
@@ -279,30 +278,7 @@ class TestTargetFlood:
         crossed = find_path(
             grid, 1, *ends, allow_conflicts=True, kernel=kernel
         )
-        assert crossed.conflict_nodes == [(4, 4, 0)]
-
-    def test_free_vias_run_the_plain_search(self, grid, kernel):
-        """With ``via_cost == 0`` a move can cost nothing, so the
-        conflict search runs no backward search: it is the plain
-        search."""
-        grid.reserve_pin(1, (0, 0, 0))
-        grid.reserve_pin(1, (5, 4, 0))
-        grid.commit_path(4, GridPath([(6, 4, 0)]))
-        _wall(grid, [(4, 4, 0), (5, 3, 0), (5, 5, 0), (5, 4, 1)])
-        query = dict(
-            cost=CostModel(via_cost=0), frozen_nets=frozenset(),
-            net_penalties=None,
-        )
-        result = find_path(
-            grid, 1, [(0, 0, 0)], [(5, 4, 0)], allow_conflicts=True,
-            kernel=kernel, **query,
-        )
-        found, cost, path, _, expansions = plain_search(
-            grid, [(0, 0, 0)], [(5, 4, 0)], **query
-        )
-        assert result.flood_visits == 0
-        assert (list(result.path), result.cost) == (path, cost)
-        assert result.expansions == expansions
+        assert crossed.conflict_ids == [flat_id((4, 4, 0), 10, 8)]
 
     def test_stacked_own_cell_without_via_is_no_wall(self, grid, kernel):
         """The pin's only exit is the cell above it, which the net owns

@@ -8,11 +8,10 @@ from repro.maze import CostModel
 class TestCostModel:
     def test_defaults_positive(self):
         model = CostModel()
-        assert model.step_cost >= 1
-        assert model.via_cost >= 0
+        assert model.via_cost >= 1
 
     def test_wire_step(self):
-        model = CostModel(step_cost=1, wrong_way_penalty=2)
+        model = CostModel(wrong_way_penalty=2)
         assert model.wire_step(with_grain=True) == 1
         assert model.wire_step(with_grain=False) == 3
 
@@ -21,14 +20,13 @@ class TestCostModel:
         assert model.wire_step(True) == model.wire_step(False) == 1
         assert model.via_cost == 1
 
-    def test_with_conflict_penalty(self):
-        model = CostModel().with_conflict_penalty(99)
-        assert model.conflict_penalty == 99
-        assert model.step_cost == CostModel().step_cost
+    def test_rejects_free_via(self):
+        with pytest.raises(ValueError, match="via_cost must be at least 1"):
+            CostModel(via_cost=0)
 
-    def test_rejects_zero_step(self):
-        with pytest.raises(ValueError):
-            CostModel(step_cost=0)
+    def test_step_cost_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            CostModel(step_cost=2)
 
     def test_rejects_negative_penalties(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Point
-from repro.maze.line_probe import corners_to_cells, line_probe
+from repro.maze.line_probe import line_probe
 
 
 def open_field(width=12, height=10):
@@ -12,9 +12,17 @@ def open_field(width=12, height=10):
 
 
 def _check_path(mask, corners, start, goal):
+    """Every cell between consecutive corners is open, and each leg runs
+    along one axis."""
     assert corners[0] == start and corners[-1] == goal
-    for cell in corners_to_cells(corners):
-        assert mask[cell.y, cell.x], f"path crosses blocked cell {cell}"
+    assert mask[start.y, start.x]
+    for a, b in zip(corners, corners[1:]):
+        assert a.x == b.x or a.y == b.y, f"diagonal leg {a} -> {b}"
+        step_x, step_y = (b.x > a.x) - (b.x < a.x), (b.y > a.y) - (b.y < a.y)
+        cell = a
+        while cell != b:
+            cell = Point(cell.x + step_x, cell.y + step_y)
+            assert mask[cell.y, cell.x], f"path crosses blocked cell {cell}"
 
 
 class TestLineProbe:
@@ -79,18 +87,3 @@ class TestLineProbe:
         # with a tiny budget the searcher gives up (None), never crashes
         assert corners is None or corners[0] == Point(0, 29)
 
-
-class TestCornersToCells:
-    def test_expansion(self):
-        cells = corners_to_cells([Point(0, 0), Point(3, 0), Point(3, 2)])
-        assert cells == [
-            Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0),
-            Point(3, 1), Point(3, 2),
-        ]
-
-    def test_rejects_diagonal(self):
-        with pytest.raises(ValueError):
-            corners_to_cells([Point(0, 0), Point(1, 1)])
-
-    def test_empty(self):
-        assert corners_to_cells([]) == []

@@ -18,7 +18,6 @@ from repro.engine import EngineConfig, RoutingEngine
 from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
 from repro.netlist.canonical import (
-    canonical_digest,
     canonical_form,
     payload_from_canonical,
     payload_to_canonical,
@@ -33,6 +32,11 @@ from repro.netlist.io import problem_to_dict
 from repro.netlist.net import Net, Pin
 from repro.netlist.problem import Obstacle, RoutingProblem
 from repro.service.cache import CanonicalCache
+
+
+def digest_of(problem):
+    """The content hash the service caches by."""
+    return canonical_form(problem).digest
 
 
 def mirror_problem(problem, mirror_x=False, mirror_y=False):
@@ -131,30 +135,30 @@ class TestInvariance:
     @pytest.mark.parametrize("problem", generator_family(),
                              ids=lambda p: p.name)
     def test_mirror_variants_hash_identically(self, problem):
-        digest = canonical_digest(problem)
+        digest = digest_of(problem)
         for mx, my in ((True, False), (False, True), (True, True)):
-            assert canonical_digest(
+            assert digest_of(
                 mirror_problem(problem, mx, my)
             ) == digest, f"mirror ({mx},{my}) changed the digest"
 
     @pytest.mark.parametrize("problem", generator_family(),
                              ids=lambda p: p.name)
     def test_relabeling_hashes_identically(self, problem):
-        assert canonical_digest(relabel_problem(problem)) == \
-            canonical_digest(problem)
+        assert digest_of(relabel_problem(problem)) == \
+            digest_of(problem)
 
     @pytest.mark.parametrize("problem", generator_family(),
                              ids=lambda p: p.name)
     def test_translation_hashes_identically(self, problem):
         shifted = translate_problem(problem, 3, 2)
-        assert canonical_digest(shifted) == canonical_digest(problem)
+        assert digest_of(shifted) == digest_of(problem)
 
     def test_composed_isomorphism(self):
         problem = woven_switchbox(11, 7, 6, seed=8, tangle=0.2).to_problem()
         variant = relabel_problem(
             translate_problem(mirror_problem(problem, True, True), 4, 1)
         )
-        assert canonical_digest(variant) == canonical_digest(problem)
+        assert digest_of(variant) == digest_of(problem)
 
 
 class TestDistinctness:
@@ -168,7 +172,7 @@ class TestDistinctness:
             for s in range(6, 12)
         ]
         for problem in problems:
-            digest = canonical_digest(problem)
+            digest = digest_of(problem)
             assert digest not in digests, (
                 f"{problem.name} collides with {digests[digest]}"
             )
@@ -187,7 +191,7 @@ class TestDistinctness:
         moved = RoutingProblem(
             width=base.width, height=base.height, nets=nets, name="moved"
         )
-        assert canonical_digest(moved) != canonical_digest(base)
+        assert digest_of(moved) != digest_of(base)
 
     def test_an_obstacle_changes_the_digest(self):
         base = woven_switchbox(12, 9, 8, seed=5, tangle=0.3).to_problem()
@@ -195,7 +199,7 @@ class TestDistinctness:
             width=base.width, height=base.height, nets=list(base.nets),
             obstacles=[Obstacle(Rect(5, 4, 6, 5))], name="blocked",
         )
-        assert canonical_digest(blocked) != canonical_digest(base)
+        assert digest_of(blocked) != digest_of(base)
 
 
 class TestTransformRoundTrip:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.grid import Layer
+from repro.grid import OBSTACLE, Layer
 from repro.netlist import ChannelSpec, ProblemError
 from repro.netlist.generators import deutsch_class_channel, random_channel
 from repro.netlist.instances import (
@@ -135,11 +135,11 @@ class TestLowering:
         spec = ChannelSpec((1, 0), (0, 1))
         grid = spec.to_problem(tracks=2).build_grid()
         # horizontal layer blocked on both shore rows everywhere
-        assert grid.is_obstacle((0, 0, 0))
-        assert grid.is_obstacle((1, 3, 0))
+        assert grid.owner((0, 0, 0)) == OBSTACLE
+        assert grid.owner((1, 3, 0)) == OBSTACLE
         # empty shore slots blocked on the vertical layer too
-        assert grid.is_obstacle((1, 3, 1))
-        assert grid.is_obstacle((0, 0, 1))
+        assert grid.owner((1, 3, 1)) == OBSTACLE
+        assert grid.owner((0, 0, 1)) == OBSTACLE
         # track rows free
         assert grid.is_free((0, 1, 0)) and grid.is_free((1, 2, 1))
 

@@ -24,11 +24,6 @@ class TestNet:
     def test_basic(self):
         net = Net("a", (Pin(0, 0), Pin(1, 1)))
         assert net.pin_count == 2
-        assert net.is_routable
-
-    def test_single_pin_not_routable(self):
-        assert not Net("a", (Pin(0, 0),)).is_routable
-        assert not Net("a").is_routable
 
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):
@@ -41,12 +36,6 @@ class TestNet:
     def test_same_cell_different_layer_ok(self):
         net = Net("a", (Pin(0, 0, Layer.HORIZONTAL), Pin(0, 0, Layer.VERTICAL)))
         assert net.pin_count == 2
-
-    def test_with_pin(self):
-        net = Net("a", (Pin(0, 0),))
-        grown = net.with_pin(Pin(2, 2))
-        assert grown.pin_count == 2
-        assert net.pin_count == 1  # original untouched
 
     def test_pins_normalised_to_tuple(self):
         net = Net("a", [Pin(0, 0), Pin(1, 0)])

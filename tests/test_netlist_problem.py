@@ -5,7 +5,7 @@ import pytest
 from repro.bench import bench_cases
 from repro.core.decompose import decompose_problem
 from repro.geometry import Rect, RectilinearRegion
-from repro.grid import Layer
+from repro.grid import OBSTACLE, Layer
 from repro.netlist import Net, Pin, ProblemError, RoutingProblem
 from repro.netlist.problem import Obstacle
 
@@ -118,14 +118,6 @@ class TestNetIds:
         with pytest.raises(KeyError):
             two_net_problem().net_id("zzz")
 
-    def test_routable_nets(self):
-        problem = RoutingProblem(
-            4,
-            4,
-            nets=[Net("a", (Pin(0, 0), Pin(1, 1))), Net("b", (Pin(2, 2),))],
-        )
-        assert [n.name for n in problem.routable_nets] == ["a"]
-
 
 class TestConnectionCount:
     """``connection_count`` is the decomposition's size, by definition."""
@@ -166,7 +158,7 @@ class TestBuildGrid:
             obstacles=[Obstacle(Rect(2, 2, 3, 3), Layer.HORIZONTAL)],
         )
         grid = problem.build_grid()
-        assert grid.is_obstacle((2, 2, 0))
+        assert grid.owner((2, 2, 0)) == OBSTACLE
         assert grid.is_free((2, 2, 1))
 
     def test_fresh_grid_each_call(self):
@@ -181,4 +173,4 @@ class TestBuildGrid:
             5, 5, nets=[Net("a", (Pin(0, 0), Pin(2, 2)))], region=region
         )
         grid = problem.build_grid()
-        assert grid.is_obstacle((4, 4, 0))
+        assert grid.owner((4, 4, 0)) == OBSTACLE

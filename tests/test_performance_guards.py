@@ -14,6 +14,7 @@ from repro.bench import bench_cases
 from repro.core import MightyConfig, MightyRouter, route_problem
 from repro.engine import EngineConfig, RoutingEngine
 from repro.grid import GridNode, GridPath, RoutingGrid
+from repro.grid.path import flat_id
 from repro.maze import CostModel, find_path
 from repro.netlist.generators import (
     deutsch_class_channel,
@@ -63,7 +64,8 @@ class TestSearchWork:
             grid, 1, [(0, 10, 0)], [(30, 10, 0)], allow_conflicts=True
         )
         assert result.found and result.cost == 130
-        assert result.conflict_nodes == [(26, 10, 0), (29, 10, 0)]
+        assert result.conflict_ids == [flat_id((26, 10, 0), 40, 21),
+                                       flat_id((29, 10, 0), 40, 21)]
         assert result.expansions + result.flood_visits <= 300
 
 

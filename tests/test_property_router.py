@@ -39,7 +39,7 @@ def test_astar_cost_lower_bounded_by_manhattan(source, target):
     result = find_path(grid, 1, [source], [target])
     assert result.found
     manhattan = abs(source[0] - target[0]) + abs(source[1] - target[1])
-    assert result.cost >= manhattan * CostModel().step_cost
+    assert result.cost >= manhattan
 
 
 @settings(max_examples=40, deadline=None)

@@ -400,17 +400,20 @@ class TestWorkerLiveness:
     def test_dead_worker_raises_structured_error_and_respawns(self):
         from repro.service.workers import WorkerPool
 
+        options = {"deadline_s": None, "max_attempts": 2}
         pool = WorkerPool(1)
         try:
             pool._processes[0].terminate()
             pool._processes[0].join(10)
             with pytest.raises(EngineError) as excinfo:
-                pool.run(0, {"job_id": 1, "problem": box_payload()})
+                pool.run(0, {"job_id": 1, "problem": box_payload(),
+                             "options": options})
             assert excinfo.value.context["worker"] == 0
             assert excinfo.value.context["respawned"] is True
             # the respawned worker serves the next job
             assert pool.alive() == [True]
-            reply = pool.run(0, {"job_id": 2, "problem": box_payload()})
+            reply = pool.run(0, {"job_id": 2, "problem": box_payload(),
+                                 "options": options})
             assert reply["ok"] is True
         finally:
             pool.close()

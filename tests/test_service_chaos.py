@@ -35,6 +35,7 @@ from repro.service import (
     ServiceConfig,
     WorkerPool,
 )
+from repro.service import client as client_module
 from repro.service import protocol
 from repro.testing import ServiceFaultPlan, service_faults
 
@@ -75,16 +76,18 @@ class TestClientTransport:
         assert 0.2 <= elapsed < 5.0
         listener.close()
 
-    def test_stalling_server_with_retries_stays_in_budget(self, tmp_path):
+    def test_stalling_server_with_retries_stays_in_budget(
+        self, tmp_path, monkeypatch
+    ):
         """Retries share the original wall budget — a stall burns it
         once, and the retry loop must not extend the call."""
+        monkeypatch.setattr(client_module, "RETRY_BASE_S", 0.01)
         path = str(tmp_path / "stall.sock")
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(path)
         listener.listen(4)
         client = ServiceClient(
-            path, timeout_s=0.6, retries=5,
-            retry_base_s=0.01, retry_max_wait_s=0.05,
+            path, timeout_s=0.6, retries=5, retry_max_wait_s=0.05
         )
         started = time.monotonic()
         with pytest.raises(ServiceUnavailable):
@@ -93,10 +96,13 @@ class TestClientTransport:
         assert elapsed < 5.0
         listener.close()
 
-    def test_missing_socket_retries_then_fails_in_budget(self, tmp_path):
+    def test_missing_socket_retries_then_fails_in_budget(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(client_module, "RETRY_BASE_S", 0.01)
         client = ServiceClient(
             str(tmp_path / "nowhere.sock"), timeout_s=3.0, retries=4,
-            retry_base_s=0.01, retry_max_wait_s=0.05,
+            retry_max_wait_s=0.05,
         )
         started = time.monotonic()
         with pytest.raises(ServiceUnavailable):
@@ -246,14 +252,14 @@ class TestRetryPolicy:
             client.health()
         assert client.attempts == 3
 
-    def test_retry_after_hint_floors_the_backoff(self):
+    def test_retry_after_hint_floors_the_backoff(self, monkeypatch):
+        monkeypatch.setattr(client_module, "RETRY_BASE_S", 0.001)
         client = ScriptedClient(
             [
                 overloaded_envelope(retry_after_s=0.7),
                 protocol.ok_response(health={}),
             ],
             retries=2,
-            retry_base_s=0.001,
             retry_max_wait_s=2.0,
         )
         client.health()
@@ -429,18 +435,14 @@ class TestDurableRestart:
                 woven_switchbox(10, 8, 6, seed=2, tangle=0.2).to_problem()
             ),
         ]
-        with running_service(
-            cache_dir=cache_dir, fsync_store=False
-        ) as (_, client, _o):
+        with running_service(cache_dir=cache_dir) as (_, client, _o):
             for payload in payloads:
                 first = client.submit(payload)
                 assert first["job"]["cache"] == "miss"
                 assert first["result"]["status"] == "complete"
         # fresh daemon, fresh socket, same cache directory: every
         # instance routed before the restart is served warm
-        with running_service(
-            cache_dir=cache_dir, fsync_store=False
-        ) as (_, client, outcome):
+        with running_service(cache_dir=cache_dir) as (_, client, outcome):
             for payload in payloads:
                 second = client.submit(payload)
                 assert second["job"]["cache"] == "hit"
@@ -454,25 +456,24 @@ class TestDurableRestart:
     def test_isomorphic_twin_hits_across_restart(self, tmp_path):
         original, twin = mirrored_twin()
         cache_dir = str(tmp_path / "cache")
-        with running_service(
-            cache_dir=cache_dir, fsync_store=False
-        ) as (_, client, _o):
+        with running_service(cache_dir=cache_dir) as (_, client, _o):
             assert client.submit(original)["job"]["cache"] == "miss"
-        with running_service(
-            cache_dir=cache_dir, fsync_store=False
-        ) as (_, client, _o):
+        with running_service(cache_dir=cache_dir) as (_, client, _o):
             response = client.submit(twin)
             assert response["job"]["cache"] == "hit"
             # rendered into the twin's own frame
             assert response["result"]["problem"]["name"] == "mirrored-twin"
 
-    def test_retrying_client_rides_through_a_restart(self, tmp_path):
+    def test_retrying_client_rides_through_a_restart(
+        self, tmp_path, monkeypatch
+    ):
         """A client submitting while the daemon is down keeps retrying
         and is served — from the durable cache — once it returns."""
+        monkeypatch.setattr(client_module, "RETRY_BASE_S", 0.02)
         cache_dir = str(tmp_path / "cache")
         socket_path = str(tmp_path / "ride.sock")
         with running_service(
-            cache_dir=cache_dir, fsync_store=False, socket_path=socket_path
+            cache_dir=cache_dir, socket_path=socket_path
         ) as (_, client, _o):
             client.submit(box_payload())
         outcome = {}
@@ -480,7 +481,7 @@ class TestDurableRestart:
         def submitter():
             retry_client = ServiceClient(
                 socket_path, timeout_s=60.0, retries=200,
-                retry_base_s=0.02, retry_max_wait_s=0.2,
+                retry_max_wait_s=0.2,
             )
             try:
                 outcome["response"] = retry_client.submit(box_payload())
@@ -491,7 +492,7 @@ class TestDurableRestart:
         thread.start()
         time.sleep(0.3)  # let it accumulate a few failed attempts
         with running_service(
-            cache_dir=cache_dir, fsync_store=False, socket_path=socket_path
+            cache_dir=cache_dir, socket_path=socket_path
         ) as (_, _client, _o):
             thread.join(45)
         assert not thread.is_alive()

@@ -21,6 +21,7 @@ from repro.engine import EngineConfig, RoutingEngine
 from repro.netlist.canonical import canonical_form
 from repro.netlist.instances import small_switchbox
 from repro.netlist.io import problem_to_dict
+from repro.service import store as store_module
 from repro.service.cache import CanonicalCache
 from repro.service.store import (
     FORMAT_VERSION,
@@ -33,9 +34,19 @@ HEADER_BYTES = 8
 RECORD_HEADER_BYTES = 8
 
 
-def make_store(tmp_path, **kwargs) -> CacheStore:
-    kwargs.setdefault("fsync", False)
-    return CacheStore(str(tmp_path / "cache"), **kwargs)
+def make_store(tmp_path) -> CacheStore:
+    return CacheStore(str(tmp_path / "cache"))
+
+
+@pytest.fixture
+def compaction(monkeypatch):
+    """Set the store's compaction thresholds for one test."""
+
+    def set_thresholds(min_records, ratio):
+        monkeypatch.setattr(store_module, "COMPACT_MIN_RECORDS", min_records)
+        monkeypatch.setattr(store_module, "COMPACT_RATIO", ratio)
+
+    return set_thresholds
 
 
 def fake_payload(tag: str) -> dict:
@@ -126,9 +137,7 @@ class TestCorruptionPolicy:
             store.journal_path, HEADER_BYTES + RECORD_HEADER_BYTES + 4
         )
         events = []
-        fresh = CacheStore(
-            store.cache_dir, on_event=events.append, fsync=False
-        )
+        fresh = CacheStore(store.cache_dir, on_event=events.append)
         entries = fresh.load()
         assert list(entries) == ["d2"]
         assert fresh.counters["skipped_records"] == 1
@@ -140,9 +149,7 @@ class TestCorruptionPolicy:
         store.close()
         flip_byte(store.journal_path, 0)  # corrupt the magic itself
         events = []
-        fresh = CacheStore(
-            store.cache_dir, on_event=events.append, fsync=False
-        )
+        fresh = CacheStore(store.cache_dir, on_event=events.append)
         assert fresh.load() == OrderedDict()
         assert fresh.counters["invalid_files"] == 1
         assert any("header" in line for line in events)
@@ -186,10 +193,11 @@ class TestCorruptionPolicy:
 
 
 class TestCompactionPolicy:
-    def test_maybe_compact_triggers_on_journal_bloat(self, tmp_path):
-        store = make_store(
-            tmp_path, compact_min_records=4, compact_ratio=2.0
-        )
+    def test_maybe_compact_triggers_on_journal_bloat(
+        self, tmp_path, compaction
+    ):
+        compaction(4, 2.0)
+        store = make_store(tmp_path)
         entries = {"d": fake_payload("latest")}
         for i in range(3):
             store.append("d", fake_payload(f"v{i}"))
@@ -201,10 +209,9 @@ class TestCompactionPolicy:
         assert store.counters["compactions"] == 1
         assert make_store(tmp_path).load() == OrderedDict(entries)
 
-    def test_maybe_compact_respects_ratio(self, tmp_path):
-        store = make_store(
-            tmp_path, compact_min_records=2, compact_ratio=4.0
-        )
+    def test_maybe_compact_respects_ratio(self, tmp_path, compaction):
+        compaction(2, 4.0)
+        store = make_store(tmp_path)
         entries = {f"d{i}": fake_payload(str(i)) for i in range(3)}
         for digest, payload in entries.items():
             store.append(digest, payload)

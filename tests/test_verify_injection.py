@@ -38,8 +38,10 @@ def erase_net_wiring(grid, net_id):
     for node in grid.net_nodes(net_id):
         if grid.pin_owner(node) == FREE:
             poke(grid, node, FREE)
-    for cell in grid.net_vias(net_id):
-        poke(grid, (cell.x, cell.y, 0), FREE, via=True)
+    for index, owner in enumerate(grid._via):
+        if owner == net_id:
+            x, y = index % grid.width, index // grid.width
+            poke(grid, (x, y, 0), FREE, via=True)
 
 
 def grid_state(grid):
