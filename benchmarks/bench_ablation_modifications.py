@@ -11,7 +11,7 @@ Expected shape: none < {weak-only, strong-only} <= both.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict
 
 from conftest import emit
 

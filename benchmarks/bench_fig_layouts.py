@@ -11,11 +11,11 @@ from conftest import emit
 
 from repro.analysis import verify_routing
 from repro.channels import MightyChannelRouter
+from repro.core import MightyConfig, route_problem
 from repro.netlist.generators import (
     burstein_class_switchbox,
     random_channel,
 )
-from repro.switchbox import route_switchbox
 from repro.viz.ascii_art import render_grid
 from repro.viz.svg import svg_from_grid, svg_from_result
 
@@ -23,7 +23,7 @@ from repro.viz.svg import svg_from_grid, svg_from_result
 def test_fig_switchbox_layout(benchmark, output_dir):
     """Figure: the routed Burstein-class switchbox."""
     spec = burstein_class_switchbox()
-    result = route_switchbox(spec)
+    result = route_problem(spec.to_problem(), MightyConfig())
     assert result.success
 
     svg = benchmark.pedantic(

@@ -18,7 +18,7 @@ from typing import List
 from conftest import emit
 
 from repro.analysis import format_table, layout_metrics, verify_routing
-from repro.core import MightyConfig
+from repro.core import MightyConfig, route_problem
 from repro.netlist.generators import (
     burstein_class_switchbox,
     dense_class_switchbox,
@@ -26,12 +26,7 @@ from repro.netlist.generators import (
     woven_switchbox,
 )
 from repro.netlist.switchbox import SwitchboxSpec
-from repro.switchbox import (
-    GreedySwitchboxRouter,
-    minimum_routable_width,
-    route_switchbox,
-    route_switchbox_naive,
-)
+from repro.switchbox import GreedySwitchboxRouter, minimum_routable_width
 
 
 def _suite() -> List[SwitchboxSpec]:
@@ -51,8 +46,8 @@ def _rows() -> List[List[object]]:
     greedy = GreedySwitchboxRouter()
     for spec in _suite():
         problem = spec.to_problem()
-        mighty = route_switchbox(spec)
-        naive = route_switchbox_naive(spec)
+        mighty = route_problem(problem, MightyConfig())
+        naive = route_problem(problem, MightyConfig.no_modification())
         luk = greedy.route(spec)
         verified = verify_routing(problem, mighty.grid)
         metrics = layout_metrics(problem, mighty.grid)
@@ -89,7 +84,7 @@ def test_table2_switchboxes(benchmark):
     spec = burstein_class_switchbox()
 
     def kernel():
-        return route_switchbox(spec)
+        return route_problem(spec.to_problem(), MightyConfig())
 
     result = benchmark.pedantic(kernel, rounds=1, iterations=1)
     assert result.success

@@ -16,16 +16,12 @@ import sys
 from pathlib import Path
 
 from repro.analysis import format_table
-from repro.core import MightyConfig
+from repro.core import MightyConfig, route_problem
 from repro.netlist.generators import (
     burstein_class_switchbox,
     dense_class_switchbox,
 )
-from repro.switchbox import (
-    minimum_routable_width,
-    route_switchbox,
-    route_switchbox_naive,
-)
+from repro.switchbox import minimum_routable_width
 from repro.viz.svg import svg_from_result
 
 
@@ -35,8 +31,9 @@ def main() -> None:
 
     rows = []
     for spec in (burstein_class_switchbox(), dense_class_switchbox()):
-        mighty = route_switchbox(spec)
-        naive = route_switchbox_naive(spec)
+        problem = spec.to_problem()
+        mighty = route_problem(problem, MightyConfig())
+        naive = route_problem(problem, MightyConfig.no_modification())
         svg_path = out_dir / f"{spec.name}.svg"
         svg_path.write_text(svg_from_result(mighty))
         rows.append(

@@ -353,12 +353,11 @@ def run_bench(
 # Comparison
 # ----------------------------------------------------------------------
 #: The counters ``repro bench --compare`` holds equal, case by case.
-#: All are deterministic and machine-independent.  The search work
-#: counters are required; the rest count only where the baseline records
-#: them.
-REQUIRED_COUNTERS = ("expansions", "searches")
-PARITY_COUNTERS = REQUIRED_COUNTERS + (
-    "flood_visits", "wirelength", "iterations", "routed"
+#: All are deterministic and machine-independent, and every row records
+#: all of them.
+PARITY_COUNTERS = (
+    "expansions", "searches", "flood_visits", "wirelength", "iterations",
+    "routed",
 )
 
 
@@ -369,14 +368,14 @@ def counter_mismatches(
     ``baseline``; no line means parity.
 
     Both must name the same cases, and every case must have equal
-    ``expansions`` and ``searches``, and equal ``flood_visits``,
-    ``wirelength``, ``iterations`` and ``routed`` where the baseline
-    records them.  Case by case, so one case rising while another falls
-    is caught, which no summed ratio does; and a control-loop change
-    that leaves the search counts equal still shows in ``iterations``.
-    Baseline cases of the suite that the run's ``quick``/``only``
-    selection left out do not count; a baseline case the suite no
-    longer has is missing from the report.
+    ``expansions``, ``searches``, ``flood_visits``, ``wirelength``,
+    ``iterations`` and ``routed``; a counter one row lacks differs.
+    Case by case, so one case rising while another falls is caught,
+    which no summed ratio does; and a control-loop change that leaves
+    the search counts equal still shows in ``iterations``.  Baseline
+    cases of the suite that the run's ``quick``/``only`` selection left
+    out do not count; a baseline case the suite no longer has is missing
+    from the report.
     """
     suite = {case.name for case in bench_cases()}
     new = {row["name"]: row for row in report["cases"]}
@@ -390,8 +389,7 @@ def counter_mismatches(
     for name in old.keys() & new.keys():
         for counter in PARITY_COUNTERS:
             want, got = old[name].get(counter), new[name].get(counter)
-            required = counter in REQUIRED_COUNTERS
-            if got != want and (want is not None or required):
+            if got != want:
                 lines.append(f"{name}: {counter} {got} != baseline {want}")
     return sorted(lines)
 

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.analysis.metrics import channel_tracks_used
 from repro.analysis.verify import verify_routing
 from repro.channels.base import ChannelResult, ChannelRouter, track_row
 from repro.geometry.point import Point
 from repro.grid.layers import Layer
-from repro.grid.path import straight_path
+from repro.grid.path import flat_id, straight_path
 from repro.grid.routing_grid import GridError
-from repro.maze.astar import find_path
+from repro.maze.astar import find_path_flat
 from repro.netlist.channel import ChannelSpec
 
 #: Branch-order restarts after the first attempt.
@@ -198,21 +200,20 @@ class YacrLiteRouter(ChannelRouter):
                     problem=problem,
                     grid=grid,
                 )
+        occ = np.frombuffer(grid.occ_flat(), dtype=np.intc)
         for column, net, shore in branches:
             net_id = ids[spec.net_name(net)]
             pin_row = tracks + 1 if shore == "T" else 0
-            pin_node = (column, pin_row, int(Layer.VERTICAL))
-            component = grid.connected_component(net_id, pin_node)
-            targets = {
-                tuple(node)
-                for node in grid.net_nodes(net_id)
-                if tuple(node) not in component
-            }
+            pin = flat_id(
+                (column, pin_row, int(Layer.VERTICAL)), grid.width, grid.height
+            )
+            sources = grid.component_ids(net_id, pin)
+            other = occ == net_id
+            other[sources] = False
+            targets = np.flatnonzero(other).tolist()
             if not targets:
                 continue  # single-component already (e.g. both pins joined)
-            result = find_path(
-                grid, net_id, [tuple(node) for node in component], targets
-            )
+            result = find_path_flat(grid, net_id, sources, targets)
             if not result.found:
                 return ChannelResult(
                     spec=spec,

@@ -808,10 +808,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASELINE",
         help="baseline report to gate against: exit 1, with a PARITY line "
         "per difference, unless the run routed the baseline's cases (as "
-        "far as --quick/--only select them) with equal expansions and "
-        "searches, and equal flood_visits, wirelength, iterations and "
-        "routed where the baseline records them; the per-case wall table "
-        "is printed and the comparison is embedded in the output report",
+        "far as --quick/--only select them) with equal expansions, "
+        "searches, flood_visits, wirelength, iterations and routed (a "
+        "baseline row lacking one fails); the per-case wall table is "
+        "printed and the comparison is embedded in the output report",
     )
     bench.add_argument(
         "--profile",

@@ -14,12 +14,15 @@ is kept empty (pure wirelength savings).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, List, Optional
+from typing import Collection, Optional
 
 from repro.core.decompose import Connection
 from repro.core.result import RouteResult
-from repro.grid.path import GridPath
-from repro.maze.astar import find_path
+from repro.grid.path import GridPath, flat_id
+from repro.maze.astar import find_path_flat
+
+# Not called here; the end-to-end benchmark's tracer binds it by name.
+from repro.maze.astar import find_path  # noqa: F401
 from repro.maze.cost import CostModel
 
 
@@ -48,19 +51,23 @@ class ImprovementStats:
         )
 
 
-def path_cost(path: Optional[GridPath], model: CostModel) -> int:
-    """Cost of a committed path under ``model`` (0 for a trivial path)."""
+def path_cost(
+    path: Optional[GridPath], model: CostModel, width: int, height: int
+) -> int:
+    """Cost under ``model`` of a committed path on a ``width x height``
+    grid (0 for a trivial path)."""
     if path is None:
         return 0
-    nodes = path.nodes
+    ids = path.ids_on(width, height)
+    plane = width * height
+    table = model.axis_cost_table
     total = 0
-    for a, b in zip(nodes, nodes[1:]):
-        if a.layer != b.layer:
-            total += model.via_cost
-        else:
-            horizontal_step = a.y == b.y
-            with_grain = horizontal_step == (int(a.layer) == 0)
-            total += model.wire_step(with_grain)
+    for a, b in zip(ids, ids[1:]):
+        # Via first, then y: on a 1-high grid a via is a step of W, and
+        # on a 1-wide grid a y step is a step of 1.
+        step = abs(b - a)
+        axis = 2 if step == plane else 1 if step == width else 0
+        total += table[a // plane][axis]
     return total
 
 
@@ -87,44 +94,47 @@ def improve_routing(
     model = cost or CostModel()
     scope = None if only is None else set(id(c) for c in only)
     grid = result.grid
+    width, height = grid.width, grid.height
+
+    def cost_of(path: Optional[GridPath]) -> int:
+        return path_cost(path, model, width, height)
+
+    def pin_id(pin) -> int:
+        return flat_id((pin.x, pin.y, pin.layer), width, height)
+
     stats = ImprovementStats(
-        cost_before=sum(
-            path_cost(c.path, model) for c in result.connections
-        )
+        cost_before=sum(cost_of(c.path) for c in result.connections)
     )
 
     def net_still_connected(net_id: int) -> bool:
         # Sibling connections may terminate on the copper being moved, so
         # a locally-sound reroute can still strand another connection's
         # endpoint; accept a change only if every pin of the whole net
-        # stays in one component (answered by the incremental index, not
+        # stays in one component (answered by the component cache, not
         # a from-scratch flood).
-        pins = result.problem.net_by_id(net_id).pins
-        if len(pins) < 2:
-            return True
-        anchor = tuple(pins[0].node)
+        pins = [pin_id(pin) for pin in result.problem.net_by_id(net_id).pins]
         return all(
-            grid.same_component(net_id, anchor, tuple(pin.node))
-            for pin in pins[1:]
+            grid.same_component_ids(net_id, pins[0], pin) for pin in pins[1:]
         )
 
     for _ in range(passes):
         improved_this_pass = 0
-        for connection in _by_descending_cost(result.connections, model):
+        # Most expensive first: early victims of congestion improve first.
+        for connection in sorted(
+            result.connections, key=lambda c: cost_of(c.path), reverse=True
+        ):
             if scope is not None and id(connection) not in scope:
                 continue
             if not connection.routed or connection.path is None:
                 continue
             old_path = connection.path
-            old_cost = path_cost(old_path, model)
+            old_cost = cost_of(old_path)
             grid.remove_path(connection.net_id, old_path)
             connection.path = None
 
-            source_node = tuple(connection.source_node)
-            target_node = tuple(connection.target_node)
-            if grid.same_component(
-                connection.net_id, source_node, target_node
-            ):
+            source = pin_id(connection.source_pin)
+            target = pin_id(connection.target_pin)
+            if grid.same_component_ids(connection.net_id, source, target):
                 if not net_still_connected(connection.net_id):
                     # The removed copper carried a sibling's endpoint.
                     grid.commit_path(connection.net_id, old_path)
@@ -134,14 +144,8 @@ def improve_routing(
                 stats.removed_redundant += 1
                 improved_this_pass += 1
                 continue
-            sources = [
-                tuple(n)
-                for n in grid.component_nodes(connection.net_id, source_node)
-            ]
-            targets = [
-                tuple(n)
-                for n in grid.component_nodes(connection.net_id, target_node)
-            ]
+            sources = grid.component_ids(connection.net_id, source)
+            targets = grid.component_ids(connection.net_id, target)
             if not sources or not targets:
                 # A pre-routed (fixed) connection's endpoints are path
                 # ends, not reserved pins; lifting its copper can leave an
@@ -150,7 +154,7 @@ def improve_routing(
                 grid.commit_path(connection.net_id, old_path)
                 connection.path = old_path
                 continue
-            candidate = find_path(
+            candidate = find_path_flat(
                 grid, connection.net_id, sources, targets, cost=model
             )
             if candidate.found and candidate.cost < old_cost:
@@ -173,19 +177,6 @@ def improve_routing(
         if improved_this_pass == 0:
             break
 
-    stats.cost_after = sum(
-        path_cost(c.path, model) for c in result.connections
-    )
+    stats.cost_after = sum(cost_of(c.path) for c in result.connections)
     assert stats.cost_after <= stats.cost_before, "improvement must be monotone"
     return stats
-
-
-def _by_descending_cost(
-    connections: List[Connection], model: CostModel
-) -> List[Connection]:
-    """Most expensive first: early victims of congestion improve first."""
-    return sorted(
-        connections,
-        key=lambda c: path_cost(c.path, model),
-        reverse=True,
-    )

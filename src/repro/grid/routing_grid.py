@@ -38,7 +38,8 @@ their ids directly; a path built from nodes is converted once per call.
 
 Connectivity queries flood a net's copper over the flat stores from the
 queried node and cache the component, an ascending list of flat ids,
-under each of its members.  The router reads those lists directly
+under each of its members.  The router, the improvement phase, YACR-lite
+and the woven generators read those lists directly
 (:meth:`RoutingGrid.component_ids`); :meth:`RoutingGrid.component_nodes`
 is their node view.  A write that can change a net's components drops
 that net's cache entry; rollback, restore and unpickling drop them all,
@@ -48,7 +49,7 @@ so the journal records copper only.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -450,7 +451,7 @@ class RoutingGrid:
         self._components.clear()
 
     # ------------------------------------------------------------------
-    # Connectivity (cached floods; BFS oracle kept for reference)
+    # Connectivity (cached floods)
     # ------------------------------------------------------------------
     def same_component(
         self,
@@ -461,9 +462,7 @@ class RoutingGrid:
         """True when ``a`` and ``b`` are both owned by ``net_id`` and
         connected through its copper.
 
-        The node form of :meth:`same_component_ids`.  Agrees with
-        :meth:`connected_component` membership (the differential tests
-        assert this).
+        The node form of :meth:`same_component_ids`.
         """
         ia = flat_id(a, self.width, self.height)
         ib = flat_id(b, self.width, self.height)
@@ -492,8 +491,7 @@ class RoutingGrid:
         """Nodes of the ``net_id`` component containing ``seed``, in
         ascending flat order (empty when ``seed`` is not owned by the net).
 
-        A node view of :meth:`component_ids`, built on every call.  Use
-        :meth:`connected_component` when a set is wanted.
+        A node view of :meth:`component_ids`, built on every call.
         """
         index = flat_id(seed, self.width, self.height)
         if index is None:
@@ -525,8 +523,9 @@ class RoutingGrid:
         """The cached component of owned flat node ``seed``; on a miss,
         flood it and cache it under every member.
 
-        Same adjacency as :meth:`connected_component`: a unit step on one
-        layer, or a layer change where the net owns the cell's via.
+        Adjacency is a unit step on one layer, or a layer change where
+        the net owns the cell's via: the same as the from-scratch BFS
+        that the tests hold every answer to (``tests/bfs_oracle.py``).
         """
         members = self._components.setdefault(net_id, {})
         component = members.get(seed)
@@ -556,41 +555,6 @@ class RoutingGrid:
         component = sorted(seen)
         members.update(dict.fromkeys(component, component))
         return component
-
-    def connected_component(
-        self, net_id: int, seed: Tuple[int, int, int]
-    ) -> Set[GridNode]:
-        """Nodes of ``net_id`` reachable from ``seed`` through its copper.
-
-        Adjacency is a unit wire step on the same layer, or a layer change at
-        a cell where the net owns a via.
-
-        This is the from-scratch BFS reference implementation — O(component)
-        per call.  Hot paths (router, improvement pass) use the incremental
-        index via :meth:`same_component`/:meth:`component_nodes`; the BFS
-        remains the oracle the differential tests compare both the index
-        and the verifier's copper labels against.
-        """
-        seed_node = GridNode(seed[0], seed[1], Layer(seed[2]))
-        if self.owner(seed_node) != net_id:
-            return set()
-        seen = {seed_node}
-        stack = [seed_node]
-        while stack:
-            node = stack.pop()
-            candidates = [
-                GridNode(node.x + 1, node.y, node.layer),
-                GridNode(node.x - 1, node.y, node.layer),
-                GridNode(node.x, node.y + 1, node.layer),
-                GridNode(node.x, node.y - 1, node.layer),
-            ]
-            if self.via_owner(node.x, node.y) == net_id:
-                candidates.append(GridNode(node.x, node.y, node.layer.other))
-            for cand in candidates:
-                if cand not in seen and self.owner(cand) == net_id:
-                    seen.add(cand)
-                    stack.append(cand)
-        return seen
 
     @staticmethod
     def _check_net_id(net_id: int) -> None:

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
 from repro.grid.layers import Layer
+from repro.grid.path import flat_id
 from repro.netlist.channel import ChannelSpec
 from repro.netlist.net import Net, Pin
 from repro.netlist.problem import RoutingProblem
@@ -534,27 +535,30 @@ def _weave_net(
     When a pin cannot be joined, the grid is restored as it was and the
     result is False.
     """
-    from repro.maze.astar import find_path
+    from repro.maze.astar import find_path_flat
     from repro.maze.cost import CostModel
 
     cost = CostModel(wrong_way_penalty=0, via_cost=1)
+    width, height = grid.width, grid.height
     snapshot = grid.clone()
     for node in nodes:
         grid.reserve_pin(net_id, node)
+    root = flat_id(nodes[0], width, height)
     for node in nodes[1:]:
-        tree = [tuple(n) for n in grid.connected_component(net_id, nodes[0])]
-        sources = [node]
+        pin = flat_id(node, width, height)
+        tree = grid.component_ids(net_id, root)
+        sources = [pin]
         if rng.random() < tangle:
             waypoint = draw_waypoint()
             if grid.is_free(waypoint):
-                stub = find_path(grid, net_id, [node], [waypoint], cost=cost)
+                stub = find_path_flat(
+                    grid, net_id, [pin], [flat_id(waypoint, width, height)],
+                    cost=cost,
+                )
                 if stub.found:
                     grid.commit_path(net_id, stub.path)
-                    sources = [
-                        tuple(n)
-                        for n in grid.connected_component(net_id, node)
-                    ]
-        result = find_path(grid, net_id, sources, tree, cost=cost)
+                    sources = grid.component_ids(net_id, pin)
+        result = find_path_flat(grid, net_id, sources, tree, cost=cost)
         if not result.found:
             grid.restore(snapshot)
             return False

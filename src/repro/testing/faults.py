@@ -44,7 +44,7 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import EngineError

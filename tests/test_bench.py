@@ -5,6 +5,7 @@ comparison and gating logic are tested against hand-built reports so no
 timing enters the assertions.
 """
 
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -169,10 +170,20 @@ class TestRunBench:
 
 
 def _report(cases):
+    """A report whose rows record all six gated counters."""
     return {
         "schema": SCHEMA_VERSION,
         "cases": [
-            {"name": name, "wall_s": wall, "expansions": exp, "searches": 1}
+            {
+                "name": name,
+                "wall_s": wall,
+                "expansions": exp,
+                "searches": 1,
+                "flood_visits": 0,
+                "wirelength": 10,
+                "iterations": 1,
+                "routed": 1,
+            }
             for name, wall, exp in cases
         ],
     }
@@ -247,27 +258,28 @@ class TestCounterParityCheck:
     def test_case_sets_and_wirelength(self):
         old = _report([("a", 1.0, 100), ("b", 1.0, 100)])
         new = _report([("a", 1.0, 100), ("c", 1.0, 100)])
-        new["cases"][0]["wirelength"] = 7  # not in the baseline: ignored
         assert counter_mismatches(old, new) == [
             "b: missing from the report",
             "c: not in the baseline",
         ]
-        old["cases"][0]["wirelength"] = 8
+        new["cases"][0]["wirelength"] = 7
         assert counter_mismatches(old, new)[0] == (
-            "a: wirelength 7 != baseline 8"
+            "a: wirelength 7 != baseline 10"
         )
+        new["cases"][0]["wirelength"] = 10
         del new["cases"][0]["searches"]
         assert "a: searches None != baseline 1" in counter_mismatches(old, new)
-        # iterations and routed, like wirelength, count where recorded.
-        new["cases"][0].update(
-            searches=1, wirelength=8, iterations=5, routed=3
-        )
-        assert counter_mismatches(old, new) == [
-            "b: missing from the report",
-            "c: not in the baseline",
-        ]
-        old["cases"][0].update(iterations=6, routed=3)
-        assert "a: iterations 5 != baseline 6" in counter_mismatches(old, new)
+        new["cases"][0]["searches"] = 1
+        # Every row records all six counters, so a baseline row that
+        # lacks one fails on it.
+        for counter in ("flood_visits", "wirelength", "iterations", "routed"):
+            recorded = old["cases"][0].pop(counter)
+            assert counter_mismatches(old, new)[0] == (
+                f"a: {counter} {recorded} != baseline None"
+            )
+            old["cases"][0][counter] = recorded
+        old["cases"][0]["iterations"] = 6
+        assert "a: iterations 1 != baseline 6" in counter_mismatches(old, new)
 
     def test_suite_cases_the_run_left_out_do_not_count(self):
         # A full-suite baseline gates a --quick/--only run on its cases.
@@ -359,8 +371,8 @@ class TestBenchCli:
 
     def test_multi_metric_gates(self, tmp_path, capsys):
         """One --compare gates expansions, searches and wirelength; a
-        baseline without wirelength, iterations and routed gates the
-        other two."""
+        baseline without wirelength, iterations and routed fails on each
+        of them."""
         real = run_bench(only=FAST)
         baseline = tmp_path / "base.json"
         argv = [
@@ -368,16 +380,24 @@ class TestBenchCli:
             "-o", str(tmp_path / "new.json"),
             "--compare", str(baseline),
         ]
-        real["cases"][0]["wirelength"] += 1
-        write_report(real, baseline)
+        doctored = copy.deepcopy(real)
+        doctored["cases"][0]["wirelength"] += 1
+        write_report(doctored, baseline)
         assert main(argv) == 1
         assert "PARITY: chan-simple: wirelength" in capsys.readouterr().err
-        for row in real["cases"]:
+        doctored = copy.deepcopy(real)
+        for row in doctored["cases"]:
             del row["wirelength"], row["iterations"], row["routed"]
-        write_report(real, baseline)
-        assert main(argv) == 0
-        real["cases"][0]["searches"] += 1
-        write_report(real, baseline)
+        write_report(doctored, baseline)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("PARITY: ") == 6
+        for counter in ("wirelength", "iterations", "routed"):
+            for name in FAST:
+                assert f"PARITY: {name}: {counter}" in err
+        doctored = copy.deepcopy(real)
+        doctored["cases"][0]["searches"] += 1
+        write_report(doctored, baseline)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("PARITY: ") == 1

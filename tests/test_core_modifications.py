@@ -5,13 +5,12 @@ predicted, and then inspect the router's internal bookkeeping (victim
 selection, budgets, cascades) directly.
 """
 
-import pytest
-
 from repro.analysis import verify_routing
 from repro.core import MightyConfig, MightyRouter, route_problem
 from repro.grid import Layer
 from repro.grid.path import flat_id
 from repro.netlist import Net, Pin, RoutingProblem
+from tests.bfs_oracle import connected_component
 
 
 def wall_and_cross(width=9, height=7):
@@ -152,8 +151,8 @@ class TestCascade:
         for connection in result.connections:
             if not connection.routed:
                 continue
-            component = result.grid.connected_component(
-                connection.net_id, tuple(connection.source_node)
+            component = connected_component(
+                result.grid, connection.net_id, tuple(connection.source_node)
             )
             assert connection.target_node in component, connection
 

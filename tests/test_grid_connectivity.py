@@ -4,7 +4,7 @@
 answer the router's "are these pins already connected / give me the
 source component" queries from a per-net cache of flooded components.
 Their one obligation is exactness: **for every net, at all times, every
-answer must equal the BFS oracle's** (:meth:`RoutingGrid.connected_component`),
+answer must equal the BFS oracle's** (``tests/bfs_oracle.py``),
 so no cached component may outlive a write that changes it.  These tests
 beat on that invariant from every direction the router can:
 
@@ -41,6 +41,7 @@ from repro.grid.path import GridNode, GridPath
 from repro.grid.routing_grid import GridError, RoutingGrid
 from repro.netlist.generators import woven_switchbox
 from repro.testing.faults import FaultInjector, FaultPlan
+from tests.bfs_oracle import connected_component
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +55,7 @@ def assert_index_matches_bfs(grid, net_ids):
         owned = grid.net_nodes(net_id)
         components = []
         for node in owned:
-            oracle = grid.connected_component(net_id, tuple(node))
+            oracle = connected_component(grid, net_id, tuple(node))
             indexed = grid.component_nodes(net_id, tuple(node))
             assert set(indexed) == oracle, (
                 f"net {net_id} component from {tuple(node)} diverged"

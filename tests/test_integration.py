@@ -4,15 +4,12 @@ These are the "does the whole machine hang together" tests: every path goes
 through the public API exactly as the examples and benchmarks do.
 """
 
-import pytest
-
 from repro import (
     MightyConfig,
     layout_metrics,
     route_problem,
     verify_routing,
 )
-from repro.analysis.metrics import channel_tracks_used
 from repro.channels import (
     DoglegRouter,
     GreedyRouter,
@@ -26,7 +23,7 @@ from repro.netlist.generators import (
     woven_switchbox,
 )
 from repro.netlist.instances import obstacle_region_problem
-from repro.switchbox import minimum_routable_width, route_switchbox
+from repro.switchbox import minimum_routable_width
 
 
 class TestChannelPipeline:
@@ -76,7 +73,7 @@ class TestSwitchboxPipeline:
     def test_route_verify_measure(self):
         spec = woven_switchbox(14, 10, 10, seed=6, tangle=0.5)
         problem = spec.to_problem()
-        result = route_switchbox(spec)
+        result = route_problem(problem, MightyConfig())
         assert result.success
         report = verify_routing(problem, result.grid)
         assert report.ok
@@ -134,8 +131,8 @@ class TestRegionPipeline:
 class TestDeterminism:
     def test_same_seed_same_result(self):
         spec = woven_switchbox(12, 9, 8, seed=4, tangle=0.5)
-        a = route_switchbox(spec)
-        b = route_switchbox(spec)
+        a = route_problem(spec.to_problem(), MightyConfig())
+        b = route_problem(spec.to_problem(), MightyConfig())
         assert a.success == b.success
         assert a.stats.iterations == b.stats.iterations
         assert layout_metrics(spec.to_problem(), a.grid).wire_cells == (

@@ -34,6 +34,7 @@ from repro.maze import CostModel, find_path, lee_route
 from repro.maze import astar, kernels
 from repro.maze.astar import find_path_flat
 from repro.maze.kernels.pure import FLOOD_CAP, SETTLE_CAP
+from tests.bfs_oracle import connected_component
 
 
 def _backend_params():
@@ -425,7 +426,7 @@ def walled_pin_scenes(draw):
             grid.commit_path(1, GridPath([(x, y, z)]))
         elif grid.owner(below) in (0, 1):
             grid.commit_path(1, GridPath([(x, y, z), below]))
-    sources = sorted(grid.connected_component(1, source))
+    sources = sorted(connected_component(grid, 1, source))
     free = [node for node in nodes if grid.owner(node) == 0]
     if free and draw(st.booleans()):
         sources.append(draw(st.sampled_from(free)))
@@ -595,14 +596,14 @@ def _search_costs(grid, cost, allow_conflicts, frozen_nets, net_penalties):
     return enter, move
 
 
-def _box_heuristic(targets, step_cost):
-    """The Manhattan distance to the targets' box, times ``step_cost``."""
+def _box_heuristic(targets):
+    """The Manhattan distance to the targets' box."""
     x0, x1 = min(x for x, _, _ in targets), max(x for x, _, _ in targets)
     y0, y1 = min(y for _, y, _ in targets), max(y for _, y, _ in targets)
 
     def heuristic(node):
         x, y, _ = node
-        return (max(x0 - x, 0, x - x1) + max(y0 - y, 0, y - y1)) * step_cost
+        return max(x0 - x, 0, x - x1) + max(y0 - y, 0, y - y1)
 
     return heuristic
 
@@ -615,16 +616,16 @@ def plain_search(
     the kernels: ``(found, cost, path, conflict_ids, expansions)``.
 
     It keys its heap on ``(f, g, flat id)`` tuples with the original
-    heuristic, the Manhattan distance to the targets' box times
-    ``step_cost``, pushes a node only on a strict improvement, skips
-    stale entries, and reads its path from the parent each node
-    recorded.  Costs come from the grid's node queries.
+    heuristic, the Manhattan distance to the targets' box, pushes a node
+    only on a strict improvement, skips stale entries, and reads its
+    path from the parent each node recorded.  Costs come from the grid's
+    node queries.
     """
     width, height = grid.width, grid.height
     enter, move = _search_costs(
         grid, cost, allow_conflicts, frozen_nets, net_penalties
     )
-    heuristic = _box_heuristic(targets, 1)
+    heuristic = _box_heuristic(targets)
 
     def flat(node):
         x, y, z = node
@@ -673,11 +674,10 @@ def backward_oracle(
     from the kernels: ``(settled, stop, rest)``.
 
     ``stop`` is ``"none"`` when the query may not run one: a source or
-    target that is not net 1 copper, more than ``FLOOD_CAP`` targets, a
-    source among them, or a soft query with free vias.  Otherwise it is
-    a Dijkstra from the targets on tuple keys ``(excess, flat id)``,
-    where the excess of a node is the cheapest walk from it to a target
-    less the heuristic.  It stops at ``"source"`` after it settles a
+    target that is not net 1 copper, more than ``FLOOD_CAP`` targets, or
+    a source among them.  Otherwise it is a Dijkstra from the targets on
+    tuple keys ``(excess, flat id)``, where the excess of a node is the
+    cheapest walk from it to a target less the heuristic.  It stops at ``"source"`` after it settles a
     source, and at ``"cap"`` after ``SETTLE_CAP`` settled nodes, unless
     no key is left open: that is ``"drained"``, a proof that no path
     exists.  ``settled`` maps every settled node to its excess, and
@@ -689,14 +689,13 @@ def backward_oracle(
         any(grid.owner(node) != 1 for node in (*sources, *targets))
         or len(goals) > FLOOD_CAP
         or not goals.isdisjoint(sources)
-        or (allow_conflicts and cost.via_cost == 0)
     ):
         return {}, "none", 0
     width, height = grid.width, grid.height
     enter, move = _search_costs(
         grid, cost, allow_conflicts, frozen_nets, net_penalties
     )
-    heuristic = _box_heuristic(targets, 1)
+    heuristic = _box_heuristic(targets)
     best = dict.fromkeys(goals, 0)
     heap = [(0, flat_id(node, width, height), node) for node in goals]
     heapq.heapify(heap)
@@ -991,7 +990,7 @@ def bound_scenes(draw):
     for node, fill in rest.items():
         if grid.owner(node) == 0 and (fill == "own" or node not in inside):
             _fill(grid, node, fill, draw(wire_nets))
-    sources = sorted(grid.connected_component(1, source))
+    sources = sorted(connected_component(grid, 1, source))
     free = [node for node in nodes if grid.owner(node) == 0]
     if free and draw(st.integers(0, 5)) == 0:
         sources.append(draw(st.sampled_from(free)))

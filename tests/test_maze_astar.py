@@ -189,10 +189,16 @@ class TestMultiSourceTarget:
         )
         sources = [(0, y, 1) for y in range(4)]
         targets = [(9, y, 1) for y in range(4, 8)]
-        result = find_path(grid, 1, sources, targets)
-        assert result.found
-        # best case: from (0,3) to (9,4): 9 right + 1 up + layer changes
-        assert result.path.start in {(0, y, 1) for y in range(4)} or True
+        for kernel in kernels.available_backends():
+            result = find_path(grid, 1, sources, targets, kernel=kernel)
+            assert result.found
+            assert tuple(result.path.start) in sources
+            assert tuple(result.path.end) in targets
+            # From the nearest ends, (0, 3) to (9, 4): one vertical step,
+            # a via, nine horizontal steps and a via back (1 + 4 + 9 + 4).
+            assert tuple(result.path.start) == (0, 3, 1)
+            assert tuple(result.path.end) == (9, 4, 1)
+            assert result.cost == 18
 
 
 def _wall(grid, nodes, net=2):

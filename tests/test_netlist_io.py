@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.geometry import Rect, RectilinearRegion
+from repro.geometry import Rect
 from repro.grid import Layer
-from repro.netlist import ChannelSpec, Net, Pin, RoutingProblem, SwitchboxSpec
+from repro.netlist import Net, Pin, RoutingProblem
 from repro.netlist.io import (
     FormatError,
     format_channel,

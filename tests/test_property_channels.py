@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.channels import LeftEdgeRouter, YacrLiteRouter
 from repro.channels.left_edge import assign_tracks_left_edge
-from repro.netlist import ChannelSpec
 from repro.netlist.generators import random_channel
 
 

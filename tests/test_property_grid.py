@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
-from repro.grid import FREE, GridPath, Layer, RoutingGrid
+from repro.grid import FREE, GridPath, RoutingGrid
+from tests.bfs_oracle import connected_component
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_commit_then_rip_restores_grid(path):
 def test_committed_walk_is_connected(path):
     grid = RoutingGrid(12, 12)
     grid.commit_path(1, path)
-    component = grid.connected_component(1, tuple(path.start))
+    component = connected_component(grid, 1, tuple(path.start))
     assert {tuple(n) for n in path} <= {tuple(n) for n in component}
 
 

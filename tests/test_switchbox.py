@@ -1,18 +1,11 @@
 """Tests for switchbox routing and the minimum-width sweep."""
 
-import pytest
-
 from repro.analysis import verify_routing
-from repro.core import MightyConfig
+from repro.core import MightyConfig, route_problem
 from repro.engine.deadline import Deadline
 from repro.netlist.generators import woven_switchbox
-from repro.netlist.instances import contention_switchbox, crossing_switchbox, small_switchbox
-from repro.switchbox import (
-    minimum_routable_width,
-    route_switchbox,
-    route_switchbox_naive,
-    shrinking_sequence,
-)
+from repro.netlist.instances import crossing_switchbox, small_switchbox
+from repro.switchbox import minimum_routable_width, shrinking_sequence
 from repro.switchbox.sweep import STOP_AFTER_FAILURES
 from repro.testing.faults import StepClock
 
@@ -20,26 +13,32 @@ from repro.testing.faults import StepClock
 class TestRouteSwitchbox:
     def test_small_box_completes(self):
         spec = small_switchbox()
-        result = route_switchbox(spec)
+        result = route_problem(spec.to_problem(), MightyConfig())
         assert result.success
         assert verify_routing(spec.to_problem(), result.grid).ok
 
     def test_naive_uses_no_modification(self):
         spec = small_switchbox()
-        result = route_switchbox_naive(spec)
+        result = route_problem(
+            spec.to_problem(), MightyConfig.no_modification()
+        )
         assert result.stats.weak_modifications == 0
         assert result.stats.strong_modifications == 0
 
     def test_custom_config(self):
         spec = crossing_switchbox()
-        result = route_switchbox(spec, MightyConfig(ordering="longest"))
+        result = route_problem(
+            spec.to_problem(), MightyConfig(ordering="longest")
+        )
         assert result.success
 
     def test_mighty_at_least_as_good_as_naive(self):
         for seed in (1, 2, 3):
             spec = woven_switchbox(12, 9, 10, seed=seed, tangle=0.5)
-            mighty = route_switchbox(spec)
-            naive = route_switchbox_naive(spec)
+            mighty = route_problem(spec.to_problem(), MightyConfig())
+            naive = route_problem(
+                spec.to_problem(), MightyConfig.no_modification()
+            )
             assert (
                 mighty.stats.routed_connections
                 >= naive.stats.routed_connections
@@ -49,7 +48,7 @@ class TestRouteSwitchbox:
         """Feasible-by-construction boxes must complete under rip-up."""
         for seed in (1, 2, 3, 4):
             spec = woven_switchbox(12, 9, 10, seed=seed, tangle=0.5)
-            result = route_switchbox(spec)
+            result = route_problem(spec.to_problem(), MightyConfig())
             assert result.success, spec.name
             assert verify_routing(spec.to_problem(), result.grid).ok
 

@@ -89,13 +89,13 @@ class TestHonesty:
     def test_weaker_than_mighty(self, router):
         """The published comparison: the greedy baseline completes a strict
         subset of what the rip-up router completes."""
-        from repro.switchbox import route_switchbox
+        from repro.core import MightyConfig, route_problem
 
         greedy_wins = mighty_wins = 0
         for seed in range(1, 8):
             spec = woven_switchbox(12, 9, 8, seed=seed, tangle=0.4)
             greedy = router.route(spec).success
-            mighty = route_switchbox(spec).success
+            mighty = route_problem(spec.to_problem(), MightyConfig()).success
             greedy_wins += int(greedy and not mighty)
             mighty_wins += int(mighty and not greedy)
         assert greedy_wins == 0

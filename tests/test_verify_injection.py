@@ -21,6 +21,7 @@ from repro.grid.path import flat_id
 from repro.netlist import Net, Pin, RoutingProblem
 from repro.netlist.generators import random_switchbox
 from repro.netlist.instances import small_switchbox
+from tests.bfs_oracle import connected_component
 
 
 def poke(grid, node, owner, via=False):
@@ -140,7 +141,7 @@ def cut_node(problem, grid):
             trial = grid.clone()
             poke(trial, node, FREE)
             anchor = tuple(net.pins[0].node)
-            reached = trial.connected_component(net_id, anchor)
+            reached = connected_component(trial, net_id, anchor)
             if any(pin.node not in reached for pin in net.pins):
                 return net_id, node
     raise AssertionError("no wire node is a cut")
