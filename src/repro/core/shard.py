@@ -144,17 +144,26 @@ def _boundary_scope(
 ) -> List[Connection]:
     """Connections whose copper enters a cut band (the polish scope)."""
     band = plan.halo_width
+    near = {
+        coord
+        for cut in plan.cuts
+        for coord in range(cut - band, cut + band + 1)
+    }
+    # A flat id is ``(layer * height + y) * width + x``.
+    width, height = result.problem.width, result.problem.height
     axis_is_x = plan.axis == "x"
     scope: List[Connection] = []
     for connection in result.connections:
         path = connection.path
         if path is None:
             continue
-        for node in path.nodes:
-            coord = node.x if axis_is_x else node.y
-            if any(abs(coord - cut) <= band for cut in plan.cuts):
-                scope.append(connection)
-                break
+        ids = path.ids_on(width, height)
+        if axis_is_x:
+            coords = (index % width for index in ids)
+        else:
+            coords = (index // width % height for index in ids)
+        if not near.isdisjoint(coords):
+            scope.append(connection)
     return scope
 
 

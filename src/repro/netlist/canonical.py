@@ -35,7 +35,6 @@ cached canonical result verifies on every isomorphic instance.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import re
@@ -251,34 +250,76 @@ def _remap_point(point, mapper) -> List[int]:
     return [x, y, point[2]]
 
 
-def _remap_payload(payload: dict, mapper, net_map: Dict[str, str]) -> dict:
-    """Rewrite coordinates and net labels of a result payload in place.
+def _json_copy(value):
+    """A private copy of a JSON-shaped value: dicts and lists are
+    rebuilt, scalars (immutable) are shared."""
+    if isinstance(value, dict):
+        return {key: _json_copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_copy(item) for item in value]
+    return value
 
-    ``payload`` must already be a private copy.  Net names absent from
-    ``net_map`` (e.g. the empty net of engine-level trace events) pass
-    through unchanged.  The victims named in weak and strong events'
-    details are renamed too, unless one is absent from ``net_map``.
+
+def _remap_connection(entry: dict, mapper, net_map: Dict[str, str]) -> dict:
+    remapped = {}
+    for key, value in entry.items():
+        if key == "net":
+            value = net_map.get(value, value)
+        elif key == "source" or key == "target":
+            value = _remap_point(value, mapper)
+        elif key == "path" and value:
+            value = [_remap_point(node, mapper) for node in value]
+        else:
+            value = _json_copy(value)
+        remapped[key] = value
+    return remapped
+
+
+def _remap_event(
+    event: dict, net_map: Dict[str, str], renames: Dict[str, str]
+) -> dict:
+    remapped = _json_copy(event)
+    remapped["net"] = net_map.get(event["net"], event["net"])
+    if event["kind"] in ("weak", "strong"):
+        verb, _, names = event["detail"].partition(" ")
+        victims = [renames.get(n) for n in _NAME_LITERAL.findall(names)]
+        if None not in victims:
+            remapped["detail"] = f"{verb} {sorted(victims)}"
+    return remapped
+
+
+def _remap_payload(
+    payload: dict, problem: dict, mapper, net_map: Dict[str, str]
+) -> dict:
+    """A copy of a result payload with coordinates and net labels
+    rewritten and its ``problem`` entry replaced by ``problem``.
+
+    ``payload`` is left untouched, and the copy shares no mutable object
+    with it (``problem`` is taken as given).  Keys keep the payload's
+    order, which ``json.dumps`` of a reply follows.  Net names absent from ``net_map`` (e.g. the empty net of
+    engine-level trace events) pass through unchanged.  The victims
+    named in weak and strong events' details are renamed too, unless one
+    is absent from ``net_map``.
     """
-    for entry in payload.get("connections", []):
-        entry["net"] = net_map.get(entry["net"], entry["net"])
-        entry["source"] = _remap_point(entry["source"], mapper)
-        entry["target"] = _remap_point(entry["target"], mapper)
-        if entry.get("path"):
-            entry["path"] = [
-                _remap_point(node, mapper) for node in entry["path"]
-            ]
     # Weak and strong details list the victims' reprs, sorted.  They are
     # matched, not parsed: ``ast.literal_eval`` is not thread-safe on
     # CPython 3.11, and the daemon renders on several threads.
     renames = {repr(old): new for old, new in net_map.items()}
-    for event in payload.get("events", []):
-        event["net"] = net_map.get(event["net"], event["net"])
-        if event["kind"] in ("weak", "strong"):
-            verb, _, names = event["detail"].partition(" ")
-            victims = [renames.get(n) for n in _NAME_LITERAL.findall(names)]
-            if None not in victims:
-                event["detail"] = f"{verb} {sorted(victims)}"
-    return payload
+    remapped = {}
+    for key, value in payload.items():
+        if key == "problem":
+            value = problem
+        elif key == "connections":
+            value = [
+                _remap_connection(entry, mapper, net_map) for entry in value
+            ]
+        elif key == "events":
+            value = [_remap_event(event, net_map, renames) for event in value]
+        else:
+            value = _json_copy(value)
+        remapped[key] = value
+    remapped.setdefault("problem", problem)
+    return remapped
 
 
 def payload_to_canonical(payload: dict, form: CanonicalForm) -> dict:
@@ -287,12 +328,14 @@ def payload_to_canonical(payload: dict, form: CanonicalForm) -> dict:
 
     The payload's ``problem`` entry is replaced by a marker — canonical
     payloads are never routed or verified directly, only re-rendered for
-    a concrete instance by :func:`payload_from_canonical`.
+    a concrete instance by :func:`payload_from_canonical`.  ``payload``
+    is left untouched and shares no mutable object with the result.
     """
-    canonical = copy.deepcopy(payload)
-    canonical["problem"] = {"canonical": form.digest}
     return _remap_payload(
-        canonical, form.transform.to_canonical, form.net_to_label
+        payload,
+        {"canonical": form.digest},
+        form.transform.to_canonical,
+        form.net_to_label,
     )
 
 
@@ -302,13 +345,15 @@ def payload_from_canonical(
     """Render a canonical payload for the concrete instance of ``form``.
 
     ``problem_payload`` is the instance's own problem dict (as accepted
-    by :func:`repro.netlist.io.problem_from_dict`); it becomes the
-    rendered payload's ``problem`` entry so downstream tooling
+    by :func:`repro.netlist.io.problem_from_dict`); a copy of it becomes
+    the rendered payload's ``problem`` entry so downstream tooling
     (``repro verify``, :func:`repro.core.serialize.rebuild_grid`) sees a
-    self-consistent dump.
+    self-consistent dump.  Neither argument is modified, and the
+    rendered payload shares no mutable object with either.
     """
-    rendered = copy.deepcopy(canonical_payload)
-    rendered["problem"] = copy.deepcopy(problem_payload)
     return _remap_payload(
-        rendered, form.transform.from_canonical, form.label_to_net
+        canonical_payload,
+        _json_copy(problem_payload),
+        form.transform.from_canonical,
+        form.label_to_net,
     )

@@ -15,7 +15,7 @@ shelling out to a script:
   backing (``repro serve --cache-dir``): crash-safe appends, atomic
   compaction, corruption-tolerant replay;
 * :mod:`repro.service.workers` — a pool of warm worker processes,
-  jobs assigned to workers by canonical digest;
+  each job sent to the first idle worker;
 * :mod:`repro.service.server` — the asyncio front door: bounded job
   queue, cost-model admission control (``SERVICE_OVERLOADED`` shedding),
   per-job telemetry, graceful SIGTERM drain;

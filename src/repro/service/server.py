@@ -389,11 +389,12 @@ class RoutingService:
             raise InputError(f"malformed problem payload: {exc}") from None
         options = dict(message.get("options") or {})
         deadline_s, max_attempts = _submit_options(options, self.config)
-        # Canonicalization and cache render/store re-encode or deep-copy
+        # Canonicalization and cache render/store re-encode or rebuild
         # the whole problem/result payload; on the event-loop thread a
         # large submission would stall health checks and the instant
-        # shed, so they run on the executor (which always keeps threads
-        # free beyond the admission-capped pool.run slots).
+        # shed, so they run on the executor.  It always keeps threads
+        # free for them: admission caps the pool.run calls, which block
+        # a thread while they wait for an idle worker, at queue_limit.
         loop = asyncio.get_running_loop()
         form = await loop.run_in_executor(
             self._threads, canonical_form, problem
@@ -427,7 +428,6 @@ class RoutingService:
                 "max_attempts": max_attempts,
             },
         }
-        worker = self._pool.worker_for(form.digest)
         # The hung-job reaper's wall ceiling: a worker still busy this
         # long after the job started is killed and respawned.
         wall_ceiling_s = (
@@ -439,7 +439,7 @@ class RoutingService:
         self._pending_cost_s += estimated_cost_s
         try:
             reply = await loop.run_in_executor(
-                self._threads, self._pool.run, worker, job, wall_ceiling_s
+                self._threads, self._pool.run, job, wall_ceiling_s
             )
         finally:
             self._pending_jobs -= 1
@@ -448,10 +448,10 @@ class RoutingService:
             )
         cache_allowed = not options.get("no_cache")
         response = self._finish_job(
-            form, reply, received, job_id, worker, estimated_cost_s, units,
+            form, reply, received, job_id, estimated_cost_s, units,
             cache_allowed=cache_allowed,
         )
-        if cache_allowed:  # store off-loop too (deep-copies the payload)
+        if cache_allowed:  # store off-loop too (rebuilds the payload)
             await loop.run_in_executor(
                 self._threads, self.cache.store, form, reply["payload"]
             )
@@ -516,7 +516,6 @@ class RoutingService:
         reply: dict,
         received: float,
         job_id: int,
-        worker: int,
         estimated_cost_s: float,
         units: float,
         cache_allowed: bool,
@@ -529,7 +528,7 @@ class RoutingService:
         telemetry = self._job_telemetry(
             form,
             cache="bypass" if not cache_allowed else "miss",
-            worker=worker,
+            worker=reply.get("worker"),
             queue_wait_s=float(reply.get("queue_wait_s", 0.0)),
             service_s=worker_wall_s,
             job_id=job_id,

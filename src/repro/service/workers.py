@@ -8,13 +8,14 @@ is the process itself: imports, allocator pools and the maze neighbour
 tables stay hot instead of being re-created per job.  Every job parses
 its own payload; a worker keeps no per-problem state between jobs.
 
-Jobs are **assigned to workers by canonical digest**: isomorphic
-instances always land on the same worker, so one pathological instance
-cannot thrash every worker.
+Each job goes to **the first idle worker**, the lowest-numbered one, so
+no job waits while a worker idles, and a client that sends one job at
+a time always lands on worker 0.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
 import queue as queue_module
@@ -154,11 +155,11 @@ def _worker_main(worker: int, requests, responses) -> None:
 class WorkerPool:
     """N warm worker processes, one request/response queue pair each.
 
-    ``run(worker, job)`` is a blocking round trip intended to be called
-    from executor threads (the server wraps it in
-    ``loop.run_in_executor``).  A per-worker lock serialises access to
-    each worker, so the lock-wait *is* the worker's queue: the time spent
-    acquiring it is reported as ``queue_wait_s``.
+    ``run(job)`` is a blocking round trip intended to be called from
+    executor threads (the server wraps it in ``loop.run_in_executor``).
+    It takes the lowest-numbered idle worker, waiting on one condition
+    until a worker is idle, so the time spent waiting *is* the pool's
+    queue: it is reported as ``queue_wait_s``.
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -168,7 +169,6 @@ class WorkerPool:
         ctx = multiprocessing.get_context()
         self._requests = [ctx.Queue() for _ in range(n_workers)]
         self._responses = [ctx.Queue() for _ in range(n_workers)]
-        self._locks = [threading.Lock() for _ in range(n_workers)]
         self._processes = [
             ctx.Process(
                 target=_worker_main,
@@ -180,33 +180,30 @@ class WorkerPool:
         for process in self._processes:
             process.start()
         self._closed = False
-        # Mutated under worker locks; read lock-free by health telemetry.
+        # The idle workers as a heap (lowest number first), guarded by
+        # ``_idle_changed``: a worker absent from it is owned by the one
+        # thread running its job.
+        self._idle = list(range(n_workers))
+        self._idle_changed = threading.Condition()
+        # Mutated under ``_idle_changed``; read lock-free by health
+        # telemetry.
         self.counters: Dict[str, int] = {
             "reaped": 0,
             "worker_deaths": 0,
             "respawned": 0,
         }
 
-    def worker_for(self, digest: str) -> int:
-        """Stable worker assignment by canonical digest."""
-        if not digest:
-            return 0
-        return int(digest[:8], 16) % self.n_workers
+    def run(self, job: Dict, wall_ceiling_s: Optional[float] = None) -> Dict:
+        """Blocking round trip on the first idle worker; returns the reply
+        envelope.
 
-    def run(
-        self,
-        worker: int,
-        job: Dict,
-        wall_ceiling_s: Optional[float] = None,
-    ) -> Dict:
-        """Blocking round trip to one worker; returns the reply envelope.
-
-        The reply always carries ``queue_wait_s`` (time spent behind
-        earlier jobs of the same worker) next to the worker's own
-        ``worker_wall_s``.  A worker that dies mid-job surfaces as a
-        structured :class:`~repro.errors.EngineError` (after the worker
-        is respawned) instead of blocking this job — and every later
-        job of the worker — forever.
+        The reply always carries ``queue_wait_s`` (time spent waiting
+        for any worker to go idle) next to the worker's own
+        ``worker_wall_s``, and the ``worker`` that ran the job.  A
+        worker that dies mid-job surfaces as a structured
+        :class:`~repro.errors.EngineError` (after the worker is
+        respawned) instead of blocking this job — and every later job of
+        the worker — forever.
 
         ``wall_ceiling_s`` is the hung-job reaper: a worker still busy
         past that many seconds (the server passes job deadline + grace)
@@ -215,24 +212,36 @@ class WorkerPool:
         worker indefinitely.  ``None`` disables reaping (jobs with no
         deadline are allowed to run forever, as documented).
         """
-        if not 0 <= worker < self.n_workers:
-            raise ValueError(f"no such worker {worker}")
         enqueued = time.perf_counter()
-        with self._locks[worker]:
-            queue_wait = time.perf_counter() - enqueued
+        with self._idle_changed:
+            while not self._idle:
+                self._idle_changed.wait()
+            worker = heapq.heappop(self._idle)
+        queue_wait = time.perf_counter() - enqueued
+        try:
             if self._closed:
                 raise EngineError("worker pool is closed")
             self._requests[worker].put(job)
             reply = self._await_reply(worker, wall_ceiling_s)
+        finally:
+            with self._idle_changed:
+                heapq.heappush(self._idle, worker)
+                self._idle_changed.notify()
         reply["queue_wait_s"] = queue_wait
         return reply
+
+    def _count(self, counter: str) -> None:
+        """Bump a health counter; threads owning different workers may
+        bump one key at once."""
+        with self._idle_changed:
+            self.counters[counter] += 1
 
     def _await_reply(
         self, worker: int, wall_ceiling_s: Optional[float] = None
     ) -> Dict:
         """Wait on one worker's response queue, watching its liveness.
 
-        Caller holds the worker lock.
+        Caller owns the worker (it is not idle).
         """
         started = time.monotonic()
         while True:
@@ -271,7 +280,7 @@ class WorkerPool:
                 except queue_module.Empty:
                     pass
                 exitcode = process.exitcode
-                self.counters["worker_deaths"] += 1
+                self._count("worker_deaths")
                 self._respawn(worker)
                 raise EngineError(
                     f"worker {worker} died mid-job",
@@ -283,7 +292,7 @@ class WorkerPool:
                 )
 
     def _reap(self, worker: int) -> None:
-        """Kill a wedged worker and replace it.  Caller holds the lock."""
+        """Kill a wedged worker and replace it.  Caller owns the worker."""
         process = self._processes[worker]
         if process.is_alive():
             process.terminate()
@@ -291,7 +300,7 @@ class WorkerPool:
             if process.is_alive():  # ignoring SIGTERM: escalate
                 process.kill()
                 process.join(1.0)
-        self.counters["reaped"] += 1
+        self._count("reaped")
         self._respawn(worker)
 
     def _respawn(self, worker: int) -> None:
@@ -299,7 +308,7 @@ class WorkerPool:
 
         Fresh queues, because the old ones may hold the stale job the
         dead worker never answered (or a torn put from its final
-        moments).  Caller holds the worker lock.  No-op once closed.
+        moments).  Caller owns the worker.  No-op once closed.
         """
         if self._closed:
             return
@@ -313,7 +322,7 @@ class WorkerPool:
         )
         process.start()
         self._processes[worker] = process
-        self.counters["respawned"] += 1
+        self._count("respawned")
 
     def close(self) -> None:
         """Stop every worker: sentinel, join for up to
@@ -336,7 +345,8 @@ class WorkerPool:
 
 
 def make_executor(n_slots: int) -> ThreadPoolExecutor:
-    """Thread pool sized so worker locks, not threads, do the queueing."""
+    """Thread pool sized so the pool's idle-worker wait, not threads,
+    does the queueing."""
     return ThreadPoolExecutor(
         max_workers=max(4, n_slots), thread_name_prefix="repro-svc"
     )

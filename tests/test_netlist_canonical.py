@@ -7,6 +7,9 @@ over the generator families, together with the payload-remapping round
 trip the cache uses to serve one instance's result to another.
 """
 
+import ast
+import copy
+import itertools
 import json
 
 import pytest
@@ -306,3 +309,113 @@ class TestPayloadRemap:
         assert rendered["connections"] == payload["connections"]
         assert rendered["events"] == payload["events"]
         assert rendered["stats"] == payload["stats"]
+
+
+def reference_remap(payload, problem, mapper, net_map):
+    """A deep copy of ``payload`` rewritten in place: the reference the
+    copy-free transforms must equal byte for byte.  Victim lists are
+    parsed with ``ast.literal_eval`` (single-threaded here)."""
+    out = copy.deepcopy(payload)
+    out["problem"] = copy.deepcopy(problem)
+    for entry in out.get("connections", []):
+        entry["net"] = net_map.get(entry["net"], entry["net"])
+        for key in ("source", "target"):
+            x, y, layer = entry[key]
+            entry[key] = [*mapper(x, y), layer]
+        if entry["path"]:
+            entry["path"] = [
+                [*mapper(x, y), layer] for x, y, layer in entry["path"]
+            ]
+    for event in out.get("events", []):
+        event["net"] = net_map.get(event["net"], event["net"])
+        if event["kind"] in ("weak", "strong"):
+            verb, _, names = event["detail"].partition(" ")
+            victims = [net_map.get(name) for name in ast.literal_eval(names)]
+            if None not in victims:
+                event["detail"] = f"{verb} {sorted(victims)}"
+    return out
+
+
+def mutate_every_container(value):
+    """Add a key to every dict and an item to every list in ``value``."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            mutate_every_container(item)
+        value["mutated"] = True
+    elif isinstance(value, list):
+        for item in list(value):
+            mutate_every_container(item)
+        value.append("mutated")
+
+
+class TestCopyFreeRemap:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: small_switchbox().to_problem(),
+            lambda: woven_switchbox(23, 15, 24, seed=5, tangle=0.5)
+            .to_problem(),
+            obstacle_region_problem,
+        ],
+        ids=["small-switchbox", "woven-23x15", "obstacle-region"],
+    )
+    def test_transforms_equal_a_deep_copy_rewritten_in_place(self, build):
+        """Both transforms, under the four mirror variants with renamed
+        and reversed nets, encode exactly as the reference and leave
+        their inputs as they were."""
+        base = build()
+        variants = []
+        for mirror_x, mirror_y in itertools.product((False, True), repeat=2):
+            problem = relabel_problem(mirror_problem(base, mirror_x, mirror_y))
+            payload = result_to_dict(
+                RoutingEngine(EngineConfig(max_attempts=2)).route(problem)
+            )
+            variants.append((problem, canonical_form(problem), payload))
+        for _, form, payload in variants:
+            source = json.dumps(payload)
+            canonical = payload_to_canonical(payload, form)
+            assert json.dumps(canonical) == json.dumps(
+                reference_remap(
+                    payload,
+                    {"canonical": form.digest},
+                    form.transform.to_canonical,
+                    form.net_to_label,
+                )
+            )
+            assert json.dumps(payload) == source
+            stored = json.dumps(canonical)
+            for problem, other, _ in variants:
+                problem_payload = problem_to_dict(problem)
+                rendered = payload_from_canonical(
+                    canonical, other, problem_payload
+                )
+                assert json.dumps(rendered) == json.dumps(
+                    reference_remap(
+                        canonical,
+                        problem_payload,
+                        other.transform.from_canonical,
+                        other.label_to_net,
+                    )
+                )
+                assert json.dumps(canonical) == stored
+
+    def test_cache_entry_shares_nothing_with_reply_or_source(self):
+        """Mutating the stored payload, the request's problem or the
+        rendered reply changes neither the entry nor the reply."""
+        problem = woven_switchbox(12, 9, 8, seed=5, tangle=0.3).to_problem()
+        twin = relabel_problem(mirror_problem(problem, True, True))
+        payload = result_to_dict(route_problem(problem))
+        form = canonical_form(problem)
+        cache = CanonicalCache()
+        assert cache.store(form, payload)
+        entry = cache._entries[form.digest]
+        stored = json.dumps(entry)
+        problem_payload = problem_to_dict(twin)
+        reply = cache.render(canonical_form(twin), problem_payload)
+        rendered = json.dumps(reply)
+        mutate_every_container(payload)
+        mutate_every_container(problem_payload)
+        assert json.dumps(reply) == rendered
+        mutate_every_container(reply)
+        assert json.dumps(entry) == stored
+        assert entry["stats"]["cache_hit"] is False

@@ -16,8 +16,11 @@ from repro.core import (
     MightyRouter,
     improve_routing,
     route_problem,
+    shard,
 )
 from repro.engine import EngineConfig, RoutingEngine
+from repro.geometry.rect import Rect
+from repro.geometry.region import RectilinearRegion
 from repro.grid import GridNode, GridPath, RoutingGrid
 from repro.grid.path import flat_id
 from repro.maze import find_path
@@ -26,6 +29,8 @@ from repro.netlist.generators import (
     random_switchbox,
     woven_switchbox,
 )
+from repro.netlist.net import Net, Pin
+from repro.netlist.problem import Obstacle, RoutingProblem
 
 
 class TestSearchWork:
@@ -126,6 +131,80 @@ class TestNodeWork:
         )
         assert stats.passes >= 1
         assert built == 0
+
+    @pytest.mark.parametrize(
+        "name, transposed",
+        [
+            ("reg-woven-1", False),
+            ("scale-23x15", False),
+            ("scale-30x20", False),
+            ("scale-stitch-560", False),
+            ("reg-woven-1", True),
+            ("scale-23x15", True),
+            ("scale-30x20", True),
+        ],
+    )
+    def test_shard_polish_scope_builds_no_grid_node(
+        self, name, transposed, monkeypatch
+    ):
+        """The stitch polish picks its connections from flat ids (walking
+        ``path.nodes`` built 9,279 nodes on scale-stitch-560), and picks
+        the ones a node walk picks, in the same order.  The bench cases
+        are cut across x; transposed, across y."""
+        calls = []
+        select = shard._boundary_scope
+
+        def spy(result, plan):
+            calls.append((result, plan))
+            return select(result, plan)
+
+        monkeypatch.setattr(shard, "_boundary_scope", spy)
+        problem = next(c for c in bench_cases() if c.name == name).build()
+        if transposed:
+            problem = _transposed(problem)
+        assert shard.route_problem_sharded(problem, shards=4, workers=1)
+        [(result, plan)] = calls
+        assert plan.axis == ("y" if transposed else "x")
+        scope, built = _count_grid_nodes(lambda: select(result, plan))
+        assert built == 0
+        assert scope and scope == _node_walk_scope(result, plan)
+
+
+def _transposed(problem):
+    """``problem`` with x and y swapped."""
+
+    def swap(rect):
+        return Rect(rect.y0, rect.x0, rect.y1, rect.x1)
+
+    region = problem.region
+    return RoutingProblem(
+        width=problem.height,
+        height=problem.width,
+        nets=[
+            Net(net.name, tuple(Pin(p.y, p.x, p.layer) for p in net.pins))
+            for net in problem.nets
+        ],
+        obstacles=[Obstacle(swap(o.rect), o.layer) for o in problem.obstacles],
+        region=None if region is None else RectilinearRegion(
+            [swap(rect) for rect in region.to_rects()]
+        ),
+        name=problem.name + "-transposed",
+    )
+
+
+def _node_walk_scope(result, plan):
+    """Connections with a path node within the halo of a cut, walked
+    node by node."""
+    scope = []
+    for connection in result.connections:
+        if connection.path is None:
+            continue
+        for node in connection.path.nodes:
+            coord = node.x if plan.axis == "x" else node.y
+            if any(abs(coord - cut) <= plan.halo_width for cut in plan.cuts):
+                scope.append(connection)
+                break
+    return scope
 
 
 class TestEngineWork:

@@ -40,6 +40,8 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service import protocol
+from repro.service.workers import WorkerPool
+from repro.testing import ServiceFaultPlan, service_faults
 from tests.test_cli import (
     MALFORMED_PROBLEMS,
     UNBUILDABLE_PROBLEMS,
@@ -264,7 +266,7 @@ class TestCanonicalCache:
     def test_warm_worker_routes_the_twin_not_its_sibling(self):
         # Regression: workers once kept rebuilt problems keyed by
         # canonical digest, which names the whole isomorphism class —
-        # and twins always go to the same worker — so whenever the
+        # and twins then always went to the same worker — so whenever the
         # result cache did not intercept (here: no_cache), the worker
         # routed the first-seen sibling and answered with its problem
         # dict, coordinates and net names.
@@ -406,17 +408,114 @@ class TestWorkerLiveness:
             pool._processes[0].terminate()
             pool._processes[0].join(10)
             with pytest.raises(EngineError) as excinfo:
-                pool.run(0, {"job_id": 1, "problem": box_payload(),
-                             "options": options})
+                pool.run({"job_id": 1, "problem": box_payload(),
+                          "options": options})
             assert excinfo.value.context["worker"] == 0
             assert excinfo.value.context["respawned"] is True
             # the respawned worker serves the next job
             assert pool.alive() == [True]
-            reply = pool.run(0, {"job_id": 2, "problem": box_payload(),
-                                 "options": options})
+            reply = pool.run({"job_id": 2, "problem": box_payload(),
+                              "options": options})
             assert reply["ok"] is True
         finally:
             pool.close()
+
+
+def worker_job(job_id, deadline_s=5.0):
+    return {
+        "job_id": job_id,
+        "problem": box_payload(),
+        "options": {"deadline_s": deadline_s, "max_attempts": 2},
+    }
+
+
+def run_concurrently(calls, timeout_s=60.0):
+    """Run each zero-argument call on its own daemon thread; returns their
+    results (or the exceptions they raised) in order.  A call still
+    running after ``timeout_s`` fails the test instead of hanging it."""
+    results = [None] * len(calls)
+
+    def runner(index, call):
+        try:
+            results[index] = call()
+        except Exception as exc:
+            results[index] = exc
+
+    threads = [
+        threading.Thread(target=runner, args=item, daemon=True)
+        for item in enumerate(calls)
+    ]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + timeout_s
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+        assert not thread.is_alive(), "a concurrent call never returned"
+    return results
+
+
+class TestDispatch:
+    def test_overlapping_misses_run_on_both_workers(self):
+        """Each worker wedges 1.5 s on its first job.  Two overlapping
+        misses of one instance go to the two idle workers, and neither
+        waits for the other; then a lone job goes to worker 0."""
+        with service_faults(ServiceFaultPlan(hang_on_job=1, hang_s=1.5)):
+            with running_service(workers=2) as (_, client, _outcome):
+                replies = run_concurrently(
+                    [lambda: client.submit(box_payload(), no_cache=True)] * 2
+                )
+                jobs = [reply["job"] for reply in replies]
+                assert {job["worker"] for job in jobs} == {0, 1}
+                assert all(job["queue_wait_s"] < 0.5 for job in jobs)
+                lone = client.submit(box_payload(), no_cache=True)
+                assert lone["job"]["worker"] == 0
+
+    def test_queue_wait_covers_the_running_job(self):
+        """On one worker, a job sent while another runs waits for it."""
+        with service_faults(ServiceFaultPlan(hang_on_job=1, hang_s=1.5)):
+            pool = WorkerPool(1)
+
+        def second():
+            while pool._idle:  # until the first job holds the worker
+                time.sleep(0.01)
+            return pool.run(worker_job(2))
+
+        try:
+            first, second = run_concurrently(
+                [lambda: pool.run(worker_job(1)), second]
+            )
+        finally:
+            pool.close()
+        assert first["ok"] and second["ok"]
+        assert first["worker"] == second["worker"] == 0
+        assert first["queue_wait_s"] < 0.5
+        assert second["queue_wait_s"] >= 1.0
+
+    def test_threads_never_share_a_worker(self):
+        """Eight threads race for two workers, three jobs each, with a
+        short switch interval: every reply answers its own job, and both
+        workers are idle again afterwards."""
+        pool = WorkerPool(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batches = run_concurrently(
+                [
+                    lambda first=first: [
+                        pool.run(worker_job(job_id))
+                        for job_id in range(first, first + 3)
+                    ]
+                    for first in range(0, 24, 3)
+                ],
+                timeout_s=120.0,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        replies = [reply for batch in batches for reply in batch]
+        assert [reply["job_id"] for reply in replies] == list(range(24))
+        assert all(reply["ok"] for reply in replies)
+        assert sorted(pool._idle) == [0, 1]
 
 
 class TestSocketSafety:

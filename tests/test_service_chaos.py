@@ -39,15 +39,13 @@ from repro.service import client as client_module
 from repro.service import protocol
 from repro.testing import ServiceFaultPlan, service_faults
 
-from tests.test_service import box_payload, mirrored_twin, running_service
-
-
-def worker_job(job_id, deadline_s=5.0):
-    return {
-        "job_id": job_id,
-        "problem": box_payload(),
-        "options": {"deadline_s": deadline_s, "max_attempts": 2},
-    }
+from tests.test_service import (
+    box_payload,
+    mirrored_twin,
+    run_concurrently,
+    running_service,
+    worker_job,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +356,10 @@ class TestWorkerReaping:
         with service_faults(plan):
             pool = WorkerPool(1)
             try:
-                assert pool.run(0, worker_job(1), wall_ceiling_s=30.0)["ok"]
+                assert pool.run(worker_job(1), wall_ceiling_s=30.0)["ok"]
                 started = time.monotonic()
                 with pytest.raises(EngineError) as info:
-                    pool.run(0, worker_job(2), wall_ceiling_s=0.5)
+                    pool.run(worker_job(2), wall_ceiling_s=0.5)
                 elapsed = time.monotonic() - started
                 # reaped at the ceiling, nowhere near the 30 s wedge
                 assert elapsed < 10.0
@@ -370,7 +368,7 @@ class TestWorkerReaping:
                 assert pool.counters["reaped"] == 1
                 assert pool.counters["respawned"] == 1
                 # the respawned worker (job count reset) serves again
-                assert pool.run(0, worker_job(3), wall_ceiling_s=30.0)["ok"]
+                assert pool.run(worker_job(3), wall_ceiling_s=30.0)["ok"]
             finally:
                 pool.close()
 
@@ -379,19 +377,44 @@ class TestWorkerReaping:
         with service_faults(plan):
             pool = WorkerPool(1)
             try:
-                assert pool.run(0, worker_job(1))["ok"]
+                assert pool.run(worker_job(1))["ok"]
                 with pytest.raises(EngineError):
-                    pool.run(0, worker_job(2))
+                    pool.run(worker_job(2))
                 assert pool.counters["worker_deaths"] == 1
                 assert pool.counters["respawned"] == 1
-                assert pool.run(0, worker_job(3))["ok"]
+                assert pool.run(worker_job(3))["ok"]
             finally:
                 pool.close()
+
+    def test_overlapping_deaths_are_all_counted(self):
+        """Both workers die on their first job at once; each thread
+        counts its own worker's death and respawn, and neither count is
+        lost.  The replacements, armed to wedge 1 s on their first job,
+        take the next two overlapping jobs, one each."""
+        with service_faults(ServiceFaultPlan(die_on_job=1)):
+            pool = WorkerPool(2)
+        try:
+            with service_faults(ServiceFaultPlan(hang_on_job=1, hang_s=1.0)):
+                deaths = run_concurrently(
+                    [lambda: pool.run(worker_job(1)),
+                     lambda: pool.run(worker_job(2))]
+                )
+            assert all(isinstance(error, EngineError) for error in deaths)
+            assert pool.counters["worker_deaths"] == 2
+            assert pool.counters["respawned"] == 2
+            replies = run_concurrently(
+                [lambda: pool.run(worker_job(3)),
+                 lambda: pool.run(worker_job(4))]
+            )
+            assert all(reply["ok"] for reply in replies)
+            assert {reply["worker"] for reply in replies} == {0, 1}
+        finally:
+            pool.close()
 
     def test_no_ceiling_means_no_reaping(self):
         pool = WorkerPool(1)
         try:
-            reply = pool.run(0, worker_job(1), wall_ceiling_s=None)
+            reply = pool.run(worker_job(1), wall_ceiling_s=None)
             assert reply["ok"]
             assert pool.counters["reaped"] == 0
         finally:
