@@ -15,9 +15,10 @@ neighbour arithmetic.  This module removes both:
   reset).
 
 Searches on one thread never overlap, so every router on the thread can
-share its planes: each search takes a fresh generation, and the compiled
-kernel clears its target mask before it returns.  Other threads get
-planes of their own.
+share its planes and the compiled A* kernel's call block: each search
+takes a fresh generation, and the compiled backend leaves its target
+mask all zero after every search.  Other threads get planes of their
+own.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import threading
 from array import array
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
+
+from repro.maze.kernels.pure import FLOOD_CAP, SETTLE_CAP
 
 #: Axis codes stored in the neighbour tables (index into a per-layer cost
 #: row): 0 = x step, 1 = y step, 2 = via (layer change).
@@ -97,6 +100,20 @@ def _build_neighbor_table(width: int, height: int) -> Tuple[tuple, ...]:
     return tuple(entries)
 
 
+#: Slots of the compiled A* kernel's call block, one int64 each, in the
+#: order of ``BLK_*`` in ``_kernels.c``.  :class:`_CPlanes` writes the
+#: slots before :data:`QUERY_SLOT` once; the compiled backend writes the
+#: query's slots, from :data:`QUERY_SLOT` on, before each search.
+BLOCK_SLOTS = (
+    "best", "parent", "stamp", "excess", "target", "path", "out",
+    "settle_cap", "flood_cap",
+    "occ", "pin", "width", "height", "net_id", "allow_conflicts",
+    "frozen", "frozen_len", "penalties", "pen_len", "row0", "row1",
+    "base_penalty", "sources", "n_sources", "targets", "n_targets", "gen",
+)
+QUERY_SLOT = BLOCK_SLOTS.index("occ")
+
+
 class _CPlanes:
     """Typed scratch planes for the compiled kernel, addressed once.
 
@@ -104,21 +121,26 @@ class _CPlanes:
     generation counter lives on the owning :class:`_Planes`.
 
     Every buffer is an ``array`` whose address is taken here, once per
-    plane set, so a kernel call hands C plain ints and builds no array of
-    its own.  ``target`` is a zeroed byte mask; kernels that use it must
-    restore it to all-zero before returning (set/clear the few target
-    indices, not a full memset).  ``excess`` holds the keys of the A*
-    kernel's backward search, read only where that search marked the
-    target mask.  ``path`` is an int32 buffer big enough for any simple
-    path (one entry per node), which the backward search also uses to
-    list the nodes it marked, and ``out`` receives the kernel's scalar
-    results.  :meth:`cost_rows` keeps the int64 axis-cost
-    rows of every cost table searched on these planes.
+    plane set, so a kernel call hands C plain ints and builds no plane
+    of its own.  ``block`` is the A* kernel's call block
+    (:data:`BLOCK_SLOTS`): its first slots hold the planes' addresses,
+    :data:`~repro.maze.kernels.pure.SETTLE_CAP` and
+    :data:`~repro.maze.kernels.pure.FLOOD_CAP`, written here; a search
+    writes the rest and passes ``block_addr``, so the block belongs to
+    the thread as the planes do.  ``target`` is a zeroed byte mask;
+    kernels that use it must restore it to all-zero before returning
+    (set/clear the few target indices, not a full memset).  ``excess``
+    holds the keys of the A* kernel's backward search, read only where
+    that search marked the target mask.  ``path`` is an int32 buffer big
+    enough for any simple path (one entry per node), which the backward
+    search also uses to list the nodes it marked, and ``out`` receives
+    the kernel's scalar results.  :meth:`cost_rows` keeps the int64
+    axis-cost rows of every cost table searched on these planes.
     """
 
     __slots__ = (
-        "best_addr", "parent_addr", "stamp_addr", "excess_addr", "target",
-        "target_addr", "path", "path_addr", "out", "out_addr", "_buffers",
+        "parent_addr", "stamp_addr", "target", "target_addr", "path",
+        "path_addr", "out", "out_addr", "block", "block_addr", "_buffers",
         "_rows",
     )
 
@@ -131,13 +153,18 @@ class _CPlanes:
         self.path = array("i", bytes(4 * n_nodes))
         self.out = array("q", bytes(8 * 4))
         self._buffers = (best, parent, stamp, excess)
-        self.best_addr = best.buffer_info()[0]
         self.parent_addr = parent.buffer_info()[0]
         self.stamp_addr = stamp.buffer_info()[0]
-        self.excess_addr = excess.buffer_info()[0]
         self.target_addr = self.target.buffer_info()[0]
         self.path_addr = self.path.buffer_info()[0]
         self.out_addr = self.out.buffer_info()[0]
+        self.block = array("q", bytes(8 * len(BLOCK_SLOTS)))
+        self.block[:QUERY_SLOT] = array("q", (
+            best.buffer_info()[0], self.parent_addr, self.stamp_addr,
+            excess.buffer_info()[0], self.target_addr, self.path_addr,
+            self.out_addr, SETTLE_CAP, FLOOD_CAP,
+        ))
+        self.block_addr = self.block.buffer_info()[0]
         self._rows: Dict[tuple, Tuple[int, int, tuple]] = {}
 
     def cost_rows(self, table: tuple) -> Tuple[int, int]:

@@ -10,7 +10,8 @@ stamp instead of a per-search clear.  A search therefore allocates almost
 nothing beyond its heap entries.
 
 This module is the *validating wrapper*: it checks endpoints (bounds,
-layer, source availability), prepares the query, and shapes the result.
+layer, source availability) and costs, and shapes the result; the
+kernel sets the query up (target box, heuristics, the backward search).
 :func:`find_path_flat` is the one search entry and speaks flat ids end to
 end — the router hands it cached component id lists and commits the path
 it returns by those ids.  :func:`find_path` is the node-level public API:
@@ -41,7 +42,7 @@ from repro.grid.routing_grid import FREE, RoutingGrid
 from repro.maze.arena import thread_planes
 from repro.maze.cost import CostModel
 from repro.maze.kernels import resolve_kernel
-from repro.maze.kernels.pure import FLOOD_CAP
+from repro.maze.kernels.pure import G_LIMIT
 from repro.maze.kernels.pure import INDEX_MASK as _INDEX_MASK
 
 Node = Tuple[int, int, int]  # (x, y, layer)
@@ -123,7 +124,8 @@ def find_path(
         Extra per-cell penalty charged for crossing a specific net (the
         router escalates this with each rip-up of the net, so oft-ripped
         nets become progressively less attractive victims).  A negative
-        penalty is a :class:`ValueError`.
+        penalty, or one of :data:`~repro.maze.kernels.pure.G_LIMIT` or
+        more, is a :class:`ValueError`.
     kernel:
         Kernel backend name (``pure`` / ``compiled`` / ``auto``);
         ``None`` uses the process default (see
@@ -171,15 +173,17 @@ def find_path_flat(
     or owned by ``net_id``, else :class:`ValueError` is raised before the
     kernel runs.  The other parameters are :func:`find_path`'s.  The
     found path is built from flat ids, and ``conflict_ids`` lists the
-    foreign nodes it occupies.
+    foreign nodes it occupies.  The ids go to the kernel as given,
+    repeats and all: the kernel finds the target box and each source's
+    heuristic.
 
-    A search whose sources and targets are all copper of ``net_id``,
-    with no source among at most
-    :data:`~repro.maze.kernels.pure.FLOOD_CAP` targets, first searches
-    backwards from the targets.  That Dijkstra runs on reduced costs, a
-    move's cost minus the fall in the heuristic, so it settles nodes in
-    order of their exact excess over the heuristic, and it stops at the
-    first settled source or after
+    The kernel also decides whether to search backwards from the targets
+    first: it does when the sources and targets are all copper of
+    ``net_id``, no source is a target, and there are at most
+    :data:`~repro.maze.kernels.pure.FLOOD_CAP` distinct targets.  That
+    Dijkstra runs on reduced costs, a move's cost minus the fall in the
+    heuristic, so it settles nodes in order of their exact excess over
+    the heuristic, and it stops at the first settled source or after
     :data:`~repro.maze.kernels.pure.SETTLE_CAP` settled nodes.  When it
     drains first, no source reaches a target, and the search returns no
     path after zero expansions.  Otherwise A* adds to the heuristic each
@@ -195,7 +199,10 @@ def find_path_flat(
     node is expanded twice, and a search that finds no path has expanded
     every node its sources reach: a missing path is a proof.  That needs
     non-negative move costs; :class:`CostModel` checks its own, and a
-    negative ``net_penalties`` value is a :class:`ValueError`.
+    negative ``net_penalties`` value is a :class:`ValueError`.  So is a
+    move cost or penalty of :data:`~repro.maze.kernels.pure.G_LIMIT` or
+    more: a walk that makes such a move has a g the packed heap key
+    cannot hold, so the move can never be paid.
     """
     model = cost or _DEFAULT_COST
     width, height = grid.width, grid.height
@@ -210,68 +217,54 @@ def find_path_flat(
             f"grid has {n_nodes} nodes; packed search keys support at "
             f"most {_INDEX_MASK}"
         )
+    if (
+        model.wrong_way_penalty + 1 >= G_LIMIT
+        or model.via_cost >= G_LIMIT
+        or model.conflict_penalty >= G_LIMIT
+    ):
+        raise ValueError(
+            f"{model} has a move cost at or above the packed-key g "
+            f"limit ({G_LIMIT})"
+        )
     penalties = net_penalties or {}
-    for owner, penalty in penalties.items():
-        if penalty < 0:
-            raise ValueError(
-                f"net {owner} has a negative penalty ({penalty})"
-            )
+    if penalties and not (
+        min(penalties.values()) >= 0 and max(penalties.values()) < G_LIMIT
+    ):
+        for owner, penalty in penalties.items():
+            if penalty < 0:
+                raise ValueError(
+                    f"net {owner} has a negative penalty ({penalty})"
+                )
+            if penalty >= G_LIMIT:
+                raise ValueError(
+                    f"net {owner} has a penalty ({penalty}) at or above "
+                    f"the packed-key g limit ({G_LIMIT})"
+                )
     backend = resolve_kernel(kernel)
 
-    tx0 = ty0 = n_nodes
-    tx1 = ty1 = -1
     for index in targets:
         if not 0 <= index < n_nodes:
             raise ValueError(f"target id {index} out of bounds")
-        x = index % width
-        y = index // width % height
-        if x < tx0:
-            tx0 = x
-        if x > tx1:
-            tx1 = x
-        if y < ty0:
-            ty0 = y
-        if y > ty1:
-            ty1 = y
     occ = grid.occ_flat()
-    source_entries = []
-    sources_owned = True
     for index in sources:
         if not 0 <= index < n_nodes:
             raise ValueError(f"source id {index} out of bounds")
         owner = occ[index]
-        x = index % width
-        y = index // width % height
-        if owner != net_id:
-            if owner != FREE:
-                raise ValueError(
-                    f"source {(x, y, index // plane)} is not available to "
-                    f"net {net_id} (owner {owner})"
-                )
-            sources_owned = False
-        dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
-        dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
-        source_entries.append((index, dx + dy))
-
-    goals = set(targets)
-    seeds = ()
-    if (
-        sources_owned
-        and len(goals) <= FLOOD_CAP
-        and all(occ[index] == net_id for index in goals)
-        and goals.isdisjoint(sources)
-    ):
-        seeds = sorted(goals)
+        if owner != net_id and owner != FREE:
+            x = index % width
+            y = index // width % height
+            raise ValueError(
+                f"source {(x, y, index // plane)} is not available to "
+                f"net {net_id} (owner {owner})"
+            )
 
     planes = thread_planes(width, height)
     gen = planes.next_generation()
     goal_cost, expansions, flood_visits, indices = backend.astar_search(
         grid,
         net_id,
-        source_entries,
-        goals,
-        seeds,
-        (tx0, tx1, ty0, ty1),
+        sources,
+        targets,
         model,
         allow_conflicts,
         frozen_nets,

@@ -7,6 +7,14 @@
  * pushes — so paths, costs, and expansion counts are bit-identical by
  * construction (and enforced by the parity suite).
  *
+ * repro_astar takes one argument, an int64 call block (BLK_* below).
+ * The thread's planes write the plane addresses and the two caps into
+ * it once; the caller writes the query's slots before each search.  The
+ * kernel sets the query up itself, as pure.py's astar_search does: it
+ * marks the goals, finds the target box, decides whether the backward
+ * search runs and computes each source's heuristic where it pushes the
+ * source.  It clears every mark it made before it returns.
+ *
  * Heap keys are the same packed (f, g, index) integers the python kernel
  * uses, but f << 52 overflows int64, so keys are unsigned __int128.  Key
  * uniqueness (a node is pushed only on strict g improvement, and index
@@ -31,6 +39,27 @@
 #define ST_NOPATH 1
 #define ST_OVERFLOW 2
 #define ST_NOMEM 3
+
+/* Slots of repro_astar's call block, each an int64: addresses, sizes
+ * and values.  The names and their order are arena.py's BLOCK_SLOTS. */
+enum {
+    /* written once per plane set */
+    BLK_BEST, BLK_PARENT, BLK_STAMP, BLK_EXCESS, BLK_TARGET, BLK_PATH,
+    BLK_OUT, BLK_SETTLE_CAP, BLK_FLOOD_CAP,
+    /* written per search */
+    BLK_OCC, BLK_PIN, BLK_WIDTH, BLK_HEIGHT, BLK_NET_ID,
+    BLK_ALLOW_CONFLICTS, BLK_FROZEN, BLK_FROZEN_LEN, BLK_PENALTIES,
+    BLK_PEN_LEN, BLK_ROW0, BLK_ROW1, BLK_BASE_PENALTY, BLK_SOURCES,
+    BLK_N_SOURCES, BLK_TARGETS, BLK_N_TARGETS, BLK_GEN,
+    BLK_SLOTS
+};
+
+/* The most distinct targets the backward search starts from: the size
+ * of its seed array, which compiled.py holds equal to FLOOD_CAP. */
+#define SEED_CAP 16
+
+const int64_t repro_block_slots = BLK_SLOTS;
+const int64_t repro_seed_capacity = SEED_CAP;
 
 typedef unsigned __int128 hkey_t;
 
@@ -301,34 +330,55 @@ static int64_t min_key_backtrack(
     return len;
 }
 
-/* out[0] = goal cost (or overflowing g on ST_OVERFLOW)
+/* The A* search the call block blk describes (see the BLK_* slots).
+ *
+ * out[0] = goal cost (or overflowing g on ST_OVERFLOW)
  * out[1] = expansions
  * out[2] = path length (goal-first; caller reverses)
  * out[3] = flood visits (nodes the backward search settled)
  *
- * n_seeds > 0 asks for the backward search first (see
- * backward_search).  When it proves that no source reaches a target,
- * the search ends with no path.  Otherwise, when rest > 0, A* adds
- * excess[] to the heuristic of every node with bit 2 and
- * rest to every other node's, and reads its path with
- * min_key_backtrack: the bound costs a search without it one test per
- * push.  The marks are cleared before the path is written over the
- * touched list.
+ * The sources and targets are flat ids as the caller gave them, repeats
+ * allowed.  Bit 1 of target[] marks the goals.  The backward search (see
+ * backward_search) runs first when every source and target is copper of
+ * the net, no source is a target, and there are at most flood_cap
+ * distinct targets, its seeds.  When it proves that no source reaches a
+ * target, the search ends with no path.  Otherwise, when rest > 0, A*
+ * adds excess[] to the heuristic of every node with bit 2 and rest to
+ * every other node's, and reads its path with min_key_backtrack: the
+ * bound costs a search without it one test per push.  Every mark is
+ * cleared on every exit, before the path is written over the touched
+ * list.
  */
-int64_t repro_astar(
-    const int32_t *occ, const int32_t *pin,
-    int64_t width, int64_t height,
-    int64_t net_id, int64_t allow_conflicts,
-    const uint8_t *frozen, int64_t frozen_len,
-    const int64_t *penalties, int64_t pen_len,
-    const int64_t *row0, const int64_t *row1, int64_t base_penalty,
-    uint8_t *target, int64_t *excess,
-    const int64_t *seeds, int64_t n_seeds, int64_t settle_cap,
-    int64_t tx0, int64_t tx1, int64_t ty0, int64_t ty1,
-    const int64_t *src_idx, const int64_t *src_h, int64_t n_src,
-    int64_t *best, int32_t *parent, int64_t *stamp, int64_t gen,
-    int32_t *path_out, int64_t *out)
+int64_t repro_astar(const int64_t *blk)
 {
+    int64_t *best = (int64_t *)(intptr_t)blk[BLK_BEST];
+    int32_t *parent = (int32_t *)(intptr_t)blk[BLK_PARENT];
+    int64_t *stamp = (int64_t *)(intptr_t)blk[BLK_STAMP];
+    int64_t *excess = (int64_t *)(intptr_t)blk[BLK_EXCESS];
+    uint8_t *target = (uint8_t *)(intptr_t)blk[BLK_TARGET];
+    int32_t *path_out = (int32_t *)(intptr_t)blk[BLK_PATH];
+    int64_t *out = (int64_t *)(intptr_t)blk[BLK_OUT];
+    int64_t settle_cap = blk[BLK_SETTLE_CAP];
+    int64_t flood_cap = blk[BLK_FLOOD_CAP];
+    const int32_t *occ = (const int32_t *)(intptr_t)blk[BLK_OCC];
+    const int32_t *pin = (const int32_t *)(intptr_t)blk[BLK_PIN];
+    int64_t width = blk[BLK_WIDTH];
+    int64_t height = blk[BLK_HEIGHT];
+    int64_t net_id = blk[BLK_NET_ID];
+    int64_t allow_conflicts = blk[BLK_ALLOW_CONFLICTS];
+    const uint8_t *frozen = (const uint8_t *)(intptr_t)blk[BLK_FROZEN];
+    int64_t frozen_len = blk[BLK_FROZEN_LEN];
+    const int64_t *penalties = (const int64_t *)(intptr_t)blk[BLK_PENALTIES];
+    int64_t pen_len = blk[BLK_PEN_LEN];
+    const int64_t *row0 = (const int64_t *)(intptr_t)blk[BLK_ROW0];
+    const int64_t *row1 = (const int64_t *)(intptr_t)blk[BLK_ROW1];
+    int64_t base_penalty = blk[BLK_BASE_PENALTY];
+    const int64_t *src_idx = (const int64_t *)(intptr_t)blk[BLK_SOURCES];
+    int64_t n_src = blk[BLK_N_SOURCES];
+    const int64_t *tgt_idx = (const int64_t *)(intptr_t)blk[BLK_TARGETS];
+    int64_t n_tgt = blk[BLK_N_TARGETS];
+    int64_t gen = blk[BLK_GEN];
+
     int64_t plane = width * height;
     heap_t heap = {0, 0, 0};
     int64_t expansions = 0;
@@ -339,6 +389,41 @@ int64_t repro_astar(
      * node it did not settle adds to the heuristic: 0 leaves A* plain. */
     int64_t touched = 0;
     int64_t rest = 0;
+
+    /* Mark the goals and find their box.  The distinct targets are the
+     * seeds while every one so far is copper of the net and there are
+     * at most flood_cap of them. */
+    int64_t tx0 = width, tx1 = -1, ty0 = height, ty1 = -1;
+    int64_t seeds[SEED_CAP];
+    int64_t n_seeds = 0;
+    int backward = 1;
+    for (int64_t i = 0; i < n_tgt; i++) {
+        int64_t idx = tgt_idx[i];
+        int64_t y = idx % plane / width;
+        int64_t x = idx % width;
+        if (x < tx0)
+            tx0 = x;
+        if (x > tx1)
+            tx1 = x;
+        if (y < ty0)
+            ty0 = y;
+        if (y > ty1)
+            ty1 = y;
+        if (target[idx] & 1)
+            continue;
+        target[idx] = 1;
+        if (occ[idx] != net_id || n_seeds == flood_cap)
+            backward = 0;
+        else
+            seeds[n_seeds++] = idx;
+    }
+    for (int64_t i = 0; backward && i < n_src; i++) {
+        int64_t idx = src_idx[i];
+        if (occ[idx] != net_id || (target[idx] & 1))
+            backward = 0;
+    }
+    if (!backward)
+        n_seeds = 0;
 
     out[3] = 0;
     if (n_seeds > 0) {
@@ -361,7 +446,8 @@ int64_t repro_astar(
             stamp[idx] = gen;
             best[idx] = 0;
             parent[idx] = -1;
-            int64_t h = src_h[i];
+            int64_t h = box_distance(idx % width, idx % plane / width,
+                                     tx0, tx1, ty0, ty1);
             if (rest > 0)
                 h += (target[idx] & 2) ? excess[idx] : rest;
             if (!heap_push(&heap, ((hkey_t)h << F_SHIFT) | (hkey_t)idx)) {
@@ -428,12 +514,13 @@ int64_t repro_astar(
     }
 
 done:
-    if (n_seeds > 0) {
-        for (int64_t i = 0; i < touched; i++)
-            target[path_out[i]] &= 1;
+    for (int64_t i = 0; i < touched; i++)
+        target[path_out[i]] = 0;
+    if (n_seeds > 0)
         for (int64_t i = 0; i < n_src; i++)
-            target[src_idx[i]] &= 1;
-    }
+            target[src_idx[i]] = 0;
+    for (int64_t i = 0; i < n_tgt; i++)
+        target[tgt_idx[i]] = 0;
     free(heap.a);
     out[1] = expansions;
     if (status == ST_NOPATH) {

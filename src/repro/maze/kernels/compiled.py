@@ -21,25 +21,33 @@ The kernel reads the grid's occupancy and pin stores in place: their
 declares them ``const int32_t *``, so on a platform whose C ``int`` is not
 four bytes this module refuses to load and ``auto`` falls back to ``pure``.
 
-Marshalling note: a call passes C plain ints.  The scratch planes, the
-target mask, the path and result buffers are ``array`` objects of the
-thread's planes whose addresses were taken once per plane set
-(:class:`~repro.maze.arena._CPlanes`), and the axis-cost rows are cached
-there per cost table.  Per call this module only packs the sources into
-two int64 ``array`` buffers and flips target-mask bytes; a search with
-seeds packs them into a third, at most
-:data:`~repro.maze.kernels.pure.FLOOD_CAP` long, and passes
-:data:`~repro.maze.kernels.pure.SETTLE_CAP`.  A conflict search also
-builds the dense frozen/penalty tables, which index by *net id*, guarded
-in C by their lengths, so sparse dict lookups become branchless loads in
-the hot loop; the backward search reads them too.  That search marks
-the sources, its open and its settled nodes in bits 8, 4 and 2 of the
-target mask (bit 1 marks the goals), keeps its keys in the planes'
-``excess`` plane, lists the nodes it touched in the path buffer, and
-grows the heap A* then reuses; its marks are cleared before the path
-is written over that list, so it allocates nothing else.  A found path
-is sliced straight out of the path buffer.  No numpy array is built on
-any call.
+Marshalling note: an A* search is one C call with one argument, the
+address of the thread's call block (``block`` of
+:class:`~repro.maze.arena._CPlanes`, slots
+:data:`~repro.maze.arena.BLOCK_SLOTS`).  The planes wrote the scratch
+planes', target mask's, path's and result buffer's addresses and the
+two caps into it once per plane set, and the axis-cost rows are cached
+there per cost table.  Per search this module packs the sources and
+targets, exactly as the caller gave them, into two int64 ``array``
+buffers and writes the query's slots with one ``pack_into``.  The
+kernel marks the goals, finds the target box, decides whether the
+backward search runs, computes each source's heuristic and clears
+every mark before it returns, on every exit.  A conflict search also
+builds the dense frozen/penalty tables, which index by *net id*,
+guarded in C by their lengths, so sparse dict lookups become
+branchless loads in the hot loop; the backward search reads them too.
+They are cut at the grid's largest owner when an id is larger than
+the node count: C reads them only at a cell's owner.  The backward
+search marks the sources, its open and its settled nodes in bits 8, 4
+and 2 of the target mask (bit 1 marks the goals), keeps its keys in
+the planes' ``excess`` plane, lists the nodes it touched in the path
+buffer, and grows the heap A* then reuses; its marks are cleared
+before the path is written over that list, so it allocates nothing
+else.  A found path is sliced straight out of the path buffer.  No
+numpy array is built on any call.  ``_kernels.c`` exports its slot
+count and the size of its seed array; this module refuses to load a
+library whose values differ from :data:`~repro.maze.arena.BLOCK_SLOTS`
+and :data:`~repro.maze.kernels.pure.FLOOD_CAP`.
 """
 
 from __future__ import annotations
@@ -48,12 +56,14 @@ import ctypes
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 from array import array
 from typing import Optional, Sequence, Tuple
 
-from repro.maze.kernels.pure import SETTLE_CAP, g_overflow_error
+from repro.maze.arena import BLOCK_SLOTS, QUERY_SLOT
+from repro.maze.kernels.pure import FLOOD_CAP, g_overflow_error
 
 __all__ = ["astar_search", "lee_search"]
 
@@ -104,23 +114,20 @@ def _build_library() -> ctypes.CDLL:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    layout = (
+        ctypes.c_int64.in_dll(lib, "repro_block_slots").value,
+        ctypes.c_int64.in_dll(lib, "repro_seed_capacity").value,
+    )
+    if layout != (len(BLOCK_SLOTS), FLOOD_CAP):
+        raise RuntimeError(
+            f"kernel library has {layout[0]} call-block slots and room for "
+            f"{layout[1]} seeds; this module writes {len(BLOCK_SLOTS)} and "
+            f"allows {FLOOD_CAP}"
+        )
     p = ctypes.c_void_p
     i = ctypes.c_int64
     lib.repro_astar.restype = ctypes.c_int64
-    lib.repro_astar.argtypes = [
-        p, p,              # occ, pin
-        i, i,              # width, height
-        i, i,              # net_id, allow_conflicts
-        p, i,              # frozen, frozen_len
-        p, i,              # penalties, pen_len
-        p, p, i,           # row0, row1, base_penalty
-        p, p,              # target mask, excess
-        p, i, i,           # seeds, n_seeds, settle_cap
-        i, i, i, i,        # tx0, tx1, ty0, ty1
-        p, p, i,           # src_idx, src_h, n_src
-        p, p, p, i,        # best, parent, stamp, gen
-        p, p,              # path_out, out
-    ]
+    lib.repro_astar.argtypes = [p]  # the call block
     lib.repro_lee.restype = ctypes.c_int64
     lib.repro_lee.argtypes = [
         p,                 # occ
@@ -142,30 +149,48 @@ if array("i").itemsize != 4:
 
 _lib = _declare(_build_library())
 
+#: Writes a search's slots of the call block, from ``QUERY_SLOT`` on.
+_QUERY = struct.Struct(f"{len(BLOCK_SLOTS) - QUERY_SLOT}q")
+_QUERY_OFFSET = 8 * QUERY_SLOT
+
 #: The empty table: length 0, so C never reads through its address.
 _NO_TABLE = array("B")
 
 
-def _dense_frozen(frozen_nets) -> array:
+def _table_size(ids, grid) -> int:
+    """Length of a table indexed by net id that covers ``ids``.
+
+    Ids no cell of the grid holds are dropped: the kernel reads a table
+    only at a cell's owner.  The grid's largest owner is read only when
+    an id exceeds the node count, which no router's net id does.
+    """
+    top = max(ids)
+    occ = grid.occ_flat()
+    if top >= len(occ):
+        top = min(top, max(occ))
+    return max(top + 1, 0)
+
+
+def _dense_frozen(frozen_nets, grid) -> array:
     """Frozen-net set as a dense byte mask indexed by net id."""
     if not frozen_nets:
         return _NO_TABLE
-    top = max(frozen_nets)
-    mask = array("B", bytes(max(top + 1, 0)))
+    size = _table_size(frozen_nets, grid)
+    mask = array("B", bytes(size))
     for nid in frozen_nets:
-        if nid >= 0:
+        if 0 <= nid < size:
             mask[nid] = 1
     return mask
 
 
-def _dense_penalties(net_penalties: dict) -> array:
+def _dense_penalties(net_penalties: dict, grid) -> array:
     """Per-net penalty dict as a dense int64 table indexed by net id."""
     if not net_penalties:
         return _NO_TABLE
-    top = max(net_penalties)
-    table = array("q", bytes(8 * max(top + 1, 0)))
+    size = _table_size(net_penalties, grid)
+    table = array("q", bytes(8 * size))
     for nid, pen in net_penalties.items():
-        if nid >= 0:
+        if 0 <= nid < size:
             table[nid] = pen
     return table
 
@@ -174,9 +199,7 @@ def astar_search(
     grid,
     net_id: int,
     sources,
-    target_idx,
-    seeds,
-    bbox: Tuple[int, int, int, int],
+    targets,
     model,
     allow_conflicts: bool,
     frozen_nets,
@@ -188,38 +211,24 @@ def astar_search(
     c = planes.c_planes()
     row0, row1 = c.cost_rows(model.axis_cost_table)
     if allow_conflicts:
-        frozen = _dense_frozen(frozen_nets)
-        penalties = _dense_penalties(net_penalties)
+        frozen = _dense_frozen(frozen_nets, grid)
+        penalties = _dense_penalties(net_penalties, grid)
     else:  # a hard search never reads either table
         frozen = penalties = _NO_TABLE
-    seeds = array("q", seeds) if seeds else _NO_TABLE
-    src_idx, src_h = zip(*sources)
-    src_idx = array("q", src_idx)
-    src_h = array("q", src_h)
-    tx0, tx1, ty0, ty1 = bbox
-
-    tmask = c.target
-    for index in target_idx:
-        tmask[index] = 1
-    try:
-        status = _lib.repro_astar(
-            grid.occ_flat().buffer_info()[0],
-            grid.pin_flat().buffer_info()[0],
-            grid.width, grid.height,
-            net_id, 1 if allow_conflicts else 0,
-            frozen.buffer_info()[0], len(frozen),
-            penalties.buffer_info()[0], len(penalties),
-            row0, row1, model.conflict_penalty,
-            c.target_addr, c.excess_addr,
-            seeds.buffer_info()[0], len(seeds), SETTLE_CAP,
-            tx0, tx1, ty0, ty1,
-            src_idx.buffer_info()[0], src_h.buffer_info()[0], len(src_idx),
-            c.best_addr, c.parent_addr, c.stamp_addr, gen,
-            c.path_addr, c.out_addr,
-        )
-    finally:
-        for index in target_idx:
-            tmask[index] = 0
+    sources = array("q", sources)
+    targets = array("q", targets)
+    _QUERY.pack_into(
+        c.block, _QUERY_OFFSET,
+        grid.occ_flat().buffer_info()[0], grid.pin_flat().buffer_info()[0],
+        grid.width, grid.height, net_id, 1 if allow_conflicts else 0,
+        frozen.buffer_info()[0], len(frozen),
+        penalties.buffer_info()[0], len(penalties),
+        row0, row1, model.conflict_penalty,
+        sources.buffer_info()[0], len(sources),
+        targets.buffer_info()[0], len(targets),
+        gen,
+    )
+    status = _lib.repro_astar(c.block_addr)
 
     out = c.out
     if status == _ST_FOUND:

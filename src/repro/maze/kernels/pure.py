@@ -1,41 +1,46 @@
 """The reference pure-python search kernels.
 
 These are the original inner loops of :mod:`repro.maze.astar` and
-:mod:`repro.maze.lee`, plus the A* search's backward search from the
-targets — every other backend is defined as "bit-identical to this
+:mod:`repro.maze.lee`, plus the A* search's query setup (target box,
+heuristics, whether to search back from the targets) and that backward
+search — every other backend is defined as "bit-identical to this
 one".  The wrappers own validation and result shaping; the kernels see
 only well-formed queries and speak flat node indices.
 
 Kernel contract (shared by every backend module):
 
-``astar_search(grid, net_id, sources, target_idx, seeds, bbox, model,
-allow_conflicts, frozen_nets, net_penalties, planes, gen)``
-    ``sources`` is an ordered list of ``(index, h)`` pairs — flat node id
-    plus its precomputed heuristic — already validated and cost-0.
-    ``target_idx`` is the set of goal indices, ``bbox`` the inclusive
-    target bounding box ``(tx0, tx1, ty0, ty1)``.  ``planes`` are the
-    thread's scratch planes for this grid shape
+``astar_search(grid, net_id, sources, targets, model, allow_conflicts,
+frozen_nets, net_penalties, planes, gen)``
+    ``sources`` and ``targets`` are the flat node ids exactly as the
+    caller gave them, already validated (in range, every source free or
+    owned by ``net_id``); repeats are allowed, and every source costs 0.
+    ``model``'s move costs and ``net_penalties``' values are
+    non-negative and below :data:`G_LIMIT`.  ``planes`` are the thread's
+    scratch planes for this grid shape
     (:func:`~repro.maze.arena.thread_planes`) with ``gen`` the fresh
-    generation stamp.  ``seeds`` is empty, or the distinct targets in
-    ascending order when the caller has checked that a backward search
-    may be used: every source and target is copper of ``net_id``, no
-    source is a target, and there are at most :data:`FLOOD_CAP` targets.
-    The kernel then first runs :func:`backward_search` from the seeds.
-    When it drains without settling a source, the search returns no path
-    with zero expansions.  Otherwise, when the smallest open key ``rest``
-    is positive, A* adds to the heuristic of every node its exact excess
-    ``E`` where the backward search settled it, and ``rest`` elsewhere,
-    and reads its path with :func:`min_key_backtrack`.  That returns the
-    path, cost and goal of the search without the bound, in fewer or as
-    many expansions (ALGORITHM.md §2).  Otherwise, and whenever
-    ``seeds`` is empty, A* runs as if no backward search had happened:
-    that search writes none of the planes A* reads.  Returns
-    ``(goal_cost, expansions, flood_visits, indices)`` where ``indices``
-    is the source→goal flat-index path or ``None``, ``expansions`` counts
-    A* pops and ``flood_visits`` the nodes the backward search settled.
-    A* runs until it reaches a target or its frontier drains, so ``None``
-    is always a proof that no path exists.  Raises :class:`ValueError`
-    when a relaxed cost overflows the packed heap-key g field.
+    generation stamp.  The kernel sets the query up itself: the goals
+    are the distinct targets, the heuristic is the Manhattan distance to
+    their inclusive bounding box, and a source's heuristic is computed
+    where the source is pushed.  It runs :func:`backward_search` first,
+    seeded with the distinct targets, when every source and target is
+    copper of ``net_id``, no source is a target, and there are at most
+    :data:`FLOOD_CAP` distinct targets.  When that search drains without
+    settling a source, the search returns no path with zero expansions.
+    Otherwise, when the smallest open key ``rest`` is positive, A* adds
+    to the heuristic of every node its exact excess ``E`` where the
+    backward search settled it, and ``rest`` elsewhere, and reads its
+    path with :func:`min_key_backtrack`.  That returns the path, cost and
+    goal of the search without the bound, in fewer or as many expansions
+    (ALGORITHM.md §2).  Otherwise, and whenever no backward search runs,
+    A* runs as if none had: that search writes none of the planes A*
+    reads.  Returns ``(goal_cost, expansions, flood_visits, indices)``
+    where ``indices`` is the source→goal flat-index path or ``None``,
+    ``expansions`` counts A* pops and ``flood_visits`` the nodes the
+    backward search settled.  A* runs until it reaches a target or its
+    frontier drains, so ``None`` is always a proof that no path exists.
+    Raises :class:`ValueError` when a relaxed cost overflows the packed
+    heap-key g field; a kernel that marks scratch planes clears its
+    marks on that exit too.
 
 ``lee_search(grid, net_id, source_indices, target_idx, planes, gen)``
     Uniform-cost wavefront.  ``source_indices`` is the ordered, validated
@@ -213,10 +218,8 @@ def min_key_backtrack(
 def astar_search(
     grid,
     net_id: int,
-    sources,  # ordered [(index, h)] — validated, deduplication is ours
-    target_idx,  # set of goal indices
-    seeds,  # ascending distinct targets to search back from, or empty
-    bbox: Tuple[int, int, int, int],
+    sources,  # validated flat ids, repeats allowed
+    targets,  # validated flat ids, repeats allowed
     model,
     allow_conflicts: bool,
     frozen_nets,
@@ -229,7 +232,6 @@ def astar_search(
 
     width, height = grid.width, grid.height
     plane = width * height
-    tx0, tx1, ty0, ty1 = bbox
 
     occ = grid.occ_flat()
     pin = grid.pin_flat()
@@ -239,15 +241,36 @@ def astar_search(
     frozen = frozen_nets
     cost_rows = model.axis_cost_table
     row0, row1 = cost_rows[0], cost_rows[1]
+
+    target_idx = set(targets)
+    tx0, ty0, tx1, ty1 = width, height, -1, -1
+    for index in target_idx:
+        x = index % width
+        y = index % plane // width
+        if x < tx0:
+            tx0 = x
+        if x > tx1:
+            tx1 = x
+        if y < ty0:
+            ty0 = y
+        if y > ty1:
+            ty1 = y
+    bbox = (tx0, tx1, ty0, ty1)
+
     flood_visits = 0
     # The backward search's exact excess of every node it settled, and
     # what every other node gets: a rest of 0 leaves A* plain.
     excess: dict = {}
     rest = 0
-    if seeds:
+    if (
+        len(target_idx) <= FLOOD_CAP
+        and target_idx.isdisjoint(sources)
+        and all(occ[index] == net_id for index in target_idx)
+        and all(occ[index] == net_id for index in sources)
+    ):
         excess, rest, flood_visits = backward_search(
-            occ, pin, nbrs, width, plane, cost_rows, net_id, seeds,
-            {index for index, _h in sources}, allow_conflicts, frozen,
+            occ, pin, nbrs, width, plane, cost_rows, net_id,
+            sorted(target_idx), set(sources), allow_conflicts, frozen,
             base_penalty, penalties_get, bbox, SETTLE_CAP,
         )
         if rest is None:
@@ -258,11 +281,16 @@ def astar_search(
     push, pop = heappush, heappop
     frontier: List[int] = []
 
-    for index, h in sources:
+    for index in sources:
         if stamp[index] != gen or best[index] > 0:
             stamp[index] = gen
             best[index] = 0
             parent[index] = -1
+            x = index % width
+            y = index % plane // width
+            dx = (tx0 - x) if x < tx0 else (x - tx1) if x > tx1 else 0
+            dy = (ty0 - y) if y < ty0 else (y - ty1) if y > ty1 else 0
+            h = dx + dy
             if bounded:
                 h += excess.get(index, rest)
             push(frontier, (h << F_SHIFT) | index)

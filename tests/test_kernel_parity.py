@@ -32,8 +32,9 @@ from repro.grid import GridPath, Layer, RoutingGrid
 from repro.grid.path import flat_id, node_at, straight_path
 from repro.maze import CostModel, find_path, lee_route
 from repro.maze import astar, kernels
+from repro.maze.arena import BLOCK_SLOTS, thread_planes
 from repro.maze.astar import find_path_flat
-from repro.maze.kernels.pure import FLOOD_CAP, SETTLE_CAP
+from repro.maze.kernels.pure import FLOOD_CAP, G_LIMIT, SETTLE_CAP
 from tests.bfs_oracle import connected_component
 
 
@@ -1126,6 +1127,192 @@ class TestBackwardSearch:
         _assert_plain_answer(result, grid, *ends, query)
 
 
+def _target_row_scene(n_targets):
+    """An open 20x6 grid with net 1's source pin at (0, 5, 0) and
+    ``n_targets`` pins of net 1 along row 0 of layer 0, from x = 2."""
+    grid = RoutingGrid(20, 6)
+    source = (0, 5, 0)
+    grid.reserve_pin(1, source)
+    targets = [(x, 0, 0) for x in range(2, 2 + n_targets)]
+    for node in targets:
+        grid.reserve_pin(1, node)
+    return grid, source, targets
+
+
+def _ids(grid, nodes):
+    return [flat_id(node, grid.width, grid.height) for node in nodes]
+
+
+class TestQuerySetup:
+    """The kernels set the query up from the ids as the caller gave
+    them: the target box, each source's heuristic, the goal marks and
+    whether the backward search runs, at most ``FLOOD_CAP`` distinct
+    copper targets, no source among them, every source copper."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_repeated_targets_seed_once_each(self, name, soft):
+        grid, source, targets = _target_row_scene(FLOOD_CAP)
+        ids = _ids(grid, targets)
+        repeated = ids + ids[::-1]
+        assert len(repeated) == 2 * FLOOD_CAP
+        query = dict(allow_conflicts=soft)
+        result = find_path_flat(
+            grid, 1, _ids(grid, [source]), repeated, kernel=name, **query
+        )
+        assert result.found and result.flood_visits > 0
+        ref = find_path_flat(
+            grid, 1, _ids(grid, [source]), repeated, kernel="pure", **query
+        )
+        _assert_same_astar(ref, result, name)
+        once = find_path_flat(
+            grid, 1, _ids(grid, [source]), ids, kernel=name, **query
+        )
+        _assert_same_astar(once, result, name)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_one_target_too_many_runs_plain_a_star(self, name):
+        grid, source, targets = _target_row_scene(FLOOD_CAP + 1)
+        args = (grid, 1, _ids(grid, [source]), _ids(grid, targets))
+        result = find_path_flat(*args, kernel=name)
+        assert result.found and result.flood_visits == 0
+        _assert_same_astar(find_path_flat(*args, kernel="pure"), result, name)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_a_source_that_is_a_target_costs_nothing(self, name):
+        grid, source, targets = _target_row_scene(1)
+        args = (grid, 1, _ids(grid, [source]), _ids(grid, [*targets, source]))
+        result = find_path_flat(*args, kernel=name)
+        assert result.found and list(result.path) == [source]
+        assert (result.cost, result.expansions, result.flood_visits) == (
+            0, 0, 0
+        )
+        _assert_same_astar(find_path_flat(*args, kernel="pure"), result, name)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_a_free_source_cell_runs_plain_a_star(self, name):
+        grid, source, targets = _target_row_scene(1)
+        free = (3, 5, 0)
+        args = (grid, 1, _ids(grid, [source, free]), _ids(grid, targets))
+        result = find_path_flat(*args, kernel=name)
+        assert result.found and result.flood_visits == 0
+        assert result.path.start == free
+        _assert_same_astar(find_path_flat(*args, kernel="pure"), result, name)
+
+
+@pytest.mark.skipif(
+    "compiled" not in kernels.available_backends(),
+    reason="backend 'compiled' unavailable",
+)
+class TestCompiledMarksCleared:
+    """The compiled kernel marks the goals, the sources and the backward
+    search's nodes in its thread's target mask, and leaves the mask all
+    zero on every exit."""
+
+    @staticmethod
+    def _mask(grid):
+        return thread_planes(grid.width, grid.height).c_planes().target
+
+    def test_after_a_found_search(self):
+        grid, source, targets = _target_row_scene(FLOOD_CAP)
+        result = find_path(grid, 1, [source], targets, kernel="compiled")
+        assert result.found and result.flood_visits > 0
+        assert not any(self._mask(grid))
+
+    def test_after_a_drained_proof(self):
+        """Net 2's pins on all five neighbours of the target pin."""
+        grid = RoutingGrid(10, 8)
+        grid.reserve_pin(1, (0, 0, 0))
+        grid.reserve_pin(1, (5, 4, 0))
+        for near in _neighbours((5, 4, 0), 10, 8):
+            grid.reserve_pin(2, near)
+        result = find_path(
+            grid, 1, [(0, 0, 0)], [(5, 4, 0)], kernel="compiled"
+        )
+        assert (result.found, result.expansions, result.flood_visits) == (
+            False, 0, 1
+        )
+        assert not any(self._mask(grid))
+
+    @pytest.mark.parametrize("pins", [False, True], ids=["free", "pins"])
+    def test_after_a_g_overflow(self, pins):
+        """``test_packed_key_g_limit``'s walk, from a free cell to a free
+        cell (goal marks only) or between pins of the net (the backward
+        search marks nodes before A* overflows)."""
+        grid = RoutingGrid(40, 3)
+        for y in range(3):
+            for x in range(40):
+                grid.set_obstacle(x, y, 0)
+        if pins:
+            grid.reserve_pin(1, (0, 1, 1))
+            grid.reserve_pin(1, (39, 1, 1))
+        with pytest.raises(ValueError, match="packed-key g field"):
+            find_path(
+                grid, 1, [(0, 1, 1)], [(39, 1, 1)],
+                cost=CostModel(wrong_way_penalty=2**23 - 1),
+                kernel="compiled",
+            )
+        assert not any(self._mask(grid))
+
+
+def _net_two_wall(grid):
+    """Net 2's wire across column 3 of both layers."""
+    for layer in (Layer.HORIZONTAL, Layer.VERTICAL):
+        grid.commit_path(
+            2, straight_path(Point(3, 0), Point(3, grid.height - 1), layer)
+        )
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestNetIdsNoCellHolds:
+    """Frozen nets and penalties keyed by ids no cell of the grid holds
+    change nothing, and the compiled call's net-id tables stop at the
+    grid's largest owner (they used to be as long as the largest id:
+    8 GiB for ``frozen_nets={2**33}``)."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            dict(frozen_nets=frozenset({2**20})),
+            dict(frozen_nets=frozenset({2, 2**33})),
+            dict(frozen_nets=frozenset({2**70, -1})),
+            dict(net_penalties={2: 7, 2**20: 5}),
+            dict(net_penalties={2**31: 5}),
+            dict(net_penalties={2**70: 5, 2: 3}),
+        ],
+        ids=["frozen-2**20", "frozen-2**33", "frozen-2**70",
+             "penalty-2**20", "penalty-2**31", "penalty-2**70"],
+    )
+    def test_same_answer_and_short_tables(self, grid, name, query,
+                                          monkeypatch):
+        _net_two_wall(grid)
+        lengths = []
+        if name == "compiled":
+            from repro.maze.kernels import compiled
+
+            block = thread_planes(grid.width, grid.height).c_planes().block
+            real = compiled._lib.repro_astar
+
+            def spy(address):
+                lengths.append((
+                    block[BLOCK_SLOTS.index("frozen_len")],
+                    block[BLOCK_SLOTS.index("pen_len")],
+                ))
+                return real(address)
+
+            monkeypatch.setattr(compiled._lib, "repro_astar", spy)
+        args = (grid, 1, [(0, 0, 0)], [(9, 0, 0)])
+        query = dict(allow_conflicts=True, **query)
+        result = find_path(*args, kernel=name, **query)
+        _assert_same_astar(find_path(*args, kernel="pure", **query),
+                           result, name)
+        frozen = 2 in query.get("frozen_nets", ())
+        assert result.found == (not frozen)
+        n_nodes = 2 * grid.width * grid.height
+        assert all(max(pair) <= n_nodes for pair in lengths)
+        assert len(lengths) == (name == "compiled")
+
+
 class TestLeeParity:
     @pytest.mark.parametrize("other", OTHERS)
     def test_randomized_differential(self, other):
@@ -1258,6 +1445,68 @@ class TestFlatEntryValidation:
                 kernel=name,
             )
         assert kernel_calls == []
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            CostModel(conflict_penalty=2**63 - 1),
+            CostModel(conflict_penalty=G_LIMIT),
+            CostModel(via_cost=2**63),
+            CostModel(wrong_way_penalty=G_LIMIT - 1),
+        ],
+        ids=["conflict-2**63-1", "conflict-G_LIMIT", "via-2**63",
+             "wrong-way-step-G_LIMIT"],
+    )
+    def test_move_cost_at_the_g_limit(self, grid, name, kernel_calls, cost):
+        """A move of ``G_LIMIT`` or more can never be paid: its g cannot
+        be keyed.  The compiled kernel used to return a false "no path"
+        through net 2's wall (or raise ``OverflowError``), and the pure
+        one the g-overflow error."""
+        _net_two_wall(grid)
+        with pytest.raises(
+            ValueError, match=r"has a move cost at or above the packed-key"
+        ):
+            find_path(
+                grid, 1, [(0, 0, 0)], [(9, 0, 0)],
+                cost=cost, allow_conflicts=True, kernel=name,
+            )
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("penalty", [G_LIMIT, 2**63 - 1, 2**70])
+    def test_net_penalty_at_the_g_limit(
+        self, grid, name, kernel_calls, penalty
+    ):
+        _net_two_wall(grid)
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"net 2 has a penalty ({penalty}) at or above the "
+                f"packed-key g limit ({G_LIMIT})"
+            ),
+        ):
+            find_path(
+                grid, 1, [(0, 0, 0)], [(9, 0, 0)], allow_conflicts=True,
+                net_penalties={4: 1, 2: penalty, 3: -1}, kernel=name,
+            )
+        assert kernel_calls == []
+
+    def test_costs_just_below_the_g_limit_search(
+        self, grid, name, kernel_calls
+    ):
+        """The source's moves cost up to ``G_LIMIT - 1``; the target is
+        one step away, so no walk reaches the limit."""
+        cost = CostModel(
+            wrong_way_penalty=G_LIMIT - 2,
+            via_cost=G_LIMIT - 1,
+            conflict_penalty=G_LIMIT - 1,
+        )
+        result = find_path(
+            grid, 1, [(0, 0, 0)], [(1, 0, 0)], cost=cost,
+            allow_conflicts=True, net_penalties={2: G_LIMIT - 1},
+            kernel=name,
+        )
+        assert result.found and result.cost == 1
+        assert len(kernel_calls) == 1
 
 
 class TestDispatch:

@@ -23,7 +23,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
 from repro.grid import GridNode, GridPath, RoutingGrid
 from repro.grid.path import flat_id
-from repro.maze import find_path
+from repro.maze import find_path, kernels
 from repro.netlist.generators import (
     deutsch_class_channel,
     random_switchbox,
@@ -77,6 +77,42 @@ class TestSearchWork:
         assert result.conflict_ids == [flat_id((26, 10, 0), 40, 21),
                                        flat_id((29, 10, 0), 40, 21)]
         assert result.expansions + result.flood_visits <= 300
+
+
+class TestKernelCalls:
+    @pytest.mark.skipif(
+        "compiled" not in kernels.available_backends(),
+        reason="backend 'compiled' unavailable",
+    )
+    def test_one_compiled_call_of_one_argument_per_search(
+        self, monkeypatch
+    ):
+        """Each search of a compiled route is one call of the C kernel
+        with one argument, the address of the thread's call block.  It
+        used to pass 31 ctypes arguments, about 5 us of conversion per
+        search on a 2-vCPU x86_64 VM."""
+        from repro.maze.kernels import compiled
+
+        arities = []
+        real = compiled._lib.repro_astar
+
+        def spy(*args):
+            arities.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(compiled._lib, "repro_astar", spy)
+        monkeypatch.setenv(kernels.ENV_VAR, "compiled")
+        kernels._reset_for_tests()
+        try:
+            problem = random_switchbox(
+                23, 15, 24, seed=3, fill=0.5
+            ).to_problem()
+            result = MightyRouter(problem).route()
+        finally:
+            kernels._reset_for_tests()
+        assert result.stats.kernel_backend == "compiled"
+        assert result.stats.searches > 100
+        assert arities == [1] * result.stats.searches
 
 
 _NODE_WORK_CASES = pytest.mark.parametrize(

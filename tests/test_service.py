@@ -614,6 +614,7 @@ class TestSigtermSubprocess:
             if server.poll() is None:
                 server.kill()
                 server.wait(10)
+            server.stderr.close()
 
 
 class TestProtocol:

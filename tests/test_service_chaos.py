@@ -67,12 +67,17 @@ class TestClientTransport:
         )
         acceptor.start()
         client = ServiceClient(path, timeout_s=0.5)
-        started = time.monotonic()
-        with pytest.raises(ServiceUnavailable):
-            client.health()
-        elapsed = time.monotonic() - started
-        assert 0.2 <= elapsed < 5.0
-        listener.close()
+        try:
+            started = time.monotonic()
+            with pytest.raises(ServiceUnavailable):
+                client.health()
+            elapsed = time.monotonic() - started
+            assert 0.2 <= elapsed < 5.0
+        finally:
+            acceptor.join(5)
+            for connection, _address in held:
+                connection.close()
+            listener.close()
 
     def test_stalling_server_with_retries_stays_in_budget(
         self, tmp_path, monkeypatch
@@ -559,6 +564,8 @@ class TestCrashRestartSoak:
                     time.sleep(0.05)
             else:
                 server.kill()
+                server.wait(10)
+                server.stderr.close()
                 raise RuntimeError("daemon did not come up")
             return server
 
@@ -597,6 +604,7 @@ class TestCrashRestartSoak:
                 time.sleep(0.3)  # let the submission reach the daemon
                 server.kill()  # SIGKILL: no drain, no cleanup
                 server.wait(10)
+                server.stderr.close()
                 thread.join(15)
                 assert not thread.is_alive(), "in-flight client hung"
                 if "error" in inflight:
@@ -623,6 +631,7 @@ class TestCrashRestartSoak:
             if server.poll() is None:
                 server.kill()
                 server.wait(10)
+            server.stderr.close()
 
 
 def _proc_stat(pid):

@@ -39,6 +39,20 @@ def make_store(tmp_path) -> CacheStore:
 
 
 @pytest.fixture
+def open_store(tmp_path):
+    """``make_store`` for one test, closing every store it made."""
+    stores = []
+
+    def make():
+        stores.append(make_store(tmp_path))
+        return stores[-1]
+
+    yield make
+    for store in stores:
+        store.close()
+
+
+@pytest.fixture
 def compaction(monkeypatch):
     """Set the store's compaction thresholds for one test."""
 
@@ -66,11 +80,11 @@ class TestRoundTrip:
         assert fresh.counters["loaded"] == 5
         assert fresh.counters["skipped_records"] == 0
 
-    def test_rewrite_of_a_digest_last_one_wins(self, tmp_path):
-        store = make_store(tmp_path)
+    def test_rewrite_of_a_digest_last_one_wins(self, open_store):
+        store = open_store()
         store.append("d", fake_payload("old"))
         store.append("d", fake_payload("new"))
-        assert make_store(tmp_path).load()["d"] == fake_payload("new")
+        assert open_store().load()["d"] == fake_payload("new")
 
     def test_empty_directory_loads_empty(self, tmp_path):
         assert make_store(tmp_path).load() == OrderedDict()
@@ -209,9 +223,9 @@ class TestCompactionPolicy:
         assert store.counters["compactions"] == 1
         assert make_store(tmp_path).load() == OrderedDict(entries)
 
-    def test_maybe_compact_respects_ratio(self, tmp_path, compaction):
+    def test_maybe_compact_respects_ratio(self, open_store, compaction):
         compaction(2, 4.0)
-        store = make_store(tmp_path)
+        store = open_store()
         entries = {f"d{i}": fake_payload(str(i)) for i in range(3)}
         for digest, payload in entries.items():
             store.append(digest, payload)
@@ -229,15 +243,13 @@ class TestCanonicalCacheIntegration:
         payload["stats"]["cache_hit"] = False
         return problem, payload
 
-    def test_store_then_reload_serves_a_hit(self, tmp_path, routed):
+    def test_store_then_reload_serves_a_hit(self, open_store, routed):
         problem, payload = routed
         form = canonical_form(problem)
-        first = CanonicalCache(
-            8, store=make_store(tmp_path)
-        )
+        first = CanonicalCache(8, store=open_store())
         assert first.store(form, dict(payload))
         # a second cache on the same directory is a restarted daemon
-        second = CanonicalCache(8, store=make_store(tmp_path))
+        second = CanonicalCache(8, store=open_store())
         assert second.load_from_store() == 1
         rendered = second.render(form, problem_to_dict(problem))
         assert rendered is not None
@@ -261,13 +273,13 @@ class TestCanonicalCacheIntegration:
         assert set(entries) == {"digest-3", "digest-4", "digest-5"}
 
     def test_load_compacts_so_restart_cost_is_bounded(
-        self, tmp_path, routed
+        self, open_store, routed
     ):
         problem, payload = routed
         form = canonical_form(problem)
-        cache = CanonicalCache(8, store=make_store(tmp_path))
+        cache = CanonicalCache(8, store=open_store())
         cache.store(form, dict(payload))
-        fresh_store = make_store(tmp_path)
+        fresh_store = open_store()
         fresh = CanonicalCache(8, store=fresh_store)
         fresh.load_from_store()
         # the journal was folded into the snapshot on load
@@ -287,9 +299,9 @@ class TestCanonicalCacheIntegration:
         assert not cache.persistent
         assert cache.load_from_store() == 0
 
-    def test_stats_expose_store_counters(self, tmp_path, routed):
+    def test_stats_expose_store_counters(self, open_store, routed):
         problem, payload = routed
-        cache = CanonicalCache(8, store=make_store(tmp_path))
+        cache = CanonicalCache(8, store=open_store())
         cache.store(canonical_form(problem), dict(payload))
         stats = cache.stats()
         assert stats["store"]["journal_records"] == 1
