@@ -3,7 +3,8 @@
 Channel algorithms think in *tracks* and *columns*; the grid thinks in rows
 and layers.  This module is the bridge: algorithms emit abstract
 :class:`HWire`/:class:`VWire` lists, and :func:`realize_wires` lowers them
-onto the common grid (auto-inserting vias wherever a net's own layers cross)
+onto the common grid with :func:`lay_wires` (which the greedy switchbox
+router shares; it adds a via wherever one net holds both layers of a cell)
 and verifies the result, so every baseline is judged by the same rules as
 the main router.
 
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.metrics import channel_tracks_used
 from repro.analysis.verify import VerificationReport, verify_routing
@@ -93,6 +96,46 @@ class ChannelResult:
         )
 
 
+def lay_wires(
+    problem: RoutingProblem,
+    trunks: Sequence[Tuple[int, int, int, int]],
+    branches: Sequence[Tuple[int, int, int, int]],
+) -> Tuple[RoutingGrid, str]:
+    """Build ``problem``'s grid and lay the wires of a baseline on it.
+
+    Trunks ``(net_id, row, x0, x1)`` go on the horizontal layer and
+    branches ``(net_id, x, y0, y1)`` on the vertical one, in list order.
+    Then a via goes wherever one net holds both layers of a cell, pins
+    included.  Returns ``(grid, "")``, or at the first collision the grid
+    as laid so far, without vias, and its ``illegal geometry: ...``
+    reason: an algorithm that emits illegal geometry never gets credit.
+    """
+    grid = problem.build_grid()
+    try:
+        for net_id, row, x0, x1 in trunks:
+            grid.commit_path(
+                net_id,
+                straight_path(
+                    Point(x0, row), Point(x1, row), Layer.HORIZONTAL
+                ),
+            )
+        for net_id, x, y0, y1 in branches:
+            grid.commit_path(
+                net_id,
+                straight_path(Point(x, y0), Point(x, y1), Layer.VERTICAL),
+            )
+    except GridError as exc:
+        return grid, f"illegal geometry: {exc}"
+    horizontal, vertical = grid.occupancy()
+    both = (horizontal > 0) & (horizontal == vertical)
+    for y, x in np.argwhere(both).tolist():
+        # Both nodes already belong to the net, so no via commit can fail.
+        grid.commit_path(
+            int(horizontal[y, x]), GridPath([(x, y, 0), (x, y, 1)])
+        )
+    return grid, ""
+
+
 def realize_wires(
     spec: ChannelSpec,
     tracks: int,
@@ -100,56 +143,32 @@ def realize_wires(
     vwires: List[VWire],
     router: str,
 ) -> ChannelResult:
-    """Lower abstract wires onto the grid, auto-via, and verify.
-
-    Any collision in the wire lists surfaces as a
-    :class:`~repro.grid.GridError` and is reported as a failed result — an
-    algorithm that emits illegal geometry never gets credit.
-    """
+    """Lay abstract wires on the channel's grid (:func:`lay_wires`) and
+    verify them; illegal geometry is a failed result."""
     problem = spec.to_problem(tracks)
-    grid = problem.build_grid()
     ids = problem.net_ids()
 
     def net_id(net_number: int) -> int:
         return ids[spec.net_name(net_number)]
 
-    h_cells: Dict[int, Set[Point]] = {}
-    v_cells: Dict[int, Set[Point]] = {}
-    try:
-        for wire in hwires:
-            row = track_row(tracks, wire.track)
-            path = straight_path(
-                Point(wire.x0, row), Point(wire.x1, row), Layer.HORIZONTAL
-            )
-            grid.commit_path(net_id(wire.net), path)
-            h_cells.setdefault(wire.net, set()).update(
-                Point(x, row) for x in range(wire.x0, wire.x1 + 1)
-            )
-        for wire in vwires:
-            path = straight_path(
-                Point(wire.x, wire.y0), Point(wire.x, wire.y1), Layer.VERTICAL
-            )
-            grid.commit_path(net_id(wire.net), path)
-            v_cells.setdefault(wire.net, set()).update(
-                Point(wire.x, y) for y in range(wire.y0, wire.y1 + 1)
-            )
-        for net_number, cells in h_cells.items():
-            for cell in sorted(cells & v_cells.get(net_number, set())):
-                via = GridPath(
-                    [(cell.x, cell.y, 0), (cell.x, cell.y, 1)]
-                )
-                grid.commit_path(net_id(net_number), via)
-    except GridError as exc:
+    grid, reason = lay_wires(
+        problem,
+        [
+            (net_id(w.net), track_row(tracks, w.track), w.x0, w.x1)
+            for w in hwires
+        ],
+        [(net_id(w.net), w.x, w.y0, w.y1) for w in vwires],
+    )
+    if reason:
         return ChannelResult(
             spec=spec,
             tracks=tracks,
             success=False,
             router=router,
-            reason=f"illegal geometry: {exc}",
+            reason=reason,
             problem=problem,
             grid=grid,
         )
-
     report = verify_routing(problem, grid)
     return ChannelResult(
         spec=spec,

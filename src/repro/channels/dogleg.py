@@ -12,14 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.channels.base import (
-    ChannelResult,
-    ChannelRouter,
-    HWire,
-    VWire,
-    realize_wires,
-    track_row,
-)
+from repro.channels.base import HWire, VWire, track_row
+from repro.channels.left_edge import LeftEdgeRouter, pack_left_edge
 from repro.netlist.channel import ChannelSpec
 
 
@@ -34,7 +28,10 @@ class Subnet:
 
 
 def split_into_subnets(spec: ChannelSpec) -> List[Subnet]:
-    """Split every net at its interior terminals (classic dogleg split)."""
+    """Split every net at its interior terminals (classic dogleg split).
+
+    Consecutive distinct pin columns pair up, so ``lo < hi`` always.
+    """
     subnets: List[Subnet] = []
     for net in spec.net_numbers():
         columns = sorted({column for column, _ in spec.pins_of(net)})
@@ -58,8 +55,7 @@ def _subnet_vcg(
     incident: Dict[Tuple[int, int], List[Subnet]] = {}
     for subnet in subnets:
         incident.setdefault((subnet.net, subnet.lo), []).append(subnet)
-        if subnet.hi != subnet.lo:
-            incident.setdefault((subnet.net, subnet.hi), []).append(subnet)
+        incident.setdefault((subnet.net, subnet.hi), []).append(subnet)
     above: Dict[Subnet, Set[Subnet]] = {subnet: set() for subnet in subnets}
     for column, (top, bottom) in enumerate(zip(spec.top, spec.bottom)):
         if top <= 0 or bottom <= 0 or top == bottom:
@@ -75,36 +71,14 @@ def assign_tracks_dogleg(
 ) -> Tuple[Optional[Dict[Subnet, int]], int, str]:
     """Left-edge track assignment over subnets."""
     subnets = split_into_subnets(spec)
-    trunk_subnets = sorted(
-        (s for s in subnets if s.lo < s.hi),
-        key=lambda s: (s.lo, s.hi, s.net, s.index),
+    assignment, tracks = pack_left_edge(
+        sorted(subnets, key=lambda s: (s.lo, s.hi, s.net, s.index)),
+        lambda s: (s.lo, s.hi),
+        _subnet_vcg(spec, subnets),
     )
-    above = _subnet_vcg(spec, subnets)
-
-    assignment: Dict[Subnet, int] = {}
-    unplaced = list(trunk_subnets)
-    track = 0
-    while unplaced:
-        track += 1
-        last_hi = -1
-        placed: List[Subnet] = []
-        for subnet in list(unplaced):
-            if subnet.lo <= last_hi:
-                continue
-            predecessors_done = all(
-                pred.lo >= pred.hi  # degenerate subnets have no trunk
-                or (pred in assignment and assignment[pred] < track)
-                for pred in above[subnet]
-            )
-            if not predecessors_done:
-                continue
-            assignment[subnet] = track
-            last_hi = subnet.hi
-            placed.append(subnet)
-            unplaced.remove(subnet)
-        if not placed:
-            return None, track - 1, "subnet vertical constraint cycle"
-    return assignment, track, ""
+    if assignment is None:
+        return None, tracks, "subnet vertical constraint cycle"
+    return assignment, tracks, ""
 
 
 def dogleg_wires(
@@ -133,37 +107,20 @@ def dogleg_wires(
     for (net, column), rows in sorted(join_rows.items()):
         lo, hi = min(rows), max(rows)
         if lo == hi:
-            continue  # a single trunk endpoint with no pin: nothing to join
+            continue  # a one-pin net: nothing to join
         vwires.append(VWire(net, column, lo, hi))
     return hwires, vwires
 
 
-class DoglegRouter(ChannelRouter):
+class DoglegRouter(LeftEdgeRouter):
     """Dogleg channel router: subnet splitting + left-edge assignment."""
 
     name = "dogleg"
+    _assign = staticmethod(assign_tracks_dogleg)
+    _wires = staticmethod(dogleg_wires)
 
-    def route(self, spec: ChannelSpec, tracks: int) -> ChannelResult:
-        """Attempt the dogleg algorithm at a fixed track count."""
-        assignment, needed, reason = assign_tracks_dogleg(spec)
-        if assignment is None:
-            return ChannelResult(
-                spec=spec,
-                tracks=tracks,
-                success=False,
-                router=self.name,
-                reason=reason,
-            )
-        if needed > tracks:
-            return ChannelResult(
-                spec=spec,
-                tracks=tracks,
-                success=False,
-                router=self.name,
-                reason=f"needs {needed} tracks",
-            )
-        hwires, vwires = dogleg_wires(spec, tracks, assignment)
-        result = realize_wires(spec, tracks, hwires, vwires, self.name)
-        result.detail["tracks_needed"] = needed
-        result.detail["subnets"] = len(assignment)
-        return result
+    @staticmethod
+    def _detail(
+        assignment: Dict[Subnet, int], needed: int
+    ) -> Dict[str, object]:
+        return {"tracks_needed": needed, "subnets": len(assignment)}

@@ -15,12 +15,15 @@ extension columns used is part of the reported result.  The implementation
 is a faithful simplification: the original's range-shrinking and
 steering-toward-next-pin jogs are omitted (they reduce track count by small
 amounts but do not change the algorithm's character).
+
+The sweep's bookkeeping, :class:`SweepState`, is shared with Luk's greedy
+switchbox router (:mod:`repro.switchbox.greedy_box`), whose slots are the
+box's rows instead of the channel's tracks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.channels.base import (
     ChannelResult,
@@ -30,53 +33,184 @@ from repro.channels.base import (
     realize_wires,
 )
 from repro.netlist.channel import ChannelSpec
+from repro.netlist.switchbox import SwitchboxSpec
 
 #: Extension columns a split net may be chased into past the right end.
 MAX_EXTENSION = 16
 
+#: A pin's way in: ``((split, gap, length), slot, lo, hi)``.
+PinOption = Tuple[Tuple[int, int, int], int, int, int]
 
-@dataclass
-class _SweepState:
-    """Mutable state of the column sweep."""
+#: A swept spec: its ``net_numbers()`` and ``top`` and ``bottom`` pins.
+Sweepable = Union[ChannelSpec, SwitchboxSpec]
 
-    tracks: int
-    track_net: List[int] = field(default_factory=list)  # 1-based, 0 = free
-    run_start: Dict[int, int] = field(default_factory=dict)
-    freed_at: Dict[int, int] = field(default_factory=dict)
-    held: Dict[int, Set[int]] = field(default_factory=dict)
-    remaining: Dict[int, int] = field(default_factory=dict)
-    hwires: List[HWire] = field(default_factory=list)
-    vwires: List[VWire] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        self.track_net = [0] * (self.tracks + 1)
+class SweepState:
+    """Which net holds each slot of a greedy column sweep.
 
-    def row(self, track: int) -> int:
-        return self.tracks + 1 - track
+    The sweep runs over ``spec``, a channel or a switchbox.  A slot is a
+    channel track (numbered top-down: ``top_down``) or a switchbox row,
+    and :meth:`row` is its grid row; a pin vertical runs from row 0 or
+    ``top_row``.  ``held[net]`` are the slots a net holds, ``targets[net]``
+    the slots it must end on (a switchbox's right-edge pins; none in a
+    channel) and ``last_pin[net]`` the column of its last top or bottom
+    pin.  A released slot becomes a trunk ``(net, slot, x0, x1)`` and
+    every vertical a branch ``(net, column, lo, hi)`` in grid rows.
+    """
 
-    @property
-    def top_row(self) -> int:
-        return self.tracks + 1
+    def __init__(
+        self, spec: Sweepable, slots: range, top_row: int, top_down: bool
+    ) -> None:
+        self.slots = slots
+        self.top_row = top_row
+        self.top_down = top_down
+        self.slot_net = [0] * slots.stop  # 0 = free
+        self.run_start: Dict[int, int] = {}
+        self.freed_at: Dict[int, int] = {}
+        self.held: Dict[int, Set[int]] = {
+            net: set() for net in spec.net_numbers()
+        }
+        self.targets: Dict[int, Set[int]] = {net: set() for net in self.held}
+        self.last_pin = {
+            net: column
+            for column, pins in enumerate(zip(spec.top, spec.bottom))
+            for net in pins
+            if net
+        }
+        self.trunks: List[Tuple[int, int, int, int]] = []
+        self.branches: List[Tuple[int, int, int, int]] = []
+        self.column = 0
+        self._verticals: List[Tuple[int, int, int]] = []  # (lo, hi, net)
 
-    def claim(self, track: int, net: int, column: int) -> None:
-        self.track_net[track] = net
-        self.run_start[track] = column
-        self.held.setdefault(net, set()).add(track)
+    def row(self, slot: int) -> int:
+        """Grid row of ``slot``."""
+        return self.top_row - slot if self.top_down else slot
 
-    def release(self, track: int, column: int) -> None:
-        net = self.track_net[track]
-        self.hwires.append(
-            HWire(net, track, self.run_start[track], column)
-        )
-        self.track_net[track] = 0
-        self.freed_at[track] = column
-        self.held[net].discard(track)
+    def begin_column(self, column: int) -> None:
+        """Move the sweep to ``column``, which has no vertical yet."""
+        self.column = column
+        self._verticals = []
 
-    def claimable(self, track: int, column: int) -> bool:
+    def claim(self, slot: int, net: int) -> None:
+        """Give ``slot`` to ``net`` from this column on."""
+        self.slot_net[slot] = net
+        self.run_start[slot] = self.column
+        self.held[net].add(slot)
+
+    def release(self, slot: int) -> None:
+        """Free ``slot``; its net's run up to this column becomes a trunk."""
+        net = self.slot_net[slot]
+        self.trunks.append((net, slot, self.run_start[slot], self.column))
+        self.slot_net[slot] = 0
+        self.freed_at[slot] = self.column
+        self.held[net].discard(slot)
+
+    def claimable(self, slot: int) -> bool:
+        """True when ``slot`` is free and was not freed in this column."""
         return (
-            self.track_net[track] == 0
-            and self.freed_at.get(track, -1) < column
+            self.slot_net[slot] == 0
+            and self.freed_at.get(slot, -1) < self.column
         )
+
+    def v_free(self, lo: int, hi: int, net: int) -> bool:
+        """True when no other net's vertical in this column meets rows
+        ``lo..hi``."""
+        return all(
+            other == net or hi < other_lo or lo > other_hi
+            for other_lo, other_hi, other in self._verticals
+        )
+
+    def add_v(self, lo: int, hi: int, net: int) -> None:
+        """Lay ``net``'s vertical over rows ``lo..hi`` of this column."""
+        self._verticals.append((lo, hi, net))
+        self.branches.append((net, self.column, lo, hi))
+
+    def connect(self, net: int, slot: int, lo: int, hi: int) -> None:
+        """Lay a pin's vertical ``lo..hi`` onto ``slot``, claiming the slot
+        unless ``net`` holds it."""
+        if self.slot_net[slot] != net:
+            self.claim(slot, net)
+        self.add_v(lo, hi, net)
+
+    def pin_options(self, net: int, shore: str) -> List[PinOption]:
+        """Feasible ways in for ``net``'s pin on ``shore`` ('T' or 'B'),
+        best first.
+
+        Ranking: no-split connections first; among splits, the slot
+        nearest the net's held rows (small ``gap``) so the split
+        collapses cheaply in a later column; length last (the original's
+        minimal vertical rule).  A net that holds nothing measures the
+        gap to its target rows.
+        """
+        held_rows = [self.row(slot) for slot in self.held[net]]
+        anchor = held_rows or [self.row(slot) for slot in self.targets[net]]
+        options = []
+        for slot in self.slots:
+            holds = self.slot_net[slot] == net
+            if not holds and not self.claimable(slot):
+                continue
+            row = self.row(slot)
+            lo, hi = (row, self.top_row) if shore == "T" else (0, row)
+            if not self.v_free(lo, hi, net):
+                continue
+            split = 1 if held_rows and not holds else 0
+            gap = (
+                min(abs(row - a) for a in anchor)
+                if (split or not held_rows) and anchor
+                else 0
+            )
+            options.append(((split, gap, hi - lo), slot, lo, hi))
+        options.sort()
+        return options
+
+    def place_pin(self, net: int, shore: str) -> bool:
+        """Connect a lone pin by its best option; False when it has none."""
+        options = self.pin_options(net, shore)
+        if options:
+            self.connect(net, *options[0][1:])
+        return bool(options)
+
+    def split_pairs(self, net: int) -> List[Tuple[int, int]]:
+        """Adjacent slots ``net`` holds, ``(lower, upper)`` by row,
+        nearest pair first."""
+        slots = sorted(self.held[net], key=self.row)
+        return sorted(
+            zip(slots, slots[1:]),
+            key=lambda pair: self.row(pair[1]) - self.row(pair[0]),
+        )
+
+    def retire(self) -> None:
+        """Free the one slot of every net whose pins are all in and that
+        has no target rows."""
+        for net in sorted(self.held):
+            held = self.held[net]
+            if (
+                len(held) == 1
+                and not self.targets[net]
+                and self.last_pin.get(net, -1) <= self.column
+            ):
+                self.release(next(iter(held)))
+
+    def collapse(self, distance: Callable[[int, int], float]) -> None:
+        """Join split nets until this column admits no further join.
+
+        A join lays a vertical between a net's nearest adjacent pair that
+        has room and frees the slot farther by ``distance(net, slot)``
+        (the upper one on a tie).
+        """
+        progress = True
+        while progress:
+            progress = False
+            for net in sorted(self.held):
+                for low, high in self.split_pairs(net):
+                    lo, hi = self.row(low), self.row(high)
+                    if not self.v_free(lo, hi, net):
+                        continue
+                    self.add_v(lo, hi, net)
+                    keep = min((low, high), key=lambda s: distance(net, s))
+                    self.release(high if keep == low else low)
+                    progress = True
+                    break
 
 
 class GreedyRouter(ChannelRouter):
@@ -104,7 +238,11 @@ class GreedyRouter(ChannelRouter):
                 name=f"{spec.name}+{extension}",
             )
         result = realize_wires(
-            realized_spec, tracks, state.hwires, state.vwires, self.name
+            realized_spec,
+            tracks,
+            [HWire(*trunk) for trunk in state.trunks],
+            [VWire(*branch) for branch in state.branches],
+            self.name,
         )
         result.extension_columns = extension
         return result
@@ -112,39 +250,27 @@ class GreedyRouter(ChannelRouter):
     # ------------------------------------------------------------------
     # The sweep itself
     # ------------------------------------------------------------------
-    def _sweep(
-        self, spec: ChannelSpec, tracks: int
-    ):
-        state = _SweepState(tracks)
-        pin_columns: Dict[int, List[int]] = {}
-        for net in spec.net_numbers():
-            columns = [column for column, _ in spec.pins_of(net)]
-            pin_columns[net] = sorted(columns)
-            state.remaining[net] = len(columns)
-            state.held[net] = set()
-
+    def _sweep(self, spec: ChannelSpec, tracks: int):
+        state = SweepState(
+            spec, range(1, tracks + 1), tracks + 1, top_down=True
+        )
+        middle = (tracks + 1) / 2
         width = spec.n_columns
         for column in range(width + MAX_EXTENSION):
-            verticals: List[Tuple[int, int, int]] = []  # (lo, hi, net)
-
-            def v_free(lo: int, hi: int, net: int) -> bool:
-                return all(
-                    other == net or hi < other_lo or lo > other_hi
-                    for other_lo, other_hi, other in verticals
-                )
-
-            def add_v(lo: int, hi: int, net: int) -> None:
-                verticals.append((lo, hi, net))
-                state.vwires.append(VWire(net, column, lo, hi))
-
+            state.begin_column(column)
             if column < width:
-                error = self._bring_in_pins(
-                    spec, state, column, v_free, add_v
-                )
+                error = self._bring_in_pins(spec, state)
                 if error:
                     return error
-            self._collapse(state, column, v_free, add_v)
-            self._retire(spec, state, column, pin_columns)
+            # Join split nets, keeping the track nearer the channel middle,
+            # then jog the stubborn splits one track closer so a later
+            # column can finish the job (the original's "move split nets
+            # closer" pattern).
+            state.collapse(lambda net, track: abs(state.row(track) - middle))
+            for net in sorted(state.held):
+                if len(state.held[net]) >= 2:
+                    self._jog_closer(state, net)
+            state.retire()
             if column >= width - 1 and not any(state.held.values()):
                 return state, max(0, column - width + 1)
         return (
@@ -152,90 +278,34 @@ class GreedyRouter(ChannelRouter):
         )
 
     def _bring_in_pins(
-        self, spec: ChannelSpec, state: _SweepState, column: int, v_free, add_v
+        self, spec: ChannelSpec, state: SweepState
     ) -> Optional[str]:
+        column = state.column
         top, bottom = spec.top[column], spec.bottom[column]
         if top and top == bottom:
-            return self._straight_through(state, top, column, v_free, add_v)
-        pending = []
-        for shore, net in (("T", top), ("B", bottom)):
-            if not net:
-                continue
-            if not _needs_routing(spec, net):
-                state.remaining[net] -= 1
-                continue
-            pending.append((shore, net))
-        if not pending:
-            return None
+            return self._straight_through(state, top)
+        pending = [
+            (shore, net)
+            for shore, net in (("T", top), ("B", bottom))
+            if net and _needs_routing(spec, net)
+        ]
         if len(pending) == 1:
             shore, net = pending[0]
-            if not self._place_pin(state, net, shore, column, v_free, add_v):
+            if not state.place_pin(net, shore):
                 return f"stuck at column {column} (net {net} {shore} pin)"
-            state.remaining[net] -= 1
-            return None
         # Both shores have a pin: choose the pair of connections jointly so
         # one pin's vertical cannot wall off the other (and so that split
         # nets are created only when unavoidable).
-        if not self._place_pin_pair(state, pending, column, v_free, add_v):
+        elif pending and not self._place_pin_pair(state, pending):
             return f"stuck at column {column} (pin pair)"
-        for _, net in pending:
-            state.remaining[net] -= 1
         return None
 
-    def _candidates(
-        self, state: _SweepState, net: int, shore: str, column: int, v_free
-    ) -> List[Tuple[Tuple[int, int, int], int, int, int]]:
-        """Feasible ``((split, gap, length), track, lo, hi)`` pin options.
-
-        Ranking: no-split connections first; among splits, the track nearest
-        the net's existing wiring (small ``gap``) so the split collapses
-        cheaply in a later column; length last (the original's minimal
-        vertical rule).
-        """
-        held_rows = [state.row(t) for t in state.held[net]]
-        result = []
-        for track in range(1, state.tracks + 1):
-            holds_net = state.track_net[track] == net
-            if not holds_net and not state.claimable(track, column):
-                continue
-            row = state.row(track)
-            lo, hi = (row, state.top_row) if shore == "T" else (0, row)
-            if not v_free(lo, hi, net):
-                continue
-            split = 1 if (held_rows and not holds_net) else 0
-            gap = (
-                min(abs(row - r) for r in held_rows)
-                if split
-                else 0
-            )
-            result.append(((split, gap, hi - lo), track, lo, hi))
-        result.sort()
-        return result
-
-    def _place_pin(
-        self, state: _SweepState, net: int, shore: str, column: int,
-        v_free, add_v,
-    ) -> bool:
-        candidates = self._candidates(state, net, shore, column, v_free)
-        if not candidates:
-            return False
-        _, track, lo, hi = candidates[0]
-        if state.track_net[track] != net:
-            state.claim(track, net, column)
-        add_v(lo, hi, net)
-        return True
-
-    def _place_pin_pair(
-        self, state: _SweepState, pending, column: int, v_free, add_v
-    ) -> bool:
+    def _place_pin_pair(self, state: SweepState, pending) -> bool:
         (shore_a, net_a), (shore_b, net_b) = pending
+        options_b = state.pin_options(net_b, shore_b)
         best = None
-        for cost_a, track_a, lo_a, hi_a in self._candidates(
-            state, net_a, shore_a, column, v_free
-        ):
-            for cost_b, track_b, lo_b, hi_b in self._candidates(
-                state, net_b, shore_b, column, v_free
-            ):
+        for cost_a, track_a, lo_a, hi_a in state.pin_options(net_a, shore_a):
+            for cost_b, track_b, lo_b, hi_b in options_b:
                 if track_a == track_b:
                     continue
                 if not (hi_a < lo_b or hi_b < lo_a):
@@ -247,128 +317,53 @@ class GreedyRouter(ChannelRouter):
                     track_b,
                 )
                 if best is None or key < best[0]:
-                    best = (key, track_a, lo_a, hi_a, track_b, lo_b, hi_b)
+                    best = (key, (track_a, lo_a, hi_a), (track_b, lo_b, hi_b))
         if best is None:
             return False
-        _, track_a, lo_a, hi_a, track_b, lo_b, hi_b = best
-        for net, track, lo, hi in (
-            (net_a, track_a, lo_a, hi_a),
-            (net_b, track_b, lo_b, hi_b),
-        ):
-            if state.track_net[track] != net:
-                state.claim(track, net, column)
-            add_v(lo, hi, net)
+        state.connect(net_a, *best[1])
+        state.connect(net_b, *best[2])
         return True
 
-    def _straight_through(
-        self, state: _SweepState, net: int, column: int, v_free, add_v
-    ) -> Optional[str]:
-        if not v_free(0, state.top_row, net):
+    def _straight_through(self, state: SweepState, net: int) -> Optional[str]:
+        column = state.column
+        if not state.v_free(0, state.top_row, net):
             return f"column {column} blocked for straight-through net {net}"
-        add_v(0, state.top_row, net)
-        state.remaining[net] -= 2
+        state.add_v(0, state.top_row, net)
         held = sorted(state.held[net], key=state.row)
-        if state.remaining[net] > 0 and not held:
-            track = self._nearest_free_track(state, column, from_top=True)
+        more = state.last_pin[net] > column
+        if more and not held:
+            track = next(
+                (t for t in state.slots if state.claimable(t)), None
+            )
             if track is None:
                 return f"no free track for net {net} at column {column}"
-            state.claim(track, net, column)
+            state.claim(track, net)
         elif held:
             # The full-height vertical joins every held track: keep one.
             for track in held[:-1]:
-                state.release(track, column)
-            if state.remaining[net] == 0:
-                state.release(held[-1], column)
+                state.release(track)
+            if not more:
+                state.release(held[-1])
         return None
 
-    def _collapse(
-        self, state: _SweepState, column: int, v_free, add_v
-    ) -> None:
-        # Join split nets until the column admits no further join, then jog
-        # the stubborn splits one track closer so a later column can finish
-        # the job (the original's "move split nets closer" pattern).
-        progress = True
-        while progress:
-            progress = False
-            for net in sorted(state.held):
-                if self._collapse_net_once(state, net, column, v_free, add_v):
-                    progress = True
-        for net in sorted(state.held):
-            if len(state.held[net]) >= 2:
-                self._jog_closer(state, net, column, v_free, add_v)
-
-    def _collapse_net_once(
-        self, state: _SweepState, net: int, column: int, v_free, add_v
-    ) -> bool:
-        held = sorted(state.held[net], key=state.row)
-        if len(held) < 2:
-            return False
-        pairs = sorted(
-            zip(held, held[1:]),
-            key=lambda pair: state.row(pair[1]) - state.row(pair[0]),
-        )
-        for lower_track, upper_track in pairs:
-            lo, hi = state.row(lower_track), state.row(upper_track)
-            if not v_free(lo, hi, net):
-                continue
-            add_v(lo, hi, net)
-            # Keep the track closer to the channel middle; free the other.
-            middle = (state.tracks + 1) / 2
-            keep, drop = sorted(
-                (lower_track, upper_track),
-                key=lambda t: abs(state.row(t) - middle),
-            )
-            state.release(drop, column)
-            return True
-        return False
-
-    def _jog_closer(
-        self, state: _SweepState, net: int, column: int, v_free, add_v
-    ) -> None:
+    def _jog_closer(self, state: SweepState, net: int) -> None:
         """Move the net's outer track one row toward its nearest sibling."""
-        held = sorted(state.held[net], key=state.row)
-        gaps = sorted(
-            zip(held, held[1:]),
-            key=lambda pair: state.row(pair[1]) - state.row(pair[0]),
-        )
-        for lower_track, upper_track in gaps:
-            lo, hi = state.row(lower_track), state.row(upper_track)
+        for lower_track, upper_track in state.split_pairs(net):
             for source, step in ((upper_track, -1), (lower_track, 1)):
                 source_row = state.row(source)
                 target_row = source_row + step
-                target_track = state.tracks + 1 - target_row
-                if not 1 <= target_track <= state.tracks:
+                target_track = state.top_row - target_row
+                if target_track not in state.slots:
                     continue
-                if not state.claimable(target_track, column):
+                if not state.claimable(target_track):
                     continue
                 jog_lo, jog_hi = sorted((source_row, target_row))
-                if not v_free(jog_lo, jog_hi, net):
+                if not state.v_free(jog_lo, jog_hi, net):
                     continue
-                state.claim(target_track, net, column)
-                add_v(jog_lo, jog_hi, net)
-                state.release(source, column)
+                state.claim(target_track, net)
+                state.add_v(jog_lo, jog_hi, net)
+                state.release(source)
                 return
-
-    def _retire(
-        self,
-        spec: ChannelSpec,
-        state: _SweepState,
-        column: int,
-        pin_columns: Dict[int, List[int]],
-    ) -> None:
-        for net in sorted(state.held):
-            held = state.held[net]
-            if len(held) == 1 and state.remaining[net] == 0:
-                state.release(next(iter(held)), column)
-
-    def _nearest_free_track(
-        self, state: _SweepState, column: int, from_top: bool
-    ) -> Optional[int]:
-        order = range(1, state.tracks + 1)
-        for track in order if from_top else reversed(list(order)):
-            if state.claimable(track, column):
-                return track
-        return None
 
 
 def _needs_routing(spec: ChannelSpec, net: int) -> bool:

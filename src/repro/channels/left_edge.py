@@ -14,7 +14,7 @@ Properties reproduced from the literature:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.channels.base import (
     ChannelResult,
@@ -23,6 +23,44 @@ from repro.channels.base import (
     trunk_span_wires,
 )
 from repro.netlist.channel import ChannelSpec
+
+
+def pack_left_edge(
+    items: List[Hashable],
+    span: Callable[[Hashable], Tuple[int, int]],
+    above: Dict[Hashable, Set[Hashable]],
+) -> Tuple[Optional[Dict[Hashable, int]], int]:
+    """Constrained left-edge packing of intervals onto tracks.
+
+    ``items`` come in left-edge order and ``span(item)`` is an item's
+    ``(lo, hi)`` column interval.  Tracks are filled top-down: a track
+    takes, in order, every waiting item that overlaps nothing already on
+    it and whose ``above[item]`` all lie on strictly higher tracks.
+    Returns ``(assignment, tracks)``, item -> track with track 1 on top,
+    or ``(None, tracks filled)`` when a track takes nothing: the waiting
+    items close a vertical-constraint cycle.  No items pack to
+    ``({}, 0)``.
+    """
+    assignment: Dict[Hashable, int] = {}
+    waiting = items
+    track = 0
+    while waiting:
+        track += 1
+        last_hi = -1
+        left = []
+        for item in waiting:
+            lo, hi = span(item)
+            if lo > last_hi and all(
+                assignment.get(pred, track) < track for pred in above[item]
+            ):
+                assignment[item] = track
+                last_hi = hi
+            else:
+                left.append(item)
+        if len(left) == len(waiting):
+            return None, track - 1
+        waiting = left
+    return assignment, track
 
 
 def assign_tracks_left_edge(
@@ -42,42 +80,33 @@ def assign_tracks_left_edge(
     for upper, lower in spec.vcg_edges():
         if upper in above and lower in above:
             above[lower].add(upper)
-
-    assignment: Dict[int, int] = {}
-    unplaced: List[int] = list(trunk_nets)
-    track = 0
-    while unplaced:
-        track += 1
-        last_hi = -1
-        placed_this_track: List[int] = []
-        for net in list(unplaced):
-            lo, hi = spans[net]
-            if lo <= last_hi:
-                continue
-            predecessors_done = all(
-                pred in assignment and assignment[pred] < track
-                for pred in above[net]
-            )
-            if not predecessors_done:
-                continue
-            assignment[net] = track
-            last_hi = hi
-            placed_this_track.append(net)
-            unplaced.remove(net)
-        if not placed_this_track:
-            return None, track - 1, "vertical constraint cycle"
-    return assignment, track, ""
+    assignment, tracks = pack_left_edge(trunk_nets, spans.__getitem__, above)
+    if assignment is None:
+        return None, tracks, "vertical constraint cycle"
+    return assignment, tracks, ""
 
 
 class LeftEdgeRouter(ChannelRouter):
-    """Constrained left-edge algorithm with straight (dogleg-free) trunks."""
+    """Constrained left-edge algorithm with straight (dogleg-free) trunks.
+
+    The dogleg router runs the same steps over subnets: it swaps in its
+    own ``_assign``, ``_wires`` and ``_detail``.
+    """
 
     name = "left-edge"
+    _assign = staticmethod(assign_tracks_left_edge)
+    _wires = staticmethod(trunk_span_wires)
+
+    @staticmethod
+    def _detail(assignment: Dict[int, int], needed: int) -> Dict[str, object]:
+        return {"assignment": assignment, "tracks_needed": needed}
 
     def route(self, spec: ChannelSpec, tracks: int) -> ChannelResult:
-        """Attempt the left-edge algorithm at a fixed track count."""
-        assignment, needed, reason = assign_tracks_left_edge(spec)
-        if assignment is None:
+        """Assign tracks, then lay and verify the wires at ``tracks``."""
+        assignment, needed, reason = self._assign(spec)
+        if assignment is not None and needed > tracks:
+            reason = f"needs {needed} tracks"
+        if reason:
             return ChannelResult(
                 spec=spec,
                 tracks=tracks,
@@ -85,16 +114,7 @@ class LeftEdgeRouter(ChannelRouter):
                 router=self.name,
                 reason=reason,
             )
-        if needed > tracks:
-            return ChannelResult(
-                spec=spec,
-                tracks=tracks,
-                success=False,
-                router=self.name,
-                reason=f"needs {needed} tracks",
-            )
-        hwires, vwires = trunk_span_wires(spec, tracks, assignment)
+        hwires, vwires = self._wires(spec, tracks, assignment)
         result = realize_wires(spec, tracks, hwires, vwires, self.name)
-        result.detail["assignment"] = assignment
-        result.detail["tracks_needed"] = needed
+        result.detail.update(self._detail(assignment, needed))
         return result

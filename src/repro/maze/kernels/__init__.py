@@ -147,9 +147,13 @@ def active_backend() -> KernelBackend:
     """The process-wide default backend, resolving it on first use.
 
     The first call honours :data:`ENV_VAR` (``REPRO_KERNEL``); later
-    calls return the backend it resolved.
+    calls return the backend it resolved without taking the lock, so a
+    search pays no lock for it.
     """
     global _active, _active_source
+    active = _active
+    if active is not None:
+        return active
     with _lock:
         if _active is not None:
             return _active

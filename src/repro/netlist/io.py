@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.geometry.rect import Rect
 from repro.geometry.region import RectilinearRegion
@@ -45,8 +45,11 @@ class FormatError(ValueError):
     """Raised for malformed problem files."""
 
 
-def _key_value_lines(text: str) -> Dict[str, str]:
-    """Parse ``key: value`` lines, dropping comments and blank lines."""
+def _key_value_lines(
+    text: str, kind: str, required: Tuple[str, ...]
+) -> Dict[str, str]:
+    """Parse ``key: value`` lines, dropping comments and blank lines; a
+    ``kind`` file must give every ``required`` key."""
     result: Dict[str, str] = {}
     for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
@@ -59,6 +62,9 @@ def _key_value_lines(text: str) -> Dict[str, str]:
         if key in result:
             raise FormatError(f"duplicate key {key!r}")
         result[key] = value.strip()
+    for key in required:
+        if key not in result:
+            raise FormatError(f"{kind} file is missing {key!r}")
     return result
 
 
@@ -69,15 +75,20 @@ def _int_row(value: str, key: str) -> List[int]:
         raise FormatError(f"non-integer entry in {key!r}: {exc}") from None
 
 
+def _int_value(fields: Dict[str, str], key: str) -> int:
+    """The one integer of ``key``, read the way the pin rows are."""
+    row = _int_row(fields[key], key)
+    if len(row) != 1:
+        raise FormatError(f"{key!r} must be one integer, got {fields[key]!r}")
+    return row[0]
+
+
 # ----------------------------------------------------------------------
 # Channels
 # ----------------------------------------------------------------------
 def parse_channel(text: str) -> ChannelSpec:
     """Parse the channel text format."""
-    fields = _key_value_lines(text)
-    for required in ("top", "bottom"):
-        if required not in fields:
-            raise FormatError(f"channel file is missing {required!r}")
+    fields = _key_value_lines(text, "channel", ("top", "bottom"))
     try:
         return ChannelSpec(
             top=tuple(_int_row(fields["top"], "top")),
@@ -112,14 +123,12 @@ def save_channel(path: PathLike, spec: ChannelSpec) -> None:
 # ----------------------------------------------------------------------
 def parse_switchbox(text: str) -> SwitchboxSpec:
     """Parse the switchbox text format."""
-    fields = _key_value_lines(text)
-    for required in ("width", "height", "top", "bottom", "left", "right"):
-        if required not in fields:
-            raise FormatError(f"switchbox file is missing {required!r}")
+    keys = ("width", "height", "top", "bottom", "left", "right")
+    fields = _key_value_lines(text, "switchbox", keys)
     try:
         return SwitchboxSpec(
-            width=int(fields["width"]),
-            height=int(fields["height"]),
+            width=_int_value(fields, "width"),
+            height=_int_value(fields, "height"),
             top=tuple(_int_row(fields["top"], "top")),
             bottom=tuple(_int_row(fields["bottom"], "bottom")),
             left=tuple(_int_row(fields["left"], "left")),

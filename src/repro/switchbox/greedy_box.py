@@ -11,18 +11,21 @@ This is the library's published-algorithm comparator for Table 2 (the
 Mighty paper compares against [Luk85]); like the original it completes
 most practical boxes but has no recovery mechanism, so congested instances
 fail where the rip-up router succeeds.
+
+The sweep keeps its rows in the channel sweep's
+:class:`~repro.channels.greedy.SweepState` and lays its wires with the
+channel routers' :func:`~repro.channels.base.lay_wires`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.analysis.verify import VerificationReport, verify_routing
-from repro.geometry.point import Point
-from repro.grid.layers import Layer
-from repro.grid.path import GridPath, straight_path
-from repro.grid.routing_grid import GridError, RoutingGrid
+from repro.channels.base import lay_wires
+from repro.channels.greedy import SweepState
+from repro.grid.routing_grid import RoutingGrid
 from repro.netlist.problem import RoutingProblem
 from repro.netlist.switchbox import SwitchboxSpec
 
@@ -45,40 +48,6 @@ class BoxResult:
         return f"{self.router} on {self.spec.name}: {verdict}"
 
 
-@dataclass
-class _BoxState:
-    """Mutable sweep state (rows double as tracks)."""
-
-    width: int
-    height: int
-    row_net: List[int] = field(default_factory=list)
-    run_start: Dict[int, int] = field(default_factory=dict)
-    freed_at: Dict[int, int] = field(default_factory=dict)
-    held: Dict[int, Set[int]] = field(default_factory=dict)
-    targets: Dict[int, Set[int]] = field(default_factory=dict)
-    remaining: Dict[int, int] = field(default_factory=dict)
-    hwires: List[Tuple[int, int, int, int]] = field(default_factory=list)
-    vwires: List[Tuple[int, int, int, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.row_net = [0] * self.height
-
-    def claim(self, row: int, net: int, column: int) -> None:
-        self.row_net[row] = net
-        self.run_start[row] = column
-        self.held.setdefault(net, set()).add(row)
-
-    def release(self, row: int, column: int) -> None:
-        net = self.row_net[row]
-        self.hwires.append((net, row, self.run_start[row], column))
-        self.row_net[row] = 0
-        self.freed_at[row] = column
-        self.held[net].discard(row)
-
-    def claimable(self, row: int, column: int) -> bool:
-        return self.row_net[row] == 0 and self.freed_at.get(row, -1) < column
-
-
 class GreedySwitchboxRouter:
     """Greedy column sweep with steering toward right-edge targets."""
 
@@ -95,110 +64,85 @@ class GreedySwitchboxRouter:
     # The sweep
     # ------------------------------------------------------------------
     def _sweep(self, spec: SwitchboxSpec):
-        state = _BoxState(spec.width, spec.height)
-        for net in spec.net_numbers():
-            state.held[net] = set()
-            state.targets[net] = set()
+        state = SweepState(
+            spec, range(spec.height), spec.height - 1, top_down=False
+        )
         for row, net in enumerate(spec.left):
             if net:
-                state.claim(row, net, 0)
+                state.claim(row, net)
         for row, net in enumerate(spec.right):
             if net:
                 state.targets[net].add(row)
+
+        def distance(net: int, row: int) -> int:
+            # A collapse keeps the row nearer the net's targets, else the
+            # row nearer the middle.
+            targets = state.targets[net]
+            if targets:
+                return min(abs(row - t) for t in targets)
+            return abs(row - spec.height // 2)
+
         for column in range(spec.width):
-            verticals: List[Tuple[int, int, int]] = []
-
-            def v_free(lo: int, hi: int, net: int) -> bool:
-                return all(
-                    other == net or hi < other_lo or lo > other_hi
-                    for other_lo, other_hi, other in verticals
-                )
-
-            def add_v(lo: int, hi: int, net: int) -> None:
-                verticals.append((lo, hi, net))
-                state.vwires.append((net, column, lo, hi))
-
-            error = self._bring_in(spec, state, column, v_free, add_v)
+            state.begin_column(column)
+            error = self._bring_in(spec, state)
             if error:
                 return error
-            self._collapse(spec, state, column, v_free, add_v)
+            state.collapse(distance)
             if column == spec.width - 1:
-                error = self._join_targets(spec, state, column, v_free, add_v)
+                error = self._join_targets(state)
                 if error:
                     return error
             else:
-                self._steer(spec, state, column, v_free, add_v)
-                self._retire(spec, state, column)
+                self._steer(state)
+                state.retire()
         leftover = [net for net, rows in state.held.items() if rows]
         if leftover:
             return f"nets {leftover} still hold rows at the right edge"
         return state
 
-    def _pins_after(self, spec: SwitchboxSpec, net: int, column: int) -> int:
-        count = 0
-        for c in range(column, spec.width):
-            count += int(spec.top[c] == net) + int(spec.bottom[c] == net)
-        count += sum(1 for v in spec.right if v == net)
-        return count
-
-    def _free_row_near(self, state: _BoxState, column: int, near: int):
-        rows = sorted(
-            (r for r in range(state.height) if state.claimable(r, column)),
-            key=lambda r: (abs(r - near), r),
-        )
-        return rows[0] if rows else None
-
-    def _bring_in(self, spec, state: _BoxState, column: int, v_free, add_v):
-        top_row = spec.height - 1
-        pins = []
-        if spec.top[column]:
-            pins.append(("T", spec.top[column]))
-        if spec.bottom[column]:
-            pins.append(("B", spec.bottom[column]))
-        if len(pins) == 2 and pins[0][1] == pins[1][1]:
-            net = pins[0][1]
-            if not v_free(0, top_row, net):
+    def _bring_in(self, spec: SwitchboxSpec, state: SweepState):
+        column = state.column
+        top_row = state.top_row
+        top, bottom = spec.top[column], spec.bottom[column]
+        pins = [
+            (shore, net) for shore, net in (("T", top), ("B", bottom)) if net
+        ]
+        if top and top == bottom:
+            net = top
+            if not state.v_free(0, top_row, net):
                 return f"column {column} blocked for straight-through {net}"
-            add_v(0, top_row, net)
+            state.add_v(0, top_row, net)
             held = sorted(state.held[net])
             for row in held[:-1]:
-                state.release(row, column)
+                state.release(row)
             if not held and (
-                self._pins_after(spec, net, column + 1) > 0
-                or state.targets[net]
+                state.last_pin[net] > column or state.targets[net]
             ):
                 near = (
                     min(state.targets[net])
                     if state.targets[net]
                     else top_row // 2
                 )
-                row = self._free_row_near(state, column, near)
+                row = min(
+                    (r for r in state.slots if state.claimable(r)),
+                    key=lambda r: (abs(r - near), r),
+                    default=None,
+                )
                 if row is None:
                     return f"no free row for net {net} at column {column}"
-                state.claim(row, net, column)
+                state.claim(row, net)
             return None
         if len(pins) == 1:
             shore, net = pins[0]
-            candidates = self._pin_candidates(
-                state, net, shore, column, top_row, v_free
-            )
-            if not candidates:
+            if not state.place_pin(net, shore):
                 return f"stuck at column {column} (net {net} {shore} pin)"
-            _, row, lo, hi = candidates[0]
-            if state.row_net[row] != net:
-                state.claim(row, net, column)
-            add_v(lo, hi, net)
-            return None
-        if len(pins) == 2:
+        elif pins:
             # joint selection so one pin's vertical cannot wall the other
             (shore_a, net_a), (shore_b, net_b) = pins
+            options_b = state.pin_options(net_b, shore_b)
             best = None
-            for ca in self._pin_candidates(
-                state, net_a, shore_a, column, top_row, v_free
-            ):
-                for cb in self._pin_candidates(
-                    state, net_b, shore_b, column, top_row, v_free
-                ):
+            for ca in state.pin_options(net_a, shore_a):
+                for cb in options_b:
                     if ca[1] == cb[1]:
                         continue
                     if not (ca[3] < cb[2] or cb[3] < ca[2]):
@@ -208,60 +152,11 @@ class GreedySwitchboxRouter:
                         best = (key, ca, cb)
             if best is None:
                 return f"stuck at column {column} (pin pair)"
-            for _, row, lo, hi in (best[1], best[2]):
-                net = net_a if (row, lo, hi) == best[1][1:] else net_b
-            for candidate, net in ((best[1], net_a), (best[2], net_b)):
-                _, row, lo, hi = candidate
-                if state.row_net[row] != net:
-                    state.claim(row, net, column)
-                add_v(lo, hi, net)
+            state.connect(net_a, *best[1][1:])
+            state.connect(net_b, *best[2][1:])
         return None
 
-    def _pin_candidates(
-        self, state: _BoxState, net: int, shore: str, column: int,
-        top_row: int, v_free,
-    ):
-        """Feasible ``((split, gap, length), row, lo, hi)`` options."""
-        held_rows = state.held[net]
-        targets = state.targets[net]
-        anchor = held_rows or targets
-        result = []
-        for row in range(0, top_row + 1):
-            holds = state.row_net[row] == net
-            if not holds and not state.claimable(row, column):
-                continue
-            lo, hi = (row, top_row) if shore == "T" else (0, row)
-            if not v_free(lo, hi, net):
-                continue
-            split = 1 if (held_rows and not holds) else 0
-            gap = (
-                min(abs(row - a) for a in anchor) if (split or not held_rows) and anchor else 0
-            )
-            result.append(((split, gap, hi - lo), row, lo, hi))
-        result.sort()
-        return result
-
-    def _collapse(self, spec, state: _BoxState, column, v_free, add_v):
-        progress = True
-        while progress:
-            progress = False
-            for net in sorted(state.held):
-                rows = sorted(state.held[net])
-                if len(rows) < 2:
-                    continue
-                pairs = sorted(
-                    zip(rows, rows[1:]), key=lambda p: p[1] - p[0]
-                )
-                for low, high in pairs:
-                    if not v_free(low, high, net):
-                        continue
-                    add_v(low, high, net)
-                    keep, drop = self._keep_drop(state, net, low, high)
-                    state.release(drop, column)
-                    progress = True
-                    break
-
-    def _steer(self, spec, state: _BoxState, column, v_free, add_v):
+    def _steer(self, state: SweepState) -> None:
         """Move nets toward their right-edge target rows.
 
         Tries to *jump* straight onto the target row (the joining vertical
@@ -283,33 +178,33 @@ class GreedySwitchboxRouter:
                 step = 1 if target > source else -1
                 landing = None
                 for row in (target, source + step):
-                    if row == source or not (0 <= row < state.height):
+                    if row == source or row not in state.slots:
                         continue
-                    if state.row_net[row] == net:
+                    if state.slot_net[row] == net:
                         landing = None
                         break
-                    if not state.claimable(row, column):
+                    if not state.claimable(row):
                         continue
                     lo, hi = sorted((source, row))
-                    if v_free(lo, hi, net):
+                    if state.v_free(lo, hi, net):
                         landing = row
                         break
                 if landing is None:
                     continue
                 lo, hi = sorted((source, landing))
-                state.claim(landing, net, column)
-                add_v(lo, hi, net)
+                state.claim(landing, net)
+                state.add_v(lo, hi, net)
                 if source not in targets:
-                    state.release(source, column)
+                    state.release(source)
 
-    def _join_targets(self, spec, state: _BoxState, column, v_free, add_v):
+    def _join_targets(self, state: SweepState) -> Optional[str]:
         """Final column: connect every net to all its right-edge pins."""
         for net in sorted(state.held):
             targets = state.targets[net]
             rows = state.held[net]
             if not targets:
                 for row in sorted(rows):
-                    state.release(row, column)
+                    state.release(row)
                 continue
             if not rows:
                 return f"net {net} reached the right edge holding nothing"
@@ -320,94 +215,36 @@ class GreedySwitchboxRouter:
             span = sorted(targets | {anchor})
             lo, hi = span[0], span[-1]
             if lo != hi:
-                if not v_free(lo, hi, net):
+                if not state.v_free(lo, hi, net):
                     return (
                         f"net {net} cannot join right-edge rows "
                         f"{sorted(targets)}"
                     )
-                add_v(lo, hi, net)
+                state.add_v(lo, hi, net)
             for row in sorted(rows):
-                state.release(row, column)
+                state.release(row)
         return None
-
-    def _keep_drop(self, state: _BoxState, net, low, high):
-        targets = state.targets[net]
-        if targets:
-            keep = min(
-                (low, high),
-                key=lambda r: min(abs(r - t) for t in targets),
-            )
-        else:
-            keep = min((low, high), key=lambda r: abs(r - state.height // 2))
-        drop = high if keep == low else low
-        return keep, drop
-
-    def _retire(self, spec, state: _BoxState, column: int) -> None:
-        for net in sorted(state.held):
-            rows = state.held[net]
-            if not rows:
-                continue
-            future = self._pins_after(spec, net, column + 1)
-            if future == 0 and not state.targets[net] and len(rows) == 1:
-                state.release(next(iter(rows)), column)
 
     # ------------------------------------------------------------------
     # Realisation
     # ------------------------------------------------------------------
-    def _realize(self, spec: SwitchboxSpec, state: _BoxState) -> BoxResult:
+    def _realize(self, spec: SwitchboxSpec, state: SweepState) -> BoxResult:
         problem = spec.to_problem()
-        grid = problem.build_grid()
         ids = problem.net_ids()
 
         def net_id(number: int) -> int:
             return ids[spec.net_name(number)]
 
-        # Seed the via sets with the boundary pins so a joining vertical
-        # (or trunk) landing on a pin cell gets its via automatically.
-        h_cells: Dict[int, Set[Point]] = {}
-        v_cells: Dict[int, Set[Point]] = {}
-        for row, net in enumerate(spec.left):
-            if net:
-                h_cells.setdefault(net, set()).add(Point(0, row))
-        for row, net in enumerate(spec.right):
-            if net:
-                h_cells.setdefault(net, set()).add(Point(spec.width - 1, row))
-        for col, net in enumerate(spec.top):
-            if net:
-                v_cells.setdefault(net, set()).add(Point(col, spec.height - 1))
-        for col, net in enumerate(spec.bottom):
-            if net:
-                v_cells.setdefault(net, set()).add(Point(col, 0))
-        try:
-            for net, row, x0, x1 in state.hwires:
-                grid.commit_path(
-                    net_id(net),
-                    straight_path(
-                        Point(x0, row), Point(x1, row), Layer.HORIZONTAL
-                    ),
-                )
-                h_cells.setdefault(net, set()).update(
-                    Point(x, row) for x in range(x0, x1 + 1)
-                )
-            for net, x, y0, y1 in state.vwires:
-                grid.commit_path(
-                    net_id(net),
-                    straight_path(Point(x, y0), Point(x, y1), Layer.VERTICAL),
-                )
-                v_cells.setdefault(net, set()).update(
-                    Point(x, y) for y in range(y0, y1 + 1)
-                )
-            for net, cells in h_cells.items():
-                for cell in sorted(cells & v_cells.get(net, set())):
-                    grid.commit_path(
-                        net_id(net),
-                        GridPath([(cell.x, cell.y, 0), (cell.x, cell.y, 1)]),
-                    )
-        except GridError as exc:
+        grid, reason = lay_wires(
+            problem,
+            [(net_id(n), row, x0, x1) for n, row, x0, x1 in state.trunks],
+            [(net_id(n), x, y0, y1) for n, x, y0, y1 in state.branches],
+        )
+        if reason:
             return BoxResult(
                 spec=spec,
                 success=False,
-                reason=f"illegal geometry: {exc}",
+                reason=reason,
                 problem=problem,
                 grid=grid,
             )

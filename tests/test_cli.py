@@ -251,6 +251,26 @@ class TestStructuredErrors:
         assert err.startswith("error:")
         assert "malformed" in err
 
+    @pytest.mark.parametrize("command", ["info", "route"])
+    @pytest.mark.parametrize("key", ["width", "height"])
+    @pytest.mark.parametrize("value", ["abc", "2.5", "6 5"])
+    def test_non_integer_switchbox_extent_exit_2(
+        self, tmp_path, capsys, command, key, value
+    ):
+        """A switchbox extent is read like its pin rows: a bad one is one
+        ``error:`` line naming the key (it was a ValueError traceback,
+        exit 1)."""
+        box = small_switchbox()
+        line = f"{key}: {getattr(box, key)}\n"
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            format_switchbox(box).replace(line, f"{key}: {value}\n")
+        )
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed switchbox file")
+        assert repr(key) in err and len(err.splitlines()) == 1
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -115,6 +115,32 @@ class TestKernelCalls:
         assert arities == [1] * result.stats.searches
 
 
+class TestKernelResolution:
+    def test_resolved_default_backend_takes_no_lock(self, monkeypatch):
+        """Once the first search has resolved the default backend, later
+        searches read it without entering ``kernels._lock``: under the
+        lock ``resolve_kernel(None)`` cost 0.29 us a call against 0.03 us
+        for the bare read (timeit, 2-vCPU x86_64 VM)."""
+        grid = RoutingGrid(10, 4)
+        assert find_path(grid, 1, [(0, 0, 0)], [(9, 3, 0)]).found
+        real = kernels._lock
+        entered = 0
+
+        class CountingLock:
+            def __enter__(self):
+                nonlocal entered
+                entered += 1
+                return real.__enter__()
+
+            def __exit__(self, *exc_info):
+                return real.__exit__(*exc_info)
+
+        monkeypatch.setattr(kernels, "_lock", CountingLock())
+        for _ in range(3):
+            assert find_path(grid, 1, [(0, 0, 0)], [(9, 3, 0)]).found
+        assert entered == 0
+
+
 _NODE_WORK_CASES = pytest.mark.parametrize(
     "build",
     [
